@@ -39,7 +39,9 @@ def _run(chords: int, accesses: float):
     return engine.run_batch(0)
 
 
-@pytest.mark.parametrize("chords,accesses", [(2, 3_000.0), (256, 3_000.0)])
+@pytest.mark.parametrize(
+    "chords,accesses", [(2, 3_000.0), (256, 3_000.0), (4949, 3_000.0)]
+)
 def test_engine_throughput(benchmark, report, chords, accesses):
     batch = benchmark(lambda: _run(chords, accesses))
     events_per_sec = batch.n_events / benchmark.stats["mean"]

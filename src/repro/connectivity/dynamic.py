@@ -7,33 +7,33 @@ vector and invalidates it on mutation, so component maintenance runs
 exactly once per network change regardless of how many accesses land in
 the interval.
 
-Maintenance is *incremental* (DESIGN.md §8): :class:`NetworkState` keeps a
-short journal of recent single-component flips, and the tracker consumes
-it instead of relabelling the whole graph:
+Maintenance is *incremental* (DESIGN.md §8): :class:`NetworkState`
+remembers its last flip, and when exactly that one flip separates the
+tracker from the state the tracker applies it instead of relabelling the
+whole graph:
 
 - a **recovery** event (site or link comes up) can only *merge*
   components — the tracker unions the affected components with a
   vectorized label rewrite, never touching the edge list;
 - a **failure** event can only *split* the component containing the
-  failed element — the tracker relabels just that component's induced
-  subgraph (a union-find over its usable links), leaving every other
-  component's labels and totals untouched;
-- anything else — bulk mutations, a stale journal, a tracker attached
-  mid-run — falls back to the full
+  failed element — the tracker searches the live graph from one side of
+  the failure and stops the moment it meets the other side (still
+  joined: nothing changes); only a search that exhausts first carves the
+  sites it visited off under a fresh id;
+- anything else — several flips between reads, a tracker attached
+  mid-run — takes the full
   :func:`~repro.connectivity.components.component_labels` recompute,
   which doubles as the correctness oracle (``audit_interval`` cross-checks
   the incremental state against it periodically).
 
 Labels stay on the documented contract (consecutive ids ``0..k-1`` over
-up sites, ``-1`` for down sites): every incremental step ends with an
-O(n) vectorized compaction, which is cheap next to the O(n + m)
-edge scan it replaces.
+up sites, ``-1`` for down sites) by construction: a split takes id ``k``,
+and a merge refills the id it frees by moving the top id into it.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -47,20 +47,9 @@ from repro.topology.model import Topology
 
 __all__ = ["NetworkState", "ComponentTracker", "NetworkChange"]
 
-#: Journal capacity: how many consecutive single-element flips a tracker
-#: may lag behind the state before it must fall back to a full relabel.
-#: The engine refreshes after every event, so in practice the journal
-#: never holds more than a handful of entries.
-JOURNAL_LIMIT = 64
-
-#: Pending-change count above which one full relabel beats replaying the
-#: journal (each replayed failure may touch a whole component; scripted
-#: partitions flip dozens of links at a single instant).
-INCREMENTAL_LIMIT = 4
-
 
 class NetworkChange(NamedTuple):
-    """One journalled mutation: the state version it produced and the flip."""
+    """One mutation: the state version it produced and the flip."""
 
     version: int
     kind: str  # "site" | "link"
@@ -72,7 +61,7 @@ class NetworkChange(NamedTuple):
 class NetworkState:
     """Boolean up/down state for every site and link of a topology."""
 
-    __slots__ = ("topology", "site_up", "link_up", "_version", "_journal")
+    __slots__ = ("topology", "site_up", "link_up", "_version", "_last")
 
     def __init__(
         self,
@@ -99,29 +88,20 @@ class NetworkState:
                 )
         #: Monotone counter bumped on every mutation; lets caches detect staleness.
         self._version = 0
-        #: Recent mutations, one entry per version bump (bounded).
-        self._journal: Deque[NetworkChange] = deque(maxlen=JOURNAL_LIMIT)
+        #: The mutation that produced the current version.
+        self._last: Optional[NetworkChange] = None
 
     @property
     def version(self) -> int:
         return self._version
 
-    def changes_since(self, version: int) -> Optional[List[NetworkChange]]:
-        """The journalled mutations after ``version``, oldest first.
+    def change_since(self, version: int) -> Optional[NetworkChange]:
+        """The one flip separating ``version`` from the current state.
 
-        Returns ``None`` when the journal no longer covers the gap (too
-        many intervening mutations) — the caller must recompute from
-        scratch.
+        ``None`` when the gap is anything but exactly one mutation — the
+        caller must recompute from scratch.
         """
-        gap = self._version - version
-        if gap < 0:
-            return None
-        if gap == 0:
-            return []
-        entries = [e for e in self._journal if e.version > version]
-        if len(entries) != gap:
-            return None
-        return entries
+        return self._last if self._version - version == 1 else None
 
     def set_site(self, site: int, up: bool) -> None:
         """Set a site's state; no-op mutations still count as changes."""
@@ -130,7 +110,7 @@ class NetworkState:
         was = bool(self.site_up[site])
         self.site_up[site] = up
         self._version += 1
-        self._journal.append(NetworkChange(self._version, "site", site, bool(up), was))
+        self._last = NetworkChange(self._version, "site", site, bool(up), was)
 
     def set_link(self, link_id: int, up: bool) -> None:
         """Set a link's state by link id."""
@@ -139,7 +119,7 @@ class NetworkState:
         was = bool(self.link_up[link_id])
         self.link_up[link_id] = up
         self._version += 1
-        self._journal.append(NetworkChange(self._version, "link", link_id, bool(up), was))
+        self._last = NetworkChange(self._version, "link", link_id, bool(up), was)
 
     def fail_site(self, site: int) -> None:
         self.set_site(site, False)
@@ -168,10 +148,15 @@ class ComponentTracker:
     """Maintains component labels and vote totals for a :class:`NetworkState`.
 
     All getters refresh lazily when the underlying state's version has
-    moved; between network changes they are O(1). The refresh consumes
-    the state's mutation journal incrementally (merge on recovery,
-    induced-subgraph relabel on failure) and falls back to the full
-    recompute when the journal cannot bridge the gap.
+    moved; between network changes they are O(1). A refresh that is
+    exactly one flip behind applies it incrementally (merge on recovery,
+    bounded reachability search on failure); any wider gap takes the
+    full recompute.
+
+    Returned arrays are never mutated afterwards: a refresh copies them
+    on its first real change, and one that changes nothing (a failure
+    that split nothing, a repair inside one component, a no-op flip, a
+    link flip at a down site) hands back the very same objects.
 
     ``votes`` overrides the topology's vote vector — several trackers
     with different vote vectors (one per replicated item) can share one
@@ -186,7 +171,7 @@ class ComponentTracker:
 
     __slots__ = (
         "state", "votes", "_cached_version", "_labels", "_vote_totals",
-        "_incident", "_next_label", "audit_interval",
+        "_incident", "_n_components", "_shared", "audit_interval",
         "n_incremental", "n_full", "_audit_countdown",
     )
 
@@ -209,7 +194,10 @@ class ComponentTracker:
         self._vote_totals: Optional[np.ndarray] = None
         #: Per-site incident links as ``[(link_id, other_endpoint), ...]``.
         self._incident: Optional[List[List[Tuple[int, int]]]] = None
-        self._next_label = 0
+        #: ``k``: the ids ``0..k-1`` are exactly the labels in use.
+        self._n_components = 0
+        #: True while callers may hold ``_labels`` / ``_vote_totals``.
+        self._shared = False
         self.audit_interval = int(audit_interval)
         self._audit_countdown = self.audit_interval
         #: Maintenance statistics (observability + benchmarks).
@@ -223,21 +211,12 @@ class ComponentTracker:
         state = self.state
         if self._cached_version == state.version:
             return
-        changes = (
-            state.changes_since(self._cached_version)
-            if self._labels is not None
-            else None
-        )
-        if changes is None or len(changes) > INCREMENTAL_LIMIT:
+        change = None if self._labels is None else state.change_since(self._cached_version)
+        if change is None:
             self._full_recompute()
         else:
-            # Copy-on-write: callers may hold references to the previously
-            # returned arrays, so never mutate them in place.
-            self._labels = self._labels.copy()
-            self._vote_totals = self._vote_totals.copy()
-            for change in changes:
-                self._apply_change(change)
-            self._compact_labels()
+            self._shared = True
+            self._apply_change(change)
             self.n_incremental += 1
             if self.audit_interval > 0:
                 self._audit_countdown -= 1
@@ -250,8 +229,7 @@ class ComponentTracker:
         topo = self.state.topology
         self._labels = component_labels(topo, self.state.site_up, self.state.link_up)
         self._vote_totals = component_vote_totals(self._labels, self.votes)
-        up = self._labels >= 0
-        self._next_label = int(self._labels.max()) + 1 if up.any() else 0
+        self._n_components = int(self._labels.max()) + 1 if self._labels.size else 0
         self.n_full += 1
 
     def _audit(self) -> None:
@@ -294,6 +272,14 @@ class ComponentTracker:
             self._incident = incident
         return self._incident
 
+    def _writable(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The label and total arrays, copied first if callers may hold them."""
+        if self._shared:
+            self._labels = self._labels.copy()
+            self._vote_totals = self._vote_totals.copy()
+            self._shared = False
+        return self._labels, self._vote_totals
+
     def _apply_change(self, change: NetworkChange) -> None:
         if change.up == change.was_up:
             return  # no-op flip: version moved, structure did not
@@ -302,19 +288,21 @@ class ComponentTracker:
                 self._attach_site(change.index)
             else:
                 self._detach_site(change.index)
+            return
+        link = self.state.topology.links[change.index]
+        old = int(self._labels[link.a])
+        if old < 0 or self._labels[link.b] < 0:
+            return  # a detached endpoint: the link carries no connectivity
+        if change.up:
+            self._merge(link.a, link.b)
         else:
-            self._flip_link(change.index, change.up)
-
-    def _fresh_label(self) -> int:
-        label = self._next_label
-        self._next_label += 1
-        return label
+            piece = self._search(link.a, {link.b})
+            if piece is not None:
+                self._carve(piece, old)
 
     def _merge(self, a: int, b: int) -> None:
         """Union the components of up sites ``a`` and ``b`` (weighted)."""
-        labels = self._labels
-        totals = self._vote_totals
-        la, lb = int(labels[a]), int(labels[b])
+        la, lb = int(self._labels[a]), int(self._labels[b])
         if la < 0 or lb < 0:
             # A detached endpoint must never reach here: ``labels == -1``
             # matches *every* down site, so the mask rewrite below would
@@ -325,115 +313,97 @@ class ComponentTracker:
             )
         if la == lb:
             return
+        labels, totals = self._writable()
         mask_a = labels == la
         mask_b = labels == lb
         # Rewrite the smaller side's labels (weighted union).
         if int(mask_a.sum()) < int(mask_b.sum()):
-            la, mask_a, mask_b = lb, mask_b, mask_a
+            la, lb, mask_a, mask_b = lb, la, mask_b, mask_a
         combined_votes = int(totals[a]) + int(totals[b])
         labels[mask_b] = la
         totals[mask_a] = combined_votes
         totals[mask_b] = combined_votes
+        self._release(lb)
+
+    def _release(self, label: int) -> None:
+        """Free a component id; the top id moves into the hole it leaves."""
+        self._n_components -= 1
+        top = self._n_components
+        if label != top:
+            labels = self._labels
+            labels[labels == top] = label
 
     def _attach_site(self, site: int) -> None:
-        """A site came up: start it as a singleton, then merge over links.
-
-        The neighbour gate is the *tracker's* label, not ``state.site_up``:
-        the journal replays against the final mask arrays, so a neighbour
-        flipped up by a still-pending entry is already ``True`` in
-        ``site_up`` while its tracker label is still ``-1`` — merging with
-        it would go through the detached label and resurrect every down
-        site (the pending entry's own ``_attach_site`` performs the merge
-        instead, once both sides are attached).
-        """
-        labels = self._labels
-        labels[site] = self._fresh_label()
-        self._vote_totals[site] = self.votes[site]
+        """A site came up: start it as a singleton, then merge over links."""
+        labels, totals = self._writable()
+        labels[site] = self._n_components
+        self._n_components += 1
+        totals[site] = self.votes[site]
         link_up = self.state.link_up
         for lid, other in self._incident_links()[site]:
             if link_up[lid] and labels[other] >= 0:
                 self._merge(site, other)
 
     def _detach_site(self, site: int) -> None:
-        """A site went down: drop it and resplit its old component."""
-        labels = self._labels
+        """A site went down: drop it and resplit its old component.
+
+        Every site of the old component reaches one of the failed site's
+        neighbours without passing through it, so the component is still
+        whole iff those neighbours can still reach each other.
+        """
+        labels, totals = self._writable()
         old = int(labels[site])
         labels[site] = DOWN_LABEL
-        self._vote_totals[site] = 0
-        members = np.nonzero(labels == old)[0]
-        if members.size:
-            self._relabel_members(members)
-
-    def _flip_link(self, link_id: int, up: bool) -> None:
-        link = self.state.topology.links[link_id]
-        labels = self._labels
-        # Endpoint liveness comes from the tracker's labels, not
-        # ``state.site_up`` (see ``_attach_site``): a pending site flip is
-        # already visible in the state mask but not yet applied here.
-        if labels[link.a] < 0 or labels[link.b] < 0:
-            return  # a detached endpoint: the link carries no connectivity
-        if up:
-            self._merge(link.a, link.b)
-        elif labels[link.a] == labels[link.b]:
-            members = np.nonzero(labels == labels[link.a])[0]
-            self._relabel_members(members)
-
-    def _relabel_members(self, members: np.ndarray) -> None:
-        """Relabel one component's induced subgraph after a failure.
-
-        Runs a weighted union-find over the usable links *among
-        ``members`` only* — the rest of the network is untouched, which
-        is the whole point of the incremental path.
-        """
-        labels = self._labels
-        totals = self._vote_totals
-        n = labels.shape[0]
-        in_c = np.zeros(n, dtype=bool)
-        in_c[members] = True
-        u, v = self.state.topology.link_endpoint_arrays()
-        usable = self.state.link_up & in_c[u] & in_c[v]
-        idx = np.nonzero(usable)[0]
-
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in zip(u[idx].tolist(), v[idx].tolist()):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-
-        root_label: dict = {}
-        member_list = members.tolist()
-        new_labels = np.empty(members.shape[0], dtype=np.int64)
-        for k, site in enumerate(member_list):
-            root = find(site)
-            label = root_label.get(root)
-            if label is None:
-                label = root_label[root] = self._fresh_label()
-            new_labels[k] = label
-        labels[members] = new_labels
-        # Per-subcomponent vote totals.
-        votes = self.votes[members]
-        uniq, inv = np.unique(new_labels, return_inverse=True)
-        sums = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(sums, inv, votes)
-        totals[members] = sums[inv]
-
-    def _compact_labels(self) -> None:
-        """Renumber labels onto ``0..k-1`` (the documented contract)."""
-        labels = self._labels
-        up = labels >= 0
-        if not up.any():
-            self._next_label = 0
+        totals[site] = 0
+        link_up = self.state.link_up
+        pending = {
+            other for lid, other in self._incident_links()[site]
+            if link_up[lid] and labels[other] == old
+        }
+        if not pending:
+            self._release(old)  # the site was a component of its own
             return
-        uniq, inv = np.unique(labels[up], return_inverse=True)
-        labels[up] = inv
-        self._next_label = uniq.shape[0]
+        totals[labels == old] -= self.votes[site]
+        while len(pending) > 1:
+            piece = self._search(pending.pop(), pending)
+            if piece is None:
+                return
+            self._carve(piece, old)
+            pending -= piece
+
+    def _search(self, start: int, targets: Set[int]) -> Optional[Set[int]]:
+        """Walk the live graph from ``start`` until every target is met.
+
+        Returns ``None`` the moment the last of ``targets`` is reached
+        (``start`` is still joined to all of them), else the exhausted
+        search's visited set: the whole component of ``start``. Reads the
+        state's *current* masks, hence the single-flip gate in ``_refresh``.
+        """
+        site_up, link_up = self.state.site_up, self.state.link_up
+        incident = self._incident_links()
+        missing = len(targets)
+        seen = {start}
+        stack = [start]
+        while stack:
+            for lid, other in incident[stack.pop()]:
+                if other not in seen and link_up[lid] and site_up[other]:
+                    if other in targets:
+                        missing -= 1
+                        if not missing:
+                            return None
+                    seen.add(other)
+                    stack.append(other)
+        return seen
+
+    def _carve(self, piece: Set[int], old: int) -> None:
+        """Split ``piece`` off component ``old`` under a fresh id."""
+        labels, totals = self._writable()
+        members = np.fromiter(piece, dtype=np.intp, count=len(piece))
+        piece_votes = int(self.votes[members].sum())
+        labels[members] = self._n_components
+        self._n_components += 1
+        totals[labels == old] -= piece_votes
+        totals[members] = piece_votes
 
     # ------------------------------------------------------------------
     # Getters

@@ -276,6 +276,11 @@ class SimulationEngine:
         instruments = (
             _EngineInstruments(self.telemetry) if self.telemetry.enabled else None
         )
+        # PhasedWorkload exposes .at(time); plain workloads are constant.
+        phase_at = getattr(workload, "at", None)
+        # Self-tuning protocols (AdaptiveQuorumProtocol) learn from the
+        # same epoch observations the engine accounts with.
+        epoch_hook = getattr(self.protocol, "record_epoch", None)
         now = 0.0
         while now < horizon:
             epoch_end = min(queue.peek_time(), horizon) if queue else horizon
@@ -294,14 +299,9 @@ class SimulationEngine:
                     wall0 = perf_counter()
                     read_mask, write_mask = self.protocol.grant_masks(tracker)
                     instruments.grant_seconds.observe(perf_counter() - wall0)
-                # PhasedWorkload exposes .at(time); plain workloads are
-                # constant. Phase times are measured from the warm-up end
-                # so schedules are independent of the warm-up length.
-                active = (
-                    workload.at(now - warmup_end)
-                    if hasattr(workload, "at")
-                    else workload
-                )
+                # Phase times are measured from the warm-up end so
+                # schedules are independent of the warm-up length.
+                active = workload if phase_at is None else phase_at(now - warmup_end)
                 if sampled:
                     reads, writes = active.sample_epoch(duration, access_rng)
                 else:
@@ -317,9 +317,6 @@ class SimulationEngine:
                 density_time.observe_all(vote_totals, weight=duration)
                 density_access.observe_counts(vote_totals, reads + writes)
                 max_votes_time[int(vote_totals.max()) if vote_totals.size else 0] += duration
-                # Self-tuning protocols (AdaptiveQuorumProtocol) learn from
-                # the same epoch observations the engine accounts with.
-                epoch_hook = getattr(self.protocol, "record_epoch", None)
                 if epoch_hook is not None:
                     epoch_hook(tracker, duration, reads=reads, writes=writes)
                 counters.n_epochs += 1

@@ -112,3 +112,34 @@ class TestComponentTracker:
         tracker = ComponentTracker(state)
         state.fail_link(topo.link_id(0, 1))
         assert tracker.max_component_votes() == 10
+
+    def test_copy_on_write_only_when_something_changes(self):
+        """Unchanged refreshes return the identical arrays; a split copies."""
+        topo = ring(6)
+        state = NetworkState(topo)
+        tracker = ComponentTracker(state)
+        labels, totals = tracker.labels, tracker.vote_totals
+
+        def unchanged():
+            return tracker.labels is labels and tracker.vote_totals is totals
+
+        state.fail_link(topo.link_id(0, 1))  # the ring holds the long way round
+        assert unchanged()
+        state.repair_link(topo.link_id(0, 1))  # both ends already together
+        assert unchanged()
+        state.repair_site(3)  # no-op flip: the site was up
+        assert unchanged()
+        assert tracker.n_incremental == 3 and tracker.n_full == 1
+
+        state.fail_site(3)
+        assert not unchanged()
+        labels, totals = tracker.labels, tracker.vote_totals
+        state.fail_link(topo.link_id(3, 4))  # dead endpoint
+        assert unchanged()
+
+        held = labels.copy(), totals.copy()
+        state.fail_link(topo.link_id(0, 1))  # cuts the path 4-5-0-1-2
+        assert tracker.labels is not labels and tracker.vote_totals is not totals
+        assert tracker.vote_totals.tolist() == [3, 2, 2, 0, 3, 3]
+        assert labels.tobytes() == held[0].tobytes()
+        assert totals.tobytes() == held[1].tobytes()

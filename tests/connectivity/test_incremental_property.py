@@ -1,27 +1,33 @@
 """Property tests: incremental ComponentTracker vs the full-relabel oracle.
 
 The incremental path (DESIGN.md §8) applies one site/link flip at a time
-— merge on recovery, local relabel on failure — with the full
-``component_labels`` recompute kept as the correctness oracle. These
+— merge on recovery, bounded reachability search on failure — with the
+full ``component_labels`` recompute kept as the correctness oracle. These
 tests drive ComponentTracker through arbitrary random fail/repair
-sequences on ring, complete, and irregular topologies and require exact
-agreement with an oracle tracker that is forced to recompute from
-scratch at every step (its journal never bridges the gap because it is
-constructed fresh each time).
+sequences on ring, complete, irregular and the paper's dense 101-site
+topologies and require exact agreement with that recompute at every step.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.connectivity.components import component_labels, component_vote_totals
 from repro.connectivity.dynamic import ComponentTracker, NetworkState
-from repro.topology.generators import erdos_renyi, fully_connected, ring
+from repro.topology.generators import (
+    erdos_renyi,
+    fully_connected,
+    paper_topology,
+    ring,
+)
+from repro.topology.model import Topology
 
 TOPOLOGIES = {
     "ring": lambda: ring(9),
     "complete": lambda: fully_connected(7),
     "irregular": lambda: erdos_renyi(10, 0.35, seed=5, ensure_connected=True),
+    "paper-256": lambda: paper_topology(256, n_sites=101),
+    "complete-40": lambda: fully_connected(40),
 }
 
 
@@ -85,26 +91,44 @@ def test_incremental_tracker_matches_full_relabel(case):
 
 @settings(max_examples=60, deadline=None)
 @given(event_sequences(), st.integers(2, 4))
+# A failure search reads the state's *current* masks, so replaying several
+# flips in one refresh is wrong: with site 1 and link (1,2) both down, the
+# site's replay never sees neighbour 2 and leaves it joined to site 0 ...
+@example(
+    case=(Topology(3, [(0, 1), (1, 2)]),
+          [("site", 1, False), ("link", 1, False)]),
+    stride=2,
+)
+# ... and with all three links of a path down, carving {1} off first leaves
+# 0, 2 and 3 sharing a label that only one later replay gets to split.
+@example(
+    case=(Topology(4, [(0, 1), (1, 2), (2, 3)]),
+          [("link", 1, False), ("link", 0, False), ("link", 2, False)]),
+    stride=3,
+)
 def test_incremental_tracker_matches_oracle_with_deferred_refresh(case, stride):
-    """Multiple journalled changes replayed in ONE refresh stay correct.
+    """Several flips between two reads stay correct: they take the full relabel.
 
-    The one-event-per-refresh test above can never catch replay-staleness
-    bugs: with several pending entries, the state's mask arrays already
-    reflect *later* entries while the earlier ones are being applied, so
-    incremental ops must gate on the tracker's own labels. (A missed gate
-    here once let a merge run through a detached endpoint's ``-1`` label,
-    resurrecting every down site into one corrupt component.)
+    The one-event-per-refresh test above only ever exercises the
+    incremental path; here every refresh but possibly the last is more
+    than one flip behind the state, which the tracker must notice.
     """
     topology, events = case
     state = NetworkState(topology)
     tracker = ComponentTracker(state)
     tracker.labels
+    refreshes = wide = 0
     for start in range(0, len(events), stride):
-        for event in events[start:start + stride]:
+        chunk = events[start:start + stride]
+        for event in chunk:
             _apply(state, topology, event)
-        # One refresh now replays the whole slice of journal entries.
         _assert_matches_oracle(tracker, state)
-    assert tracker.n_incremental > 0 or len(events) == 0
+        refreshes += 1
+        wide += len(chunk) >= 2
+    # Every refresh is counted once (+1: the priming read), and every gap
+    # of two or more flips is a full relabel.
+    assert tracker.n_incremental + tracker.n_full == refreshes + 1
+    assert tracker.n_full == wide + 1
 
 
 def test_adjacent_recoveries_in_one_refresh_do_not_resurrect_down_sites():
@@ -148,7 +172,7 @@ def test_self_audit_never_fires_on_correct_tracker(case):
     st.sampled_from(sorted(TOPOLOGIES)),
 )
 def test_burst_changes_fall_back_to_full_recompute(flips, topo_name):
-    """Many flips between reads exceed INCREMENTAL_LIMIT → full recompute."""
+    """Many flips between reads → one full recompute, still oracle-exact."""
     topology = TOPOLOGIES[topo_name]()
     state = NetworkState(topology)
     tracker = ComponentTracker(state)
