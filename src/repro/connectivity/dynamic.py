@@ -98,10 +98,12 @@ class NetworkState:
     def change_since(self, version: int) -> Optional[NetworkChange]:
         """The one flip separating ``version`` from the current state.
 
-        ``None`` when the gap is anything but exactly one mutation — the
-        caller must recompute from scratch.
+        ``None`` when the gap is anything but exactly one mutation (wider,
+        zero, or ``version`` from the future) — a caller that is not
+        already current must recompute from scratch.
         """
-        return self._last if self._version - version == 1 else None
+        last = self._last
+        return last if last is not None and last.version - version == 1 else None
 
     def set_site(self, site: int, up: bool) -> None:
         """Set a site's state; no-op mutations still count as changes."""
