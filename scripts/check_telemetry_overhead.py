@@ -4,9 +4,11 @@
 The engine's epoch loop is instrumented, but when no recorder is
 installed every instrumentation site reduces to one ``instruments is
 None`` test. This script measures that residual cost directly: it times
-the shipped ``_measure_loop`` (null recorder) against a pristine,
-uninstrumented copy of the same loop, on identical seeds, and fails if
+the shipped ``_measure_loop`` (null recorder) against a copy of the same
+loop without the instrumentation sites, on identical seeds, and fails if
 the instrumented-but-disabled path is more than ``--threshold`` slower.
+It first asserts that both loops return identical ``BatchResult``
+counters and ``density_time`` weights.
 
 A second measurement gates the *enabled* cost of the tracing layer
 where it actually instruments: the enumeration kernel, whose chunk loop
@@ -36,6 +38,8 @@ import argparse
 import sys
 from time import perf_counter
 
+import numpy as np
+
 from repro.protocols.majority import MajorityConsensusProtocol
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import SimulationEngine
@@ -43,20 +47,21 @@ from repro.topology.generators import ring
 
 
 class BaselineEngine(SimulationEngine):
-    """Engine with the pre-telemetry epoch loop (no instrumentation sites).
+    """Engine whose epoch loop has no instrumentation sites.
 
-    This is a verbatim copy of ``SimulationEngine._measure_loop`` with
-    every telemetry branch deleted — the floor the <5% criterion is
-    measured against. It must stay semantically identical; the check
-    below asserts both variants produce the same batch accounting.
+    This is ``SimulationEngine._measure_loop`` with every ``instruments``
+    branch deleted and nothing else changed — the floor the <5%
+    criterion is measured against. The sanity check in ``main`` asserts
+    both loops return identical batch results, so this copy cannot
+    drift from the shipped loop unnoticed.
     """
 
     def _measure_loop(
         self, queue, state, tracker, processes, trace,
-        warmup_end, horizon, sampled, workload,
-        access_rng, density_time, density_access, max_votes_time,
-        counters,
+        warmup_end, horizon, sampled, workload, access_rng, ledger,
     ) -> float:
+        phase_at = getattr(workload, "at", None)
+        epoch_hook = getattr(self.protocol, "record_epoch", None)
         now = 0.0
         while now < horizon:
             epoch_end = min(queue.peek_time(), horizon) if queue else horizon
@@ -68,30 +73,15 @@ class BaselineEngine(SimulationEngine):
             if duration > 0 and measuring:
                 vote_totals = tracker.vote_totals
                 read_mask, write_mask = self.protocol.grant_masks(tracker)
-                active = (
-                    workload.at(now - warmup_end)
-                    if hasattr(workload, "at")
-                    else workload
-                )
+                active = workload if phase_at is None else phase_at(now - warmup_end)
                 if sampled:
                     reads, writes = active.sample_epoch(duration, access_rng)
                 else:
                     reads, writes = active.expected_epoch(duration)
-                counters.reads_submitted += float(reads.sum())
-                counters.writes_submitted += float(writes.sum())
-                counters.reads_granted += float(reads[read_mask].sum())
-                counters.writes_granted += float(writes[write_mask].sum())
-                if read_mask.any():
-                    counters.surv_read_time += duration
-                if write_mask.any():
-                    counters.surv_write_time += duration
-                density_time.observe_all(vote_totals, weight=duration)
-                density_access.observe_counts(vote_totals, reads + writes)
-                max_votes_time[int(vote_totals.max()) if vote_totals.size else 0] += duration
-                epoch_hook = getattr(self.protocol, "record_epoch", None)
+                ledger.record(duration, vote_totals, reads, writes,
+                              read_mask, write_mask)
                 if epoch_hook is not None:
                     epoch_hook(tracker, duration, reads=reads, writes=writes)
-                counters.n_epochs += 1
 
             now = epoch_end
             if now >= horizon:
@@ -100,11 +90,29 @@ class BaselineEngine(SimulationEngine):
                 event = queue.pop()
                 self._apply(event, state, processes, queue)
                 trace.record(event)
-                counters.n_events += 1
+                ledger.n_events += 1
             self.protocol.on_network_change(tracker)
             if self.change_observer is not None:
                 self.change_observer(now, tracker, self.protocol)
         return now
+
+
+#: ``BatchResult`` scalars the baseline must reproduce exactly.
+RESULT_FIELDS = (
+    "reads_submitted", "reads_granted", "writes_submitted", "writes_granted",
+    "surv_read", "surv_write", "n_epochs", "n_events",
+)
+
+
+def divergence(shipped, baseline):
+    """Name of the first result field the two loops disagree on, or None."""
+    for name in RESULT_FIELDS:
+        if getattr(shipped, name) != getattr(baseline, name):
+            return f"{name}: {getattr(shipped, name)} != {getattr(baseline, name)}"
+    if not np.array_equal(shipped.density_time._weights,
+                          baseline.density_time._weights):
+        return "density_time weights"
+    return None
 
 
 def build_config(n_sites: int, accesses: float, seed: int) -> SimulationConfig:
@@ -164,8 +172,6 @@ def main(argv=None) -> int:
                         help="batches per timing round")
     args = parser.parse_args(argv)
 
-    import numpy as np
-
     from repro.telemetry.recorder import Telemetry
 
     cfg = build_config(args.sites, args.accesses, seed=17)
@@ -178,15 +184,11 @@ def main(argv=None) -> int:
         "disabled path only"
     )
 
-    # Sanity: the baseline copy must still compute the same physics.
-    a = instrumented.run_batch(0)
-    b = baseline.run_batch(0)
-    for field in ("reads_submitted", "reads_granted", "writes_submitted",
-                  "writes_granted", "n_epochs", "n_events"):
-        if getattr(a, field) != getattr(b, field):
-            print(f"FAIL: baseline loop diverged on {field}: "
-                  f"{getattr(a, field)} != {getattr(b, field)}")
-            return 2
+    # Sanity: the baseline copy must be the shipped loop, bit for bit.
+    diverged = divergence(instrumented.run_batch(0), baseline.run_batch(0))
+    if diverged is not None:
+        print(f"FAIL: baseline loop diverged on {diverged}")
+        return 2
 
     # Warm-up round so allocator/caches settle before timing.
     time_batches(instrumented, 1)

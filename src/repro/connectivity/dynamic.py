@@ -172,9 +172,9 @@ class ComponentTracker:
     """
 
     __slots__ = (
-        "state", "votes", "_cached_version", "_labels", "_vote_totals",
-        "_incident", "_n_components", "_shared", "audit_interval",
-        "n_incremental", "n_full", "_audit_countdown",
+        "state", "votes", "total_votes", "_cached_version", "_labels",
+        "_vote_totals", "_incident", "_n_components", "_shared",
+        "audit_interval", "n_incremental", "n_full", "_audit_countdown",
     )
 
     def __init__(self, state: NetworkState,
@@ -191,6 +191,8 @@ class ComponentTracker:
                     f"got {votes.shape}"
                 )
             self.votes = votes
+        #: ``T``; ``votes`` is never reassigned, so it is summed once.
+        self.total_votes = int(self.votes.sum())
         self._cached_version = -1
         self._labels: Optional[np.ndarray] = None
         self._vote_totals: Optional[np.ndarray] = None

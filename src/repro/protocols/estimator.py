@@ -71,10 +71,11 @@ class OnlineDensityEstimator:
 
         The shared-memory pool transport ships estimators across process
         boundaries as their weight matrices alone; this is the
-        dispatcher-side inverse. The matrix is adopted as float64
-        (copying only if a cast is needed), so round-tripping is bitwise.
+        dispatcher-side inverse. The matrix is adopted as C-contiguous
+        float64 (copying only if a cast or re-layout is needed), so
+        round-tripping is bitwise.
         """
-        weights = np.asarray(weights, dtype=np.float64)
+        weights = np.ascontiguousarray(weights, dtype=np.float64)
         if weights.ndim != 2 or weights.shape[1] != total_votes + 1:
             raise DensityError(
                 f"weights must have shape (n_sites, {total_votes + 1}), "
@@ -141,6 +142,46 @@ class OnlineDensityEstimator:
             raise DensityError("counts must be non-negative")
         self._decay()
         np.add.at(self._weights, (self._site_ids, totals), weights)
+
+    def observe_epochs(self, vote_totals: np.ndarray, weights: np.ndarray) -> None:
+        """Record a block of consecutive snapshots, oldest first.
+
+        ``vote_totals`` is ``(k, n_sites)``, one row per epoch.
+        ``weights`` is ``(k,)`` — one weight per epoch, as ``k`` calls
+        to :meth:`observe_all` — or ``(k, n_sites)`` — per-site weights,
+        as ``k`` calls to :meth:`observe_counts`. The block is validated
+        once and rejected whole; every cell then receives its additions
+        in epoch order, so the result is bitwise that of the row-by-row
+        calls.
+        """
+        totals = np.asarray(vote_totals, dtype=np.int64)
+        weights = np.asarray(weights, dtype=np.float64)
+        if totals.ndim != 2 or totals.shape[1] != self.n_sites:
+            raise DensityError(
+                f"vote_totals must have shape (k, {self.n_sites}), got {totals.shape}"
+            )
+        if weights.shape != totals.shape and weights.shape != totals.shape[:1]:
+            raise DensityError(
+                f"weights must have shape ({totals.shape[0]},) or {totals.shape}, "
+                f"got {weights.shape}"
+            )
+        if totals.shape[0] == 0:
+            return
+        if totals.min() < 0 or totals.max() > self.total_votes:
+            raise DensityError(f"vote totals must be in 0..{self.total_votes}")
+        if weights.min() < 0:
+            raise DensityError("weights must be non-negative")
+        if self.forgetting_factor < 1.0:
+            # Decay separates consecutive rows, so they cannot be fused.
+            row = self.observe_all if weights.ndim == 1 else self.observe_counts
+            for row_totals, row_weights in zip(totals, weights):
+                row(row_totals, row_weights)
+            return
+        if weights.ndim == 1:
+            weights = np.repeat(weights, self.n_sites)
+        # Epoch-major cells + unbuffered add.at = per-cell epoch order.
+        cells = self._site_ids * (self.total_votes + 1) + totals
+        np.add.at(self._weights.reshape(-1), cells.ravel(), weights.ravel())
 
     def _decay(self) -> None:
         if self.forgetting_factor < 1.0:

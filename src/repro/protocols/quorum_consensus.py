@@ -43,11 +43,10 @@ class QuorumConsensusProtocol(ReplicaControlProtocol):
 
     def grant_masks(self, tracker: ComponentTracker) -> Tuple[np.ndarray, np.ndarray]:
         totals = tracker.vote_totals
-        tracker_total = int(tracker.votes.sum())
-        if tracker_total != self._assignment.total_votes:
+        if tracker.total_votes != self._assignment.total_votes:
             raise ProtocolError(
                 f"assignment is for T={self._assignment.total_votes} votes but the "
-                f"network carries T={tracker_total}"
+                f"network carries T={tracker.total_votes}"
             )
         # Down sites have component total 0 < 1 <= q_r, so both masks are
         # automatically False there.

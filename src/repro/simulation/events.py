@@ -84,12 +84,17 @@ class Event:
 
 
 class EventQueue:
-    """A deterministic min-heap of :class:`Event` objects."""
+    """A deterministic min-heap of :class:`Event` objects.
+
+    Heap entries are ``(time, sequence, event)`` tuples: the sequence is
+    unique, so ``heapq`` orders them by C tuple comparison and never
+    reaches the event's own (Python) ``__lt__``.
+    """
 
     __slots__ = ("_heap", "_counter")
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._counter = count()
 
     def schedule(
@@ -104,23 +109,25 @@ class EventQueue:
             time=time, sequence=next(self._counter), kind=kind, target=target,
             source=source,
         )
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (event.time, event.sequence, event))
         return event
 
     def pop(self) -> Event:
         """Remove and return the earliest event."""
         if not self._heap:
             raise SimulationError("pop from an empty event queue")
-        return heapq.heappop(self._heap)
+        return heapq.heappop(self._heap)[2]
 
     def peek(self) -> Event:
         """Return (without removing) the earliest event."""
         if not self._heap:
             raise SimulationError("peek into an empty event queue")
-        return self._heap[0]
+        return self._heap[0][2]
 
     def peek_time(self) -> float:
-        return self.peek().time
+        if not self._heap:
+            raise SimulationError("peek into an empty event queue")
+        return self._heap[0][0]
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -130,5 +137,5 @@ class EventQueue:
 
     def drain_until(self, horizon: float) -> Iterator[Event]:
         """Pop every event with ``time <= horizon`` in order."""
-        while self._heap and self._heap[0].time <= horizon:
-            yield heapq.heappop(self._heap)
+        while self._heap and self._heap[0][0] <= horizon:
+            yield heapq.heappop(self._heap)[2]

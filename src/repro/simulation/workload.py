@@ -165,8 +165,10 @@ class AccessWorkload:
             return zero, zero.copy()
         n_reads = int(rng.binomial(total, self.alpha))
         n_writes = total - n_reads
-        reads = rng.multinomial(n_reads, self.read_weights).astype(np.int64)
-        writes = rng.multinomial(n_writes, self.write_weights).astype(np.int64)
+        # multinomial already draws int64; copy=False keeps the contract
+        # without copying both arrays every epoch.
+        reads = rng.multinomial(n_reads, self.read_weights).astype(np.int64, copy=False)
+        writes = rng.multinomial(n_writes, self.write_weights).astype(np.int64, copy=False)
         return reads, writes
 
     def expected_epoch(self, duration: float) -> Tuple[np.ndarray, np.ndarray]:

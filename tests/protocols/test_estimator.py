@@ -78,6 +78,88 @@ class TestObserve:
         assert est.total_weight == pytest.approx(6.0)
 
 
+class TestObserveEpochs:
+    """A block of snapshots is bitwise the row-by-row calls, oldest first."""
+
+    N_SITES, TOTAL_VOTES = 4, 6
+
+    def block(self, k, seed=5):
+        rng = np.random.default_rng(seed)
+        totals = rng.integers(0, self.TOTAL_VOTES + 1, size=(k, self.N_SITES))
+        return totals, rng.random(k) * 10.0, rng.random((k, self.N_SITES)) * 1e3
+
+    def pair(self, forgetting_factor):
+        return (
+            OnlineDensityEstimator(self.N_SITES, self.TOTAL_VOTES, forgetting_factor),
+            OnlineDensityEstimator(self.N_SITES, self.TOTAL_VOTES, forgetting_factor),
+        )
+
+    @pytest.mark.parametrize("forgetting_factor", [1.0, 0.9])
+    def test_per_epoch_weights_equal_sequential_observe_all(self, forgetting_factor):
+        totals, durations, _ = self.block(40)
+        block, rows = self.pair(forgetting_factor)
+        # Two blocks: the second must continue from the first's carry.
+        block.observe_epochs(totals[:25], durations[:25])
+        block.observe_epochs(totals[25:], durations[25:])
+        for row, duration in zip(totals, durations):
+            rows.observe_all(row, weight=duration)
+        assert np.array_equal(block._weights, rows._weights)
+
+    @pytest.mark.parametrize("forgetting_factor", [1.0, 0.9])
+    def test_per_site_weights_equal_sequential_observe_counts(self, forgetting_factor):
+        totals, _, counts = self.block(40)
+        block, rows = self.pair(forgetting_factor)
+        block.observe_epochs(totals[:25], counts[:25])
+        block.observe_epochs(totals[25:], counts[25:])
+        for row, row_counts in zip(totals, counts):
+            rows.observe_counts(row, row_counts)
+        assert np.array_equal(block._weights, rows._weights)
+
+    @pytest.mark.parametrize("forgetting_factor", [1.0, 0.9])
+    def test_empty_block_changes_nothing(self, forgetting_factor):
+        est = OnlineDensityEstimator(self.N_SITES, self.TOTAL_VOTES, forgetting_factor)
+        est.observe(0, 2, weight=3.0)
+        before = est._weights.copy()
+        est.observe_epochs(np.empty((0, self.N_SITES), dtype=np.int64), np.empty(0))
+        est.observe_epochs(np.empty((0, self.N_SITES), dtype=np.int64),
+                           np.empty((0, self.N_SITES)))
+        assert np.array_equal(est._weights, before)
+
+    @pytest.mark.parametrize("bad_totals", [-1, 7])
+    def test_rejects_out_of_range_totals_and_leaves_the_block_out(self, bad_totals):
+        totals, durations, counts = self.block(5)
+        totals[3, 1] = bad_totals
+        est = OnlineDensityEstimator(self.N_SITES, self.TOTAL_VOTES)
+        for weights in (durations, counts):
+            with pytest.raises(DensityError):
+                est.observe_epochs(totals, weights)
+        assert est.total_weight == 0.0
+
+    def test_rejects_negative_weights(self):
+        totals, durations, counts = self.block(5)
+        durations[2] = -1e-9
+        counts[4, 0] = -1.0
+        est = OnlineDensityEstimator(self.N_SITES, self.TOTAL_VOTES)
+        for weights in (durations, counts):
+            with pytest.raises(DensityError):
+                est.observe_epochs(totals, weights)
+        assert est.total_weight == 0.0
+
+    def test_rejects_wrong_shapes(self):
+        totals, durations, counts = self.block(5)
+        est = OnlineDensityEstimator(self.N_SITES, self.TOTAL_VOTES)
+        for bad_totals, weights in (
+            (totals[0], durations),               # one row, not a block
+            (totals[:, :3], durations),           # too few sites
+            (totals, durations[:4]),              # one weight short
+            (totals, counts[:, :3]),              # per-site weights, too few sites
+            (totals, counts.T),
+            (totals, 1.0),                        # a scalar is observe_all's job
+        ):
+            with pytest.raises(DensityError):
+                est.observe_epochs(bad_totals, weights)
+
+
 class TestReadout:
     def test_density_requires_observation(self):
         est = OnlineDensityEstimator(2, 3)

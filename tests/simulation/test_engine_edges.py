@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.connectivity.dynamic import ComponentTracker
+from repro.errors import BatchExecutionError, DensityError
 from repro.protocols.majority import MajorityConsensusProtocol
 from repro.simulation.config import SimulationConfig
+from repro.simulation import engine as engine_module
 from repro.simulation.engine import SimulationEngine, simulate_batch
 from repro.simulation.workload import AccessWorkload
 from repro.topology.generators import ring
@@ -138,3 +141,43 @@ class TestInfallibleComponents:
         assert res.availability == 1.0
         assert res.n_events == 0
         assert res.surv_read == 1.0
+
+
+class TestLedgerValidationFailure:
+    def test_bad_totals_in_the_last_partial_chunk_quarantine_the_batch(
+        self, monkeypatch
+    ):
+        """The final flush runs inside the batch's error boundary: a
+        tracker reporting T+1 votes after the last topology event still
+        ends in a ``BatchExecutionError`` that carries the trace."""
+        cfg = cfg_for(ring(7), accesses_per_batch=4_000.0, seed=2)
+        protocol = MajorityConsensusProtocol(7)
+        clean = simulate_batch(cfg, protocol)
+        # One full chunk flushes cleanly; the poisoned epoch is buffered
+        # in a second, partially filled one.
+        chunk = clean.n_epochs // 2 + 1
+        assert clean.n_events > 0 and 0 < clean.n_epochs % chunk < clean.n_epochs
+
+        class PoisonedTracker(ComponentTracker):
+            poisoned = False
+
+            @property
+            def vote_totals(self):
+                totals = ComponentTracker.vote_totals.fget(self)
+                return np.full_like(totals, 7 + 1) if self.poisoned else totals
+
+        events_seen = []
+
+        def poison_after_last_event(now, tracker, _protocol):
+            events_seen.append(now)
+            if len(events_seen) == clean.n_epochs - 1:
+                tracker.poisoned = True
+
+        monkeypatch.setattr(engine_module, "ComponentTracker", PoisonedTracker)
+        monkeypatch.setattr(engine_module, "_LEDGER_CHUNK", chunk)
+        engine = SimulationEngine(cfg, protocol,
+                                  change_observer=poison_after_last_event)
+        with pytest.raises(BatchExecutionError) as excinfo:
+            engine.run_batch(0)
+        assert isinstance(excinfo.value.__cause__, DensityError)
+        assert len(excinfo.value.trace) == clean.n_events

@@ -1,0 +1,198 @@
+"""The epoch ledger against the per-epoch accounting it replaced.
+
+``PerEpochLedger`` is the engine's former accounting block, one epoch at
+a time, behind the ledger's interface; it is the oracle. The chunked
+ledger must reproduce it bitwise in ``sampled`` mode for every chunk
+alignment, and in ``expected`` mode everywhere except the two granted
+volumes, whose masked row sum pairs terms differently from the oracle's
+sum over the granted sites alone (1e-12 relative tier).
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.protocols.estimator import OnlineDensityEstimator
+from repro.protocols.majority import MajorityConsensusProtocol
+from repro.simulation import engine as engine_module
+from repro.simulation.config import SimulationConfig
+from repro.simulation.engine import SimulationEngine, _EpochLedger
+from repro.simulation.workload import AccessWorkload
+from repro.topology.generators import ring_with_chords
+
+CHUNK = 4
+N_SITES = 5
+TOTAL_VOTES = 7
+
+
+class PerEpochLedger:
+    """The pre-ledger accounting: every epoch settled as it is recorded."""
+
+    def __init__(self, n_sites, total_votes):
+        self.reads_submitted = self.writes_submitted = 0.0
+        self.reads_granted = self.writes_granted = 0.0
+        self.surv_read_time = self.surv_write_time = 0.0
+        self.n_epochs = 0
+        self.n_events = 0
+        self.density_time = OnlineDensityEstimator(n_sites, total_votes)
+        self.density_access = OnlineDensityEstimator(n_sites, total_votes)
+        self.max_votes_time = np.zeros(total_votes + 1, dtype=np.float64)
+
+    def record(self, duration, vote_totals, reads, writes, read_mask, write_mask):
+        self.reads_submitted += float(reads.sum())
+        self.writes_submitted += float(writes.sum())
+        self.reads_granted += float(reads[read_mask].sum())
+        self.writes_granted += float(writes[write_mask].sum())
+        if read_mask.any():
+            self.surv_read_time += duration
+        if write_mask.any():
+            self.surv_write_time += duration
+        self.density_time.observe_all(vote_totals, weight=duration)
+        self.density_access.observe_counts(vote_totals, reads + writes)
+        self.max_votes_time[int(vote_totals.max())] += duration
+        self.n_epochs += 1
+
+    def flush(self):
+        pass
+
+    @property
+    def sums(self):
+        return np.array([
+            self.reads_submitted, self.writes_submitted,
+            self.reads_granted, self.writes_granted,
+            self.surv_read_time, self.surv_write_time,
+        ])
+
+
+def settle(ledger, epochs):
+    for epoch in epochs:
+        ledger.record(*epoch)
+    ledger.flush()
+    return ledger
+
+
+def assert_same_histograms(ledger, oracle):
+    assert ledger.n_epochs == oracle.n_epochs
+    assert np.array_equal(ledger.density_time._weights, oracle.density_time._weights)
+    assert np.array_equal(ledger.density_access._weights,
+                          oracle.density_access._weights)
+    assert np.array_equal(ledger.max_votes_time, oracle.max_votes_time)
+
+
+def epoch_strategy(volumes):
+    masks = st.one_of(
+        st.just([False] * N_SITES),  # all denied
+        st.lists(st.booleans(), min_size=N_SITES, max_size=N_SITES),
+    )
+    per_site = st.one_of(
+        st.just([0] * N_SITES),  # zero-access epoch
+        st.lists(volumes, min_size=N_SITES, max_size=N_SITES),
+    )
+    return st.tuples(
+        st.floats(min_value=1e-9, max_value=1e3, allow_nan=False),
+        st.lists(st.integers(0, TOTAL_VOTES), min_size=N_SITES,
+                 max_size=N_SITES).map(lambda v: np.array(v, dtype=np.int64)),
+        per_site, per_site,
+        masks.map(np.array), masks.map(np.array),
+    )
+
+
+#: Epoch counts on either side of every chunk boundary.
+EPOCH_COUNTS = st.sampled_from(
+    [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]
+)
+
+
+def epochs_strategy(volumes, dtype):
+    def typed(epoch):
+        d, totals, reads, writes, rmask, wmask = epoch
+        return (d, totals, np.array(reads, dtype=dtype),
+                np.array(writes, dtype=dtype), rmask, wmask)
+
+    return EPOCH_COUNTS.flatmap(
+        lambda n: st.lists(epoch_strategy(volumes).map(typed),
+                           min_size=n, max_size=n)
+    )
+
+
+class TestLedgerAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(epochs_strategy(st.integers(0, 10_000), np.int64))
+    def test_sampled_volumes_are_bitwise(self, epochs):
+        with mock.patch.object(engine_module, "_LEDGER_CHUNK", CHUNK):
+            ledger = settle(_EpochLedger(N_SITES, TOTAL_VOTES), epochs)
+        oracle = settle(PerEpochLedger(N_SITES, TOTAL_VOTES), epochs)
+        assert np.array_equal(ledger.sums, oracle.sums)
+        assert_same_histograms(ledger, oracle)
+
+    @settings(max_examples=150, deadline=None)
+    @given(epochs_strategy(
+        st.floats(min_value=0.0, max_value=1e4, allow_nan=False), np.float64))
+    def test_expected_volumes_move_only_in_the_granted_sums(self, epochs):
+        with mock.patch.object(engine_module, "_LEDGER_CHUNK", CHUNK):
+            ledger = settle(_EpochLedger(N_SITES, TOTAL_VOTES), epochs)
+        oracle = settle(PerEpochLedger(N_SITES, TOTAL_VOTES), epochs)
+        exact = [0, 1, 4, 5]  # submitted volumes and SURV times
+        assert np.array_equal(ledger.sums[exact], oracle.sums[exact])
+        assert ledger.sums[2:4] == pytest.approx(oracle.sums[2:4], rel=1e-12, abs=0)
+        assert_same_histograms(ledger, oracle)
+
+    def test_chunk_fills_flush_without_being_asked(self):
+        epoch = (1.0, np.full(N_SITES, 3), np.ones(N_SITES), np.ones(N_SITES),
+                 np.ones(N_SITES, dtype=bool), np.zeros(N_SITES, dtype=bool))
+        with mock.patch.object(engine_module, "_LEDGER_CHUNK", CHUNK):
+            ledger = _EpochLedger(N_SITES, TOTAL_VOTES)
+            for _ in range(CHUNK):
+                ledger.record(*epoch)
+        assert ledger.n_epochs == CHUNK
+        assert ledger.sums.tolist() == [20.0, 20.0, 20.0, 0.0, 4.0, 0.0]
+
+
+def run_engine(accounting, ledger_cls, chunk):
+    topo = ring_with_chords(21, 4)
+    skew = np.arange(1.0, 22.0)
+    cfg = SimulationConfig(
+        topology=topo,
+        workload=AccessWorkload.with_distinct_read_write(0.6, skew, skew[::-1]),
+        mean_time_to_failure=60.0,
+        mean_time_to_repair=6.0,
+        warmup_accesses=500.0,
+        accesses_per_batch=6_000.0,
+        n_batches=1,
+        seed=11,
+        accounting=accounting,
+    )
+    with mock.patch.object(engine_module, "_EpochLedger", ledger_cls), \
+            mock.patch.object(engine_module, "_LEDGER_CHUNK", chunk):
+        return SimulationEngine(cfg, MajorityConsensusProtocol(21)).run_batch(0)
+
+
+SCALARS = ("reads_submitted", "writes_submitted", "surv_read", "surv_write",
+           "measured_time", "n_epochs", "n_events")
+GRANTED = ("reads_granted", "writes_granted")
+
+
+class TestEngineAgainstOracle:
+    """Whole batches, non-uniform ``read_weights``, chunk far below n_epochs."""
+
+    @pytest.mark.parametrize("chunk", [7, 256])
+    def test_sampled_batch_is_bitwise(self, chunk):
+        got = run_engine("sampled", _EpochLedger, chunk)
+        want = run_engine("sampled", PerEpochLedger, chunk)
+        assert want.n_epochs > 3 * 7 and want.reads_granted > 0
+        for name in SCALARS + GRANTED:
+            assert getattr(got, name) == getattr(want, name), name
+        assert_same_histograms(got, want)
+
+    def test_expected_batch_moves_only_the_granted_volumes(self):
+        got = run_engine("expected", _EpochLedger, 7)
+        want = run_engine("expected", PerEpochLedger, 7)
+        for name in SCALARS:
+            assert getattr(got, name) == getattr(want, name), name
+        for name in GRANTED:
+            assert getattr(got, name) == pytest.approx(
+                getattr(want, name), rel=1e-12, abs=0), name
+        assert_same_histograms(got, want)

@@ -75,3 +75,31 @@ class TestEventQueue:
         drained = list(q.drain_until(2.0))
         assert [e.time for e in drained] == [0.5, 1.5]
         assert len(q) == 1
+
+    def test_equal_time_events_pop_in_insertion_order(self):
+        """Ties are broken by the schedule sequence, never by kind or target."""
+        q = EventQueue()
+        kinds = list(EventKind)
+        scheduled = [
+            q.schedule(2.0 if i % 3 else 1.0, kinds[(7 * i) % len(kinds)], 50 - i)
+            for i in range(50)
+        ]
+        popped = [q.pop() for _ in range(len(scheduled))]
+        assert popped == sorted(scheduled)
+        for time in (1.0, 2.0):
+            tied = [e for e in popped if e.time == time]
+            assert tied == [e for e in scheduled if e.time == time]
+
+    def test_drain_until_order_equals_repeated_pop(self):
+        times = [3.0, 1.0, 2.0, 1.0, 4.0, 2.0, 0.5, 3.0]
+        drained_q, popped_q = EventQueue(), EventQueue()
+        for target, t in enumerate(times):
+            drained_q.schedule(t, EventKind.LINK_REPAIR, target)
+            popped_q.schedule(t, EventKind.LINK_REPAIR, target)
+        drained = list(drained_q.drain_until(3.0))
+        popped = []
+        while popped_q and popped_q.peek_time() <= 3.0:
+            popped.append(popped_q.pop())
+        assert drained == popped
+        assert [e.target for e in drained] == [6, 1, 3, 2, 5, 0, 7]
+        assert len(drained_q) == len(popped_q) == 1 and drained_q.peek().time == 4.0
