@@ -22,7 +22,6 @@ from math import sqrt
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize as scipy_optimize
 
 from repro.errors import OptimizationError
 from repro.quorum.assignment import QuorumAssignment
@@ -161,7 +160,19 @@ def _brent(model: AvailabilityModel, alpha: float) -> OptimizationResult:
     neighbours of the continuous optimum plus both endpoints and return
     the best integer point — so the result is always feasible and at
     least as good as the endpoint heuristic.
+
+    The full integer curve is evaluated before bracketing (it is what
+    gets interpolated), so ``evaluations`` equals the exhaustive count.
+    Only the four candidates are compared, though: on a plateau
+    (complete-101 and bus-101 have 27 points within the tie tolerance of
+    the maximum) the result is a member of the exhaustive optimum's tie
+    class, not necessarily its smallest ``q_r``.
+
+    ``scipy.optimize`` is imported here, not at module level: this is the
+    only strategy that needs it and no default path selects it.
     """
+    from scipy.optimize import minimize_scalar
+
     q_max = model.max_read_quorum
     if q_max <= 3:
         return _exhaustive(model, alpha)
@@ -173,7 +184,7 @@ def _brent(model: AvailabilityModel, alpha: float) -> OptimizationResult:
     def negated(x: float) -> float:
         return -float(np.interp(x, quorums, curve))
 
-    bracket = scipy_optimize.minimize_scalar(
+    bracket = minimize_scalar(
         negated, bounds=(1.0, float(q_max)), method="bounded"
     )
     candidates = {1, q_max}

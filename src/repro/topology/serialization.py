@@ -3,17 +3,20 @@
 The dict form is plain JSON-compatible data so experiment configurations
 can be checked into a repository or shipped between processes; the
 networkx form exists because downstream users of a quorum library usually
-already hold their network as a ``networkx.Graph``.
+already hold their network as a ``networkx.Graph``. networkx is an
+optional extra (``pip install 'repro[interop]'``) imported only by the two
+functions that use it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Dict
 
 from repro.errors import TopologyError
 from repro.topology.model import Topology
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["to_dict", "from_dict", "to_networkx", "from_networkx"]
 
@@ -47,16 +50,28 @@ def from_dict(payload: Dict[str, Any]) -> Topology:
         raise TopologyError(f"topology dict missing key {missing}") from None
 
 
-def to_networkx(topology: Topology) -> nx.Graph:
+def _networkx():
+    """Import networkx, or name the extra that provides it."""
+    try:
+        import networkx
+    except ImportError:
+        raise TopologyError(
+            "networkx interop needs the optional networkx package: "
+            "pip install 'repro[interop]'"
+        ) from None
+    return networkx
+
+
+def to_networkx(topology: Topology) -> "nx.Graph":
     """Convert to a ``networkx.Graph`` with a ``votes`` node attribute."""
-    graph = nx.Graph(name=topology.name)
+    graph = _networkx().Graph(name=topology.name)
     for site in topology.sites():
         graph.add_node(site, votes=int(topology.votes[site]))
     graph.add_edges_from(link.endpoints() for link in topology.links)
     return graph
 
 
-def from_networkx(graph: nx.Graph, name: str = "") -> Topology:
+def from_networkx(graph: "nx.Graph", name: str = "") -> Topology:
     """Convert a ``networkx.Graph`` into a :class:`Topology`.
 
     Node labels must be hashable; they are relabelled to ``0..n-1`` in
@@ -64,6 +79,9 @@ def from_networkx(graph: nx.Graph, name: str = "") -> Topology:
     comparable). A ``votes`` node attribute, when present, carries over;
     missing attributes default to one vote.
     """
+    # Only the graph's own methods are used below; without networkx fail
+    # with the remedy, not with an AttributeError on whatever was passed.
+    _networkx()
     nodes = list(graph.nodes)
     if not nodes:
         raise TopologyError("cannot build a topology from an empty graph")

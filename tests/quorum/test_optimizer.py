@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.analytic import CLOSED_FORM_FAMILIES, closed_form_density
 from repro.analytic.complete import complete_density
 from repro.analytic.ring import ring_density
 from repro.errors import OptimizationError
+from repro.experiments.paper import PAPER_ALPHAS, PAPER_N_SITES, PAPER_RELIABILITY
 from repro.quorum.availability import AvailabilityModel
 from repro.quorum.optimizer import optimal_read_quorum, optimize_availability
 
@@ -82,6 +84,33 @@ class TestMethodAgreement:
         for method in ("golden", "brent"):
             res = optimal_read_quorum(model, alpha, method=method)
             assert res.availability == pytest.approx(reference.availability, abs=1e-12), method
+
+    @pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES)
+    def test_brent_matches_exhaustive_on_paper_closed_forms(self, family):
+        """``brent`` behind its function-local ``scipy.optimize`` import still
+        finds the exhaustive optimum on the 101-site closed-form models.
+
+        Where the optimum is unique (ring) the read quorum is identical.
+        complete-101 and bus-101 have a 27-point plateau within the tie
+        tolerance of the maximum; exhaustive returns its smallest member,
+        brent whichever member its bracket lands on, so there the contract
+        is "a member of the same tie class", not the same integer.
+        """
+        density = closed_form_density(
+            family, PAPER_N_SITES, PAPER_RELIABILITY, PAPER_RELIABILITY
+        )
+        model = model_from(density)
+        for alpha in PAPER_ALPHAS:
+            reference = optimal_read_quorum(model, alpha, method="exhaustive")
+            res = optimal_read_quorum(model, alpha, method="brent")
+            curve = model.curve(alpha)
+            tie_class = np.nonzero(curve >= curve.max() - 1e-12)[0] + 1
+            assert res.read_quorum in tie_class, (family, alpha)
+            assert res.availability == pytest.approx(reference.availability, abs=1e-12)
+            assert res.availability == curve[res.read_quorum - 1]
+            assert res.evaluations == reference.evaluations  # full curve, then bracket
+            if tie_class.size == 1:
+                assert res.read_quorum == reference.read_quorum
 
     def test_endpoints_method_exact_when_optimum_at_endpoint(self):
         model = model_from(ring_density(31, 0.96, 0.96))

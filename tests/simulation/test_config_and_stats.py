@@ -1,5 +1,7 @@
 """Unit tests for SimulationConfig and the batch statistics."""
 
+from math import sqrt
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,26 @@ class TestStudentT:
         sd = np.std(values, ddof=1)
         expected = 3.182446 * sd / 2.0
         assert student_t_half_width(values) == pytest.approx(expected, rel=1e-4)
+
+    def test_bitwise_equal_to_scipy_stats_oracle(self):
+        # The oracle lives here: production code reads the quantile from
+        # scipy.special and never imports scipy.stats (import contract).
+        from scipy.stats import t as student_t
+
+        rng = np.random.default_rng(11)
+        for n in range(2, 61):
+            values = rng.normal(0.5, 0.05, size=n)
+            sem = float(values.std(ddof=1)) / sqrt(n)
+            for confidence in (0.8, 0.9, 0.95, 0.99):
+                oracle = float(student_t.ppf(0.5 + confidence / 2.0, df=n - 1)) * sem
+                assert student_t_half_width(values, confidence) == oracle
+
+    def test_pinned_t_quantiles(self):
+        from scipy.special import stdtrit
+
+        assert float(stdtrit(4, 0.975)) == 2.7764451051977934
+        assert float(stdtrit(1, 0.975)) == 12.706204736174694
+        assert student_t_half_width([0.0, 2.0]) == 12.706204736174694  # sem = 1
 
     def test_more_batches_tighter(self):
         rng = np.random.default_rng(0)

@@ -1,8 +1,8 @@
 """Unit tests for topology serialization and networkx interop."""
 
 import json
+import sys
 
-import networkx as nx
 import pytest
 
 from repro.errors import TopologyError
@@ -35,22 +35,39 @@ class TestDictRoundTrip:
             from_dict(payload)
 
 
+class TestNetworkxMissing:
+    def test_interop_names_the_remedy_and_dict_form_still_works(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "networkx", None)  # import raises ImportError
+        topo = ring_with_chords(7, 2)
+        with pytest.raises(TopologyError, match=r"pip install 'repro\[interop\]'"):
+            to_networkx(topo)
+        with pytest.raises(TopologyError, match=r"pip install 'repro\[interop\]'"):
+            from_networkx(object())
+        assert from_dict(to_dict(topo)) == topo
+
+
+@pytest.fixture
+def nx():
+    """networkx, or skip: it is an optional extra."""
+    return pytest.importorskip("networkx")
+
+
 class TestNetworkxInterop:
-    def test_round_trip(self):
+    def test_round_trip(self, nx):
         topo = ring_with_chords(9, 2).with_votes([1, 2, 1, 1, 3, 1, 1, 1, 1])
         again = from_networkx(to_networkx(topo))
         assert again == topo
 
-    def test_votes_attribute_exported(self):
+    def test_votes_attribute_exported(self, nx):
         graph = to_networkx(Topology(3, [(0, 1)], votes=[5, 1, 1]))
         assert graph.nodes[0]["votes"] == 5
 
-    def test_missing_votes_default_to_one(self):
+    def test_missing_votes_default_to_one(self, nx):
         graph = nx.path_graph(4)
         topo = from_networkx(graph)
         assert topo.total_votes == 4
 
-    def test_arbitrary_labels_relabelled_sorted(self):
+    def test_arbitrary_labels_relabelled_sorted(self, nx):
         graph = nx.Graph()
         graph.add_edge("c", "a")
         graph.add_edge("a", "b")
@@ -58,13 +75,13 @@ class TestNetworkxInterop:
         # sorted labels: a->0, b->1, c->2
         assert topo.has_link(0, 2) and topo.has_link(0, 1)
 
-    def test_self_loops_dropped(self):
+    def test_self_loops_dropped(self, nx):
         graph = nx.Graph()
         graph.add_edge(0, 0)
         graph.add_edge(0, 1)
         topo = from_networkx(graph)
         assert topo.n_links == 1
 
-    def test_empty_graph_rejected(self):
+    def test_empty_graph_rejected(self, nx):
         with pytest.raises(TopologyError):
             from_networkx(nx.Graph())
