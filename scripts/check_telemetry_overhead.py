@@ -8,7 +8,9 @@ the shipped ``_measure_loop`` (null recorder) against a copy of the same
 loop without the instrumentation sites, on identical seeds, and fails if
 the instrumented-but-disabled path is more than ``--threshold`` slower.
 It first asserts that both loops return identical ``BatchResult``
-counters and ``density_time`` weights.
+counters and ``density_time`` weights, once per accounting mode: the
+two modes take different branches of the loop and different ledger
+entry points.
 
 A second measurement gates the *enabled* cost of the tracing layer
 where it actually instruments: the enumeration kernel, whose chunk loop
@@ -76,10 +78,13 @@ class BaselineEngine(SimulationEngine):
                 active = workload if phase_at is None else phase_at(now - warmup_end)
                 if sampled:
                     reads, writes = active.sample_epoch(duration, access_rng)
+                    ledger.record(duration, vote_totals, reads, writes,
+                                  read_mask, write_mask)
                 else:
-                    reads, writes = active.expected_epoch(duration)
-                ledger.record(duration, vote_totals, reads, writes,
-                              read_mask, write_mask)
+                    ledger.record_expected(duration, vote_totals, active,
+                                           read_mask, write_mask)
+                    if epoch_hook is not None:
+                        reads, writes = active.expected_epoch(duration)
                 if epoch_hook is not None:
                     epoch_hook(tracker, duration, reads=reads, writes=writes)
 
@@ -184,11 +189,15 @@ def main(argv=None) -> int:
         "disabled path only"
     )
 
-    # Sanity: the baseline copy must be the shipped loop, bit for bit.
-    diverged = divergence(instrumented.run_batch(0), baseline.run_batch(0))
-    if diverged is not None:
-        print(f"FAIL: baseline loop diverged on {diverged}")
-        return 2
+    # Sanity: the baseline copy must be the shipped loop, bit for bit,
+    # down both of its accounting branches.
+    for mode in ("sampled", "expected"):
+        mode_cfg = cfg.with_accounting(mode)
+        diverged = divergence(SimulationEngine(mode_cfg, protocol).run_batch(0),
+                              BaselineEngine(mode_cfg, protocol).run_batch(0))
+        if diverged is not None:
+            print(f"FAIL: baseline loop diverged in {mode} mode on {diverged}")
+            return 2
 
     # Warm-up round so allocator/caches settle before timing.
     time_batches(instrumented, 1)

@@ -305,7 +305,7 @@ class ComponentTracker:
                 self._carve(piece, old)
 
     def _merge(self, a: int, b: int) -> None:
-        """Union the components of up sites ``a`` and ``b`` (weighted)."""
+        """Union the components of up sites ``a`` and ``b`` (``a``'s id survives)."""
         la, lb = int(self._labels[a]), int(self._labels[b])
         if la < 0 or lb < 0:
             # A detached endpoint must never reach here: ``labels == -1``
@@ -318,15 +318,11 @@ class ComponentTracker:
         if la == lb:
             return
         labels, totals = self._writable()
-        mask_a = labels == la
-        mask_b = labels == lb
-        # Rewrite the smaller side's labels (weighted union).
-        if int(mask_a.sum()) < int(mask_b.sum()):
-            la, lb, mask_a, mask_b = lb, la, mask_b, mask_a
+        # Whole-array mask rewrites cost the same whichever side is
+        # relabelled, so ``a``'s id simply survives.
         combined_votes = int(totals[a]) + int(totals[b])
-        labels[mask_b] = la
-        totals[mask_a] = combined_votes
-        totals[mask_b] = combined_votes
+        labels[labels == lb] = la
+        totals[labels == la] = combined_votes
         self._release(lb)
 
     def _release(self, label: int) -> None:

@@ -97,14 +97,22 @@ def figure_data(
     protocol (any static protocol gives the same component process; the
     majority instance exists for every ``T``), and the curves come from
     the run's empirical density model.
+
+    The run always uses ``expected`` accounting, whatever ``config``
+    asks for: a figure reads the component-vote densities, never
+    individual accesses, so nothing is drawn for it. Sampled ACC batch
+    means are :func:`~repro.simulation.runner.run_simulation`'s job,
+    not a figure's.
     """
-    if config is None:
-        if topology is not None:
-            config = scale.config(0, alpha=0.5, seed=seed, topology=topology)
-        elif chords is not None:
-            config = scale.config(chords, alpha=0.5, seed=seed)
-        else:
-            raise ValueError("need one of config, topology, or chords")
+    if config is not None:
+        config = config.with_accounting("expected")
+    elif topology is not None:
+        config = scale.config(0, alpha=0.5, accounting="expected", seed=seed,
+                              topology=topology)
+    elif chords is not None:
+        config = scale.config(chords, alpha=0.5, accounting="expected", seed=seed)
+    else:
+        raise ValueError("need one of config, topology, or chords")
 
     protocol = MajorityConsensusProtocol(config.topology.total_votes)
     result = run_simulation(config, protocol)

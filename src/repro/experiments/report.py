@@ -23,12 +23,22 @@ def _sample_indices(n: int, max_points: int) -> np.ndarray:
     return np.unique(np.linspace(0, n - 1, max_points).round().astype(int))
 
 
+def _spaced(n: int) -> str:
+    """``3318`` as ``3 318``."""
+    return f"{n:,}".replace(",", " ")
+
+
 def render_figure(data: FigureData, max_points: int = 12) -> str:
     """Render one figure as a q_r-by-alpha availability table."""
     idx = _sample_indices(data.quorums.shape[0], max_points)
     header_alphas = "  ".join(f"a={s.alpha:4.2f}" for s in data.series)
+    run = data.result
+    epochs = sum(b.n_epochs for b in run.batches)
+    events = sum(b.n_events for b in run.batches)
     lines = [
         f"figure: availability vs read quorum — {data.topology_name}",
+        f"  accounting: {run.config.accounting} · {run.n_batches} batches · "
+        f"{_spaced(epochs)} epochs · {_spaced(events)} events",
         f"  q_r   {header_alphas}",
     ]
     for i in idx:

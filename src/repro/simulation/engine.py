@@ -295,10 +295,16 @@ class SimulationEngine:
                 active = workload if phase_at is None else phase_at(now - warmup_end)
                 if sampled:
                     reads, writes = active.sample_epoch(duration, access_rng)
+                    ledger.record(duration, vote_totals, reads, writes,
+                                  read_mask, write_mask)
                 else:
-                    reads, writes = active.expected_epoch(duration)
-                ledger.record(duration, vote_totals, reads, writes,
-                              read_mask, write_mask)
+                    # Expected volumes are a function of (duration, phase):
+                    # the ledger derives a whole chunk's at flush, and the
+                    # per-epoch form is paid only where something reads it.
+                    ledger.record_expected(duration, vote_totals, active,
+                                           read_mask, write_mask)
+                    if epoch_hook is not None or instruments is not None:
+                        reads, writes = active.expected_epoch(duration)
                 if epoch_hook is not None:
                     epoch_hook(tracker, duration, reads=reads, writes=writes)
                 if instruments is not None:
@@ -492,21 +498,25 @@ _LEDGER_CHUNK = 256
 class _EpochLedger:
     """Per-batch accounting, buffered by epoch and settled a chunk at a time.
 
-    :meth:`record` copies one measured epoch into preallocated
-    ``(chunk, n_sites)`` rows; :meth:`flush` accounts every buffered
-    epoch at once. The flush performs the same float additions in the
-    same (epoch) order a per-epoch loop would — the running sums through
-    a carry-seeded ``np.add.accumulate``, the histograms through
-    unbuffered ``np.add.at`` over epoch-major cells — so ``sampled``
-    results do not depend on the chunk size. In ``expected`` mode only
-    the two granted volumes move, in the last bits: a masked row sum
-    pairs its terms differently from a sum over the granted sites alone.
+    :meth:`record` (``sampled``) copies one measured epoch, volumes
+    included, into preallocated ``(chunk, n_sites)`` rows;
+    :meth:`record_expected` buffers the same epoch without volumes and
+    :meth:`flush` derives the chunk's from its durations. A ledger is
+    fed through one of the two for its whole life. The flush performs
+    the same float additions in the same (epoch) order a per-epoch loop
+    would — the running sums through a carry-seeded
+    ``np.add.accumulate``, the histograms through unbuffered
+    ``np.add.at`` over epoch-major cells — so results do not depend on
+    where the chunks end, in either mode. Against a per-epoch loop that
+    sums a granted volume over the granted sites alone, ``expected``
+    mode moves those two sums in the last bits: a masked row sum pairs
+    its terms differently.
     """
 
     __slots__ = (
         "sums", "n_epochs", "n_events", "density_time", "density_access",
         "max_votes_time", "_fill", "_durations", "_totals", "_reads",
-        "_writes", "_read_masks", "_write_masks",
+        "_writes", "_read_masks", "_write_masks", "_workload",
     )
 
     def __init__(self, n_sites: int, total_votes: int) -> None:
@@ -521,20 +531,38 @@ class _EpochLedger:
         self._fill = 0
         self._durations = np.empty(_LEDGER_CHUNK, dtype=np.float64)
         self._totals = np.empty(rows, dtype=np.int64)
-        # float64 holds sampled (integer) and expected (fractional) volumes.
+        # Sampled volumes only (never touched in expected mode).
         self._reads = np.empty(rows, dtype=np.float64)
         self._writes = np.empty(rows, dtype=np.float64)
         self._read_masks = np.empty(rows, dtype=np.bool_)
         self._write_masks = np.empty(rows, dtype=np.bool_)
+        #: Workload the buffered epochs ran under (expected mode), else None.
+        self._workload = None
 
     def record(self, duration, vote_totals, reads, writes,
                read_mask, write_mask) -> None:
-        """Buffer one measured epoch; settles the chunk when it fills."""
+        """Buffer one measured epoch with its per-site access volumes."""
+        i = self._fill
+        self._reads[i] = reads
+        self._writes[i] = writes
+        self._buffer(duration, vote_totals, read_mask, write_mask)
+
+    def record_expected(self, duration, vote_totals, workload,
+                        read_mask, write_mask) -> None:
+        """Buffer one measured epoch whose volumes are ``workload``'s expected.
+
+        A chunk is settled under one workload, so a change of
+        ``PhasedWorkload`` phase flushes what is buffered first.
+        """
+        if workload is not self._workload:
+            self.flush()
+            self._workload = workload
+        self._buffer(duration, vote_totals, read_mask, write_mask)
+
+    def _buffer(self, duration, vote_totals, read_mask, write_mask) -> None:
         i = self._fill
         self._durations[i] = duration
         self._totals[i] = vote_totals
-        self._reads[i] = reads
-        self._writes[i] = writes
         self._read_masks[i] = read_mask
         self._write_masks[i] = write_mask
         self._fill = i + 1
@@ -549,8 +577,10 @@ class _EpochLedger:
         self._fill = 0
         durations = self._durations[:k]
         totals = self._totals[:k]
-        reads = self._reads[:k]
-        writes = self._writes[:k]
+        if self._workload is None:
+            reads, writes = self._reads[:k], self._writes[:k]
+        else:
+            reads, writes = self._workload.expected_epochs(durations)
         read_masks = self._read_masks[:k]
         write_masks = self._write_masks[:k]
 

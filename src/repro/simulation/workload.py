@@ -184,6 +184,23 @@ class AccessWorkload:
         writes = volume * (1.0 - self.alpha) * self.write_weights
         return reads, writes
 
+    def expected_epochs(self, durations: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`expected_epoch` for a block of ``k`` epochs at once.
+
+        Returns ``(k, n_sites)`` reads and writes whose row ``i`` is
+        bitwise ``expected_epoch(durations[i])``: the same products in
+        the same order, ``((rate * d) * alpha) * w_i``.
+        """
+        durations = np.asarray(durations, dtype=np.float64)
+        if (durations < 0).any():
+            raise SimulationError(
+                f"durations must be non-negative, got min {durations.min()}"
+            )
+        volume = self.aggregate_rate * durations
+        reads = (volume * self.alpha)[:, None] * self.read_weights
+        writes = (volume * (1.0 - self.alpha))[:, None] * self.write_weights
+        return reads, writes
+
 
 class PhasedWorkload:
     """A piecewise-constant schedule of workloads (section 4.3 scenarios).

@@ -39,7 +39,6 @@ _EXPORTS = {
     "VerificationReport": "differential",
     "run_case": "differential",
     "run_profile": "differential",
-    "KNOWN_BUGS": "engines",
     "REGENERATE_HINT": "golden",
     "check_corpus": "golden",
     "corpus_path": "golden",

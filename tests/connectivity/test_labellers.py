@@ -10,7 +10,8 @@ topologies and up/down masks:
 - ``minlabel_component_labels`` — the pointer-jumping min-propagation
   labeller (the algorithm the vectorized enumeration backend descends
   from), whose roots are component-minimum site ids and therefore
-  compact to the same first-seen order.
+  compact to the same first-seen order. It has no caller in ``src/``,
+  so it lives here, as the independent witness it is.
 
 Hypothesis drives random graphs (random edge subsets over the complete
 graph, plus the named generator families) with random site/link masks.
@@ -21,12 +22,59 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.connectivity.components import (
+    DOWN_LABEL,
     component_labels,
     components_unionfind,
-    minlabel_component_labels,
 )
 from repro.topology.generators import erdos_renyi, fully_connected, ring, star
 from repro.topology.model import Topology
+
+
+def minlabel_component_labels(topology, site_up, link_up):
+    """Dependency-free labeller: iterated min-propagation + pointer jumping.
+
+    Every up site starts labelled with its own index; each sweep pulls
+    the minimum neighbouring label across every usable link and then
+    pointer-jumps (``lab = lab[lab]``), so convergence takes
+    ``O(log n_sites)`` sweeps with no sparse-matrix construction and no
+    Python-level loop over edges. Honours the exact
+    :func:`component_labels` contract — consecutive component ids from 0
+    over up sites in first-seen order, :data:`DOWN_LABEL` for down sites
+    — because a component's representative is its minimum site index,
+    and scanning sites in ascending order first meets each component at
+    that minimum. This was the candidate per-state labeller for the
+    compiled enumeration backend (the collapse-DFS kernel won — see
+    DESIGN.md §15).
+    """
+    site_up = np.asarray(site_up, dtype=bool)
+    link_up = np.asarray(link_up, dtype=bool)
+
+    n = topology.n_sites
+    u, v = topology.link_endpoint_arrays()
+    usable = link_up & site_up[u] & site_up[v]
+    uu, vv = u[usable], v[usable]
+
+    # lab[i] points at the smallest site index known reachable from i;
+    # down sites park on the sentinel n (lab_ext[n] = n stays fixed).
+    lab = np.arange(n + 1, dtype=np.int64)
+    lab[:n][~site_up] = n
+    while True:
+        prev = lab.copy()
+        if uu.size:
+            np.minimum.at(lab, uu, lab[vv])
+            np.minimum.at(lab, vv, lab[uu])
+        lab[:n] = lab[lab[:n]]  # pointer jump
+        if np.array_equal(lab, prev):
+            break
+
+    labels = np.full(n, DOWN_LABEL, dtype=np.int64)
+    up_idx = np.nonzero(site_up)[0]
+    # Roots are component-minimum site ids, so ascending root order is
+    # exactly first-seen order over an ascending site scan.
+    _, compact = np.unique(lab[up_idx], return_inverse=True)
+    labels[up_idx] = compact
+    return labels
+
 
 LABELLERS = (components_unionfind, minlabel_component_labels)
 

@@ -21,7 +21,9 @@ from repro.experiments.report import (
     render_write_constraint_table,
 )
 from repro.experiments.tables import read_write_ratio_table, write_constraint_table
+from repro.protocols.majority import MajorityConsensusProtocol
 from repro.quorum.availability import AvailabilityModel
+from repro.simulation.runner import run_simulation
 
 
 class TestPaperParameters:
@@ -92,6 +94,54 @@ class TestFigureData:
     def test_figure_requires_some_input(self):
         with pytest.raises(ValueError):
             figure_data()
+
+
+class TestFigureAccounting:
+    """A figure runs on ``expected`` accounting whatever its config says."""
+
+    @pytest.fixture(scope="class")
+    def sampled_cfg(self):
+        return TEST_SCALE.config(2, alpha=0.5, seed=5)
+
+    @pytest.fixture(scope="class")
+    def figs(self, sampled_cfg):
+        assert sampled_cfg.accounting == "sampled"
+        return (figure_data(config=sampled_cfg),
+                figure_data(config=sampled_cfg.with_accounting("expected")))
+
+    def test_config_accounting_is_overridden(self, figs):
+        for fig in figs:
+            assert fig.result.config.accounting == "expected"
+
+    def test_both_configs_give_the_same_bytes(self, figs):
+        from_sampled, from_expected = figs
+        assert np.array_equal(from_sampled.quorums, from_expected.quorums)
+        assert (from_sampled.result.density_matrix("time").tobytes()
+                == from_expected.result.density_matrix("time").tobytes())
+        for a, b in zip(from_sampled.series, from_expected.series):
+            assert a.alpha == b.alpha
+            assert a.availability.tobytes() == b.availability.tobytes()
+
+    def test_nothing_a_figure_reads_differs_from_the_sampled_run(
+            self, figs, sampled_cfg):
+        protocol = MajorityConsensusProtocol(sampled_cfg.topology.total_votes)
+        sampled = run_simulation(sampled_cfg, protocol)
+        for fig in figs:
+            assert (fig.result.density_matrix("time").tobytes()
+                    == sampled.density_matrix("time").tobytes())
+            for got, want in zip(fig.result.batches, sampled.batches):
+                assert got.surv_read == want.surv_read
+                assert got.surv_write == want.surv_write
+                assert got.n_epochs == want.n_epochs
+                assert got.n_events == want.n_events
+
+    def test_submitted_volume_is_the_exact_expectation(self, figs, sampled_cfg):
+        # rate * measured time * alpha, not a Poisson draw around it.
+        expected_reads = TEST_SCALE.accesses_per_batch * sampled_cfg.workload.alpha
+        for fig in figs:
+            for batch in fig.result.batches:
+                assert batch.reads_submitted == pytest.approx(
+                    expected_reads, rel=1e-12)
 
 
 class TestWriteConstraintTable:
@@ -171,6 +221,10 @@ class TestReportRendering:
         assert "availability vs read quorum" in text
         assert "optimum alpha=0.75" in text
         assert "convergence spread" in text
+        batches = fig.result.batches
+        assert (f"accounting: expected · {len(batches)} batches · "
+                f"{sum(b.n_epochs for b in batches)} epochs · "
+                f"{sum(b.n_events for b in batches)} events") in text
 
     def test_render_write_constraint(self):
         f = ring_density(21, 0.96, 0.96)

@@ -6,6 +6,13 @@ ledger must reproduce it bitwise in ``sampled`` mode for every chunk
 alignment, and in ``expected`` mode everywhere except the two granted
 volumes, whose masked row sum pairs terms differently from the oracle's
 sum over the granted sites alone (1e-12 relative tier).
+
+``expected`` mode has its own entry point, ``record_expected``: the
+ledger buffers no volumes and derives a chunk's at flush from
+``AccessWorkload.expected_epochs``. The oracle computes
+``expected_epoch`` per epoch instead, and a ledger fed those per-epoch
+rows through ``record`` (the path ``expected`` mode took before) must be
+reproduced bitwise on everything, granted volumes included.
 """
 
 from unittest import mock
@@ -20,7 +27,7 @@ from repro.protocols.majority import MajorityConsensusProtocol
 from repro.simulation import engine as engine_module
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import SimulationEngine, _EpochLedger
-from repro.simulation.workload import AccessWorkload
+from repro.simulation.workload import AccessWorkload, PhasedWorkload
 from repro.topology.generators import ring_with_chords
 
 CHUNK = 4
@@ -55,6 +62,11 @@ class PerEpochLedger:
         self.max_votes_time[int(vote_totals.max())] += duration
         self.n_epochs += 1
 
+    def record_expected(self, duration, vote_totals, workload,
+                        read_mask, write_mask):
+        reads, writes = workload.expected_epoch(duration)
+        self.record(duration, vote_totals, reads, writes, read_mask, write_mask)
+
     def flush(self):
         pass
 
@@ -65,6 +77,17 @@ class PerEpochLedger:
             self.reads_granted, self.writes_granted,
             self.surv_read_time, self.surv_write_time,
         ])
+
+
+class RowFormLedger(_EpochLedger):
+    """``expected`` mode as it ran before: per-epoch rows through ``record``."""
+
+    __slots__ = ()
+
+    def record_expected(self, duration, vote_totals, workload,
+                        read_mask, write_mask):
+        reads, writes = workload.expected_epoch(duration)
+        self.record(duration, vote_totals, reads, writes, read_mask, write_mask)
 
 
 def settle(ledger, epochs):
@@ -118,6 +141,40 @@ def epochs_strategy(volumes, dtype):
     )
 
 
+#: Two phases with different alpha and different, non-uniform weights.
+PHASE_SWITCH = 10.0
+PHASES = PhasedWorkload([
+    (0.0, AccessWorkload.with_distinct_read_write(
+        0.3, np.arange(1.0, N_SITES + 1), np.arange(1.0, N_SITES + 1)[::-1])),
+    (PHASE_SWITCH, AccessWorkload.with_distinct_read_write(
+        0.8, np.arange(1.0, N_SITES + 1)[::-1] ** 2, np.ones(N_SITES))),
+])
+
+
+def expected_epochs_strategy():
+    """``(duration, totals, workload, rmask, wmask)`` epochs, phase switching."""
+    def phased(drawn):
+        epochs, switch = drawn
+        return [
+            (d, totals, PHASES.at(0.0 if i < switch else PHASE_SWITCH), rmask, wmask)
+            for i, (d, totals, _, _, rmask, wmask) in enumerate(epochs)
+        ]
+
+    return EPOCH_COUNTS.flatmap(
+        lambda n: st.tuples(
+            st.lists(epoch_strategy(st.just(0)), min_size=n, max_size=n),
+            st.integers(0, n),  # 0 / n: the run never leaves one phase
+        )
+    ).map(phased)
+
+
+def settle_expected(ledger, epochs):
+    for epoch in epochs:
+        ledger.record_expected(*epoch)
+    ledger.flush()
+    return ledger
+
+
 class TestLedgerAgainstOracle:
     @settings(max_examples=150, deadline=None)
     @given(epochs_strategy(st.integers(0, 10_000), np.int64))
@@ -140,6 +197,37 @@ class TestLedgerAgainstOracle:
         assert ledger.sums[2:4] == pytest.approx(oracle.sums[2:4], rel=1e-12, abs=0)
         assert_same_histograms(ledger, oracle)
 
+    @settings(max_examples=150, deadline=None)
+    @given(expected_epochs_strategy())
+    def test_expected_entry_point_is_bitwise_the_per_epoch_rows(self, epochs):
+        # ``epochs`` switch PhasedWorkload phase somewhere, mid-chunk included.
+        with mock.patch.object(engine_module, "_LEDGER_CHUNK", CHUNK):
+            ledger = settle_expected(_EpochLedger(N_SITES, TOTAL_VOTES), epochs)
+            row_form = settle_expected(RowFormLedger(N_SITES, TOTAL_VOTES), epochs)
+        oracle = settle_expected(PerEpochLedger(N_SITES, TOTAL_VOTES), epochs)
+        assert np.array_equal(ledger.sums, row_form.sums)
+        assert_same_histograms(ledger, row_form)
+        exact = [0, 1, 4, 5]
+        assert np.array_equal(ledger.sums[exact], oracle.sums[exact])
+        assert ledger.sums[2:4] == pytest.approx(oracle.sums[2:4], rel=1e-12, abs=0)
+        assert_same_histograms(ledger, oracle)
+
+    def test_phase_switch_in_mid_chunk_settles_each_epoch_under_its_own_phase(self):
+        totals = np.full(N_SITES, 3)
+        granted = np.ones(N_SITES, dtype=bool)
+        first, second = PHASES.at(0.0), PHASES.at(PHASE_SWITCH)
+        with mock.patch.object(engine_module, "_LEDGER_CHUNK", CHUNK):
+            ledger = _EpochLedger(N_SITES, TOTAL_VOTES)
+            ledger.record_expected(2.0, totals, first, granted, granted)
+            ledger.record_expected(1.0, totals, second, granted, granted)
+            assert ledger.n_epochs == 1  # the switch settled the first phase
+            ledger.flush()
+        rate = first.aggregate_rate
+        assert ledger.sums[:2] == pytest.approx([
+            rate * (2.0 * first.alpha + 1.0 * second.alpha),
+            rate * (2.0 * (1 - first.alpha) + 1.0 * (1 - second.alpha)),
+        ])
+
     def test_chunk_fills_flush_without_being_asked(self):
         epoch = (1.0, np.full(N_SITES, 3), np.ones(N_SITES), np.ones(N_SITES),
                  np.ones(N_SITES, dtype=bool), np.zeros(N_SITES, dtype=bool))
@@ -151,12 +239,15 @@ class TestLedgerAgainstOracle:
         assert ledger.sums.tolist() == [20.0, 20.0, 20.0, 0.0, 4.0, 0.0]
 
 
-def run_engine(accounting, ledger_cls, chunk):
+SKEW = np.arange(1.0, 22.0)
+
+
+def run_engine(accounting, ledger_cls, chunk,
+               workload=AccessWorkload.with_distinct_read_write(0.6, SKEW, SKEW[::-1])):
     topo = ring_with_chords(21, 4)
-    skew = np.arange(1.0, 22.0)
     cfg = SimulationConfig(
         topology=topo,
-        workload=AccessWorkload.with_distinct_read_write(0.6, skew, skew[::-1]),
+        workload=workload,
         mean_time_to_failure=60.0,
         mean_time_to_repair=6.0,
         warmup_accesses=500.0,
@@ -196,3 +287,21 @@ class TestEngineAgainstOracle:
             assert getattr(got, name) == pytest.approx(
                 getattr(want, name), rel=1e-12, abs=0), name
         assert_same_histograms(got, want)
+
+    def test_expected_phased_batch_is_bitwise_the_row_form(self):
+        # ~285 measured time units; the switches fall inside chunks.
+        phased = PhasedWorkload([
+            (0.0, AccessWorkload.with_distinct_read_write(0.6, SKEW, SKEW[::-1])),
+            (90.0, AccessWorkload.with_distinct_read_write(0.1, SKEW[::-1], SKEW)),
+            (200.0, AccessWorkload.uniform(21, 0.9)),
+        ])
+        got = run_engine("expected", _EpochLedger, 7, phased)
+        want = run_engine("expected", RowFormLedger, 7, phased)
+        oracle = run_engine("expected", PerEpochLedger, 7, phased)
+        assert want.n_epochs > 3 * 7 and want.reads_granted > 0
+        for name in SCALARS + GRANTED:
+            assert getattr(got, name) == getattr(want, name), name
+        assert_same_histograms(got, want)
+        for name in SCALARS:
+            assert getattr(got, name) == getattr(oracle, name), name
+        assert_same_histograms(got, oracle)

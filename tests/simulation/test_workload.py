@@ -119,3 +119,39 @@ class TestSampling:
         exp_r, exp_w = w.expected_epoch(5.0)
         np.testing.assert_allclose(acc_r / n, exp_r, rtol=0.15)
         np.testing.assert_allclose(acc_w / n, exp_w, rtol=0.2)
+
+
+class TestExpectedEpochs:
+    """The block form is bitwise the per-epoch form, row for row."""
+
+    # Durations whose products round differently under another association:
+    # (rate * d) * alpha != rate * (d * alpha) for most of these.
+    DURATIONS = np.array([0.1, 1.0 / 3.0, 0.0, 7.3, 1e-9, 123.456, 0.7, 2.0 / 7.0])
+
+    @staticmethod
+    def workload(alpha):
+        return AccessWorkload.with_distinct_read_write(
+            alpha, np.arange(1.0, 8.0), np.arange(1.0, 8.0)[::-1] ** 1.5,
+            rate_per_site=1.0 / 3.0,
+        )
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+    def test_rows_are_bitwise_expected_epoch(self, alpha):
+        w = self.workload(alpha)
+        reads, writes = w.expected_epochs(self.DURATIONS)
+        assert reads.shape == writes.shape == (self.DURATIONS.size, 7)
+        assert reads.dtype == writes.dtype == np.float64
+        for i, d in enumerate(self.DURATIONS.tolist()):
+            want_reads, want_writes = w.expected_epoch(d)
+            assert np.array_equal(reads[i], want_reads), (alpha, d)
+            assert np.array_equal(writes[i], want_writes), (alpha, d)
+        # The zero duration is a row of zeros, not a skipped row.
+        assert not reads[2].any() and not writes[2].any()
+
+    def test_empty_block(self):
+        reads, writes = self.workload(0.3).expected_epochs(np.empty(0))
+        assert reads.shape == writes.shape == (0, 7)
+
+    def test_negative_duration_rejects_the_whole_block(self):
+        with pytest.raises(SimulationError):
+            self.workload(0.3).expected_epochs(np.array([1.0, -1e-12, 2.0]))

@@ -10,9 +10,11 @@ import pytest
 from repro.experiments.paper import ExperimentScale
 from repro.faults.chaos import run_chaos_campaign
 from repro.faults.schedule import FaultSchedule, ScriptedPartition
+from repro.protocols.adaptive import AdaptiveQuorumProtocol
 from repro.protocols.majority import MajorityConsensusProtocol
 from repro.protocols.reassignment import QuorumReassignmentProtocol
 from repro.quorum.assignment import QuorumAssignment
+from repro.simulation.engine import SimulationEngine
 from repro.simulation.runner import run_simulation
 from repro.telemetry.audit import DENIAL_REASONS, GRANTED
 from repro.telemetry.recorder import NULL, Telemetry, current, use
@@ -155,3 +157,42 @@ class TestRecorderScoping:
             assert a.surv_read == b.surv_read
             assert a.surv_write == b.surv_write
             assert a.n_epochs == b.n_epochs and a.n_events == b.n_events
+
+
+class TestExpectedModePerEpochConsumers:
+    """``expected`` volumes reach the ledger a chunk at a time; whoever
+    reads them per epoch (``record_epoch``, the audit attributor) still
+    gets every epoch's."""
+
+    def test_adaptive_protocol_sees_every_epochs_volumes(self):
+        config = TEN_BATCH_SCALE.config(0, alpha=0.75, seed=7,
+                                        accounting="expected")
+        protocol = AdaptiveQuorumProtocol(config.topology.n_sites,
+                                          config.topology.total_votes)
+        batch = SimulationEngine(config, protocol).run_batch(0)
+        assert batch.n_epochs > 1
+        assert protocol.workload.total_observed == pytest.approx(
+            batch.accesses_submitted, rel=1e-12)
+        assert protocol.workload.alpha == pytest.approx(0.75, abs=1e-3)
+        assert protocol.density.total_weight == pytest.approx(
+            batch.measured_time * config.topology.n_sites, rel=1e-12)
+
+    def test_adaptive_run_with_telemetry_reconciles(self):
+        config = TEN_BATCH_SCALE.config(0, alpha=0.75, seed=7,
+                                        accounting="expected")
+        protocol = AdaptiveQuorumProtocol(config.topology.n_sites,
+                                          config.topology.total_votes)
+        result = run_simulation(config, protocol, telemetry=Telemetry())
+        snap = result.telemetry
+        submitted = sum(b.accesses_submitted for b in result.batches)
+        granted = sum(b.accesses_granted for b in result.batches)
+        # The exact expected volume: nothing was drawn.
+        assert submitted == pytest.approx(
+            10 * TEN_BATCH_SCALE.accesses_per_batch, rel=1e-12)
+        assert snap.audit_volume() == pytest.approx(submitted, abs=1e-9)
+        assert snap.audit_volume(reason=GRANTED) == pytest.approx(granted,
+                                                                  abs=1e-9)
+        assert sum(snap.denials_by_reason().values()) == pytest.approx(
+            submitted - granted, abs=1e-9)
+        assert snap.counter_value("repro_engine_epochs_total") == sum(
+            b.n_epochs for b in result.batches)

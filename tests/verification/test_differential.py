@@ -18,7 +18,7 @@ from repro.verification import (
     run_profile,
 )
 from repro.verification.cases import profile_cases
-from repro.verification.engines import (
+from repro.engines import (
     OffByOneModel,
     closed_form_engine,
     enumeration_engine,
