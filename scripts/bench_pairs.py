@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Parent/change pairs of the repo benchmark, judged by choosing-metrics §8.
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR \\
+        --workload figs-dense --seeds 101-110 [--seconds 18]
+
+For every seed it runs ``benchmarks/e2e/run.py --workload W --seed S
+--seconds N --trace 0`` once in each checkout, as a subprocess of that
+checkout, alternating which side goes first, and reads only the final JSON
+line of each run. It prints every pair and, per end-to-end metric, both
+sides' median and quartiles, the pairs the change won, and the verdict:
+
+``gain``     the change won at least nine tenths of all pairs run (ties
+             count for neither side) **and** its median beats the parent's
+             by more than the parent's own interquartile range;
+``no gain``  anything else — including ten wins out of ten that sit inside
+             the parent's spread.
+
+A run that reports ``failed`` > 0 is listed and voids every verdict. The
+metric directions come from ``PARENT_DIR/BENCHMARK.json``. Timing claims
+need a quiet machine, so this is a tool to run by hand, not a CI job.
+Exit codes: 0 the pairs ran, 2 a run produced no result line.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+from statistics import median, quantiles
+from typing import Dict, List, Sequence
+
+#: Share of all pairs run the change must win before a gain is claimed.
+WIN_SHARE = 0.9
+
+
+def parse_seeds(text: str) -> List[int]:
+    """``"101-104,110"`` -> ``[101, 102, 103, 104, 110]``."""
+    seeds: List[int] = []
+    for part in text.split(","):
+        first, _, last = part.partition("-")
+        seeds.extend(range(int(first), int(last or first) + 1))
+    return seeds
+
+
+def spread(samples: Sequence[float]) -> tuple:
+    """``(median, q1, q3)``; a single sample is its own quartiles."""
+    if len(samples) < 2:
+        return samples[0], samples[0], samples[0]
+    q1, _, q3 = quantiles(samples, n=4)
+    return median(samples), q1, q3
+
+
+def verdict(parent: Sequence[float], change: Sequence[float], better: str) -> dict:
+    """Judge paired samples (``parent[i]`` ran beside ``change[i]``)."""
+    sign = 1.0 if better == "lower" else -1.0
+    won = sum(sign * c < sign * p for p, c in zip(parent, change))
+    lost = sum(sign * c > sign * p for p, c in zip(parent, change))
+    p_mid, p_q1, p_q3 = spread(parent)
+    gap = sign * (p_mid - median(change))  # > 0: the change is better
+    return {
+        "pairs": len(parent), "won": won, "lost": lost,
+        "parent": (p_mid, p_q1, p_q3), "change": spread(change),
+        "gap": gap, "parent_iqr": p_q3 - p_q1,
+        "gain": len(parent) > 1 and won >= WIN_SHARE * len(parent)
+        and gap > p_q3 - p_q1,
+    }
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced ``run.py`` in ``checkout``; its final JSON line."""
+    done = subprocess.run(
+        [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    lines = done.stdout.strip().splitlines()
+    if not lines:
+        sys.stderr.write(done.stderr)
+        raise SystemExit(2)
+    return json.loads(lines[-1])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=parse_seeds, required=True,
+                        help='e.g. "101-110" or "101,103-105"')
+    parser.add_argument("--seconds", type=float, default=18.0)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.parent / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    samples: Dict[str, Dict[str, List[float]]] = {
+        name: {"parent": [], "change": []} for name in metrics}
+    failures = []
+    sides = {"parent": args.parent, "change": args.change}
+    for index, seed in enumerate(args.seeds):
+        order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = run_once(sides[side], args.workload, seed, args.seconds)
+            if result["failed"] or not result["correct"]:
+                failures.append(f"seed {seed} {side}: failed {result['failed']} "
+                                f"of {result['attempted']}, correct {result['correct']}")
+            for name in metrics:
+                samples[name][side].append(result["metrics"][name]["value"])
+        print(f"seed {seed} ({order[0]} first): " + "  ".join(
+            f"{name} {samples[name]['parent'][-1]:.6g} -> {samples[name]['change'][-1]:.6g}"
+            for name in metrics), flush=True)
+
+    print(f"\n{args.workload}, {len(args.seeds)} pairs, --seconds {args.seconds:g}, "
+          "parent -> change, median [q1, q3]:")
+    for name, better in metrics.items():
+        v = verdict(samples[name]["parent"], samples[name]["change"], better)
+        ratio = v["change"][0] / v["parent"][0] - 1.0 if v["parent"][0] else float("nan")
+        word = "VOID (failed runs)" if failures else "gain" if v["gain"] else "no gain"
+        print("  {:12s} {:.6g} [{:.6g}, {:.6g}] -> {:.6g} [{:.6g}, {:.6g}]  "
+              "{:+.1%} of parent ({} is better); won {}/{}, lost {}; "
+              "gap {:.4g} vs parent IQR {:.4g}: {}".format(
+                  name, *v["parent"], *v["change"], ratio, better, v["won"],
+                  v["pairs"], v["lost"], v["gap"], v["parent_iqr"], word))
+    for line in failures:
+        print("  FAILED " + line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

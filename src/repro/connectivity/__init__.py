@@ -14,7 +14,6 @@ scipy.sparse.csgraph backend (the simulator's hot path).
 from repro.connectivity.components import (
     batched_component_entries,
     batched_component_labels,
-    batched_component_vote_totals,
     batched_vote_totals,
     component_labels,
     component_members,
@@ -30,7 +29,6 @@ __all__ = [
     "NetworkState",
     "batched_component_entries",
     "batched_component_labels",
-    "batched_component_vote_totals",
     "batched_vote_totals",
     "component_labels",
     "component_members",

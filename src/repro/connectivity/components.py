@@ -36,7 +36,6 @@ __all__ = [
     "component_labels",
     "batched_component_labels",
     "batched_component_entries",
-    "batched_component_vote_totals",
     "batched_vote_totals",
     "components_unionfind",
     "component_vote_totals",
@@ -192,8 +191,7 @@ def batched_component_labels(
         int64 labels of shape ``(B, n_sites)``. Up sites carry component
         ids that are unique across the WHOLE batch (``0..K-1`` over all
         states, *not* compacted per state); down sites get
-        :data:`DOWN_LABEL`. Feed directly into
-        :func:`batched_component_vote_totals`.
+        :data:`DOWN_LABEL`.
     """
     site_masks = np.asarray(site_masks, dtype=bool)
     link_masks = np.asarray(link_masks, dtype=bool)
@@ -246,8 +244,8 @@ def batched_vote_totals(
 ) -> np.ndarray:
     """Fused masks → per-site component vote totals for B states.
 
-    Equivalent to :func:`batched_component_labels` followed by
-    :func:`batched_component_vote_totals`, but skips the per-state label
+    Equivalent to :func:`batched_component_labels` followed by a per-state
+    :func:`component_vote_totals`, but skips the per-state label
     compaction entirely — the Monte-Carlo density estimator only needs
     totals, and compaction is the most expensive non-compiled step.
     """
@@ -272,36 +270,6 @@ def batched_vote_totals(
     )
     totals = np.where(up, sums[raw], 0.0).astype(np.int64)
     return totals.reshape(B, n)
-
-
-def batched_component_vote_totals(
-    labels: np.ndarray,
-    votes: np.ndarray,
-) -> np.ndarray:
-    """Per-site component vote totals for a batch of labelled states.
-
-    ``labels`` is the ``(B, n_sites)`` output of
-    :func:`batched_component_labels` (batch-global component ids); the
-    result has the same shape, with down sites at 0 votes. One
-    ``bincount`` covers every component of every state.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    votes = np.asarray(votes, dtype=np.int64)
-    if labels.ndim != 2 or labels.shape[1] != votes.shape[0]:
-        raise TopologyError(
-            f"labels shape {labels.shape} incompatible with votes shape {votes.shape}"
-        )
-    B, n = labels.shape
-    flat = labels.ravel()
-    up = flat >= 0
-    out = np.zeros(B * n, dtype=np.int64)
-    if up.any():
-        k = int(flat.max()) + 1
-        sums = np.bincount(
-            flat[up], weights=np.tile(votes, B)[up].astype(np.float64), minlength=k
-        )
-        out[up] = sums[flat[up]].astype(np.int64)
-    return out.reshape(B, n)
 
 
 def batched_component_entries(labels: np.ndarray) -> tuple:

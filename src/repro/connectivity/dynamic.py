@@ -16,10 +16,11 @@ whole graph:
   components — the tracker unions the affected components with a
   vectorized label rewrite, never touching the edge list;
 - a **failure** event can only *split* the component containing the
-  failed element — the tracker searches the live graph from one side of
-  the failure and stops the moment it meets the other side (still
-  joined: nothing changes); only a search that exhausts first carves the
-  sites it visited off under a fresh id;
+  failed element — the tracker floods the live graph, kept as one
+  Python-int adjacency bitmask per site, from one side of the failure
+  and stops the moment it meets the other side (still joined: nothing
+  changes); only a flood that exhausts first carves the sites it
+  reached off under a fresh id;
 - anything else — several flips between reads, a tracker attached
   mid-run — takes the full
   :func:`~repro.connectivity.components.component_labels` recompute,
@@ -33,7 +34,7 @@ and a merge refills the id it frees by moving the top id into it.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Set, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -146,14 +147,31 @@ class NetworkState:
         return NetworkState(self.topology, self.site_up, self.link_up)
 
 
+def _live_masks(state: NetworkState) -> Tuple[List[int], int]:
+    """``state``'s live graph as bitmasks: bit ``j`` of ``adj[i]`` is set iff
+    an *up* link joins ``i`` and ``j`` (whatever the sites' state), and bit
+    ``i`` of ``up`` iff site ``i`` is up."""
+    n = state.topology.n_sites
+    u, v = state.topology.link_endpoint_arrays()
+    u, v = u[state.link_up], v[state.link_up]
+    bits = np.zeros((n + 1, n), dtype=bool)
+    bits[u, v] = bits[v, u] = True
+    bits[n] = state.site_up  # packed with the rest, as one more row
+    masks = [int.from_bytes(row.tobytes(), "little")
+             for row in np.packbits(bits, axis=1, bitorder="little")]
+    return masks[:n], masks[n]
+
+
 class ComponentTracker:
     """Maintains component labels and vote totals for a :class:`NetworkState`.
 
     All getters refresh lazily when the underlying state's version has
     moved; between network changes they are O(1). A refresh that is
     exactly one flip behind applies it incrementally (merge on recovery,
-    bounded reachability search on failure); any wider gap takes the
-    full recompute.
+    bounded flood on failure); any wider gap takes the full recompute.
+    The flood's bitmasks (:func:`_live_masks`) are built on the first
+    incremental refresh after a full recompute — a tracker read once and
+    dropped never pays for them — and then follow every flip with an XOR.
 
     Returned arrays are never mutated afterwards: a refresh copies them
     on its first real change, and one that changes nothing (a failure
@@ -166,14 +184,15 @@ class ComponentTracker:
     its own quorum space over a single failure process.
 
     ``audit_interval`` (0 = off) cross-checks the incrementally
-    maintained state against the full relabel every N incremental
-    refreshes, raising :class:`~repro.errors.TopologyError` on any
-    divergence — the correctness oracle for tests and paranoid runs.
+    maintained state against the full relabel (and the bitmasks against
+    the state's masks) every N incremental refreshes, raising
+    :class:`~repro.errors.TopologyError` on any divergence — the
+    correctness oracle for tests and paranoid runs.
     """
 
     __slots__ = (
         "state", "votes", "total_votes", "_cached_version", "_labels",
-        "_vote_totals", "_incident", "_n_components", "_shared",
+        "_vote_totals", "_adj", "_up", "_n_components", "_shared",
         "audit_interval", "n_incremental", "n_full", "_audit_countdown",
     )
 
@@ -196,8 +215,10 @@ class ComponentTracker:
         self._cached_version = -1
         self._labels: Optional[np.ndarray] = None
         self._vote_totals: Optional[np.ndarray] = None
-        #: Per-site incident links as ``[(link_id, other_endpoint), ...]``.
-        self._incident: Optional[List[List[Tuple[int, int]]]] = None
+        #: The live graph as bitmasks (:func:`_live_masks`); ``None`` until
+        #: the first incremental refresh after a full recompute.
+        self._adj: Optional[List[int]] = None
+        self._up = 0
         #: ``k``: the ids ``0..k-1`` are exactly the labels in use.
         self._n_components = 0
         #: True while callers may hold ``_labels`` / ``_vote_totals``.
@@ -234,6 +255,7 @@ class ComponentTracker:
         self._labels = component_labels(topo, self.state.site_up, self.state.link_up)
         self._vote_totals = component_vote_totals(self._labels, self.votes)
         self._n_components = int(self._labels.max()) + 1 if self._labels.size else 0
+        self._adj = None  # flips were skipped: rebuilt when next needed
         self.n_full += 1
 
     def _audit(self) -> None:
@@ -250,15 +272,19 @@ class ComponentTracker:
         ).shape[1] if up.any() else 0
         ours = np.unique(self._labels[up]).size if up.any() else 0
         theirs = np.unique(oracle_labels[up]).size if up.any() else 0
-        if (
-            not same_down
-            or pairs != ours
-            or pairs != theirs
-            or not np.array_equal(self._vote_totals, oracle_totals)
-        ):
+        adj, up_mask = _live_masks(self.state)
+        unbuilt = self._adj is None
+        diverged = [name for name, same in (
+            ("labels", same_down and pairs == ours == theirs),
+            ("totals", np.array_equal(self._vote_totals, oracle_totals)),
+            ("_up", unbuilt or self._up == up_mask),
+            ("_adj", unbuilt or self._adj == adj),
+        ) if not same]
+        if diverged:
             raise TopologyError(
-                "incremental component state diverged from the full relabel "
-                f"(version {self.state.version}): labels {self._labels.tolist()} "
+                f"incremental component state diverged in {', '.join(diverged)} "
+                f"from the full relabel and the state's masks (version "
+                f"{self.state.version}): labels {self._labels.tolist()} "
                 f"vs oracle {oracle_labels.tolist()}, totals "
                 f"{self._vote_totals.tolist()} vs {oracle_totals.tolist()}"
             )
@@ -266,16 +292,6 @@ class ComponentTracker:
     # ------------------------------------------------------------------
     # Incremental updates
     # ------------------------------------------------------------------
-    def _incident_links(self) -> List[List[Tuple[int, int]]]:
-        if self._incident is None:
-            topo = self.state.topology
-            incident: List[List[Tuple[int, int]]] = [[] for _ in range(topo.n_sites)]
-            for lid, link in enumerate(topo.links):
-                incident[link.a].append((lid, link.b))
-                incident[link.b].append((lid, link.a))
-            self._incident = incident
-        return self._incident
-
     def _writable(self) -> Tuple[np.ndarray, np.ndarray]:
         """The label and total arrays, copied first if callers may hold them."""
         if self._shared:
@@ -287,22 +303,36 @@ class ComponentTracker:
     def _apply_change(self, change: NetworkChange) -> None:
         if change.up == change.was_up:
             return  # no-op flip: version moved, structure did not
+        fresh = self._adj is None
+        if fresh:
+            # The state's masks already include this flip.
+            self._adj, self._up = _live_masks(self.state)
         if change.kind == "site":
+            if not fresh:
+                self._up ^= 1 << change.index
             if change.up:
                 self._attach_site(change.index)
             else:
                 self._detach_site(change.index)
             return
         link = self.state.topology.links[change.index]
-        old = int(self._labels[link.a])
-        if old < 0 or self._labels[link.b] < 0:
+        a, b = link.a, link.b
+        if not fresh:
+            # Before the return below: a link that flips under a down site
+            # must be known when the site comes back.
+            self._adj[a] ^= 1 << b
+            self._adj[b] ^= 1 << a
+        if not ((self._up >> a) & (self._up >> b) & 1):
             return  # a detached endpoint: the link carries no connectivity
         if change.up:
-            self._merge(link.a, link.b)
+            self._merge(a, b)
         else:
-            piece = self._search(link.a, {link.b})
-            if piece is not None:
-                self._carve(piece, old)
+            flood = self._search(a, 1 << b)
+            if flood is not None:
+                labels, totals = self._writable()
+                old, whole = labels[a], int(totals[a])
+                carved = self._carve(flood[1])
+                totals[labels == old] = whole - carved
 
     def _merge(self, a: int, b: int) -> None:
         """Union the components of up sites ``a`` and ``b`` (``a``'s id survives)."""
@@ -311,7 +341,7 @@ class ComponentTracker:
             # A detached endpoint must never reach here: ``labels == -1``
             # matches *every* down site, so the mask rewrite below would
             # resurrect all of them into one corrupt component. Callers
-            # gate on the tracker's own labels to make this unreachable.
+            # gate on the tracker's own ``_up`` to make this unreachable.
             raise TopologyError(
                 f"cannot merge detached site (labels {la}, {lb} for sites {a}, {b})"
             )
@@ -339,10 +369,11 @@ class ComponentTracker:
         labels[site] = self._n_components
         self._n_components += 1
         totals[site] = self.votes[site]
-        link_up = self.state.link_up
-        for lid, other in self._incident_links()[site]:
-            if link_up[lid] and labels[other] >= 0:
-                self._merge(site, other)
+        live = self._adj[site] & self._up
+        while live:
+            low = live & -live
+            live ^= low
+            self._merge(site, low.bit_length() - 1)
 
     def _detach_site(self, site: int) -> None:
         """A site went down: drop it and resplit its old component.
@@ -353,57 +384,57 @@ class ComponentTracker:
         """
         labels, totals = self._writable()
         old = int(labels[site])
+        remaining = int(totals[site]) - int(self.votes[site])
         labels[site] = DOWN_LABEL
         totals[site] = 0
-        link_up = self.state.link_up
-        pending = {
-            other for lid, other in self._incident_links()[site]
-            if link_up[lid] and labels[other] == old
-        }
+        pending = self._adj[site] & self._up
         if not pending:
             self._release(old)  # the site was a component of its own
             return
-        totals[labels == old] -= self.votes[site]
-        while len(pending) > 1:
-            piece = self._search(pending.pop(), pending)
-            if piece is None:
-                return
-            self._carve(piece, old)
-            pending -= piece
+        while pending & (pending - 1):  # two or more left to tell apart
+            low = pending & -pending
+            pending ^= low
+            flood = self._search(low.bit_length() - 1, pending)
+            if flood is None:
+                break
+            reached, sites = flood
+            remaining -= self._carve(sites)
+            pending &= ~reached
+        totals[labels == old] = remaining
 
-    def _search(self, start: int, targets: Set[int]) -> Optional[Set[int]]:
-        """Walk the live graph from ``start`` until every target is met.
+    def _search(self, start: int, targets: int) -> Optional[Tuple[int, List[int]]]:
+        """Flood the live graph from ``start`` until every target bit is met.
 
         Returns ``None`` the moment the last of ``targets`` is reached
         (``start`` is still joined to all of them), else the exhausted
-        search's visited set: the whole component of ``start``. Reads the
-        state's *current* masks, hence the single-flip gate in ``_refresh``.
+        flood — the whole component of ``start`` — as its bitmask and the
+        list of its sites.
         """
-        site_up, link_up = self.state.site_up, self.state.link_up
-        incident = self._incident_links()
-        missing = len(targets)
-        seen = {start}
-        stack = [start]
-        while stack:
-            for lid, other in incident[stack.pop()]:
-                if other not in seen and link_up[lid] and site_up[other]:
-                    if other in targets:
-                        missing -= 1
-                        if not missing:
-                            return None
-                    seen.add(other)
-                    stack.append(other)
-        return seen
+        adj = self._adj
+        frontier = 1 << start
+        unseen = self._up ^ frontier
+        expanded = []
+        while frontier:
+            low = frontier & -frontier
+            site = low.bit_length() - 1
+            new = adj[site] & unseen
+            targets &= ~new
+            if not targets:
+                return None
+            expanded.append(site)
+            unseen ^= new
+            frontier ^= low | new
+        return self._up ^ unseen, expanded
 
-    def _carve(self, piece: Set[int], old: int) -> None:
-        """Split ``piece`` off component ``old`` under a fresh id."""
+    def _carve(self, sites: List[int]) -> int:
+        """Split ``sites`` off their component under a fresh id; returns their votes."""
         labels, totals = self._writable()
-        members = np.fromiter(piece, dtype=np.intp, count=len(piece))
+        members = np.array(sites, dtype=np.intp)
         piece_votes = int(self.votes[members].sum())
         labels[members] = self._n_components
         self._n_components += 1
-        totals[labels == old] -= piece_votes
         totals[members] = piece_votes
+        return piece_votes
 
     # ------------------------------------------------------------------
     # Getters
@@ -439,10 +470,10 @@ class ComponentTracker:
         """Site ids of the component containing ``site`` (empty if down)."""
         labels = self.labels
         if labels[site] < 0:
-            return np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=np.intp)
         return np.nonzero(labels == labels[site])[0]
 
     def same_component(self, a: int, b: int) -> bool:
         """True iff up sites ``a`` and ``b`` can currently communicate."""
         labels = self.labels
-        return labels[a] >= 0 and labels[a] == labels[b]
+        return bool(labels[a] >= 0 and labels[a] == labels[b])

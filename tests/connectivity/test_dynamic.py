@@ -96,6 +96,9 @@ class TestComponentTracker:
         assert not tracker.same_component(2, 4)
         assert set(tracker.component_of(1).tolist()) == {1, 2}
         assert tracker.component_of(0).size == 0
+        # One dtype on both paths, and a real bool (``is True``, json.dumps).
+        assert tracker.component_of(0).dtype == tracker.component_of(1).dtype
+        assert tracker.same_component(1, 2) is True
 
     def test_weighted_votes(self):
         topo = Topology(4, [(0, 1), (1, 2), (2, 3)], votes=[5, 1, 1, 3])
@@ -143,3 +146,93 @@ class TestComponentTracker:
         assert tracker.vote_totals.tolist() == [3, 2, 2, 0, 3, 3]
         assert labels.tobytes() == held[0].tobytes()
         assert totals.tobytes() == held[1].tobytes()
+
+
+def _primed(topology, **kwargs):
+    """A tracker one read in: every later single flip is incremental."""
+    state = NetworkState(topology)
+    tracker = ComponentTracker(state, **kwargs)
+    tracker.labels
+    return state, tracker
+
+
+class TestLinkFlipsUnderDownSites:
+    """A link that flips while an endpoint is down changes no component then,
+    but decides what the endpoint's repair merges with: the tracker's own
+    picture of the up links must follow it all the same."""
+
+    PATH = Topology(3, [(0, 1), (1, 2)])  # link ids: 0 = (0,1), 1 = (1,2)
+
+    def _run(self, flips, expected_totals):
+        state, tracker = _primed(self.PATH)
+        for (kind, index, up), expected in zip(flips, expected_totals):
+            (state.set_site if kind == "site" else state.set_link)(index, up)
+            assert tracker.vote_totals.tolist() == expected, (kind, index, up)
+        assert tracker.n_full == 1 and tracker.n_incremental == len(flips)
+
+    def test_link_fails_under_a_down_endpoint(self):
+        self._run(
+            [("site", 1, False), ("link", 0, False),
+             ("site", 1, True),   # must not merge over the dead link
+             ("link", 0, True)],  # a second incremental event, on the same masks
+            [[1, 0, 1], [1, 0, 1], [1, 2, 2], [3, 3, 3]],
+        )
+
+    def test_link_repairs_under_a_down_endpoint(self):
+        self._run(
+            [("link", 0, False), ("site", 1, False), ("link", 0, True),
+             ("site", 1, True),    # must merge over the repaired link
+             ("link", 1, False)],
+            [[1, 2, 2], [1, 0, 1], [1, 0, 1], [3, 3, 3], [2, 2, 1]],
+        )
+
+    def test_link_fails_with_both_endpoints_down(self):
+        self._run(
+            [("site", 0, False), ("site", 1, False), ("link", 0, False),
+             ("site", 0, True), ("site", 1, True), ("link", 0, True)],
+            [[0, 2, 2], [0, 0, 1], [0, 0, 1], [1, 0, 1], [1, 2, 2], [3, 3, 3]],
+        )
+
+    def test_link_repairs_with_both_endpoints_down(self):
+        self._run(
+            [("link", 0, False), ("site", 0, False), ("site", 1, False),
+             ("link", 0, True), ("site", 1, True), ("site", 0, True),
+             ("site", 1, False)],
+            [[1, 2, 2], [0, 2, 2], [0, 0, 1], [0, 0, 1], [0, 2, 2], [3, 3, 3],
+             [1, 0, 1]],
+        )
+
+
+def test_masks_are_rebuilt_after_a_gap_of_several_flips():
+    """Flips the tracker never applied (a full recompute took them in one
+    go) must still be in the masks the next incremental failure floods."""
+    topo = ring(6)
+    state, tracker = _primed(topo)
+    state.fail_link(topo.link_id(0, 1))
+    assert tracker.vote_totals.tolist() == [6] * 6  # incremental: masks exist
+    state.fail_link(topo.link_id(2, 3))
+    state.repair_link(topo.link_id(0, 1))
+    assert tracker.vote_totals.tolist() == [6] * 6  # two flips: full recompute
+    state.fail_link(topo.link_id(4, 5))  # incremental again: 3-4 | 5-0-1-2
+    assert tracker.vote_totals.tolist() == [4, 4, 4, 2, 2, 4]
+    assert (tracker.n_incremental, tracker.n_full) == (2, 2)
+
+
+class TestAuditCoversTheMasks:
+    def test_corrupted_up_mask_raises_at_the_next_refresh(self):
+        state, tracker = _primed(ring(6), audit_interval=1)
+        state.fail_site(0)
+        tracker.labels  # builds the masks; the audit passes
+        tracker._up ^= 1 << 3
+        state.repair_site(0)
+        with pytest.raises(TopologyError, match=r"diverged in _up from"):
+            tracker.labels
+
+    def test_corrupted_adjacency_row_raises_at_the_next_refresh(self):
+        state, tracker = _primed(ring(6), audit_interval=1)
+        state.fail_site(0)
+        tracker.labels
+        tracker._adj[2] ^= 1 << 5
+        state.repair_site(0)
+        with pytest.raises(TopologyError, match=r"diverged in _adj from"):
+            tracker.labels

@@ -6,6 +6,11 @@ full ``component_labels`` recompute kept as the correctness oracle. These
 tests drive ComponentTracker through arbitrary random fail/repair
 sequences on ring, complete, irregular and the paper's dense 101-site
 topologies and require exact agreement with that recompute at every step.
+
+The failure path floods bitmasks the tracker packs from the state's
+boolean masks, so the topologies also sit on both sides of that packing's
+byte boundaries (1, 8, 16, 64, 65 sites), and every sequence runs under a
+drawn vote vector.
 """
 
 import numpy as np
@@ -19,6 +24,7 @@ from repro.topology.generators import (
     fully_connected,
     paper_topology,
     ring,
+    star,
 )
 from repro.topology.model import Topology
 
@@ -28,7 +34,27 @@ TOPOLOGIES = {
     "irregular": lambda: erdos_renyi(10, 0.35, seed=5, ensure_connected=True),
     "paper-256": lambda: paper_topology(256, n_sites=101),
     "complete-40": lambda: fully_connected(40),
+    # Either side of the byte boundaries of the tracker's mask packing.
+    "single": lambda: Topology(1, []),
+    "ring-8": lambda: ring(8),
+    "ring-16": lambda: ring(16),
+    "complete-64": lambda: fully_connected(64),
+    "ring-65": lambda: ring(65),
+    # A hub failure is one search with many targets: on the star it
+    # splits into n-1 pieces, on the wheel (star + rim) into none.
+    "star": lambda: star(9),
+    "wheel": lambda: star(9).add_links([(i, i % 8 + 1) for i in range(1, 9)]),
 }
+
+
+def _naive_masks(state: NetworkState):
+    """The live graph as bitmasks, one link at a time (mask-build oracle)."""
+    adj = [0] * state.topology.n_sites
+    for link, up in zip(state.topology.links, state.link_up):
+        if up:
+            adj[link.a] |= 1 << link.b
+            adj[link.b] |= 1 << link.a
+    return adj, sum(1 << site for site in np.nonzero(state.site_up)[0].tolist())
 
 
 def _assert_matches_oracle(tracker: ComponentTracker, state: NetworkState) -> None:
@@ -48,8 +74,10 @@ def _assert_matches_oracle(tracker: ComponentTracker, state: NetworkState) -> No
     up_labels = actual[~down]
     if up_labels.size:
         assert sorted(set(up_labels)) == list(range(up_labels.max() + 1))
-    expected_votes = component_vote_totals(expected, state.topology.votes)
+    expected_votes = component_vote_totals(expected, tracker.votes)
     assert np.array_equal(tracker.vote_totals, expected_votes)
+    if tracker._adj is not None:
+        assert (tracker._adj, tracker._up) == _naive_masks(state)
 
 
 @st.composite
@@ -65,12 +93,15 @@ def event_sequences(draw):
         )
         for _ in range(n_events)
     ]
-    return topology, events
+    n = topology.n_sites
+    votes = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)
+                 .filter(lambda drawn: sum(drawn) > 0))
+    return topology, events, votes
 
 
 def _apply(state, topology, event):
     kind, raw_index, up = event
-    if kind == "site":
+    if kind == "site" or not topology.n_links:
         state.set_site(raw_index % topology.n_sites, up)
     else:
         state.set_link(raw_index % topology.n_links, up)
@@ -79,9 +110,9 @@ def _apply(state, topology, event):
 @settings(max_examples=60, deadline=None)
 @given(event_sequences())
 def test_incremental_tracker_matches_full_relabel(case):
-    topology, events = case
+    topology, events, votes = case
     state = NetworkState(topology)
-    tracker = ComponentTracker(state)
+    tracker = ComponentTracker(state, votes=votes)
     tracker.labels  # prime the cache so subsequent refreshes are incremental
     for event in events:
         _apply(state, topology, event)
@@ -96,14 +127,15 @@ def test_incremental_tracker_matches_full_relabel(case):
 # site's replay never sees neighbour 2 and leaves it joined to site 0 ...
 @example(
     case=(Topology(3, [(0, 1), (1, 2)]),
-          [("site", 1, False), ("link", 1, False)]),
+          [("site", 1, False), ("link", 1, False)], [1, 1, 1]),
     stride=2,
 )
 # ... and with all three links of a path down, carving {1} off first leaves
 # 0, 2 and 3 sharing a label that only one later replay gets to split.
 @example(
     case=(Topology(4, [(0, 1), (1, 2), (2, 3)]),
-          [("link", 1, False), ("link", 0, False), ("link", 2, False)]),
+          [("link", 1, False), ("link", 0, False), ("link", 2, False)],
+          [1, 1, 1, 1]),
     stride=3,
 )
 def test_incremental_tracker_matches_oracle_with_deferred_refresh(case, stride):
@@ -113,9 +145,9 @@ def test_incremental_tracker_matches_oracle_with_deferred_refresh(case, stride):
     incremental path; here every refresh but possibly the last is more
     than one flip behind the state, which the tracker must notice.
     """
-    topology, events = case
+    topology, events, votes = case
     state = NetworkState(topology)
-    tracker = ComponentTracker(state)
+    tracker = ComponentTracker(state, votes=votes)
     tracker.labels
     refreshes = wide = 0
     for start in range(0, len(events), stride):
@@ -129,6 +161,29 @@ def test_incremental_tracker_matches_oracle_with_deferred_refresh(case, stride):
     # of two or more flips is a full relabel.
     assert tracker.n_incremental + tracker.n_full == refreshes + 1
     assert tracker.n_full == wide + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(event_sequences(), st.data())
+def test_incremental_and_full_refreshes_interleave(case, data):
+    """Reads at arbitrary points: single-flip and wider gaps, mixed.
+
+    The two tests above keep to one kind of refresh each; what a full
+    recompute must leave behind for the *next* incremental refresh (the
+    bitmasks rebuilt, not the ones from before the gap) shows only when
+    they alternate.
+    """
+    topology, events, votes = case
+    state = NetworkState(topology)
+    tracker = ComponentTracker(state, votes=votes)
+    tracker.labels
+    reads = data.draw(st.lists(st.booleans(), min_size=len(events),
+                               max_size=len(events)))
+    for event, read in zip(events, reads):
+        _apply(state, topology, event)
+        if read:
+            _assert_matches_oracle(tracker, state)
+    _assert_matches_oracle(tracker, state)
 
 
 def test_adjacent_recoveries_in_one_refresh_do_not_resurrect_down_sites():
@@ -156,9 +211,9 @@ def test_adjacent_recoveries_in_one_refresh_do_not_resurrect_down_sites():
 @given(event_sequences())
 def test_self_audit_never_fires_on_correct_tracker(case):
     """The built-in audit (oracle cross-check) stays silent on every step."""
-    topology, events = case
+    topology, events, votes = case
     state = NetworkState(topology)
-    tracker = ComponentTracker(state, audit_interval=1)
+    tracker = ComponentTracker(state, votes=votes, audit_interval=1)
     tracker.labels
     for event in events:
         _apply(state, topology, event)
