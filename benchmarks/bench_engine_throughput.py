@@ -6,9 +6,13 @@ failure/repair event (scales with links) and the per-epoch accounting.
 Real multi-round timings, unlike the single-shot experiment benches.
 
 Reported unit: simulated failure/repair events processed per second.
-A 100 000-access fully-connected batch (76 759 events, `_run(4949,
-100_000.0)`) takes ≈ 1.8 CPU s here, so the paper's full 1M-access batch
-(≈ 770k events) is ≈ 20 s, versus hours on the original DEC Station 5000.
+A batch's failure history is generated ahead of the accounting
+(`FailureProcesses.history`), so a round is that generator, the tracker
+and the epoch ledger; no per-event `EventQueue` round trip. Timed, not
+extrapolated: a 100 000-access fully-connected batch (76 759 events,
+`_run(4949, 100_000.0)`) takes ≈ 1.3 CPU s here and the paper's full
+1M-access batch (`_run(4949, 1_000_000.0)`, 764 116 events) ≈ 12.5 CPU s
+at 92 MiB resident, versus hours on the original DEC Station 5000.
 """
 
 import sys

@@ -59,20 +59,20 @@ class BaselineEngine(SimulationEngine):
     """
 
     def _measure_loop(
-        self, queue, state, tracker, processes, trace,
-        warmup_end, horizon, sampled, workload, access_rng, ledger,
-    ) -> float:
+        self, walk, state, tracker, sampled, workload, access_rng, ledger,
+    ) -> None:
         phase_at = getattr(workload, "at", None)
         epoch_hook = getattr(self.protocol, "record_epoch", None)
-        now = 0.0
-        while now < horizon:
-            epoch_end = min(queue.peek_time(), horizon) if queue else horizon
-            if now < warmup_end < epoch_end:
-                epoch_end = warmup_end
-            duration = epoch_end - now
-            measuring = now >= warmup_end
+        warmup_end = walk.warmup_end
+        for now, epoch_end, events in walk.epochs():
+            if events is not None:
+                ledger.n_events += len(events)
+                self.protocol.on_network_change(tracker)
+                if self.change_observer is not None:
+                    self.change_observer(now, tracker, self.protocol)
 
-            if duration > 0 and measuring:
+            duration = epoch_end - now
+            if duration > 0 and now >= warmup_end:
                 vote_totals = tracker.vote_totals
                 read_mask, write_mask = self.protocol.grant_masks(tracker)
                 active = workload if phase_at is None else phase_at(now - warmup_end)
@@ -87,19 +87,6 @@ class BaselineEngine(SimulationEngine):
                         reads, writes = active.expected_epoch(duration)
                 if epoch_hook is not None:
                     epoch_hook(tracker, duration, reads=reads, writes=writes)
-
-            now = epoch_end
-            if now >= horizon:
-                break
-            while queue and queue.peek_time() <= now:
-                event = queue.pop()
-                self._apply(event, state, processes, queue)
-                trace.record(event)
-                ledger.n_events += 1
-            self.protocol.on_network_change(tracker)
-            if self.change_observer is not None:
-                self.change_observer(now, tracker, self.protocol)
-        return now
 
 
 #: ``BatchResult`` scalars the baseline must reproduce exactly.

@@ -44,6 +44,10 @@ class ReplicaControlProtocol(ABC):
         where entry ``i`` says whether an access submitted at site ``i``
         would be granted. A down site must be ``False`` in both masks
         (the ACC metric counts submissions to down sites as denials).
+        The returned arrays are never mutated afterwards: callers hold
+        them across calls (the epoch ledger compares them by identity),
+        and a protocol may return the same objects again only while
+        their contents are unchanged.
         """
 
     def on_network_change(self, tracker: ComponentTracker) -> None:

@@ -36,13 +36,23 @@ class QuorumConsensusProtocol(ReplicaControlProtocol):
             )
         self._assignment = assignment
         self.name = f"quorum-consensus{assignment}"
+        #: The ``vote_totals`` array ``_masks`` was computed from: held, so
+        #: that its identity cannot be recycled.
+        self._totals = self._masks = None
 
     @property
     def assignment(self) -> QuorumAssignment:
         return self._assignment
 
+    def reset(self) -> None:
+        self._totals = self._masks = None
+
     def grant_masks(self, tracker: ComponentTracker) -> Tuple[np.ndarray, np.ndarray]:
         totals = tracker.vote_totals
+        # A tracker's arrays are copy-on-write: the same object is the
+        # same partition, so the masks handed out for it still hold.
+        if totals is self._totals:
+            return self._masks
         if tracker.total_votes != self._assignment.total_votes:
             raise ProtocolError(
                 f"assignment is for T={self._assignment.total_votes} votes but the "
@@ -52,4 +62,5 @@ class QuorumConsensusProtocol(ReplicaControlProtocol):
         # automatically False there.
         read_mask = totals >= self._assignment.read_quorum
         write_mask = totals >= self._assignment.write_quorum
-        return read_mask, write_mask
+        self._totals, self._masks = totals, (read_mask, write_mask)
+        return self._masks

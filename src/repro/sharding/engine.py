@@ -1,11 +1,12 @@
 """Vectorized sharded engine plus its per-item ``multidb`` reference.
 
-Both engines drive the *same* epoch loop — the event sequence, the
-warm-up split, and the access sampling are cloned from
-:class:`~repro.simulation.engine.SimulationEngine` so the random streams
-are consumed identically (batch ``k`` derives from
-``stream_for(seed, k)`` exactly as the single-item engine does). They
-differ only in how one epoch is accounted:
+Both engines drive the *same* epoch loop as
+:class:`~repro.simulation.engine.SimulationEngine` — one generated
+failure history, primed and walked by the shared
+:class:`~repro.simulation.engine.HistoryWalk` — and sample accesses as
+it does, so the random streams are consumed identically (batch ``k``
+derives from ``stream_for(seed, k)`` exactly as the single-item engine
+does). They differ only in how one epoch is accounted:
 
 - :class:`ShardedEngine` computes ONE component labelling per network
   state (the shared :class:`ComponentTracker`) and evaluates every
@@ -32,15 +33,14 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.connectivity.dynamic import ComponentTracker, NetworkState
-from repro.errors import ShardingError, SimulationError
+from repro.errors import ShardingError
 from repro.quorum.assignment import QuorumAssignment
 from repro.protocols.quorum_consensus import QuorumConsensusProtocol
 from repro.replication.item import ReplicatedItem
 from repro.replication.multidb import ItemBinding, MultiItemDatabase
 from repro.rng import spawn, stream_for
 from repro.sharding.config import ShardConfig
-from repro.simulation.events import Event, EventKind, EventQueue
-from repro.simulation.processes import FailureProcesses
+from repro.simulation.engine import HistoryWalk
 from repro.telemetry.recorder import current as _current_recorder
 
 __all__ = [
@@ -164,26 +164,9 @@ class _ShardEngineBase:
         failure_rng, access_rng, _chaos_rng = spawn(batch_seed, 3)
 
         network = self._begin_batch()
-        queue = EventQueue()
-        processes = FailureProcesses(
-            topo,
-            cfg.mean_time_to_failure,
-            cfg.mean_time_to_repair,
-            seed=failure_rng,
-            fallible_sites=cfg.fallible_sites,
-            fallible_links=cfg.fallible_links,
-        )
-        if cfg.initial_state == "stationary":
-            site_up, link_up = processes.prime_stationary(queue)
-            for site in np.nonzero(~site_up)[0]:
-                network.fail_site(int(site))
-            for link in np.nonzero(~link_up)[0]:
-                network.fail_link(int(link))
-        else:
-            processes.prime(queue)
+        walk = HistoryWalk(cfg, network, failure_rng)
 
-        warmup_end = cfg.warmup_time
-        horizon = warmup_end + cfg.batch_time
+        warmup_end = walk.warmup_end
         n_items = cfg.n_items
         width = cfg.max_total_votes + 1
         result = ShardBatchResult(
@@ -194,7 +177,7 @@ class _ShardEngineBase:
             writes_granted=np.zeros(n_items, dtype=np.int64),
             surv_read_time=np.zeros(n_items, dtype=np.float64),
             surv_write_time=np.zeros(n_items, dtype=np.float64),
-            measured_time=horizon - warmup_end,
+            measured_time=walk.horizon - warmup_end,
             n_epochs=0,
             n_events=0,
             density_time=np.zeros((n_items, width), dtype=np.float64),
@@ -202,53 +185,14 @@ class _ShardEngineBase:
         )
 
         workload = cfg.workload
-        now = 0.0
-        while now < horizon:
-            epoch_end = min(queue.peek_time(), horizon) if queue else horizon
-            # Split an epoch straddling the warm-up boundary so the
-            # measured part is accounted exactly (same rule as the
-            # single-item engine).
-            if now < warmup_end < epoch_end:
-                epoch_end = warmup_end
+        for now, epoch_end, _ in walk.epochs():
             duration = epoch_end - now
-            measuring = now >= warmup_end
-
-            if duration > 0 and measuring:
+            if duration > 0 and now >= warmup_end:
                 reads, writes = workload.sample_epoch(duration, access_rng)
                 self._account_epoch(network, result, duration, reads, writes)
                 result.n_epochs += 1
-
-            now = epoch_end
-            if now >= horizon:
-                break
-            while queue and queue.peek_time() <= now:
-                event = queue.pop()
-                self._apply(event, network, processes, queue)
-                result.n_events += 1
+        result.n_events = walk.applied
         return result
-
-    @staticmethod
-    def _apply(
-        event: Event,
-        network: object,
-        processes: FailureProcesses,
-        queue: EventQueue,
-    ) -> None:
-        kind = event.kind
-        if kind is EventKind.SITE_FAIL:
-            network.fail_site(event.target)
-            processes.schedule_repair(queue, event.time, kind, event.target)
-        elif kind is EventKind.SITE_REPAIR:
-            network.repair_site(event.target)
-            processes.schedule_failure(queue, event.time, kind, event.target)
-        elif kind is EventKind.LINK_FAIL:
-            network.fail_link(event.target)
-            processes.schedule_repair(queue, event.time, kind, event.target)
-        elif kind is EventKind.LINK_REPAIR:
-            network.repair_link(event.target)
-            processes.schedule_failure(queue, event.time, kind, event.target)
-        else:
-            raise SimulationError(f"sharded engine cannot apply event kind {kind}")
 
     # -- common helpers -------------------------------------------------
     def _chunks(self) -> Iterator[Tuple[int, int]]:
@@ -258,24 +202,14 @@ class _ShardEngineBase:
             yield start, min(start + step, n_items)
 
 
-class _VectorNetwork:
-    """NetworkState plus the single shared tracker (labels only)."""
+class _VectorNetwork(NetworkState):
+    """A NetworkState with the single shared tracker (labels only)."""
+
+    __slots__ = ("tracker",)
 
     def __init__(self, topology):
-        self.state = NetworkState(topology)
-        self.tracker = ComponentTracker(self.state)
-
-    def fail_site(self, site: int) -> None:
-        self.state.fail_site(site)
-
-    def repair_site(self, site: int) -> None:
-        self.state.repair_site(site)
-
-    def fail_link(self, link_id: int) -> None:
-        self.state.fail_link(link_id)
-
-    def repair_link(self, link_id: int) -> None:
-        self.state.repair_link(link_id)
+        super().__init__(topology)
+        self.tracker = ComponentTracker(self)
 
 
 class ShardedEngine(_ShardEngineBase):

@@ -111,8 +111,8 @@ class SimulationConfig:
                     f"{label} vector must have length n_sites + n_links = "
                     f"{n_components}, got {arr.shape[0]}"
                 )
-            if (arr <= 0).any():
-                raise SimulationError(f"{label} must be positive")
+            if (arr <= 0).any() or np.isnan(arr).any():
+                raise SimulationError(f"{label} must be positive, not NaN")
         if self.warmup_accesses < 0:
             raise SimulationError(
                 f"warmup_accesses must be non-negative, got {self.warmup_accesses}"

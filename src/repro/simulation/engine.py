@@ -2,12 +2,16 @@
 
 One *batch* reproduces the paper's procedure: reset the network to the
 all-up initial state, run a warm-up period, then measure availability
-over a long access stream. The engine advances epoch by epoch (an epoch
-is the interval between consecutive failure/repair events), asking the
-replica-control protocol for its per-site grant masks once per epoch and
-accounting for the epoch's accesses in bulk — statistically identical to
-per-access event simulation because the access process is Poisson
-(splitting/superposition), but orders of magnitude faster.
+over a long access stream. A batch is **trace-first**: its failure
+history depends on nothing the protocol or the accesses do, so
+:meth:`FailureProcesses.history` generates it ahead of the accounting and
+:class:`HistoryWalk`, the one epoch loop (the sharded engine runs it
+too), drives the network through it. The engine advances epoch by epoch
+(an epoch is the interval between consecutive failure/repair events),
+asking the replica-control protocol for its per-site grant masks once per
+epoch and accounting for the epoch's accesses in bulk — statistically
+identical to per-access event simulation because the access process is
+Poisson (splitting/superposition), but orders of magnitude faster.
 
 Deviation from the paper, recorded in DESIGN.md: the paper measures for a
 fixed *count* of accesses (1 000 000); we measure for the fixed simulated
@@ -30,23 +34,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Optional
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.connectivity.dynamic import ComponentTracker, NetworkState
-from repro.errors import BatchExecutionError, SimulationError
+from repro.errors import BatchExecutionError
 from repro.protocols.base import ReplicaControlProtocol
 from repro.protocols.estimator import OnlineDensityEstimator
 from repro.rng import spawn, stream_for
 from repro.simulation.config import SimulationConfig
-from repro.simulation.events import Event, EventKind, EventQueue
+from repro.simulation.events import (
+    EVENT_KINDS,
+    SOURCE_CHAOS,
+    SOURCE_STOCHASTIC,
+    EventQueue,
+    appliers,
+)
 from repro.simulation.processes import FailureProcesses
 from repro.simulation.trace import NetworkTrace
 from repro.telemetry import audit as _audit
+from repro.telemetry.recorder import NULL as _NULL_TELEMETRY
 from repro.telemetry.recorder import resolve as _resolve_telemetry
 
-__all__ = ["BatchResult", "SimulationEngine", "simulate_batch"]
+__all__ = ["BatchResult", "HistoryWalk", "SimulationEngine", "simulate_batch"]
 
 #: Observer signature: called after every applied topology event.
 ChangeObserver = Callable[[float, ComponentTracker, ReplicaControlProtocol], None]
@@ -105,6 +116,108 @@ class BatchResult:
             if self.writes_submitted > 0
             else 0.0
         )
+
+
+#: A walked block of history rows at rest: 14 bytes an event.
+_ROW_DTYPE = np.dtype(
+    [("time", "f8"), ("kind", "u1"), ("target", "i4"), ("chaos", "?")])
+
+
+class HistoryWalk:
+    """One batch's failure history: primed, generated, walked epoch by epoch.
+
+    ``config`` is a :class:`SimulationConfig` or a ``ShardConfig``;
+    ``network`` a :class:`NetworkState` or anything with its four
+    fail/repair methods (a stationary start fails the sampled down
+    components in it). Walked blocks are kept as compact arrays, so that
+    :meth:`record_into` can say what was applied without a tuple per event.
+    """
+
+    def __init__(self, config, network, failure_rng, schedule=None,
+                 chaos_rng=None, telemetry=_NULL_TELEMETRY) -> None:
+        topo = config.topology
+        queue = EventQueue()
+        processes = FailureProcesses(
+            topo,
+            config.mean_time_to_failure,
+            config.mean_time_to_repair,
+            seed=failure_rng,
+            fallible_sites=config.fallible_sites,
+            fallible_links=config.fallible_links,
+        )
+        if schedule is not None:
+            # Scripted chaos: what the schedule owns leaves the stochastic set.
+            processes.deactivate(*schedule.owned_components(topo))
+        with telemetry.span("engine.prime", initial_state=config.initial_state):
+            if config.initial_state == "stationary":
+                site_up, link_up = processes.prime_stationary(queue)
+                for site in np.nonzero(~site_up)[0]:
+                    network.fail_site(int(site))
+                for link in np.nonzero(~link_up)[0]:
+                    network.fail_link(int(link))
+            else:
+                processes.prime(queue)
+        if schedule is not None:
+            with telemetry.span("engine.apply_schedule"):
+                schedule.prime(queue, topo, chaos_rng)
+        #: The batch measures ``[warmup_end, horizon)``.
+        self.warmup_end = config.warmup_time
+        self.horizon = self.warmup_end + config.batch_time
+        self._blocks = processes.history(queue, self.horizon)
+        self._apply = appliers(network)
+        self._walked: List[np.ndarray] = []
+        self._block: List[tuple] = []
+        self._at = 0
+
+    @property
+    def applied(self) -> int:
+        """Events applied to the network so far."""
+        return sum(map(len, self._walked)) + self._at
+
+    def record_into(self, trace: NetworkTrace) -> None:
+        """Append every applied event to ``trace``."""
+        rows = [row for block in self._walked for row in block.tolist()]
+        rows += self._block[:self._at]
+        trace.events.extend(
+            (time, EVENT_KINDS[code].value, target) for time, code, target, _ in rows)
+        trace.sources.extend(
+            SOURCE_CHAOS if chaos else SOURCE_STOCHASTIC for *_, chaos in rows)
+
+    def epochs(self) -> Iterator[Tuple[float, float, Optional[List[tuple]]]]:
+        """Yield ``(start, end, events)`` for every epoch of ``[0, horizon)``.
+
+        An epoch ends at the next event, at the warm-up boundary (a
+        straddling epoch is split so its measured part is accounted
+        exactly) or at the horizon. ``events`` are the rows applied at
+        ``start``, an instant's together: ``None`` for the first epoch,
+        empty after the warm-up split.
+        """
+        apply, warmup_end, horizon = self._apply, self.warmup_end, self.horizon
+        block = self._block = next(self._blocks, [])
+        at, n = 0, len(block)
+        now, events = 0.0, None
+        while now < horizon:
+            # Every generated event is before the horizon.
+            epoch_end = block[at][0] if block else horizon
+            if now < warmup_end < epoch_end:
+                epoch_end = warmup_end
+            yield now, epoch_end, events
+            now = epoch_end
+            first = at
+            try:
+                while at < n and block[at][0] <= now:
+                    _, code, target, _ = block[at]
+                    apply[code](target)
+                    at += 1
+            finally:
+                self._at = at  # the applied prefix, also if an event raised
+            events = block[first:at]
+            if at == n > 0:
+                # A block never ends inside an instant: nothing to carry.
+                self._walked.append(np.array(block, dtype=_ROW_DTYPE))
+                block = self._block = next(self._blocks, [])
+                at, n = 0, len(block)
+                self._at = 0
 
 
 class SimulationEngine:
@@ -168,42 +281,15 @@ class SimulationEngine:
         tracker = ComponentTracker(state)
         self.protocol.reset()
 
-        tel = self.telemetry
-        queue = EventQueue()
-        processes = FailureProcesses(
-            topo,
-            cfg.mean_time_to_failure,
-            cfg.mean_time_to_repair,
-            seed=failure_rng,
-            fallible_sites=cfg.fallible_sites,
-            fallible_links=cfg.fallible_links,
-        )
-        schedule = self.fault_schedule
-        if schedule is not None:
-            owned_sites, owned_links = schedule.owned_components(topo)
-            processes.deactivate(owned_sites, owned_links)
-        with tel.span("engine.prime", initial_state=cfg.initial_state):
-            if cfg.initial_state == "stationary":
-                site_up, link_up = processes.prime_stationary(queue)
-                for site in np.nonzero(~site_up)[0]:
-                    state.fail_site(int(site))
-                for link in np.nonzero(~link_up)[0]:
-                    state.fail_link(int(link))
-            else:
-                processes.prime(queue)
-        if schedule is not None:
-            with tel.span("engine.apply_schedule"):
-                schedule.prime(queue, topo, chaos_rng)
+        walk = HistoryWalk(cfg, state, failure_rng, self.fault_schedule, chaos_rng,
+                           self.telemetry)
         self.protocol.on_network_change(tracker)
 
-        # The trace is always recorded internally: on a mid-batch failure
-        # it rides along in the BatchExecutionError so the campaign runner
-        # can quarantine the batch with a replayable fault history. It is
-        # only *returned* when the caller opted in via record_trace.
+        # The walk keeps what it applied: a batch that dies mid-way leaves
+        # in a BatchExecutionError carrying a replayable fault history for
+        # the campaign runner's quarantine. A trace is only *returned* to
+        # a caller that opted in via record_trace.
         trace = NetworkTrace.empty(topo, state)
-
-        warmup_end = cfg.warmup_time
-        horizon = warmup_end + cfg.batch_time
 
         sampled = cfg.accounting == "sampled"
         workload = cfg.workload
@@ -211,13 +297,12 @@ class SimulationEngine:
 
         try:
             self._measure_loop(
-                queue, state, tracker, processes, trace,
-                warmup_end, horizon, sampled, workload, access_rng, ledger,
-            )
+                walk, state, tracker, sampled, workload, access_rng, ledger)
             # The last, partially filled chunk: inside the try so that a
             # validation failure still quarantines with the trace.
             ledger.flush()
         except Exception as exc:
+            walk.record_into(trace)
             raise BatchExecutionError(
                 f"batch {batch_index} aborted: {type(exc).__name__}: {exc}",
                 batch_index=batch_index,
@@ -227,7 +312,9 @@ class SimulationEngine:
                 snapshot=_failure_snapshot(state),
             ) from exc
 
-        measured_time = horizon - warmup_end
+        if self.record_trace:
+            walk.record_into(trace)
+        measured_time = walk.horizon - walk.warmup_end
         (reads_submitted, writes_submitted, reads_granted, writes_granted,
          surv_read_time, surv_write_time) = ledger.sums.tolist()
         return BatchResult(
@@ -249,19 +336,15 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     def _measure_loop(
         self,
-        queue: EventQueue,
+        walk: HistoryWalk,
         state: NetworkState,
         tracker: ComponentTracker,
-        processes: FailureProcesses,
-        trace: "NetworkTrace",
-        warmup_end: float,
-        horizon: float,
         sampled: bool,
         workload,
         access_rng,
         ledger: "_EpochLedger",
-    ) -> float:
-        """The epoch loop; returns the sim time reached (for error context)."""
+    ) -> None:
+        """Account every measured epoch of the walk."""
         # Telemetry is resolved once; the disabled path adds exactly one
         # boolean test per instrumentation site (CI smoke-checks <5%).
         instruments = (
@@ -272,17 +355,26 @@ class SimulationEngine:
         # Self-tuning protocols (AdaptiveQuorumProtocol) learn from the
         # same epoch observations the engine accounts with.
         epoch_hook = getattr(self.protocol, "record_epoch", None)
-        now = 0.0
-        while now < horizon:
-            epoch_end = min(queue.peek_time(), horizon) if queue else horizon
-            # Split an epoch straddling the warm-up boundary so the
-            # measured part is accounted exactly.
-            if now < warmup_end < epoch_end:
-                epoch_end = warmup_end
-            duration = epoch_end - now
-            measuring = now >= warmup_end
+        warmup_end = walk.warmup_end
+        for now, epoch_end, events in walk.epochs():
+            if events is not None:
+                # The network just changed (or warm-up just ended).
+                ledger.n_events += len(events)
+                if instruments is None:
+                    self.protocol.on_network_change(tracker)
+                else:
+                    for _, code, _, chaos in events:
+                        instruments.events.inc(
+                            kind=EVENT_KINDS[code].value,
+                            source=SOURCE_CHAOS if chaos else SOURCE_STOCHASTIC)
+                    wall0 = perf_counter()
+                    self.protocol.on_network_change(tracker)
+                    instruments.recompute_seconds.observe(perf_counter() - wall0)
+                if self.change_observer is not None:
+                    self.change_observer(now, tracker, self.protocol)
 
-            if duration > 0 and measuring:
+            duration = epoch_end - now
+            if duration > 0 and now >= warmup_end:
                 vote_totals = tracker.vote_totals
                 if instruments is None:
                     read_mask, write_mask = self.protocol.grant_masks(tracker)
@@ -312,60 +404,6 @@ class SimulationEngine:
                         now, duration, reads, writes, read_mask, write_mask,
                         tracker, state, self.protocol,
                     )
-
-            now = epoch_end
-            if now >= horizon:
-                break
-            # Apply every event scheduled at exactly this instant.
-            while queue and queue.peek_time() <= now:
-                event = queue.pop()
-                self._apply(event, state, processes, queue)
-                trace.record(event)
-                ledger.n_events += 1
-                if instruments is not None:
-                    instruments.events.inc(kind=event.kind.value,
-                                           source=event.source)
-            if instruments is None:
-                self.protocol.on_network_change(tracker)
-            else:
-                wall0 = perf_counter()
-                self.protocol.on_network_change(tracker)
-                instruments.recompute_seconds.observe(perf_counter() - wall0)
-            if self.change_observer is not None:
-                self.change_observer(now, tracker, self.protocol)
-        return now
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _apply(
-        event: Event,
-        state: NetworkState,
-        processes: FailureProcesses,
-        queue: EventQueue,
-    ) -> None:
-        kind = event.kind
-        chaos = event.is_chaos
-        # Chaos events are applied verbatim: the fault schedule owns the
-        # component's entire future (including repairs), so no stochastic
-        # follow-up is scheduled for them.
-        if kind is EventKind.SITE_FAIL:
-            state.fail_site(event.target)
-            if not chaos:
-                processes.schedule_repair(queue, event.time, kind, event.target)
-        elif kind is EventKind.SITE_REPAIR:
-            state.repair_site(event.target)
-            if not chaos:
-                processes.schedule_failure(queue, event.time, kind, event.target)
-        elif kind is EventKind.LINK_FAIL:
-            state.fail_link(event.target)
-            if not chaos:
-                processes.schedule_repair(queue, event.time, kind, event.target)
-        elif kind is EventKind.LINK_REPAIR:
-            state.repair_link(event.target)
-            if not chaos:
-                processes.schedule_failure(queue, event.time, kind, event.target)
-        else:
-            raise SimulationError(f"engine cannot apply event kind {kind}")
 
 
 class _EngineInstruments:
@@ -502,7 +540,13 @@ class _EpochLedger:
     included, into preallocated ``(chunk, n_sites)`` rows;
     :meth:`record_expected` buffers the same epoch without volumes and
     :meth:`flush` derives the chunk's from its durations. A ledger is
-    fed through one of the two for its whole life. The flush performs
+    fed through one of the two for its whole life. An epoch's
+    ``(vote_totals, read_mask, write_mask)`` is copied only when one of
+    the three is not *the same object* the epoch before handed in (most
+    events on a dense graph change nothing); otherwise the epoch is a row
+    index, expanded first thing at the flush. Identity is sound: the
+    ledger holds the objects, so no id is recycled, and no tracker or
+    protocol mutates an array it handed out. The flush performs
     the same float additions in the same (epoch) order a per-epoch loop
     would — the running sums through a carry-seeded
     ``np.add.accumulate``, the histograms through unbuffered
@@ -517,6 +561,7 @@ class _EpochLedger:
         "sums", "n_epochs", "n_events", "density_time", "density_access",
         "max_votes_time", "_fill", "_durations", "_totals", "_reads",
         "_writes", "_read_masks", "_write_masks", "_workload",
+        "_row_of", "_n_rows", "_seen",
     )
 
     def __init__(self, n_sites: int, total_votes: int) -> None:
@@ -538,6 +583,10 @@ class _EpochLedger:
         self._write_masks = np.empty(rows, dtype=np.bool_)
         #: Workload the buffered epochs ran under (expected mode), else None.
         self._workload = None
+        #: Each buffered epoch's row, rows in use, the newest row's sources.
+        self._row_of = np.empty(_LEDGER_CHUNK, dtype=np.intp)
+        self._n_rows = 0
+        self._seen = (None, None, None)
 
     def record(self, duration, vote_totals, reads, writes,
                read_mask, write_mask) -> None:
@@ -562,9 +611,16 @@ class _EpochLedger:
     def _buffer(self, duration, vote_totals, read_mask, write_mask) -> None:
         i = self._fill
         self._durations[i] = duration
-        self._totals[i] = vote_totals
-        self._read_masks[i] = read_mask
-        self._write_masks[i] = write_mask
+        row = self._n_rows
+        seen = self._seen
+        if (vote_totals is not seen[0] or read_mask is not seen[1]
+                or write_mask is not seen[2]):
+            self._totals[row] = vote_totals
+            self._read_masks[row] = read_mask
+            self._write_masks[row] = write_mask
+            self._seen = (vote_totals, read_mask, write_mask)
+            self._n_rows = row = row + 1
+        self._row_of[i] = row - 1
         self._fill = i + 1
         if self._fill == len(self._durations):
             self.flush()
@@ -574,15 +630,17 @@ class _EpochLedger:
         k = self._fill
         if k == 0:
             return
-        self._fill = 0
+        self._fill = self._n_rows = 0
+        self._seen = (None, None, None)
         durations = self._durations[:k]
-        totals = self._totals[:k]
+        row_of = self._row_of[:k]
+        totals = self._totals[row_of]
         if self._workload is None:
             reads, writes = self._reads[:k], self._writes[:k]
         else:
             reads, writes = self._workload.expected_epochs(durations)
-        read_masks = self._read_masks[:k]
-        write_masks = self._write_masks[:k]
+        read_masks = self._read_masks[row_of]
+        write_masks = self._write_masks[row_of]
 
         self.density_time.observe_epochs(totals, durations)
         self.density_access.observe_epochs(totals, reads + writes)

@@ -10,8 +10,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import count
-from typing import Iterator, Optional
+from itertools import count, repeat
+from typing import Iterator, Sequence
 
 from repro.errors import SimulationError
 
@@ -19,6 +19,8 @@ __all__ = [
     "EventKind",
     "Event",
     "EventQueue",
+    "EVENT_KINDS",
+    "appliers",
     "SOURCE_STOCHASTIC",
     "SOURCE_CHAOS",
 ]
@@ -46,6 +48,18 @@ class EventKind(Enum):
     @property
     def is_repair(self) -> bool:
         return self in (EventKind.SITE_REPAIR, EventKind.LINK_REPAIR)
+
+
+#: ``EventKind`` by *kind code*, the small int heap entries and generated
+#: history rows carry instead of the enum: ``code ^ 1`` is the opposite
+#: transition of the same component, 2 and 3 are a link's, 4 is ``ACCESS``.
+EVENT_KINDS = tuple(EventKind)
+
+
+def appliers(network) -> tuple:
+    """``network``'s method that applies a topology event, by kind code."""
+    return (network.fail_site, network.repair_site,
+            network.fail_link, network.repair_link)
 
 
 #: Event provenance tags. Stochastic events come from the exponential
@@ -84,17 +98,19 @@ class Event:
 
 
 class EventQueue:
-    """A deterministic min-heap of :class:`Event` objects.
+    """A deterministic min-heap of events.
 
-    Heap entries are ``(time, sequence, event)`` tuples: the sequence is
-    unique, so ``heapq`` orders them by C tuple comparison and never
-    reaches the event's own (Python) ``__lt__``.
+    Heap entries are ``(time, sequence, kind code, target, source,
+    event)`` tuples: the sequence is unique, so ``heapq`` orders them by
+    C tuple comparison and never looks past it. ``event`` is ``None``
+    (built if popped) unless :meth:`schedule` made the entry;
+    :meth:`FailureProcesses.history` works on ``_heap`` and ``_counter``.
     """
 
     __slots__ = ("_heap", "_counter")
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple] = []
         self._counter = count()
 
     def schedule(
@@ -109,20 +125,36 @@ class EventQueue:
             time=time, sequence=next(self._counter), kind=kind, target=target,
             source=source,
         )
-        heapq.heappush(self._heap, (event.time, event.sequence, event))
+        heapq.heappush(self._heap, (
+            event.time, event.sequence, EVENT_KINDS.index(kind), target, source, event))
         return event
+
+    def schedule_many(self, times: Sequence[float], kind_codes: Sequence[int],
+                      targets: Sequence[int], source: str = SOURCE_STOCHASTIC) -> None:
+        """One :meth:`schedule` per element, without building the events."""
+        if len(times) and (min(times) < 0.0 or min(targets) < 0):
+            raise SimulationError("event times and targets must be non-negative")
+        # ``times`` leads the zip, so the counter is drawn len(times) times.
+        self._heap.extend(zip(
+            times, self._counter, kind_codes, targets, repeat(source), repeat(None)))
+        heapq.heapify(self._heap)
+
+    @staticmethod
+    def _event(entry: tuple) -> Event:
+        time, sequence, code, target, source, event = entry
+        return event or Event(time, sequence, EVENT_KINDS[code], target, source)
 
     def pop(self) -> Event:
         """Remove and return the earliest event."""
         if not self._heap:
             raise SimulationError("pop from an empty event queue")
-        return heapq.heappop(self._heap)[2]
+        return self._event(heapq.heappop(self._heap))
 
     def peek(self) -> Event:
         """Return (without removing) the earliest event."""
         if not self._heap:
             raise SimulationError("peek into an empty event queue")
-        return self._heap[0][2]
+        return self._event(self._heap[0])
 
     def peek_time(self) -> float:
         if not self._heap:
@@ -138,4 +170,4 @@ class EventQueue:
     def drain_until(self, horizon: float) -> Iterator[Event]:
         """Pop every event with ``time <= horizon`` in order."""
         while self._heap and self._heap[0][0] <= horizon:
-            yield heapq.heappop(self._heap)[2]
+            yield self._event(heapq.heappop(self._heap))

@@ -9,24 +9,45 @@ Each *component* (a site or a link — the paper's term for any fallible
 network element) alternates between exponential up periods of mean
 ``mu_f`` and exponential down periods of mean ``mu_r``; the stationary
 probability of being up is then ``mu_f / (mu_f + mu_r)``, the component's
-reliability. ``FailureProcesses`` owns the per-component clocks and feeds
-the engine's event queue.
+reliability. ``FailureProcesses`` owns the per-component clocks.
+
+The clocks depend on nothing the protocol or the accesses do, so
+:meth:`FailureProcesses.history` generates a batch's failure history
+ahead of the accounting, in one loop over plain heap tuples; the per-event
+API (``EventQueue.pop`` + ``schedule_repair`` / ``schedule_failure``) is
+its oracle. Both take delays from one pool of block-drawn standard
+exponentials: ``exponential(scale)`` *is* ``scale * standard_exponential()``
+and a block draw consumes the bit stream as scalar draws do, so every
+delay is bitwise the ``rng.exponential(scale)`` call it replaces.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from heapq import heappop, heapreplace
+from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.rng import RandomState, as_generator
-from repro.simulation.events import EventKind, EventQueue
+from repro.simulation.events import (
+    EVENT_KINDS,
+    SOURCE_CHAOS,
+    SOURCE_STOCHASTIC,
+    EventKind,
+    EventQueue,
+)
 from repro.topology.model import Topology
 
 __all__ = ["reliability_to_repair_time", "FailureProcesses"]
 
 ParamLike = Union[float, Sequence[float], np.ndarray]
+
+#: Draws per refill of the delay pool; events per block of a history.
+#: Constants, not options: they amortise a NumPy call and keep a
+#: ``paper``-scale batch (~770 k events) from being all Python objects.
+_POOL_BLOCK = 4096
+_HISTORY_BLOCK = 4096
 
 
 def reliability_to_repair_time(reliability: float, mean_time_to_failure: float) -> float:
@@ -54,8 +75,9 @@ def _param_vector(value: ParamLike, count: int, label: str) -> np.ndarray:
         arr = np.full(count, float(arr))
     if arr.shape != (count,):
         raise SimulationError(f"{label} must be scalar or length {count}, got shape {arr.shape}")
-    if (arr <= 0.0).any():
-        raise SimulationError(f"{label} values must be positive")
+    # NaN compares false to everything, so name it; ``inf`` is "never".
+    if (arr <= 0.0).any() or np.isnan(arr).any():
+        raise SimulationError(f"{label} values must be positive, not NaN")
     return arr
 
 
@@ -100,6 +122,8 @@ class FailureProcesses:
                 f"fallible_links must have shape ({topology.n_links},)"
             )
         self.fallible = np.concatenate([fallible_sites, fallible_links])
+        #: Unused standard-exponential draws, next one last.
+        self._pool: List[float] = []
 
     # ------------------------------------------------------------------
     def deactivate(
@@ -160,20 +184,9 @@ class FailureProcesses:
         every up-clock fresh at ``start_time`` is the correct conditional
         distribution given "all up at time 0".
         """
-        indices = np.nonzero(self.fallible)[0]
-        delays = self.rng.exponential(self.mttf[indices])
-        for component, delay in zip(indices, delays):
-            kind = (
-                EventKind.SITE_FAIL
-                if self.is_site_index(int(component))
-                else EventKind.LINK_FAIL
-            )
-            target = (
-                int(component)
-                if self.is_site_index(int(component))
-                else self.link_id_of(int(component))
-            )
-            queue.schedule(start_time + float(delay), kind, target)
+        components = self._unprimed()
+        self._schedule_first(
+            queue, start_time, components, np.ones(components.size, dtype=bool))
 
     def prime_stationary(self, queue: EventQueue, start_time: float = 0.0):
         """Sample the stationary state and schedule matching transitions.
@@ -189,43 +202,89 @@ class FailureProcesses:
         Returns ``(site_up, link_up)`` boolean masks for the caller to
         install into its :class:`~repro.connectivity.dynamic.NetworkState`.
         """
-        site_up = np.ones(self.topology.n_sites, dtype=bool)
-        link_up = np.ones(self.topology.n_links, dtype=bool)
-        reliability = self.stationary_reliability()
-        indices = np.nonzero(self.fallible)[0]
-        draws = self.rng.random(indices.shape[0])
-        for component, u in zip(indices, draws):
-            component = int(component)
-            up = bool(u < reliability[component])
-            is_site = self.is_site_index(component)
-            target = component if is_site else self.link_id_of(component)
-            if up:
-                delay = float(self.rng.exponential(self.mttf[component]))
-                kind = EventKind.SITE_FAIL if is_site else EventKind.LINK_FAIL
-            else:
-                if is_site:
-                    site_up[target] = False
-                else:
-                    link_up[target] = False
-                delay = float(self.rng.exponential(self.mttr[component]))
-                kind = EventKind.SITE_REPAIR if is_site else EventKind.LINK_REPAIR
-            queue.schedule(start_time + delay, kind, target)
-        return site_up, link_up
+        components = self._unprimed()
+        up = self.rng.random(components.size) < self.stationary_reliability()[components]
+        self._schedule_first(queue, start_time, components, up)
+        state = np.ones(self.n_components, dtype=bool)
+        state[components] = up
+        return state[: self.topology.n_sites], state[self.topology.n_sites:]
+
+    def _unprimed(self) -> np.ndarray:
+        """The fallible components, if priming would not reorder the stream."""
+        if self._pool:
+            raise SimulationError(
+                "priming draws from the generator directly and must precede "
+                "every follow-up delay: the pool already holds later draws"
+            )
+        return np.nonzero(self.fallible)[0]
+
+    def _schedule_first(self, queue, start_time, components, up) -> None:
+        """One block draw: a failure for every up component, else a repair."""
+        n_sites = self.topology.n_sites
+        scales = np.where(up, self.mttf[components], self.mttr[components])
+        times = start_time + scales * self.rng.standard_exponential(components.size)
+        is_link = components >= n_sites
+        queue.schedule_many(
+            times.tolist(), (2 * is_link + ~up).tolist(),
+            (components - n_sites * is_link).tolist())
+
+    # ------------------------------------------------------------------
+    def _refill(self) -> float:
+        """Draw a block into the empty pool; return its first value."""
+        self._pool.extend(self.rng.standard_exponential(_POOL_BLOCK)[::-1].tolist())
+        return self._pool.pop()
 
     def schedule_repair(self, queue: EventQueue, time: float, kind: EventKind, target: int) -> None:
         """After a failure at ``time``, schedule the matching repair."""
-        component = target if kind is EventKind.SITE_FAIL else self.topology.n_sites + target
-        delay = float(self.rng.exponential(self.mttr[component]))
-        repair_kind = (
-            EventKind.SITE_REPAIR if kind is EventKind.SITE_FAIL else EventKind.LINK_REPAIR
-        )
-        queue.schedule(time + delay, repair_kind, target)
+        self._follow_up(queue, time, 0 if kind is EventKind.SITE_FAIL else 2, target)
 
     def schedule_failure(self, queue: EventQueue, time: float, kind: EventKind, target: int) -> None:
         """After a repair at ``time``, schedule the next failure."""
-        component = target if kind is EventKind.SITE_REPAIR else self.topology.n_sites + target
-        delay = float(self.rng.exponential(self.mttf[component]))
-        fail_kind = (
-            EventKind.SITE_FAIL if kind is EventKind.SITE_REPAIR else EventKind.LINK_FAIL
-        )
-        queue.schedule(time + delay, fail_kind, target)
+        self._follow_up(queue, time, 1 if kind is EventKind.SITE_REPAIR else 3, target)
+
+    def _follow_up(self, queue: EventQueue, time: float, code: int, target: int) -> None:
+        mean = (self.mttf if code & 1 else self.mttr)[target + (code > 1) * self.topology.n_sites]
+        draw = self._pool.pop() if self._pool else self._refill()
+        queue.schedule(time + float(mean) * draw, EVENT_KINDS[code ^ 1], target)
+
+    def history(self, queue: EventQueue, horizon: float) -> Iterator[List[tuple]]:
+        """Generate the whole failure history of a primed ``queue``.
+
+        Yields blocks of rows ``(time, kind code, target, is chaos)`` in
+        ``(time, sequence)`` order: every event with ``time < horizon``,
+        bitwise what popping ``queue`` and calling :meth:`schedule_repair`
+        / :meth:`schedule_failure` per event produces. A chaos event gets
+        no follow-up: its schedule owns the component's whole future. A
+        block holds ``_HISTORY_BLOCK`` rows, more only so as not to end
+        inside an instant. The generator owns ``queue``.
+        """
+        heap, counter = queue._heap, queue._counter
+        pool, refill = self._pool, self._refill
+        n_sites = self.topology.n_sites
+        mttf, mttr = self.mttf.tolist(), self.mttr.tolist()
+        # Mean delay to the follow-up of a kind code's event, by target.
+        scales = (mttr[:n_sites], mttf[:n_sites], mttr[n_sites:], mttf[n_sites:])
+        block: List[tuple] = []
+        room, time = _HISTORY_BLOCK, None
+        while heap:
+            entry = heap[0]
+            if not entry[0] < horizon:
+                break
+            if room <= 0 and entry[0] != time:
+                yield block
+                block, room = [], _HISTORY_BLOCK
+            room -= 1
+            time, _, code, target, source, _ = entry
+            if code > 3:
+                raise SimulationError(f"cannot apply event kind {EVENT_KINDS[code]}")
+            chaos = source == SOURCE_CHAOS
+            if chaos:
+                heappop(heap)
+            else:
+                heapreplace(heap, (
+                    time + scales[code][target] * (pool.pop() if pool else refill()),
+                    next(counter), code ^ 1, target, SOURCE_STOCHASTIC, None,
+                ))
+            block.append((time, code, target, chaos))
+        if block:
+            yield block

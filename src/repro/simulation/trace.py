@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.connectivity.dynamic import ComponentTracker, NetworkState
 from repro.errors import SimulationError
-from repro.simulation.events import Event, EventKind
+from repro.simulation.events import EVENT_KINDS, Event, appliers
 from repro.topology.model import Topology
 
 __all__ = ["NetworkTrace", "TraceReplayer", "TRACE_SCHEMA_VERSION"]
@@ -195,6 +195,7 @@ class TraceReplayer:
             self.trace.initial_link_up,
         )
         tracker = ComponentTracker(state)
+        apply = dict(zip((kind.value for kind in EVENT_KINDS), appliers(state)))
         now = 0.0
         for time, kind_value, target in self.trace.events:
             if time > end_time:
@@ -202,22 +203,11 @@ class TraceReplayer:
             if time > now:
                 yield now, min(time, end_time), tracker
                 now = time
-            self._apply(state, EventKind(kind_value), target)
+            if kind_value not in apply:
+                raise SimulationError(f"cannot replay event kind {kind_value!r}")
+            apply[kind_value](target)
         if now < end_time:
             yield now, end_time, tracker
-
-    @staticmethod
-    def _apply(state: NetworkState, kind: EventKind, target: int) -> None:
-        if kind is EventKind.SITE_FAIL:
-            state.fail_site(target)
-        elif kind is EventKind.SITE_REPAIR:
-            state.repair_site(target)
-        elif kind is EventKind.LINK_FAIL:
-            state.fail_link(target)
-        elif kind is EventKind.LINK_REPAIR:
-            state.repair_link(target)
-        else:
-            raise SimulationError(f"cannot replay event kind {kind}")
 
     def availability_of(self, protocol, alpha: float) -> float:
         """Time-weighted ACC of ``protocol`` over the whole trace.

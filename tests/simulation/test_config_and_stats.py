@@ -53,6 +53,23 @@ class TestSimulationConfig:
         with pytest.raises(SimulationError):
             SimulationConfig(topo, wl, accounting="magic")
 
+    @pytest.mark.parametrize("bad", [
+        float("nan"), np.array([1.0] * 9 + [np.nan]), 0.0, np.zeros(10),
+    ])
+    def test_nan_and_non_positive_mean_times_are_rejected(self, bad):
+        # NaN compares false to ``<= 0``: it used to validate and then give
+        # a silently empty batch (every event at time NaN).
+        topo = ring(5)
+        wl = AccessWorkload.uniform(5, 0.5)
+        with pytest.raises(SimulationError, match="mean_time_to_failure"):
+            SimulationConfig(topo, wl, mean_time_to_failure=bad)
+        with pytest.raises(SimulationError, match="mean_time_to_repair"):
+            SimulationConfig(topo, wl, mean_time_to_repair=bad)
+
+    def test_infinite_mean_times_validate(self):
+        SimulationConfig(ring(5), AccessWorkload.uniform(5, 0.5),
+                         mean_time_to_failure=float("inf"))
+
     def test_with_helpers(self):
         cfg = SimulationConfig.paper_like(ring(5), alpha=0.25)
         assert cfg.with_alpha(0.75).workload.alpha == 0.75

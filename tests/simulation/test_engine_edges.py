@@ -143,6 +143,28 @@ class TestInfallibleComponents:
         assert res.surv_read == 1.0
 
 
+    def test_links_that_never_fail_by_an_infinite_mean(self):
+        # ``inf`` is "never": the same batch as with the links masked out,
+        # and the draws spent on them change nothing that is observed.
+        topo = ring(6)
+        mttf = np.array([10.0] * 6 + [np.inf] * 6)
+        cfg = SimulationConfig(
+            topology=topo,
+            workload=AccessWorkload.uniform(6, 0.5),
+            mean_time_to_failure=mttf,
+            mean_time_to_repair=1.0,
+            warmup_accesses=0.0,
+            accesses_per_batch=3_000.0,
+            n_batches=1,
+            seed=3,
+        )
+        batch = SimulationEngine(
+            cfg, MajorityConsensusProtocol(6), record_trace=True).run_batch(0)
+        assert batch.n_events > 50
+        assert set(batch.trace.counts_by_kind()) <= {"site_fail", "site_repair"}
+        assert 0.0 < batch.availability < 1.0
+
+
 class TestLedgerValidationFailure:
     def test_bad_totals_in_the_last_partial_chunk_quarantine_the_batch(
         self, monkeypatch

@@ -13,6 +13,12 @@ ledger buffers no volumes and derives a chunk's at flush from
 ``expected_epoch`` per epoch instead, and a ledger fed those per-epoch
 rows through ``record`` (the path ``expected`` mode took before) must be
 reproduced bitwise on everything, granted volumes included.
+
+The ledger stores an epoch's ``(vote_totals, read_mask, write_mask)`` only
+when one of the three is not the very object the epoch before handed in,
+so every strategy here also re-uses the previous epoch's objects, hands in
+equal copies of them, or keeps the totals and changes the masks; neither
+oracle shares anything.
 """
 
 from unittest import mock
@@ -123,6 +129,35 @@ def epoch_strategy(volumes):
     )
 
 
+#: How an epoch's arrays relate to the previous epoch's (see ``shared``).
+SHARING = st.sampled_from(["fresh", "same-objects", "equal-copies", "same-totals"])
+
+
+def shared(drawn):
+    """Rewrite drawn epochs so that neighbours share arrays as ``modes`` say."""
+    epochs, modes = drawn
+    out = []
+    for (d, totals, reads, writes, rmask, wmask), mode in zip(epochs, modes):
+        if out and mode != "fresh":
+            _, p_totals, _, _, p_rmask, p_wmask = out[-1]
+            if mode == "same-objects":  # the dense graphs' common case
+                totals, rmask, wmask = p_totals, p_rmask, p_wmask
+            elif mode == "equal-copies":  # equal is not identical: a new row
+                totals, rmask, wmask = p_totals.copy(), p_rmask.copy(), p_wmask.copy()
+            else:  # a protocol that re-decided on an unchanged partition
+                totals = p_totals
+        out.append((d, totals, reads, writes, rmask, wmask))
+    return out
+
+
+def sharing_lists(epoch, n):
+    """``n`` epochs from ``epoch`` whose neighbours share arrays at random."""
+    return st.tuples(
+        st.lists(epoch, min_size=n, max_size=n),
+        st.lists(SHARING, min_size=n, max_size=n),
+    ).map(shared)
+
+
 #: Epoch counts on either side of every chunk boundary.
 EPOCH_COUNTS = st.sampled_from(
     [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]
@@ -136,8 +171,7 @@ def epochs_strategy(volumes, dtype):
                 np.array(writes, dtype=dtype), rmask, wmask)
 
     return EPOCH_COUNTS.flatmap(
-        lambda n: st.lists(epoch_strategy(volumes).map(typed),
-                           min_size=n, max_size=n)
+        lambda n: sharing_lists(epoch_strategy(volumes).map(typed), n)
     )
 
 
@@ -162,7 +196,7 @@ def expected_epochs_strategy():
 
     return EPOCH_COUNTS.flatmap(
         lambda n: st.tuples(
-            st.lists(epoch_strategy(st.just(0)), min_size=n, max_size=n),
+            sharing_lists(epoch_strategy(st.just(0)), n),
             st.integers(0, n),  # 0 / n: the run never leaves one phase
         )
     ).map(phased)
@@ -237,6 +271,69 @@ class TestLedgerAgainstOracle:
                 ledger.record(*epoch)
         assert ledger.n_epochs == CHUNK
         assert ledger.sums.tolist() == [20.0, 20.0, 20.0, 0.0, 4.0, 0.0]
+
+
+class TestRowsByIdentity:
+    """What is stored once, and that nothing stored survives a flush."""
+
+    TOTALS = np.array([3, 3, 0, 4, 4])
+    SOME = np.array([True, True, False, True, True])
+    NONE = np.zeros(N_SITES, dtype=bool)
+    READS = np.arange(1.0, N_SITES + 1)
+
+    def settle_both(self, epochs):
+        with mock.patch.object(engine_module, "_LEDGER_CHUNK", CHUNK):
+            ledger = settle(_EpochLedger(N_SITES, TOTAL_VOTES), epochs)
+        oracle = settle(PerEpochLedger(N_SITES, TOTAL_VOTES), epochs)
+        assert np.array_equal(ledger.sums, oracle.sums)
+        assert_same_histograms(ledger, oracle)
+        return ledger
+
+    def test_unchanged_epochs_take_one_row(self):
+        epoch = (1.5, self.TOTALS, self.READS, self.READS, self.SOME, self.NONE)
+        with mock.patch.object(engine_module, "_LEDGER_CHUNK", CHUNK):
+            ledger = _EpochLedger(N_SITES, TOTAL_VOTES)
+            for _ in range(CHUNK - 1):
+                ledger.record(*epoch)
+            assert ledger._n_rows == 1
+            assert ledger._row_of[:CHUNK - 1].tolist() == [0] * (CHUNK - 1)
+
+    def test_a_flush_between_two_epochs_sharing_a_row(self):
+        # CHUNK + 2 epochs of the very same objects: the chunk fills after
+        # the fourth, and the fifth must be stored again, not looked up in a
+        # buffer the flush emptied.
+        epoch = (1.5, self.TOTALS, self.READS, self.READS, self.SOME, self.NONE)
+        ledger = self.settle_both([epoch] * (CHUNK + 2))
+        assert ledger.n_epochs == CHUNK + 2
+        assert ledger.sums[4] == 1.5 * (CHUNK + 2) and ledger.sums[5] == 0.0
+
+    def test_new_masks_on_the_same_totals_are_a_new_row(self):
+        granted = (1.0, self.TOTALS, self.READS, self.READS, self.SOME, self.SOME)
+        denied = (2.0, self.TOTALS, self.READS, self.READS, self.NONE, self.SOME)
+        ledger = self.settle_both([granted, denied, granted])
+        assert ledger.sums[4] == 2.0  # the denied epoch adds no read SURV time
+
+    def test_equal_copies_settle_like_the_same_objects(self):
+        epoch = (1.0, self.TOTALS, self.READS, self.READS, self.SOME, self.NONE)
+        copies = (1.0, self.TOTALS.copy(), self.READS, self.READS,
+                  self.SOME.copy(), self.NONE.copy())
+        assert np.array_equal(self.settle_both([epoch, epoch, epoch]).sums,
+                              self.settle_both([epoch, copies, epoch]).sums)
+
+    def test_a_phase_switch_between_two_epochs_sharing_a_row(self):
+        first, second = PHASES.at(0.0), PHASES.at(PHASE_SWITCH)
+        epochs = [(2.0, self.TOTALS, first, self.SOME, self.NONE),
+                  (1.0, self.TOTALS, first, self.SOME, self.NONE),
+                  (4.0, self.TOTALS, second, self.SOME, self.NONE),
+                  (0.5, self.TOTALS, second, self.SOME, self.NONE)]
+        with mock.patch.object(engine_module, "_LEDGER_CHUNK", CHUNK):
+            ledger = settle_expected(_EpochLedger(N_SITES, TOTAL_VOTES), epochs)
+            row_form = settle_expected(RowFormLedger(N_SITES, TOTAL_VOTES), epochs)
+        oracle = settle_expected(PerEpochLedger(N_SITES, TOTAL_VOTES), epochs)
+        assert np.array_equal(ledger.sums, row_form.sums)
+        assert_same_histograms(ledger, oracle)
+        assert np.array_equal(ledger.sums[[0, 1, 4, 5]], oracle.sums[[0, 1, 4, 5]])
+        assert ledger.sums[2:4] == pytest.approx(oracle.sums[2:4], rel=1e-12, abs=0)
 
 
 SKEW = np.arange(1.0, 22.0)
