@@ -65,7 +65,7 @@ def test_dynamic_reassignment_value(benchmark, report, scale):
             if estimator.total_weight < 40 * N:
                 return
             model = AvailabilityModel.from_density_matrix(estimator.density_matrix())
-            best = optimal_read_quorum(model, ALPHA, method="golden")
+            best = optimal_read_quorum(model, ALPHA)
             current = proto.effective_assignment(tracker, 0)
             if current is not None and best.assignment != current:
                 proto.try_reassign(tracker, 0, best.assignment)

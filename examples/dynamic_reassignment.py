@@ -66,7 +66,7 @@ def run_dynamic() -> tuple[float, int]:
             if estimator.total_weight < 30 * TOPOLOGY.n_sites:
                 return
             model = AvailabilityModel.from_density_matrix(estimator.density_matrix())
-            best = optimal_read_quorum(model, alpha=alpha, method="golden")
+            best = optimal_read_quorum(model, alpha=alpha)
             current = proto.effective_assignment(tracker, 0)
             if current is not None and best.assignment != current:
                 proto.try_reassign(tracker, 0, best.assignment)

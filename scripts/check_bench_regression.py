@@ -6,7 +6,7 @@ sidecars exist):
 
     python scripts/check_bench_regression.py \
         --baseline-dir baselines/ --current-dir benchmarks/ \
-        benchmarks/BENCH_optimizers.json \
+        benchmarks/BENCH_serving.json \
         benchmarks/BENCH_parallel_scaling.json
 
 For each named baseline file the script finds the freshly generated

@@ -13,14 +13,18 @@ two modes take different branches of the loop and different ledger
 entry points.
 
 A second measurement gates the *enabled* cost of the tracing layer
-where it actually instruments: the enumeration kernel, whose chunk loop
-is split into named phases (``enum.unpack`` .. ``enum.accumulate``).
-The kernel is timed with the null recorder and again under a live one;
-the live path adds phase accounting (two clock reads per section) and
-must stay under ``--tracing-threshold`` (default 1.10). The engine
-epoch loop is deliberately *not* the tracing-on gate: a live recorder
-there pays for per-epoch metrics and audit records, a cost that predates
-and is orthogonal to the tracing subsystem. A sanity check asserts both
+where it actually instruments: the production enumeration kernel (the
+collapse-DFS that a bare ``enumerate_density_matrix`` call runs), whose
+stack loop is split into two named phases, ``enum.branch`` and
+``enum.flush``. The kernel is timed with the null recorder and again
+under a live one; the live path adds phase accounting (two clock reads
+per section) and must stay under ``--tracing-threshold`` (default 1.10).
+The script then asserts that the live recorder really accumulated time
+under both phase names (exit 2 otherwise), so the gate cannot go on
+passing against a kernel that no longer carries them. The engine epoch
+loop is deliberately *not* the tracing-on gate: a live recorder there
+pays for per-epoch metrics and audit records, a cost that predates and
+is orthogonal to the tracing subsystem. A sanity check asserts both
 kernel runs return bitwise identical densities — tracing observes
 outcomes, it must never change them.
 
@@ -125,6 +129,10 @@ def time_batches(engine: SimulationEngine, n_batches: int) -> float:
     return perf_counter() - start
 
 
+#: The phases the tracing gate claims to measure.
+ENUM_PHASES = ("enum.branch", "enum.flush")
+
+
 def time_enumeration(sites: int, telemetry=None):
     """Time one cache-bypassed enumeration sweep; return (seconds, matrix)."""
     from repro.analytic import cache as density_cache
@@ -151,10 +159,12 @@ def main(argv=None) -> int:
                         "with the recorder disabled")
     parser.add_argument("--tracing-threshold", type=float, default=1.10,
                         help="max allowed live/null ratio on the "
-                        "phase-instrumented enumeration kernel")
-    parser.add_argument("--enum-sites", type=int, default=10,
+                        "collapse-DFS enumeration kernel "
+                        "(phases enum.branch / enum.flush)")
+    parser.add_argument("--enum-sites", type=int, default=13,
                         help="ring size for the kernel tracing gate "
-                        "(2^(2n) states)")
+                        "(2^(2n) states; 13 is ~0.15 s per run, long "
+                        "enough for a 10%% budget to clear timer noise)")
     parser.add_argument("--repeats", type=int, default=7,
                         help="interleaved timing rounds (min is compared)")
     parser.add_argument("--sites", type=int, default=15)
@@ -204,8 +214,8 @@ def main(argv=None) -> int:
           f"({(ratio - 1.0) * 100.0:+.2f}%, threshold "
           f"{(args.threshold - 1.0) * 100.0:.0f}%)")
 
-    # Tracing-enabled gate: the phase-instrumented enumeration kernel,
-    # null recorder vs live, interleaved, minima compared.
+    # Tracing-enabled gate: the collapse-DFS enumeration kernel, null
+    # recorder vs live, interleaved, minima compared.
     live = Telemetry()
     time_enumeration(args.enum_sites)  # warm-up
     time_enumeration(args.enum_sites, live)
@@ -218,6 +228,13 @@ def main(argv=None) -> int:
         live_times.append(seconds)
     if not np.array_equal(null_matrix, live_matrix):
         print("FAIL: tracing changed the enumeration kernel's output")
+        return 2
+    recorded = {entry["name"]: entry["wall"]
+                for entry in live.phases.snapshot()}
+    unseen = [name for name in ENUM_PHASES if recorded.get(name, 0.0) <= 0.0]
+    if unseen:
+        print(f"FAIL: the live recorder saw no time under {unseen}; "
+              f"phases recorded: {sorted(recorded)}")
         return 2
     traced_ratio = min(live_times) / min(null_times)
     print(f"enumeration kernel, recorder off: {min(null_times):.4f}s")

@@ -118,10 +118,10 @@ def enumeration_key(
     density), the quantized per-component reliability vectors, and which
     row — full matrix (``site is None``) or a single site — was asked
     for. ``numerics`` names the floating-point accumulation class of the
-    producing backend (``"exact-order"`` for the bitwise
-    reference/compiled kernels, ``"regrouped"`` for the vectorized
-    collapse-DFS): entries whose bits may legitimately differ never
-    share a slot, so a bitwise caller cannot receive a regrouped result.
+    producing backend (``"exact-order"`` for the bitwise witness
+    kernel, ``"regrouped"`` for the collapse-DFS): entries whose bits
+    may legitimately differ never share a slot, so a bitwise caller
+    cannot receive a regrouped result.
     """
     digest = hashlib.sha256()
     digest.update(np.int64(topology.n_sites).tobytes())

@@ -13,88 +13,78 @@ Component reliabilities may be uniform (scalars ``p``, ``r``) or per
 component (arrays), which is how the star-with-perfect-spokes encoding of
 the bus network is enumerated exactly.
 
-Four backends compute the same matrix (DESIGN.md §10 and §15), selected
-with the ``backend=`` kwarg or the ``REPRO_ENUM_BACKEND`` environment
-variable (``auto`` | ``compiled`` | ``vectorized`` | ``reference``):
+Two kernels compute the same matrix (DESIGN.md §15), selected with the
+``backend=`` kwarg:
 
-``reference`` (kernel)
-    the chunked scipy kernel — generates up/down states in chunks of
-    bit-unpacked numpy masks, computes state probabilities as column-wise
-    product reductions, labels every state of a chunk with one
-    block-diagonal ``connected_components`` call
+``collapse-dfs`` (the default, and what every caller without a reason
+to ask otherwise runs)
+    a subset-doubling DFS over the fallible components that only
+    branches on a link where it actually joins two distinct live
+    components — everywhere else the link's marginal is exactly
+    ``r + (1 - r) = 1`` and both branches collapse into one. Ring-like
+    topologies collapse from ``2^28`` states to under a million leaf
+    rows. Accumulation is regrouped, so results equal the per-state loop
+    to float round-off (≤1e-12), not bitwise. Cap: :data:`MAX_COMPONENTS`
+    (2^28 states).
+
+``exact-order`` (the witness)
+    generates up/down states in chunks of bit-unpacked numpy masks,
+    computes state probabilities as column-wise product reductions,
+    labels every state of a chunk with one block-diagonal
+    ``connected_components`` call
     (:func:`~repro.connectivity.components.batched_vote_totals`), and
     accumulates probabilities with an ordered unbuffered scatter-add.
-    Every floating-point operation is sequenced exactly like the
-    reference loop, so the output is **bitwise identical** to it.
-
-``compiled``
-    the numba ``@njit(cache=True)`` union-find chunk kernel
-    (:func:`repro.analytic.compiled.enumerate_compiled`) — same
-    floating-point operation order as the reference loop, therefore also
-    bitwise identical; requires numba (``pip install 'repro[compiled]'``).
-
-``vectorized``
-    the dependency-free subset-doubling DFS with branch collapse
-    (:func:`repro.analytic.compiled.enumerate_vectorized`) — regrouped
-    accumulation, equal to the reference to float round-off (≤1e-12
-    differential tier), two orders of magnitude faster.
-
-``auto`` (the default)
-    ``compiled`` when numba is importable, else ``vectorized``.
-
-The compiled and vectorized backends raise the safety cap from
-:data:`MAX_COMPONENTS` (2^24 states) to :data:`MAX_COMPONENTS_COMPILED`
-(2^28).
-
-``enumerate_density_matrix_reference`` is the retained per-state Python
-loop — the auditable oracle the kernel equivalence tests compare
-against.
+    Every floating-point operation is sequenced exactly like a per-state
+    ``itertools.product`` loop (the oracle in ``tests/oracles.py``), so
+    the output is **bitwise identical** to it for every ``chunk_size``.
+    The golden corpus's sharded entries and ``repro verify``'s
+    ``enumeration|enum-exact-order`` pair are computed through it. Cap:
+    :data:`MAX_COMPONENTS_EXACT_ORDER` (2^24 states).
 """
 
 from __future__ import annotations
 
-import os
-from itertools import product
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.connectivity.components import (
-    batched_vote_totals,
-    component_labels,
-    component_vote_totals,
-)
+from repro.connectivity.components import batched_vote_totals
 from repro.errors import DensityError, TopologyError
+from repro.telemetry.recorder import current as _current_recorder
 from repro.topology.model import Topology
 
 __all__ = [
     "BACKENDS",
-    "ENV_BACKEND",
+    "BACKEND_CAPS",
     "enumerate_density",
     "enumerate_density_matrix",
-    "enumerate_density_matrix_reference",
     "resolve_backend",
 ]
 
-#: Refuse to enumerate beyond this many fallible components (2^24
-#: states) on the ``reference`` backend.
-MAX_COMPONENTS = 24
+#: Refuse to enumerate beyond this many fallible components (2^28
+#: states; the DFS is memory-bounded by its row cap, see DESIGN.md §15).
+MAX_COMPONENTS = 28
 
-#: The compiled/vectorized backends push the cap to 2^28 states
-#: (chunked and memory-bounded; see DESIGN.md §15 for the bounds).
-MAX_COMPONENTS_COMPILED = 28
+#: The witness materializes every state: 2^24 is already minutes.
+MAX_COMPONENTS_EXACT_ORDER = 24
 
-#: Selectable enumeration backends (``backend=`` kwarg and the
-#: :data:`ENV_BACKEND` environment variable).
-BACKENDS = ("auto", "compiled", "vectorized", "reference")
+#: Fallible-component cap of each kernel.
+BACKEND_CAPS = {
+    "collapse-dfs": MAX_COMPONENTS,
+    "exact-order": MAX_COMPONENTS_EXACT_ORDER,
+}
 
-#: Environment variable naming the default backend (default ``auto``).
-ENV_BACKEND = "REPRO_ENUM_BACKEND"
+#: The production kernel, then its exact-floating-point-order witness.
+BACKENDS = tuple(BACKEND_CAPS)
 
-#: States unpacked and labelled per kernel chunk. Large enough that the
-#: per-chunk numpy fixed costs amortize, small enough that the chunk's
-#: mask/label arrays stay cache- and memory-friendly at 2^24 states.
+#: ``exact-order``: states unpacked and labelled per chunk. Large enough
+#: that the per-chunk numpy fixed costs amortize, small enough that the
+#: chunk's mask/label arrays stay cache- and memory-friendly at 2^24
+#: states. ``collapse-dfs``: the cap on live partial-state rows.
 DEFAULT_CHUNK_SIZE = 8_192
+
+#: Row caps below this are clamped up; the DFS needs headroom to double.
+MIN_ROW_CAP = 64
 
 Reliability = Union[float, Sequence[float], np.ndarray]
 
@@ -111,43 +101,24 @@ def _as_reliability_vector(value: Reliability, count: int, label: str) -> np.nda
 
 
 def resolve_backend(backend: Optional[str] = None) -> str:
-    """Resolve a backend name to ``compiled``/``vectorized``/``reference``.
+    """Validate a backend name; ``None`` names the production kernel.
 
-    ``None`` falls back to the :data:`ENV_BACKEND` environment variable,
-    then ``auto``. ``auto`` picks ``compiled`` when numba is importable
-    and the dependency-free ``vectorized`` kernel otherwise; an explicit
-    ``compiled`` request without numba is an error naming the remedy.
+    The default is a constant: nothing outside the call (process
+    settings, what is installed) changes which kernel runs.
     """
-    name = backend if backend is not None else os.environ.get(ENV_BACKEND) or "auto"
-    if name not in BACKENDS:
+    if backend is None:
+        return BACKENDS[0]
+    if backend not in BACKENDS:
         raise DensityError(
-            f"unknown enumeration backend {name!r}; choose from "
-            f"{BACKENDS} (backend= kwarg or {ENV_BACKEND})"
+            f"unknown enumeration backend {backend!r}; choose from {BACKENDS}"
         )
-    if name in ("auto", "compiled"):
-        from repro.analytic import compiled
-
-        if name == "auto":
-            return "compiled" if compiled.jit_available() else "vectorized"
-        if not compiled.jit_available():
-            raise DensityError(
-                "the 'compiled' enumeration backend needs numba "
-                "(pip install 'repro[compiled]'); backend='vectorized' "
-                f"or {ENV_BACKEND}=vectorized selects the dependency-free "
-                "fallback"
-            )
-    return name
-
-
-def _backend_cap(backend: str) -> int:
-    return MAX_COMPONENTS if backend == "reference" else MAX_COMPONENTS_COMPILED
+    return backend
 
 
 def _free_components(
-    topology: Topology,
     site_rel: np.ndarray,
     link_rel: np.ndarray,
-    backend: str = "reference",
+    backend: str,
 ) -> tuple:
     """Indices of fallible sites/links; components pinned at 0/1 are not
     enumerated, so a star with perfectly reliable spokes costs only
@@ -155,13 +126,12 @@ def _free_components(
     free_sites = np.nonzero((site_rel > 0.0) & (site_rel < 1.0))[0]
     free_links = np.nonzero((link_rel > 0.0) & (link_rel < 1.0))[0]
     n_free = free_sites.size + free_links.size
-    cap = _backend_cap(backend)
+    cap = BACKEND_CAPS[backend]
     if n_free > cap:
-        if backend == "reference" and n_free <= MAX_COMPONENTS_COMPILED:
+        if n_free <= MAX_COMPONENTS:
             hint = (
-                f"; the 'compiled'/'vectorized' backends raise the cap to "
-                f"{MAX_COMPONENTS_COMPILED} (pass backend='vectorized' or "
-                f"set {ENV_BACKEND}=auto)"
+                f"; the default {BACKENDS[0]!r} backend enumerates up to "
+                f"{MAX_COMPONENTS}"
             )
         else:
             hint = "; use montecarlo_density for larger networks"
@@ -183,72 +153,41 @@ def enumerate_density_matrix(
 ) -> np.ndarray:
     """Exact density matrix ``(n_sites, T+1)`` by full state enumeration.
 
-    ``backend`` picks the kernel (see the module docstring; ``None``
-    defers to ``REPRO_ENUM_BACKEND``, then ``auto``). The ``reference``
-    and ``compiled`` backends are bitwise identical to
-    :func:`enumerate_density_matrix_reference` for every ``chunk_size``;
-    ``vectorized`` regroups the accumulation and agrees to float
-    round-off (its results are cached under a separate numerics tag so a
-    bitwise caller never receives a regrouped entry). With ``site``
-    given, only that site's row (length ``T+1``) is returned — the
-    single-row fast path behind :func:`enumerate_density`.
+    ``backend`` picks the kernel (see the module docstring; ``None`` is
+    ``collapse-dfs``). ``exact-order`` is bitwise identical to a
+    per-state loop for every ``chunk_size``; ``collapse-dfs`` regroups
+    the accumulation and agrees to float round-off (the two are cached
+    under separate numerics tags so a bitwise caller never receives a
+    regrouped entry). With ``site`` given, only that site's row (length
+    ``T+1``) is returned — the single-row fast path behind
+    :func:`enumerate_density`.
     """
     if chunk_size <= 0:
         raise DensityError(f"chunk_size must be positive, got {chunk_size}")
-    resolved = resolve_backend(backend)
+    backend = resolve_backend(backend)
     site_rel = _as_reliability_vector(p, topology.n_sites, "site reliability")
     link_rel = _as_reliability_vector(r, topology.n_links, "link reliability")
-    free_sites, free_links, n_free = _free_components(
-        topology, site_rel, link_rel, backend=resolved
-    )
+    free_sites, free_links, n_free = _free_components(site_rel, link_rel, backend)
 
     from repro.analytic import cache as density_cache
 
-    numerics = "regrouped" if resolved == "vectorized" else "exact-order"
+    exact_order = backend == "exact-order"
+    kernel = _exact_order_kernel if exact_order else _collapse_dfs_kernel
     key = density_cache.enumeration_key(
-        topology, site_rel, link_rel, site, numerics=numerics
+        topology, site_rel, link_rel, site,
+        numerics="exact-order" if exact_order else "regrouped",
     )
     return density_cache.fetch(
         "enumeration",
         key,
-        lambda: _dispatch_kernel(
-            resolved, topology, site_rel, link_rel, free_sites, free_links,
-            n_free, chunk_size=chunk_size, site=site,
+        lambda: kernel(
+            topology, site_rel, link_rel, free_sites, free_links, n_free,
+            chunk_size=chunk_size, site=site,
         ),
     )
 
 
-def _dispatch_kernel(
-    backend: str,
-    topology: Topology,
-    site_rel: np.ndarray,
-    link_rel: np.ndarray,
-    free_sites: np.ndarray,
-    free_links: np.ndarray,
-    n_free: int,
-    *,
-    chunk_size: int,
-    site: Optional[int],
-) -> np.ndarray:
-    if backend == "reference":
-        return _enumeration_kernel(
-            topology, site_rel, link_rel, free_sites, free_links, n_free,
-            chunk_size=chunk_size, site=site,
-        )
-    from repro.analytic import compiled
-
-    if backend == "compiled":
-        return compiled.enumerate_compiled(
-            topology, site_rel, link_rel, free_sites, free_links, n_free,
-            chunk_size=chunk_size, site=site,
-        )
-    return compiled.enumerate_vectorized(
-        topology, site_rel, link_rel, free_sites, free_links, n_free,
-        chunk_size=chunk_size, site=site,
-    )
-
-
-def _enumeration_kernel(
+def _exact_order_kernel(
     topology: Topology,
     site_rel: np.ndarray,
     link_rel: np.ndarray,
@@ -262,8 +201,6 @@ def _enumeration_kernel(
     # Phase attribution resolves through the current recorder (the
     # kernel has no telemetry argument); with the NULL recorder every
     # phase block is a shared no-op.
-    from repro.telemetry.recorder import current as _current_recorder
-
     prof = _current_recorder().phases
 
     n = topology.n_sites
@@ -325,48 +262,141 @@ def _enumeration_kernel(
     return out.reshape(n, T + 1) if site is None else out
 
 
-def enumerate_density_matrix_reference(
+def _label_dtype(n_sites: int):
+    """Smallest unsigned dtype whose max value can serve as the sentinel."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if n_sites < np.iinfo(dtype).max:
+            return dtype
+    return np.uint64
+
+
+def _collapse_dfs_kernel(
     topology: Topology,
-    p: Reliability,
-    r: Reliability,
+    site_rel: np.ndarray,
+    link_rel: np.ndarray,
+    free_sites: np.ndarray,
+    free_links: np.ndarray,
+    n_free: int,
+    *,
+    chunk_size: int,
+    site: Optional[int],
 ) -> np.ndarray:
-    """The retained per-state loop: the oracle for the vectorized kernel.
+    """Exact density matrix by subset-doubling DFS with branch collapse.
 
-    This is the original implementation, kept because the kernel
-    equivalence tests assert the vectorized path reproduces it bitwise —
-    every probability product and every accumulation happens in the same
-    floating-point order.
+    Components are consumed in column order: free sites first (each
+    doubles the rows with probability factors ``1-p`` / ``p``), then
+    links pinned fully up (merged in place, no branch), then free links.
+    A free link only doubles the rows where both endpoints are live and
+    in *distinct* components — everywhere else its up/down marginal is
+    exactly 1 and the branch collapses. Leaf rows are flushed into the
+    density bins via two ``bincount`` passes (per-row component vote
+    totals, then ``(site, total)`` bins weighted by row probability).
+
+    Peak live rows are capped at ``max(chunk_size, MIN_ROW_CAP)``; a
+    branch that would exceed the cap defers half its rows to an explicit
+    DFS stack. Results are deterministic for a fixed cap and agree with
+    the ``exact-order`` kernel to float round-off (regrouped accumulation
+    — the ≤1e-12 differential tier, not bitwise).
     """
-    site_rel = _as_reliability_vector(p, topology.n_sites, "site reliability")
-    link_rel = _as_reliability_vector(r, topology.n_links, "link reliability")
-    free_sites, free_links, _ = _free_components(topology, site_rel, link_rel)
-    n_free = free_sites.size + free_links.size
+    prof = _current_recorder().phases
+    cap = max(int(chunk_size), MIN_ROW_CAP)
 
+    n = topology.n_sites
     T = topology.total_votes
-    matrix = np.zeros((topology.n_sites, T + 1), dtype=np.float64)
+    u, v = topology.link_endpoint_arrays()
+    dtype = _label_dtype(n)
+    sent = dtype(np.iinfo(dtype).max)
+    votes = topology.votes.astype(np.float64)
 
-    site_up = (site_rel >= 1.0).copy()
-    link_up = (link_rel >= 1.0).copy()
+    pinned_live_links = np.nonzero(link_rel >= 1.0)[0]
 
-    for bits in product((False, True), repeat=n_free):
-        site_bits = bits[: free_sites.size]
-        link_bits = bits[free_sites.size:]
-        site_up[free_sites] = site_bits
-        link_up[free_links] = link_bits
+    # Column order: sites, pinned live links, free links. Pinned-dead
+    # links (r <= 0) never join anything and are simply absent.
+    cols = (
+        [("site", int(s)) for s in free_sites]
+        + [("plink", int(e)) for e in pinned_live_links]
+        + [("link", int(e)) for e in free_links]
+    )
+    n_cols = len(cols)
 
-        prob = 1.0
-        for idx, up in zip(free_sites, site_bits):
-            prob *= site_rel[idx] if up else 1.0 - site_rel[idx]
-        for idx, up in zip(free_links, link_bits):
-            prob *= link_rel[idx] if up else 1.0 - link_rel[idx]
-        if prob == 0.0:
-            continue
+    root = np.arange(n, dtype=dtype)[None, :].copy()
+    root[0, site_rel <= 0.0] = sent
+    acc = np.zeros(n * (T + 1), dtype=np.float64)
 
-        labels = component_labels(topology, site_up, link_up)
-        totals = component_vote_totals(labels, topology.votes)
-        matrix[np.arange(topology.n_sites), totals] += prob
+    def flush(L: np.ndarray, P: np.ndarray) -> None:
+        nonlocal acc
+        rows = L.shape[0]
+        up = L != sent
+        # Per-(row, component) vote sums: one bincount over flat
+        # row-offset labels (down sites park in a discard bin).
+        flat = np.where(up, L, n).astype(np.int64)
+        flat += np.arange(rows, dtype=np.int64)[:, None] * (n + 1)
+        weights = np.where(up, np.broadcast_to(votes, (rows, n)), 0.0)
+        sums = np.bincount(flat.ravel(), weights=weights.ravel(),
+                           minlength=rows * (n + 1))
+        totals = np.where(up, sums[flat], 0.0).astype(np.int64)
+        bins = (np.arange(n, dtype=np.int64) * (T + 1))[None, :] + totals
+        acc += np.bincount(bins.ravel(), weights=np.repeat(P, n),
+                           minlength=n * (T + 1))
 
-    return matrix
+    stack = [(root, np.ones(1, dtype=np.float64), 0)]
+    while stack:
+        L, P, c = stack.pop()
+        with prof.phase("enum.branch"):
+            while c < n_cols:
+                kind, comp = cols[c]
+                if kind == "site":
+                    if 2 * L.shape[0] > cap and L.shape[0] > 1:
+                        half = L.shape[0] // 2
+                        stack.append((L[half:].copy(), P[half:].copy(), c))
+                        L, P = L[:half], P[:half]
+                        continue
+                    p_up = site_rel[comp]
+                    down = L.copy()
+                    down[:, comp] = sent
+                    L = np.concatenate([down, L])
+                    P = np.concatenate([P * (1.0 - p_up), P * p_up])
+                else:
+                    a, b = int(u[comp]), int(v[comp])
+                    la = L[:, a]
+                    lb = L[:, b]
+                    joins = (la != sent) & (lb != sent) & (la != lb)
+                    if kind == "plink":
+                        if joins.any():
+                            lo = np.minimum(la, lb)
+                            hi = np.maximum(la, lb)
+                            merge = joins[:, None] & (L == hi[:, None])
+                            L = np.where(merge, lo[:, None], L)
+                    else:
+                        n_joins = int(joins.sum())
+                        if n_joins == 0:
+                            # Dead or redundant everywhere: the marginal
+                            # r + (1 - r) is exactly 1 — collapse.
+                            c += 1
+                            continue
+                        if L.shape[0] + n_joins > cap and L.shape[0] > 1:
+                            half = L.shape[0] // 2
+                            stack.append((L[half:].copy(), P[half:].copy(), c))
+                            L, P = L[:half], P[:half]
+                            continue
+                        r_up = link_rel[comp]
+                        idx = np.nonzero(joins)[0]
+                        lo = np.minimum(la, lb)[idx]
+                        hi = np.maximum(la, lb)[idx]
+                        merged = L[idx]
+                        merged = np.where(merged == hi[:, None],
+                                          lo[:, None], merged)
+                        P = np.concatenate(
+                            [np.where(joins, P * (1.0 - r_up), P),
+                             P[idx] * r_up]
+                        )
+                        L = np.concatenate([L, merged])
+                c += 1
+        with prof.phase("enum.flush"):
+            flush(L, P)
+
+    matrix = acc.reshape(n, T + 1)
+    return matrix if site is None else matrix[int(site)].copy()
 
 
 def enumerate_density(

@@ -128,7 +128,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     if args.write_floor > 0.0:
         result = optimize_with_write_floor(model, args.alpha, args.write_floor)
     else:
-        result = optimal_read_quorum(model, args.alpha, method=args.method)
+        result = optimal_read_quorum(model, args.alpha)
     write = float(np.asarray(model.write_availability_at(result.read_quorum)))
     print(f"topology        : {args.family}-{args.sites} (p={args.p}, r={args.r})")
     print(f"alpha           : {args.alpha}")
@@ -137,7 +137,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     print(f"optimal quorums : q_r={result.read_quorum}  q_w={result.write_quorum}")
     print(f"availability    : {result.availability:.4f}")
     print(f"write avail.    : {write:.4f}")
-    print(f"method          : {result.method} ({result.evaluations} evaluations)")
+    print(f"evaluations     : {result.evaluations}")
     return 0
 
 
@@ -484,8 +484,7 @@ def _profile_enumeration(args: argparse.Namespace, telemetry) -> None:
     # Bypass the density cache so the kernel (and its phases) actually
     # run; a warm cache would profile a dictionary lookup.
     with density_cache.disabled():
-        enumerate_density_matrix(ring(args.sites or 10), 0.96, 0.96,
-                                 backend=args.backend)
+        enumerate_density_matrix(ring(args.sites or 10), 0.96, 0.96)
 
 
 def _profile_montecarlo(args: argparse.Namespace, telemetry) -> None:
@@ -654,8 +653,7 @@ def _cmd_engines(args: argparse.Namespace) -> int:
     print(f"registered engines ({len(specs)}):")
     for spec in specs:
         caps = ", ".join(sorted(spec.capabilities)) or "-"
-        backend = f" backend={spec.backend}" if spec.backend else ""
-        print(f"  {spec.name:<16} kind={spec.kind:<14}{backend} caps=[{caps}]")
+        print(f"  {spec.name:<16} kind={spec.kind:<14} caps=[{caps}]")
         print(f"    {spec.description}")
         if spec.cost_hint:
             print(f"    cost: {spec.cost_hint}")
@@ -799,8 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--alpha", type=float, default=0.5, help="read fraction")
     opt.add_argument("--write-floor", type=float, default=0.0,
                      help="minimum write availability A_w (section 5.4)")
-    opt.add_argument("--method", default="exhaustive",
-                     choices=("exhaustive", "endpoints", "golden", "brent"))
     opt.set_defaults(func=_cmd_optimize)
 
     sim = sub.add_parser("simulate", help="discrete-event availability simulation")
@@ -985,11 +981,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--workers", type=int, default=1, metavar="N",
                          help="worker processes for the simulate target; "
                          "the span-tree digest is identical for any N")
-    profile.add_argument("--backend", default=None,
-                         choices=["auto", "compiled", "vectorized",
-                                  "reference"],
-                         help="enumeration backend for the enumeration "
-                         "target (default: REPRO_ENUM_BACKEND, then auto)")
     profile.add_argument("--top", type=int, default=10, metavar="N",
                          help="phases to print in the summary table")
     profile.set_defaults(func=_cmd_profile)

@@ -6,9 +6,8 @@ quorum machinery needs from the network reduces to one vector: for each
 site, the total number of votes in its current component (a down site is
 "in a component of size zero", matching the paper's access accounting).
 
-Two interchangeable backends are provided: a pure-Python union-find
-(reference implementation, easy to audit) and a vectorized
-scipy.sparse.csgraph backend (the simulator's hot path).
+``component_labels`` selects a union-find (sparse networks) or a
+scipy.sparse.csgraph call (dense ones) from the link count.
 """
 
 from repro.connectivity.components import (
@@ -18,7 +17,6 @@ from repro.connectivity.components import (
     component_labels,
     component_members,
     component_vote_totals,
-    components_unionfind,
     gather_groups,
     votes_in_component_of,
 )
@@ -33,7 +31,6 @@ __all__ = [
     "component_labels",
     "component_members",
     "component_vote_totals",
-    "components_unionfind",
     "gather_groups",
     "votes_in_component_of",
 ]

@@ -8,17 +8,12 @@ treated as belonging to a component with zero votes, so the availability
 accounting naturally counts accesses submitted to down sites as denials
 (the ACC metric).
 
-Two backends compute component labels:
-
-``component_labels``
-    scipy.sparse.csgraph backend — builds the live subgraph as a CSR
-    matrix and labels components in compiled code. This is the simulator's
-    hot path (called once per failure/recovery event).
-
-``components_unionfind``
-    pure-Python weighted union-find with path compression — the auditable
-    reference implementation; tests assert both backends agree on random
-    states.
+``component_labels`` picks between two labellers on the link count it
+observes (:data:`CSGRAPH_THRESHOLD`): a pure-Python union-find with path
+halving for sparse networks (the paper's rings) and a
+scipy.sparse.csgraph call on the live subgraph for dense ones. Both
+honour one label contract; the tests hold each against an independent
+min-propagation labeller (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -37,7 +32,6 @@ __all__ = [
     "batched_component_labels",
     "batched_component_entries",
     "batched_vote_totals",
-    "components_unionfind",
     "component_vote_totals",
     "votes_in_component_of",
     "component_members",
@@ -315,66 +309,6 @@ def gather_groups(
     # Multi-arange: block i covers lo[i] .. hi[i]-1 of the sorted index.
     idx = np.repeat(hi - np.cumsum(lens), lens) + np.arange(total)
     return entries[idx]
-
-
-class _UnionFind:
-    """Weighted quick-union with path halving."""
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]  # path halving
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
-def components_unionfind(
-    topology: Topology,
-    site_up: np.ndarray,
-    link_up: np.ndarray,
-) -> np.ndarray:
-    """Reference union-find implementation of :func:`component_labels`.
-
-    Returns labels with the same contract (consecutive ids over up sites,
-    ``-1`` for down sites). Exists to cross-check the vectorized backend.
-    """
-    site_up = np.asarray(site_up, dtype=bool)
-    link_up = np.asarray(link_up, dtype=bool)
-    _validate_masks(topology, site_up, link_up)
-
-    n = topology.n_sites
-    uf = _UnionFind(n)
-    for link_id, link in enumerate(topology.links):
-        if link_up[link_id] and site_up[link.a] and site_up[link.b]:
-            uf.union(link.a, link.b)
-
-    labels = np.full(n, DOWN_LABEL, dtype=np.int64)
-    next_label = 0
-    root_to_label: Dict[int, int] = {}
-    for site in range(n):
-        if not site_up[site]:
-            continue
-        root = uf.find(site)
-        if root not in root_to_label:
-            root_to_label[root] = next_label
-            next_label += 1
-        labels[site] = root_to_label[root]
-    return labels
 
 
 def component_vote_totals(

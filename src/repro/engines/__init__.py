@@ -22,7 +22,7 @@ from repro.engines.adapters import (
     OffByOneModel,
     SimulationEngineRun,
     closed_form_engine,
-    enum_compiled_engine,
+    enum_exact_order_engine,
     enumeration_engine,
     grant_mask_mismatch,
     importance_mc_engine,
@@ -49,7 +49,7 @@ __all__ = [
     "ModelEngine",
     "SimulationEngineRun",
     "closed_form_engine",
-    "enum_compiled_engine",
+    "enum_exact_order_engine",
     "enumeration_engine",
     "montecarlo_engine",
     "stratified_mc_engine",

@@ -24,10 +24,10 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.analytic import closed_form_density
-from repro.analytic import compiled as _compiled
 from repro.analytic.enumeration import (
+    BACKEND_CAPS,
     MAX_COMPONENTS,
-    MAX_COMPONENTS_COMPILED,
+    MAX_COMPONENTS_EXACT_ORDER,
     enumerate_density_matrix,
 )
 from repro.analytic.montecarlo import montecarlo_density_matrix
@@ -62,7 +62,7 @@ __all__ = [
     "SimulationEngineRun",
     "closed_form_engine",
     "enumeration_engine",
-    "enum_compiled_engine",
+    "enum_exact_order_engine",
     "montecarlo_engine",
     "stratified_mc_engine",
     "importance_mc_engine",
@@ -145,47 +145,39 @@ def _case_free_components(case: VerificationCase) -> int:
                + ((link_rel > 0) & (link_rel < 1)).sum())
 
 
+def _enumeration_model_engine(
+    name: str, case: VerificationCase, backend: str
+) -> Optional[ModelEngine]:
+    """One enumeration kernel as a model engine; ``None`` beyond its cap.
+
+    For the bus family, only the real (voting) sites' rows enter the
+    model — the zero-vote hub submits no accesses.
+    """
+    if _case_free_components(case) > BACKEND_CAPS[backend]:
+        return None
+    matrix = enumerate_density_matrix(
+        case.topology(), case.site_reliabilities(), case.link_reliabilities(),
+        backend=backend,
+    )
+    model = AvailabilityModel.from_density_matrix(matrix[: case.n_sites])
+    return ModelEngine(name, model)
+
+
 def enumeration_engine(case: VerificationCase) -> Optional[ModelEngine]:
-    """Exhaustive state enumeration (exact); ``None`` beyond the cap.
+    """Exhaustive state enumeration (exact) through the production
+    collapse-DFS kernel; ``None`` past 2^28 states."""
+    return _enumeration_model_engine("enumeration", case, "collapse-dfs")
 
-    Pins the ``reference`` backend: this engine is the
-    exact-floating-point-order witness the compiled/vectorized backends
-    are differentially compared against, so it must never silently pick
-    up a regrouped kernel. For the bus family, only the real (voting)
-    sites' rows enter the model — the zero-vote hub submits no accesses.
+
+def enum_exact_order_engine(case: VerificationCase) -> Optional[ModelEngine]:
+    """Enumeration through the exact-floating-point-order witness kernel;
+    ``None`` past 2^24 states.
+
+    Crossed against ``enumeration`` in ``repro verify`` at the ≤1e-12
+    differential tier: the DFS regroups its accumulation, this kernel
+    adds state by state.
     """
-    if _case_free_components(case) > MAX_COMPONENTS:
-        return None
-    matrix = enumerate_density_matrix(
-        case.topology(), case.site_reliabilities(), case.link_reliabilities(),
-        backend="reference",
-    )
-    model = AvailabilityModel.from_density_matrix(matrix[: case.n_sites])
-    return ModelEngine("enumeration", model)
-
-
-def _active_compiled_backend() -> str:
-    """The enumeration backend ``enum-compiled`` will actually run."""
-    return "compiled" if _compiled.jit_available() else "vectorized"
-
-
-def enum_compiled_engine(case: VerificationCase) -> Optional[ModelEngine]:
-    """Enumeration through the fast backend (exact); ``None`` past 2^28.
-
-    Resolves to the numba JIT union-find kernel when numba is installed
-    and the dependency-free vectorized collapse-DFS otherwise, exactly
-    like ``backend='auto'``. Crossed against ``enumeration`` in ``repro
-    verify`` at the ≤1e-12 differential tier (bitwise when the JIT
-    kernel is active — it preserves the reference operation order).
-    """
-    if _case_free_components(case) > MAX_COMPONENTS_COMPILED:
-        return None
-    matrix = enumerate_density_matrix(
-        case.topology(), case.site_reliabilities(), case.link_reliabilities(),
-        backend=_active_compiled_backend(),
-    )
-    model = AvailabilityModel.from_density_matrix(matrix[: case.n_sites])
-    return ModelEngine("enum-compiled", model)
+    return _enumeration_model_engine("enum-exact-order", case, "exact-order")
 
 
 def montecarlo_engine(case: VerificationCase) -> ModelEngine:
@@ -474,32 +466,27 @@ def register_builtin_engines(replace: bool = False) -> None:
         EngineSpec(
             name="enumeration",
             kind=KIND_MODEL,
-            description="Exhaustive network-state enumeration; exact for "
-                        f"any topology up to {MAX_COMPONENTS} free components",
+            description="Exhaustive network-state enumeration by the "
+                        "collapse-DFS kernel; exact for any topology up "
+                        f"to {MAX_COMPONENTS} free components",
             capabilities=frozenset({"exact", "bounded-states"}),
-            cost_hint=f"O(2^m) states; applies while m <= {MAX_COMPONENTS}",
+            cost_hint=f"O(2^m) states before branch collapse; applies "
+                      f"while m <= {MAX_COMPONENTS}",
             cost_rank=1,
             builder=enumeration_engine,
-            backend="reference",
         ),
         EngineSpec(
-            name="enum-compiled",
+            name="enum-exact-order",
             kind=KIND_MODEL,
-            description="Exhaustive enumeration through the compiled "
-                        "backend layer: numba JIT union-find kernel when "
-                        "installed, dependency-free vectorized collapse-DFS "
-                        f"otherwise; exact up to {MAX_COMPONENTS_COMPILED} "
-                        "free components",
-            capabilities=frozenset(
-                {"exact", "bounded-states", "compiled"}
-                | ({"jit"} if _compiled.jit_available() else set())
-            ),
-            cost_hint=f"O(2^m) states, ~100x the reference kernel; "
-                      f"applies while m <= {MAX_COMPONENTS_COMPILED}",
+            description="Exhaustive enumeration state by state in the "
+                        "per-state loop's floating-point order: the "
+                        "bitwise witness of the collapse-DFS, exact up to "
+                        f"{MAX_COMPONENTS_EXACT_ORDER} free components",
+            capabilities=frozenset({"exact", "bounded-states"}),
+            cost_hint=f"O(2^m) states, every one materialized; applies "
+                      f"while m <= {MAX_COMPONENTS_EXACT_ORDER}",
             cost_rank=1,
-            builder=enum_compiled_engine,
-            backend="numba-jit" if _compiled.jit_available()
-                    else "numpy-vectorized",
+            builder=enum_exact_order_engine,
         ),
         EngineSpec(
             name="monte-carlo",

@@ -18,12 +18,9 @@ pluggable and uniformly benchmarkable:
 
 Specs carry *capability flags* (``exact``, ``statistical``,
 ``variance-reduced``, ``rare-event``, ``bitwise-parallel``,
-``bounded-states``, ``compiled``, ``jit``, ``online``) and a human cost
-hint plus a relative ``cost_rank``, so dispatchers can select by
-property ("cheapest exact engine that applies") instead of hard-coding
-names. A spec may also name the ``backend`` that will actually run
-(``enum-compiled`` reports ``numba-jit`` or ``numpy-vectorized``
-depending on what is installed).
+``bounded-states``, ``online``) and a human cost hint plus a relative
+``cost_rank``, so dispatchers can select by property ("cheapest exact
+engine that applies") instead of hard-coding names.
 
 The built-in engines are registered by :mod:`repro.engines.adapters`
 when :mod:`repro.engines` is imported.
@@ -80,12 +77,6 @@ class EngineSpec:
     cost_rank: int = 0
     #: The constructor; calling convention depends on ``kind``.
     builder: Optional[Callable] = None
-    #: Which computational backend actually runs when this engine is
-    #: built (e.g. ``"numba-jit"`` vs ``"numpy-vectorized"`` for
-    #: ``enum-compiled``). Empty when the engine has a single fixed
-    #: implementation; ``repro engines`` prints it so availability is
-    #: honest about what is installed.
-    backend: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:

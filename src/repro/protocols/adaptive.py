@@ -64,7 +64,6 @@ class AdaptiveQuorumProtocol(ReplicaControlProtocol):
         check_interval: int = 1,
         write_floor: float = 0.0,
         forgetting_factor: float = 1.0,
-        optimizer_method: str = "exhaustive",
     ) -> None:
         if check_interval < 1:
             raise ProtocolError(f"check_interval must be >= 1, got {check_interval}")
@@ -87,7 +86,6 @@ class AdaptiveQuorumProtocol(ReplicaControlProtocol):
         self.check_interval = int(check_interval)
         self.write_floor = float(write_floor)
         self.forgetting_factor = float(forgetting_factor)
-        self.optimizer_method = optimizer_method
         self.name = f"adaptive-quorum(T={total_votes})"
         self.reset()
 
@@ -176,7 +174,7 @@ class AdaptiveQuorumProtocol(ReplicaControlProtocol):
             if self.write_floor > 0.0:
                 best = optimize_with_write_floor(model, alpha, self.write_floor)
             else:
-                best = optimal_read_quorum(model, alpha, method=self.optimizer_method)
+                best = optimal_read_quorum(model, alpha)
         except OptimizationError:
             return False
 

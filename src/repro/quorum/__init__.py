@@ -10,9 +10,8 @@ Layout:
   densities into ``r(v)``/``w(v)`` and evaluating
   ``A(α, q_r) = α·R(q_r) + (1-α)·W(T-q_r+1)`` for one ``q_r`` or all of
   them at once.
-- :mod:`repro.quorum.optimizer` — step 4 of Figure 1: exhaustive,
-  endpoint-first, integer golden-section, and continuous-Brent search for
-  the maximizing ``q_r``.
+- :mod:`repro.quorum.optimizer` — step 4 of Figure 1: the exhaustive
+  argmax over ``q_r``.
 - :mod:`repro.quorum.constraints` — the section 5.4 enhancements: weighted
   availability ``A(ω, α, q)`` and optimization under a minimum write
   throughput ``A_w``.
@@ -29,11 +28,7 @@ from repro.quorum.availability import (
     read_availability,
     write_availability,
 )
-from repro.quorum.optimizer import (
-    OptimizationResult,
-    optimal_read_quorum,
-    optimize_availability,
-)
+from repro.quorum.optimizer import OptimizationResult, optimal_read_quorum
 from repro.quorum.constraints import (
     feasible_read_quorums,
     optimize_with_write_floor,
@@ -55,7 +50,6 @@ __all__ = [
     "coterie_from_votes",
     "feasible_read_quorums",
     "optimal_read_quorum",
-    "optimize_availability",
     "optimize_votes",
     "optimize_with_write_floor",
     "read_availability",

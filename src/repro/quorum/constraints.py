@@ -119,6 +119,5 @@ def optimize_with_write_floor(
         alpha,
         int(feasible[idx]),
         float(values[idx]),
-        f"write-floor({min_write_availability:g})",
         int(feasible.size),
     )

@@ -28,9 +28,9 @@ construction, scores a candidate with one scatter-add over the
 precomputed label matrix, and evaluates hillclimb single-vote moves by
 *delta* — a move only changes vote totals inside the components
 containing the two sites involved, so most of the histogram is reused.
-All three scoring paths (``delta``, ``batched``, and the retained
-``reference`` per-state loop) produce bitwise-identical availabilities
-because every intermediate is an exact small integer.
+Every intermediate is an exact small integer, so a delta-scored move is
+bitwise what a full rescoring of the moved vector gives (the per-state
+loop in ``tests/oracles.py`` is the oracle of both).
 """
 
 from __future__ import annotations
@@ -57,9 +57,6 @@ __all__ = ["VoteSearchResult", "optimize_votes", "availability_of_votes"]
 
 #: Exhaustive composition enumeration guard.
 MAX_EXHAUSTIVE_STATES = 200_000
-
-#: Candidate scoring strategies for :func:`optimize_votes`.
-SCORING_MODES = ("delta", "batched", "reference")
 
 
 @dataclass(frozen=True)
@@ -210,35 +207,6 @@ class _StateSample:
         counts, _ = self.vote_counts(votes)
         return counts / self.n_samples
 
-    # ------------------------------------------------------------------
-    # Reference scoring (the retained pre-vectorization loop)
-    # ------------------------------------------------------------------
-    def density_matrix_reference(self, votes: np.ndarray) -> np.ndarray:
-        """The per-state scoring loop kept as the oracle and bench baseline.
-
-        Identical math to :meth:`density_matrix`, one state at a time.
-        Labels are batch-global here (they were per-state before the
-        batching), so each state's ids are shifted to a local base first;
-        grouping within a state — the only thing scoring depends on — is
-        unchanged.
-        """
-        votes = np.asarray(votes, dtype=np.int64)
-        T = int(votes.sum())
-        counts = np.zeros((self.n_sites, T + 1), dtype=np.float64)
-        site_ids = np.arange(self.n_sites)
-        for k in range(self.n_samples):
-            labels = self.labels[k]
-            up = labels >= 0
-            totals = np.zeros(self.n_sites, dtype=np.int64)
-            if up.any():
-                base = int(labels[up].min())
-                local = labels[up] - base
-                sums = np.zeros(int(local.max()) + 1, dtype=np.int64)
-                np.add.at(sums, local, votes[up])
-                totals[up] = sums[local]
-            counts[site_ids, totals] += 1.0
-        return counts / self.n_samples
-
 
 def availability_of_votes(
     sample: _StateSample,
@@ -274,7 +242,6 @@ def optimize_votes(
     n_samples: int = 2_000,
     max_iterations: int = 50,
     seed: RandomState = 0,
-    scoring: str = "delta",
 ) -> VoteSearchResult:
     """Find a vote vector (and its optimal quorums) maximizing availability.
 
@@ -293,19 +260,9 @@ def optimize_votes(
         ``"hillclimb"`` (default) or ``"exhaustive"`` (tiny systems).
     n_samples:
         Network states in the common-random-numbers sample.
-    scoring:
-        ``"delta"`` (default — hillclimb moves are delta-scored against
-        the sweep's base histogram), ``"batched"`` (every candidate fully
-        rescored by the vectorized path), or ``"reference"`` (the
-        retained per-state loop; the ablation baseline). All three give
-        bitwise-identical results; only the wall-clock differs.
     """
     if not 0.0 <= alpha <= 1.0:
         raise OptimizationError(f"alpha must be in [0, 1], got {alpha}")
-    if scoring not in SCORING_MODES:
-        raise OptimizationError(
-            f"unknown scoring {scoring!r}; choose from {SCORING_MODES}"
-        )
     n = topology.n_sites
     T = n if total_votes is None else int(total_votes)
     if T <= 0:
@@ -317,14 +274,7 @@ def optimize_votes(
     def score(votes: np.ndarray) -> Tuple[float, OptimizationResult]:
         nonlocal evaluated
         evaluated += 1
-        matrix = (
-            sample.density_matrix_reference(votes)
-            if scoring == "reference"
-            else sample.density_matrix(votes)
-        )
-        model = AvailabilityModel.from_density_matrix(matrix)
-        result = optimal_read_quorum(model, alpha)
-        return result.availability, result
+        return availability_of_votes(sample, votes, alpha)
 
     if method == "exhaustive":
         from math import comb
@@ -355,18 +305,16 @@ def optimize_votes(
         )
 
     # Hill-climb from (near-)uniform. Steepest ascent: every single-vote
-    # move is scored, the best strictly-improving one is taken. Exact
-    # value ties resolve to the lowest (a, b) — moves are enumerated in
-    # ascending (a, b) order and a later candidate must be strictly
-    # better to displace the incumbent — so the search is deterministic
-    # for every scoring mode.
+    # move is delta-scored against the sweep's base histogram, the best
+    # strictly-improving one is taken. Exact value ties resolve to the
+    # lowest (a, b) — moves are enumerated in ascending (a, b) order and
+    # a later candidate must be strictly better to displace the
+    # incumbent — so the search is deterministic.
     votes = np.full(n, T // n, dtype=np.int64)
     votes[: T - int(votes.sum())] += 1
     value, quorum = score(votes)
-    use_delta = scoring == "delta"
     for _ in range(max_iterations):
-        if use_delta:
-            base_counts, base_totals = sample.vote_counts(votes)
+        base_counts, base_totals = sample.vote_counts(votes)
         best_move: Optional[Tuple[float, int, int, OptimizationResult]] = None
         for a in range(n):
             if votes[a] == 0:
@@ -374,22 +322,15 @@ def optimize_votes(
             for b in range(n):
                 if a == b:
                     continue
-                if use_delta:
-                    evaluated += 1
-                    cand_counts = sample.moved_counts(
-                        base_counts, base_totals, votes, a, b
-                    )
-                    model = AvailabilityModel.from_density_matrix(
-                        cand_counts / sample.n_samples
-                    )
-                    cand_quorum = optimal_read_quorum(model, alpha)
-                    cand_value = cand_quorum.availability
-                else:
-                    votes[a] -= 1
-                    votes[b] += 1
-                    cand_value, cand_quorum = score(votes)
-                    votes[a] += 1
-                    votes[b] -= 1
+                evaluated += 1
+                cand_counts = sample.moved_counts(
+                    base_counts, base_totals, votes, a, b
+                )
+                model = AvailabilityModel.from_density_matrix(
+                    cand_counts / sample.n_samples
+                )
+                cand_quorum = optimal_read_quorum(model, alpha)
+                cand_value = cand_quorum.availability
                 if cand_value > value + 1e-12 and (
                     best_move is None or cand_value > best_move[0]
                 ):

@@ -75,7 +75,6 @@ class ServeConfig:
     min_observation_time: float = 50.0
     #: Required estimated availability gain before a reassignment.
     improvement_threshold: float = 0.005
-    optimizer_method: str = "exhaustive"
     #: Registered density-model engine the control loop builds its
     #: availability model through (see ``repro engines``).
     density_engine: str = "online-density"

@@ -425,9 +425,7 @@ class AdaptiveQuorumService:
             return False
         model, alpha = estimate
         try:
-            best = optimal_read_quorum(
-                model, alpha, method=self.config.optimizer_method
-            )
+            best = optimal_read_quorum(model, alpha)
         except OptimizationError:
             return False
         tracker = self.db.tracker

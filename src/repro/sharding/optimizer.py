@@ -160,15 +160,14 @@ def _group_density(
     if engine == "enumeration":
         from repro.analytic.enumeration import enumerate_density_matrix
 
-        # Pinned to the reference backend: these densities feed golden
-        # corpus entries and the bitwise sharded|multidb-reference pair,
-        # so they must not move with whatever REPRO_ENUM_BACKEND (or a
-        # numba install) makes the ambient default resolve to.
+        # The exact-order witness, not the default kernel: these
+        # densities feed golden corpus entries and the bitwise
+        # sharded|multidb-reference pair, which were locked on its bits.
         return enumerate_density_matrix(
             revoted,
             np.full(topology.n_sites, p),
             np.full(topology.n_links, r),
-            backend="reference",
+            backend="exact-order",
         )
     if engine == "monte-carlo":
         from repro.analytic.montecarlo import montecarlo_density_matrix
@@ -197,7 +196,6 @@ def optimize_shards(
     n_samples: int = 4000,
     seed: int = 0,
     density: Optional[np.ndarray] = None,
-    method: str = "exhaustive",
     model_transform=None,
 ) -> ShardPlan:
     """Optimal per-item read quorums via one optimization per class.
@@ -251,7 +249,7 @@ def optimize_shards(
             if model_transform is not None:
                 model = model_transform(model)
             models[group.votes] = model
-        best = optimal_read_quorum(model, group.alpha, method=method)
+        best = optimal_read_quorum(model, group.alpha)
         results.append(best)
         read_quorums[group.item_indices] = best.read_quorum
         availabilities[group.item_indices] = best.availability
@@ -286,7 +284,6 @@ def optimize_shard_votes(
     method: str = "hillclimb",
     n_samples: int = 2_000,
     seed: int = 0,
-    scoring: str = "delta",
 ) -> ShardVotePlan:
     """Run the PR 5 vote search once per distinct alpha class.
 
@@ -321,7 +318,6 @@ def optimize_shard_votes(
             method=method,
             n_samples=n_samples,
             seed=seed,
-            scoring=scoring,
         )
         votes_matrix[group.item_indices] = np.asarray(best.votes, dtype=np.int64)
         read_quorums[group.item_indices] = best.quorum.read_quorum

@@ -5,9 +5,9 @@
 
 1. **Cross-engine pairs** — for each case, every pair of applicable
    engines is compared metric-by-metric with CI-aware tolerances. The
-   model-producing engines (closed form, reference-order enumeration,
-   the compiled/vectorized ``enum-compiled`` backend, plain Monte-Carlo,
-   and the variance-reduced ``mc-stratified``/``mc-importance``
+   model-producing engines (closed form, collapse-DFS enumeration, its
+   exact-order witness ``enum-exact-order``, plain Monte-Carlo, and the
+   variance-reduced ``mc-stratified``/``mc-importance``
    variants) are resolved through the :mod:`repro.engines` registry and
    crossed all-pairs; on top of that ride closed-form vs simulation (ACC
    at the simulated quorum), simulation vs parallel fan-out (bitwise),
@@ -45,18 +45,18 @@ __all__ = ["MODEL_ENGINES", "ENGINE_PAIRS", "VerificationReport",
 MODEL_ENGINES = (
     "closed-form",
     "enumeration",
-    "enum-compiled",
+    "enum-exact-order",
     "monte-carlo",
     "mc-stratified",
     "mc-importance",
 )
 
 #: Tighter absolute floors for specific exact-vs-exact pairs. The
-#: compiled/vectorized enumeration backends must agree with the
-#: reference-order enumeration engine to ≤1e-12 (DESIGN.md §15) — far
-#: below the default exact floor the statistical engines share.
+#: collapse-DFS must agree with its exact-order witness to ≤1e-12
+#: (DESIGN.md §15) — far below the default exact floor the statistical
+#: engines share.
 _PAIR_FLOORS = {
-    frozenset({"enumeration", "enum-compiled"}): 1e-12,
+    frozenset({"enumeration", "enum-exact-order"}): 1e-12,
 }
 
 #: Engine-pair identifiers the runner can emit (the acceptance gate
@@ -165,7 +165,7 @@ def _model_pair_checks(
             floor = _PAIR_FLOORS.get(frozenset({a, b}))
             kwargs = {} if floor is None else {
                 "abs_floor": floor,
-                "detail": "compiled-backend differential tier "
+                "detail": "enumeration-kernel differential tier "
                           f"(abs_floor={floor:g})",
             }
             for metric in estimates[a]:

@@ -1,56 +1,40 @@
-"""The compiled enumeration backend layer (DESIGN.md §15).
+"""The production enumeration kernel and the ``backend=`` selector
+(DESIGN.md §15).
 
-Three equality tiers, all green without numba installed:
+- the collapse-DFS (what ``enumerate_density_matrix`` runs by default)
+  agrees with the per-state oracle loop of ``tests/oracles.py`` to well
+  inside the ≤1e-12 differential tier and is deterministic for a fixed
+  row cap;
+- ``backend=`` has two values and no other source: an unknown name is an
+  error, and the cap errors name the component count, the backend, and
+  what to use instead.
 
-- the pure-Python twin of the numba union-find chunk kernel is
-  **bitwise** identical to the reference loop (it preserves the
-  reference floating-point operation order; the JIT build compiles the
-  same function body, so these tests pin the contract the JIT inherits);
-- the vectorized collapse-DFS agrees with the reference to well inside
-  the ≤1e-12 differential tier and is deterministic;
-- the ``backend=`` kwarg / ``REPRO_ENUM_BACKEND`` knob routes to the
-  right kernel, and the cap errors name the component count, the active
-  backend, and the knob that raises the limit.
-
-JIT-specific tests skip cleanly when numba is absent and run on the CI
-leg that installs the ``[compiled]`` extra.
+The exact-order witness's bitwise contract is pinned in
+``tests/analytic/test_kernels.py``. (The file keeps the name of the
+module these kernels used to live in so its test ids stay stable.)
 """
 
 import numpy as np
 import pytest
 
 from repro.analytic import cache as density_cache
-from repro.analytic import compiled
 from repro.analytic.enumeration import (
-    ENV_BACKEND,
+    BACKENDS,
     MAX_COMPONENTS,
-    MAX_COMPONENTS_COMPILED,
-    _as_reliability_vector,
-    _free_components,
+    MAX_COMPONENTS_EXACT_ORDER,
     enumerate_density,
     enumerate_density_matrix,
-    enumerate_density_matrix_reference,
     resolve_backend,
 )
 from repro.errors import DensityError
 from repro.topology.generators import bus, fully_connected, ring, star
-
-needs_numba = pytest.mark.skipif(
-    not compiled.HAVE_NUMBA, reason="numba not installed ([compiled] extra)"
-)
+from tests.oracles import enumerate_density_matrix_reference
 
 
 @pytest.fixture(autouse=True)
 def _no_cache():
     with density_cache.disabled():
         yield
-
-
-def _case_arrays(topo, p, r):
-    site_rel = _as_reliability_vector(p, topo.n_sites, "site reliability")
-    link_rel = _as_reliability_vector(r, topo.n_links, "link reliability")
-    free_sites, free_links, n_free = _free_components(topo, site_rel, link_rel)
-    return site_rel, link_rel, free_sites, free_links, n_free
 
 
 def _bus_case(n_sites, p, r):
@@ -68,70 +52,13 @@ CASES = [
 ]
 
 
-class TestUnionFindTwin:
-    """The chunk kernel's pure-Python build, bitwise vs the reference."""
-
-    @pytest.mark.parametrize("topo,p,r", CASES)
-    def test_bitwise_vs_reference(self, topo, p, r):
-        ref = enumerate_density_matrix_reference(topo, p, r)
-        site_rel, link_rel, fs, fl, nf = _case_arrays(topo, p, r)
-        out = compiled.enumerate_compiled(
-            topo, site_rel, link_rel, fs, fl, nf,
-            chunk_size=97, site=None, use_jit=False,
-        )
-        assert np.array_equal(ref, out)
-
-    def test_pinned_components_bitwise(self):
-        topo = star(6, hub=0)
-        p = np.array([1.0, 0.9, 0.0, 0.8, 1.0, 0.7])
-        ref = enumerate_density_matrix_reference(topo, p, 0.85)
-        site_rel, link_rel, fs, fl, nf = _case_arrays(topo, p, 0.85)
-        out = compiled.enumerate_compiled(
-            topo, site_rel, link_rel, fs, fl, nf,
-            chunk_size=64, site=None, use_jit=False,
-        )
-        assert np.array_equal(ref, out)
-
-    def test_bus_star_pinned_bitwise(self):
-        topo, site_rel, link_rel = _bus_case(6, 0.9, 0.8)
-        ref = enumerate_density_matrix_reference(topo, site_rel, link_rel)
-        sr, lr, fs, fl, nf = _case_arrays(topo, site_rel, link_rel)
-        out = compiled.enumerate_compiled(
-            topo, sr, lr, fs, fl, nf, chunk_size=1000, site=None,
-            use_jit=False,
-        )
-        assert np.array_equal(ref, out)
-
-    @pytest.mark.parametrize("chunk_size", [1, 3, 64, 100_000])
-    def test_chunk_size_never_changes_bits(self, chunk_size):
-        topo = ring(5)
-        ref = enumerate_density_matrix_reference(topo, 0.9, 0.8)
-        site_rel, link_rel, fs, fl, nf = _case_arrays(topo, 0.9, 0.8)
-        out = compiled.enumerate_compiled(
-            topo, site_rel, link_rel, fs, fl, nf,
-            chunk_size=chunk_size, site=None, use_jit=False,
-        )
-        assert np.array_equal(ref, out)
-
-    def test_single_row_bitwise(self):
-        topo = ring(5)
-        ref = enumerate_density_matrix_reference(topo, 0.9, 0.8)
-        site_rel, link_rel, fs, fl, nf = _case_arrays(topo, 0.9, 0.8)
-        for site in range(topo.n_sites):
-            row = compiled.enumerate_compiled(
-                topo, site_rel, link_rel, fs, fl, nf,
-                chunk_size=128, site=site, use_jit=False,
-            )
-            assert np.array_equal(ref[site], row)
-
-
 class TestVectorizedCollapseDFS:
     """Regrouped accumulation: ≤1e-12 tier, deterministic, exact caps."""
 
     @pytest.mark.parametrize("topo,p,r", CASES)
     def test_matches_reference_within_tier(self, topo, p, r):
         ref = enumerate_density_matrix_reference(topo, p, r)
-        vec = enumerate_density_matrix(topo, p, r, backend="vectorized")
+        vec = enumerate_density_matrix(topo, p, r)
         assert np.abs(vec - ref).max() <= 1e-13
         np.testing.assert_allclose(vec.sum(axis=1), 1.0, atol=1e-12)
 
@@ -139,20 +66,19 @@ class TestVectorizedCollapseDFS:
         topo = star(6, hub=0)
         p = np.array([1.0, 0.9, 0.0, 0.8, 1.0, 0.7])
         ref = enumerate_density_matrix_reference(topo, p, 0.85)
-        vec = enumerate_density_matrix(topo, p, 0.85, backend="vectorized")
+        vec = enumerate_density_matrix(topo, p, 0.85)
         assert np.abs(vec - ref).max() <= 1e-13
 
     def test_bus_star_pinned(self):
         topo, site_rel, link_rel = _bus_case(6, 0.9, 0.8)
         ref = enumerate_density_matrix_reference(topo, site_rel, link_rel)
-        vec = enumerate_density_matrix(topo, site_rel, link_rel,
-                                       backend="vectorized")
+        vec = enumerate_density_matrix(topo, site_rel, link_rel)
         assert np.abs(vec - ref).max() <= 1e-13
 
     def test_deterministic_for_fixed_row_cap(self):
         topo = ring(7)
-        one = enumerate_density_matrix(topo, 0.9, 0.8, backend="vectorized")
-        two = enumerate_density_matrix(topo, 0.9, 0.8, backend="vectorized")
+        one = enumerate_density_matrix(topo, 0.9, 0.8)
+        two = enumerate_density_matrix(topo, 0.9, 0.8)
         assert np.array_equal(one, two)
 
     @pytest.mark.parametrize("chunk_size", [1, 64, 500, 100_000])
@@ -163,83 +89,56 @@ class TestVectorizedCollapseDFS:
         topo = ring(6)
         ref = enumerate_density_matrix_reference(topo, 0.9, 0.8)
         vec = enumerate_density_matrix(topo, 0.9, 0.8,
-                                       chunk_size=chunk_size,
-                                       backend="vectorized")
+                                       chunk_size=chunk_size)
         assert np.abs(vec - ref).max() <= 1e-13
 
     def test_single_row_matches_full_matrix(self):
         topo = ring(5)
-        full = enumerate_density_matrix(topo, 0.9, 0.8, backend="vectorized")
+        full = enumerate_density_matrix(topo, 0.9, 0.8)
         for site in range(topo.n_sites):
-            row = enumerate_density(topo, site, 0.9, 0.8,
-                                    backend="vectorized")
+            row = enumerate_density(topo, site, 0.9, 0.8)
             assert np.array_equal(full[site], row)
 
     def test_beyond_the_reference_cap(self):
-        # 26 free components: refused by the reference backend, exact
-        # through the vectorized one (ring(13) has a closed form to
-        # check against at the golden 1e-9 tier).
+        # 26 free components: refused by the exact-order witness, exact
+        # through the DFS (ring(13) has a closed form to check against
+        # at the golden 1e-9 tier).
         from repro.analytic.ring import ring_density_matrix
 
         topo = ring(13)
-        vec = enumerate_density_matrix(topo, 0.95, 0.9, backend="vectorized")
+        vec = enumerate_density_matrix(topo, 0.95, 0.9)
         closed = ring_density_matrix(topo, 0.95, 0.9)
         np.testing.assert_allclose(vec, closed, atol=1e-9)
 
 
 class TestBackendSelection:
-    def test_auto_resolves_by_numba_availability(self):
-        expected = "compiled" if compiled.jit_available() else "vectorized"
-        assert resolve_backend(None) in (expected,)
-        assert resolve_backend("auto") == expected
-
     def test_explicit_names_resolve_to_themselves(self):
-        assert resolve_backend("reference") == "reference"
-        assert resolve_backend("vectorized") == "vectorized"
+        assert BACKENDS == ("collapse-dfs", "exact-order")
+        for name in BACKENDS:
+            assert resolve_backend(name) == name
+        assert resolve_backend() == resolve_backend(None) == "collapse-dfs"
 
     def test_unknown_backend_is_an_error(self):
-        with pytest.raises(DensityError, match="unknown enumeration backend"):
-            enumerate_density_matrix(ring(4), 0.9, 0.9, backend="fortran")
-
-    def test_env_knob_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND, "reference")
-        ref = enumerate_density_matrix_reference(ring(5), 0.9, 0.8)
-        out = enumerate_density_matrix(ring(5), 0.9, 0.8)
-        assert np.array_equal(ref, out)
-
-    def test_env_knob_invalid_value_is_an_error(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND, "gpu")
-        with pytest.raises(DensityError, match="unknown enumeration backend"):
-            enumerate_density_matrix(ring(4), 0.9, 0.9)
-
-    def test_kwarg_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND, "gpu")  # bad env must not matter
-        ref = enumerate_density_matrix_reference(ring(4), 0.8, 0.7)
-        out = enumerate_density_matrix(ring(4), 0.8, 0.7, backend="reference")
-        assert np.array_equal(ref, out)
-
-    @pytest.mark.skipif(compiled.HAVE_NUMBA,
-                        reason="numba installed; request cannot fail")
-    def test_compiled_without_numba_names_the_remedy(self):
-        with pytest.raises(DensityError, match="numba"):
-            enumerate_density_matrix(ring(4), 0.9, 0.9, backend="compiled")
+        for name in ("fortran", "auto", "compiled"):
+            with pytest.raises(DensityError, match="unknown enumeration backend"):
+                enumerate_density_matrix(ring(4), 0.9, 0.9, backend=name)
 
     def test_cap_error_names_count_backend_and_knob(self):
         with pytest.raises(DensityError) as err:
-            enumerate_density_matrix(ring(13), 0.9, 0.9, backend="reference")
+            enumerate_density_matrix(ring(13), 0.9, 0.9, backend="exact-order")
         message = str(err.value)
         assert "26 fallible components" in message
-        assert f"{MAX_COMPONENTS}-component" in message
-        assert "'reference' backend" in message
-        assert ENV_BACKEND in message
-        assert str(MAX_COMPONENTS_COMPILED) in message
+        assert f"{MAX_COMPONENTS_EXACT_ORDER}-component" in message
+        assert "'exact-order' backend" in message
+        assert "'collapse-dfs'" in message
+        assert str(MAX_COMPONENTS) in message
 
     def test_cap_error_past_the_compiled_cap(self):
         with pytest.raises(DensityError) as err:
-            enumerate_density_matrix(ring(20), 0.9, 0.9, backend="vectorized")
+            enumerate_density_matrix(ring(20), 0.9, 0.9)
         message = str(err.value)
         assert "40 fallible components" in message
-        assert f"{MAX_COMPONENTS_COMPILED}-component" in message
+        assert f"{MAX_COMPONENTS}-component" in message
         assert "montecarlo_density" in message
 
     def test_regrouped_results_cached_under_separate_key(self):
@@ -250,30 +149,3 @@ class TestBackendSelection:
         exact = enumeration_key(topo, rel, rel, None)
         regrouped = enumeration_key(topo, rel, rel, None, numerics="regrouped")
         assert exact != regrouped
-
-
-@needs_numba
-class TestJitKernel:
-    """Exercised on the CI leg that installs the [compiled] extra."""
-
-    @pytest.mark.parametrize("topo,p,r", CASES)
-    def test_jit_bitwise_vs_reference(self, topo, p, r):
-        ref = enumerate_density_matrix_reference(topo, p, r)
-        out = enumerate_density_matrix(topo, p, r, backend="compiled")
-        assert np.array_equal(ref, out)
-
-    def test_jit_matches_python_twin_bitwise(self):
-        topo = ring(6)
-        site_rel, link_rel, fs, fl, nf = _case_arrays(topo, 0.9, 0.8)
-        jit = compiled.enumerate_compiled(
-            topo, site_rel, link_rel, fs, fl, nf,
-            chunk_size=256, site=None, use_jit=True,
-        )
-        twin = compiled.enumerate_compiled(
-            topo, site_rel, link_rel, fs, fl, nf,
-            chunk_size=256, site=None, use_jit=False,
-        )
-        assert np.array_equal(jit, twin)
-
-    def test_auto_prefers_jit(self):
-        assert resolve_backend("auto") == "compiled"

@@ -1,15 +1,15 @@
-"""Kernel equivalence tests: vectorized enumeration vs the reference loop.
+"""Kernel equivalence tests: the exact-order witness vs the per-state oracle.
 
-DESIGN.md §10 promises the chunked vectorized kernel is **bitwise
-identical** to the retained per-state reference — every probability
-product and every accumulation happens in the same floating-point order.
-These tests pin that promise with ``np.array_equal`` (no tolerances) on
-each topology family the verification corpus exercises, across chunk
-sizes, and for the single-row fast path. The density cache is disabled
-throughout so every comparison runs the real kernel. Every call pins
-``backend="reference"``: the default backend is now ``auto`` (the
-compiled/vectorized layer of DESIGN.md §15, covered by
-``tests/analytic/test_compiled.py``), and only the reference kernel
+DESIGN.md §15 promises the chunked ``exact-order`` kernel is **bitwise
+identical** to the per-state ``itertools.product`` loop
+(``tests/oracles.py``) — every probability product and every
+accumulation happens in the same floating-point order. These tests pin
+that promise with ``np.array_equal`` (no tolerances) on each topology
+family the verification corpus exercises, across chunk sizes, and for
+the single-row fast path. The density cache is disabled throughout so
+every comparison runs the real kernel. Every call pins
+``backend="exact-order"``: the default kernel is the collapse-DFS
+(covered by ``tests/analytic/test_compiled.py``), and only the witness
 carries the bitwise contract for every chunk size.
 """
 
@@ -20,10 +20,10 @@ from repro.analytic import cache as density_cache
 from repro.analytic.enumeration import (
     enumerate_density,
     enumerate_density_matrix,
-    enumerate_density_matrix_reference,
 )
 from repro.errors import DensityError
 from repro.topology.generators import bus, fully_connected, ring, star
+from tests.oracles import enumerate_density_matrix_reference
 
 
 @pytest.fixture(autouse=True)
@@ -54,14 +54,14 @@ class TestBitwiseEquivalence:
     @pytest.mark.parametrize("topo,p,r", CASES)
     def test_matrix_matches_reference(self, topo, p, r):
         ref = enumerate_density_matrix_reference(topo, p, r)
-        vec = enumerate_density_matrix(topo, p, r, backend="reference")
+        vec = enumerate_density_matrix(topo, p, r, backend="exact-order")
         assert np.array_equal(ref, vec)
 
     def test_bus_star_pinned_matches_reference(self):
         topo, site_rel, link_rel = _bus_case(6, 0.9, 0.8)
         ref = enumerate_density_matrix_reference(topo, site_rel, link_rel)
         vec = enumerate_density_matrix(topo, site_rel, link_rel,
-                                       backend="reference")
+                                       backend="exact-order")
         assert np.array_equal(ref, vec)
 
     def test_star_with_pinned_sites(self):
@@ -71,7 +71,7 @@ class TestBitwiseEquivalence:
         topo = star(6, hub=0)
         p = np.array([1.0, 0.9, 0.0, 0.8, 1.0, 0.7])
         ref = enumerate_density_matrix_reference(topo, p, 0.85)
-        vec = enumerate_density_matrix(topo, p, 0.85, backend="reference")
+        vec = enumerate_density_matrix(topo, p, 0.85, backend="exact-order")
         assert np.array_equal(ref, vec)
 
     @pytest.mark.parametrize("chunk_size", [1, 3, 64, 100_000])
@@ -79,14 +79,14 @@ class TestBitwiseEquivalence:
         topo = ring(5)
         ref = enumerate_density_matrix_reference(topo, 0.9, 0.8)
         vec = enumerate_density_matrix(topo, 0.9, 0.8, chunk_size=chunk_size,
-                                       backend="reference")
+                                       backend="exact-order")
         assert np.array_equal(ref, vec)
 
     @pytest.mark.parametrize("topo,p,r", CASES)
     def test_single_row_path(self, topo, p, r):
-        full = enumerate_density_matrix(topo, p, r, backend="reference")
+        full = enumerate_density_matrix(topo, p, r, backend="exact-order")
         for site in range(topo.n_sites):
-            row = enumerate_density(topo, site, p, r, backend="reference")
+            row = enumerate_density(topo, site, p, r, backend="exact-order")
             assert np.array_equal(full[site], row)
 
 

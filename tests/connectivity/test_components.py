@@ -5,15 +5,17 @@ import pytest
 
 from repro.connectivity.components import (
     DOWN_LABEL,
+    _labels_csgraph,
+    _labels_unionfind,
     component_labels,
     component_members,
     component_vote_totals,
-    components_unionfind,
     votes_in_component_of,
 )
 from repro.errors import TopologyError
 from repro.topology.generators import fully_connected, ring
 from repro.topology.model import Topology
+from tests.oracles import minlabel_component_labels
 
 
 def all_up(topo):
@@ -79,14 +81,13 @@ class TestBackendAgreement:
         topo = fully_connected(9)
         site_up = rng.random(topo.n_sites) < 0.7
         link_up = rng.random(topo.n_links) < 0.5
-        a = component_labels(topo, site_up, link_up)
-        b = components_unionfind(topo, site_up, link_up)
-        # Labels must induce the same partition (ids may differ).
-        assert (a == DOWN_LABEL).tolist() == (b == DOWN_LABEL).tolist()
-        for i in range(topo.n_sites):
-            for j in range(topo.n_sites):
-                if a[i] >= 0 and a[j] >= 0:
-                    assert (a[i] == a[j]) == (b[i] == b[j])
+        # Both sides of component_labels' link-count dispatch, and the
+        # independent witness: one label contract, entry for entry.
+        a = _labels_unionfind(topo, site_up, link_up)
+        b = _labels_csgraph(topo, site_up, link_up)
+        assert np.array_equal(a, b)
+        assert np.array_equal(
+            a, minlabel_component_labels(topo, site_up, link_up))
 
 
 class TestVoteTotals:

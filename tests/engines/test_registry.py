@@ -18,7 +18,7 @@ from repro.verification.cases import profile_cases
 BUILTINS = {
     "closed-form": KIND_MODEL,
     "enumeration": KIND_MODEL,
-    "enum-compiled": KIND_MODEL,
+    "enum-exact-order": KIND_MODEL,
     "monte-carlo": KIND_MODEL,
     "mc-stratified": KIND_MODEL,
     "mc-importance": KIND_MODEL,

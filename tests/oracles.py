@@ -1,0 +1,131 @@
+"""Independent reference implementations the suite compares ``src/`` against.
+
+Each of these is the slow, obviously-right way to do a job that ``src/``
+does with one production path. None has a caller outside the tests.
+"""
+
+from itertools import product
+
+import numpy as np
+
+from repro.connectivity.components import (
+    DOWN_LABEL,
+    component_labels,
+    component_vote_totals,
+)
+
+
+def minlabel_component_labels(topology, site_up, link_up):
+    """Dependency-free labeller: iterated min-propagation + pointer jumping.
+
+    Every up site starts labelled with its own index; each sweep pulls
+    the minimum neighbouring label across every usable link and then
+    pointer-jumps (``lab = lab[lab]``), so convergence takes
+    ``O(log n_sites)`` sweeps with no sparse-matrix construction and no
+    Python-level loop over edges. Honours the exact
+    :func:`component_labels` contract — consecutive component ids from 0
+    over up sites in first-seen order, :data:`DOWN_LABEL` for down sites
+    — because a component's representative is its minimum site index,
+    and scanning sites in ascending order first meets each component at
+    that minimum. Shares no code with the union-find or the csgraph
+    labeller, which is what makes it their witness.
+    """
+    site_up = np.asarray(site_up, dtype=bool)
+    link_up = np.asarray(link_up, dtype=bool)
+
+    n = topology.n_sites
+    u, v = topology.link_endpoint_arrays()
+    usable = link_up & site_up[u] & site_up[v]
+    uu, vv = u[usable], v[usable]
+
+    # lab[i] points at the smallest site index known reachable from i;
+    # down sites park on the sentinel n (lab_ext[n] = n stays fixed).
+    lab = np.arange(n + 1, dtype=np.int64)
+    lab[:n][~site_up] = n
+    while True:
+        prev = lab.copy()
+        if uu.size:
+            np.minimum.at(lab, uu, lab[vv])
+            np.minimum.at(lab, vv, lab[uu])
+        lab[:n] = lab[lab[:n]]  # pointer jump
+        if np.array_equal(lab, prev):
+            break
+
+    labels = np.full(n, DOWN_LABEL, dtype=np.int64)
+    up_idx = np.nonzero(site_up)[0]
+    # Roots are component-minimum site ids, so ascending root order is
+    # exactly first-seen order over an ascending site scan.
+    _, compact = np.unique(lab[up_idx], return_inverse=True)
+    labels[up_idx] = compact
+    return labels
+
+
+def enumerate_density_matrix_reference(topology, p, r):
+    """Exact density matrix, one ``itertools.product`` state at a time.
+
+    The oracle of both enumeration kernels: ``exact-order`` must
+    reproduce it bitwise (every probability product and every
+    accumulation happens in this floating-point order), ``collapse-dfs``
+    to ≤1e-12. Components pinned at reliability 0 or 1 are not
+    enumerated.
+    """
+    site_rel = np.broadcast_to(
+        np.asarray(p, dtype=np.float64), (topology.n_sites,))
+    link_rel = np.broadcast_to(
+        np.asarray(r, dtype=np.float64), (topology.n_links,))
+    free_sites = np.nonzero((site_rel > 0.0) & (site_rel < 1.0))[0]
+    free_links = np.nonzero((link_rel > 0.0) & (link_rel < 1.0))[0]
+    n_free = free_sites.size + free_links.size
+
+    T = topology.total_votes
+    matrix = np.zeros((topology.n_sites, T + 1), dtype=np.float64)
+
+    site_up = site_rel >= 1.0
+    link_up = link_rel >= 1.0
+
+    for bits in product((False, True), repeat=n_free):
+        site_bits = bits[: free_sites.size]
+        link_bits = bits[free_sites.size:]
+        site_up[free_sites] = site_bits
+        link_up[free_links] = link_bits
+
+        prob = 1.0
+        for idx, up in zip(free_sites, site_bits):
+            prob *= site_rel[idx] if up else 1.0 - site_rel[idx]
+        for idx, up in zip(free_links, link_bits):
+            prob *= link_rel[idx] if up else 1.0 - link_rel[idx]
+        if prob == 0.0:
+            continue
+
+        labels = component_labels(topology, site_up, link_up)
+        totals = component_vote_totals(labels, topology.votes)
+        matrix[np.arange(topology.n_sites), totals] += prob
+
+    return matrix
+
+
+def density_matrix_reference(sample, votes):
+    """Per-state scoring loop: the oracle of ``_StateSample.density_matrix``
+    and ``moved_counts``.
+
+    Identical math, one sampled state at a time. ``sample.labels`` are
+    batch-global, so each state's ids are shifted to a local base first;
+    grouping within a state — the only thing scoring depends on — is
+    unchanged.
+    """
+    votes = np.asarray(votes, dtype=np.int64)
+    T = int(votes.sum())
+    counts = np.zeros((sample.n_sites, T + 1), dtype=np.float64)
+    site_ids = np.arange(sample.n_sites)
+    for k in range(sample.n_samples):
+        labels = sample.labels[k]
+        up = labels >= 0
+        totals = np.zeros(sample.n_sites, dtype=np.int64)
+        if up.any():
+            base = int(labels[up].min())
+            local = labels[up] - base
+            sums = np.zeros(int(local.max()) + 1, dtype=np.int64)
+            np.add.at(sums, local, votes[up])
+            totals[up] = sums[local]
+        counts[site_ids, totals] += 1.0
+    return counts / sample.n_samples

@@ -134,20 +134,6 @@ class TestOptimizerProperties:
         assert res.availability >= curve.max() - 1e-12
         assert res.availability == float(curve[res.read_quorum - 1])
 
-    @given(models(), st.floats(0.0, 1.0))
-    # No deadline: the first ``brent`` call imports scipy.optimize (0.1-0.3 s
-    # on a busy host), inside whichever example happens to make it.
-    @settings(max_examples=60, deadline=None)
-    def test_golden_and_brent_never_beat_exhaustive(self, model, alpha):
-        """No method may report availability above the true maximum, and
-        every reported value must be attained at its reported quorum."""
-        reference = optimal_read_quorum(model, alpha).availability
-        for method in ("endpoints", "golden", "brent"):
-            res = optimal_read_quorum(model, alpha, method=method)
-            assert res.availability <= reference + 1e-12
-            curve_value = float(model.availability(alpha, res.read_quorum))
-            assert abs(res.availability - curve_value) < 1e-12
-
     @given(models(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=60)
     def test_write_floor_feasibility_and_optimality(self, model, alpha, floor):

@@ -10,11 +10,11 @@ from repro.analytic.ring import ring_density
 from repro.connectivity.components import (
     component_labels,
     component_vote_totals,
-    components_unionfind,
 )
 from repro.protocols.estimator import OnlineDensityEstimator
 from repro.topology.chords import chord_endpoints, max_chords
 from repro.topology.generators import ring_with_chords
+from tests.oracles import minlabel_component_labels
 
 
 @st.composite
@@ -39,7 +39,7 @@ class TestConnectivityProperties:
     def test_backends_agree(self, net):
         topo, site_up, link_up = net
         a = component_labels(topo, site_up, link_up)
-        b = components_unionfind(topo, site_up, link_up)
+        b = minlabel_component_labels(topo, site_up, link_up)
         assert ((a < 0) == (b < 0)).all()
         n = topo.n_sites
         same_a = a[:, None] == a[None, :]

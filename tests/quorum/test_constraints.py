@@ -109,11 +109,6 @@ class TestOptimizeWithWriteFloor:
         with pytest.raises(OptimizationError, match="best achievable"):
             optimize_with_write_floor(model, 0.5, 0.999)
 
-    def test_method_label(self):
-        model = model_from(complete_density(10, 0.9, 0.9))
-        res = optimize_with_write_floor(model, 0.5, 0.1)
-        assert "write-floor" in res.method
-
     def test_alpha_validated(self):
         model = model_from(complete_density(10, 0.9, 0.9))
         with pytest.raises(OptimizationError):

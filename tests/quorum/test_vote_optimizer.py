@@ -7,6 +7,7 @@ from repro.errors import OptimizationError, VoteAssignmentError
 from repro.quorum.vote_optimizer import _compositions, optimize_votes
 from repro.topology.generators import ring, star
 from repro.topology.model import Topology
+from tests.oracles import density_matrix_reference
 
 
 class TestCompositions:
@@ -104,9 +105,9 @@ class TestValidation:
 
 class TestVectorizedScoring:
     """The batched scatter-add scorer and the delta scorer must reproduce
-    the retained per-state reference loop bit for bit (DESIGN.md §10) —
-    every intermediate is an exact small integer, so there is no
-    tolerance to hide behind."""
+    the per-state reference loop of ``tests/oracles.py`` bit for bit
+    (DESIGN.md §10) — every intermediate is an exact small integer, so
+    there is no tolerance to hide behind."""
 
     def _sample(self, n_samples=200, seed=11):
         from repro.quorum.vote_optimizer import _StateSample
@@ -123,7 +124,7 @@ class TestVectorizedScoring:
             votes[0] = max(votes[0], 1)
             assert np.array_equal(
                 sample.density_matrix(votes),
-                sample.density_matrix_reference(votes),
+                density_matrix_reference(sample, votes),
             )
 
     def test_delta_matches_full_rescoring(self):
@@ -151,29 +152,9 @@ class TestVectorizedScoring:
         with pytest.raises(OptimizationError):
             sample.moved_counts(counts, totals, votes, 2, 0)
 
-    def test_scoring_modes_agree_exactly(self):
-        topo = ring(5)
-        p = np.array([0.95, 0.95, 0.95, 0.5, 0.5])
-        results = [
-            optimize_votes(topo, alpha=0.5, p=p, r=0.9, n_samples=400,
-                           seed=3, scoring=mode)
-            for mode in ("delta", "batched", "reference")
-        ]
-        assert results[0].votes == results[1].votes == results[2].votes
-        assert (results[0].availability == results[1].availability
-                == results[2].availability)
-        assert (results[0].candidates_evaluated
-                == results[1].candidates_evaluated
-                == results[2].candidates_evaluated)
-
-    def test_unknown_scoring_rejected(self):
-        with pytest.raises(OptimizationError):
-            optimize_votes(ring(3), alpha=0.5, p=0.9, r=0.9,
-                           n_samples=10, scoring="psychic")
-
     def test_delta_evaluations_are_counted(self):
         res = optimize_votes(ring(4), alpha=0.5, p=0.9, r=0.9,
-                             n_samples=300, seed=0, scoring="delta")
+                             n_samples=300, seed=0)
         # Initial score plus at least one full sweep of n*(n-1) moves.
         assert res.candidates_evaluated >= 1 + 4 * 3
 
@@ -205,7 +186,7 @@ class TestScoringProperties:
                               seed=seed)
         assert np.array_equal(
             sample.density_matrix(votes),
-            sample.density_matrix_reference(votes),
+            density_matrix_reference(sample, votes),
         )
         counts, totals = sample.vote_counts(votes)
         movable = [a for a in range(5) if votes[a] > 0]

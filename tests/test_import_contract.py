@@ -1,41 +1,63 @@
-"""The import contract: what ``import repro`` may not load.
+"""The import contract and the shape of the one-kernel-per-job API.
 
 A module-level third-party import must be needed by every run. The
-packages below serve one rarely-taken path each (or only the tests), so a
-fresh interpreter that imports the library and its CLI must not have them
-in ``sys.modules`` — and the one path that needs ``scipy.optimize`` must
-still find it. DESIGN.md ("Import contract") states the rule.
+packages below serve no ``repro`` code path at all (or only the tests),
+so a fresh interpreter that imports the library and its CLI *and runs the
+analytic paths* must not have them in ``sys.modules``, and no file under
+``src/`` may import ``scipy.optimize`` or ``numba`` even function-locally.
+DESIGN.md ("Import contract") states the rule.
+
+The second half pins what ISSUE 21 removed so it cannot silently
+re-accrete: no environment variable picks the enumeration kernel, and
+the three entry points expose no search-strategy / scoring / JIT selector.
 """
 
+import ast
+import inspect
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: Never loaded by ``import repro, repro.cli``.
+#: Never loaded by ``import repro, repro.cli`` nor by the analytic paths.
 DENIED = (
     "scipy.stats", "scipy.optimize", "networkx", "numba",
     "hypothesis", "pytest", "matplotlib", "pandas",
 )
+
+#: Not imported anywhere under ``src/``, at any scope.
+NEVER_IMPORTED = ("scipy.optimize", "numba")
 
 _PROBE = """
 import json, sys
 import repro, repro.cli
 after_import = sorted(m for m in sys.argv[1:] if m in sys.modules)
 
+import numpy as np
 from repro.analytic import closed_form_density
+from repro.analytic.enumeration import BACKENDS, enumerate_density_matrix
 from repro.quorum.availability import AvailabilityModel
+from repro.quorum.constraints import optimize_with_write_floor
 from repro.quorum.optimizer import optimal_read_quorum
+from repro.quorum.vote_optimizer import optimize_votes
+from repro.topology.generators import ring
 density = closed_form_density("ring", 11, 0.96, 0.96)
 model = AvailabilityModel(density, density)
 optimal_read_quorum(model, 0.5)
-after_default = "scipy.optimize" in sys.modules
-optimal_read_quorum(model, 0.5, method="brent")
-after_brent = "scipy.optimize" in sys.modules
-print(json.dumps([after_import, after_default, after_brent]))
+optimize_with_write_floor(model, 0.5, 0.01)
+for backend in BACKENDS:
+    enumerate_density_matrix(ring(5), 0.9, 0.8, backend=backend)
+optimize_votes(ring(4), 0.5, 0.9, 0.9, n_samples=50)
+for method in ("hillclimb", "exhaustive"):
+    optimize_votes(ring(3), 0.5, 0.9, 0.9, method=method, n_samples=50)
+after_use = sorted(m for m in sys.argv[1:] if m in sys.modules)
+print(json.dumps([after_import, after_use]))
 """
 
 
@@ -50,8 +72,73 @@ def _probe():
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_import_loads_no_denied_package_and_brent_loads_scipy_optimize():
-    after_import, after_default, after_brent = _probe()
+def test_import_and_analytic_paths_load_no_denied_package():
+    after_import, after_use = _probe()
     assert after_import == []
-    assert not after_default, "the default strategy must not load scipy.optimize"
-    assert after_brent, "method='brent' must import scipy.optimize itself"
+    assert after_use == [], "optimizer / enumeration / vote search loaded a denied package"
+
+
+def test_no_source_file_imports_scipy_optimize_or_numba():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [
+                    f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for name in names:
+                if any(name == banned or name.startswith(banned + ".")
+                       for banned in NEVER_IMPORTED):
+                    offenders.append(f"{path.relative_to(SRC)}:{node.lineno} {name}")
+    assert offenders == []
+
+
+@pytest.mark.parametrize(
+    "value", ["reference", "exact-order", "compiled", "auto", "gpu", ""])
+def test_enum_backend_environment_variable_is_ignored(monkeypatch, value):
+    from repro.analytic import cache as density_cache
+    from repro.analytic.enumeration import enumerate_density_matrix, resolve_backend
+    from repro.topology.generators import ring
+
+    with density_cache.disabled():
+        monkeypatch.delenv("REPRO_ENUM_BACKEND", raising=False)
+        baseline = enumerate_density_matrix(ring(6), 0.9, 0.8)
+        witness = enumerate_density_matrix(ring(6), 0.9, 0.8, backend="exact-order")
+        # The two kernels differ in the last bits here, so equal bytes
+        # below means the same kernel ran, not just a close answer.
+        assert not np.array_equal(baseline, witness)
+
+        monkeypatch.setenv("REPRO_ENUM_BACKEND", value)
+        assert resolve_backend() == "collapse-dfs"
+        assert np.array_equal(enumerate_density_matrix(ring(6), 0.9, 0.8), baseline)
+        assert np.array_equal(
+            enumerate_density_matrix(ring(6), 0.9, 0.8, backend="exact-order"),
+            witness,
+        )
+
+
+def test_entry_points_expose_no_strategy_selector():
+    from repro.analytic.enumeration import enumerate_density, enumerate_density_matrix
+    from repro.cli import build_parser
+    from repro.quorum.optimizer import optimal_read_quorum
+    from repro.quorum.vote_optimizer import optimize_votes
+
+    def params(fn):
+        return set(inspect.signature(fn).parameters)
+
+    assert params(optimal_read_quorum) == {"model", "alpha"}
+    assert not params(optimize_votes) & {"scoring", "backend", "use_jit"}
+    for fn in (enumerate_density, enumerate_density_matrix):
+        assert not params(fn) & {"use_jit", "method", "scoring"}
+    # optimize_votes' ``method`` is the vote search (hillclimb vs
+    # exhaustive compositions), a different job from the Fig. 1 search.
+    assert "method" in params(optimize_votes)
+
+    parser = build_parser()
+    for argv in (["optimize", "--method", "exhaustive"],
+                 ["profile", "enumeration", "--backend", "exact-order"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
