@@ -1,68 +1,43 @@
-"""PAR-SCALE: the parallel & vectorized simulation core (DESIGN.md §8).
+"""PAR-SCALE: does the batch fan-out pay on the cores this host has?
 
-Two speedup measurements, both on the paper's Figure-2 ring:
+One claim, on the one configuration where it can be true: the paper's
+fully connected topology (4949 chords) at ``paper`` scale costs about
+12 CPU seconds a batch, so worker start-up is noise and two workers on
+two cores should come close to halving the wall clock. ``run_simulation``
+runs 4 batches with 1 and with 2 workers, alternating which goes first,
+``REPEATS`` times; the two results are asserted bitwise identical and the
+ratio of median wall clocks must reach ``MIN_RATIO`` (ROADMAP item 1's
+bar for keeping the pool at all).
 
-- **Batch fan-out** — ``run_simulation`` at ``n_workers=4`` vs the
-  serial loop. Wall-clock scaling tracks the machine's physical core
-  count (recorded in the JSON as ``cores``); the *correctness* claim is
-  stronger and machine-independent: the two runs' ACC/SURV/pooled
-  densities are asserted bitwise identical.
-- **Monte-Carlo labeling** — the block-diagonal batched
-  ``connected_components`` path vs the historical per-state loop, fed
-  identical random streams so the outputs are asserted equal while only
-  the labelling strategy differs. This speedup is pure vectorization and
-  must materialize on any machine.
+Skipped, with the reason, on a host with fewer than two cores: a fan-out
+speed-up measured on one core is not a measurement. Takes about two
+minutes; run it alone::
 
-The summary entry in ``BENCH_parallel_scaling.json`` records both
-speedups plus the core count, so the perf trajectory distinguishes "ran
-on a 1-core CI box" from a real scaling regression.
+    PYTHONPATH=src python -m pytest benchmarks/bench_parallel_scaling.py -s
 """
 
 import os
+import statistics
 import sys
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from conftest import _BENCH_JSON, timed
-from repro.analytic.montecarlo import (
-    _perstate_counts,
-    _sample_plan,
-    montecarlo_density_matrix,
-)
-from repro.experiments.paper import ExperimentScale
+from conftest import _BENCH_JSON
+from repro.experiments.paper import PAPER_SCALE
 from repro.protocols.majority import MajorityConsensusProtocol
-from repro.rng import as_generator, spawn
 from repro.simulation.runner import run_simulation
-from repro.topology.generators import ring
 
-#: Figure-2 ring at a reduced access volume but enough batches to keep
-#: four workers busy.
-SCALING_SCALE = ExperimentScale(
-    name="parallel-scaling",
-    n_sites=101,
-    warmup_accesses=500.0,
-    accesses_per_batch=4_000.0,
-    n_batches=8,
-    initial_state="stationary",
-)
-
-MC_SAMPLES = 4_096
-MC_BATCH = 512
-
-#: Cross-test state: mean wall-clock per stage + the serial aggregates
-#: the parallel run must reproduce bitwise.
-_STATE = {}
-
-
-def _config():
-    return SCALING_SCALE.config(0, alpha=0.5, seed=0)
-
-
-def _protocol(config):
-    return MajorityConsensusProtocol(config.topology.total_votes)
+CHORDS = 4949
+N_BATCHES = 4
+SEED = 977
+REPEATS = 3
+MIN_RATIO = 1.6
 
 
 def _aggregates(result):
@@ -75,91 +50,52 @@ def _aggregates(result):
     )
 
 
-def test_fig2_ring_serial(benchmark, report):
-    config = _config()
-    result = timed(benchmark, lambda: run_simulation(config, _protocol(config)))
-    _STATE["fig2_serial_mean"] = benchmark.stats.stats.mean
-    _STATE["fig2_serial_aggregates"] = _aggregates(result)
-    report(f"=== PAR-SCALE: fig2 ring serial ===\n"
-           f"  {result.n_batches} batches, ACC {result.availability.mean:.4f}, "
-           f"mean {benchmark.stats.stats.mean * 1e3:.0f}ms")
+def _timed_run(config, n_workers):
+    protocol = MajorityConsensusProtocol(config.topology.total_votes)
+    start = time.perf_counter()
+    result = run_simulation(config, protocol, n_workers=n_workers)
+    return time.perf_counter() - start, _aggregates(result)
 
 
-def test_fig2_ring_4workers(benchmark, report):
-    config = _config()
-    result = timed(
-        benchmark,
-        lambda: run_simulation(config, _protocol(config), n_workers=4),
-    )
-    _STATE["fig2_parallel_mean"] = benchmark.stats.stats.mean
-    serial = _STATE["fig2_serial_aggregates"]
-    parallel = _aggregates(result)
-    for serial_part, parallel_part in zip(serial, parallel):
-        np.testing.assert_array_equal(np.asarray(serial_part),
-                                      np.asarray(parallel_part))
-    report(f"=== PAR-SCALE: fig2 ring n_workers=4 ===\n"
-           f"  aggregates bitwise identical to serial, "
-           f"mean {benchmark.stats.stats.mean * 1e3:.0f}ms")
-
-
-def _montecarlo_perstate(topology, n_samples, batch_size, seed):
-    """The pre-batching estimator: same streams, per-state labelling."""
-    site_rel = np.full(topology.n_sites, 0.96)
-    link_rel = np.full(topology.n_links, 0.96)
-    plan = _sample_plan(n_samples, batch_size)
-    streams = spawn(seed, len(plan))
-    counts = sum(
-        _perstate_counts(topology, site_rel, link_rel, count, stream)
-        for count, stream in zip(plan, streams)
-    )
-    return counts / n_samples
-
-
-def test_montecarlo_perstate_loop(benchmark, report):
-    topology = ring(101)
-    matrix = timed(
-        benchmark,
-        lambda: _montecarlo_perstate(topology, MC_SAMPLES, MC_BATCH, seed=7),
-    )
-    _STATE["mc_perstate_mean"] = benchmark.stats.stats.mean
-    _STATE["mc_perstate_matrix"] = matrix
-    report(f"=== PAR-SCALE: Monte-Carlo per-state loop ===\n"
-           f"  {MC_SAMPLES} states, mean {benchmark.stats.stats.mean * 1e3:.0f}ms")
-
-
-def test_montecarlo_batched(benchmark, report):
-    topology = ring(101)
-    matrix = timed(
-        benchmark,
-        lambda: montecarlo_density_matrix(
-            topology, 0.96, 0.96, n_samples=MC_SAMPLES, seed=7,
-            batch_size=MC_BATCH),
-    )
-    _STATE["mc_batched_mean"] = benchmark.stats.stats.mean
-    np.testing.assert_array_equal(matrix, _STATE["mc_perstate_matrix"])
-    report(f"=== PAR-SCALE: Monte-Carlo batched labelling ===\n"
-           f"  identical output, mean {benchmark.stats.stats.mean * 1e3:.0f}ms")
-
-
-def test_scaling_summary(report):
+def test_two_workers_on_two_cores(report):
     cores = os.cpu_count() or 1
-    fanout_speedup = _STATE["fig2_serial_mean"] / _STATE["fig2_parallel_mean"]
-    mc_speedup = _STATE["mc_perstate_mean"] / _STATE["mc_batched_mean"]
+    if cores < 2:
+        pytest.skip(f"PAR-SCALE needs 2 cores to mean anything; this host has {cores}")
+    config = replace(
+        PAPER_SCALE, n_batches=N_BATCHES,
+    ).config(CHORDS, alpha=0.5, accounting="expected", seed=SEED)
+
+    wall = {1: [], 2: []}
+    for repeat in range(REPEATS):
+        order = (1, 2) if repeat % 2 == 0 else (2, 1)
+        aggregates = {}
+        for n_workers in order:
+            seconds, aggregates[n_workers] = _timed_run(config, n_workers)
+            wall[n_workers].append(seconds)
+        for serial_part, fanned_part in zip(aggregates[1], aggregates[2]):
+            np.testing.assert_array_equal(np.asarray(serial_part),
+                                          np.asarray(fanned_part))
+
+    ratio = statistics.median(wall[1]) / statistics.median(wall[2])
     _BENCH_JSON.setdefault("parallel_scaling", []).append({
-        "test": "scaling_summary",
+        "test": "par_scale",
         "cores": cores,
-        "fig2_fanout_speedup_4workers": round(fanout_speedup, 3),
-        "montecarlo_batched_speedup": round(mc_speedup, 3),
+        "topology": CHORDS,
+        "scale": "paper",
+        "n_batches": N_BATCHES,
+        "seed": SEED,
+        "serial_s": [round(s, 2) for s in wall[1]],
+        "two_workers_s": [round(s, 2) for s in wall[2]],
+        "ratio_of_medians": round(ratio, 3),
         "bitwise_identical": True,
     })
     report(
-        "=== PAR-SCALE: summary ===\n"
-        f"  cores available          : {cores}\n"
-        f"  fig2 fan-out speedup (4w): {fanout_speedup:.2f}x\n"
-        f"  Monte-Carlo MC speedup   : {mc_speedup:.2f}x"
+        "=== PAR-SCALE: run_simulation, topology 4949, paper scale, "
+        f"{N_BATCHES} batches ===\n"
+        f"  cores            : {cores}\n"
+        f"  1 worker  (s)    : {', '.join(f'{s:.1f}' for s in wall[1])}\n"
+        f"  2 workers (s)    : {', '.join(f'{s:.1f}' for s in wall[2])}\n"
+        f"  ratio of medians : {ratio:.2f}x (bitwise identical results)"
     )
-    # Vectorization must pay off on any machine; process fan-out can only
-    # pay off when the machine actually has the cores.
-    assert mc_speedup >= 5.0, f"batched MC labelling only {mc_speedup:.2f}x"
-    if cores >= 4:
-        assert fanout_speedup >= 3.0, f"fan-out only {fanout_speedup:.2f}x"
+    assert ratio >= MIN_RATIO, (
+        f"2 workers only {ratio:.2f}x faster than 1 on {cores} cores")

@@ -10,8 +10,7 @@ installed by the online estimation loop, and a digest identical across
 rounds (the determinism contract, here across repeated event loops).
 
 The summary entry in ``BENCH_serving.json`` records request throughput
-(served per wall second) and the p99 grant latency in simulated seconds,
-feeding the perf-regression gate.
+(served per wall second) and the p99 grant latency in simulated seconds.
 """
 
 import sys

@@ -77,13 +77,11 @@ def test_vectorized_engine(benchmark, report):
 def test_parallel_fanout_bitwise(benchmark, report):
     config = _config(n_batches=4, accesses=600.0)
     serial = run_sharded(config, engine="vectorized")
-    stats = {}
     fanned = timed(benchmark, lambda: run_sharded(
-        config, engine="vectorized", n_workers=4, transport_stats=stats))
+        config, engine="vectorized", n_workers=4))
     assert fanned.bitwise_equal(serial)
-    _STATE["fanout_transport"] = stats["transport"]
     report(f"=== SHARD: 4-worker fan-out, {N_ITEMS} items x 4 batches ===\n"
-           f"  bitwise identical to serial [{stats['transport']}], "
+           f"  bitwise identical to serial, "
            f"mean {benchmark.stats.stats.mean * 1e3:.0f}ms")
 
 
@@ -96,7 +94,6 @@ def test_sharded_summary(report):
         "reference_mean_s": round(_STATE["reference_mean"], 4),
         "vectorized_mean_s": round(_STATE["vectorized_mean"], 4),
         "speedup": round(speedup, 2),
-        "fanout_transport": _STATE["fanout_transport"],
         "bitwise_identical": True,
     })
     report(

@@ -5,7 +5,9 @@ prints the same rows/series the paper reports (run with ``-s`` to see
 them; they are also appended to ``benchmarks/results.txt``). Timings are
 collected by pytest-benchmark with one warm-up round plus ``BENCH_ROUNDS``
 (default 5) timed rounds, so the mean/stddev/quantile fields in the
-``BENCH_*.json`` sidecars carry real content for regression gating.
+``BENCH_*.json`` sidecars carry real content. The sidecars are a local
+record (git-ignored); what gates a PR is the repo benchmark,
+``benchmarks/e2e`` + ``BENCHMARK.json``.
 
 Scale is selected with the ``REPRO_BENCH_SCALE`` environment variable:
 
@@ -86,10 +88,9 @@ BENCH_ROUNDS = max(1, int(os.environ.get("REPRO_BENCH_ROUNDS", "5")))
 def timed(benchmark, fn):
     """Run ``fn`` under pytest-benchmark: 1 warm-up + ``BENCH_ROUNDS`` rounds.
 
-    A single-shot measurement records ``stddev: 0`` and makes the
-    committed ``BENCH_*.json`` baselines meaningless for regression
-    gating; five rounds give the mean/stddev/quantile fields real
-    content while keeping simulation-scale workloads tractable.
+    A single-shot measurement records ``stddev: 0``; five rounds give
+    the mean/stddev/quantile fields real content while keeping
+    simulation-scale workloads tractable.
     """
     return benchmark.pedantic(fn, rounds=BENCH_ROUNDS, iterations=1,
                               warmup_rounds=1)
@@ -106,11 +107,8 @@ _BENCH_JSON: Dict[str, List[dict]] = {}
 def _bench_name(stem: str) -> str:
     """Normalize a bench module stem to its sidecar name.
 
-    ``bench_serving.py`` -> ``serving`` -> ``BENCH_serving.json``. Keying
-    by the raw stem used to produce double-prefixed
-    ``BENCH_bench_serving.json`` files that silently diverged from the
-    committed ``BENCH_serving.json`` baselines the CI gate loads;
-    ``check_bench_regression.py`` now rejects the double-prefixed form.
+    ``bench_serving.py`` -> ``serving`` -> ``BENCH_serving.json``; the
+    raw stem would give a double-prefixed ``BENCH_bench_serving.json``.
     """
     return stem[len("bench_"):] if stem.startswith("bench_") else stem
 
@@ -136,10 +134,8 @@ def _bench_json_recorder(request):
 
     Each benchmark also runs under a live recorder so the instrumented
     hot paths attribute their time to named phases; the cumulative phase
-    table (warm-up round included) is stamped into the entry. Baselines
-    and CI runs are therefore measured identically, and
-    ``check_bench_regression.py`` can name the phase a regression lives
-    in rather than just the test.
+    table (warm-up round included) is stamped into the entry, so two
+    sidecars can be compared phase by phase rather than just by test.
     """
     benchmark = (
         request.getfixturevalue("benchmark")

@@ -30,11 +30,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.analytic.density import normalize_density
-from repro.connectivity.components import (
-    batched_vote_totals,
-    component_labels,
-    component_vote_totals,
-)
+from repro.connectivity.components import batched_vote_totals
 from repro.errors import DensityError, SimulationError, TopologyError
 from repro.rng import RandomState, as_generator, spawn
 from repro.topology.model import Topology
@@ -83,66 +79,12 @@ def _chunk_counts(
         return counts.reshape(n, T + 1)
 
 
-def _chunk_counts_task(args) -> np.ndarray:
-    """Module-level process-pool entry point (must be picklable)."""
-    return _chunk_counts(*args)
-
-
-# Per-worker constants for the zero-pickle fan-out: the topology and
-# reliability vectors are pickled once per worker by the initializer;
-# each task then ships only (slot, count, stream), and the counts matrix
-# is written to a shared-memory slot instead of the result pipe.
-_MC_WORKER: dict = {}
-
-
-def _init_mc_worker(topology, site_rel, link_rel, shm_spec) -> None:
-    _MC_WORKER["topology"] = topology
-    _MC_WORKER["site_rel"] = site_rel
-    _MC_WORKER["link_rel"] = link_rel
-    _MC_WORKER["shm_spec"] = shm_spec
-    _MC_WORKER.pop("slot_pool", None)
-
-
-def _mc_chunk_task(args) -> int:
-    slot_index, count, stream = args
-    counts = _chunk_counts(_MC_WORKER["topology"], _MC_WORKER["site_rel"],
-                           _MC_WORKER["link_rel"], count, stream)
-    pool = _MC_WORKER.get("slot_pool")
-    if pool is None:
-        from repro.simulation.shm import SlotPool
-
-        name, slot_floats, n_slots = _MC_WORKER["shm_spec"]
-        pool = _MC_WORKER["slot_pool"] = SlotPool.attach(
-            name, slot_floats, n_slots
-        )
-    pool.slot(slot_index)[:] = counts.ravel()
-    return slot_index
-
-
-def _perstate_counts(
-    topology: Topology,
-    site_rel: np.ndarray,
-    link_rel: np.ndarray,
-    count: int,
-    rng: np.random.Generator,
+def _chunk_task(
+    shared: Tuple[Topology, np.ndarray, np.ndarray],
+    block: Tuple[int, np.random.Generator],
 ) -> np.ndarray:
-    """Reference per-state loop (the pre-batching implementation).
-
-    Kept as the oracle the batched path is tested against and as the
-    baseline ``bench_parallel_scaling`` measures the labelling speedup
-    from. Draws masks exactly like :func:`_chunk_counts`, so given the
-    same generator state the two produce identical counts.
-    """
-    site_masks = rng.random((count, topology.n_sites)) < site_rel
-    link_masks = rng.random((count, topology.n_links)) < link_rel
-    T = topology.total_votes
-    counts = np.zeros((topology.n_sites, T + 1), dtype=np.float64)
-    site_ids = np.arange(topology.n_sites)
-    for k in range(count):
-        labels = component_labels(topology, site_masks[k], link_masks[k])
-        totals = component_vote_totals(labels, topology.votes)
-        counts[site_ids, totals] += 1.0
-    return counts
+    """The :func:`repro.pool.fan_out` task: one block's count matrix."""
+    return _chunk_counts(*shared, *block)
 
 
 def _sample_plan(n_samples: int, batch_size: int) -> List[int]:
@@ -183,64 +125,16 @@ def montecarlo_density_matrix(
     plan = _sample_plan(n_samples, batch_size)
     streams = spawn(seed if seed is not None else as_generator(None), len(plan))
 
-    if n_workers == 1 or len(plan) == 1:
-        tasks = [
-            (topology, site_rel, link_rel, count, stream)
-            for count, stream in zip(plan, streams)
-        ]
-        chunk_results = [_chunk_counts_task(task) for task in tasks]
-        counts = chunk_results[0]
-        for chunk in chunk_results[1:]:
-            counts += chunk
-        return counts / n_samples
+    shared = (topology, site_rel, link_rel)
+    blocks = list(zip(plan, streams))
+    if n_workers == 1 or len(blocks) == 1:
+        chunk_results = [_chunk_task(shared, block) for block in blocks]
+    else:
+        from repro.pool import fan_out
 
-    # Parallel fan-out: constants cross once via the pool initializer,
-    # per-chunk count matrices come back through shared-memory slots
-    # (summed in fixed chunk order, so the result is bitwise identical
-    # to the serial path). Pickle fallback when the platform has no
-    # shared memory.
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.simulation.parallel import resolve_transport
-    from repro.simulation.shm import SlotPool
-
-    n, T = topology.n_sites, topology.total_votes
-    slot_pool = None
-    if resolve_transport() == "shm":
-        try:
-            slot_pool = SlotPool.create(n * (T + 1), len(plan))
-        except OSError:
-            slot_pool = None
-    try:
-        if slot_pool is None:
-            tasks = [
-                (topology, site_rel, link_rel, count, stream)
-                for count, stream in zip(plan, streams)
-            ]
-            with ProcessPoolExecutor(
-                max_workers=min(n_workers, len(tasks))
-            ) as pool:
-                chunk_results = list(pool.map(_chunk_counts_task, tasks))
-        else:
-            shm_spec = (slot_pool.name, n * (T + 1), len(plan))
-            tasks = [
-                (index, count, stream)
-                for index, (count, stream) in enumerate(zip(plan, streams))
-            ]
-            with ProcessPoolExecutor(
-                max_workers=min(n_workers, len(tasks)),
-                initializer=_init_mc_worker,
-                initargs=(topology, site_rel, link_rel, shm_spec),
-            ) as pool:
-                list(pool.map(_mc_chunk_task, tasks))
-            chunk_results = [
-                slot_pool.slot(index).reshape(n, T + 1).copy()
-                for index in range(len(plan))
-            ]
-    finally:
-        if slot_pool is not None:
-            slot_pool.close()
-
+        chunk_results = fan_out(_chunk_task, shared, blocks, n_workers)
+    # Summed in fixed block order, so the matrix is bitwise identical
+    # for any worker count.
     counts = chunk_results[0]
     for chunk in chunk_results[1:]:
         counts += chunk

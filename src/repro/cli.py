@@ -738,18 +738,15 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         n_batches=args.batches,
         seed=args.seed,
     )
-    stats: dict = {}
     result = run_sharded(
         config,
         engine=args.engine,
         n_workers=args.workers,
         chunk_size=args.chunk_size,
-        transport_stats=stats,
     )
 
     print(f"sharded run     : {args.family}-{args.sites}, {args.items} items "
-          f"({args.dist}), engine={args.engine}, workers={args.workers} "
-          f"[{stats.get('transport', 'serial')}]")
+          f"({args.dist}), engine={args.engine}, workers={args.workers}")
     if plan is not None:
         print(f"optimization    : {plan.optimizations_run} per-class runs "
               f"for {plan.n_items} items")

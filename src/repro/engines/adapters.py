@@ -312,8 +312,7 @@ def _no_sim_error(case: VerificationCase):
 # Sharded multi-item engines
 # ----------------------------------------------------------------------
 
-def sharded_engine_run(config, n_workers: int = 1, chunk_size=None,
-                       transport=None):
+def sharded_engine_run(config, n_workers: int = 1, chunk_size=None):
     """Run a :class:`~repro.sharding.config.ShardConfig` campaign.
 
     Unlike the case-based simulation engines, the sharded builders take
@@ -324,16 +323,15 @@ def sharded_engine_run(config, n_workers: int = 1, chunk_size=None,
     from repro.sharding.runner import run_sharded
 
     return run_sharded(config, engine="vectorized", n_workers=n_workers,
-                       chunk_size=chunk_size, transport=transport)
+                       chunk_size=chunk_size)
 
 
-def sharded_reference_run(config, n_workers: int = 1, chunk_size=None,
-                          transport=None):
+def sharded_reference_run(config, n_workers: int = 1, chunk_size=None):
     """The retained per-item ``multidb`` loop (the bitwise oracle)."""
     from repro.sharding.runner import run_sharded
 
     return run_sharded(config, engine="reference", n_workers=n_workers,
-                       chunk_size=chunk_size, transport=transport)
+                       chunk_size=chunk_size)
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ __all__ = [
     "VoteAssignmentError",
     "SimulationError",
     "ShardingError",
+    "FanOutError",
     "ProtocolError",
     "DensityError",
     "OptimizationError",
@@ -137,6 +138,15 @@ class SimulationError(ReproError):
 
 class ShardingError(SimulationError):
     """Raised when the sharded multi-item engine is misconfigured."""
+
+
+class FanOutError(ReproError):
+    """Raised when a process-pool fan-out loses a worker process.
+
+    A task that *raises* arrives as its own exception; this one means a
+    worker died (killed, out of memory, ``os._exit``) and the results of
+    the fan-out are incomplete, so none are returned.
+    """
 
 
 class ProtocolError(ReproError):

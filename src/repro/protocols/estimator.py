@@ -60,32 +60,6 @@ class OnlineDensityEstimator:
         self._weights = np.zeros((self.n_sites, self.total_votes + 1), dtype=np.float64)
         self._site_ids = np.arange(self.n_sites)
 
-    @classmethod
-    def from_weights(
-        cls,
-        weights: np.ndarray,
-        total_votes: int,
-        forgetting_factor: float = 1.0,
-    ) -> "OnlineDensityEstimator":
-        """Rebuild an estimator from a raw ``(n_sites, T+1)`` weight matrix.
-
-        The shared-memory pool transport ships estimators across process
-        boundaries as their weight matrices alone; this is the
-        dispatcher-side inverse. The matrix is adopted as C-contiguous
-        float64 (copying only if a cast or re-layout is needed), so
-        round-tripping is bitwise.
-        """
-        weights = np.ascontiguousarray(weights, dtype=np.float64)
-        if weights.ndim != 2 or weights.shape[1] != total_votes + 1:
-            raise DensityError(
-                f"weights must have shape (n_sites, {total_votes + 1}), "
-                f"got {weights.shape}"
-            )
-        estimator = cls(weights.shape[0], total_votes,
-                        forgetting_factor=forgetting_factor)
-        estimator._weights = weights
-        return estimator
-
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------

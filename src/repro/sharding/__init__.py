@@ -12,7 +12,7 @@ hotspot-skewed item access, and per-shard quorum optimization grouped by
   ``multidb`` reference it matches bitwise;
 - :mod:`repro.sharding.optimizer` — per-class quorum/vote optimization;
 - :mod:`repro.sharding.runner` — batch fan-out (bitwise for any
-  ``--workers``) over the shared-memory slot transport.
+  ``--workers``).
 """
 
 from repro.sharding.config import ShardConfig
@@ -30,7 +30,6 @@ from repro.sharding.optimizer import (
     optimize_shards,
 )
 from repro.sharding.runner import ENGINE_KINDS, ShardRunResult, run_sharded
-from repro.sharding.transport import ShardSlotLayout
 from repro.sharding.workload import ItemWorkload
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "ShardGroup",
     "ShardPlan",
     "ShardRunResult",
-    "ShardSlotLayout",
     "ShardVotePlan",
     "ShardedEngine",
     "group_items",

@@ -3,19 +3,14 @@
 :func:`run_sharded` mirrors the single-item campaign runner: batch ``k``
 derives its streams from ``(seed, k)`` inside the engine, so fanning the
 batches over a process pool (``n_workers > 1``) is bitwise identical to
-a serial run — and to any other worker count. Results cross the pool
-through preallocated shared-memory slots
-(:class:`~repro.sharding.transport.ShardSlotLayout`) when the platform
-supports them, with the same ``REPRO_POOL_TRANSPORT`` override and
-OSError-to-pickle degradation as the single-item transport.
+a serial run — and to any other worker count. The fan-out is
+:func:`repro.pool.fan_out`, the same one the single-item runner uses.
 """
 
 from __future__ import annotations
 
-import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -26,9 +21,6 @@ from repro.sharding.engine import (
     ShardBatchResult,
     ShardedEngine,
 )
-from repro.sharding.transport import ShardSlotLayout
-from repro.simulation.parallel import resolve_transport
-from repro.simulation.shm import SlotPool
 
 __all__ = ["ShardRunResult", "run_sharded", "ENGINE_KINDS"]
 
@@ -148,53 +140,11 @@ class ShardRunResult:
         )
 
 
-# ----------------------------------------------------------------------
-# Worker-side state (standard ProcessPoolExecutor module-global idiom).
-# ----------------------------------------------------------------------
-
-_WORKER: Dict[str, object] = {}
-
-
-def _init_worker(
-    config: ShardConfig,
-    engine: str,
-    chunk_size: Optional[int],
-    shm_spec: Optional[Tuple[str, int, int]],
-) -> None:
-    _WORKER["config"] = config
-    _WORKER["engine"] = engine
-    _WORKER["chunk_size"] = chunk_size
-    _WORKER["shm_spec"] = shm_spec
-    _WORKER.pop("slot_pool", None)
-
-
-def _worker_slot_pool() -> Optional[SlotPool]:
-    spec = _WORKER.get("shm_spec")
-    if spec is None:
-        return None
-    pool = _WORKER.get("slot_pool")
-    if pool is None:
-        name, slot_floats, n_slots = spec  # type: ignore[misc]
-        pool = SlotPool.attach(name, slot_floats, n_slots)
-        _WORKER["slot_pool"] = pool
-    return pool  # type: ignore[return-value]
-
-
-def _run_one_batch(task: Tuple[int, int]):
-    slot_index, batch_index = task
-    config: ShardConfig = _WORKER["config"]  # type: ignore[assignment]
-    engine = _make_engine(
-        config,
-        _WORKER["engine"],  # type: ignore[arg-type]
-        _WORKER["chunk_size"],  # type: ignore[arg-type]
-    )
-    batch = engine.run_batch(batch_index)
-    pool = _worker_slot_pool()
-    if pool is None:
-        return (batch_index, batch, None)
-    layout = ShardSlotLayout(config.n_items, config.max_total_votes + 1)
-    layout.pack(pool.slot(slot_index), batch)
-    return (batch_index, None, slot_index)
+def _run_one_batch(
+    shared: Tuple[ShardConfig, str, Optional[int]], batch_index: int
+) -> ShardBatchResult:
+    """The :func:`repro.pool.fan_out` task: one batch on a fresh engine."""
+    return _make_engine(*shared).run_batch(batch_index)
 
 
 # ----------------------------------------------------------------------
@@ -203,66 +153,20 @@ def run_sharded(
     engine: str = "vectorized",
     n_workers: int = 1,
     chunk_size: Optional[int] = None,
-    transport: Optional[str] = None,
-    transport_stats: Optional[dict] = None,
 ) -> ShardRunResult:
     """Run every batch of ``config``; bitwise identical for any ``n_workers``.
 
     ``engine`` selects the vectorized path or the per-item multidb
     reference; ``chunk_size`` bounds the vectorized working set (any
-    value gives identical results). ``transport_stats``, when given a
-    dict, is filled with the pool transport used and the pickled bytes
-    that crossed the pipe.
+    value gives identical results).
     """
-    indices = list(range(config.n_batches))
+    indices = range(config.n_batches)
     if n_workers <= 1:
         runner = _make_engine(config, engine, chunk_size)
         batches = [runner.run_batch(i) for i in indices]
-        if transport_stats is not None:
-            transport_stats.update(
-                transport="serial", pickled_bytes=0,
-                n_batches=len(batches), slot_bytes=0,
-            )
-        return ShardRunResult(config=config, batches=batches)
+    else:
+        from repro.pool import fan_out
 
-    mode = resolve_transport(transport)
-    layout = ShardSlotLayout(config.n_items, config.max_total_votes + 1)
-    slot_pool: Optional[SlotPool] = None
-    shm_spec: Optional[Tuple[str, int, int]] = None
-    if mode == "shm" and indices:
-        try:
-            slot_pool = SlotPool.create(layout.slot_floats, len(indices))
-            shm_spec = (slot_pool.name, layout.slot_floats, len(indices))
-        except OSError:
-            mode = "pickle"
-            slot_pool = None
-            shm_spec = None
-
-    tasks = list(enumerate(indices))
-    batches: List[ShardBatchResult] = []
-    try:
-        with ProcessPoolExecutor(
-            max_workers=min(n_workers, len(indices)),
-            initializer=_init_worker,
-            initargs=(config, engine, chunk_size, shm_spec),
-        ) as pool:
-            outcomes = list(pool.map(_run_one_batch, tasks))
-        if transport_stats is not None:
-            transport_stats["transport"] = mode
-            transport_stats["pickled_bytes"] = sum(
-                len(pickle.dumps(o, protocol=pickle.HIGHEST_PROTOCOL))
-                for o in outcomes
-            )
-            transport_stats["n_batches"] = len(outcomes)
-            transport_stats["slot_bytes"] = (
-                layout.slot_bytes * len(indices) if slot_pool is not None else 0
-            )
-        for batch_index, batch, slot in outcomes:
-            if batch is None:
-                batch = layout.unpack(slot_pool.slot(slot), batch_index)
-            batches.append(batch)
-    finally:
-        if slot_pool is not None:
-            slot_pool.close()
-    batches.sort(key=lambda batch: batch.batch_index)
+        batches = fan_out(_run_one_batch, (config, engine, chunk_size),
+                          indices, n_workers)
     return ShardRunResult(config=config, batches=batches)

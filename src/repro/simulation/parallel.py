@@ -6,27 +6,17 @@ embarrassingly parallel across batches. This module owns the worker
 protocol shared by :func:`~repro.simulation.runner.run_simulation` and
 :func:`~repro.faults.chaos.run_chaos_campaign`:
 
-- The pool is initialized once per worker process with the pickled
-  ``(config, protocol)`` pair plus the recording options; each task then
-  ships only a ``(slot, batch_index)`` pair.
+- The recording options and the ``(config, protocol)`` pair cross once
+  per worker (:func:`repro.pool.fan_out`'s ``shared``); each task then
+  ships only a batch index, and its :class:`BatchOutcome` comes back
+  through the pool's pickle pipe.
 - Every batch builds a *fresh* engine, telemetry recorder, and invariant
   monitor inside the worker, and returns a plain-data
   :class:`BatchOutcome`. Per-batch (rather than per-worker) recording is
-  what keeps the merge deterministic: outcomes are sorted by batch index
-  before any aggregation, so counters, audit totals, and pooled
-  densities are added in exactly the serial order regardless of how the
-  pool scheduled the work.
-- **Result transport**: by default each batch's numeric payload (the
-  tallies, both density-weight matrices, and the max-votes histogram)
-  is written into a preallocated shared-memory slot
-  (:mod:`repro.simulation.shm`) and only a slim index/metadata record
-  crosses the pickle pipe; the dispatcher rehydrates ``BatchResult``
-  objects from the slots. Raw ``float64`` crosses untouched, so results
-  are bitwise identical to the pickle path. Telemetry snapshots,
-  invariant violations, and quarantined errors are structural and stay
-  pickled. ``REPRO_POOL_TRANSPORT=pickle|shm|auto`` forces a transport;
-  ``auto`` (default) uses shared memory when the platform supports it
-  and falls back to pickle otherwise.
+  what keeps the merge deterministic: outcomes arrive in batch index
+  order, so counters, audit totals, and pooled densities are added in
+  exactly the serial order regardless of how the pool scheduled the
+  work.
 - Telemetry snapshots merge via
   :meth:`~repro.telemetry.snapshot.TelemetrySnapshot.merged`; monitor
   state merges via :func:`merge_monitor_outcomes`, which respects the
@@ -40,18 +30,14 @@ before fanning out.
 
 from __future__ import annotations
 
-import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import BatchExecutionError, SimulationError
+from repro.errors import BatchExecutionError
 from repro.faults.monitor import InvariantMonitor, ViolationRecord
 from repro.protocols.base import ReplicaControlProtocol
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import BatchResult, SimulationEngine
-from repro.simulation.shm import BatchSlotLayout, SlotPool, shm_supported
 from repro.telemetry import recorder
 from repro.telemetry.recorder import Telemetry
 from repro.telemetry.snapshot import TelemetrySnapshot
@@ -61,11 +47,7 @@ __all__ = [
     "BatchOutcome",
     "run_batches_parallel",
     "merge_monitor_outcomes",
-    "resolve_transport",
 ]
-
-#: Environment knob forcing the result transport.
-TRANSPORT_ENV = "REPRO_POOL_TRANSPORT"
 
 
 @dataclass
@@ -73,8 +55,7 @@ class BatchOutcome:
     """Plain-data result of one batch executed in a worker process."""
 
     batch_index: int
-    #: Exactly one of ``batch`` / ``quarantine_error`` is set once the
-    #: dispatcher has rehydrated shared-memory slots.
+    #: Exactly one of ``batch`` / ``quarantine_error`` is set.
     batch: Optional[BatchResult] = None
     quarantine_error: Optional[BatchExecutionError] = None
     #: Per-batch telemetry capture (None when recording was off).
@@ -83,72 +64,19 @@ class BatchOutcome:
     violations: Optional[List[ViolationRecord]] = None
     checks_run: int = 0
     overflowed: int = 0
-    #: Shared-memory slot holding the batch's numeric payload while the
-    #: outcome is in flight (None on the pickle transport).
-    slot: Optional[int] = None
 
 
-def resolve_transport(requested: Optional[str] = None) -> str:
-    """``"shm"`` or ``"pickle"``: the transport this run will use.
-
-    ``requested`` (or :data:`TRANSPORT_ENV`) may be ``"shm"``,
-    ``"pickle"``, or ``"auto"``; ``auto`` probes platform support.
-    """
-    choice = (requested or os.environ.get(TRANSPORT_ENV, "auto")).lower()
-    if choice not in ("auto", "shm", "pickle"):
-        raise SimulationError(
-            f"unknown pool transport {choice!r}; choose auto, shm, or pickle"
-        )
-    if choice == "auto":
-        return "shm" if shm_supported() else "pickle"
-    return choice
+#: What every worker needs and no batch changes: ``(config, protocol,
+#: record_telemetry, monitor_kwargs, trace_parent)``.
+_Shared = Tuple[SimulationConfig, ReplicaControlProtocol, bool,
+                Optional[dict], Optional[int]]
 
 
-# Per-worker-process state, installed by the pool initializer. A module
-# global is the standard ProcessPoolExecutor idiom: the heavyweight
-# (config, protocol) pair is pickled once per worker instead of once per
-# batch.
-_WORKER: Dict[str, object] = {}
-
-
-def _init_worker(
-    config: SimulationConfig,
-    protocol: ReplicaControlProtocol,
-    record_telemetry: bool,
-    monitor_kwargs: Optional[dict],
-    trace_parent: Optional[int] = None,
-    shm_spec: Optional[Tuple[str, int, int, int]] = None,
-) -> None:
-    _WORKER["config"] = config
-    _WORKER["protocol"] = protocol
-    _WORKER["record_telemetry"] = record_telemetry
-    _WORKER["monitor_kwargs"] = monitor_kwargs
-    _WORKER["trace_parent"] = trace_parent
-    _WORKER["shm_spec"] = shm_spec
-    _WORKER.pop("slot_pool", None)
-
-
-def _worker_slot_pool() -> Optional[SlotPool]:
-    """Attach this worker to the dispatcher's slot pool (once)."""
-    spec = _WORKER.get("shm_spec")
-    if spec is None:
-        return None
-    pool = _WORKER.get("slot_pool")
-    if pool is None:
-        name, slot_floats, n_slots, _ = spec  # type: ignore[misc]
-        pool = SlotPool.attach(name, slot_floats, n_slots)
-        _WORKER["slot_pool"] = pool
-    return pool  # type: ignore[return-value]
-
-
-def _run_one_batch(task: Tuple[int, int]) -> BatchOutcome:
-    slot_index, batch_index = task
-    config: SimulationConfig = _WORKER["config"]  # type: ignore[assignment]
-    protocol: ReplicaControlProtocol = _WORKER["protocol"]  # type: ignore[assignment]
-    telemetry = Telemetry() if _WORKER["record_telemetry"] else None
-    monitor_kwargs = _WORKER["monitor_kwargs"]
+def _run_one_batch(shared: _Shared, batch_index: int) -> BatchOutcome:
+    config, protocol, record_telemetry, monitor_kwargs, trace_parent = shared
+    telemetry = Telemetry() if record_telemetry else None
     monitor = (
-        InvariantMonitor(telemetry=telemetry, **monitor_kwargs)  # type: ignore[arg-type]
+        InvariantMonitor(telemetry=telemetry, **monitor_kwargs)
         if monitor_kwargs is not None
         else None
     )
@@ -169,7 +97,7 @@ def _run_one_batch(task: Tuple[int, int]) -> BatchOutcome:
             # identical to a serial run's. `use` makes the recorder
             # visible to kernels that resolve via recorder.current().
             context = TraceContext(config.seed, SCOPE_BATCH, batch_index,
-                                   _WORKER.get("trace_parent"))
+                                   trace_parent)
             with recorder.use(telemetry), telemetry.spans.scoped(context):
                 outcome.batch = engine.run_batch(batch_index)
         else:
@@ -199,25 +127,7 @@ def _run_one_batch(task: Tuple[int, int]) -> BatchOutcome:
         outcome.violations = monitor.violations
         outcome.checks_run = monitor.checks_run
         outcome.overflowed = monitor.overflowed
-    # Shared-memory transport: park the numeric payload in this task's
-    # slot and cross the pipe with metadata only. (Batches carrying a
-    # recorded trace would need the structural path, but parallel
-    # workers never record traces.)
-    pool = _worker_slot_pool()
-    if pool is not None and outcome.batch is not None \
-            and outcome.batch.trace is None:
-        layout = _slot_layout(config)
-        layout.pack(pool.slot(slot_index), outcome.batch)
-        outcome.batch = None
-        outcome.slot = slot_index
     return outcome
-
-
-def _slot_layout(config: SimulationConfig) -> BatchSlotLayout:
-    """Both sides derive the identical layout from the config alone."""
-    topology = config.topology
-    return BatchSlotLayout(n_sites=topology.n_sites,
-                           total_votes=topology.total_votes)
 
 
 def _safe_cause(cause: BaseException) -> bool:
@@ -237,73 +147,22 @@ def run_batches_parallel(
     record_telemetry: bool = False,
     monitor_kwargs: Optional[dict] = None,
     trace_parent: Optional[int] = None,
-    transport: Optional[str] = None,
-    transport_stats: Optional[dict] = None,
 ) -> List[BatchOutcome]:
-    """Fan ``batch_indices`` out over a process pool; outcomes in index order.
+    """Fan ``batch_indices`` out over a process pool; outcomes in their order.
 
     ``monitor_kwargs`` (e.g. ``{"max_records": 1000}``) attaches a fresh
     :class:`InvariantMonitor` per batch inside each worker; ``None``
     means no monitoring. ``trace_parent`` is the dispatching span id
     (``BatchTracer.root_id``) that worker-local root spans re-parent
-    under. The returned list is sorted by batch index, so every
-    downstream aggregation is deterministic regardless of pool
-    scheduling.
-
-    ``transport`` overrides the :data:`TRANSPORT_ENV` knob for this run;
-    ``transport_stats``, when given a dict, is filled with the transport
-    actually used and the bytes that crossed the pickle pipe (the
-    benchmark gate asserts the shared-memory reduction on these).
+    under. Outcome ``k`` belongs to ``batch_indices[k]`` however the
+    pool scheduled the work, so every downstream aggregation is
+    deterministic.
     """
-    indices = list(batch_indices)
-    mode = resolve_transport(transport)
-    layout = _slot_layout(config)
-    slot_pool: Optional[SlotPool] = None
-    shm_spec: Optional[Tuple[str, int, int, int]] = None
-    if mode == "shm" and indices:
-        try:
-            slot_pool = SlotPool.create(layout.slot_floats, len(indices))
-            shm_spec = (slot_pool.name, layout.slot_floats, len(indices),
-                        layout.n_sites)
-        except OSError:
-            # Platform refused the segment (permissions, exhausted
-            # /dev/shm, ...): degrade to the pickle transport.
-            mode = "pickle"
-            slot_pool = None
-            shm_spec = None
+    from repro.pool import fan_out
 
-    tasks = list(enumerate(indices))
-    try:
-        with ProcessPoolExecutor(
-            max_workers=min(n_workers, len(indices)),
-            initializer=_init_worker,
-            initargs=(config, protocol, record_telemetry, monitor_kwargs,
-                      trace_parent, shm_spec),
-        ) as pool:
-            outcomes = list(pool.map(_run_one_batch, tasks))
-        if transport_stats is not None:
-            # What actually crossed the pipe: the outcomes as the pool
-            # pickled them (slim records under shm, full payloads under
-            # pickle). Measured before rehydration.
-            transport_stats["transport"] = mode
-            transport_stats["pickled_bytes"] = sum(
-                len(pickle.dumps(o, protocol=pickle.HIGHEST_PROTOCOL))
-                for o in outcomes
-            )
-            transport_stats["n_batches"] = len(outcomes)
-            transport_stats["slot_bytes"] = (
-                layout.slot_bytes * len(indices) if slot_pool is not None else 0
-            )
-        if slot_pool is not None:
-            for outcome in outcomes:
-                if outcome.slot is not None:
-                    outcome.batch = layout.unpack(slot_pool.slot(outcome.slot))
-                    outcome.slot = None
-    finally:
-        if slot_pool is not None:
-            slot_pool.close()
-    outcomes.sort(key=lambda outcome: outcome.batch_index)
-    return outcomes
+    shared: _Shared = (config, protocol, record_telemetry, monitor_kwargs,
+                       trace_parent)
+    return fan_out(_run_one_batch, shared, batch_indices, n_workers)
 
 
 def merge_monitor_outcomes(monitor: InvariantMonitor,

@@ -105,6 +105,12 @@ class FailureProcesses:
         self.n_components = n
         self.mttf = _param_vector(mean_time_to_failure, n, "mean time to failure")
         self.mttr = _param_vector(mean_time_to_repair, n, "mean time to repair")
+        if (np.isinf(self.mttf) & np.isinf(self.mttr)).any():
+            raise SimulationError(
+                "a component that never fails and is never repaired has no "
+                "stationary state: mean times to failure and to repair are "
+                "both inf"
+            )
         self.rng = as_generator(seed)
 
         if fallible_sites is None:
@@ -161,8 +167,11 @@ class FailureProcesses:
     # ------------------------------------------------------------------
     def stationary_reliability(self) -> np.ndarray:
         """Per-component stationary up probability (1 for infallible ones)."""
-        rel = self.mttf / (self.mttf + self.mttr)
-        rel = rel.copy()
+        # mttf = inf is "never fails"; inf / inf would make it NaN, and a
+        # NaN reliability draws the component *down* at a stationary start.
+        with np.errstate(invalid="ignore"):
+            rel = self.mttf / (self.mttf + self.mttr)
+        rel[np.isinf(self.mttf)] = 1.0
         rel[~self.fallible] = 1.0
         return rel
 

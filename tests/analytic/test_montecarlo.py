@@ -76,8 +76,9 @@ class TestBatchedLabelling:
     """The block-diagonal batched path vs the per-state reference loop."""
 
     def test_batched_counts_match_perstate_oracle(self):
-        from repro.analytic.montecarlo import _chunk_counts, _perstate_counts
+        from repro.analytic.montecarlo import _chunk_counts
         from repro.rng import as_generator
+        from tests.oracles import montecarlo_perstate_counts
 
         for topo in (ring(7), fully_connected(5), grid(3, 3)):
             site_rel = np.full(topo.n_sites, 0.85)
@@ -85,7 +86,7 @@ class TestBatchedLabelling:
             for seed in range(3):
                 batched = _chunk_counts(
                     topo, site_rel, link_rel, 50, as_generator(seed))
-                perstate = _perstate_counts(
+                perstate = montecarlo_perstate_counts(
                     topo, site_rel, link_rel, 50, as_generator(seed))
                 np.testing.assert_array_equal(batched, perstate)
 

@@ -129,3 +129,23 @@ def density_matrix_reference(sample, votes):
             totals[up] = sums[local]
         counts[site_ids, totals] += 1.0
     return counts / sample.n_samples
+
+
+def montecarlo_perstate_counts(topology, site_rel, link_rel, count, rng):
+    """Per-state Monte-Carlo labelling loop (the pre-batching estimator).
+
+    Draws masks exactly like ``analytic.montecarlo._chunk_counts``, so
+    given the same generator state the two produce identical counts;
+    only the labelling differs (one :func:`component_labels` call per
+    state instead of one block-diagonal call per block).
+    """
+    site_masks = rng.random((count, topology.n_sites)) < site_rel
+    link_masks = rng.random((count, topology.n_links)) < link_rel
+    counts = np.zeros((topology.n_sites, topology.total_votes + 1),
+                      dtype=np.float64)
+    site_ids = np.arange(topology.n_sites)
+    for k in range(count):
+        labels = component_labels(topology, site_masks[k], link_masks[k])
+        totals = component_vote_totals(labels, topology.votes)
+        counts[site_ids, totals] += 1.0
+    return counts

@@ -1,4 +1,4 @@
-"""Fan-out determinism: workers, transports, and the shm slot layout."""
+"""Fan-out determinism across worker counts, and the pooled run result."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,6 @@ from repro.errors import ShardingError
 from repro.sharding import (
     ItemWorkload,
     ShardConfig,
-    ShardSlotLayout,
-    ShardedEngine,
     run_sharded,
 )
 from repro.topology.generators import ring
@@ -41,51 +39,9 @@ class TestWorkerInvariance:
         fanned = run_sharded(config, engine="vectorized", n_workers=n_workers)
         assert fanned.bitwise_equal(serial)
 
-    @pytest.mark.slow
-    def test_shm_and_pickle_transports_bitwise_match(self):
-        config = _config()
-        serial_stats, shm_stats, pickle_stats = {}, {}, {}
-        serial = run_sharded(config, transport_stats=serial_stats)
-        shm = run_sharded(config, n_workers=2, transport="shm",
-                          transport_stats=shm_stats)
-        pickled = run_sharded(config, n_workers=2, transport="pickle",
-                              transport_stats=pickle_stats)
-        assert shm.bitwise_equal(serial)
-        assert pickled.bitwise_equal(serial)
-
-        assert serial_stats["transport"] == "serial"
-        assert serial_stats["pickled_bytes"] == 0
-        assert pickle_stats["transport"] == "pickle"
-        assert pickle_stats["slot_bytes"] == 0
-        # shm may degrade to pickle where /dev/shm is unavailable, but
-        # when it holds, the pipe carries only (index, None, slot) stubs.
-        if shm_stats["transport"] == "shm":
-            assert shm_stats["slot_bytes"] > 0
-            assert shm_stats["pickled_bytes"] < shm_stats["slot_bytes"]
-            assert shm_stats["pickled_bytes"] < pickle_stats["pickled_bytes"]
-
     def test_unknown_engine_rejected(self):
         with pytest.raises(ShardingError, match="unknown sharded engine"):
             run_sharded(_config(), engine="telepathy")
-
-
-class TestSlotLayout:
-    def test_pack_unpack_roundtrip_is_bitwise(self):
-        config = _config(n_items=4, n_batches=1)
-        batch = ShardedEngine(config).run_batch(0)
-        layout = ShardSlotLayout(config.n_items, config.max_total_votes + 1)
-        view = np.zeros(layout.slot_floats, dtype=np.float64)
-        layout.pack(view, batch)
-        rebuilt = layout.unpack(view, batch.batch_index)
-        assert rebuilt.bitwise_equal(batch)
-        assert rebuilt.reads_submitted.dtype == np.int64
-        assert rebuilt.writes_granted.dtype == np.int64
-
-    def test_slot_geometry(self):
-        layout = ShardSlotLayout(n_items=10, width=6)
-        assert layout.density_floats == 60
-        assert layout.slot_floats == 3 + 6 * 10 + 2 * 60
-        assert layout.slot_bytes == layout.slot_floats * 8
 
 
 class TestRunResult:

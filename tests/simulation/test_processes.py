@@ -52,6 +52,25 @@ class TestFailureProcesses:
         procs = FailureProcesses(topo, 96.0, 4.0, seed=0)
         np.testing.assert_allclose(procs.stationary_reliability(), 0.96)
 
+    def test_a_component_that_never_fails_is_always_up(self):
+        topo = ring(3)
+        mttf = np.array([np.inf, 96.0, 96.0, np.inf, 96.0, 96.0])
+        procs = FailureProcesses(topo, mttf, 4.0, seed=0)
+        rel = procs.stationary_reliability()
+        assert rel[0] == 1.0 and rel[3] == 1.0
+        np.testing.assert_array_equal(rel[[1, 2, 4, 5]], 96.0 / 100.0)
+        for seed in range(20):
+            procs = FailureProcesses(topo, mttf, 4.0, seed=seed)
+            site_up, link_up = procs.prime_stationary(EventQueue())
+            assert site_up[0] and link_up[0]
+
+    def test_never_failing_and_never_repaired_is_rejected(self):
+        with pytest.raises(SimulationError, match="both inf"):
+            FailureProcesses(ring(3), np.inf, np.inf)
+        # Never repaired alone is a legal (absorbing) process.
+        rel = FailureProcesses(ring(3), 10.0, np.inf).stationary_reliability()
+        np.testing.assert_array_equal(rel, 0.0)
+
     def test_per_component_parameters(self):
         topo = ring(3)
         mttf = np.arange(1.0, 7.0)

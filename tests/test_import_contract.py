@@ -10,6 +10,9 @@ DESIGN.md ("Import contract") states the rule.
 The second half pins what ISSUE 21 removed so it cannot silently
 re-accrete: no environment variable picks the enumeration kernel, and
 the three entry points expose no search-strategy / scoring / JIT selector.
+ISSUE 22 added: one file starts processes (``repro/pool.py``), a serial
+run never loads ``multiprocessing``, and no result transport can be
+selected, by argument or by environment.
 """
 
 import ast
@@ -29,6 +32,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 DENIED = (
     "scipy.stats", "scipy.optimize", "networkx", "numba",
     "hypothesis", "pytest", "matplotlib", "pandas",
+    "multiprocessing", "repro.pool",
 )
 
 #: Not imported anywhere under ``src/``, at any scope.
@@ -142,3 +146,34 @@ def test_entry_points_expose_no_strategy_selector():
                  ["profile", "enumeration", "--backend", "exact-order"]):
         with pytest.raises(SystemExit):
             parser.parse_args(argv)
+
+
+def test_one_file_starts_processes_and_none_selects_a_transport():
+    sources = {path.relative_to(SRC).as_posix(): path.read_text()
+               for path in sorted(SRC.rglob("*.py"))}
+    assert [name for name, text in sources.items()
+            if "ProcessPoolExecutor" in text] == ["repro/pool.py"]
+    for banned in ("shared_memory", "REPRO_POOL_TRANSPORT"):
+        assert [name for name, text in sources.items() if banned in text] == []
+    assert not (SRC / "repro/simulation/shm.py").exists()
+    assert not (SRC / "repro/sharding/transport.py").exists()
+
+    pool_imports = [
+        node.module for node in ast.walk(ast.parse(sources["repro/pool.py"]))
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("repro")
+    ]
+    assert pool_imports == ["repro.errors"]
+
+
+def test_fan_out_callers_expose_no_transport_selector():
+    from repro.engines.adapters import sharded_engine_run, sharded_reference_run
+    from repro.pool import fan_out
+    from repro.sharding.runner import run_sharded
+    from repro.simulation.parallel import run_batches_parallel
+
+    for fn in (run_batches_parallel, run_sharded,
+               sharded_engine_run, sharded_reference_run):
+        assert not set(inspect.signature(fn).parameters) & {
+            "transport", "transport_stats"}
+    assert list(inspect.signature(fan_out).parameters) == [
+        "task", "shared", "items", "n_workers"]
