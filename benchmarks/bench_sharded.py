@@ -1,16 +1,20 @@
 """SHARD: vectorized multi-item engine vs the per-item multidb loop.
 
 The sharded engine's pitch (DESIGN.md §14): one component labelling per
-network state shared across all items, per-item quorum decisions via
-bincount/gather. The retained reference evaluates the same epochs with
-one ``MultiItemDatabase`` protocol object per item, so at 10^4 items the
+network state, accounted once per ``(votes, q_r)`` quorum class (here
+all 10^4 items are one) and settled on the non-zero access cells. The
+retained reference evaluates the same epochs with one
+``MultiItemDatabase`` protocol object per item, so at 10^4 items the
 vectorized path must win by a wide margin *while staying bitwise equal*.
 
 Claims gated here:
 
-- **Speed**: >= 10x over the reference loop at 10^4 items (both engines
-  replay the identical epoch sequence, so the ratio is pure accounting
-  cost, not workload noise).
+- **Speed**: >= 20x over the reference loop at 10^4 items. Both engines
+  replay the identical epoch sequence and both pay the same
+  ``sample_epoch`` (≈ 5 ms an epoch, ≈ 85 % of the vectorized run), so
+  the ratio measures the accounting and is capped by the sampling:
+  37–51x measured over three runs; the per-(item, site) accounting this
+  replaced measured 17–19x on the same host, and does not clear the gate.
 - **Equality**: the timed runs' pooled counters, survivability times,
   and density tables are bitwise identical.
 - **Fan-out**: a 4-worker pool run matches the serial run bitwise.
@@ -68,6 +72,7 @@ def test_vectorized_engine(benchmark, report):
     config = _config()
     result = timed(benchmark, lambda: run_sharded(config, engine="vectorized"))
     _STATE["vectorized_mean"] = benchmark.stats.stats.mean
+    _STATE["quorum_classes"] = result.n_classes
     assert result.bitwise_equal(_STATE["reference_result"])
     report(f"=== SHARD: vectorized engine, {N_ITEMS} items ===\n"
            f"  bitwise identical to the reference loop, "
@@ -91,6 +96,7 @@ def test_sharded_summary(report):
         "test": "sharded_summary",
         "n_items": N_ITEMS,
         "alpha_classes": len(ALPHA_CLASSES),
+        "quorum_classes": _STATE["quorum_classes"],
         "reference_mean_s": round(_STATE["reference_mean"], 4),
         "vectorized_mean_s": round(_STATE["vectorized_mean"], 4),
         "speedup": round(speedup, 2),
@@ -98,10 +104,11 @@ def test_sharded_summary(report):
     })
     report(
         "=== SHARD: summary ===\n"
-        f"  items / classes      : {N_ITEMS} / {len(ALPHA_CLASSES)}\n"
+        f"  items / alpha classes: {N_ITEMS} / {len(ALPHA_CLASSES)}\n"
+        f"  quorum classes       : {_STATE['quorum_classes']}\n"
         f"  reference loop mean  : {_STATE['reference_mean'] * 1e3:.0f}ms\n"
         f"  vectorized mean      : {_STATE['vectorized_mean'] * 1e3:.0f}ms\n"
         f"  speedup              : {speedup:.1f}x"
     )
-    assert speedup >= 10.0, (
+    assert speedup >= 20.0, (
         f"vectorized engine only {speedup:.1f}x over the reference loop")

@@ -34,7 +34,7 @@ and a merge refills the id it frees by moving the top id into it.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -194,6 +194,7 @@ class ComponentTracker:
         "state", "votes", "total_votes", "_cached_version", "_labels",
         "_vote_totals", "_adj", "_up", "_n_components", "_shared",
         "audit_interval", "n_incremental", "n_full", "_audit_countdown",
+        "_members",
     )
 
     def __init__(self, state: NetworkState,
@@ -223,6 +224,8 @@ class ComponentTracker:
         self._n_components = 0
         #: True while callers may hold ``_labels`` / ``_vote_totals``.
         self._shared = False
+        #: ``component_of`` answers for one state version, by label.
+        self._members: Tuple[int, Dict[int, np.ndarray]] = (-1, {})
         self.audit_interval = int(audit_interval)
         self._audit_countdown = self.audit_interval
         #: Maintenance statistics (observability + benchmarks).
@@ -467,11 +470,24 @@ class ComponentTracker:
         return int(totals.max()) if totals.size else 0
 
     def component_of(self, site: int) -> np.ndarray:
-        """Site ids of the component containing ``site`` (empty if down)."""
+        """Site ids of the component containing ``site`` (empty if down).
+
+        Read-only: one array answers every call for that component until
+        the state's version moves.
+        """
         labels = self.labels
-        if labels[site] < 0:
+        label = int(labels[site])
+        if label < 0:
             return np.empty(0, dtype=np.intp)
-        return np.nonzero(labels == labels[site])[0]
+        version, by_label = self._members
+        if version != self._cached_version:
+            by_label = {}
+            self._members = (self._cached_version, by_label)
+        members = by_label.get(label)
+        if members is None:
+            members = by_label[label] = np.nonzero(labels == label)[0]
+            members.flags.writeable = False
+        return members
 
     def same_component(self, a: int, b: int) -> bool:
         """True iff up sites ``a`` and ``b`` can currently communicate."""

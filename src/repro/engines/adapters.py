@@ -312,7 +312,7 @@ def _no_sim_error(case: VerificationCase):
 # Sharded multi-item engines
 # ----------------------------------------------------------------------
 
-def sharded_engine_run(config, n_workers: int = 1, chunk_size=None):
+def sharded_engine_run(config, n_workers: int = 1):
     """Run a :class:`~repro.sharding.config.ShardConfig` campaign.
 
     Unlike the case-based simulation engines, the sharded builders take
@@ -322,16 +322,14 @@ def sharded_engine_run(config, n_workers: int = 1, chunk_size=None):
     """
     from repro.sharding.runner import run_sharded
 
-    return run_sharded(config, engine="vectorized", n_workers=n_workers,
-                       chunk_size=chunk_size)
+    return run_sharded(config, engine="vectorized", n_workers=n_workers)
 
 
-def sharded_reference_run(config, n_workers: int = 1, chunk_size=None):
+def sharded_reference_run(config, n_workers: int = 1):
     """The retained per-item ``multidb`` loop (the bitwise oracle)."""
     from repro.sharding.runner import run_sharded
 
-    return run_sharded(config, engine="reference", n_workers=n_workers,
-                       chunk_size=chunk_size)
+    return run_sharded(config, engine="reference", n_workers=n_workers)
 
 
 # ----------------------------------------------------------------------
@@ -547,13 +545,13 @@ def register_builtin_engines(replace: bool = False) -> None:
             name="sharded",
             kind=KIND_SIMULATION,
             description="Vectorized N-item sharded simulation: one "
-                        "component labelling per network state shared "
-                        "across all items, per-item quorum decisions via "
-                        "bincount/gather",
+                        "component labelling per network state, accounted "
+                        "once per (votes, q_r) quorum class and settled on "
+                        "the non-zero access cells",
             capabilities=frozenset({"statistical", "protocol-level",
                                     "bitwise-parallel", "multi-item"}),
-            cost_hint="O(epochs * (labelling + n_items)); ~10x+ faster "
-                      "than the per-item loop at 10^4 items",
+            cost_hint="O(epochs * (labelling + classes * sites + accesses)); "
+                      "~20x+ faster than the per-item loop at 10^4 items",
             cost_rank=12,
             builder=sharded_engine_run,
         ),

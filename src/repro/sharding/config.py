@@ -7,17 +7,18 @@ vectors (an ``(n_items, n_sites)`` matrix) and per-item read quorums
 (an ``(n_items,)`` vector). Accounting is restricted to the paper's
 ``"sampled"`` mode — integer access counts are what make the vectorized
 engine bitwise-equal to the per-item ``multidb`` reference loop
-regardless of chunking or worker count.
+regardless of class structure or worker count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ShardingError
+from repro.sharding.grouping import group_rows
 from repro.sharding.workload import ItemWorkload
 from repro.simulation.config import SimulationConfig
 from repro.topology.model import Topology
@@ -63,9 +64,10 @@ class ShardConfig:
         n_items = wl.n_items
         votes = self.votes
         if votes is None:
+            # One row seen n_items times: a read-only view, never copied.
             votes = np.broadcast_to(
                 np.asarray(topo.votes, dtype=np.int64), (n_items, topo.n_sites)
-            ).copy()
+            )
         votes = np.asarray(votes, dtype=np.int64)
         if votes.shape != (n_items, topo.n_sites):
             raise ShardingError(
@@ -182,6 +184,15 @@ class ShardConfig:
     def max_total_votes(self) -> int:
         """Largest per-item vote total — the density histogram width - 1."""
         return int(self.total_votes.max())
+
+    def quorum_classes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Items grouped by exact ``(votes row, q_r)``: ``(class_of, first)``.
+
+        Two items of one class get the same grant decision at every site
+        in every network state (``q_w`` follows from the row). Computed
+        on request, never in ``__post_init__``: it is part of a run.
+        """
+        return group_rows(np.column_stack((self.votes, self.read_quorums)))
 
     @property
     def warmup_time(self) -> float:

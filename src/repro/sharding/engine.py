@@ -9,31 +9,33 @@ derives from ``stream_for(seed, k)`` exactly as the single-item engine
 does). They differ only in how one epoch is accounted:
 
 - :class:`ShardedEngine` computes ONE component labelling per network
-  state (the shared :class:`ComponentTracker`) and evaluates every
-  item's quorum decision against it via ``bincount``/gather over an
-  ``(n_items, n_sites)`` vote matrix — the PR 5 discipline applied to
-  items instead of enumeration states.
+  state (the shared :class:`ComponentTracker`) and evaluates it once per
+  **quorum class** — the items sharing a ``(votes row, q_r)`` pair, which
+  the protocol cannot tell apart. Component vote totals, SURV time and
+  the time-weighted density are kept per class and scattered to the items
+  at batch end; counts are settled only on the non-zero access cells. An
+  epoch costs ``O(classes x sites + non-zero accesses)``.
 - :class:`ReferenceShardEngine` drives a
   :class:`~repro.replication.multidb.MultiItemDatabase` — one
   :class:`ComponentTracker` and one protocol *per item*, evaluated in a
   Python loop. This is the retained reference path.
 
-Every accumulator is either an int64 count or a float updated by the
-same sequence of additions in both engines, so the two are **bitwise**
-equal — for any chunk size, any worker count, and any topology. The
-differential battery in ``tests/sharding/`` and
-``verification/differential.py`` enforces exactly that.
+Every accumulator is either an integer-valued count or a float updated by
+the same sequence of additions in both engines (an item's sequence is its
+class's), so the two are **bitwise** equal — for any class structure, any
+worker count, and any topology. The differential battery in
+``tests/sharding/`` and ``verification/differential.py`` enforces exactly
+that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import List
 
 import numpy as np
 
 from repro.connectivity.dynamic import ComponentTracker, NetworkState
-from repro.errors import ShardingError
 from repro.quorum.assignment import QuorumAssignment
 from repro.protocols.quorum_consensus import QuorumConsensusProtocol
 from repro.replication.item import ReplicatedItem
@@ -110,51 +112,34 @@ class ShardBatchResult:
 
     def bitwise_equal(self, other: "ShardBatchResult") -> bool:
         """True iff every payload array and scalar matches exactly."""
-        return (
-            self.batch_index == other.batch_index
-            and self.measured_time == other.measured_time
-            and self.n_epochs == other.n_epochs
-            and self.n_events == other.n_events
-            and np.array_equal(self.reads_submitted, other.reads_submitted)
-            and np.array_equal(self.reads_granted, other.reads_granted)
-            and np.array_equal(self.writes_submitted, other.writes_submitted)
-            and np.array_equal(self.writes_granted, other.writes_granted)
-            and np.array_equal(self.surv_read_time, other.surv_read_time)
-            and np.array_equal(self.surv_write_time, other.surv_write_time)
-            and np.array_equal(self.density_time, other.density_time)
-            and np.array_equal(self.density_access, other.density_access)
+        return all(
+            np.array_equal(getattr(self, field.name), getattr(other, field.name))
+            for field in fields(self)
         )
 
 
 class _ShardEngineBase:
     """The shared epoch driver; subclasses implement per-epoch accounting."""
 
-    def __init__(self, config: ShardConfig, chunk_size: Optional[int] = None):
+    def __init__(self, config: ShardConfig):
         self.config = config
-        if chunk_size is not None and chunk_size < 1:
-            raise ShardingError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.chunk_size = chunk_size
 
     # -- subclass hooks -------------------------------------------------
     def _begin_batch(self) -> object:
         """Build and return the per-batch network handle."""
         raise NotImplementedError
 
-    def _account_epoch(
-        self,
-        network: object,
-        result: ShardBatchResult,
-        duration: float,
-        reads: np.ndarray,
-        writes: np.ndarray,
-    ) -> None:
+    def _account_epoch(self, network: object, result: ShardBatchResult,
+                       duration: float, reads: np.ndarray, writes: np.ndarray) -> None:
         raise NotImplementedError
+
+    def _end_batch(self, network: object, result: ShardBatchResult) -> None:
+        """Settle what ``_account_epoch`` kept off ``result`` (nothing here)."""
 
     # -- driver ---------------------------------------------------------
     def run_batch(self, batch_index: int) -> ShardBatchResult:
         """Warm-up plus one measured batch, streams per (seed, batch_index)."""
         cfg = self.config
-        topo = cfg.topology
         batch_seed = (
             stream_for(cfg.seed, batch_index) if cfg.seed is not None else None
         )
@@ -191,104 +176,125 @@ class _ShardEngineBase:
                 reads, writes = workload.sample_epoch(duration, access_rng)
                 self._account_epoch(network, result, duration, reads, writes)
                 result.n_epochs += 1
+        self._end_batch(network, result)
         result.n_events = walk.applied
         return result
 
-    # -- common helpers -------------------------------------------------
-    def _chunks(self) -> Iterator[Tuple[int, int]]:
-        n_items = self.config.n_items
-        step = self.chunk_size or n_items
-        for start in range(0, n_items, step):
-            yield start, min(start + step, n_items)
+
+#: Classes accounted at a time. With every item its own class this bounds
+#: the ``(block, n_sites)`` temporaries; results do not depend on it.
+_CLASS_BLOCK = 1024
 
 
-class _VectorNetwork(NetworkState):
-    """A NetworkState with the single shared tracker (labels only)."""
+class _ClassLedger(NetworkState):
+    """A NetworkState with the one shared tracker and a batch's per-class
+    books: component vote totals of the current state, SURV time and the
+    time-weighted density."""
 
-    __slots__ = ("tracker",)
+    __slots__ = ("tracker", "totals", "surv_read", "surv_write", "density_time")
 
-    def __init__(self, topology):
+    def __init__(self, topology, n_classes: int, width: int):
         super().__init__(topology)
         self.tracker = ComponentTracker(self)
+        self.totals = np.zeros((n_classes, topology.n_sites), dtype=np.int64)
+        self.surv_read = np.zeros(n_classes, dtype=np.float64)
+        self.surv_write = np.zeros(n_classes, dtype=np.float64)
+        self.density_time = np.zeros((n_classes, width), dtype=np.float64)
 
 
 class ShardedEngine(_ShardEngineBase):
-    """The vectorized engine: one labelling per state, all items at once.
+    """The vectorized engine: one labelling per state, one row per class.
 
-    ``chunk_size`` bounds the ``(chunk, n_sites)`` working set for very
-    large item counts; results are bitwise identical for every choice
-    because all accumulators are integers or per-cell float additions.
+    Items are grouped once per engine by exact ``(votes row, q_r)``
+    (:meth:`ShardConfig.quorum_classes`); all-distinct items are the same
+    code with ``n_classes == n_items``.
     """
 
-    def _begin_batch(self) -> _VectorNetwork:
-        return _VectorNetwork(self.config.topology)
+    def __init__(self, config: ShardConfig):
+        super().__init__(config)
+        self.class_of, first = config.quorum_classes()
+        self.n_classes = int(first.shape[0])
+        self._votes = config.votes[first]
+        self._read_quorums = config.read_quorums[first]
+        self._total_votes = self._votes.sum(axis=1)
+        self._write_quorums = self._total_votes - self._read_quorums + 1
 
-    def _account_epoch(
-        self,
-        network: _VectorNetwork,
-        result: ShardBatchResult,
-        duration: float,
-        reads: np.ndarray,
-        writes: np.ndarray,
-    ) -> None:
-        cfg = self.config
+    def _begin_batch(self) -> _ClassLedger:
+        width = int(self._total_votes.max()) + 1  # == config.max_total_votes + 1
+        return _ClassLedger(self.config.topology, self.n_classes, width)
+
+    def _account_epoch(self, network: _ClassLedger, result: ShardBatchResult,
+                       duration: float, reads: np.ndarray, writes: np.ndarray) -> None:
         phases = _current_recorder().phases
         with phases.phase("shard.label"):
             labels = network.tracker.labels
         up = labels >= 0
         lab = labels[up]
         n_comps = int(lab.max()) + 1 if lab.size else 0
-        width = result.density_time.shape[1]
-        q_r = cfg.read_quorums
-        q_w = cfg.write_quorums
+        width = network.density_time.shape[1]
 
         with phases.phase("shard.account"):
-            for start, stop in self._chunks():
-                chunk = stop - start
-                votes = cfg.votes[start:stop]
-                # One bincount turns the shared labelling into per-item
-                # component vote sums: cell (i, c) accumulates item i's
-                # votes over the up sites labelled c. Sums of small
+            for start in range(0, self.n_classes, _CLASS_BLOCK):
+                block = slice(start, start + _CLASS_BLOCK)
+                totals = network.totals[block]
+                size = totals.shape[0]
+                # One bincount turns the shared labelling into per-class
+                # component vote sums: cell (c, k) accumulates class c's
+                # votes over the up sites labelled k. Sums of small
                 # integers in float64 are exact, so the cast back to
                 # int64 is lossless.
-                totals = np.zeros((chunk, cfg.topology.n_sites), dtype=np.int64)
+                totals[:] = 0
                 if n_comps:
-                    flat = lab[None, :] + n_comps * np.arange(chunk)[:, None]
+                    flat = lab[None, :] + n_comps * np.arange(size)[:, None]
                     comp_sums = np.bincount(
                         flat.ravel(),
-                        weights=votes[:, up].ravel(),
-                        minlength=chunk * n_comps,
-                    ).reshape(chunk, n_comps).astype(np.int64)
+                        weights=self._votes[block][:, up].ravel(),
+                        minlength=size * n_comps,
+                    ).reshape(size, n_comps).astype(np.int64)
                     totals[:, up] = comp_sums[:, lab]
-                read_mask = totals >= q_r[start:stop, None]
-                write_mask = totals >= q_w[start:stop, None]
-
-                r_chunk = reads[start:stop]
-                w_chunk = writes[start:stop]
-                result.reads_submitted[start:stop] += r_chunk.sum(axis=1)
-                result.writes_submitted[start:stop] += w_chunk.sum(axis=1)
-                result.reads_granted[start:stop] += (
-                    r_chunk * read_mask
-                ).sum(axis=1)
-                result.writes_granted[start:stop] += (
-                    w_chunk * write_mask
-                ).sum(axis=1)
-                result.surv_read_time[start:stop][read_mask.any(axis=1)] += duration
-                result.surv_write_time[start:stop][write_mask.any(axis=1)] += duration
-
-                dens_flat = (
-                    totals + width * np.arange(chunk, dtype=np.int64)[:, None]
-                ).ravel()
+                # Some site can assemble a quorum iff the best one can.
+                best = totals.max(axis=1)
+                network.surv_read[block][best >= self._read_quorums[block]] += duration
+                network.surv_write[block][best >= self._write_quorums[block]] += duration
                 counts = np.bincount(
-                    dens_flat, minlength=chunk * width
-                ).reshape(chunk, width)
-                result.density_time[start:stop] += counts * duration
-                access_w = np.bincount(
-                    dens_flat,
-                    weights=(r_chunk + w_chunk).ravel().astype(np.float64),
-                    minlength=chunk * width,
-                ).reshape(chunk, width)
-                result.density_access[start:stop] += access_w
+                    (totals + width * np.arange(size)[:, None]).ravel(),
+                    minlength=size * width,
+                ).reshape(size, width)
+                network.density_time[block] += counts * duration
+            self._settle(network.totals, reads, self._read_quorums,
+                         result.reads_submitted, result.reads_granted,
+                         result.density_access)
+            self._settle(network.totals, writes, self._write_quorums,
+                         result.writes_submitted, result.writes_granted,
+                         result.density_access)
+
+    def _settle(self, totals, accesses, quorums, submitted, granted,
+                density_access) -> None:
+        """Book one kind of access on the cells that saw any. The addends
+        are integer-valued, so the sums are exact in any order."""
+        flat = accesses.ravel()
+        # nonzero() on a bool scan is several times faster than on int64.
+        cells = np.flatnonzero(flat != 0)
+        items, sites = np.divmod(cells, accesses.shape[1])
+        count = flat[cells]
+        classes = self.class_of[items]
+        votes = totals[classes, sites]
+        np.add.at(submitted, items, count)
+        np.add.at(granted, items, count * (votes >= quorums[classes]))
+        np.add.at(density_access, (items, votes), count)
+
+    def _end_batch(self, network: _ClassLedger, result: ShardBatchResult) -> None:
+        # An item's sequence of float additions is exactly its class's,
+        # so handing every item its class's sums is bitwise what adding
+        # per item would have produced. ``mode="clip"`` only lets take()
+        # write into ``out`` unbuffered; class_of is in range.
+        with _current_recorder().phases.phase("shard.scatter"):
+            for per_item, per_class in (
+                (result.surv_read_time, network.surv_read),
+                (result.surv_write_time, network.surv_write),
+                (result.density_time, network.density_time),
+            ):
+                np.take(per_class, self.class_of, axis=0, out=per_item, mode="clip")
 
 
 class _MultiDbNetwork:

@@ -28,6 +28,7 @@ import numpy as np
 from repro.errors import ShardingError
 from repro.quorum.availability import AvailabilityModel
 from repro.quorum.optimizer import OptimizationResult, optimal_read_quorum
+from repro.sharding.grouping import group_rows
 from repro.topology.model import Topology
 
 __all__ = [
@@ -101,28 +102,18 @@ def group_items(
         raise ShardingError(
             f"votes must have shape ({n_items}, n_sites), got {votes.shape}"
         )
-    group_of = np.empty(n_items, dtype=np.int64)
-    index_of: Dict[Tuple[float, bytes], int] = {}
-    members: List[List[int]] = []
-    keys: List[Tuple[float, Tuple[int, ...]]] = []
-    for i in range(n_items):
-        key = (float(alphas[i]), votes[i].tobytes())
-        g = index_of.get(key)
-        if g is None:
-            g = len(members)
-            index_of[key] = g
-            members.append([])
-            keys.append((float(alphas[i]), tuple(int(v) for v in votes[i])))
-        members[g].append(i)
-        group_of[i] = g
+    group_of, first = group_rows(np.column_stack((alphas, votes)))
+    # One stable sort lists every class's members in item order.
+    order = np.argsort(group_of, kind="stable")
+    members = np.split(order, np.flatnonzero(np.diff(group_of[order])) + 1)
     groups = tuple(
         ShardGroup(
             index=g,
-            alpha=keys[g][0],
-            votes=keys[g][1],
-            item_indices=np.asarray(ids, dtype=np.int64),
+            alpha=float(alphas[i]),
+            votes=tuple(votes[i].tolist()),
+            item_indices=ids,
         )
-        for g, ids in enumerate(members)
+        for g, (i, ids) in enumerate(zip(first, members))
     )
     return group_of, groups
 
@@ -215,7 +206,7 @@ def optimize_shards(
         votes = np.broadcast_to(
             np.asarray(topology.votes, dtype=np.int64),
             (n_items, topology.n_sites),
-        ).copy()
+        )
     votes = np.asarray(votes, dtype=np.int64)
     group_of, groups = group_items(alphas, votes)
 

@@ -10,7 +10,7 @@ a serial run — and to any other worker count. The fan-out is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -29,11 +29,11 @@ __all__ = ["ShardRunResult", "run_sharded", "ENGINE_KINDS"]
 ENGINE_KINDS = ("vectorized", "reference")
 
 
-def _make_engine(config: ShardConfig, engine: str, chunk_size: Optional[int]):
+def _make_engine(config: ShardConfig, engine: str):
     if engine == "vectorized":
-        return ShardedEngine(config, chunk_size=chunk_size)
+        return ShardedEngine(config)
     if engine == "reference":
-        return ReferenceShardEngine(config, chunk_size=chunk_size)
+        return ReferenceShardEngine(config)
     raise ShardingError(
         f"unknown sharded engine {engine!r}; choose from {ENGINE_KINDS}"
     )
@@ -47,27 +47,33 @@ class ShardRunResult:
     batches: List[ShardBatchResult]
 
     # ------------------------------------------------------------------
-    def _pooled_int(self, name: str) -> np.ndarray:
-        out = np.zeros(self.config.n_items, dtype=np.int64)
+    def _pooled(self, name: str) -> np.ndarray:
+        """One per-item field summed over the batches, in batch order."""
+        out = np.zeros_like(getattr(self.batches[0], name))
         for batch in self.batches:
             out += getattr(batch, name)
         return out
 
     @property
     def reads_submitted(self) -> np.ndarray:
-        return self._pooled_int("reads_submitted")
+        return self._pooled("reads_submitted")
 
     @property
     def reads_granted(self) -> np.ndarray:
-        return self._pooled_int("reads_granted")
+        return self._pooled("reads_granted")
 
     @property
     def writes_submitted(self) -> np.ndarray:
-        return self._pooled_int("writes_submitted")
+        return self._pooled("writes_submitted")
 
     @property
     def writes_granted(self) -> np.ndarray:
-        return self._pooled_int("writes_granted")
+        return self._pooled("writes_granted")
+
+    @property
+    def n_classes(self) -> int:
+        """Distinct ``(votes row, q_r)`` quorum classes among the items."""
+        return int(self.config.quorum_classes()[1].shape[0])
 
     @property
     def measured_time(self) -> float:
@@ -76,14 +82,8 @@ class ShardRunResult:
     @property
     def item_availability(self) -> np.ndarray:
         """Per-item pooled ACC (integer-count ratio; 1.0 for idle items)."""
-        submitted = (
-            self._pooled_int("reads_submitted")
-            + self._pooled_int("writes_submitted")
-        )
-        granted = (
-            self._pooled_int("reads_granted")
-            + self._pooled_int("writes_granted")
-        )
+        submitted = self.reads_submitted + self.writes_submitted
+        granted = self.reads_granted + self.writes_granted
         out = np.ones(self.config.n_items, dtype=np.float64)
         active = submitted > 0
         out[active] = granted[active] / submitted[active]
@@ -91,48 +91,30 @@ class ShardRunResult:
 
     @property
     def availability(self) -> float:
-        submitted = int(
-            (self._pooled_int("reads_submitted")
-             + self._pooled_int("writes_submitted")).sum()
-        )
-        granted = int(
-            (self._pooled_int("reads_granted")
-             + self._pooled_int("writes_granted")).sum()
-        )
+        submitted = int((self.reads_submitted + self.writes_submitted).sum())
+        granted = int((self.reads_granted + self.writes_granted).sum())
         return granted / submitted if submitted > 0 else 1.0
+
+    def _surv(self, name: str) -> np.ndarray:
+        total = self.measured_time
+        if total <= 0:
+            return np.zeros(self.config.n_items, dtype=np.float64)
+        return self._pooled(name) / total
 
     @property
     def surv_read(self) -> np.ndarray:
-        total = self.measured_time
-        if total <= 0:
-            return np.zeros(self.config.n_items, dtype=np.float64)
-        out = np.zeros(self.config.n_items, dtype=np.float64)
-        for batch in self.batches:
-            out += batch.surv_read_time
-        return out / total
+        return self._surv("surv_read_time")
 
     @property
     def surv_write(self) -> np.ndarray:
-        total = self.measured_time
-        if total <= 0:
-            return np.zeros(self.config.n_items, dtype=np.float64)
-        out = np.zeros(self.config.n_items, dtype=np.float64)
-        for batch in self.batches:
-            out += batch.surv_write_time
-        return out / total
+        return self._surv("surv_write_time")
 
     def density_time(self) -> np.ndarray:
         """Summed ``(n_items, width)`` time-weighted density table."""
-        out = np.zeros_like(self.batches[0].density_time)
-        for batch in self.batches:
-            out += batch.density_time
-        return out
+        return self._pooled("density_time")
 
     def density_access(self) -> np.ndarray:
-        out = np.zeros_like(self.batches[0].density_access)
-        for batch in self.batches:
-            out += batch.density_access
-        return out
+        return self._pooled("density_access")
 
     def bitwise_equal(self, other: "ShardRunResult") -> bool:
         return len(self.batches) == len(other.batches) and all(
@@ -141,7 +123,7 @@ class ShardRunResult:
 
 
 def _run_one_batch(
-    shared: Tuple[ShardConfig, str, Optional[int]], batch_index: int
+    shared: Tuple[ShardConfig, str], batch_index: int
 ) -> ShardBatchResult:
     """The :func:`repro.pool.fan_out` task: one batch on a fresh engine."""
     return _make_engine(*shared).run_batch(batch_index)
@@ -152,21 +134,18 @@ def run_sharded(
     config: ShardConfig,
     engine: str = "vectorized",
     n_workers: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> ShardRunResult:
     """Run every batch of ``config``; bitwise identical for any ``n_workers``.
 
     ``engine`` selects the vectorized path or the per-item multidb
-    reference; ``chunk_size`` bounds the vectorized working set (any
-    value gives identical results).
+    reference.
     """
     indices = range(config.n_batches)
     if n_workers <= 1:
-        runner = _make_engine(config, engine, chunk_size)
+        runner = _make_engine(config, engine)
         batches = [runner.run_batch(i) for i in indices]
     else:
         from repro.pool import fan_out
 
-        batches = fan_out(_run_one_batch, (config, engine, chunk_size),
-                          indices, n_workers)
+        batches = fan_out(_run_one_batch, (config, engine), indices, n_workers)
     return ShardRunResult(config=config, batches=batches)

@@ -27,7 +27,8 @@ single-item engine — a property test locks it down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -121,6 +122,18 @@ class ItemWorkload:
     # Constructors (mirroring AccessWorkload's per-site skew API)
     # ------------------------------------------------------------------
     @classmethod
+    def _evenly_submitted(cls, n_items, n_sites, item_weights, alpha, rate_per_site):
+        """Every site submitting equally: 1/n before normalization, matching
+        ``AccessWorkload.uniform`` bit for bit (the N=1 parity contract)."""
+        sites = np.full(max(n_sites, 1), 1.0 / max(n_sites, 1))
+        return cls(
+            n_items=n_items, n_sites=n_sites, item_weights=item_weights,
+            alphas=np.asarray(alpha, dtype=np.float64),
+            read_site_weights=sites, write_site_weights=sites,
+            rate_per_site=rate_per_site,
+        )
+
+    @classmethod
     def uniform(
         cls,
         n_items: int,
@@ -129,16 +142,8 @@ class ItemWorkload:
         rate_per_site: float = 1.0,
     ) -> "ItemWorkload":
         """Every item equally popular, every site submitting equally."""
-        return cls(
-            n_items=n_items,
-            n_sites=n_sites,
-            item_weights=np.full(max(n_items, 1), 1.0),
-            alphas=np.asarray(alpha, dtype=np.float64),
-            # 1/n before normalization, matching AccessWorkload.uniform
-            # bit for bit (the N=1 parity contract).
-            read_site_weights=np.full(max(n_sites, 1), 1.0 / max(n_sites, 1)),
-            write_site_weights=np.full(max(n_sites, 1), 1.0 / max(n_sites, 1)),
-            rate_per_site=rate_per_site,
+        return cls._evenly_submitted(
+            n_items, n_sites, np.full(max(n_items, 1), 1.0), alpha, rate_per_site
         )
 
     @classmethod
@@ -160,16 +165,8 @@ class ItemWorkload:
                 f"need at least one item, got n_items={n_items}"
             )
         ranks = np.arange(1, n_items + 1, dtype=np.float64)
-        return cls(
-            n_items=n_items,
-            n_sites=n_sites,
-            item_weights=ranks ** -float(exponent),
-            alphas=np.asarray(alpha, dtype=np.float64),
-            # 1/n before normalization, matching AccessWorkload.uniform
-            # bit for bit (the N=1 parity contract).
-            read_site_weights=np.full(max(n_sites, 1), 1.0 / max(n_sites, 1)),
-            write_site_weights=np.full(max(n_sites, 1), 1.0 / max(n_sites, 1)),
-            rate_per_site=rate_per_site,
+        return cls._evenly_submitted(
+            n_items, n_sites, ranks ** -float(exponent), alpha, rate_per_site
         )
 
     @classmethod
@@ -199,17 +196,7 @@ class ItemWorkload:
             raise SimulationError("hotspot workload needs at least one cold item")
         weights = np.full(n_items, (1.0 - hot_fraction) / cold)
         weights[hot] = hot_fraction / len(hot)
-        return cls(
-            n_items=n_items,
-            n_sites=n_sites,
-            item_weights=weights,
-            alphas=np.asarray(alpha, dtype=np.float64),
-            # 1/n before normalization, matching AccessWorkload.uniform
-            # bit for bit (the N=1 parity contract).
-            read_site_weights=np.full(max(n_sites, 1), 1.0 / max(n_sites, 1)),
-            write_site_weights=np.full(max(n_sites, 1), 1.0 / max(n_sites, 1)),
-            rate_per_site=rate_per_site,
-        )
+        return cls._evenly_submitted(n_items, n_sites, weights, alpha, rate_per_site)
 
     def with_site_weights(
         self,
@@ -220,28 +207,16 @@ class ItemWorkload:
         writes = (
             read_site_weights if write_site_weights is None else write_site_weights
         )
-        return ItemWorkload(
-            n_items=self.n_items,
-            n_sites=self.n_sites,
-            item_weights=self.item_weights,
-            alphas=self.alphas,
+        return replace(
+            self,
             read_site_weights=np.asarray(read_site_weights, dtype=np.float64),
             write_site_weights=np.asarray(writes, dtype=np.float64),
-            rate_per_site=self.rate_per_site,
         )
 
     def with_alphas(
         self, alpha: Union[float, Sequence[float]]
     ) -> "ItemWorkload":
-        return ItemWorkload(
-            n_items=self.n_items,
-            n_sites=self.n_sites,
-            item_weights=self.item_weights,
-            alphas=np.asarray(alpha, dtype=np.float64),
-            read_site_weights=self.read_site_weights,
-            write_site_weights=self.write_site_weights,
-            rate_per_site=self.rate_per_site,
-        )
+        return replace(self, alphas=np.asarray(alpha, dtype=np.float64))
 
     # ------------------------------------------------------------------
     @property
@@ -254,12 +229,14 @@ class ItemWorkload:
         """Traffic-weighted read fraction (the Poisson-thinning split)."""
         return float((self.item_weights * self.alphas).sum())
 
+    @cached_property
     def _joint_weights(self) -> Tuple[float, np.ndarray, np.ndarray]:
         """(mean_alpha, read pvals, write pvals) over the (item, site) grid.
 
         For a single item the outer product with its weight-1 marginal
         reproduces the per-site vector bitwise, which is what keeps the
-        N=1 run identical to the single-item engine.
+        N=1 run identical to the single-item engine. Built on first use
+        and kept (the dataclass is frozen); the arrays are read-only.
         """
         mean_alpha = self.mean_alpha
         if mean_alpha > 0.0:
@@ -274,6 +251,7 @@ class ItemWorkload:
             write_items = self.item_weights
         read_p = np.outer(read_items, self.read_site_weights).ravel()
         write_p = np.outer(write_items, self.write_site_weights).ravel()
+        read_p.flags.writeable = write_p.flags.writeable = False
         return mean_alpha, read_p, write_p
 
     def sample_epoch(
@@ -289,20 +267,9 @@ class ItemWorkload:
             # consumed for an empty epoch, keeping the N=1 stream aligned.
             zero = np.zeros(shape, dtype=np.int64)
             return zero, zero.copy()
-        mean_alpha, read_p, write_p = self._joint_weights()
+        mean_alpha, read_p, write_p = self._joint_weights
         n_reads = int(rng.binomial(total, mean_alpha))
         n_writes = total - n_reads
-        reads = rng.multinomial(n_reads, read_p).astype(np.int64).reshape(shape)
-        writes = rng.multinomial(n_writes, write_p).astype(np.int64).reshape(shape)
-        return reads, writes
-
-    def expected_epoch(self, duration: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Expected counts over the ``(item, site)`` grid (no sampling)."""
-        if duration < 0:
-            raise SimulationError(f"epoch duration must be >= 0, got {duration}")
-        total = self.aggregate_rate * duration
-        mean_alpha, read_p, write_p = self._joint_weights()
-        shape = (self.n_items, self.n_sites)
-        reads = (total * mean_alpha) * read_p.reshape(shape)
-        writes = (total * (1.0 - mean_alpha)) * write_p.reshape(shape)
+        reads = rng.multinomial(n_reads, read_p).reshape(shape)
+        writes = rng.multinomial(n_writes, write_p).reshape(shape)
         return reads, writes

@@ -100,6 +100,26 @@ class TestComponentTracker:
         assert tracker.component_of(0).dtype == tracker.component_of(1).dtype
         assert tracker.same_component(1, 2) is True
 
+    def test_component_of_is_answered_once_per_state_version(self):
+        topo = ring(6)
+        state = NetworkState(topo)
+        tracker = ComponentTracker(state)
+        state.fail_site(0)
+        state.fail_site(3)
+        members = tracker.component_of(1)
+        # Any site of the component, any number of calls: one array.
+        assert tracker.component_of(2) is tracker.component_of(1) is members
+        assert tracker.component_of(4) is not members
+        assert not members.flags.writeable
+        # A new version forgets it, even when the labels did not move
+        # (a link flip at a down site), and a real change is seen.
+        state.fail_link(topo.link_id(0, 1))
+        assert tracker.component_of(1) is not members
+        assert tracker.component_of(1).tolist() == [1, 2]
+        state.repair_site(3)
+        assert tracker.component_of(1).tolist() == [1, 2, 3, 4, 5]
+        assert members.tolist() == [1, 2]
+
     def test_weighted_votes(self):
         topo = Topology(4, [(0, 1), (1, 2), (2, 3)], votes=[5, 1, 1, 3])
         state = NetworkState(topo)

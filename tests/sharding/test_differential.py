@@ -3,14 +3,18 @@
 The sharded engine's contract is *bitwise* equality with the retained
 per-item ``multidb`` loop — same counters, same survivability times,
 same density tables — for every topology family, every item count, and
-every chunk size. These tests sweep that grid; ``repro verify`` runs the
-registered ``sharded|multidb-reference`` pair on the quick profile.
+every way the items fall into ``(votes row, q_r)`` quorum classes. These
+tests sweep that grid; ``repro verify`` runs the registered
+``sharded|multidb-reference`` pair on the quick profile.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sharding import ItemWorkload, ShardConfig, run_sharded
+import repro.sharding.engine as engine_module
+from repro.sharding import ItemWorkload, ShardConfig, ShardedEngine, run_sharded
 from repro.topology.generators import bus, fully_connected, ring
 
 FAMILIES = {
@@ -57,14 +61,6 @@ class TestBitwiseAgainstReference:
         ref = run_sharded(config, engine="reference")
         assert vec.bitwise_equal(ref)
 
-    @pytest.mark.parametrize("chunk_size", [1, 2, 3, 64, None])
-    def test_every_chunk_size_is_bitwise_identical(self, chunk_size):
-        config = _config(ring(7), 5)
-        base = run_sharded(config, engine="vectorized")
-        chunked = run_sharded(config, engine="vectorized",
-                              chunk_size=chunk_size)
-        assert chunked.bitwise_equal(base)
-
     def test_heterogeneous_votes_and_quorums(self):
         topology = ring(6)
         n_items = 4
@@ -88,6 +84,135 @@ class TestBitwiseAgainstReference:
         assert row_sums == pytest.approx(
             np.full(config.n_items, expected), rel=1e-9
         )
+
+
+#: Vote rows over ``ring(6)``; C has sites that hold no copy.
+ROW_A = [1, 1, 1, 1, 1, 1]
+ROW_B = [2, 1, 0, 1, 2, 1]
+ROW_C = [0, 3, 0, 0, 1, 1]
+
+#: name -> (vote rows, read quorums, expected number of classes); the
+#: per-item oracle takes the paper's range ``q_r <= T // 2`` only.
+CLASS_STRUCTURES = {
+    "one-class": ([ROW_A] * 5, [3] * 5, 1),
+    "all-distinct": (
+        [ROW_A, ROW_B, ROW_C, [1, 2, 3, 1, 2, 3], [1, 0, 0, 0, 0, 1]],
+        [3, 3, 2, 6, 1], 5,
+    ),
+    "same-rows-different-quorums": ([ROW_B] * 4, [1, 3, 3, 2], 3),
+    "zero-vote-sites": ([ROW_C, ROW_C, [0, 0, 0, 0, 0, 2]], [2, 2, 1], 2),
+    "interleaved": (
+        [ROW_A, ROW_B, ROW_A, ROW_C, ROW_B, ROW_A, ROW_C],
+        [3, 3, 3, 2, 3, 3, 2], 3,
+    ),
+}
+
+
+def _structured(name, **overrides):
+    rows, quorums, n_classes = CLASS_STRUCTURES[name]
+    config = _config(ring(6), len(rows), votes=np.array(rows),
+                     read_quorums=np.array(quorums), **overrides)
+    return config, n_classes
+
+
+class TestClassStructures:
+    """The class accountant against the per-item oracle, structure by structure."""
+
+    @pytest.mark.parametrize("name", sorted(CLASS_STRUCTURES))
+    def test_bitwise_equal_to_reference(self, name):
+        config, n_classes = _structured(name)
+        vec = run_sharded(config, engine="vectorized")
+        assert vec.n_classes == ShardedEngine(config).n_classes == n_classes
+        assert vec.bitwise_equal(run_sharded(config, engine="reference"))
+        # Not vacuous: SURV and ACC both moved, and items of different
+        # classes were told apart.
+        assert 0 < vec.surv_write.min() and vec.surv_write.max() < 1
+        assert 0 < vec.availability < 1
+        told_apart = np.column_stack(
+            (vec.density_time(), vec.surv_read, vec.surv_write))
+        assert len({row.tobytes() for row in told_apart}) == n_classes
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_worker_count_never_changes_bits(self, n_workers):
+        config, _ = _structured("interleaved")
+        fanned = run_sharded(config, engine="vectorized", n_workers=n_workers)
+        assert fanned.bitwise_equal(run_sharded(config, engine="reference"))
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_internal_block_never_changes_bits(self, monkeypatch, block):
+        config, _ = _structured("all-distinct")
+        base = run_sharded(config, engine="vectorized")
+        monkeypatch.setattr(engine_module, "_CLASS_BLOCK", block)
+        assert run_sharded(config, engine="vectorized").bitwise_equal(base)
+
+    def test_more_distinct_items_than_the_internal_block(self):
+        n_items = engine_module._CLASS_BLOCK + 50
+        rng = np.random.default_rng(23)
+        votes = rng.integers(0, 6, size=(n_items, 6))
+        votes[:, 0] += 2
+        quorums = rng.integers(1, votes.sum(axis=1) // 2 + 1)
+        config = _config(ring(6), n_items, votes=votes, read_quorums=quorums,
+                         accesses_per_batch=150.0, warmup_accesses=0.0,
+                         n_batches=1)
+        vec = run_sharded(config, engine="vectorized")
+        assert vec.n_classes > engine_module._CLASS_BLOCK
+        assert vec.bitwise_equal(run_sharded(config, engine="reference"))
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_random_matrices_with_forced_duplicates(self, data):
+        n_sites = 5
+        row = st.lists(st.integers(0, 3), min_size=n_sites, max_size=n_sites).filter(
+            lambda votes: sum(votes) >= 2)
+        rows = data.draw(st.lists(row, min_size=1, max_size=4), label="class rows")
+        quorums = [data.draw(st.integers(1, sum(r) // 2), label="q_r") for r in rows]
+        # Every class appears at least twice, in any order.
+        members = data.draw(
+            st.permutations(list(range(len(rows))) * 2), label="class of item")
+        config = _config(
+            ring(n_sites), len(members),
+            votes=np.array([rows[c] for c in members]),
+            read_quorums=np.array([quorums[c] for c in members]),
+            seed=data.draw(st.integers(0, 50), label="seed"),
+            accesses_per_batch=300.0, n_batches=1,
+        )
+        vec = run_sharded(config, engine="vectorized")
+        assert vec.n_classes <= len(rows)
+        assert vec.bitwise_equal(run_sharded(config, engine="reference"))
+
+
+class TestEpochCostIsPerClass:
+    """Counted, not timed: what ``np.bincount`` is handed per epoch depends
+    on the classes and the sites, never on how many items share a class."""
+
+    @staticmethod
+    def bincount_elements(monkeypatch, n_items):
+        rows, quorums, _ = CLASS_STRUCTURES["interleaved"]
+        config = _config(
+            ring(6), n_items, votes=np.resize(np.array(rows), (n_items, 6)),
+            read_quorums=np.resize(np.array(quorums), n_items), n_batches=1,
+        )
+        seen = []
+        real = np.bincount
+
+        def spy(x, *args, **kwargs):
+            seen.append(np.size(x))
+            return real(x, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "bincount", spy)
+            result = run_sharded(config, engine="vectorized")
+        assert result.n_classes == 3
+        return sum(seen), result.batches[0].n_epochs
+
+    def test_tiling_the_classes_leaves_the_bincount_volume_unchanged(self, monkeypatch):
+        small, epochs = self.bincount_elements(monkeypatch, 1_000)
+        large, epochs_large = self.bincount_elements(monkeypatch, 10_000)
+        assert epochs == epochs_large > 20
+        assert small == large
+        # 3 classes x (up sites + all sites) per epoch, and the tracker's
+        # one full relabel: a per-item engine reads ~1 000x this.
+        assert small <= epochs * 3 * 12 + 6
 
 
 class TestSingleItemParity:
@@ -128,8 +253,6 @@ class TestSingleItemParity:
             ItemWorkload.uniform(1, topology.n_sites, alpha),
             read_quorums=[read_quorum],
         )
-        from repro.sharding import ShardedEngine
-
         sharded = ShardedEngine(sharded_config)
         for batch_index in range(sim.n_batches):
             a = single.run_batch(batch_index)

@@ -10,6 +10,7 @@ from repro.errors import ShardingError
 from repro.quorum.availability import AvailabilityModel
 from repro.quorum.optimizer import optimal_read_quorum
 from repro.sharding import group_items, optimize_shard_votes, optimize_shards
+from repro.sharding.grouping import group_rows
 from repro.topology.generators import ring
 
 
@@ -54,6 +55,20 @@ class TestGrouping:
         group_of, groups = group_items(alphas, votes)
         assert [g.alpha for g in groups] == [0.5, 0.2, 0.9]
         assert group_of.tolist() == [0, 1, 0, 2, 1]
+
+    def test_signed_zero_alphas_are_one_class(self):
+        group_of, groups = group_items(
+            np.asarray([0.0, -0.0, 0.5, 0.0]), np.ones((4, 2), dtype=np.int64))
+        assert group_of.tolist() == [0, 0, 1, 0]
+        assert groups[0].item_indices.tolist() == [0, 1, 3]
+
+    def test_group_rows_lists_representatives_in_first_occurrence_order(self):
+        rows = np.asarray([[2, 1], [0, 5], [2, 1], [0, 0], [0, 5], [0, 0]])
+        class_of, first = group_rows(rows)
+        assert class_of.tolist() == [0, 1, 0, 2, 1, 2]
+        assert first.tolist() == [0, 1, 3]
+        class_of, first = group_rows(rows[:0])
+        assert class_of.size == first.size == 0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShardingError, match="votes"):

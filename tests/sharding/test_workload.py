@@ -117,12 +117,14 @@ class TestSampling:
         with pytest.raises(SimulationError, match="duration"):
             wl.sample_epoch(-1.0, np.random.default_rng(0))
 
-    def test_expected_epoch_matches_rates(self):
+    def test_joint_weights_are_built_once_and_read_only(self):
         wl = ItemWorkload.zipf(4, 3, [0.2, 0.4, 0.6, 0.8], exponent=1.0)
-        reads, writes = wl.expected_epoch(10.0)
-        total = wl.aggregate_rate * 10.0
-        assert (reads + writes).sum() == pytest.approx(total)
-        assert reads.sum() == pytest.approx(total * wl.mean_alpha)
-        # Per-item marginals follow the item weights.
-        per_item = (reads + writes).sum(axis=1)
-        assert per_item == pytest.approx(total * wl.item_weights)
+        mean_alpha, read_p, write_p = wl._joint_weights
+        assert wl._joint_weights[1] is read_p and wl._joint_weights[2] is write_p
+        assert not read_p.flags.writeable and not write_p.flags.writeable
+        assert mean_alpha == wl.mean_alpha
+        # A derived workload builds its own.
+        assert wl.with_alphas(0.5)._joint_weights[1] is not read_p
+        reads, writes = wl.sample_epoch(40.0, np.random.default_rng(1))
+        assert reads.dtype == writes.dtype == np.int64
+        assert reads.shape == writes.shape == (4, 3)

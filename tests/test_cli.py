@@ -474,6 +474,9 @@ class TestShard:
         assert code == 0
         assert "sharded run" in out
         assert "12 items" in out
+        # Default votes and quorums: the alpha classes are the workload's,
+        # the protocol sees one (votes, q_r) class.
+        assert "quorum classes  : 1 for 12 items" in out
         assert "availability" in out
         assert "item ACC" in out
         assert "SURV" in out
@@ -487,6 +490,8 @@ class TestShard:
         )
         assert code == 0
         assert "3 per-class runs for 9 items" in out
+        classes = int(out.split("quorum classes  : ")[1].split()[0])
+        assert 1 <= classes <= 3
         assert "class alpha=0.3" in out
         assert "class alpha=0.9" in out
         assert "q_r=" in out
@@ -524,6 +529,13 @@ class TestShard:
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["shard", "--items", "5"])
         assert excinfo.value.code == 2
+
+    def test_chunk_size_is_no_longer_an_option(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["shard", "--family", "ring", "--chunk-size", "64"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --chunk-size" in capsys.readouterr().err
 
 
 class TestParser:
