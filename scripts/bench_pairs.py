@@ -6,9 +6,12 @@
 
 For every seed it runs ``benchmarks/e2e/run.py --workload W --seed S
 --seconds N --trace 0`` once in each checkout, as a subprocess of that
-checkout, alternating which side goes first, and reads only the final JSON
-line of each run. It prints every pair and, per end-to-end metric, both
-sides' median and quartiles, the pairs the change won, and the verdict:
+checkout, alternating which side goes first, and reads the final JSON line
+of each run plus the ``result_digest <hex>`` that ``run.py`` prints above it.
+It prints every pair (with ``digest equal`` or ``DIGEST DIFFERS``: a change
+that claims to leave results alone must show the first on every pair) and,
+per end-to-end metric, both sides' median and quartiles, the pairs the
+change won, and the verdict:
 
 ``gain``     the change won at least nine tenths of all pairs run (ties
              count for neither side) **and** its median beats the parent's
@@ -17,7 +20,8 @@ sides' median and quartiles, the pairs the change won, and the verdict:
              the parent's spread.
 
 A run that reports ``failed`` > 0 is listed and voids every verdict. The
-metric directions come from ``PARENT_DIR/BENCHMARK.json``. Timing claims
+summary ends with ``digests equal on k/n pairs``. The metric directions
+come from ``PARENT_DIR/BENCHMARK.json``. Timing claims
 need a quiet machine, so this is a tool to run by hand, not a CI job.
 Exit codes: 0 the pairs ran, 2 a run produced no result line.
 """
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,8 +74,20 @@ def verdict(parent: Sequence[float], change: Sequence[float], better: str) -> di
     }
 
 
+def parse_digest(stdout: str) -> str:
+    """The hex after ``result_digest`` in ``run.py``'s output; ``""`` if absent."""
+    found = re.search(r"\bresult_digest ([0-9a-f]+)", stdout)
+    return found.group(1) if found else ""
+
+
+def digest_word(parent: str, change: str) -> str:
+    """A missing digest proves nothing, so it reads as a difference."""
+    return "digest equal" if parent and parent == change else "DIGEST DIFFERS"
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced ``run.py`` in ``checkout``; its final JSON line."""
+    """One untraced ``run.py`` in ``checkout``: its final JSON line, with the
+    run's ``result_digest`` added."""
     done = subprocess.run(
         [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -80,7 +97,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if not lines:
         sys.stderr.write(done.stderr)
         raise SystemExit(2)
-    return json.loads(lines[-1])
+    return {**json.loads(lines[-1]), "result_digest": parse_digest(done.stdout)}
 
 
 def main(argv=None) -> int:
@@ -98,19 +115,23 @@ def main(argv=None) -> int:
     samples: Dict[str, Dict[str, List[float]]] = {
         name: {"parent": [], "change": []} for name in metrics}
     failures = []
+    digest_words = []
     sides = {"parent": args.parent, "change": args.change}
     for index, seed in enumerate(args.seeds):
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+        digests = {}
         for side in order:
             result = run_once(sides[side], args.workload, seed, args.seconds)
+            digests[side] = result["result_digest"]
             if result["failed"] or not result["correct"]:
                 failures.append(f"seed {seed} {side}: failed {result['failed']} "
                                 f"of {result['attempted']}, correct {result['correct']}")
             for name in metrics:
                 samples[name][side].append(result["metrics"][name]["value"])
+        digest_words.append(digest_word(digests["parent"], digests["change"]))
         print(f"seed {seed} ({order[0]} first): " + "  ".join(
             f"{name} {samples[name]['parent'][-1]:.6g} -> {samples[name]['change'][-1]:.6g}"
-            for name in metrics), flush=True)
+            for name in metrics) + "  " + digest_words[-1], flush=True)
 
     print(f"\n{args.workload}, {len(args.seeds)} pairs, --seconds {args.seconds:g}, "
           "parent -> change, median [q1, q3]:")
@@ -125,6 +146,8 @@ def main(argv=None) -> int:
                   v["pairs"], v["lost"], v["gap"], v["parent_iqr"], word))
     for line in failures:
         print("  FAILED " + line)
+    print(f"  digests equal on {digest_words.count('digest equal')}"
+          f"/{len(digest_words)} pairs")
     return 0
 
 

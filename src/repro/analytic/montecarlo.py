@@ -5,16 +5,16 @@ forms do not apply, ``f_i`` can be estimated by sampling independent
 network states from the stationary distribution (every site up w.p. ``p``,
 every link up w.p. ``r``) and recording each site's component vote total.
 
-The estimator is fully batched (DESIGN.md §8): samples are drawn in
-blocks of ``batch_size`` states, and each block is labelled with a
-*single* block-diagonal :func:`scipy.sparse.csgraph.connected_components`
-call via :func:`~repro.connectivity.components.batched_component_labels`
-— one compiled invocation labels every partition of every state in the
-block, replacing the historical per-state Python loop. Blocks draw their
-random masks from independent substreams spawned off the caller's seed,
-so the estimate depends only on ``(seed, n_samples, batch_size)`` — in
-particular it is *identical* for any ``n_workers``, which merely shards
-the blocks across a process pool.
+The estimator is fully batched (DESIGN.md §10): samples are drawn in
+blocks of ``batch_size`` states, and each block goes masks → counts
+through :func:`~repro.connectivity.components.batched_vote_histogram` —
+one block-diagonal :func:`scipy.sparse.csgraph.connected_components`
+call labels every partition of every state in the block and the same
+function bins the vote totals; this module owns no labelling or binning
+code. Blocks draw their random masks from independent substreams spawned
+off the caller's seed, so the estimate depends only on ``(seed,
+n_samples, batch_size)`` — in particular it is *identical* for any
+``n_workers``, which merely shards the blocks across a process pool.
 
 This is the *off-line* counterpart of the on-line estimator in
 :mod:`repro.protocols.estimator`: the on-line estimator sees states
@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.analytic.density import normalize_density
-from repro.connectivity.components import batched_vote_totals
+from repro.connectivity.components import batched_vote_histogram
 from repro.errors import DensityError, SimulationError, TopologyError
 from repro.rng import RandomState, as_generator, spawn
 from repro.topology.model import Topology
@@ -51,6 +51,25 @@ def _reliability_vector(value: Reliability, count: int, label: str) -> np.ndarra
     return arr
 
 
+def _profiler():
+    """The current recorder's phases; pool workers run under the NULL
+    recorder, so with ``n_workers > 1`` only in-process blocks show."""
+    from repro.telemetry.recorder import current as _current_recorder
+
+    return _current_recorder().phases
+
+
+def _block_counts(
+    topology: Topology,
+    site_masks: np.ndarray,
+    link_masks: np.ndarray,
+    weights: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """One block of states → its count matrix, attributed to ``mc.label``."""
+    with _profiler().phase("mc.label"):
+        return batched_vote_histogram(topology, site_masks, link_masks, weights)
+
+
 def _chunk_counts(
     topology: Topology,
     site_rel: np.ndarray,
@@ -58,25 +77,11 @@ def _chunk_counts(
     count: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Sample ``count`` states and bin their vote totals (one labelling call).
-
-    Phase attribution resolves through the current recorder; pool
-    workers run with the default NULL recorder, so with ``n_workers > 1``
-    phases attribute only the blocks executed in-process.
-    """
-    from repro.telemetry.recorder import current as _current_recorder
-
-    prof = _current_recorder().phases
-    with prof.phase("mc.sample"):
+    """Sample ``count`` states and bin their vote totals (one labelling call)."""
+    with _profiler().phase("mc.sample"):
         site_masks = rng.random((count, topology.n_sites)) < site_rel
         link_masks = rng.random((count, topology.n_links)) < link_rel
-    with prof.phase("mc.label"):
-        totals = batched_vote_totals(topology, site_masks, link_masks)
-    with prof.phase("mc.bin"):
-        n, T = topology.n_sites, topology.total_votes
-        flat = np.tile(np.arange(n) * (T + 1), count) + totals.ravel()
-        counts = np.bincount(flat, minlength=n * (T + 1)).astype(np.float64)
-        return counts.reshape(n, T + 1)
+    return _block_counts(topology, site_masks, link_masks)
 
 
 def _chunk_task(

@@ -43,21 +43,25 @@ estimator ``f(v) = sum_s w_s 1{v_s = v} / sum_s w_s`` (consistent; bias
 O(1/n)); the effective sample size ``n_eff = (sum w)^2 / sum w^2`` is
 reported so downstream confidence intervals stay honest.
 
-Both estimators reuse the block-diagonal labelling kernel
-(:func:`~repro.connectivity.components.batched_vote_totals`) and derive
-every random draw from the caller's seed alone, so results are exactly
-reproducible.
+Both estimators turn a block of masks into counts through plain
+Monte-Carlo's kernel (DESIGN.md §10,
+:func:`~repro.connectivity.components.batched_vote_histogram`) and derive
+every random draw from the caller's seed alone: exactly reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.analytic.montecarlo import Reliability, _reliability_vector
-from repro.connectivity.components import batched_vote_totals
+from repro.analytic.montecarlo import (
+    Reliability,
+    _block_counts,
+    _profiler,
+    _reliability_vector,
+)
 from repro.errors import DensityError, SimulationError
 from repro.rng import RandomState, as_generator
 from repro.topology.model import Topology
@@ -75,25 +79,17 @@ __all__ = [
 # Shared plumbing
 # ----------------------------------------------------------------------
 
-def _profiler():
-    from repro.telemetry.recorder import current as _current_recorder
-
-    return _current_recorder().phases
-
-
 @dataclass(frozen=True)
 class _Components:
     """Fallible/deterministic split of the component vector (sites+links)."""
 
     n_sites: int
-    n_links: int
     #: Failure probabilities of the fallible components, sites first.
     q: np.ndarray
     #: Indices (into the concatenated site+link vector) of fallible comps.
     fallible: np.ndarray
-    #: Base up-masks with deterministic components resolved (p in {0, 1}).
-    base_sites: np.ndarray
-    base_links: np.ndarray
+    #: Base up-mask with deterministic components resolved (p in {0, 1}).
+    base: np.ndarray
 
 
 def _split_components(topology: Topology, p: Reliability,
@@ -104,41 +100,19 @@ def _split_components(topology: Topology, p: Reliability,
     fallible = np.nonzero((rel > 0.0) & (rel < 1.0))[0]
     return _Components(
         n_sites=topology.n_sites,
-        n_links=topology.n_links,
         q=1.0 - rel[fallible],
         fallible=fallible,
-        base_sites=site_rel >= 1.0,
-        base_links=link_rel >= 1.0,
+        base=rel >= 1.0,
     )
 
 
 def _masks_from_failures(comps: _Components,
                          failures: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Expand fallible-component failure indicators to full up-masks."""
-    count = failures.shape[0]
-    site_masks = np.broadcast_to(comps.base_sites,
-                                 (count, comps.n_sites)).copy()
-    link_masks = np.broadcast_to(comps.base_links,
-                                 (count, comps.n_links)).copy()
-    full = np.concatenate([site_masks, link_masks], axis=1)
+    full = np.broadcast_to(
+        comps.base, (failures.shape[0], comps.base.shape[0])).copy()
     full[:, comps.fallible] = ~failures
     return full[:, : comps.n_sites], full[:, comps.n_sites:]
-
-
-def _bin_counts(topology: Topology, site_masks: np.ndarray,
-                link_masks: np.ndarray,
-                weights: Optional[np.ndarray] = None) -> np.ndarray:
-    """Label a block of states and histogram per-site vote totals."""
-    prof = _profiler()
-    with prof.phase("mc.label"):
-        totals = batched_vote_totals(topology, site_masks, link_masks)
-    with prof.phase("mc.bin"):
-        count = site_masks.shape[0]
-        n, T = topology.n_sites, topology.total_votes
-        flat = np.tile(np.arange(n) * (T + 1), count) + totals.ravel()
-        w = None if weights is None else np.repeat(weights, n)
-        counts = np.bincount(flat, weights=w, minlength=n * (T + 1))
-        return counts.astype(np.float64).reshape(n, T + 1)
 
 
 # ----------------------------------------------------------------------
@@ -166,12 +140,14 @@ def failure_count_weights(failure_probs: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _suffix_failure_weights(q: np.ndarray, k_max: int) -> np.ndarray:
-    """``W[i, t] = P(exactly t failures among components i..m-1)``.
+def _conditional_failure_table(q: np.ndarray, k_max: int) -> np.ndarray:
+    """``cond[i, t] = P(component i fails | t failures left among i..m-1)``.
 
-    The table drives exact conditional sampling: given ``t`` failures
-    still to place among components ``i..``, component ``i`` fails with
-    probability ``q_i W[i+1, t-1] / W[i, t]``.
+    With ``W[i, t] = P(exactly t failures among components i..m-1)`` (a
+    suffix convolution) the exact conditional law is
+    ``q_i W[i+1, t-1] / W[i, t]``. The forced moves hold regardless of
+    round-off: no failures left -> up (column 0's numerator is 0.0); as
+    many left as components remain -> down (written in as 1.0).
     """
     m = q.shape[0]
     W = np.zeros((m + 1, k_max + 1), dtype=np.float64)
@@ -179,34 +155,34 @@ def _suffix_failure_weights(q: np.ndarray, k_max: int) -> np.ndarray:
     for i in range(m - 1, -1, -1):
         W[i, 0] = W[i + 1, 0] * (1.0 - q[i])
         W[i, 1:] = W[i + 1, 1:] * (1.0 - q[i]) + W[i + 1, :-1] * q[i]
-    return W
+    num = np.zeros((m, k_max + 1), dtype=np.float64)
+    num[:, 1:] = q[:, None] * W[1:, :-1]
+    denom = W[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(denom > 0.0, num / np.where(denom > 0.0, denom, 1.0), 0.0)
+    left = np.arange(k_max + 1)
+    cond[left >= (m - np.arange(m))[:, None]] = 1.0
+    return cond
 
 
-def _conditional_failure_masks(q: np.ndarray, k: int, count: int,
-                               rng: np.random.Generator,
-                               suffix: np.ndarray) -> np.ndarray:
+def _conditional_failure_masks(cond: np.ndarray, k: int, count: int,
+                               rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` failure patterns with exactly ``k`` failures.
 
     Sequential conditional Bernoulli sampling from the exact law
-    ``P(x | K = k)`` — valid for fully heterogeneous ``q``.
+    ``P(x | K = k)`` — valid for fully heterogeneous ``q`` — against the
+    run's :func:`_conditional_failure_table`. The uniforms are one
+    ``(m, count)`` block, row ``i`` for component ``i``: the same stream
+    as ``m`` successive ``rng.random(count)`` draws.
     """
-    m = q.shape[0]
-    failures = np.zeros((count, m), dtype=bool)
+    m = cond.shape[0]
+    uniforms = rng.random((m, count))
+    failures = np.empty((m, count), dtype=bool)
     remaining = np.full(count, k, dtype=np.int64)
     for i in range(m):
-        denom = suffix[i, remaining]
-        num = q[i] * np.where(remaining > 0,
-                              suffix[i + 1, np.maximum(remaining - 1, 0)], 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            prob = np.where(denom > 0.0, num / np.where(denom > 0.0, denom, 1.0), 0.0)
-        # Forced moves are exact regardless of round-off: no failures
-        # left -> up; as many left as components remain -> down.
-        prob = np.where(remaining <= 0, 0.0, prob)
-        prob = np.where(remaining >= m - i, 1.0, prob)
-        fail = rng.random(count) < prob
-        failures[:, i] = fail
-        remaining -= fail.astype(np.int64)
-    return failures
+        np.less(uniforms[i], cond[i].take(remaining), out=failures[i])
+        remaining -= failures[i]
+    return failures.T
 
 
 # ----------------------------------------------------------------------
@@ -297,7 +273,7 @@ def stratified_density_matrix(
         sampled = retained[retained > 0]
         budget = n_samples - (1 if 0 in retained else 0)
         k_max = int(sampled.max()) if sampled.size else 0
-        suffix = _suffix_failure_weights(comps.q, k_max) if sampled.size else None
+        cond = _conditional_failure_table(comps.q, k_max) if sampled.size else None
 
     rng = as_generator(seed)
     n, T = topology.n_sites, topology.total_votes
@@ -309,15 +285,14 @@ def stratified_density_matrix(
         # The all-up stratum is one known state: exact, zero variance.
         site_masks, link_masks = _masks_from_failures(
             comps, np.zeros((1, comps.q.shape[0]), dtype=bool))
-        matrix += weights[0] * _bin_counts(topology, site_masks, link_masks)
+        matrix += weights[0] * _block_counts(topology, site_masks, link_masks)
         exact = (0,)
 
     def sample_stratum(k: int, count: int) -> np.ndarray:
         with prof.phase("mc.strat.sample"):
-            failures = _conditional_failure_masks(comps.q, int(k), count, rng,
-                                                  suffix)
+            failures = _conditional_failure_masks(cond, int(k), count, rng)
             site_masks, link_masks = _masks_from_failures(comps, failures)
-        return _bin_counts(topology, site_masks, link_masks)
+        return _block_counts(topology, site_masks, link_masks)
 
     if sampled.size and budget > 0:
         shares = weights[sampled].astype(np.float64)
@@ -442,7 +417,7 @@ def importance_density_matrix(
         # Fully deterministic network: one state carries all the mass.
         site_masks, link_masks = _masks_from_failures(
             comps, np.zeros((1, 0), dtype=bool))
-        matrix = _bin_counts(topology, site_masks, link_masks)
+        matrix = _block_counts(topology, site_masks, link_masks)
         if return_stats:
             return matrix, ImportanceStats(n_samples, float(n_samples), 1.0, 1.0)
         return matrix
@@ -473,7 +448,7 @@ def importance_density_matrix(
             log_ratio = failures @ log_fail + (~failures) @ log_up
             w = 1.0 / (mixture + (1.0 - mixture) * np.exp(log_ratio))
             site_masks, link_masks = _masks_from_failures(comps, failures)
-        matrix += _bin_counts(topology, site_masks, link_masks, weights=w)
+        matrix += _block_counts(topology, site_masks, link_masks, weights=w)
         weight_sum += float(w.sum())
         weight_sq_sum += float((w * w).sum())
         max_weight = max(max_weight, float(w.max()))

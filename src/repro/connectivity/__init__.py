@@ -13,6 +13,7 @@ scipy.sparse.csgraph call (dense ones) from the link count.
 from repro.connectivity.components import (
     batched_component_entries,
     batched_component_labels,
+    batched_vote_histogram,
     batched_vote_totals,
     component_labels,
     component_members,
@@ -27,6 +28,7 @@ __all__ = [
     "NetworkState",
     "batched_component_entries",
     "batched_component_labels",
+    "batched_vote_histogram",
     "batched_vote_totals",
     "component_labels",
     "component_members",

@@ -8,12 +8,17 @@ treated as belonging to a component with zero votes, so the availability
 accounting naturally counts accesses submitted to down sites as denials
 (the ACC metric).
 
-``component_labels`` picks between two labellers on the link count it
-observes (:data:`CSGRAPH_THRESHOLD`): a pure-Python union-find with path
-halving for sparse networks (the paper's rings) and a
-scipy.sparse.csgraph call on the live subgraph for dense ones. Both
-honour one label contract; the tests hold each against an independent
-min-propagation labeller (``tests/oracles.py``).
+Two labellers honour one label contract; the tests hold each against an
+independent min-propagation labeller (``tests/oracles.py``). A pure-Python
+union-find with path halving serves one state of a sparse network (the
+paper's rings). :func:`_batched_raw_labels` lays B states side by side in
+one CSR matrix and labels them with a single scipy.sparse.csgraph call;
+it is the only builder of a ``connected_components`` input in the repo.
+``component_labels`` picks between them for a single state on the link
+count it observes (:data:`CSGRAPH_THRESHOLD`; the dense case is the
+``B = 1`` block). Blocks of sampled or enumerated states always take the
+second, as labels, vote totals or — the one road from sampled states to a
+density — :func:`batched_vote_histogram` (DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from repro.errors import TopologyError
@@ -32,6 +37,7 @@ __all__ = [
     "batched_component_labels",
     "batched_component_entries",
     "batched_vote_totals",
+    "batched_vote_histogram",
     "component_vote_totals",
     "votes_in_component_of",
     "component_members",
@@ -53,14 +59,11 @@ def _validate_masks(topology: Topology, site_up: np.ndarray, link_up: np.ndarray
         )
 
 
-#: Link count above which the scipy.csgraph backend beats union-find.
-#: Re-measured after the incremental ComponentTracker landed (it absorbs
-#: most small-topology per-event calls, leaving this dispatch dominated
-#: by cold full recomputes): on 101-site paper topologies at p=0.9,
-#: union-find wins through 1125 links (211µs vs 490µs per call — scipy's
-#: sparse-construction overhead dominates), csgraph wins from 2149 links
-#: (381µs vs 479µs) through the fully-connected 5050-link case (482µs vs
-#: 967µs). The crossover sits near 1600 links.
+#: Link count above which ``component_labels`` takes the csgraph labeller.
+#: On 101-site paper topologies at p=0.9 (µs per call, union-find vs
+#: csgraph): 613 links 106 vs 142, 1125 links 173 vs 147, 2149 links 314
+#: vs 178, 5050 links 749 vs 240; the crossover sits near 900 links, and
+#: no shipped topology has between 900 and 1600.
 CSGRAPH_THRESHOLD = 1_600
 
 
@@ -86,11 +89,6 @@ def component_labels(
         component ids starting at 0; down sites get :data:`DOWN_LABEL`.
         Component ids are consistent within one call but carry no meaning
         across calls.
-
-    Dispatches between the pure-Python union-find (sparse networks — the
-    simulator's per-event hot path on the paper's ring topologies) and
-    the scipy.sparse.csgraph backend (dense networks) on link count; both
-    honour the same label contract and are cross-checked in the tests.
     """
     site_up = np.asarray(site_up, dtype=bool)
     link_up = np.asarray(link_up, dtype=bool)
@@ -105,22 +103,8 @@ def _labels_csgraph(
     site_up: np.ndarray,
     link_up: np.ndarray,
 ) -> np.ndarray:
-    n = topology.n_sites
-    u, v = topology.link_endpoint_arrays()
-    usable = link_up & site_up[u] & site_up[v]
-    uu, vv = u[usable], v[usable]
-    ones = np.ones(uu.shape[0], dtype=np.int8)
-    graph = coo_matrix((ones, (uu, vv)), shape=(n, n))
-    _, raw_labels = connected_components(graph, directed=False)
-
-    labels = np.full(n, DOWN_LABEL, dtype=np.int64)
-    up_idx = np.nonzero(site_up)[0]
-    # Re-map the raw labels of up sites onto 0..k-1; down sites keep -1.
-    # Down sites received their own singleton raw labels, which we discard.
-    raw_up = raw_labels[up_idx]
-    _, compact = np.unique(raw_up, return_inverse=True)
-    labels[up_idx] = compact
-    return labels
+    """The ``B = 1`` block of the batched labeller."""
+    return batched_component_labels(topology, site_up[None, :], link_up[None, :])[0]
 
 
 def _labels_unionfind(
@@ -159,20 +143,69 @@ def _labels_unionfind(
     return labels
 
 
+def _validated_masks(
+    topology: Topology, site_masks: np.ndarray, link_masks: np.ndarray
+) -> tuple:
+    site_masks = np.asarray(site_masks, dtype=bool)
+    link_masks = np.asarray(link_masks, dtype=bool)
+    if site_masks.ndim != 2 or site_masks.shape[1] != topology.n_sites:
+        raise TopologyError(
+            f"site_masks must have shape (B, {topology.n_sites}), got {site_masks.shape}"
+        )
+    if link_masks.shape != (site_masks.shape[0], topology.n_links):
+        raise TopologyError(
+            f"link_masks must have shape ({site_masks.shape[0]}, {topology.n_links}), "
+            f"got {link_masks.shape}"
+        )
+    return site_masks, link_masks
+
+
+def _batched_raw_labels(
+    topology: Topology,
+    site_masks: np.ndarray,
+    link_masks: np.ndarray,
+) -> tuple:
+    """One block-diagonal csgraph call over B states; raw (uncompacted) labels.
+
+    State ``k``'s copy of site ``s`` is node ``k * n + s`` and a usable
+    link joins two nodes of one block. The graph is written straight into
+    CSR: link ids ascend by ``(u, v)``, so the row-major positions of the
+    usable links are already ordered by row node, and ``float64`` data
+    with ``int32`` indices is what csgraph validates to, so scipy
+    converts nothing on the way in.
+
+    Returns ``(n_components, raw)`` where ``raw`` has shape ``(B * n,)``,
+    ids are batch-global and down sites carry their own singleton ids (no
+    -1 marking) — callers mask with ``site_masks`` themselves.
+    """
+    B, n = site_masks.shape
+    u, v = topology.link_endpoint_arrays()
+    n_nodes, n_links = B * n, u.shape[0]
+    if max(n_nodes, B * n_links) >= 2**31:
+        raise TopologyError(
+            f"a block of {B} states of {topology.name} exceeds csgraph's int32 indices"
+        )
+    usable = link_masks & site_masks[:, u] & site_masks[:, v]
+    flat = np.flatnonzero(usable)
+    state = flat // max(n_links, 1)  # no links: nothing to divide
+    link = flat - state * n_links
+    state *= n
+    rows = state + u[link]
+    cols = (state + v[link]).astype(np.int32)
+    indptr = np.zeros(n_nodes + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n_nodes), out=indptr[1:])
+    graph = csr_matrix(
+        (np.ones(cols.shape[0]), cols, indptr), shape=(n_nodes, n_nodes)
+    )
+    return connected_components(graph, directed=False)
+
+
 def batched_component_labels(
     topology: Topology,
     site_masks: np.ndarray,
     link_masks: np.ndarray,
 ) -> np.ndarray:
-    """Label B sampled network states with ONE compiled csgraph call.
-
-    Builds a block-diagonal sparse graph over ``B * n_sites`` nodes —
-    state ``k``'s copy of site ``s`` is node ``k * n_sites + s``, and
-    usable links only ever join nodes inside one block — so a single
-    :func:`scipy.sparse.csgraph.connected_components` invocation labels
-    every partition of every state at once. This is the Monte-Carlo
-    density estimator's hot path: it replaces a Python loop of B sparse
-    constructions with one.
+    """Label B network states with ONE compiled csgraph call.
 
     Parameters
     ----------
@@ -187,47 +220,14 @@ def batched_component_labels(
         states, *not* compacted per state); down sites get
         :data:`DOWN_LABEL`.
     """
-    site_masks = np.asarray(site_masks, dtype=bool)
-    link_masks = np.asarray(link_masks, dtype=bool)
-    if site_masks.ndim != 2 or site_masks.shape[1] != topology.n_sites:
-        raise TopologyError(
-            f"site_masks must have shape (B, {topology.n_sites}), got {site_masks.shape}"
-        )
-    if link_masks.shape != (site_masks.shape[0], topology.n_links):
-        raise TopologyError(
-            f"link_masks must have shape ({site_masks.shape[0]}, {topology.n_links}), "
-            f"got {link_masks.shape}"
-        )
+    site_masks, link_masks = _validated_masks(topology, site_masks, link_masks)
     _, raw = _batched_raw_labels(topology, site_masks, link_masks)
-    B, n = site_masks.shape
-    labels = np.full(B * n, DOWN_LABEL, dtype=np.int64)
-    up_idx = np.nonzero(site_masks.ravel())[0]
+    labels = np.full(raw.shape[0], DOWN_LABEL, dtype=np.int64)
+    up_idx = np.flatnonzero(site_masks)
+    # Down sites received their own singleton raw labels, which we discard.
     _, compact = np.unique(raw[up_idx], return_inverse=True)
     labels[up_idx] = compact
-    return labels.reshape(B, n)
-
-
-def _batched_raw_labels(
-    topology: Topology,
-    site_masks: np.ndarray,
-    link_masks: np.ndarray,
-) -> tuple:
-    """One block-diagonal csgraph call over B states; raw (uncompacted) labels.
-
-    Returns ``(n_components, raw)`` where ``raw`` has shape ``(B * n,)``
-    and down sites carry their own singleton component ids (no -1
-    marking) — callers mask with ``site_masks`` themselves.
-    """
-    B, n = site_masks.shape
-    u, v = topology.link_endpoint_arrays()
-    usable = link_masks & site_masks[:, u] & site_masks[:, v]
-    state_idx, link_idx = np.nonzero(usable)
-    offsets = state_idx * n
-    uu = u[link_idx] + offsets
-    vv = v[link_idx] + offsets
-    ones = np.ones(uu.shape[0], dtype=np.int8)
-    graph = coo_matrix((ones, (uu, vv)), shape=(B * n, B * n))
-    return connected_components(graph, directed=False)
+    return labels.reshape(site_masks.shape)
 
 
 def batched_vote_totals(
@@ -236,34 +236,46 @@ def batched_vote_totals(
     link_masks: np.ndarray,
     votes: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Fused masks → per-site component vote totals for B states.
+    """Fused masks → per-site component vote totals ``(B, n_sites)``.
 
     Equivalent to :func:`batched_component_labels` followed by a per-state
-    :func:`component_vote_totals`, but skips the per-state label
-    compaction entirely — the Monte-Carlo density estimator only needs
-    totals, and compaction is the most expensive non-compiled step.
+    :func:`component_vote_totals`, without the label compaction: one
+    weighted ``bincount`` over *all* nodes sums each component's votes. A
+    down site weighs 0 and is a singleton, so its total is 0 with no
+    masking. The sums are small integers, exact in float64.
     """
-    site_masks = np.asarray(site_masks, dtype=bool)
-    link_masks = np.asarray(link_masks, dtype=bool)
-    if site_masks.ndim != 2 or site_masks.shape[1] != topology.n_sites:
-        raise TopologyError(
-            f"site_masks must have shape (B, {topology.n_sites}), got {site_masks.shape}"
-        )
-    if link_masks.shape != (site_masks.shape[0], topology.n_links):
-        raise TopologyError(
-            f"link_masks must have shape ({site_masks.shape[0]}, {topology.n_links}), "
-            f"got {link_masks.shape}"
-        )
+    site_masks, link_masks = _validated_masks(topology, site_masks, link_masks)
     votes_arr = topology.votes if votes is None else np.asarray(votes, dtype=np.int64)
     n_comp, raw = _batched_raw_labels(topology, site_masks, link_masks)
-    B, n = site_masks.shape
-    up = site_masks.ravel()
-    sums = np.bincount(
-        raw[up], weights=np.tile(votes_arr, B)[up].astype(np.float64),
-        minlength=n_comp,
-    )
-    totals = np.where(up, sums[raw], 0.0).astype(np.int64)
-    return totals.reshape(B, n)
+    node_votes = (site_masks * votes_arr.astype(np.float64)).ravel()
+    sums = np.bincount(raw, weights=node_votes, minlength=n_comp)
+    return sums.astype(np.int64)[raw].reshape(site_masks.shape)
+
+
+def batched_vote_histogram(
+    topology: Topology,
+    site_masks: np.ndarray,
+    link_masks: np.ndarray,
+    weights: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Masks of B states → ``(n_sites, T+1)`` histogram of vote totals.
+
+    ``counts[s, t]`` is the number of states (or, with ``weights``, the
+    summed per-state weight, added in state-major order) in which site
+    ``s``'s component holds ``t`` votes; a down site lands in bin 0.
+    Every Monte-Carlo density estimator reaches its counts through here.
+    """
+    bins = batched_vote_totals(topology, site_masks, link_masks)
+    B, n = bins.shape
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (B,):
+            raise TopologyError(f"weights must have shape ({B},), got {weights.shape}")
+        weights = np.repeat(weights, n)
+    width = topology.total_votes + 1
+    bins += np.arange(n) * width
+    counts = np.bincount(bins.ravel(), weights=weights, minlength=n * width)
+    return counts.astype(np.float64).reshape(n, width)
 
 
 def batched_component_entries(labels: np.ndarray) -> tuple:

@@ -217,6 +217,10 @@ class Topology:
                             count=len(self._links))
             v = np.fromiter((l.b for l in self._links), dtype=np.int64,
                             count=len(self._links))
+        # The block-diagonal labeller writes usable links straight into
+        # CSR rows, which is only right while link ids ascend by (u, v).
+        if (np.diff(u * self._n_sites + v) <= 0).any():
+            raise TopologyError(f"{self._name}: links are not sorted by endpoints")
         u.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "_endpoint_arrays", (u, v))

@@ -1,0 +1,90 @@
+"""What one block of sampled states costs, counted instead of timed.
+
+The samplers' speed is the per-block plumbing around one compiled
+labelling call (DESIGN.md §10), and a shared runner's clock cannot gate
+that; a count can. The number of function calls ``cProfile`` sees (Python
+and built-in alike) is a pure function of the code and the shapes, so
+each gate below names one piece of plumbing that must not come back:
+
+* a block is labelled by exactly one ``connected_components`` call, on a
+  graph written straight into CSR (no ``coo_matrix`` is ever built) and
+  binned with broadcasting (no ``numpy.tile``);
+* nothing in a block loops over states at Python level: a 1 024-state
+  block makes exactly the calls a 256-state block makes;
+* a stratum's conditional draw is a table lookup per fallible component
+  (``take``, ``less``, ``-=``), not a recomputation of the conditional
+  law: at most 4 profiler-visible calls per component.
+
+``connected_components`` is compiled without profiler hooks, so it is
+counted through a wrapper; everything else is read off the profile.
+"""
+
+import cProfile
+import pstats
+
+import numpy as np
+import pytest
+
+from repro.analytic.montecarlo import _chunk_counts
+from repro.analytic.variance import (
+    _conditional_failure_masks,
+    _conditional_failure_table,
+)
+from repro.connectivity import components
+from repro.rng import as_generator
+from repro.topology.generators import paper_topology
+
+
+def profile(fn):
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        fn()
+    finally:
+        profiler.disable()
+    return pstats.Stats(profiler)
+
+
+def calls_named(stats, file_part, name):
+    """Calls to functions called ``name`` defined in a file matching ``file_part``."""
+    return sum(nc for (file, _, func), (_, nc, *_rest) in stats.stats.items()
+               if func == name and file_part in file)
+
+
+def block_profile(batch_size):
+    topology = paper_topology(16)
+    site_rel = np.full(topology.n_sites, 0.96)
+    link_rel = np.full(topology.n_links, 0.96)
+    run = lambda: _chunk_counts(  # noqa: E731
+        topology, site_rel, link_rel, batch_size, as_generator(3))
+    run()  # first-use imports and caches are not the block's cost
+    return profile(run)
+
+
+def test_one_block_is_one_labelling_call_on_a_direct_csr_graph(monkeypatch):
+    labelled = []
+
+    def counted(graph, **kwargs):
+        labelled.append(graph.format)
+        return real(graph, **kwargs)
+
+    real = components.connected_components
+    monkeypatch.setattr(components, "connected_components", counted)
+    stats = block_profile(256)
+    assert labelled == ["csr", "csr"]  # the warm-up block and the profiled one
+    assert calls_named(stats, "", "counted") == 1
+    assert calls_named(stats, "_coo.py", "__init__") == 0
+    assert calls_named(stats, "numpy", "tile") == 0
+
+
+def test_block_call_count_does_not_grow_with_batch_size():
+    assert block_profile(1_024).total_calls == block_profile(256).total_calls
+
+
+def test_conditional_draw_is_a_table_lookup_per_component():
+    q = np.full(218, 0.04)  # topology 16 at p = r = 0.96: 101 sites + 117 links
+    cond = _conditional_failure_table(q, 12)
+    stats = profile(
+        lambda: _conditional_failure_masks(cond, 9, 500, as_generator(5)))
+    per_component = stats.total_calls / q.shape[0]
+    assert per_component <= 4.0, f"{per_component:.2f} profiler calls per component"

@@ -184,3 +184,93 @@ class TestImportanceSampling:
             importance_density_matrix(ring(7), 0.999, 0.999, n_samples=0)
         with pytest.raises(SimulationError):
             importance_density_matrix(ring(7), 0.999, 0.999, mixture=0.0)
+
+
+class TestConditionalTable:
+    """The table-driven stratum draw against the per-component oracle.
+
+    ``tests/oracles.py::conditional_failure_masks`` is the sampler as it
+    was before the conditional law moved into a per-run table; the two
+    must agree bit for bit and leave their generators in the same state.
+    """
+
+    HOMOGENEOUS = np.full(9, 0.1)
+    #: Every component different, one far less reliable (the bus hub).
+    HETEROGENEOUS = np.array([0.45, 0.01, 0.2, 0.04, 0.3, 0.002, 0.11, 0.07])
+
+    @pytest.mark.parametrize("q", [HOMOGENEOUS, HETEROGENEOUS],
+                             ids=["homogeneous", "heterogeneous"])
+    @pytest.mark.parametrize("count", [1, 37])
+    def test_bitwise_equal_to_oracle_and_same_stream(self, q, count):
+        from repro.analytic.variance import (
+            _conditional_failure_masks,
+            _conditional_failure_table,
+        )
+        from repro.rng import as_generator
+        from tests.oracles import conditional_failure_masks, suffix_failure_weights
+
+        m = q.shape[0]
+        suffix = suffix_failure_weights(q, m)
+        cond = _conditional_failure_table(q, m)
+        # k = 0 and k = m are all forced moves; 1 and m - 1 mix both.
+        for k in (0, 1, 3, m - 1, m):
+            table_rng, oracle_rng = as_generator(k), as_generator(k)
+            drawn = _conditional_failure_masks(cond, k, count, table_rng)
+            expected = conditional_failure_masks(q, k, count, oracle_rng, suffix)
+            np.testing.assert_array_equal(drawn, expected)
+            assert (drawn.sum(axis=1) == k).all()
+            assert table_rng.random() == oracle_rng.random()
+
+    def test_table_narrower_than_the_component_count(self):
+        """A run's table stops at its largest sampled stratum."""
+        from repro.analytic.variance import (
+            _conditional_failure_masks,
+            _conditional_failure_table,
+        )
+        from repro.rng import as_generator
+        from tests.oracles import conditional_failure_masks, suffix_failure_weights
+
+        q = self.HETEROGENEOUS
+        drawn = _conditional_failure_masks(
+            _conditional_failure_table(q, 2), 2, 50, as_generator(8))
+        expected = conditional_failure_masks(
+            q, 2, 50, as_generator(8), suffix_failure_weights(q, 2))
+        np.testing.assert_array_equal(drawn, expected)
+
+    def test_pinned_sampler_bits(self):
+        """Both variance-reduced samplers, byte for byte (hashes of PR 23's
+        output): the benchmark digest is otherwise their only pin."""
+        import hashlib
+
+        from repro.topology.generators import paper_topology
+
+        topology = paper_topology(16, n_sites=21)
+
+        def sha(matrix):
+            return hashlib.sha256(np.ascontiguousarray(matrix).tobytes()).hexdigest()
+
+        assert sha(stratified_density_matrix(
+            topology, 0.96, 0.96, n_samples=4_000, seed=24)) == (
+            "d470ffad1cd7910532034fdd333126d9cffca1aea394aeb50ca2ecbf39b33bcc")
+        assert sha(stratified_density_matrix(
+            topology, 0.96, 0.96, n_samples=4_000, seed=24,
+            allocation="neyman")) == (
+            "0aa3fef3410f7a34537e0998cd3c59639578b16c96042b41b6024735c693fbbd")
+        assert sha(importance_density_matrix(
+            topology, 0.99, 0.99, n_samples=4_000, seed=24)) == (
+            "7c24bfd8c216d41b3effd8bf1e10bd001563c6a66d75f020667d4e29b68d5b7e")
+
+
+def test_linkless_topology_through_all_three_samplers():
+    """``n_links == 0``: every site is its own component, so each row is
+    Bernoulli(p) on {0, 1} votes; the kernel must not divide by the link
+    count on the way."""
+    from repro.analytic.montecarlo import montecarlo_density_matrix
+    from repro.topology.model import Topology
+
+    topology = Topology(3, [])
+    for sampler in (montecarlo_density_matrix, stratified_density_matrix,
+                    importance_density_matrix):
+        matrix = sampler(topology, 0.9, 0.9, n_samples=4_000, seed=1)
+        _assert_density_matrix(matrix, topology)
+        np.testing.assert_allclose(matrix[:, 1], 0.9, atol=0.03)

@@ -15,7 +15,7 @@ from repro.connectivity.components import (
 from repro.errors import TopologyError
 from repro.topology.generators import fully_connected, ring
 from repro.topology.model import Topology
-from tests.oracles import minlabel_component_labels
+from tests.oracles import minlabel_component_labels, perstate_vote_histogram
 
 
 def all_up(topo):
@@ -193,3 +193,74 @@ class TestBatchedLabels:
             batched_component_labels(topo, good_sites, np.ones((2, 5), bool))
         with pytest.raises(TopologyError):
             batched_vote_totals(topo, np.ones((3, 4), bool), np.ones((3, 5), bool))
+
+
+class TestVoteHistogram:
+    """batched_vote_histogram (masks -> counts) vs the per-state loop."""
+
+    WEIGHTED = Topology(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)],
+                        votes=[1, 0, 2, 3, 0, 1])
+
+    @staticmethod
+    def masks(topo, count, seed, p=0.75, r=0.65):
+        rng = np.random.default_rng(seed)
+        return (rng.random((count, topo.n_sites)) < p,
+                rng.random((count, topo.n_links)) < r)
+
+    @pytest.mark.parametrize("topo", [ring(8), fully_connected(5), WEIGHTED],
+                             ids=["ring", "complete", "zero-vote-sites"])
+    @pytest.mark.parametrize("count", [1, 12])
+    def test_counts_match_perstate_loop(self, topo, count):
+        from repro.connectivity.components import batched_vote_histogram
+
+        for seed in range(4):
+            site_masks, link_masks = self.masks(topo, count, seed)
+            counts = batched_vote_histogram(topo, site_masks, link_masks)
+            assert counts.dtype == np.float64
+            np.testing.assert_array_equal(
+                counts, perstate_vote_histogram(topo, site_masks, link_masks))
+            np.testing.assert_array_equal(counts.sum(axis=1), float(count))
+
+    def test_weights_are_added_in_state_order(self):
+        from repro.connectivity.components import batched_vote_histogram
+
+        topo = self.WEIGHTED
+        site_masks, link_masks = self.masks(topo, 40, seed=9)
+        weights = np.random.default_rng(10).random(40) * 3.0
+        np.testing.assert_array_equal(
+            batched_vote_histogram(topo, site_masks, link_masks, weights),
+            perstate_vote_histogram(topo, site_masks, link_masks, weights))
+        with pytest.raises(TopologyError):
+            batched_vote_histogram(topo, site_masks, link_masks, weights[:-1])
+
+    def test_no_links(self):
+        from repro.connectivity.components import batched_vote_histogram
+
+        topo = Topology(3, [], votes=[2, 0, 1])
+        site_masks, link_masks = self.masks(topo, 9, seed=2)
+        assert link_masks.shape == (9, 0)
+        np.testing.assert_array_equal(
+            batched_vote_histogram(topo, site_masks, link_masks),
+            perstate_vote_histogram(topo, site_masks, link_masks))
+
+    def test_all_down_block_lands_in_bin_zero(self):
+        from repro.connectivity.components import batched_vote_histogram
+
+        topo = ring(5)
+        counts = batched_vote_histogram(
+            topo, np.zeros((4, 5), bool), np.ones((4, 5), bool))
+        expected = np.zeros((5, 6))
+        expected[:, 0] = 4.0
+        np.testing.assert_array_equal(counts, expected)
+
+    def test_votes_override_on_the_totals(self):
+        from repro.connectivity.components import batched_vote_totals
+
+        topo = ring(7)
+        votes = np.array([3, 0, 1, 1, 0, 2, 5])
+        site_masks, link_masks = self.masks(topo, 10, seed=4)
+        totals = batched_vote_totals(topo, site_masks, link_masks, votes=votes)
+        for k in range(10):
+            labels = component_labels(topo, site_masks[k], link_masks[k])
+            np.testing.assert_array_equal(
+                totals[k], component_vote_totals(labels, votes))

@@ -131,6 +131,24 @@ def density_matrix_reference(sample, votes):
     return counts / sample.n_samples
 
 
+def perstate_vote_histogram(topology, site_masks, link_masks, weights=None):
+    """Per-state labelling loop: the oracle of ``batched_vote_histogram``.
+
+    One :func:`component_labels` + :func:`component_vote_totals` call per
+    state, each state adding 1 (or its weight) to its ``(site, total)``
+    cells in state order — the order the kernel's weighted ``bincount``
+    adds in, so the two agree bit for bit.
+    """
+    counts = np.zeros((topology.n_sites, topology.total_votes + 1),
+                      dtype=np.float64)
+    site_ids = np.arange(topology.n_sites)
+    for k in range(site_masks.shape[0]):
+        labels = component_labels(topology, site_masks[k], link_masks[k])
+        totals = component_vote_totals(labels, topology.votes)
+        counts[site_ids, totals] += 1.0 if weights is None else weights[k]
+    return counts
+
+
 def montecarlo_perstate_counts(topology, site_rel, link_rel, count, rng):
     """Per-state Monte-Carlo labelling loop (the pre-batching estimator).
 
@@ -141,11 +159,43 @@ def montecarlo_perstate_counts(topology, site_rel, link_rel, count, rng):
     """
     site_masks = rng.random((count, topology.n_sites)) < site_rel
     link_masks = rng.random((count, topology.n_links)) < link_rel
-    counts = np.zeros((topology.n_sites, topology.total_votes + 1),
-                      dtype=np.float64)
-    site_ids = np.arange(topology.n_sites)
-    for k in range(count):
-        labels = component_labels(topology, site_masks[k], link_masks[k])
-        totals = component_vote_totals(labels, topology.votes)
-        counts[site_ids, totals] += 1.0
-    return counts
+    return perstate_vote_histogram(topology, site_masks, link_masks)
+
+
+def suffix_failure_weights(q, k_max):
+    """``W[i, t] = P(exactly t failures among components i..m-1)``."""
+    m = q.shape[0]
+    W = np.zeros((m + 1, k_max + 1), dtype=np.float64)
+    W[m, 0] = 1.0
+    for i in range(m - 1, -1, -1):
+        W[i, 0] = W[i + 1, 0] * (1.0 - q[i])
+        W[i, 1:] = W[i + 1, 1:] * (1.0 - q[i]) + W[i + 1, :-1] * q[i]
+    return W
+
+
+def conditional_failure_masks(q, k, count, rng, suffix):
+    """Per-component conditional Bernoulli draw (the pre-table sampler).
+
+    The oracle of ``analytic.variance._conditional_failure_masks``: it
+    recomputes ``q_i W[i+1, t-1] / W[i, t]`` and both forced moves for
+    every component of every stratum and draws one ``rng.random(count)``
+    per component, which the table sampler must reproduce bit for bit,
+    generator state included.
+    """
+    m = q.shape[0]
+    failures = np.zeros((count, m), dtype=bool)
+    remaining = np.full(count, k, dtype=np.int64)
+    for i in range(m):
+        denom = suffix[i, remaining]
+        num = q[i] * np.where(remaining > 0,
+                              suffix[i + 1, np.maximum(remaining - 1, 0)], 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            prob = np.where(denom > 0.0, num / np.where(denom > 0.0, denom, 1.0), 0.0)
+        # Forced moves are exact regardless of round-off: no failures
+        # left -> up; as many left as components remain -> down.
+        prob = np.where(remaining <= 0, 0.0, prob)
+        prob = np.where(remaining >= m - i, 1.0, prob)
+        fail = rng.random(count) < prob
+        failures[:, i] = fail
+        remaining -= fail.astype(np.int64)
+    return failures

@@ -54,3 +54,42 @@ def test_higher_is_better_flips_the_comparison(mod):
 
 def test_seed_ranges(mod):
     assert mod.parse_seeds("101-104,110") == [101, 102, 103, 104, 110]
+
+
+RUN_OUTPUT = (
+    "analytic-optimize seed=611 trace=0: checks 6/6 ok, result_err 0.0018, "
+    "result_digest f3115a45b2c0d9e1\n"
+    "  pass_s        1.07 s\n"
+    '{"correct": true, "attempted": 6, "failed": 0, "metrics": {}}\n'
+)
+
+
+def test_digest_is_read_from_the_line_above_the_contract(mod):
+    assert mod.parse_digest(RUN_OUTPUT) == "f3115a45b2c0d9e1"
+    assert mod.parse_digest('{"correct": true}\n') == ""
+
+
+def test_digest_words(mod):
+    assert mod.digest_word("f3115a45", "f3115a45") == "digest equal"
+    assert mod.digest_word("f3115a45", "a4764ad1") == "DIGEST DIFFERS"
+    assert mod.digest_word("", "") == "DIGEST DIFFERS"  # nothing read, nothing shown
+
+
+def test_pairs_report_digests_per_pair_and_in_the_summary(mod, monkeypatch, tmp_path, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "pass_s", "better": "lower"}]}')
+    change = tmp_path / "change"
+
+    def fake_run(checkout, workload, seed, seconds):
+        differs = checkout == change and seed == 3
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"pass_s": {"value": 1.0}},
+                "result_digest": "bb" if differs else "aa"}
+
+    monkeypatch.setattr(mod, "run_once", fake_run)
+    assert mod.main([str(tmp_path), str(change), "--workload", "w",
+                     "--seeds", "1-3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.rsplit("  ", 1)[-1] for line in out[:3]] == [
+        "digest equal", "digest equal", "DIGEST DIFFERS"]
+    assert out[-1].strip() == "digests equal on 2/3 pairs"

@@ -107,6 +107,18 @@ class TestTopologyAccessors:
         u, v = Topology(2, []).link_endpoint_arrays()
         assert u.size == 0 and v.size == 0
 
+    def test_link_endpoint_arrays_are_sorted_or_refused(self):
+        """Link ids ascend by ``(u, v)`` whatever order the links came in;
+        the batched labeller's direct-CSR build depends on it, so a
+        topology whose links lost that order refuses to hand them out."""
+        topo = Topology(4, [(2, 3), (1, 0), (3, 0), (1, 2)])
+        u, v = topo.link_endpoint_arrays()
+        assert list(zip(u.tolist(), v.tolist())) == [(0, 1), (0, 3), (1, 2), (2, 3)]
+        unsorted = Topology(4, [(0, 1), (1, 2), (2, 3)])
+        object.__setattr__(unsorted, "_links", unsorted.links[::-1])
+        with pytest.raises(TopologyError, match="not sorted"):
+            unsorted.link_endpoint_arrays()
+
 
 class TestDerivedTopologies:
     def test_with_votes(self):
