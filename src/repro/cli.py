@@ -640,26 +640,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_engines(args: argparse.Namespace) -> int:
-    from repro.engines import list_engines
-
-    specs = list_engines(
-        kind=args.kind,
-        capability=args.capability,
-    )
-    if not specs:
-        print("no engines match the given filters")
-        return 0
-    print(f"registered engines ({len(specs)}):")
-    for spec in specs:
-        caps = ", ".join(sorted(spec.capabilities)) or "-"
-        print(f"  {spec.name:<16} kind={spec.kind:<14} caps=[{caps}]")
-        print(f"    {spec.description}")
-        if spec.cost_hint:
-            print(f"    cost: {spec.cost_hint}")
-    return 0
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.verification import run_profile, write_corpus
 
@@ -1059,35 +1039,27 @@ def build_parser() -> argparse.ArgumentParser:
     shard.add_argument("--seed", type=int, default=0)
     shard.set_defaults(func=_cmd_shard)
 
-    engines_p = sub.add_parser(
-        "engines",
-        help="list the registered availability engines with capability "
-        "flags and cost hints",
-    )
-    engines_p.add_argument(
-        "--kind", choices=("model", "simulation", "density-model"),
-        default=None, help="only engines of this kind",
-    )
-    engines_p.add_argument(
-        "--capability", default=None, metavar="FLAG",
-        help="only engines carrying this capability flag (e.g. 'exact', "
-        "'variance-reduced')",
-    )
-    engines_p.set_defaults(func=_cmd_engines)
-
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point; returns a process exit code (2 on library errors)."""
+    """Entry point; returns a process exit code.
+
+    0 = ok, 1 = domain failure (divergence, FAIL verdict, missed SLO),
+    2 = usage, configuration or I/O error, or an interrupt: one
+    ``error: …`` line on stderr, never a traceback.
+    """
     from repro.errors import ReproError
 
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return 2
 
 

@@ -7,12 +7,10 @@ leaves open: *how robust is the optimal quorum choice to the reliability
 estimate?* and *where is the crossover below which majority consensus
 stops paying even on dense networks?*
 
-Each sweep point dispatches through the :mod:`repro.engines` registry
-(default: the ``closed-form`` engine, whose densities make each point
-microseconds and are memoized in the cross-layer density cache). Any
-registered model-kind engine works — ``engine="mc-stratified"`` sweeps
-with the variance-reduced estimator instead, which is how the sweep
-machinery extends beyond the closed-form families.
+Each sweep point is the section-4.2 closed form
+(:func:`~repro.analytic.closed_form_density`): microseconds a point, and
+memoized in the cross-layer density cache under the same key every other
+closed-form consumer uses.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analytic import closed_form_density
 from repro.analytic.complete import complete_density
 from repro.analytic.ring import ring_density
 from repro.errors import OptimizationError
@@ -58,35 +57,13 @@ class SweepPoint:
         return self.availability_at_majority > self.availability_at_rowa
 
 
-def _model(family: str, n_sites: int, reliability: float,
-           engine: str = "closed-form") -> AvailabilityModel:
+def _model(family: str, n_sites: int, reliability: float) -> AvailabilityModel:
     if family not in DENSITY_FAMILIES:
         raise OptimizationError(
             f"unknown family {family!r}; choose from {sorted(DENSITY_FAMILIES)}"
         )
-    # Dispatch through the engine registry. The default closed-form
-    # engine memoizes its densities in the cross-layer density cache
-    # under the same key every other closed-form consumer uses, so sweep
-    # points and verification engines share entries.
-    from repro.engines import KIND_MODEL, get_engine
-    from repro.verification.cases import VerificationCase
-
-    case = VerificationCase(
-        name=f"sweep-{family}-{n_sites}-r{reliability:.6g}",
-        family=family,
-        n_sites=n_sites,
-        p=reliability,
-        r=reliability,
-        alpha=0.5,  # sweeps evaluate alpha themselves via model.curve
-        read_quorums=(1,),
-    )
-    built = get_engine(engine, kind=KIND_MODEL).build(case)
-    if built is None:
-        raise OptimizationError(
-            f"engine {engine!r} does not apply to {family} n={n_sites} "
-            f"(use a statistical engine past the enumeration cap)"
-        )
-    return built.model
+    row = closed_form_density(family, n_sites, reliability, reliability)
+    return AvailabilityModel(row, row)
 
 
 def reliability_sweep(
@@ -94,18 +71,17 @@ def reliability_sweep(
     n_sites: int,
     alpha: float,
     reliabilities: Sequence[float],
-    engine: str = "closed-form",
 ) -> Tuple[SweepPoint, ...]:
     """Optimal assignment and endpoint availabilities at each reliability.
 
     Uses ``p = r`` (the paper's convention: sites and links share one
-    reliability). ``engine`` names any registered model-kind engine.
+    reliability).
     """
     if not 0.0 <= alpha <= 1.0:
         raise OptimizationError(f"alpha must be in [0, 1], got {alpha}")
     points: List[SweepPoint] = []
     for rel in reliabilities:
-        model = _model(family, n_sites, float(rel), engine=engine)
+        model = _model(family, n_sites, float(rel))
         best = optimal_read_quorum(model, alpha)
         curve = model.curve(alpha)
         points.append(
@@ -129,7 +105,6 @@ def find_majority_crossover(
     high: float = 0.999,
     tolerance: float = 1e-4,
     max_iterations: int = 60,
-    engine: str = "closed-form",
 ) -> Optional[float]:
     """Reliability at which majority and ROWA availabilities cross.
 
@@ -141,7 +116,7 @@ def find_majority_crossover(
     """
 
     def gap(rel: float) -> float:
-        model = _model(family, n_sites, rel, engine=engine)
+        model = _model(family, n_sites, rel)
         curve = model.curve(alpha)
         return float(curve[-1] - curve[0])
 

@@ -75,9 +75,6 @@ class ServeConfig:
     min_observation_time: float = 50.0
     #: Required estimated availability gain before a reassignment.
     improvement_threshold: float = 0.005
-    #: Registered density-model engine the control loop builds its
-    #: availability model through (see ``repro engines``).
-    density_engine: str = "online-density"
     forgetting_factor: float = 1.0
     #: Watchdog cadence; a pending reassignment older than
     #: ``stall_threshold`` forces re-estimation (estimator reset).

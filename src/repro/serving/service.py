@@ -45,6 +45,7 @@ from repro.protocols.base import ReplicaControlProtocol
 from repro.protocols.estimator import OnlineDensityEstimator
 from repro.protocols.reassignment import QuorumReassignmentProtocol
 from repro.protocols.workload_estimator import WorkloadEstimator
+from repro.quorum.availability import AvailabilityModel
 from repro.quorum.optimizer import optimal_read_quorum
 from repro.replication.database import ReplicatedDatabase
 from repro.rng import stream_for
@@ -411,12 +412,8 @@ class AdaptiveQuorumService:
         except DensityError:
             return None
         alpha, r_i, w_i = self.workload_est.snapshot()
-        # The density-model engine is pluggable through the registry
-        # (default "online-density": AvailabilityModel.from_density_matrix).
-        from repro.engines import KIND_DENSITY_MODEL, get_engine
-
-        spec = get_engine(self.config.density_engine, kind=KIND_DENSITY_MODEL)
-        model = spec.build(matrix, read_weights=r_i, write_weights=w_i)
+        model = AvailabilityModel.from_density_matrix(
+            matrix, read_weights=r_i, write_weights=w_i)
         return model, alpha
 
     def _maybe_reassign(self, trigger: str) -> bool:

@@ -12,9 +12,9 @@ the profiler keeps only ``{name: (count, wall, cpu)}``, so recording a
 million phase entries costs O(1) memory. The disabled path follows the
 telemetry null-recorder pattern: :data:`NULL_PROFILER` hands out one
 shared no-op context manager, so instrumented kernels pay a single
-attribute lookup plus an empty ``with`` block — measured by
-``scripts/check_telemetry_overhead.py`` against the same <5% budget as
-the rest of the disabled recorder.
+attribute lookup plus an empty ``with`` block.
+``scripts/check_telemetry_overhead.py`` times the live profiler against
+it on the enumeration kernel (< 10%).
 
 The live profiler rides on :class:`~repro.telemetry.recorder.Telemetry`
 as ``telemetry.phases``; kernels without a plumbed recorder resolve it

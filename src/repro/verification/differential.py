@@ -5,15 +5,16 @@
 
 1. **Cross-engine pairs** — for each case, every pair of applicable
    engines is compared metric-by-metric with CI-aware tolerances. The
-   model-producing engines (closed form, collapse-DFS enumeration, its
-   exact-order witness ``enum-exact-order``, plain Monte-Carlo, and the
-   variance-reduced ``mc-stratified``/``mc-importance``
-   variants) are resolved through the :mod:`repro.engines` registry and
-   crossed all-pairs; on top of that ride closed-form vs simulation (ACC
-   at the simulated quorum), simulation vs parallel fan-out (bitwise),
-   the simulator's pooled accounting vs the telemetry audit log (exact),
-   and the static quorum-consensus protocol vs the QR reassignment
-   protocol (grant-mask differential over sampled network states).
+   model-producing witnesses of :mod:`repro.verification.witnesses`
+   (closed form, collapse-DFS enumeration, its exact-order witness
+   ``enum-exact-order``, plain Monte-Carlo, and the variance-reduced
+   ``mc-stratified``/``mc-importance`` variants) are crossed all-pairs;
+   on top of that ride closed-form vs simulation (ACC at the simulated
+   quorum), simulation vs parallel fan-out (bitwise), the simulator's
+   pooled accounting vs the telemetry audit log (exact), the static
+   quorum-consensus protocol vs the QR reassignment protocol (grant-mask
+   differential over sampled network states), and the vectorized sharded
+   engine vs its per-item reference loop (bitwise).
 2. **Metamorphic relations** — the identities of
    :mod:`repro.verification.metamorphic`.
 3. **Golden corpus** — drift against the locked reference results
@@ -29,26 +30,36 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.engines import KIND_MODEL, KIND_SIMULATION, get_engine, with_injected_bug
 from repro.telemetry.recorder import current as _current_telemetry
 from repro.verification.cases import VerificationCase, profile_cases
 from repro.verification.golden import check_corpus
 from repro.verification.metamorphic import run_metamorphic
 from repro.verification.tolerance import CheckResult, Estimate, compare
+from repro.verification.witnesses import (
+    closed_form_engine,
+    enum_exact_order_engine,
+    enumeration_engine,
+    grant_mask_mismatch,
+    importance_mc_engine,
+    montecarlo_engine,
+    simulation_engine_run,
+    stratified_mc_engine,
+    with_injected_bug,
+)
 
 __all__ = ["MODEL_ENGINES", "ENGINE_PAIRS", "VerificationReport",
            "run_case", "run_profile"]
 
-#: Registry names of the model-producing engines the runner crosses
-#: all-pairs, cheapest first (``closed-form`` is the bug-injection
-#: target; the others are independent witnesses).
+#: ``(name, builder)`` of the model-producing witnesses the runner
+#: crosses all-pairs, cheapest first (``closed-form`` is the
+#: bug-injection target; the others are independent witnesses).
 MODEL_ENGINES = (
-    "closed-form",
-    "enumeration",
-    "enum-exact-order",
-    "monte-carlo",
-    "mc-stratified",
-    "mc-importance",
+    ("closed-form", closed_form_engine),
+    ("enumeration", enumeration_engine),
+    ("enum-exact-order", enum_exact_order_engine),
+    ("monte-carlo", montecarlo_engine),
+    ("mc-stratified", stratified_mc_engine),
+    ("mc-importance", importance_mc_engine),
 )
 
 #: Tighter absolute floors for specific exact-vs-exact pairs. The
@@ -64,8 +75,8 @@ _PAIR_FLOORS = {
 #: plus the simulation- and protocol-level differentials.
 ENGINE_PAIRS = tuple(
     f"{a}|{b}"
-    for i, a in enumerate(MODEL_ENGINES)
-    for b in MODEL_ENGINES[i + 1:]
+    for i, (a, _) in enumerate(MODEL_ENGINES)
+    for b, _ in MODEL_ENGINES[i + 1:]
 ) + (
     "closed-form|simulation",
     "simulation|parallel",
@@ -144,14 +155,14 @@ def _model_pair_checks(
 ) -> List[CheckResult]:
     """Cross every applicable model-producing engine on one case.
 
-    Engines resolve through the registry; one that returns ``None``
-    (enumeration past its state cap) is skipped. The injected bug, when
+    A witness that returns ``None`` (enumeration past its state cap) is
+    skipped. The injected bug, when
     requested, is wired into the closed-form engine only — every other
     engine is an independent witness that must then disagree.
     """
     engines = []
-    for name in MODEL_ENGINES:
-        engine = get_engine(name, kind=KIND_MODEL).build(case)
+    for name, build in MODEL_ENGINES:
+        engine = build(case)
         if engine is None:
             continue
         if name == "closed-form":
@@ -184,14 +195,10 @@ def _simulation_checks(
     if case.sim_read_quorum is None:
         return []
     results: List[CheckResult] = []
-    sim_spec = get_engine("simulation", kind=KIND_SIMULATION)
-    par_spec = get_engine("parallel", kind=KIND_SIMULATION)
-    serial = sim_spec.build(case, n_workers=1, with_telemetry=True)
-    parallel = par_spec.build(case, n_workers=2)
+    serial = simulation_engine_run(case, n_workers=1, with_telemetry=True)
+    parallel = simulation_engine_run(case, n_workers=2)
 
-    closed = with_injected_bug(
-        get_engine("closed-form", kind=KIND_MODEL).build(case), bug
-    )
+    closed = with_injected_bug(closed_form_engine(case), bug)
     expected = float(closed.model.availability(case.alpha, case.sim_read_quorum))
     results.append(
         compare(
@@ -249,8 +256,6 @@ def _simulation_checks(
 
 def _protocol_checks(case: VerificationCase) -> List[CheckResult]:
     """Static quorum consensus vs never-reassigning QR protocol."""
-    from repro.engines import grant_mask_mismatch
-
     fraction, n_states = grant_mask_mismatch(case)
     return [
         compare(
@@ -278,7 +283,7 @@ def _sharded_checks(case: VerificationCase) -> List[CheckResult]:
         return []
     import numpy as np
 
-    from repro.sharding import ItemWorkload, ShardConfig
+    from repro.sharding import ItemWorkload, ShardConfig, run_sharded
 
     sim = case.simulation_config()
     alphas = np.clip(
@@ -293,10 +298,8 @@ def _sharded_checks(case: VerificationCase) -> List[CheckResult]:
         accesses_per_batch=1_500.0,
         n_batches=2,
     )
-    vec_spec = get_engine("sharded", kind=KIND_SIMULATION)
-    ref_spec = get_engine("sharded-reference", kind=KIND_SIMULATION)
-    vec = vec_spec.build(config)
-    ref = ref_spec.build(config)
+    vec = run_sharded(config, engine="vectorized")
+    ref = run_sharded(config, engine="reference")
 
     pair = "sharded|multidb-reference"
     detail = "bitwise contract: one shared labelling vs the per-item loop"

@@ -41,8 +41,8 @@ from repro.experiments.paper import PAPER_ALPHAS, PAPER_N_SITES, PAPER_RELIABILI
 from repro.quorum.availability import AvailabilityModel
 from repro.quorum.optimizer import optimal_read_quorum
 from repro.verification.cases import VerificationCase, profile_cases
-from repro.engines import montecarlo_engine, simulation_engine_run
 from repro.verification.tolerance import CheckResult, Estimate, compare
+from repro.verification.witnesses import montecarlo_engine, simulation_engine_run
 
 __all__ = [
     "CORPUS_VERSION",

@@ -46,8 +46,8 @@ from repro.quorum.availability import AvailabilityModel
 from repro.quorum.optimizer import optimal_read_quorum
 from repro.topology.model import Topology
 from repro.verification.cases import VerificationCase
-from repro.engines import inject_bug_model
 from repro.verification.tolerance import EXACT_FLOOR, CheckResult
+from repro.verification.witnesses import inject_bug_model
 
 __all__ = [
     "METAMORPHIC_RELATIONS",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import OptimizationError
+from repro.errors import DensityError, OptimizationError
 from repro.experiments.sweeps import (
     SweepPoint,
     find_majority_crossover,
@@ -50,6 +50,9 @@ class TestReliabilitySweep:
             reliability_sweep("torus", 9, 0.5, [0.9])
         with pytest.raises(OptimizationError):
             reliability_sweep("ring", 9, 1.5, [0.9])
+        # The closed form validates the reliability itself.
+        with pytest.raises(DensityError, match="site reliability"):
+            reliability_sweep("ring", 9, 0.5, [1.5])
 
 
 class TestCrossover:

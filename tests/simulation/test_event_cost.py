@@ -14,10 +14,19 @@ event on the complete graph and 75.0 on topology 2; with the history
 generated ahead of the accounting the same measurement reads 32.0 and 57.6.
 The ceilings sit ≈ 15 % above that: room for a NumPy or CPython that counts
 a helper more, not for the per-event machinery to come back.
+
+The same profiles gate the disabled recorder. With the null recorder every
+instrumentation site in the epoch loop is one ``instruments is None`` test,
+so no function defined under ``repro/telemetry/`` or ``repro/tracing/`` may
+be called per event: the batch makes a fixed seven such calls (two spans
+opened and closed, one batch start) whatever its length, so the marginal
+count is exactly 0.
 """
 
 import cProfile
 import pstats
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -26,21 +35,34 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import SimulationEngine
 from repro.topology.generators import paper_topology
 
+#: Where the recorder's code lives; a call into a function defined under
+#: either is an instrumentation cost.
+RECORDER_DIRS = ("repro/telemetry/", "repro/tracing/")
 
-def profiled_batch(topology, accesses):
-    """``(profiler calls, events)`` of one stationary ``expected`` batch."""
+
+@lru_cache(maxsize=None)
+def profiled_batch(chords, accesses):
+    """``(profiler calls, recorder calls, events)`` of one stationary
+    ``expected`` batch on ``paper_topology(chords)``."""
+    topology = paper_topology(chords)
     config = SimulationConfig.paper_like(
         topology, alpha=0.5, warmup_accesses=0.0, accesses_per_batch=accesses,
         n_batches=1, initial_state="stationary", seed=1, accounting="expected",
     )
     engine = SimulationEngine(config, MajorityConsensusProtocol(topology.total_votes))
+    assert not engine.telemetry.enabled
     profiler = cProfile.Profile()
     profiler.enable()
     try:
         batch = engine.run_batch(0)
     finally:
         profiler.disable()
-    return pstats.Stats(profiler).total_calls, batch.n_events
+    stats = pstats.Stats(profiler)
+    recorder_calls = sum(
+        calls for (filename, _, _), (_, calls, *_) in stats.stats.items()
+        if any(part in Path(filename).as_posix() for part in RECORDER_DIRS)
+    )
+    return stats.total_calls, recorder_calls, batch.n_events
 
 
 @pytest.mark.parametrize("chords,accesses,ceiling", [
@@ -48,9 +70,19 @@ def profiled_batch(topology, accesses):
     (2, 20_000.0, 65.0),     # reads 57.6 (parent: 75.0)
 ])
 def test_marginal_calls_per_event(chords, accesses, ceiling):
-    topology = paper_topology(chords)
-    calls, events = profiled_batch(topology, accesses)
-    calls_2, events_2 = profiled_batch(topology, 2 * accesses)
+    calls, _, events = profiled_batch(chords, accesses)
+    calls_2, _, events_2 = profiled_batch(chords, 2 * accesses)
     assert events_2 - events > 500
     per_event = (calls_2 - calls) / (events_2 - events)
     assert per_event <= ceiling, f"{per_event:.1f} profiler calls per event"
+
+
+@pytest.mark.parametrize("chords,accesses", [(4949, 2_000.0), (2, 20_000.0)])
+def test_null_recorder_costs_no_call_per_event(chords, accesses):
+    _, recorder, events = profiled_batch(chords, accesses)
+    _, recorder_2, events_2 = profiled_batch(chords, 2 * accesses)
+    assert events_2 - events > 500
+    assert recorder > 0, "the recorder's per-batch calls were not seen"
+    assert recorder_2 == recorder, (
+        f"{(recorder_2 - recorder) / (events_2 - events):.3f} recorder calls "
+        "per event with the null recorder")

@@ -293,6 +293,38 @@ class TestErrorPaths:
         assert code == 2
         assert "events.jsonl" in err
 
+    def test_metrics_unreadable_stream_is_clean_error(self, capsys, tmp_path):
+        # DIR/events.jsonl exists but is a directory: the OSError from
+        # opening it is a usage error (2), not a divergence (1).
+        (tmp_path / "events.jsonl").mkdir()
+        code, out, err = run_cli(capsys, "metrics", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "events.jsonl" in err
+        assert out == ""
+
+    def test_unwritable_telemetry_dir_is_clean_error(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, _, err = run_cli(
+            capsys, "simulate", "--chords", "2", "--scale", "test",
+            "--seed", "3", "--telemetry-dir", str(blocker / "telemetry"),
+        )
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "telemetry" in err
+
+    def test_interrupt_is_clean_error(self, capsys, monkeypatch):
+        import repro.verification
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(repro.verification, "run_profile", interrupted)
+        code, _, err = run_cli(capsys, "verify", "--profile", "quick")
+        assert code == 2
+        assert err == "error: interrupted\n"
+
 
 class TestVerify:
     """Exit-code contract: 0 = pass, 1 = divergence, 2 = config error."""
@@ -368,44 +400,6 @@ class TestVerify:
         assert code == 1
         assert "quorum-off-by-one" in out
         assert "FAIL" in out
-
-
-class TestEngines:
-    def test_lists_all_builtin_engines(self, capsys):
-        code, out, _ = run_cli(capsys, "engines")
-        assert code == 0
-        assert "registered engines (11)" in out
-        for name in ("closed-form", "enumeration", "enum-exact-order",
-                     "monte-carlo",
-                     "mc-stratified", "mc-importance", "simulation",
-                     "parallel", "sharded", "sharded-reference",
-                     "online-density"):
-            assert name in out
-
-    def test_kind_filter(self, capsys):
-        code, out, _ = run_cli(capsys, "engines", "--kind", "model")
-        assert code == 0
-        assert "registered engines (6)" in out
-        assert "simulation" not in out.splitlines()[0]
-        assert "online-density" not in out
-
-    def test_capability_filter(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "engines", "--capability", "variance-reduced")
-        assert code == 0
-        assert "mc-stratified" in out
-        assert "mc-importance" in out
-        assert "closed-form" not in out
-
-    def test_no_match_message(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "engines", "--capability", "quantum")
-        assert code == 0
-        assert "no engines match" in out
-
-    def test_unknown_kind_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["engines", "--kind", "psychic"])
 
 
 class TestCache:

@@ -12,7 +12,10 @@ re-accrete: no environment variable picks the enumeration kernel, and
 the three entry points expose no search-strategy / scoring / JIT selector.
 ISSUE 22 added: one file starts processes (``repro/pool.py``), a serial
 run never loads ``multiprocessing``, and no result transport can be
-selected, by argument or by environment.
+selected, by argument or by environment. The engine registry is gone:
+callers name the backend they call, the reliability sweeps reach the
+closed form without passing through ``repro.verification``, and neither
+the serving config nor the sweeps nor the CLI offers an engine selector.
 """
 
 import ast
@@ -28,11 +31,13 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: Never loaded by ``import repro, repro.cli`` nor by the analytic paths.
+#: Never loaded by ``import repro, repro.cli`` nor by the analytic paths,
+#: nor any submodule of them.
 DENIED = (
     "scipy.stats", "scipy.optimize", "networkx", "numba",
     "hypothesis", "pytest", "matplotlib", "pandas",
     "multiprocessing", "repro.pool",
+    "repro.verification", "repro.analytic.variance",
 )
 
 #: Not imported anywhere under ``src/``, at any scope.
@@ -40,12 +45,17 @@ NEVER_IMPORTED = ("scipy.optimize", "numba")
 
 _PROBE = """
 import json, sys
+def loaded():
+    return sorted(m for m in sys.modules
+                  if any(m == d or m.startswith(d + ".") for d in sys.argv[1:]))
+
 import repro, repro.cli
-after_import = sorted(m for m in sys.argv[1:] if m in sys.modules)
+after_import = loaded()
 
 import numpy as np
 from repro.analytic import closed_form_density
 from repro.analytic.enumeration import BACKENDS, enumerate_density_matrix
+from repro.experiments.sweeps import find_majority_crossover, reliability_sweep
 from repro.quorum.availability import AvailabilityModel
 from repro.quorum.constraints import optimize_with_write_floor
 from repro.quorum.optimizer import optimal_read_quorum
@@ -60,7 +70,9 @@ for backend in BACKENDS:
 optimize_votes(ring(4), 0.5, 0.9, 0.9, n_samples=50)
 for method in ("hillclimb", "exhaustive"):
     optimize_votes(ring(3), 0.5, 0.9, 0.9, method=method, n_samples=50)
-after_use = sorted(m for m in sys.argv[1:] if m in sys.modules)
+reliability_sweep("ring", 11, 0.5, [0.9, 0.96])
+find_majority_crossover("complete", 9, 0.8)
+after_use = loaded()
 print(json.dumps([after_import, after_use]))
 """
 
@@ -79,7 +91,7 @@ def _probe():
 def test_import_and_analytic_paths_load_no_denied_package():
     after_import, after_use = _probe()
     assert after_import == []
-    assert after_use == [], "optimizer / enumeration / vote search loaded a denied package"
+    assert after_use == [], "optimizer / enumeration / vote search / sweeps loaded a denied package"
 
 
 def test_no_source_file_imports_scipy_optimize_or_numba():
@@ -166,14 +178,29 @@ def test_one_file_starts_processes_and_none_selects_a_transport():
 
 
 def test_fan_out_callers_expose_no_transport_selector():
-    from repro.engines.adapters import sharded_engine_run, sharded_reference_run
     from repro.pool import fan_out
     from repro.sharding.runner import run_sharded
     from repro.simulation.parallel import run_batches_parallel
 
-    for fn in (run_batches_parallel, run_sharded,
-               sharded_engine_run, sharded_reference_run):
+    for fn in (run_batches_parallel, run_sharded):
         assert not set(inspect.signature(fn).parameters) & {
             "transport", "transport_stats"}
     assert list(inspect.signature(fan_out).parameters) == [
         "task", "shared", "items", "n_workers"]
+
+
+def test_no_engine_registry_and_no_engine_selector(capsys):
+    import dataclasses
+
+    from repro.cli import build_parser
+    from repro.experiments.sweeps import find_majority_crossover, reliability_sweep
+    from repro.serving import ServeConfig
+
+    assert not (SRC / "repro/engines").exists()
+    assert [f.name for f in dataclasses.fields(ServeConfig) if "engine" in f.name] == []
+    for fn in (reliability_sweep, find_majority_crossover):
+        assert "engine" not in inspect.signature(fn).parameters
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["engines"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'engines'" in capsys.readouterr().err

@@ -97,7 +97,7 @@ class TestProfiles:
         assert quick < full
 
     def test_full_reaches_beyond_enumeration_cap(self):
-        from repro.engines import enumeration_engine
+        from repro.verification.witnesses import enumeration_engine
 
         beyond = [c for c in profile_cases("full")
                   if enumeration_engine(c) is None]

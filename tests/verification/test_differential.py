@@ -18,7 +18,7 @@ from repro.verification import (
     run_profile,
 )
 from repro.verification.cases import profile_cases
-from repro.engines import (
+from repro.verification.witnesses import (
     OffByOneModel,
     closed_form_engine,
     enumeration_engine,
