@@ -40,7 +40,8 @@ writing Python:
 to record metrics, spans, and the quorum-decision audit log, exporting a
 Prometheus text file plus a JSON-lines stream after the run.
 
-All commands accept ``--seed`` for exact reproducibility.
+Every command that draws randomness accepts ``--seed`` (a non-negative
+integer) for exact reproducibility.
 """
 
 from __future__ import annotations
@@ -55,6 +56,14 @@ __all__ = ["main", "build_parser"]
 
 _DENSITY_FAMILIES = ("ring", "complete", "bus")
 _SCALES = ("test", "small", "paper", "bench")
+
+
+def _seed(text: str) -> int:
+    """The ``--seed`` type: a non-negative integer, else a usage error."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _scale(name: str):
@@ -783,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--scale", choices=_SCALES, default="bench")
     sim.add_argument("--target-half-width", type=float, default=None,
                      help="add batches until the 95%% CI half-width reaches this")
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_seed, default=0)
     sim.add_argument("--workers", type=int, default=1, metavar="N",
                      help="fan batches out over N worker processes; "
                      "aggregates are bitwise identical for any N")
@@ -802,13 +811,13 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--points", type=int, default=12)
     fig.add_argument("--chart", action="store_true",
                      help="render an ASCII line chart instead of the table")
-    fig.add_argument("--seed", type=int, default=0)
+    fig.add_argument("--seed", type=_seed, default=0)
     fig.set_defaults(func=_cmd_figure)
 
     rw = sub.add_parser("rw-table", help="section 5.5 read-write-ratio summary")
     rw.add_argument("--chords", type=int, nargs="+", default=[0, 2, 16, 256])
     rw.add_argument("--scale", choices=_SCALES, default="bench")
-    rw.add_argument("--seed", type=int, default=0)
+    rw.add_argument("--seed", type=_seed, default=0)
     rw.set_defaults(func=_cmd_rw_table)
 
     wc = sub.add_parser("write-constraint", help="section 5.4 floor sweep")
@@ -817,7 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
     wc.add_argument("--floors", type=float, nargs="+",
                     default=[0.0, 0.05, 0.1, 0.2, 0.4])
     wc.add_argument("--scale", choices=_SCALES, default="bench")
-    wc.add_argument("--seed", type=int, default=0)
+    wc.add_argument("--seed", type=_seed, default=0)
     wc.set_defaults(func=_cmd_write_constraint)
 
     votes = sub.add_parser("votes", help="optimize the vote assignment too")
@@ -833,7 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
     votes.add_argument("--method", choices=("hillclimb", "exhaustive"),
                        default="hillclimb")
     votes.add_argument("--samples", type=int, default=2_000)
-    votes.add_argument("--seed", type=int, default=0)
+    votes.add_argument("--seed", type=_seed, default=0)
     votes.set_defaults(func=_cmd_votes)
 
     shoot = sub.add_parser(
@@ -843,7 +852,7 @@ def build_parser() -> argparse.ArgumentParser:
     shoot.add_argument("--chords", type=int, default=2)
     shoot.add_argument("--alpha", type=float, default=0.5)
     shoot.add_argument("--scale", choices=_SCALES, default="test")
-    shoot.add_argument("--seed", type=int, default=0)
+    shoot.add_argument("--seed", type=_seed, default=0)
     shoot.set_defaults(func=_cmd_shootout)
 
     camp = sub.add_parser(
@@ -851,7 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="regenerate the paper's whole evaluation section",
     )
     camp.add_argument("--scale", choices=_SCALES, default="bench")
-    camp.add_argument("--seed", type=int, default=0)
+    camp.add_argument("--seed", type=_seed, default=0)
     camp.add_argument("--full", action="store_true",
                       help="include the fully-connected topology (slow)")
     camp.set_defaults(func=_cmd_campaign)
@@ -872,7 +881,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--batches", type=int, default=None,
                        help="batches to run (default: the scale's n_batches)")
     chaos.add_argument("--scale", choices=_SCALES, default="test")
-    chaos.add_argument("--seed", type=int, default=0)
+    chaos.add_argument("--seed", type=_seed, default=0)
     chaos.add_argument("--workers", type=int, default=1, metavar="N",
                        help="fan batches out over N worker processes; the "
                        "report is deterministic for any N")
@@ -913,7 +922,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--scenario", choices=_SERVE_SCENARIOS,
                        default="correlated",
                        help="scripted fault scenario injected during serving")
-    serve.add_argument("--seed", type=int, default=0)
+    serve.add_argument("--seed", type=_seed, default=0)
     serve.add_argument("--duration-short", action="store_true",
                        help="CI smoke preset: 20k accesses, 64 clients")
     serve.add_argument("--min-availability", type=float, default=None,
@@ -944,7 +953,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--out", default="profile", metavar="PREFIX",
                          help="output prefix; writes PREFIX.trace.json and "
                          "PREFIX.spans.jsonl (default: profile)")
-    profile.add_argument("--seed", type=int, default=0)
+    profile.add_argument("--seed", type=_seed, default=0)
     profile.add_argument("--sites", type=int, default=None,
                          help="topology size (default: per-target preset)")
     profile.add_argument("--samples", type=int, default=20_000,
@@ -972,7 +981,7 @@ def build_parser() -> argparse.ArgumentParser:
         "validate",
         help="run the reproduction-fidelity check battery (EXPERIMENTS.md)",
     )
-    val.add_argument("--seed", type=int, default=0)
+    val.add_argument("--seed", type=_seed, default=0)
     val.set_defaults(func=_cmd_validate)
 
     verify = sub.add_parser(
@@ -1036,7 +1045,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="site reliability for --optimize")
     shard.add_argument("--r", type=float, default=0.96,
                        help="link reliability for --optimize")
-    shard.add_argument("--seed", type=int, default=0)
+    shard.add_argument("--seed", type=_seed, default=0)
     shard.set_defaults(func=_cmd_shard)
 
     return parser

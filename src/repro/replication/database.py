@@ -30,11 +30,18 @@ the repairs that make the retry worthwhile. With an
 :class:`~repro.faults.monitor.InvariantMonitor` attached, consistency
 mismatches are *recorded* with context instead of raised, so one bad
 read cannot kill a whole chaos campaign.
+
+**Decision view.** What an access needs besides the grant itself — the
+replica sites of its component, the member count, the effective quorums,
+the component's assignment version and the newest installed one — changes
+only when :func:`decision_key` does. The database keeps one view, built
+per component on first use and dropped when the key moves, so an access
+pays a key comparison and a dict lookup for it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.monitor import InvariantMonitor
@@ -53,7 +60,39 @@ from repro.telemetry import audit as _audit
 from repro.telemetry.recorder import resolve as _resolve_telemetry
 from repro.topology.model import Topology
 
-__all__ = ["ReplicatedDatabase"]
+__all__ = ["ReplicatedDatabase", "decision_key"]
+
+
+def decision_key(tracker: ComponentTracker, protocol: Any
+                 ) -> Tuple[int, Optional[int], Optional[int]]:
+    """``(state version, newest version, installs)``: what decisions hang on.
+
+    Every failure or repair moves the network state's version; a QR
+    install raises the newest assignment version and the install count,
+    and a protocol ``reset()`` rewinds both. Protocols without versions
+    contribute ``None``. One key serves every per-state cache of decision
+    answers (the database's view, the serving layer's grant masks).
+    """
+    versions = getattr(protocol, "site_version", None)
+    return (
+        tracker.state.version,
+        None if versions is None else int(versions.max()),
+        getattr(protocol, "installs", None),
+    )
+
+
+class _ComponentView(NamedTuple):
+    """What every access in one component shares under one decision key."""
+
+    replicas: Tuple[int, ...]
+    size: int
+    read_quorum: Optional[int]
+    write_quorum: Optional[int]
+    #: The component's assignment version (versioned protocols only).
+    version: Optional[int]
+    #: The newest version installed anywhere: a ``no_quorum`` denial under
+    #: an older ``version`` is refined to ``stale_assignment``.
+    newest: Optional[int]
 
 
 class ReplicatedDatabase:
@@ -126,6 +165,12 @@ class ReplicatedDatabase:
         #: first audited decision (requires an enabled recorder).
         self.last_audit_reason: Optional[str] = None
         self._time = 0.0
+        #: The decision view: per component (or down site), for
+        #: ``_view_key`` only; see :meth:`_view_of`.
+        self._view_key: Optional[tuple] = None
+        self._view: Dict[int, _ComponentView] = {}
+        #: ``repro_db_accesses_total`` series by (op, outcome), keyed once.
+        self._access_series: Dict[Tuple[str, str], Any] = {}
 
         self.protocol.on_network_change(self.tracker)
 
@@ -160,10 +205,44 @@ class ReplicatedDatabase:
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
-    def _component_replicas(self, site: int) -> List[int]:
-        """Replica sites inside ``site``'s current component."""
+    def _view_of(self, site: int) -> _ComponentView:
+        """``site``'s entry in the decision view, built on first use."""
+        key = decision_key(self.tracker, self.protocol)
+        if key != self._view_key:
+            self._view_key = key
+            self._view = {}
+        label = int(self.tracker.labels[site])
+        # A down site belongs to no component: its entry is its own.
+        slot = label if label >= 0 else -1 - site
+        view = self._view.get(slot)
+        if view is None:
+            view = self._view[slot] = self._build_view(site)
+        return view
+
+    def _build_view(self, site: int) -> _ComponentView:
+        protocol = self.protocol
         members = self.tracker.component_of(site)
-        return [int(s) for s in members if self.item.holds_copy(int(s))]
+        assignment = None
+        effective = getattr(protocol, "effective_assignment", None)
+        if effective is not None:
+            assignment = effective(self.tracker, site)
+        if assignment is None:
+            assignment = getattr(protocol, "assignment", None)
+        version = newest = None
+        versions = getattr(protocol, "site_version", None)
+        if versions is not None:
+            versions = np.asarray(versions)
+            version = int(versions[members].max()) if members.size else int(versions[site])
+            newest = int(versions.max())
+        holds = self.item.holds_copy
+        return _ComponentView(
+            replicas=tuple(int(s) for s in members if holds(int(s))),
+            size=int(members.size),
+            read_quorum=getattr(assignment, "read_quorum", None),
+            write_quorum=getattr(assignment, "write_quorum", None),
+            version=version,
+            newest=newest,
+        )
 
     def _consistency_violation(self, detail: str) -> None:
         """Record (chaos mode) or raise (strict mode) a 1SR violation."""
@@ -173,47 +252,42 @@ class ReplicatedDatabase:
             raise SerializabilityError(detail)
 
     def _audit_decision(self, op: str, site: int, reason: str,
-                        votes: Optional[int], attempt: int) -> None:
+                        votes: Optional[int], attempt: int,
+                        view: Optional[_ComponentView] = None) -> None:
         """Audit one access decision (enabled recorders only).
 
         A ``no_quorum`` denial is refined to ``stale_assignment`` when
         the protocol is versioned and the submitting site's component
         holds an assignment version older than the newest installed one —
         the denial is then a cost of the QR propagation rule, not of the
-        partition itself.
+        partition itself. A granted access hands in the ``view`` it
+        already looked up.
         """
         tel = self.telemetry
         if not tel.enabled:
             self.last_audit_reason = reason
             return
-        protocol = self.protocol
-        members = self.tracker.component_of(site)
-        assignment = None
-        effective = getattr(protocol, "effective_assignment", None)
-        if effective is not None:
-            assignment = effective(self.tracker, site)
-        if assignment is None:
-            assignment = getattr(protocol, "assignment", None)
-        version = None
-        versions = getattr(protocol, "site_version", None)
-        if versions is not None:
-            versions = np.asarray(versions)
-            version = int(versions[members].max()) if members.size else int(versions[site])
-            if reason == _audit.NO_QUORUM and version < int(versions.max()):
-                reason = _audit.STALE_ASSIGNMENT
+        if view is None:
+            view = self._view_of(site)
+        if (reason == _audit.NO_QUORUM and view.newest is not None
+                and view.version < view.newest):
+            reason = _audit.STALE_ASSIGNMENT
         self.last_audit_reason = reason
         tel.audit.record(
             self._time, op, reason,
             site=site,
             component_votes=None if votes is None else int(votes),
-            component_size=int(members.size),
-            read_quorum=getattr(assignment, "read_quorum", None),
-            write_quorum=getattr(assignment, "write_quorum", None),
-            assignment_version=version,
+            component_size=view.size,
+            read_quorum=view.read_quorum,
+            write_quorum=view.write_quorum,
+            assignment_version=view.version,
         )
-        tel.metrics.counter(
-            "repro_db_accesses_total", "database access decisions by cause",
-        ).inc(op=op, outcome=reason)
+        series = self._access_series.get((op, reason))
+        if series is None:
+            series = self._access_series[(op, reason)] = tel.metrics.counter(
+                "repro_db_accesses_total", "database access decisions by cause",
+            ).labels(op=op, outcome=reason)
+        series.inc()
         if attempt > 1:
             tel.metrics.counter(
                 "repro_db_retries_total", "access attempts beyond the first",
@@ -289,7 +363,8 @@ class ReplicatedDatabase:
             self._audit_decision("read", site, _audit.NO_QUORUM, votes, attempt)
             return result
 
-        replicas = self._component_replicas(site)
+        view = self._view_of(site)
+        replicas = view.replicas
         if not replicas:
             # A protocol granting a read in a replica-free component is
             # broken (it saw >= q_r >= 1 votes, so some replica is there).
@@ -321,7 +396,7 @@ class ReplicatedDatabase:
         )
         if self.record_history:
             self.history.append(result)
-        self._audit_decision("read", site, _audit.GRANTED, votes, attempt)
+        self._audit_decision("read", site, _audit.GRANTED, votes, attempt, view)
         return result
 
     def submit_write(self, site: int, value: Any) -> WriteResult:
@@ -355,7 +430,8 @@ class ReplicatedDatabase:
             self._audit_decision("write", site, _audit.NO_QUORUM, votes, attempt)
             return result
 
-        replicas = self._component_replicas(site)
+        view = self._view_of(site)
+        replicas = view.replicas
         if not replicas:
             raise ProtocolError(
                 f"protocol granted a write at site {site} but its component "
@@ -376,13 +452,13 @@ class ReplicatedDatabase:
             site,
             self._time,
             timestamp=timestamp,
-            updated_sites=tuple(replicas),
+            updated_sites=replicas,
             component_votes=votes,
             attempts=attempt,
         )
         if self.record_history:
             self.history.append(result)
-        self._audit_decision("write", site, _audit.GRANTED, votes, attempt)
+        self._audit_decision("write", site, _audit.GRANTED, votes, attempt, view)
         return result
 
     def peek_newest(self, site: int):
@@ -397,7 +473,7 @@ class ReplicatedDatabase:
         self._check_site(site)
         if not self.state.site_up[site]:
             return None
-        replicas = self._component_replicas(site)
+        replicas = self._view_of(site).replicas
         if not replicas:
             return None
         return max(

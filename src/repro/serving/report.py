@@ -74,7 +74,9 @@ class ServeReport:
     #: Exact audit totals per (op, reason) from the telemetry recorder.
     audit_totals: Dict[Tuple[str, str], float]
 
-    #: Latency summary over granted requests (simulated seconds).
+    #: Latency over granted requests (simulated seconds), computed once
+    #: at report time: count, mean, max and exact nearest-rank p50 / p90
+    #: / p99 (``np.quantile(..., method="inverted_cdf")``).
     latency: Dict[str, float]
     retries_scheduled: int
     retries_exhausted: int

@@ -47,7 +47,7 @@ from repro.protocols.reassignment import QuorumReassignmentProtocol
 from repro.protocols.workload_estimator import WorkloadEstimator
 from repro.quorum.availability import AvailabilityModel
 from repro.quorum.optimizer import optimal_read_quorum
-from repro.replication.database import ReplicatedDatabase
+from repro.replication.database import ReplicatedDatabase, decision_key
 from repro.rng import stream_for
 from repro.serving.breakers import BreakerBoard
 from repro.serving.config import ServeConfig
@@ -89,33 +89,52 @@ _CODE_BY_CAUSE = {
 _LATENCY_BUCKETS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 60.0)
 
 
+def _latency_summary(granted: np.ndarray) -> Dict[str, float]:
+    """The report's latency over the granted requests' latencies.
+
+    count, mean and max, plus p50/p90/p99 as exact nearest-rank
+    quantiles: the smallest granted latency whose empirical CDF reaches
+    q, i.e. ``np.quantile(..., method="inverted_cdf")``. NaN everywhere
+    when nothing was granted.
+    """
+    if granted.size == 0:
+        return {"count": 0, "mean": math.nan, "p50": math.nan,
+                "p90": math.nan, "p99": math.nan, "max": math.nan}
+    p50, p90, p99 = np.quantile(granted, (0.5, 0.9, 0.99),
+                                method="inverted_cdf").tolist()
+    return {
+        "count": float(granted.size),
+        "mean": float(granted.mean()),
+        "p50": p50,
+        "p90": p90,
+        "p99": p99,
+        "max": float(granted.max()),
+    }
+
+
 class _MaskCachingProtocol(ReplicaControlProtocol):
     """Memoizes the inner protocol's grant masks between state changes.
 
     ``QuorumReassignmentProtocol.grant_masks`` walks every component; at
     ~10⁶ accesses per run that is the hot path. Masks only change when
     the network state version moves or an assignment is installed, so
-    the cache key is ``(state version, max assignment version,
-    installs)``. Everything else delegates to the inner protocol, so the
-    monitor and audit layers see the QR state unchanged.
+    the cache key is the database's :func:`decision_key` (state version,
+    newest assignment version, installs). Everything else delegates to
+    the inner protocol, so the monitor and audit layers see the QR state
+    unchanged.
     """
 
     def __init__(self, inner: QuorumReassignmentProtocol) -> None:
         self._inner = inner
-        self._key: Optional[Tuple[int, int, int]] = None
+        self._key: Optional[tuple] = None
         self._masks: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self.name = inner.name
         self.declarative_grants = getattr(inner, "declarative_grants", False)
 
     def grant_masks(self, tracker):
-        inner = self._inner
-        key = (
-            tracker.state.version,
-            int(inner.site_version.max()),
-            inner.installs,
-        )
+        key = decision_key(tracker, self._inner)
         if key != self._key:
-            self._masks = inner.grant_masks(tracker)
+            self._masks = self._inner.grant_masks(tracker)
             self._key = key
         return self._masks
 
@@ -210,13 +229,18 @@ class AdaptiveQuorumService:
         n = config.n_requests
         self._codes = np.full(n, _CODE_UNSERVED, dtype=np.int8)
         self._attempts = np.zeros(n, dtype=np.int16)
+        #: Submission-to-grant time per request id; read where granted.
+        self._latencies = np.zeros(n, dtype=np.float64)
         self._db_counts: Dict[Tuple[str, str], int] = {}
 
         metrics = tel.metrics
+        # Filled once from ``_latencies`` at report time; no P² markers,
+        # the report's quantiles are exact.
         self._latency = metrics.histogram(
             "repro_serve_latency_seconds",
             "time from submission to grant, simulated seconds",
             buckets=_LATENCY_BUCKETS,
+            quantiles=(),
         )
         self._c_retry_attempts = metrics.counter(
             "repro_retry_attempts_total",
@@ -359,7 +383,7 @@ class AdaptiveQuorumService:
 
             if result.granted:
                 self.breakers.on_success(site)
-                self._latency.observe(self.now - pending.submit)
+                self._latencies[pending.rid] = self.now - pending.submit
                 self._record(pending.rid, _CODE_GRANTED, pending.attempts)
                 return
 
@@ -584,20 +608,6 @@ class AdaptiveQuorumService:
         newest = int(np.argmax(self.qr.site_version))
         return self.qr.site_assignment[newest]
 
-    def _latency_summary(self) -> Dict[str, float]:
-        series = self._latency.series().get((), None)
-        if series is None or series.count == 0:
-            return {"count": 0, "mean": math.nan, "p50": math.nan,
-                    "p90": math.nan, "p99": math.nan, "max": math.nan}
-        return {
-            "count": float(series.count),
-            "mean": series.mean(),
-            "p50": self._latency.quantile(0.5),
-            "p90": self._latency.quantile(0.9),
-            "p99": self._latency.quantile(0.99),
-            "max": series.max,
-        }
-
     def _build_report(self, wall_seconds: float) -> ServeReport:
         if self._read_only:
             self._read_only_time += self.now - self._read_only_since
@@ -612,6 +622,8 @@ class AdaptiveQuorumService:
             for code, name in enumerate(OUTCOME_NAMES)
             if counts[code]
         }
+        granted = self._latencies[self._codes == _CODE_GRANTED]
+        self._latency.observe_many(granted)
         metrics = self.telemetry.metrics
         served_counter = metrics.counter(
             "repro_serve_requests_total", "serving-layer request outcomes"
@@ -645,7 +657,7 @@ class AdaptiveQuorumService:
             outcomes=outcomes,
             db_attempts=dict(self._db_counts),
             audit_totals=dict(self.telemetry.audit.totals),
-            latency=self._latency_summary(),
+            latency=_latency_summary(granted),
             retries_scheduled=self._retries_scheduled,
             retries_exhausted=self._retries_exhausted,
             shed=self._shed,

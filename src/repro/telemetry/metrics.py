@@ -1,12 +1,16 @@
 """Metric primitives: counters, gauges, and histograms with labels.
 
-The registry is deliberately small and dependency-free. Metrics are
-identified by name; each metric holds one time series per label set
+The registry is deliberately small; numpy (for the batched histogram
+fill) is its only dependency. Metrics are identified by name; each
+metric holds one time series per label set
 (labels are passed as keyword arguments to the observation methods, the
 way Prometheus client libraries do it). Histograms combine fixed
 cumulative buckets — chosen for latency-style measurements — with P²
 streaming quantile estimators (Jain & Chlamtac 1985), so medians and
-tail quantiles are available without storing samples.
+tail quantiles are available without storing samples. A histogram
+registered with ``quantiles=()`` keeps no markers and may instead be
+filled in one vectorised call (:meth:`Histogram.observe_many`) by a
+caller that stores its samples and computes exact quantiles itself.
 
 Everything here is the *enabled* implementation. The zero-overhead
 disabled path lives in :mod:`repro.telemetry.recorder`: the null recorder
@@ -18,6 +22,8 @@ from __future__ import annotations
 
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ReproError
 
@@ -143,9 +149,15 @@ class Counter:
         self._series: Dict[LabelKey, float] = {}
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
+        self._add(_label_key(labels), amount)
+
+    def labels(self, **labels: object) -> "_CounterSeries":
+        """One series, keyed once: its ``inc`` skips the label sorting."""
+        return _CounterSeries(self, _label_key(labels))
+
+    def _add(self, key: LabelKey, amount: float) -> None:
         if amount < 0:
             raise ReproError(f"counter {self.name} cannot decrease (amount={amount})")
-        key = _label_key(labels)
         self._series[key] = self._series.get(key, 0.0) + float(amount)
 
     def value(self, **labels: object) -> float:
@@ -157,6 +169,19 @@ class Counter:
 
     def series(self) -> Dict[LabelKey, float]:
         return dict(self._series)
+
+
+class _CounterSeries:
+    """A :class:`Counter` series bound to one label set (``Counter.labels``)."""
+
+    __slots__ = ("_counter", "_key")
+
+    def __init__(self, counter: Counter, key: LabelKey) -> None:
+        self._counter = counter
+        self._key = key
+
+    def inc(self, amount: float = 1.0) -> None:
+        self._counter._add(self._key, amount)
 
 
 class Gauge:
@@ -255,6 +280,35 @@ class Histogram:
         for estimator in series.quantiles.values():
             estimator.observe(value)
 
+    def observe_many(self, values, **labels: object) -> None:
+        """Observe every entry of ``values`` at once (marker-free only).
+
+        Same bucket rule as :meth:`observe` (``value <= bound``, i.e.
+        ``searchsorted(..., side="left")``); count, min and max are
+        exact, sum and sum_sq are numpy sums. P² markers are sequential
+        by nature, so a histogram that keeps them refuses the batch. An
+        empty batch creates no series.
+        """
+        if self.quantile_levels:
+            raise ReproError(
+                f"histogram {self.name} keeps P² quantile markers, which "
+                "observe one value at a time; register it with quantiles=() "
+                "to observe in batches"
+            )
+        values = np.asarray(values, dtype=np.float64).ravel()
+        if values.size == 0:
+            return
+        series = self._get(labels)
+        slots = np.searchsorted(self.buckets, values, side="left")
+        added = np.bincount(slots, minlength=len(self.buckets) + 1)
+        for i, n in enumerate(added.tolist()):
+            series.bucket_counts[i] += n
+        series.count += int(values.size)
+        series.sum += float(values.sum())
+        series.sum_sq += float(np.dot(values, values))
+        series.min = min(series.min, float(values.min()))
+        series.max = max(series.max, float(values.max()))
+
     def count(self, **labels: object) -> int:
         series = self._series.get(_label_key(labels))
         return series.count if series else 0
@@ -262,12 +316,6 @@ class Histogram:
     def sum(self, **labels: object) -> float:
         series = self._series.get(_label_key(labels))
         return series.sum if series else 0.0
-
-    def quantile(self, q: float, **labels: object) -> float:
-        series = self._series.get(_label_key(labels))
-        if series is None or q not in series.quantiles:
-            return math.nan
-        return series.quantiles[q].value()
 
     def series(self) -> Dict[LabelKey, _HistogramSeries]:
         return dict(self._series)
@@ -302,8 +350,10 @@ class MetricsRegistry:
         name: str,
         help: str = "",
         buckets: Optional[Sequence[float]] = None,
+        quantiles: Sequence[float] = DEFAULT_QUANTILES,
     ) -> Histogram:
-        return self._register(Histogram, name, help, buckets=buckets)
+        return self._register(Histogram, name, help, buckets=buckets,
+                              quantiles=quantiles)
 
     def get(self, name: str):
         return self._metrics.get(name)

@@ -92,6 +92,9 @@ class _NullMetric:
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         pass
 
+    def labels(self, **labels: object) -> "_NullMetric":
+        return self
+
     def set(self, value: float, **labels: object) -> None:
         pass
 
@@ -99,6 +102,9 @@ class _NullMetric:
         pass
 
     def observe(self, value: float, **labels: object) -> None:
+        pass
+
+    def observe_many(self, values, **labels: object) -> None:
         pass
 
     def value(self, **labels: object) -> float:
@@ -122,7 +128,8 @@ class _NullRegistry:
     def gauge(self, name: str, help: str = "") -> _NullMetric:
         return _NULL_METRIC
 
-    def histogram(self, name: str, help: str = "", buckets=None) -> _NullMetric:
+    def histogram(self, name: str, help: str = "", buckets=None,
+                  quantiles=()) -> _NullMetric:
         return _NULL_METRIC
 
     def get(self, name: str) -> None:

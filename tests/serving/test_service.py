@@ -8,19 +8,24 @@ and the abort contract on invariant violations.
 """
 
 import asyncio
+import math
 
 import numpy as np
 import pytest
 
 from repro.quorum.assignment import QuorumAssignment
+from repro.replication.database import ReplicatedDatabase
 from repro.serving import (
+    SERVE_SCENARIOS,
     ServeConfig,
     ServeReport,
     run_serve,
     serving_schedule,
 )
-from repro.serving.service import AdaptiveQuorumService
+from repro.serving.report import outcome_code
+from repro.serving.service import AdaptiveQuorumService, _latency_summary
 from repro.simulation.workload import AccessWorkload
+from repro.telemetry.recorder import Telemetry
 from repro.topology.generators import ring_with_chords
 
 N_SITES = 9
@@ -43,13 +48,17 @@ def make_config(**overrides):
     return ServeConfig(**defaults)
 
 
-def serve(**overrides) -> ServeReport:
+def scheduled(**overrides) -> ServeConfig:
     config = make_config(**overrides)
     if config.fault_schedule is None and config.scenario != "custom":
         config.fault_schedule = serving_schedule(
             config.scenario, config.topology, config.horizon
         )
-    return run_serve(config)
+    return config
+
+
+def serve(**overrides) -> ServeReport:
+    return run_serve(scheduled(**overrides))
 
 
 class TestCleanRun:
@@ -211,3 +220,75 @@ class TestConfigValidation:
 
         with pytest.raises(ReproError):
             make_config(workload=AccessWorkload.uniform(N_SITES + 1, 0.5))
+
+
+QUANTILES = (("p50", 0.5), ("p90", 0.9), ("p99", 0.99))
+
+
+def nearest_rank(values, q):
+    """The smallest value with at least ``q`` of the sample at or below it."""
+    ordered = np.sort(values)
+    return float(ordered[max(0, math.ceil(q * ordered.size) - 1)])
+
+
+class TestLatency:
+    """Latency is exact nearest-rank over granted requests, at report time."""
+
+    def test_summary_definition(self):
+        summary = _latency_summary(np.arange(100.0, 0.0, -1.0))
+        assert (summary["p50"], summary["p90"], summary["p99"]) == (50, 90, 99)
+        assert summary["max"] == 100 and summary["count"] == 100
+        assert summary["mean"] == 50.5
+
+    def test_nothing_granted_is_nan(self):
+        summary = _latency_summary(np.empty(0))
+        assert summary["count"] == 0
+        assert all(math.isnan(summary[k]) for k in ("mean", "p50", "p99", "max"))
+
+    @pytest.mark.parametrize("scenario", SERVE_SCENARIOS)
+    def test_quantiles_are_nearest_rank_over_granted(self, scenario):
+        tel = Telemetry()
+        service = AdaptiveQuorumService(
+            scheduled(scenario=scenario, n_requests=3_000), tel)
+        report = asyncio.run(service.run_async())
+        granted = service._latencies[
+            report.outcome_codes == outcome_code("granted")]
+        latency = report.latency
+        assert latency["count"] == granted.size == report.outcomes["granted"]
+        assert latency["p50"] <= latency["p90"] <= latency["p99"] <= latency["max"]
+        for name, q in QUANTILES:
+            assert latency[name] == nearest_rank(granted, q)
+        assert latency["max"] == granted.max()
+        # The exported histogram is filled from the same latencies, once,
+        # and carries no streaming quantile markers.
+        (series,) = tel.metrics.get("repro_serve_latency_seconds").series().values()
+        assert series.count == granted.size
+        assert series.max == latency["max"]
+        assert series.quantiles == {}
+
+
+class TestDecisionView:
+    """The database's per-version decision view is an optimisation only."""
+
+    @staticmethod
+    def observed(config):
+        tel = Telemetry()
+        report = run_serve(config, tel)
+        snap = tel.snapshot()
+        return {
+            "digest": report.digest(),
+            "audit_totals": report.audit_totals,
+            "audit_records": snap.audit_records,
+            "counters": snap.counters,
+        }
+
+    @pytest.mark.parametrize("scenario", SERVE_SCENARIOS)
+    def test_view_rebuilt_per_decision_changes_nothing(self, scenario,
+                                                       monkeypatch):
+        cached = self.observed(scheduled(scenario=scenario, n_requests=3_000))
+        monkeypatch.setattr(ReplicatedDatabase, "_view_of",
+                            ReplicatedDatabase._build_view)
+        rebuilt = self.observed(scheduled(scenario=scenario, n_requests=3_000))
+        assert cached["audit_records"]
+        for part in cached:
+            assert cached[part] == rebuilt[part], part

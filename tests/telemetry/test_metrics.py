@@ -44,6 +44,16 @@ class TestCounter:
     def test_missing_series_is_zero(self):
         assert Counter("x").value(op="read") == 0.0
 
+    def test_bound_series_is_the_labelled_series(self):
+        c = Counter("ops")
+        reads = c.labels(outcome="granted", op="read")
+        reads.inc()
+        reads.inc(2)
+        c.inc(op="read", outcome="granted")
+        assert c.series() == {(("op", "read"), ("outcome", "granted")): 4.0}
+        with pytest.raises(ReproError):
+            reads.inc(-1)
+
 
 class TestGauge:
     def test_set_and_add(self):
@@ -88,11 +98,77 @@ class TestHistogram:
         h = Histogram("lat")
         for v in (1.0, 2.0, 3.0):
             h.observe(v)
-        assert h.quantile(0.5) == 2.0
+        assert h.series()[()].quantiles[0.5].value() == 2.0
 
     def test_empty_bucket_list_rejected(self):
         with pytest.raises(ReproError):
             Histogram("lat", buckets=())
+
+
+class TestObserveMany:
+    BUCKETS = (0.25, 0.5, 1.0, 2.0, 4.0)
+
+    def _pair(self, values):
+        one = Histogram("lat", buckets=self.BUCKETS, quantiles=())
+        for value in values:
+            one.observe(value, op="read")
+        many = Histogram("lat", buckets=self.BUCKETS, quantiles=())
+        many.observe_many(np.asarray(values), op="read")
+        return one.series()[(("op", "read"),)], many.series()[(("op", "read"),)]
+
+    def test_equals_repeated_observe(self):
+        rng = np.random.default_rng(3)
+        # Values exactly on every bound, below the first, above the last.
+        values = list(self.BUCKETS) + [0.0, 7.5] + list(rng.exponential(1.0, 500))
+        one, many = self._pair(values)
+        assert many.bucket_counts == one.bucket_counts
+        assert (many.count, many.min, many.max) == (one.count, one.min, one.max)
+        assert many.sum == pytest.approx(one.sum, rel=1e-12)
+        assert many.sum_sq == pytest.approx(one.sum_sq, rel=1e-12)
+        assert many.quantiles == {}
+
+    def test_bound_values_land_in_their_own_bucket(self):
+        _, many = self._pair(list(self.BUCKETS))
+        assert many.bucket_counts == [1, 1, 1, 1, 1, 0]
+
+    def test_accumulates_across_calls(self):
+        h = Histogram("lat", buckets=self.BUCKETS, quantiles=())
+        h.observe_many([0.1, 3.0])
+        h.observe_many([9.0])
+        series = h.series()[()]
+        assert series.bucket_counts == [1, 0, 0, 0, 1, 1]
+        assert (series.count, series.min, series.max) == (3, 0.1, 9.0)
+
+    def test_empty_batch_creates_no_series(self):
+        h = Histogram("lat", buckets=self.BUCKETS, quantiles=())
+        h.observe_many(np.empty(0))
+        assert h.series() == {}
+
+    def test_refused_with_p2_markers(self):
+        with pytest.raises(ReproError, match="P²"):
+            Histogram("lat").observe_many([1.0])
+
+    def test_registry_forwards_quantiles(self):
+        reg = MetricsRegistry()
+        assert reg.histogram("plain", quantiles=()).quantile_levels == ()
+        assert reg.histogram("timed").quantile_levels == (0.5, 0.9, 0.99)
+
+    def test_marker_free_snapshot_round_trip(self):
+        from repro.telemetry.recorder import Telemetry
+        from repro.telemetry.snapshot import TelemetrySnapshot
+
+        tels = [Telemetry(), Telemetry()]
+        for tel, values in zip(tels, ([0.1, 0.3], [5.0])):
+            tel.metrics.histogram("lat", "h", buckets=self.BUCKETS,
+                                  quantiles=()).observe_many(values)
+        snaps = [tel.snapshot() for tel in tels]
+        back = TelemetrySnapshot.from_records(list(snaps[0].to_records()))
+        merged = TelemetrySnapshot.merged(snaps)
+        for snap in (snaps[0], back, merged, TelemetrySnapshot.merged(snaps[:1])):
+            (series,) = snap.histogram_series("lat")
+            assert series["quantiles"] == {}
+        (pooled,) = merged.histogram_series("lat")
+        assert pooled["count"] == 3 and pooled["max"] == 5.0
 
 
 class TestP2Quantile:

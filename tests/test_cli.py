@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -229,6 +231,20 @@ class TestServe:
         assert code == 0
         assert "requests       : 20000" in out
 
+    P99_GATE = ("serve", "--accesses", "20000", "--clients", "2",
+                "--seed", "30024")
+
+    def test_p99_gate_reads_exact_quantiles(self, capsys):
+        # 1 of ~17k granted requests waited, so p50 = p99 = 0 exactly and
+        # a 1e-6 s gate must pass; any negative gate must fail.
+        code, out, _ = run_cli(capsys, *self.P99_GATE, "--max-p99", "1e-6")
+        assert code == 0
+        assert "p50=0  p99=0  max=3.52" in out
+        assert "verdict        : PASS" in out
+        code, out, _ = run_cli(capsys, *self.P99_GATE, "--max-p99=-1")
+        assert code == 1
+        assert "verdict        : FAIL" in out
+
     def test_telemetry_export_includes_serving_counters(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, *self.SMALL, "--scenario", "correlated",
@@ -254,8 +270,28 @@ class TestValidate:
         assert "REPRODUCTION VALID" in out
 
 
+def _seeded_commands():
+    """Every subcommand with a ``--seed`` option, with its required args."""
+    required = {"profile": ["enumeration"], "shard": ["--family", "ring"]}
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    return [
+        [name, *required.get(name, [])]
+        for name, sub in sorted(commands.items())
+        if any("--seed" in action.option_strings for action in sub._actions)
+    ]
+
+
 class TestErrorPaths:
     """Malformed invocations must exit 2 with a clean one-line error."""
+
+    @pytest.mark.parametrize("argv", _seeded_commands(), ids=lambda argv: argv[0])
+    def test_negative_seed_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*argv, "--seed", "-1"])
+        assert excinfo.value.code == 2
+        assert "argument --seed: must be a non-negative integer" in (
+            capsys.readouterr().err)
 
     def test_simulate_rejects_zero_workers(self, capsys):
         code, _, err = run_cli(
