@@ -2,19 +2,21 @@
 
 The sharded engine's pitch (DESIGN.md §14): one component labelling per
 network state, accounted once per ``(votes, q_r)`` quorum class (here
-all 10^4 items are one) and settled on the non-zero access cells. The
+all 10^4 items are one) and settled on the sampled access cells. The
 retained reference evaluates the same epochs with one
 ``MultiItemDatabase`` protocol object per item, so at 10^4 items the
 vectorized path must win by a wide margin *while staying bitwise equal*.
 
 Claims gated here:
 
-- **Speed**: >= 20x over the reference loop at 10^4 items. Both engines
-  replay the identical epoch sequence and both pay the same
-  ``sample_epoch`` (≈ 5 ms an epoch, ≈ 85 % of the vectorized run), so
-  the ratio measures the accounting and is capped by the sampling:
-  37–51x measured over three runs; the per-(item, site) accounting this
-  replaced measured 17–19x on the same host, and does not clear the gate.
+- **Speed**: >= 200x over the reference loop at 10^4 items. Both engines
+  replay the identical epoch sequence from the same ``sample_epoch``,
+  which costs ``O(sites + accesses)`` an epoch; only the reference also
+  densifies it into ``(items, sites)`` grids for its per-item loop.
+  1 113–1 239x measured over five one-round runs (reference 5.3–5.9 s,
+  vectorized 4–5 ms, 2-core x86-64 container). While both engines drew
+  a joint multinomial over the 160 000-cell grid (≈ 5 ms an epoch) the
+  ratio was capped at 37–51x and the gate was 20x.
 - **Equality**: the timed runs' pooled counters, survivability times,
   and density tables are bitwise identical.
 - **Fan-out**: a 4-worker pool run matches the serial run bitwise.
@@ -110,5 +112,5 @@ def test_sharded_summary(report):
         f"  vectorized mean      : {_STATE['vectorized_mean'] * 1e3:.0f}ms\n"
         f"  speedup              : {speedup:.1f}x"
     )
-    assert speedup >= 20.0, (
+    assert speedup >= 200.0, (
         f"vectorized engine only {speedup:.1f}x over the reference loop")

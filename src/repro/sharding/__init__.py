@@ -6,7 +6,7 @@ n_sites)`` vote matrices, ``(n_items,)`` read-quorum vectors, Zipf- or
 hotspot-skewed item access, and per-shard quorum optimization grouped by
 ``(alpha, votes)`` workload class. See DESIGN.md §14.
 
-- :mod:`repro.sharding.workload` — the joint (item, site) access sampler;
+- :mod:`repro.sharding.workload` — the (item, site) access sampler;
 - :mod:`repro.sharding.config` — :class:`ShardConfig`;
 - :mod:`repro.sharding.engine` — the vectorized engine and the per-item
   ``multidb`` reference it matches bitwise;

@@ -13,8 +13,8 @@ does). They differ only in how one epoch is accounted:
   **quorum class** — the items sharing a ``(votes row, q_r)`` pair, which
   the protocol cannot tell apart. Component vote totals, SURV time and
   the time-weighted density are kept per class and scattered to the items
-  at batch end; counts are settled only on the non-zero access cells. An
-  epoch costs ``O(classes x sites + non-zero accesses)``.
+  at batch end; counts are settled on the access cells the workload hands
+  over. An epoch costs ``O(classes x sites + accesses)``.
 - :class:`ReferenceShardEngine` drives a
   :class:`~repro.replication.multidb.MultiItemDatabase` — one
   :class:`ComponentTracker` and one protocol *per item*, evaluated in a
@@ -42,6 +42,7 @@ from repro.replication.item import ReplicatedItem
 from repro.replication.multidb import ItemBinding, MultiItemDatabase
 from repro.rng import spawn, stream_for
 from repro.sharding.config import ShardConfig
+from repro.sharding.workload import Accesses
 from repro.simulation.engine import HistoryWalk
 from repro.telemetry.recorder import current as _current_recorder
 
@@ -60,7 +61,8 @@ class ShardBatchResult:
     epoch durations during which *some* site could assemble the item's
     quorum; densities are ``(n_items, max_total_votes + 1)`` histograms
     of per-site component vote totals, weighted by time and by access
-    count respectively.
+    count respectively. The pooled ACC and SURV views are
+    :class:`~repro.sharding.runner.ShardRunResult`'s.
     """
 
     batch_index: int
@@ -75,40 +77,6 @@ class ShardBatchResult:
     n_events: int
     density_time: np.ndarray
     density_access: np.ndarray
-
-    # ------------------------------------------------------------------
-    @property
-    def n_items(self) -> int:
-        return int(self.reads_submitted.shape[0])
-
-    @property
-    def item_availability(self) -> np.ndarray:
-        """Per-item ACC = granted / submitted (1.0 for idle items)."""
-        submitted = self.reads_submitted + self.writes_submitted
-        granted = self.reads_granted + self.writes_granted
-        out = np.ones(self.n_items, dtype=np.float64)
-        active = submitted > 0
-        out[active] = granted[active] / submitted[active]
-        return out
-
-    @property
-    def availability(self) -> float:
-        """Overall ACC pooled across items."""
-        submitted = int(self.reads_submitted.sum() + self.writes_submitted.sum())
-        granted = int(self.reads_granted.sum() + self.writes_granted.sum())
-        return granted / submitted if submitted > 0 else 1.0
-
-    @property
-    def surv_read(self) -> np.ndarray:
-        if self.measured_time <= 0:
-            return np.zeros(self.n_items, dtype=np.float64)
-        return self.surv_read_time / self.measured_time
-
-    @property
-    def surv_write(self) -> np.ndarray:
-        if self.measured_time <= 0:
-            return np.zeros(self.n_items, dtype=np.float64)
-        return self.surv_write_time / self.measured_time
 
     def bitwise_equal(self, other: "ShardBatchResult") -> bool:
         """True iff every payload array and scalar matches exactly."""
@@ -130,7 +98,7 @@ class _ShardEngineBase:
         raise NotImplementedError
 
     def _account_epoch(self, network: object, result: ShardBatchResult,
-                       duration: float, reads: np.ndarray, writes: np.ndarray) -> None:
+                       duration: float, reads: Accesses, writes: Accesses) -> None:
         raise NotImplementedError
 
     def _end_batch(self, network: object, result: ShardBatchResult) -> None:
@@ -143,10 +111,10 @@ class _ShardEngineBase:
         batch_seed = (
             stream_for(cfg.seed, batch_index) if cfg.seed is not None else None
         )
-        # Three substreams for parity with the single-item engine's
-        # (failure, access, chaos) split; chaos is unused here but keeps
-        # the first two streams identical for the same seed.
-        failure_rng, access_rng, _chaos_rng = spawn(batch_seed, 3)
+        # The single-item engine's (failure, access, chaos) split: the first
+        # two streams are its own for the same seed, and the third, which
+        # the single-item engine spends on chaos, draws the accesses' items.
+        failure_rng, access_rng, item_rng = spawn(batch_seed, 3)
 
         network = self._begin_batch()
         walk = HistoryWalk(cfg, network, failure_rng)
@@ -173,7 +141,8 @@ class _ShardEngineBase:
         for now, epoch_end, _ in walk.epochs():
             duration = epoch_end - now
             if duration > 0 and now >= warmup_end:
-                reads, writes = workload.sample_epoch(duration, access_rng)
+                reads, writes = workload.sample_epoch(
+                    duration, access_rng, item_rng)
                 self._account_epoch(network, result, duration, reads, writes)
                 result.n_epochs += 1
         self._end_batch(network, result)
@@ -224,7 +193,7 @@ class ShardedEngine(_ShardEngineBase):
         return _ClassLedger(self.config.topology, self.n_classes, width)
 
     def _account_epoch(self, network: _ClassLedger, result: ShardBatchResult,
-                       duration: float, reads: np.ndarray, writes: np.ndarray) -> None:
+                       duration: float, reads: Accesses, writes: Accesses) -> None:
         phases = _current_recorder().phases
         with phases.phase("shard.label"):
             labels = network.tracker.labels
@@ -272,11 +241,8 @@ class ShardedEngine(_ShardEngineBase):
                 density_access) -> None:
         """Book one kind of access on the cells that saw any. The addends
         are integer-valued, so the sums are exact in any order."""
-        flat = accesses.ravel()
-        # nonzero() on a bool scan is several times faster than on int64.
-        cells = np.flatnonzero(flat != 0)
-        items, sites = np.divmod(cells, accesses.shape[1])
-        count = flat[cells]
+        cells, count = accesses
+        items, sites = np.divmod(cells, totals.shape[1])
         classes = self.class_of[items]
         votes = totals[classes, sites]
         np.add.at(submitted, items, count)
@@ -295,6 +261,14 @@ class ShardedEngine(_ShardEngineBase):
                 (result.density_time, network.density_time),
             ):
                 np.take(per_class, self.class_of, axis=0, out=per_item, mode="clip")
+
+
+def _dense(accesses: Accesses, shape) -> np.ndarray:
+    """The ``(n_items, n_sites)`` count grid of one kind of access."""
+    cells, counts = accesses
+    grid = np.zeros(shape[0] * shape[1], dtype=np.int64)
+    grid[cells] = counts
+    return grid.reshape(shape)
 
 
 class _MultiDbNetwork:
@@ -343,16 +317,12 @@ class ReferenceShardEngine(_ShardEngineBase):
     def _begin_batch(self) -> _MultiDbNetwork:
         return _MultiDbNetwork(self.config)
 
-    def _account_epoch(
-        self,
-        network: _MultiDbNetwork,
-        result: ShardBatchResult,
-        duration: float,
-        reads: np.ndarray,
-        writes: np.ndarray,
-    ) -> None:
+    def _account_epoch(self, network: _MultiDbNetwork, result: ShardBatchResult,
+                       duration: float, reads: Accesses, writes: Accesses) -> None:
         db = network.db
         width = result.density_time.shape[1]
+        shape = (self.config.n_items, self.config.topology.n_sites)
+        reads, writes = _dense(reads, shape), _dense(writes, shape)
         for i, item_id in enumerate(network.item_ids):
             tracker = db.tracker_for(item_id)
             protocol = db.binding_for(item_id).protocol

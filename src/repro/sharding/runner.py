@@ -140,8 +140,10 @@ def run_sharded(
     ``engine`` selects the vectorized path or the per-item multidb
     reference.
     """
+    if n_workers <= 0:
+        raise ShardingError(f"n_workers must be positive, got {n_workers}")
     indices = range(config.n_batches)
-    if n_workers <= 1:
+    if n_workers == 1:
         runner = _make_engine(config, engine)
         batches = [runner.run_batch(i) for i in indices]
     else:

@@ -8,21 +8,21 @@ two: a probability vector over items (uniform, Zipf, or hotspot —
 mirroring the per-site constructors), a per-item read fraction
 ``alpha_i``, and the per-site submission weights of the single-item API.
 
-Sampling is exact Poisson thinning, arranged so that the ``n_items=1``
-case consumes the random stream in *exactly* the same order as
-``AccessWorkload.sample_epoch``:
+Each access picks its ``(item, site)`` independently from its kind's
+``item weights (x) site weights``, so sampling is exact Poisson thinning
+in two stages instead of one multinomial over the ``(item, site)`` grid:
 
 1. ``total ~ Poisson(rate * duration)``;
-2. ``n_reads ~ Binomial(total, mean_alpha)`` with
-   ``mean_alpha = sum_i w_i alpha_i`` (for one item this is its alpha);
-3. ``reads ~ Multinomial(n_reads, read_item_weights (x) read_site_weights)``
-   over the flattened ``(item, site)`` grid, where
-   ``read_item_weights_i = w_i alpha_i / mean_alpha`` (for one item the
-   flattened grid *is* the per-site weight vector);
-4. the same for writes with ``w_i (1 - alpha_i) / (1 - mean_alpha)``.
+2. ``n_reads ~ Binomial(total, mean_alpha)``, ``mean_alpha = sum_i w_i alpha_i``;
+3. one ``Multinomial`` over the sites for the reads, one for the writes;
+4. each read's item from the CDF of ``w_i alpha_i``, each write's from
+   that of ``w_i (1 - alpha_i)``, one uniform per access on ``item_rng``.
 
-That makes the N=1 sharded run bitwise identical to the existing
-single-item engine — a property test locks it down.
+Steps 1–3 are ``AccessWorkload.sample_epoch``'s draws on the same stream,
+so per-site traffic is bitwise the single-item workload's for **any**
+number of items (and an N=1 run is bitwise the single-item engine). An
+epoch costs ``O(n_sites + accesses)``; nothing ``n_items x n_sites`` is
+built.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ import numpy as np
 from repro.errors import SimulationError
 
 __all__ = ["ItemWorkload"]
+
+#: One kind of access in one epoch: ascending flat cells
+#: ``item * n_sites + site`` and the positive int64 count on each.
+Accesses = Tuple[np.ndarray, np.ndarray]
 
 
 def _normalize_weights(
@@ -224,52 +228,50 @@ class ItemWorkload:
         """Total access rate across all sites (items share the budget)."""
         return self.n_sites * self.rate_per_site
 
-    @property
+    @cached_property
     def mean_alpha(self) -> float:
-        """Traffic-weighted read fraction (the Poisson-thinning split)."""
-        return float((self.item_weights * self.alphas).sum())
+        """Traffic-weighted read fraction (the Poisson-thinning split);
+        exactly 1.0 for a read-only workload, never above 1 by round-off."""
+        if (self.alphas == 1.0).all():
+            return 1.0
+        return min(float((self.item_weights * self.alphas).sum()), 1.0)
 
     @cached_property
-    def _joint_weights(self) -> Tuple[float, np.ndarray, np.ndarray]:
-        """(mean_alpha, read pvals, write pvals) over the (item, site) grid.
+    def item_cdfs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only read and write item CDFs, ending at exactly 1.0: item
+        ``i`` owns ``[cdf[i-1], cdf[i])``, empty for a zero-weight item. A
+        kind with no mass is never sampled; its CDF is the item weights'."""
+        def cdf(mass: np.ndarray) -> np.ndarray:
+            out = np.cumsum(mass if mass.any() else self.item_weights)
+            out /= out[-1]
+            out.flags.writeable = False
+            return out
 
-        For a single item the outer product with its weight-1 marginal
-        reproduces the per-site vector bitwise, which is what keeps the
-        N=1 run identical to the single-item engine. Built on first use
-        and kept (the dataclass is frozen); the arrays are read-only.
-        """
-        mean_alpha = self.mean_alpha
-        if mean_alpha > 0.0:
-            read_items = self.item_weights * self.alphas / mean_alpha
-        else:
-            read_items = self.item_weights
-        if mean_alpha < 1.0:
-            write_items = (
-                self.item_weights * (1.0 - self.alphas) / (1.0 - mean_alpha)
-            )
-        else:
-            write_items = self.item_weights
-        read_p = np.outer(read_items, self.read_site_weights).ravel()
-        write_p = np.outer(write_items, self.write_site_weights).ravel()
-        read_p.flags.writeable = write_p.flags.writeable = False
-        return mean_alpha, read_p, write_p
+        return (cdf(self.item_weights * self.alphas),
+                cdf(self.item_weights * (1.0 - self.alphas)))
 
-    def sample_epoch(
-        self, duration: float, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sampled ``(reads, writes)`` counts, shape ``(n_items, n_sites)``."""
+    def sample_epoch(self, duration: float, rng: np.random.Generator,
+                     item_rng: np.random.Generator) -> Tuple[Accesses, Accesses]:
+        """One epoch's ``(reads, writes)``: sites from ``rng``, items from
+        ``item_rng`` (module docstring)."""
         if duration < 0:
             raise SimulationError(f"epoch duration must be >= 0, got {duration}")
         total = int(rng.poisson(self.aggregate_rate * duration))
-        shape = (self.n_items, self.n_sites)
         if total == 0:
             # Same short-circuit as AccessWorkload: no thinning draws are
-            # consumed for an empty epoch, keeping the N=1 stream aligned.
-            zero = np.zeros(shape, dtype=np.int64)
-            return zero, zero.copy()
-        mean_alpha, read_p, write_p = self._joint_weights
-        n_reads = int(rng.binomial(total, mean_alpha))
-        n_writes = total - n_reads
-        reads = rng.multinomial(n_reads, read_p).reshape(shape)
-        writes = rng.multinomial(n_writes, write_p).reshape(shape)
-        return reads, writes
+            # consumed for an empty epoch.
+            empty = np.zeros(0, dtype=np.int64)
+            return (empty, empty), (empty, empty)
+        n_reads = int(rng.binomial(total, self.mean_alpha))
+        read_sites = rng.multinomial(n_reads, self.read_site_weights)
+        write_sites = rng.multinomial(total - n_reads, self.write_site_weights)
+        read_cdf, write_cdf = self.item_cdfs
+        return (self._place(read_sites, read_cdf, item_rng),
+                self._place(write_sites, write_cdf, item_rng))
+
+    def _place(self, site_counts: np.ndarray, cdf: np.ndarray,
+               item_rng: np.random.Generator) -> Accesses:
+        """Give each of ``site_counts``' accesses an item drawn from ``cdf``."""
+        sites = np.repeat(np.arange(self.n_sites), site_counts)
+        items = cdf.searchsorted(item_rng.random(sites.size), side="right")
+        return np.unique(items * self.n_sites + sites, return_counts=True)

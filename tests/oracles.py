@@ -199,3 +199,31 @@ def conditional_failure_masks(q, k, count, rng, suffix):
         failures[:, i] = fail
         remaining -= fail.astype(np.int64)
     return failures
+
+
+def joint_multinomial_epoch(workload, duration, rng):
+    """One epoch of an ``ItemWorkload`` as one multinomial per kind.
+
+    The oracle of ``ItemWorkload.sample_epoch``'s two-stage draw: Poisson
+    total, binomial read split, then reads and writes each placed by one
+    multinomial over the flattened ``(item, site)`` grid with cell
+    probabilities ``item_p (x) site_w``. Same law, different stream, and
+    ``O(n_items x n_sites)`` per epoch. Returns dense ``(reads, writes)``
+    int64 grids of shape ``(n_items, n_sites)``.
+    """
+    shape = (workload.n_items, workload.n_sites)
+    total = int(rng.poisson(workload.aggregate_rate * duration))
+    if total == 0:
+        return np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
+    mean_alpha = workload.mean_alpha
+    weights = workload.item_weights
+    alphas = workload.alphas
+    read_items = weights * alphas / mean_alpha if mean_alpha > 0.0 else weights
+    write_items = (weights * (1.0 - alphas) / (1.0 - mean_alpha)
+                   if mean_alpha < 1.0 else weights)
+    n_reads = int(rng.binomial(total, mean_alpha))
+    reads = rng.multinomial(
+        n_reads, np.outer(read_items, workload.read_site_weights).ravel())
+    writes = rng.multinomial(
+        total - n_reads, np.outer(write_items, workload.write_site_weights).ravel())
+    return reads.reshape(shape), writes.reshape(shape)

@@ -12,6 +12,11 @@ estimators' weights, ``max_votes_time`` and the *returned* trace (initial
 masks, events, sources), plus a few readable fields so that a mismatch
 says more than "digest differs". The quarantine tests need no golden:
 the healthy run of the same batch is their oracle.
+
+``sharded-ring-7`` alone was rewritten later, by the same command, when
+``ItemWorkload.sample_epoch`` moved to per-site thinning plus an item
+draw on the batch's third substream: same law, new stream. Its epoch and
+event counts did not move, and no other entry changed a byte.
 """
 
 import hashlib

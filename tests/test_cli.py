@@ -315,6 +315,22 @@ class TestErrorPaths:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--scale", "test"],
+        ["chaos", "--scale", "test", "--batches", "1"],
+        ["profile", "simulate"],
+        ["shard", "--family", "ring", "--sites", "5", "--items", "10",
+         "--batches", "1", "--accesses", "50", "--warmup", "10"],
+    ], ids=lambda argv: argv[0])
+    def test_nonpositive_workers_rejected(self, argv, workers, capsys, tmp_path):
+        if argv[0] == "profile":
+            argv = [*argv, "--out", str(tmp_path / "profile")]
+        code, out, err = run_cli(capsys, *argv, "--workers", workers)
+        assert code == 2
+        assert err == f"error: n_workers must be positive, got {workers}\n"
+        assert "workers=" not in out
+
     def test_metrics_missing_path_is_clean_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "metrics", str(tmp_path / "nope.jsonl"))
         assert code == 2
