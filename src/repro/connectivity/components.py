@@ -14,8 +14,12 @@ union-find with path halving serves one state of a sparse network (the
 paper's rings). :func:`_batched_raw_labels` lays B states side by side in
 one CSR matrix and labels them with a single scipy.sparse.csgraph call;
 it is the only builder of a ``connected_components`` input in the repo.
-``component_labels`` picks between them for a single state on the link
-count it observes (:data:`CSGRAPH_THRESHOLD`; the dense case is the
+That matrix has a fixed shape: every link owns one slot per state, and
+the draw only decides whether the slot points across the link or back at
+its own row (a self-loop, which joins nothing), so building it costs no
+scan of the draw for its usable links. ``component_labels`` picks between
+the two labellers for a single state on the link count it observes
+(:data:`CSGRAPH_THRESHOLD`, the measured crossover; the dense case is the
 ``B = 1`` block). Blocks of sampled or enumerated states always take the
 second, as labels, vote totals or — the one road from sampled states to a
 density — :func:`batched_vote_histogram` (DESIGN.md §10).
@@ -59,12 +63,15 @@ def _validate_masks(topology: Topology, site_up: np.ndarray, link_up: np.ndarray
         )
 
 
-#: Link count above which ``component_labels`` takes the csgraph labeller.
-#: On 101-site paper topologies at p=0.9 (µs per call, union-find vs
-#: csgraph): 613 links 106 vs 142, 1125 links 173 vs 147, 2149 links 314
-#: vs 178, 5050 links 749 vs 240; the crossover sits near 900 links, and
-#: no shipped topology has between 900 and 1600.
-CSGRAPH_THRESHOLD = 1_600
+#: Link count above which ``component_labels`` takes the csgraph labeller:
+#: the measured crossover. One relabel of a 101-site ring plus chords at
+#: p = r = 0.96 (µs per call, union-find vs csgraph, best of 5 loops over
+#: 100 states, 2-core x86-64, scipy 1.17): 101 links 40 vs 110, 357 links
+#: 90 vs 113, 485 links 111 vs 127, 549 links 123 vs 124, 613 links 137
+#: vs 122, 1125 links 220 vs 141, 2149 links 399 vs 140, 5050 links 908
+#: vs 187. Union-find grows with the links; the block's cost is mostly
+#: fixed. No paper topology has between 357 and 5050 links.
+CSGRAPH_THRESHOLD = 550
 
 
 def component_labels(
@@ -167,35 +174,41 @@ def _batched_raw_labels(
 ) -> tuple:
     """One block-diagonal csgraph call over B states; raw (uncompacted) labels.
 
-    State ``k``'s copy of site ``s`` is node ``k * n + s`` and a usable
-    link joins two nodes of one block. The graph is written straight into
-    CSR: link ids ascend by ``(u, v)``, so the row-major positions of the
-    usable links are already ordered by row node, and ``float64`` data
-    with ``int32`` indices is what csgraph validates to, so scipy
-    converts nothing on the way in.
+    State ``k``'s copy of site ``s`` is node ``k * n + s``. The CSR shape
+    depends on the topology and ``B`` only: every link ``(u, v)`` owns one
+    slot in row ``k * n + u``, and link ids ascend by ``(u, v)``, so
+    ``indptr`` is the per-site out-degree prefix sum shifted by
+    ``k * n_links`` for block ``k``. The draw only picks each slot's
+    column: ``v`` for a usable link, ``u`` otherwise — a self-loop, which
+    joins nothing. ``float64`` data with ``int32`` indices is what csgraph
+    validates to, so scipy converts nothing on the way in, and no array of
+    the block's size is wider than int32 except that data.
 
     Returns ``(n_components, raw)`` where ``raw`` has shape ``(B * n,)``,
     ids are batch-global and down sites carry their own singleton ids (no
-    -1 marking) — callers mask with ``site_masks`` themselves.
+    -1 marking) — callers mask with ``site_masks`` themselves. csgraph
+    numbers components in the order of their lowest node.
     """
     B, n = site_masks.shape
     u, v = topology.link_endpoint_arrays()
     n_nodes, n_links = B * n, u.shape[0]
-    if max(n_nodes, B * n_links) >= 2**31:
+    n_slots = B * n_links
+    if max(n_nodes, n_slots) >= 2**31:
         raise TopologyError(
             f"a block of {B} states of {topology.name} exceeds csgraph's int32 indices"
         )
-    usable = link_masks & site_masks[:, u] & site_masks[:, v]
-    flat = np.flatnonzero(usable)
-    state = flat // max(n_links, 1)  # no links: nothing to divide
-    link = flat - state * n_links
-    state *= n
-    rows = state + u[link]
-    cols = (state + v[link]).astype(np.int32)
-    indptr = np.zeros(n_nodes + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=n_nodes), out=indptr[1:])
+    u32, v32 = u.astype(np.int32), v.astype(np.int32)
+    usable = link_masks & site_masks[:, u32] & site_masks[:, v32]
+    indices = np.where(usable, v32, u32)
+    indices += (np.arange(B, dtype=np.int32) * n)[:, None]
+    row_start = np.zeros(n, dtype=np.int32)  # slot of each site's first link
+    np.cumsum(np.bincount(u32, minlength=n)[:-1], out=row_start[1:])
+    indptr = np.empty(n_nodes + 1, dtype=np.int32)
+    np.add((np.arange(B, dtype=np.int32) * n_links)[:, None], row_start,
+           out=indptr[:-1].reshape(B, n))
+    indptr[-1] = n_slots
     graph = csr_matrix(
-        (np.ones(cols.shape[0]), cols, indptr), shape=(n_nodes, n_nodes)
+        (np.ones(n_slots), indices.ravel(), indptr), shape=(n_nodes, n_nodes)
     )
     return connected_components(graph, directed=False)
 
@@ -217,16 +230,20 @@ def batched_component_labels(
     numpy.ndarray
         int64 labels of shape ``(B, n_sites)``. Up sites carry component
         ids that are unique across the WHOLE batch (``0..K-1`` over all
-        states, *not* compacted per state); down sites get
-        :data:`DOWN_LABEL`.
+        states in first-seen order, *not* compacted per state); down
+        sites get :data:`DOWN_LABEL`.
     """
     site_masks, link_masks = _validated_masks(topology, site_masks, link_masks)
-    _, raw = _batched_raw_labels(topology, site_masks, link_masks)
+    n_comp, raw = _batched_raw_labels(topology, site_masks, link_masks)
+    up = site_masks.ravel()
+    up_raw = raw[up]
+    # Down sites received their own singleton raw ids, which we discard.
+    # Raw ids ascend with each component's first node, so ranking the ids
+    # that hold an up site compacts them in first-seen order, no sort.
+    held = np.zeros(n_comp, dtype=bool)
+    held[up_raw] = True
     labels = np.full(raw.shape[0], DOWN_LABEL, dtype=np.int64)
-    up_idx = np.flatnonzero(site_masks)
-    # Down sites received their own singleton raw labels, which we discard.
-    _, compact = np.unique(raw[up_idx], return_inverse=True)
-    labels[up_idx] = compact
+    labels[up] = (np.cumsum(held) - 1)[up_raw]
     return labels.reshape(site_masks.shape)
 
 

@@ -54,14 +54,32 @@ def upper_cumulative(density: np.ndarray) -> np.ndarray:
     return np.cumsum(density[::-1])[::-1]
 
 
-#: Backwards-compatible private alias.
-_upper_cumulative = upper_cumulative
-
-
 def _check_alpha(alpha: float) -> float:
     if not 0.0 <= alpha <= 1.0:
         raise QuorumConstraintError(f"read fraction alpha must be in [0, 1], got {alpha}")
     return float(alpha)
+
+
+def _lookup(upper: np.ndarray, quorum: QuorumLike, kind: str) -> Union[float, np.ndarray]:
+    """``upper[q]`` for a scalar or array quorum ``q`` in ``1..T``."""
+    T = upper.shape[0] - 1
+    q = np.asarray(quorum, dtype=np.int64)
+    if (q < 1).any() or (q > T).any():
+        raise QuorumConstraintError(f"{kind} quorum must be in 1..{T}")
+    result = upper[q]
+    return float(result) if np.isscalar(quorum) or q.ndim == 0 else result
+
+
+def _mix(
+    alpha: float, read_upper: np.ndarray, write_upper: np.ndarray, read_quorum: QuorumLike
+) -> Union[float, np.ndarray]:
+    """``alpha * R(q_r) + (1 - alpha) * W(T - q_r + 1)`` from ``R`` and ``W``."""
+    T = read_upper.shape[0] - 1
+    q_r = np.asarray(read_quorum, dtype=np.int64)
+    q_w = T - q_r + 1
+    read_part = _lookup(read_upper, q_r if q_r.ndim else int(q_r), "read")
+    write_part = _lookup(write_upper, q_w if q_w.ndim else int(q_w), "write")
+    return alpha * read_part + (1.0 - alpha) * write_part
 
 
 def read_availability(read_density: np.ndarray, read_quorum: QuorumLike) -> Union[float, np.ndarray]:
@@ -70,26 +88,12 @@ def read_availability(read_density: np.ndarray, read_quorum: QuorumLike) -> Unio
     ``read_density`` is ``r(v)`` (length ``T + 1``); ``read_quorum`` may be
     a scalar or an array of quorums, and the result matches its shape.
     """
-    density = validate_density(read_density)
-    T = density.shape[0] - 1
-    upper = _upper_cumulative(density)
-    q = np.asarray(read_quorum, dtype=np.int64)
-    if (q < 1).any() or (q > T).any():
-        raise QuorumConstraintError(f"read quorum must be in 1..{T}")
-    result = upper[q]
-    return float(result) if np.isscalar(read_quorum) or q.ndim == 0 else result
+    return _lookup(upper_cumulative(validate_density(read_density)), read_quorum, "read")
 
 
 def write_availability(write_density: np.ndarray, write_quorum: QuorumLike) -> Union[float, np.ndarray]:
     """``W(q_w)``: probability an arbitrary write is granted."""
-    density = validate_density(write_density)
-    T = density.shape[0] - 1
-    upper = _upper_cumulative(density)
-    q = np.asarray(write_quorum, dtype=np.int64)
-    if (q < 1).any() or (q > T).any():
-        raise QuorumConstraintError(f"write quorum must be in 1..{T}")
-    result = upper[q]
-    return float(result) if np.isscalar(write_quorum) or q.ndim == 0 else result
+    return _lookup(upper_cumulative(validate_density(write_density)), write_quorum, "write")
 
 
 def availability(
@@ -109,12 +113,7 @@ def availability(
         raise DensityError(
             f"read/write densities must share a vote range, got {r.shape} vs {w.shape}"
         )
-    T = r.shape[0] - 1
-    q_r = np.asarray(read_quorum, dtype=np.int64)
-    q_w = T - q_r + 1
-    read_part = read_availability(r, q_r if q_r.ndim else int(q_r))
-    write_part = write_availability(w, q_w if q_w.ndim else int(q_w))
-    return alpha * read_part + (1.0 - alpha) * write_part
+    return _mix(alpha, upper_cumulative(r), upper_cumulative(w), read_quorum)
 
 
 def availability_curve(
@@ -139,12 +138,16 @@ class AvailabilityModel:
     """``T`` plus the mixed densities ``r(v)``, ``w(v)`` of Figure 1 step 2.
 
     Construct directly from densities, or from a per-site density matrix
-    with :meth:`from_density_matrix`. Densities are validated once at
-    construction; all evaluation methods are then cheap lookups.
+    with :meth:`from_density_matrix`. Densities are validated, and their
+    upper cumulatives ``R`` and ``W`` computed, once at construction; all
+    evaluation methods are then lookups into those read-only arrays, with
+    the module functions' arithmetic, so their answers are bitwise equal.
     """
 
     read_density: np.ndarray
     write_density: np.ndarray
+    _read_upper: np.ndarray = field(init=False, repr=False, compare=False)
+    _write_upper: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         r = validate_density(self.read_density)
@@ -153,10 +156,12 @@ class AvailabilityModel:
             raise DensityError(
                 f"read/write densities must share a vote range, got {r.shape} vs {w.shape}"
             )
-        r.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "read_density", r)
-        object.__setattr__(self, "write_density", w)
+        for name, density in (("read", r), ("write", w)):
+            upper = upper_cumulative(density)
+            density.setflags(write=False)
+            upper.setflags(write=False)
+            object.__setattr__(self, f"{name}_density", density)
+            object.__setattr__(self, f"_{name}_upper", upper)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -195,7 +200,7 @@ class AvailabilityModel:
     # ------------------------------------------------------------------
     def read_availability(self, read_quorum: QuorumLike) -> Union[float, np.ndarray]:
         """``R(q_r)`` under this model."""
-        return read_availability(self.read_density, read_quorum)
+        return _lookup(self._read_upper, read_quorum, "read")
 
     def write_availability_at(self, read_quorum: QuorumLike) -> Union[float, np.ndarray]:
         """``W(T - q_r + 1)``: write availability induced by ``q_r``.
@@ -205,15 +210,15 @@ class AvailabilityModel:
         """
         q_r = np.asarray(read_quorum, dtype=np.int64)
         q_w = self.total_votes - q_r + 1
-        return write_availability(self.write_density, q_w if q_w.ndim else int(q_w))
+        return _lookup(self._write_upper, q_w if q_w.ndim else int(q_w), "write")
 
     def availability(self, alpha: float, read_quorum: QuorumLike) -> Union[float, np.ndarray]:
         """``A(alpha, q_r)``."""
-        return availability(alpha, self.read_density, self.write_density, read_quorum)
+        return _mix(_check_alpha(alpha), self._read_upper, self._write_upper, read_quorum)
 
     def curve(self, alpha: float) -> np.ndarray:
         """``A(alpha, q_r)`` over all feasible quorums (a figure curve)."""
-        return availability_curve(alpha, self.read_density, self.write_density)
+        return np.asarray(self.availability(alpha, self.feasible_read_quorums()))
 
     def assignment(self, read_quorum: int) -> QuorumAssignment:
         """Materialize ``q_r`` into a validated :class:`QuorumAssignment`."""

@@ -259,10 +259,12 @@ def optimize_votes(
     method:
         ``"hillclimb"`` (default) or ``"exhaustive"`` (tiny systems).
     n_samples:
-        Network states in the common-random-numbers sample.
+        Network states in the common-random-numbers sample (at least 1).
     """
     if not 0.0 <= alpha <= 1.0:
         raise OptimizationError(f"alpha must be in [0, 1], got {alpha}")
+    if n_samples < 1:
+        raise OptimizationError(f"n_samples must be positive, got {n_samples}")
     n = topology.n_sites
     T = n if total_votes is None else int(total_votes)
     if T <= 0:

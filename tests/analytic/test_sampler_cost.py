@@ -9,6 +9,10 @@ each gate below names one piece of plumbing that must not come back:
 * a block is labelled by exactly one ``connected_components`` call, on a
   graph written straight into CSR (no ``coo_matrix`` is ever built) and
   binned with broadcasting (no ``numpy.tile``);
+* that graph's shape is fixed by the topology and ``B``: every link owns
+  one slot in every state (``nnz == B * n_links``, an unusable link being
+  a self-loop), so nothing scans the draw for its usable links (no
+  ``flatnonzero``);
 * nothing in a block loops over states at Python level: a 1 024-state
   block makes exactly the calls a 256-state block makes;
 * a stratum's conditional draw is a table lookup per fallible component
@@ -51,8 +55,11 @@ def calls_named(stats, file_part, name):
                if func == name and file_part in file)
 
 
+TOPOLOGY = paper_topology(16)
+
+
 def block_profile(batch_size):
-    topology = paper_topology(16)
+    topology = TOPOLOGY
     site_rel = np.full(topology.n_sites, 0.96)
     link_rel = np.full(topology.n_links, 0.96)
     run = lambda: _chunk_counts(  # noqa: E731
@@ -65,16 +72,19 @@ def test_one_block_is_one_labelling_call_on_a_direct_csr_graph(monkeypatch):
     labelled = []
 
     def counted(graph, **kwargs):
-        labelled.append(graph.format)
+        labelled.append((graph.format, graph.nnz))
         return real(graph, **kwargs)
 
     real = components.connected_components
     monkeypatch.setattr(components, "connected_components", counted)
     stats = block_profile(256)
-    assert labelled == ["csr", "csr"]  # the warm-up block and the profiled one
+    slots = 256 * TOPOLOGY.n_links
+    # the warm-up block and the profiled one
+    assert labelled == [("csr", slots), ("csr", slots)]
     assert calls_named(stats, "", "counted") == 1
     assert calls_named(stats, "_coo.py", "__init__") == 0
     assert calls_named(stats, "numpy", "tile") == 0
+    assert calls_named(stats, "", "flatnonzero") == 0
 
 
 def test_block_call_count_does_not_grow_with_batch_size():

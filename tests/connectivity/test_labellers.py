@@ -9,20 +9,32 @@ topologies and up/down masks.
 
 Hypothesis drives random graphs (random edge subsets over the complete
 graph, plus the named generator families) with random site/link masks.
+On the paper's own topologies the two sides of the dispatch must agree
+with each other, and the block builder under the csgraph side must give
+bitwise the raw labels of ``usable_links_raw_labels`` (``tests/oracles.py``),
+which builds a graph of the usable links only.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.connectivity.components import (
+    _batched_raw_labels,
     _labels_csgraph,
     _labels_unionfind,
     component_labels,
 )
-from repro.topology.generators import erdos_renyi, fully_connected, ring, star
+from repro.topology.generators import (
+    erdos_renyi,
+    fully_connected,
+    paper_topology,
+    ring,
+    star,
+)
 from repro.topology.model import Topology
-from tests.oracles import minlabel_component_labels
+from tests.oracles import minlabel_component_labels, usable_links_raw_labels
 
 #: Both sides of ``component_labels``' link-count dispatch, plus the
 #: dispatcher itself (which adds the mask validation).
@@ -30,11 +42,14 @@ LABELLERS = (_labels_unionfind, _labels_csgraph, component_labels)
 
 
 @st.composite
-def random_topologies(draw):
-    n = draw(st.integers(min_value=2, max_value=9))
+def random_topologies(draw, min_sites=2, min_links=1):
+    """An edge subset of K_n, ``n`` in ``min_sites..9``."""
+    n = draw(st.integers(min_value=min_sites, max_value=9))
     all_edges = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    if not all_edges:
+        return Topology(n, [], name=f"random-{n}")
     edges = draw(
-        st.lists(st.sampled_from(all_edges), min_size=1, unique=True)
+        st.lists(st.sampled_from(all_edges), min_size=min_links, unique=True)
     )
     return Topology(n, edges, name=f"random-{n}")
 
@@ -123,3 +138,58 @@ def test_all_links_down_each_site_is_its_own_component():
         np.testing.assert_array_equal(
             labeller(topo, sites, links), np.arange(6)
         )
+
+
+@pytest.mark.parametrize("p", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("chords", [0, 1, 2, 4, 16, 256, 4949])
+def test_both_labellers_agree_on_paper_topologies(chords, p):
+    topo = paper_topology(chords)
+    rng = np.random.default_rng(chords)
+    for _ in range(3):
+        site_up = rng.random(topo.n_sites) < p
+        link_up = rng.random(topo.n_links) < p
+        np.testing.assert_array_equal(
+            _labels_unionfind(topo, site_up, link_up),
+            _labels_csgraph(topo, site_up, link_up))
+
+
+# --- the block builder: a fixed-shape graph, raw labels bitwise the oracle's
+
+
+def block_masks(topo, B, state, seed=0):
+    if state == "all-up":
+        return np.ones((B, topo.n_sites), bool), np.ones((B, topo.n_links), bool)
+    if state == "all-down":
+        return np.zeros((B, topo.n_sites), bool), np.zeros((B, topo.n_links), bool)
+    rng = np.random.default_rng(seed)
+    p, r = rng.random(2)
+    return (rng.random((B, topo.n_sites)) < p, rng.random((B, topo.n_links)) < r)
+
+
+def assert_builder_matches_oracle(topo, site_masks, link_masks):
+    n_comp, raw = _batched_raw_labels(topo, site_masks, link_masks)
+    want_comp, want_raw = usable_links_raw_labels(topo, site_masks, link_masks)
+    assert n_comp == want_comp
+    assert raw.dtype == want_raw.dtype
+    np.testing.assert_array_equal(raw, want_raw)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_topologies(min_sites=1, min_links=0), st.sampled_from([1, 2, 257]),
+       st.sampled_from(["random", "all-up", "all-down"]),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_block_builder_is_bitwise_the_oracle(topo, B, state, seed):
+    assert_builder_matches_oracle(topo, *block_masks(topo, B, state, seed))
+
+
+@pytest.mark.parametrize("state", ["random", "all-up", "all-down"])
+@pytest.mark.parametrize("B", [1, 2, 257])
+@pytest.mark.parametrize("topo", [
+    Topology(1, [], name="one-site"),
+    Topology(4, [], name="no-links"),
+    Topology(6, [(0, 1), (1, 3), (4, 5)], name="isolated-sites"),
+    ring(7),
+    fully_connected(6),
+], ids=lambda topo: topo.name)
+def test_block_builder_edge_cases(topo, B, state):
+    assert_builder_matches_oracle(topo, *block_masks(topo, B, state))

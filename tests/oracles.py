@@ -7,12 +7,15 @@ does with one production path. None has a caller outside the tests.
 from itertools import product
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from repro.connectivity.components import (
     DOWN_LABEL,
     component_labels,
     component_vote_totals,
 )
+from repro.errors import TopologyError
 
 
 def minlabel_component_labels(topology, site_up, link_up):
@@ -58,6 +61,38 @@ def minlabel_component_labels(topology, site_up, link_up):
     _, compact = np.unique(lab[up_idx], return_inverse=True)
     labels[up_idx] = compact
     return labels
+
+
+def usable_links_raw_labels(topology, site_masks, link_masks):
+    """Block-diagonal csgraph call over the usable links only.
+
+    The oracle of ``components._batched_raw_labels``: the same
+    ``(n_components, raw)`` contract, built from the ``flatnonzero`` of
+    the ``(B, n_links)`` usable mask (an edge per usable link, so the
+    graph's shape depends on the draw). csgraph numbers components by
+    their lowest node, so the two agree bitwise on any graph they
+    partition alike.
+    """
+    B, n = site_masks.shape
+    u, v = topology.link_endpoint_arrays()
+    n_nodes, n_links = B * n, u.shape[0]
+    if max(n_nodes, B * n_links) >= 2**31:
+        raise TopologyError(
+            f"a block of {B} states of {topology.name} exceeds csgraph's int32 indices"
+        )
+    usable = link_masks & site_masks[:, u] & site_masks[:, v]
+    flat = np.flatnonzero(usable)
+    state = flat // max(n_links, 1)  # no links: nothing to divide
+    link = flat - state * n_links
+    state *= n
+    rows = state + u[link]
+    cols = (state + v[link]).astype(np.int32)
+    indptr = np.zeros(n_nodes + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n_nodes), out=indptr[1:])
+    graph = csr_matrix(
+        (np.ones(cols.shape[0]), cols, indptr), shape=(n_nodes, n_nodes)
+    )
+    return connected_components(graph, directed=False)
 
 
 def enumerate_density_matrix_reference(topology, p, r):

@@ -1,5 +1,8 @@
 """Unit tests for the Figure-1 availability algebra."""
 
+import cProfile
+import pstats
+
 import numpy as np
 import pytest
 
@@ -139,6 +142,45 @@ class TestAvailabilityModel:
     def test_invalid_density_rejected(self):
         with pytest.raises(DensityError):
             AvailabilityModel(np.array([0.5, 0.4]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_answers_equal_module_functions_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        T = int(rng.integers(1, 80))
+        r, w = rng.dirichlet(np.ones(T + 1)), rng.dirichlet(np.ones(T + 1))
+        model = AvailabilityModel(r, w)
+        quorums = model.feasible_read_quorums()
+        for alpha in (0.0, float(rng.random()), 1.0):
+            np.testing.assert_array_equal(
+                model.curve(alpha), availability_curve(alpha, r, w))
+            for q in (1, int(quorums[-1]), quorums):
+                got = model.availability(alpha, q)
+                want = availability(alpha, r, w, q)
+                assert type(got) is type(want)
+                np.testing.assert_array_equal(got, want)
+        for q in (1, T, np.arange(1, T + 1)):
+            np.testing.assert_array_equal(
+                model.read_availability(q), read_availability(r, q))
+            q_w = T - np.asarray(q) + 1
+            np.testing.assert_array_equal(
+                model.write_availability_at(q), write_availability(w, q_w))
+        with pytest.raises(QuorumConstraintError):
+            model.read_availability(T + 1)
+        with pytest.raises(QuorumConstraintError):
+            model.write_availability_at(0)
+        with pytest.raises(QuorumConstraintError):
+            model.curve(1.5)
+
+    def test_curve_is_a_lookup_without_validation(self):
+        f = complete_density(30, 0.9, 0.8)
+        model = AvailabilityModel(f, f)
+        profiler = cProfile.Profile()
+        profiler.enable()
+        model.curve(0.5)
+        profiler.disable()
+        called = {func for (_, _, func) in pstats.Stats(profiler).stats}
+        assert "validate_density" not in called
+        assert "upper_cumulative" not in called
 
 
 class TestPaperEdgeIdentities:

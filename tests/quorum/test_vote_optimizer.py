@@ -92,6 +92,11 @@ class TestValidation:
             optimize_votes(ring(3), alpha=0.5, p=0.9, r=0.9, total_votes=0,
                            n_samples=10)
 
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_sample_count_positive(self, n_samples):
+        with pytest.raises(OptimizationError, match="n_samples must be positive"):
+            optimize_votes(ring(3), alpha=0.5, p=0.9, r=0.9, n_samples=n_samples)
+
     def test_unknown_method(self):
         with pytest.raises(OptimizationError):
             optimize_votes(ring(3), alpha=0.5, p=0.9, r=0.9,

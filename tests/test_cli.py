@@ -331,6 +331,13 @@ class TestErrorPaths:
         assert err == f"error: n_workers must be positive, got {workers}\n"
         assert "workers=" not in out
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_nonpositive_vote_samples_rejected(self, samples, capsys):
+        code, out, err = run_cli(capsys, "votes", "--samples", samples)
+        assert code == 2
+        assert err == f"error: n_samples must be positive, got {samples}\n"
+        assert out == ""
+
     def test_metrics_missing_path_is_clean_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "metrics", str(tmp_path / "nope.jsonl"))
         assert code == 2
