@@ -151,6 +151,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _make_protocol(name: str, total_votes: int, read_quorum: Optional[int]):
+    from repro.errors import SimulationError
     from repro.protocols.majority import MajorityConsensusProtocol
     from repro.protocols.primary_copy import PrimaryCopyProtocol
     from repro.protocols.quorum_consensus import QuorumConsensusProtocol
@@ -165,11 +166,11 @@ def _make_protocol(name: str, total_votes: int, read_quorum: Optional[int]):
         return PrimaryCopyProtocol(0)
     if name == "quorum":
         if read_quorum is None:
-            raise SystemExit("--read-quorum is required with --protocol quorum")
+            raise SimulationError("--read-quorum is required with --protocol quorum")
         return QuorumConsensusProtocol(
             QuorumAssignment.from_read_quorum(total_votes, read_quorum)
         )
-    raise SystemExit(f"unknown protocol {name!r}")
+    raise SimulationError(f"unknown protocol {name!r}")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -20,13 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.errors import BatchExecutionError, FaultInjectionError
+from repro.errors import FaultInjectionError
 from repro.faults.monitor import InvariantMonitor, ViolationRecord
 from repro.faults.schedule import FaultSchedule
 from repro.protocols.base import ReplicaControlProtocol
 from repro.quorum.assignment import QuorumAssignment
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import BatchResult, SimulationEngine, ChangeObserver
+from repro.simulation.parallel import BatchLoop
 from repro.simulation.runner import QuarantinedBatch
 from repro.telemetry.recorder import resolve as _resolve_telemetry
 from repro.telemetry.snapshot import TelemetrySnapshot
@@ -115,18 +116,6 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def _compose_observers(monitor: InvariantMonitor,
-                       extra: Optional[ChangeObserver]) -> ChangeObserver:
-    if extra is None:
-        return monitor.observe
-
-    def observer(now, tracker, protocol) -> None:
-        monitor.observe(now, tracker, protocol)
-        extra(now, tracker, protocol)
-
-    return observer
-
-
 def run_chaos_campaign(
     config: SimulationConfig,
     protocol: ReplicaControlProtocol,
@@ -149,71 +138,40 @@ def run_chaos_campaign(
     threaded through the engine and the monitor; when active, the report
     carries a :class:`~repro.telemetry.snapshot.TelemetrySnapshot`.
 
-    ``n_workers > 1`` fans batches out over a process pool (DESIGN.md
-    §8): each batch runs with a fresh in-worker monitor configured like
-    the campaign's, and violations/checks/telemetry merge back in batch
-    index order, so the report is deterministic regardless of pool
-    scheduling. ``change_observer`` callbacks require ``n_workers=1``.
+    ``n_workers > 1`` fans batches out over a process pool through the
+    one batch loop (:class:`~repro.simulation.parallel.BatchLoop`,
+    DESIGN.md §8): each batch runs with a fresh in-worker monitor
+    configured like the campaign's, and violations, checks and telemetry
+    merge back in batch index order, so the report is the serial one.
+    ``change_observer`` callbacks require ``n_workers=1``.
     """
     if n_batches is None:
         n_batches = config.n_batches
     if n_batches <= 0:
         raise FaultInjectionError(f"n_batches must be positive, got {n_batches}")
-    if n_workers <= 0:
-        raise FaultInjectionError(f"n_workers must be positive, got {n_workers}")
     telemetry = _resolve_telemetry(telemetry)
     if monitor is None:
         monitor = InvariantMonitor(telemetry=telemetry)
-    if n_workers > 1:
-        if change_observer is not None:
-            raise FaultInjectionError(
-                "change_observer callbacks cannot cross the process boundary; "
-                "use n_workers=1"
-            )
-        return _run_chaos_parallel(
-            config, protocol, n_batches, monitor, fail_fast, telemetry, n_workers,
-        )
-    engine = SimulationEngine(
-        config,
-        protocol,
-        change_observer=_compose_observers(monitor, change_observer),
-        telemetry=telemetry,
-    )
+    loop = BatchLoop(config, protocol, telemetry, n_workers, fail_fast,
+                     monitor=monitor, change_observer=change_observer)
+    with loop:
+        loop.run(range(n_batches))
     report = ChaosReport(
         protocol_name=protocol.name,
         schedule_description=_schedule_description(config),
         n_batches_requested=n_batches,
+        batches=loop.batches,
+        quarantined=loop.quarantined,
         monitor=monitor,
     )
-    from repro.tracing.context import BatchTracer
-
-    with BatchTracer(telemetry, config.seed, protocol=protocol.name,
-                     topology=config.topology.name) as tracer:
-        for index in range(n_batches):
-            monitor.start_batch(index, seed=config.seed)
-            try:
-                with tracer.batch(index):
-                    report.batches.append(engine.run_batch(index))
-            except BatchExecutionError as exc:
-                if fail_fast:
-                    raise
-                report.quarantined.append(QuarantinedBatch.from_error(exc))
-                if telemetry.enabled:
-                    telemetry.metrics.counter(
-                        "repro_chaos_quarantined_total",
-                        "chaos batches quarantined after an execution error",
-                    ).inc(protocol=protocol.name)
-    if telemetry.enabled:
-        report.telemetry = telemetry.snapshot(
-            meta={
-                "mode": "chaos",
-                "protocol": protocol.name,
-                "topology": config.topology.name,
-                "n_batches": n_batches,
-                "seed": config.seed,
-                "schedule": report.schedule_description,
-            }
-        )
+    report.telemetry = loop.snapshot(
+        mode="chaos",
+        protocol=protocol.name,
+        topology=config.topology.name,
+        n_batches=n_batches,
+        seed=config.seed,
+        schedule=report.schedule_description,
+    )
     return report
 
 
@@ -222,87 +180,6 @@ def _schedule_description(config: SimulationConfig) -> str:
     if isinstance(schedule, FaultSchedule):
         return schedule.describe()
     return "none" if schedule is None else type(schedule).__name__
-
-
-def _run_chaos_parallel(
-    config: SimulationConfig,
-    protocol: ReplicaControlProtocol,
-    n_batches: int,
-    monitor: InvariantMonitor,
-    fail_fast: bool,
-    telemetry,
-    n_workers: int,
-) -> ChaosReport:
-    """Process-pool twin of the serial campaign loop."""
-    from repro.simulation.parallel import (
-        merge_monitor_outcomes,
-        run_batches_parallel,
-    )
-    from repro.telemetry.snapshot import TelemetrySnapshot as _Snapshot
-    from repro.tracing.context import BatchTracer
-
-    with BatchTracer(telemetry, config.seed, protocol=protocol.name,
-                     topology=config.topology.name) as tracer:
-        outcomes = run_batches_parallel(
-            config,
-            protocol,
-            list(range(n_batches)),
-            n_workers,
-            record_telemetry=telemetry.enabled,
-            monitor_kwargs={
-                "raise_on_violation": monitor.raise_on_violation,
-                "record_snapshots": monitor.record_snapshots,
-                "max_records": monitor.max_records,
-            },
-            trace_parent=tracer.root_id,
-        )
-    report = ChaosReport(
-        protocol_name=protocol.name,
-        schedule_description=_schedule_description(config),
-        n_batches_requested=n_batches,
-        monitor=monitor,
-    )
-    merge_monitor_outcomes(monitor, outcomes)
-    snapshots = []
-    for outcome in outcomes:
-        if outcome.quarantine_error is not None:
-            if fail_fast:
-                raise outcome.quarantine_error
-            report.quarantined.append(
-                QuarantinedBatch.from_error(outcome.quarantine_error))
-        else:
-            report.batches.append(outcome.batch)
-        if outcome.snapshot is not None:
-            snapshots.append(outcome.snapshot)
-    if telemetry.enabled and snapshots:
-        # Dispatcher snapshot first: it carries the root span the batch
-        # subtrees re-parent under.
-        merged = _Snapshot.merged(
-            [telemetry.snapshot()] + snapshots,
-            meta={
-                "mode": "chaos",
-                "protocol": protocol.name,
-                "topology": config.topology.name,
-                "n_batches": n_batches,
-                "seed": config.seed,
-                "schedule": report.schedule_description,
-                "n_workers": n_workers,
-            },
-        )
-        if report.quarantined:
-            quarantine_count = sum(
-                1 for outcome in outcomes if outcome.quarantine_error is not None
-            )
-            merged.counters.append({
-                "name": "repro_chaos_quarantined_total",
-                "help": "chaos batches quarantined after an execution error",
-                "series": [{
-                    "labels": {"protocol": protocol.name},
-                    "value": float(quarantine_count),
-                }],
-            })
-        report.telemetry = merged
-    return report
 
 
 def replay_batch(

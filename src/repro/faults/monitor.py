@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.connectivity.dynamic import ComponentTracker
-from repro.errors import InvariantViolation
+from repro.errors import FaultInjectionError, InvariantViolation
 from repro.telemetry.recorder import resolve as _resolve_telemetry
 
 __all__ = ["ViolationRecord", "InvariantMonitor"]
@@ -92,6 +92,9 @@ class InvariantMonitor:
         max_records: int = 1_000,
         telemetry=None,
     ) -> None:
+        if max_records < 0:
+            raise FaultInjectionError(
+                f"max_records must be non-negative, got {max_records}")
         self.raise_on_violation = raise_on_violation
         self.record_snapshots = record_snapshots
         self.max_records = int(max_records)

@@ -279,34 +279,35 @@ class SimulationEngine:
 
         state = NetworkState(topo)
         tracker = ComponentTracker(state)
-        self.protocol.reset()
-
-        walk = HistoryWalk(cfg, state, failure_rng, self.fault_schedule, chaos_rng,
-                           self.telemetry)
-        self.protocol.on_network_change(tracker)
-
-        # The walk keeps what it applied: a batch that dies mid-way leaves
-        # in a BatchExecutionError carrying a replayable fault history for
-        # the campaign runner's quarantine. A trace is only *returned* to
-        # a caller that opted in via record_trace.
-        trace = NetworkTrace.empty(topo, state)
-
         sampled = cfg.accounting == "sampled"
         workload = cfg.workload
         ledger = _EpochLedger(topo.n_sites, topo.total_votes)
 
+        # Everything the protocol or the schedule runs is inside the try,
+        # set-up included, so any failure quarantines the batch. The walk
+        # keeps what it applied: a batch that dies mid-way leaves in a
+        # BatchExecutionError carrying a replayable fault history (one
+        # that dies before the walk is primed carries none). A trace is
+        # only *returned* to a caller that opted in via record_trace.
+        walk = trace = None
         try:
+            self.protocol.reset()
+            walk = HistoryWalk(cfg, state, failure_rng, self.fault_schedule,
+                               chaos_rng, self.telemetry)
+            trace = NetworkTrace.empty(topo, state)
+            self.protocol.on_network_change(tracker)
             self._measure_loop(
                 walk, state, tracker, sampled, workload, access_rng, ledger)
             # The last, partially filled chunk: inside the try so that a
             # validation failure still quarantines with the trace.
             ledger.flush()
         except Exception as exc:
-            walk.record_into(trace)
+            if trace is not None:
+                walk.record_into(trace)
             raise BatchExecutionError(
                 f"batch {batch_index} aborted: {type(exc).__name__}: {exc}",
                 batch_index=batch_index,
-                sim_time=trace.duration(),
+                sim_time=None if trace is None else trace.duration(),
                 seed=cfg.seed,
                 trace=trace,
                 snapshot=_failure_snapshot(state),

@@ -24,12 +24,11 @@ from repro.errors import BatchExecutionError, SimulationError
 from repro.protocols.base import ReplicaControlProtocol
 from repro.quorum.availability import AvailabilityModel
 from repro.simulation.config import SimulationConfig
-from repro.simulation.engine import BatchResult, SimulationEngine, ChangeObserver
+from repro.simulation.engine import BatchResult, ChangeObserver
 from repro.simulation.stats import BatchStatistics
 from repro.simulation.trace import NetworkTrace
 from repro.telemetry.recorder import resolve as _resolve_telemetry
 from repro.telemetry.snapshot import TelemetrySnapshot
-from repro.tracing.context import BatchTracer
 
 __all__ = ["QuarantinedBatch", "SimulationResult", "run_simulation"]
 
@@ -264,157 +263,49 @@ def run_simulation(
     :class:`~repro.telemetry.snapshot.TelemetrySnapshot` of the whole
     run on ``result.telemetry``.
 
-    ``n_workers > 1`` fans the batches out over a process pool
-    (DESIGN.md §8). Every batch derives all its random streams from
-    ``(config.seed, batch_index)``, and outcomes are aggregated in batch
-    index order, so every result aggregate — ACC, SURV, pooled densities
-    — is bitwise identical to the serial run. Telemetry is recorded
-    per batch inside the workers and merged in batch order; the merged
-    audit totals reconcile with ACC exactly, as in the serial run. Only
-    the adaptive phase differs operationally: batches are added in waves
-    of ``n_workers``, so the run may finish with up to ``n_workers - 1``
-    more batches than a serial adaptive run (never exceeding
-    ``max_batches``). ``change_observer`` callbacks cannot cross the
-    process boundary and require ``n_workers=1``.
+    ``n_workers > 1`` fans the batches out over a process pool through
+    the one batch loop (:class:`~repro.simulation.parallel.BatchLoop`,
+    DESIGN.md §8): every result aggregate — ACC, SURV, pooled densities,
+    the span tree — is bitwise the serial run's, and the merged audit
+    totals reconcile with ACC exactly. The adaptive phase adds batches in
+    waves of ``n_workers`` (a serial run: waves of one), so a parallel
+    adaptive run may finish with up to ``n_workers - 1`` more batches
+    than a serial one, never more than ``max_batches``.
+    ``change_observer`` callbacks cannot cross the process boundary and
+    require ``n_workers=1``.
     """
+    from repro.simulation.parallel import BatchLoop
+
     if max_batches < config.n_batches:
         raise SimulationError(
             f"max_batches ({max_batches}) below configured n_batches ({config.n_batches})"
         )
-    if n_workers <= 0:
-        raise SimulationError(f"n_workers must be positive, got {n_workers}")
-    telemetry = _resolve_telemetry(telemetry)
-    if n_workers > 1:
-        if change_observer is not None:
-            raise SimulationError(
-                "change_observer callbacks cannot cross the process boundary; "
-                "use n_workers=1"
-            )
-        return _run_simulation_parallel(
-            config, protocol, target_half_width, max_batches,
-            fail_fast, telemetry, n_workers,
+    if target_half_width is not None and not target_half_width > 0:
+        raise SimulationError(
+            f"target_half_width must be positive, got {target_half_width}"
         )
-    engine = SimulationEngine(config, protocol, change_observer,
-                              telemetry=telemetry)
-    batches: List[BatchResult] = []
-    quarantined: List[QuarantinedBatch] = []
-    # The serial twin uses the same deterministic trace contexts as the
-    # pool workers, so its span tree (ids and all) matches any parallel
-    # run of the same config bit for bit.
-    tracer = BatchTracer(telemetry, config.seed,
-                         protocol=protocol.name,
-                         topology=config.topology.name)
-
-    def attempt(index: int) -> None:
-        try:
-            with tracer.batch(index):
-                batches.append(engine.run_batch(index))
-        except BatchExecutionError as exc:
-            if fail_fast:
-                raise
-            quarantined.append(QuarantinedBatch.from_error(exc))
-
-    with tracer:
-        for k in range(config.n_batches):
-            attempt(k)
-        if not batches:
+    loop = BatchLoop(config, protocol, _resolve_telemetry(telemetry), n_workers,
+                     fail_fast, change_observer=change_observer)
+    with loop:
+        loop.run(range(config.n_batches))
+        if not loop.batches:
             raise SimulationError(
-                f"every batch failed ({len(quarantined)} quarantined); first: "
-                f"{quarantined[0].describe()}"
+                f"every batch failed ({len(loop.quarantined)} quarantined); "
+                f"first: {loop.quarantined[0].describe()}"
             )
-        result = SimulationResult(config, protocol.name, batches, quarantined)
-        if target_half_width is not None:
-            next_index = config.n_batches
-            while (
-                not result.availability.meets_precision(target_half_width)
-                and len(batches) + len(quarantined) < max_batches
-            ):
-                attempt(next_index)
-                next_index += 1
-                result = SimulationResult(config, protocol.name, batches,
-                                          quarantined)
-    if telemetry.enabled:
-        result.telemetry = telemetry.snapshot(
-            meta={
-                "protocol": protocol.name,
-                "topology": config.topology.name,
-                "alpha": config.workload.alpha,
-                "n_batches": len(batches),
-                "seed": config.seed,
-            }
-        )
-    return result
-
-
-def _run_simulation_parallel(
-    config: SimulationConfig,
-    protocol: ReplicaControlProtocol,
-    target_half_width: Optional[float],
-    max_batches: int,
-    fail_fast: bool,
-    telemetry,
-    n_workers: int,
-) -> SimulationResult:
-    """Process-pool twin of the serial loop in :func:`run_simulation`."""
-    from repro.simulation.parallel import run_batches_parallel
-
-    batches: List[BatchResult] = []
-    quarantined: List[QuarantinedBatch] = []
-    snapshots: List[TelemetrySnapshot] = []
-    tracer = BatchTracer(telemetry, config.seed,
-                         protocol=protocol.name,
-                         topology=config.topology.name)
-
-    def run_wave(indices: List[int]) -> None:
-        outcomes = run_batches_parallel(
-            config, protocol, indices, n_workers,
-            record_telemetry=telemetry.enabled,
-            trace_parent=tracer.root_id,
-        )
-        for outcome in outcomes:
-            if outcome.quarantine_error is not None:
-                if fail_fast:
-                    raise outcome.quarantine_error
-                quarantined.append(
-                    QuarantinedBatch.from_error(outcome.quarantine_error))
-            else:
-                batches.append(outcome.batch)
-            if outcome.snapshot is not None:
-                snapshots.append(outcome.snapshot)
-
-    with tracer:
-        run_wave(list(range(config.n_batches)))
-        if not batches:
-            raise SimulationError(
-                f"every batch failed ({len(quarantined)} quarantined); first: "
-                f"{quarantined[0].describe()}"
-            )
-        result = SimulationResult(config, protocol.name, batches, quarantined)
+        result = SimulationResult(config, protocol.name, loop.batches,
+                                  loop.quarantined)
         next_index = config.n_batches
-        while (
-            target_half_width is not None
-            and not result.availability.meets_precision(target_half_width)
-            and len(batches) + len(quarantined) < max_batches
-        ):
-            budget = max_batches - len(batches) - len(quarantined)
-            wave = list(range(next_index, next_index + min(n_workers, budget)))
-            next_index += len(wave)
-            run_wave(wave)
-            result = SimulationResult(config, protocol.name, batches,
-                                      quarantined)
-    if telemetry.enabled and snapshots:
-        # The dispatcher's own snapshot goes first: it holds the root
-        # span the per-batch subtrees re-parent under (plus any spans
-        # recorded in this process before the fan-out).
-        result.telemetry = TelemetrySnapshot.merged(
-            [telemetry.snapshot()] + snapshots,
-            meta={
-                "protocol": protocol.name,
-                "topology": config.topology.name,
-                "alpha": config.workload.alpha,
-                "n_batches": len(batches),
-                "seed": config.seed,
-                "n_workers": n_workers,
-            },
-        )
+        while (target_half_width is not None and next_index < max_batches
+               and not result.availability.meets_precision(target_half_width)):
+            wave = range(next_index, min(next_index + n_workers, max_batches))
+            next_index = wave.stop
+            loop.run(wave)
+    result.telemetry = loop.snapshot(
+        protocol=protocol.name,
+        topology=config.topology.name,
+        alpha=config.workload.alpha,
+        n_batches=len(loop.batches),
+        seed=config.seed,
+    )
     return result

@@ -14,7 +14,6 @@ from repro.tracing.context import (
     SCOPE_BATCH,
     SCOPE_RUN,
     SCOPE_SERVE,
-    BatchTracer,
     TraceContext,
 )
 from repro.tracing.export import (
@@ -37,7 +36,6 @@ __all__ = [
     "SCOPE_BATCH",
     "SCOPE_SERVE",
     "TraceContext",
-    "BatchTracer",
     "PhaseProfiler",
     "NullProfiler",
     "NULL_PROFILER",

@@ -17,27 +17,24 @@ roots. A :class:`TraceContext` repairs both:
   span in the parent process; worker-local root spans adopt it as their
   parent, so merged snapshots reconstruct one tree spanning the fan-out.
 
-:class:`BatchTracer` packages the idiom shared by the serial and
-parallel twins of ``run_simulation`` / ``run_chaos_campaign``: one root
-span under the run-scope context, one batch-scope context per batch.
-Because both twins derive ids from the same ``(seed, batch_index)``
-coordinates, the serial run and any parallel run produce the same tree
-digest (:func:`repro.tracing.export.span_tree_digest`).
+The batch loop (:class:`repro.simulation.parallel.BatchLoop`) opens one
+root span under the run-scope context and runs every batch under its
+batch-scope context, in-process or in a worker alike, so the serial run
+and any parallel run produce the same tree digest
+(:func:`repro.tracing.export.span_tree_digest`).
 """
 
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 __all__ = [
     "SCOPE_RUN",
     "SCOPE_BATCH",
     "SCOPE_SERVE",
     "TraceContext",
-    "BatchTracer",
 ]
 
 #: Context scopes (part of the id-derivation key, so scopes never collide).
@@ -79,63 +76,3 @@ class TraceContext:
               parent_span_id: Optional[int]) -> "TraceContext":
         """A sub-namespace sharing this context's seed."""
         return TraceContext(self.seed, scope, index, parent_span_id)
-
-
-class BatchTracer:
-    """Scope a run-root span plus per-batch contexts; no-op when disabled.
-
-    Usage (identical in the serial and parallel runners)::
-
-        with BatchTracer(telemetry, config.seed, n_workers=n) as tracer:
-            # serial twin:
-            with tracer.batch(k):
-                engine.run_batch(k)
-            # parallel twin: ship tracer.root_id to the pool; workers
-            # install TraceContext(seed, "batch", k, tracer.root_id).
-
-    With a disabled recorder every method is a no-op, so the runners can
-    call it unconditionally.
-    """
-
-    def __init__(self, telemetry, seed: Optional[int],
-                 label: str = "run.batches", **attrs: object) -> None:
-        self.telemetry = telemetry
-        self.enabled = bool(getattr(telemetry, "enabled", False))
-        self.seed = seed
-        self.label = label
-        self.attrs = attrs
-        #: Span id the per-batch contexts re-parent under (None = disabled).
-        self.root_id: Optional[int] = None
-        self._scope = None
-        self._root_span = None
-
-    def __enter__(self) -> "BatchTracer":
-        if self.enabled:
-            run_ctx = TraceContext(self.seed, SCOPE_RUN, 0)
-            self._scope = self.telemetry.spans.scoped(run_ctx)
-            self._scope.__enter__()
-            self._root_span = self.telemetry.span(self.label, **self.attrs)
-            self._root_span.__enter__()
-            self.root_id = self._root_span.span_id
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._root_span is not None:
-            self._root_span.__exit__(exc_type, exc, tb)
-            self._root_span = None
-        if self._scope is not None:
-            self._scope.__exit__(exc_type, exc, tb)
-            self._scope = None
-
-    def batch_context(self, batch_index: int) -> TraceContext:
-        """The context a worker process installs for ``batch_index``."""
-        return TraceContext(self.seed, SCOPE_BATCH, batch_index, self.root_id)
-
-    @contextmanager
-    def batch(self, batch_index: int) -> Iterator[None]:
-        """Scope one serial batch under its deterministic context."""
-        if not self.enabled:
-            yield
-            return
-        with self.telemetry.spans.scoped(self.batch_context(batch_index)):
-            yield

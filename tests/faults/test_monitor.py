@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.connectivity.dynamic import ComponentTracker, NetworkState
-from repro.errors import InvariantViolation
+from repro.errors import FaultInjectionError, InvariantViolation
 from repro.faults.chaos import unchecked_assignment
 from repro.faults.monitor import InvariantMonitor, ViolationRecord
 from repro.protocols.quorum_consensus import QuorumConsensusProtocol
@@ -289,6 +289,10 @@ class TestRecording:
         assert len(monitor.violations) == 2
         assert monitor.overflowed == 3
         assert not monitor.ok
+
+    def test_negative_record_cap_rejected(self):
+        with pytest.raises(FaultInjectionError, match="max_records"):
+            InvariantMonitor(max_records=-1)
 
     def test_serializability_hook(self):
         monitor = InvariantMonitor()

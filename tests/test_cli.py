@@ -74,8 +74,10 @@ class TestSimulate:
         assert "q_r=2" in out
 
     def test_quorum_requires_read_quorum(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["simulate", "--protocol", "quorum", "--scale", "test"])
+        code, _, err = run_cli(capsys, "simulate", "--protocol", "quorum",
+                               "--scale", "test")
+        assert code == 2
+        assert err.startswith("error: --read-quorum is required")
 
     def test_rowa_and_primary(self, capsys):
         for protocol in ("rowa", "primary"):
@@ -330,6 +332,31 @@ class TestErrorPaths:
         assert code == 2
         assert err == f"error: n_workers must be positive, got {workers}\n"
         assert "workers=" not in out
+
+    @pytest.mark.parametrize("width", ["0", "-0.01", "nan"])
+    def test_unreachable_target_half_width_rejected(self, width, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--scale", "test",
+                                 "--target-half-width", width)
+        assert code == 2
+        assert err.startswith("error: target_half_width must be positive")
+        assert len(err.splitlines()) == 1
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["simulate", "chaos"])
+    def test_quorum_protocol_needs_read_quorum(self, command, capsys):
+        code, out, err = run_cli(capsys, command, "--scale", "test",
+                                 "--protocol", "quorum")
+        assert code == 2
+        assert err == ("error: --read-quorum is required with "
+                       "--protocol quorum\n")
+        assert out == ""
+
+    def test_negative_violation_cap_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "chaos", "--scale", "test",
+                                 "--broken", "--max-violations", "-1")
+        assert code == 2
+        assert err == "error: max_records must be non-negative, got -1\n"
+        assert out == ""
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_nonpositive_vote_samples_rejected(self, samples, capsys):

@@ -72,6 +72,14 @@ for method in ("hillclimb", "exhaustive"):
     optimize_votes(ring(3), 0.5, 0.9, 0.9, method=method, n_samples=50)
 reliability_sweep("ring", 11, 0.5, [0.9, 0.96])
 find_majority_crossover("complete", 9, 0.8)
+from repro.experiments.paper import TEST_SCALE
+from repro.faults.chaos import run_chaos_campaign
+from repro.protocols.majority import MajorityConsensusProtocol
+from repro.simulation.runner import run_simulation
+from repro.telemetry.recorder import Telemetry
+config = TEST_SCALE.config(0, alpha=0.5, seed=1)
+run_simulation(config, MajorityConsensusProtocol(21), telemetry=Telemetry())
+run_chaos_campaign(config, MajorityConsensusProtocol(21), n_batches=2)
 after_use = loaded()
 print(json.dumps([after_import, after_use]))
 """
@@ -91,7 +99,9 @@ def _probe():
 def test_import_and_analytic_paths_load_no_denied_package():
     after_import, after_use = _probe()
     assert after_import == []
-    assert after_use == [], "optimizer / enumeration / vote search / sweeps loaded a denied package"
+    assert after_use == [], (
+        "optimizer / enumeration / vote search / sweeps / a serial run "
+        "loaded a denied package")
 
 
 def test_no_source_file_imports_scipy_optimize_or_numba():
@@ -178,11 +188,13 @@ def test_one_file_starts_processes_and_none_selects_a_transport():
 
 
 def test_fan_out_callers_expose_no_transport_selector():
+    from repro.faults.chaos import run_chaos_campaign
     from repro.pool import fan_out
     from repro.sharding.runner import run_sharded
-    from repro.simulation.parallel import run_batches_parallel
+    from repro.simulation.parallel import BatchLoop
+    from repro.simulation.runner import run_simulation
 
-    for fn in (run_batches_parallel, run_sharded):
+    for fn in (BatchLoop, run_simulation, run_chaos_campaign, run_sharded):
         assert not set(inspect.signature(fn).parameters) & {
             "transport", "transport_stats"}
     assert list(inspect.signature(fan_out).parameters) == [

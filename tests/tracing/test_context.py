@@ -4,12 +4,11 @@ import pickle
 
 import pytest
 
-from repro.telemetry.recorder import NullTelemetry, Telemetry
+from repro.telemetry.recorder import Telemetry
 from repro.tracing.context import (
     SCOPE_BATCH,
     SCOPE_RUN,
     SCOPE_SERVE,
-    BatchTracer,
     TraceContext,
 )
 
@@ -109,38 +108,6 @@ class TestCollectorScoping:
             pass
         [record] = tel.spans.records
         assert record.span_id == 1
-
-
-class TestBatchTracer:
-    def test_disabled_recorder_is_noop(self):
-        tracer = BatchTracer(NullTelemetry(), seed=0)
-        with tracer:
-            assert tracer.root_id is None
-            with tracer.batch(0):
-                pass
-
-    def test_root_span_and_batch_contexts(self):
-        tel = Telemetry()
-        with BatchTracer(tel, seed=9, protocol="majority") as tracer:
-            expected_root = TraceContext(9, SCOPE_RUN, 0).span_id(0)
-            assert tracer.root_id == expected_root
-            with tracer.batch(2):
-                with tel.span("engine.run_batch"):
-                    pass
-        records = {r.name: r for r in tel.spans.records}
-        root = records["run.batches"]
-        assert root.span_id == tracer.root_id
-        assert root.attrs["protocol"] == "majority"
-        batch_span = records["engine.run_batch"]
-        assert batch_span.span_id == TraceContext(9, SCOPE_BATCH, 2).span_id(0)
-        assert batch_span.parent_id == tracer.root_id
-
-    def test_batch_context_matches_serial_scope(self):
-        """Workers install batch_context(); it must equal the serial twin's."""
-        tel = Telemetry()
-        with BatchTracer(tel, seed=9) as tracer:
-            ctx = tracer.batch_context(5)
-        assert ctx == TraceContext(9, SCOPE_BATCH, 5, tracer.root_id)
 
 
 class TestSpanDropCounter:
