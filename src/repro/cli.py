@@ -421,11 +421,19 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.errors import ReproError
     from repro.quorum.assignment import QuorumAssignment
     from repro.serving import ServeConfig, run_serve, serving_schedule
     from repro.simulation.workload import AccessWorkload
     from repro.topology.generators import ring_with_chords
 
+    # A gate outside its domain (NaN included) is a usage error, caught
+    # before any request is served.
+    if args.min_availability is not None and not 0 <= args.min_availability <= 1:
+        raise ReproError(
+            f"--min-availability must be in [0, 1], got {args.min_availability}")
+    if args.max_p99 is not None and not args.max_p99 >= 0:
+        raise ReproError(f"--max-p99 must be >= 0, got {args.max_p99}")
     if args.duration_short:
         # The CI smoke preset: small enough for seconds-scale runs, large
         # enough to cross the estimator's min-observation window and see

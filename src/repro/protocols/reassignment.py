@@ -56,6 +56,9 @@ class QuorumReassignmentProtocol(ReplicaControlProtocol):
     def reset(self) -> None:
         """Return every site to version 1 with the initial assignment."""
         self.site_version = np.ones(self.n_sites, dtype=np.int64)
+        #: ``site_version.max()``, kept in step: only an install raises it
+        #: (propagation copies versions, never invents one).
+        self.newest_version = 1
         self.site_assignment: List[QuorumAssignment] = [self._initial] * self.n_sites
         #: Count of successful installations (observability for benches).
         self.installs = 0
@@ -174,7 +177,7 @@ class QuorumReassignmentProtocol(ReplicaControlProtocol):
         if not self.can_reassign(tracker, site):
             return False
         members = tracker.component_of(site)
-        new_version = int(self.site_version.max()) + 1
+        new_version = self.newest_version = self.newest_version + 1
         for member in members:
             self.site_version[member] = new_version
             self.site_assignment[int(member)] = new_assignment
@@ -188,4 +191,4 @@ class QuorumReassignmentProtocol(ReplicaControlProtocol):
 
     def max_version(self) -> int:
         """The highest version number installed anywhere."""
-        return int(self.site_version.max())
+        return self.newest_version

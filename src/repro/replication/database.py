@@ -36,12 +36,17 @@ replica sites of its component, the member count, the effective quorums,
 the component's assignment version and the newest installed one — changes
 only when :func:`decision_key` does. The database keeps one view, built
 per component on first use and dropped when the key moves, so an access
-pays a key comparison and a dict lookup for it.
+pays a key comparison and a dict lookup for it. An entry also carries
+its component's newest copy: scanned from the stores on the first read
+that needs it and dropped by a granted write there, so it is always what
+the stores hold and the checker compares against them.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.monitor import InvariantMonitor
@@ -53,7 +58,7 @@ from repro.connectivity.dynamic import ComponentTracker, NetworkState
 from repro.errors import ProtocolError, ReproError, SerializabilityError
 from repro.protocols.base import ReplicaControlProtocol
 from repro.replication.item import ReplicatedItem
-from repro.replication.store import SiteStore
+from repro.replication.store import CopyState, SiteStore
 from repro.replication.transaction import AccessOutcome, ReadResult, WriteResult
 from repro.rng import RandomState, as_generator
 from repro.telemetry import audit as _audit
@@ -71,17 +76,21 @@ def decision_key(tracker: ComponentTracker, protocol: Any
     install raises the newest assignment version and the install count,
     and a protocol ``reset()`` rewinds both. Protocols without versions
     contribute ``None``. One key serves every per-state cache of decision
-    answers (the database's view, the serving layer's grant masks).
+    answers (the database's view, the serving layer's grant masks). It
+    reads two attributes: no array is reduced per access.
     """
-    versions = getattr(protocol, "site_version", None)
     return (
         tracker.state.version,
-        None if versions is None else int(versions.max()),
+        getattr(protocol, "newest_version", None),
         getattr(protocol, "installs", None),
     )
 
 
-class _ComponentView(NamedTuple):
+_by_timestamp = attrgetter("timestamp")
+
+
+@dataclass
+class _ComponentView:
     """What every access in one component shares under one decision key."""
 
     replicas: Tuple[int, ...]
@@ -93,6 +102,9 @@ class _ComponentView(NamedTuple):
     #: The newest version installed anywhere: a ``no_quorum`` denial under
     #: an older ``version`` is refined to ``stale_assignment``.
     newest: Optional[int]
+    #: The newest copy among ``replicas``: None until a read needs it, and
+    #: again after a granted write here.
+    copy: Optional[CopyState] = None
 
 
 class ReplicatedDatabase:
@@ -244,6 +256,18 @@ class ReplicatedDatabase:
             newest=newest,
         )
 
+    def _newest_copy(self, view: _ComponentView) -> CopyState:
+        """The newest copy in ``view``'s component; rescanned after a write."""
+        copy = view.copy
+        if copy is None:
+            copy = view.copy = self._scan_newest(view.replicas)
+        return copy
+
+    def _scan_newest(self, replicas: Tuple[int, ...]) -> CopyState:
+        item_id = self.item.item_id
+        stores = self.stores
+        return max((stores[r].read(item_id) for r in replicas), key=_by_timestamp)
+
     def _consistency_violation(self, detail: str) -> None:
         """Record (chaos mode) or raise (strict mode) a 1SR violation."""
         if self.monitor is not None:
@@ -372,10 +396,7 @@ class ReplicatedDatabase:
                 f"protocol granted a read at site {site} but its component "
                 "holds no replica"
             )
-        newest = max(
-            (self.stores[r].read(self.item.item_id) for r in replicas),
-            key=lambda copy: copy.timestamp,
-        )
+        newest = self._newest_copy(view)
         if self.check_serializability:
             expected_ts, expected_value = self._last_commit
             if newest.timestamp != expected_ts or newest.value != expected_value:
@@ -444,8 +465,12 @@ class ReplicatedDatabase:
                 f"write commit timestamp {timestamp} not newer than last commit "
                 f"{self._last_commit[0]} — concurrent writes slipped through"
             )
+        copy = CopyState(value=value, timestamp=timestamp)
+        item_id = self.item.item_id
+        stores = self.stores
         for r in replicas:
-            self.stores[r].write(self.item.item_id, value, timestamp)
+            stores[r].install(item_id, copy)
+        view.copy = None
         self._last_commit = (timestamp, value)
         result = WriteResult(
             AccessOutcome.GRANTED,
@@ -473,13 +498,10 @@ class ReplicatedDatabase:
         self._check_site(site)
         if not self.state.site_up[site]:
             return None
-        replicas = self._view_of(site).replicas
-        if not replicas:
+        view = self._view_of(site)
+        if not view.replicas:
             return None
-        return max(
-            (self.stores[r].read(self.item.item_id) for r in replicas),
-            key=lambda copy: copy.timestamp,
-        )
+        return self._newest_copy(view)
 
     # ------------------------------------------------------------------
     def _check_site(self, site: int) -> None:

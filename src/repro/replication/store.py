@@ -57,19 +57,24 @@ class SiteStore:
             raise ReproError(f"site {self.site} holds no copy of {item_id!r}") from None
 
     def write(self, item_id: str, value: Any, timestamp: int) -> None:
-        """Install a newer version; stale installs are rejected.
+        """Install a newer version; stale installs are rejected."""
+        self.install(item_id, CopyState(value=value, timestamp=timestamp))
 
-        The monotonicity check is a defence-in-depth assertion: the quorum
-        write path always writes strictly increasing timestamps, so a
-        violation here means a protocol bug, not a data race.
+    def install(self, item_id: str, copy: CopyState) -> None:
+        """Install ``copy`` itself (one immutable copy may sit at many sites).
+
+        Stale installs are rejected. The monotonicity check is a
+        defence-in-depth assertion: the quorum write path always writes
+        strictly increasing timestamps, so a violation here means a
+        protocol bug, not a data race.
         """
         current = self._copies.get(item_id)
-        if current is not None and timestamp <= current.timestamp:
+        if current is not None and copy.timestamp <= current.timestamp:
             raise ReproError(
                 f"stale write to {item_id!r} at site {self.site}: "
-                f"timestamp {timestamp} <= current {current.timestamp}"
+                f"timestamp {copy.timestamp} <= current {current.timestamp}"
             )
-        self._copies[item_id] = CopyState(value=value, timestamp=timestamp)
+        self._copies[item_id] = copy
 
     def items(self) -> Dict[str, CopyState]:
         """Snapshot of all copies at this site."""

@@ -183,8 +183,9 @@ class ServeReport:
         ):
             return False
         if self.max_p99 is not None:
+            # No grant means no latency met the limit: NaN fails the gate.
             p99 = self.latency.get("p99", math.nan)
-            if not math.isnan(p99) and p99 > self.max_p99:
+            if math.isnan(p99) or p99 > self.max_p99:
                 return False
         return True
 

@@ -145,6 +145,15 @@ class _MaskCachingProtocol(ReplicaControlProtocol):
     def invalidate(self) -> None:
         self._key = None
 
+    # Read by decision_key on every access: forwarded, not __getattr__.
+    @property
+    def newest_version(self) -> int:
+        return self._inner.newest_version
+
+    @property
+    def installs(self) -> int:
+        return self._inner.installs
+
     def bind_telemetry(self, telemetry) -> None:
         super().bind_telemetry(telemetry)
         self._inner.bind_telemetry(telemetry)

@@ -262,3 +262,19 @@ def joint_multinomial_epoch(workload, duration, rng):
     writes = rng.multinomial(
         total - n_reads, np.outer(write_items, workload.write_site_weights).ravel())
     return reads.reshape(shape), writes.reshape(shape)
+
+
+def newest_copy_scan(db, site):
+    """The newest copy in ``site``'s component, read off every store.
+
+    The component comes from :func:`minlabel_component_labels` over the
+    database's network state, not from its tracker. None when ``site`` is
+    down or its component holds no replica.
+    """
+    state = db.state
+    labels = minlabel_component_labels(db.topology, state.site_up, state.link_up)
+    if labels[site] == DOWN_LABEL:
+        return None
+    copies = [store.read(db.item.item_id) for s, store in sorted(db.stores.items())
+              if labels[s] == labels[site]]
+    return max(copies, key=lambda copy: copy.timestamp, default=None)

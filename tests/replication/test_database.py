@@ -1,15 +1,19 @@
 """Integration tests for the replicated database data path."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ProtocolError, SerializabilityError
+from repro.faults.chaos import unchecked_assignment
+from repro.faults.monitor import InvariantMonitor
 from repro.protocols.base import ReplicaControlProtocol
 from repro.protocols.quorum_consensus import QuorumConsensusProtocol
 from repro.protocols.reassignment import QuorumReassignmentProtocol
 from repro.quorum.assignment import QuorumAssignment
 from repro.replication.database import ReplicatedDatabase
 from repro.replication.transaction import AccessOutcome
-from repro.topology.generators import ring
+from repro.topology.generators import ring, ring_with_chords
+from tests.oracles import newest_copy_scan
 
 
 def make_db(n=5, q_r=2, initial="v0"):
@@ -183,3 +187,88 @@ class TestValidation:
         assert db.submit_read(0).time == 2.5
         with pytest.raises(Exception):
             db.advance_time(-1.0)
+
+
+WALK_TOPOLOGY = ring_with_chords(8, 1)
+
+
+def walk(assignment, seed, steps=600, installs=True):
+    """A seeded random walk of faults, repairs, installs, reads and writes.
+
+    After every step the cached newest copy of each site's component must
+    equal a scan of the stores, and the protocol's ``newest_version`` must
+    equal ``site_version.max()``. Step ``i`` runs at time ``i``; 1SR
+    mismatches are recorded, not raised. Returns the access results and
+    the ``(time, detail)`` of every recorded violation.
+    """
+    rng = np.random.default_rng(seed)
+    topo = WALK_TOPOLOGY
+    qr = QuorumReassignmentProtocol(topo.n_sites, assignment)
+    monitor = InvariantMonitor(record_snapshots=False)
+    db = ReplicatedDatabase(topo, qr, initial_value=0, monitor=monitor)
+    T = topo.total_votes
+    results = []
+    for step in range(steps):
+        site = int(rng.integers(topo.n_sites))
+        # Repairs outweigh failures so quorums keep forming.
+        move = "i" if installs and rng.random() < 0.1 else "fFFFFlLLLLrrrww"[
+            int(rng.integers(15))]
+        if move == "f":
+            db.fail_site(site)
+        elif move == "F":
+            db.repair_site(site)
+        elif move in "lL":
+            link = topo.links[int(rng.integers(topo.n_links))]
+            (db.fail_link if move == "l" else db.repair_link)(link.a, link.b)
+        elif move == "r":
+            results.append(db.submit_read(site))
+        elif move == "w":
+            results.append(db.submit_write(site, step))
+        else:
+            q_r = int(rng.integers(1, T // 2 + 1))
+            qr.try_reassign(db.tracker, site, QuorumAssignment.from_read_quorum(T, q_r))
+        assert qr.newest_version == int(qr.site_version.max()), step
+        for s in range(topo.n_sites):
+            assert db.peek_newest(s) == newest_copy_scan(db, s), (step, s)
+        db.advance_time(1.0)
+    return results, [(v.time, v.detail) for v in monitor.violations]
+
+
+def rescan_every_read(monkeypatch):
+    monkeypatch.setattr(ReplicatedDatabase, "_newest_copy",
+                        lambda db, view: db._scan_newest(view.replicas))
+
+
+def outcomes(results):
+    return [(type(r).__name__, r.outcome, getattr(r, "value", None), r.timestamp)
+            for r in results]
+
+
+class TestNewestCopyCache:
+    """The newest copy cached in the decision view is an optimisation only."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cached_newest_equals_scan_on_a_random_walk(self, seed, monkeypatch):
+        # An install moves no copies, so even this valid start may record
+        # a 1SR mismatch after a reassignment; the cache must not change
+        # whether or where.
+        assignment = QuorumAssignment.from_read_quorum(WALK_TOPOLOGY.total_votes, 3)
+        cached, violations = walk(assignment, seed)
+        granted = [kind for kind, outcome, _, _ in outcomes(cached)
+                   if outcome is AccessOutcome.GRANTED]
+        assert granted.count("ReadResult") > 30
+        assert granted.count("WriteResult") > 10
+        rescan_every_read(monkeypatch)
+        rescanned, rescanned_violations = walk(assignment, seed)
+        assert outcomes(cached) == outcomes(rescanned)
+        assert violations == rescanned_violations
+
+    def test_checker_fires_at_the_same_step_with_and_without_cache(
+            self, monkeypatch):
+        # q_w = 4 <= T/2 and q_r + q_w < T: disjoint components may both
+        # write, and a read quorum may miss the last write.
+        broken = unchecked_assignment(WALK_TOPOLOGY.total_votes, 2, 4)
+        _, violations = walk(broken, seed=7, installs=False)
+        assert len(violations) > 1
+        rescan_every_read(monkeypatch)
+        assert walk(broken, seed=7, installs=False)[1] == violations

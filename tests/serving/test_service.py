@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.faults.schedule import FaultSchedule, SiteCrash
 from repro.quorum.assignment import QuorumAssignment
 from repro.replication.database import ReplicatedDatabase
 from repro.serving import (
@@ -245,6 +246,19 @@ class TestLatency:
         assert summary["count"] == 0
         assert all(math.isnan(summary[k]) for k in ("mean", "p50", "p99", "max"))
 
+    def test_p99_gate_with_nothing_granted_fails(self):
+        # Every site is down from the start: no request is granted, so p99
+        # is NaN, and a refused request misses every latency limit.
+        report = run_serve(make_config(
+            scenario="custom", n_requests=500,
+            fault_schedule=FaultSchedule([SiteCrash(0.0, range(N_SITES))])))
+        assert "granted" not in report.outcomes
+        assert math.isnan(report.latency["p99"])
+        assert report.passed
+        report.max_p99 = math.inf
+        assert not report.passed
+        assert report.exit_code == 1
+
     @pytest.mark.parametrize("scenario", SERVE_SCENARIOS)
     def test_quantiles_are_nearest_rank_over_granted(self, scenario):
         tel = Telemetry()
@@ -292,3 +306,14 @@ class TestDecisionView:
         assert cached["audit_records"]
         for part in cached:
             assert cached[part] == rebuilt[part], part
+
+    @pytest.mark.parametrize("scenario", SERVE_SCENARIOS)
+    def test_newest_copy_rescanned_per_read_changes_nothing(self, scenario,
+                                                            monkeypatch):
+        cached = self.observed(scheduled(scenario=scenario, n_requests=3_000))
+        monkeypatch.setattr(
+            ReplicatedDatabase, "_newest_copy",
+            lambda db, view: db._scan_newest(view.replicas))
+        rescanned = self.observed(scheduled(scenario=scenario, n_requests=3_000))
+        for part in cached:
+            assert cached[part] == rescanned[part], part

@@ -206,10 +206,26 @@ class TestServe:
     def test_unreachable_slo_exits_one(self, capsys):
         code, out, _ = run_cli(
             capsys, *self.SMALL, "--scenario", "correlated",
-            "--min-availability", "1.1",
+            "--min-availability", "1",
         )
         assert code == 1
         assert "verdict        : FAIL" in out
+
+    @pytest.mark.parametrize("value", ["nan", "2", "-0.1"])
+    def test_min_availability_outside_unit_interval_exits_two(self, capsys,
+                                                             value):
+        code, out, err = run_cli(
+            capsys, *self.SMALL, f"--min-availability={value}")
+        assert code == 2
+        assert out == ""  # rejected before any request is served
+        assert err.count("error:") == 1 and "--min-availability" in err
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "-1e-9"])
+    def test_negative_or_nan_p99_gate_exits_two(self, capsys, value):
+        code, out, err = run_cli(capsys, *self.SMALL, f"--max-p99={value}")
+        assert code == 2
+        assert out == ""
+        assert err.count("error:") == 1 and "--max-p99" in err
 
     def test_invalid_read_quorum_exits_two(self, capsys):
         code, _, err = run_cli(
@@ -238,14 +254,14 @@ class TestServe:
 
     def test_p99_gate_reads_exact_quantiles(self, capsys):
         # 1 of ~17k granted requests waited, so p50 = p99 = 0 exactly and
-        # a 1e-6 s gate must pass; any negative gate must fail.
+        # a 1e-6 s gate must pass, and so must a gate of exactly 0.
         code, out, _ = run_cli(capsys, *self.P99_GATE, "--max-p99", "1e-6")
         assert code == 0
         assert "p50=0  p99=0  max=3.52" in out
         assert "verdict        : PASS" in out
-        code, out, _ = run_cli(capsys, *self.P99_GATE, "--max-p99=-1")
-        assert code == 1
-        assert "verdict        : FAIL" in out
+        code, out, _ = run_cli(capsys, *self.P99_GATE, "--max-p99", "0")
+        assert code == 0
+        assert "verdict        : PASS" in out
 
     def test_telemetry_export_includes_serving_counters(self, capsys, tmp_path):
         code, out, _ = run_cli(
