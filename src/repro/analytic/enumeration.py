@@ -48,7 +48,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.connectivity.components import batched_vote_totals
+from repro.connectivity.components import batched_vote_totals, entry_vote_totals
 from repro.errors import DensityError, TopologyError
 from repro.telemetry.recorder import current as _current_recorder
 from repro.topology.model import Topology
@@ -289,14 +289,18 @@ def _collapse_dfs_kernel(
     A free link only doubles the rows where both endpoints are live and
     in *distinct* components — everywhere else its up/down marginal is
     exactly 1 and the branch collapses. Leaf rows are flushed into the
-    density bins via two ``bincount`` passes (per-row component vote
-    totals, then ``(site, total)`` bins weighted by row probability).
+    density bins: :func:`entry_vote_totals` gives each row's per-site
+    component vote totals in integers, then one ``bincount`` adds the
+    row probabilities into the ``(site, total)`` bins in row order.
 
-    Peak live rows are capped at ``max(chunk_size, MIN_ROW_CAP)``; a
+    Peak live rows are capped at ``max(chunk_size, MIN_ROW_CAP)``; the
+    live block grows in place in one buffer of that many rows, and a
     branch that would exceed the cap defers half its rows to an explicit
-    DFS stack. Results are deterministic for a fixed cap and agree with
-    the ``exact-order`` kernel to float round-off (regrouped accumulation
-    — the ≤1e-12 differential tier, not bitwise).
+    DFS stack. Row order, split points and flush boundaries fix the
+    accumulation order, so results are deterministic for a fixed cap
+    (pinned in ``tests/analytic/test_enumeration.py``) and agree with the
+    ``exact-order`` kernel to float round-off (regrouped accumulation —
+    the ≤1e-12 differential tier, not bitwise).
     """
     prof = _current_recorder().phases
     cap = max(int(chunk_size), MIN_ROW_CAP)
@@ -306,7 +310,7 @@ def _collapse_dfs_kernel(
     u, v = topology.link_endpoint_arrays()
     dtype = _label_dtype(n)
     sent = dtype(np.iinfo(dtype).max)
-    votes = topology.votes.astype(np.float64)
+    votes = topology.votes
 
     pinned_live_links = np.nonzero(link_rel >= 1.0)[0]
 
@@ -322,40 +326,46 @@ def _collapse_dfs_kernel(
     root = np.arange(n, dtype=dtype)[None, :].copy()
     root[0, site_rel <= 0.0] = sent
     acc = np.zeros(n * (T + 1), dtype=np.float64)
+    # Labels are site ids, so row k's components are ids k*n .. k*n+n-1.
+    row_ids = (np.arange(cap, dtype=np.int64) * n)[:, None]
+    site_bins = np.arange(n, dtype=np.int64) * (T + 1)
 
     def flush(L: np.ndarray, P: np.ndarray) -> None:
         nonlocal acc
         rows = L.shape[0]
-        up = L != sent
-        # Per-(row, component) vote sums: one bincount over flat
-        # row-offset labels (down sites park in a discard bin).
-        flat = np.where(up, L, n).astype(np.int64)
-        flat += np.arange(rows, dtype=np.int64)[:, None] * (n + 1)
-        weights = np.where(up, np.broadcast_to(votes, (rows, n)), 0.0)
-        sums = np.bincount(flat.ravel(), weights=weights.ravel(),
-                           minlength=rows * (n + 1))
-        totals = np.where(up, sums[flat], 0.0).astype(np.int64)
-        bins = (np.arange(n, dtype=np.int64) * (T + 1))[None, :] + totals
+        bins = entry_vote_totals(row_ids[:rows] + L, L != sent, votes, rows * n)
+        bins += site_bins
         acc += np.bincount(bins.ravel(), weights=np.repeat(P, n),
                            minlength=n * (T + 1))
 
+    # The live block is rows [0, rows) of one row buffer: a column writes
+    # its doubled or merged rows after them, in the order a concatenation
+    # of (kept rows, new rows) would have.
+    Lbuf = np.empty((cap, n), dtype=dtype)
+    Pbuf = np.empty(cap, dtype=np.float64)
     stack = [(root, np.ones(1, dtype=np.float64), 0)]
     while stack:
-        L, P, c = stack.pop()
+        L0, P0, c = stack.pop()
+        rows = L0.shape[0]
+        Lbuf[:rows] = L0
+        Pbuf[:rows] = P0
         with prof.phase("enum.branch"):
             while c < n_cols:
                 kind, comp = cols[c]
+                L, P = Lbuf[:rows], Pbuf[:rows]
                 if kind == "site":
-                    if 2 * L.shape[0] > cap and L.shape[0] > 1:
-                        half = L.shape[0] // 2
+                    if 2 * rows > cap and rows > 1:
+                        half = rows // 2
                         stack.append((L[half:].copy(), P[half:].copy(), c))
-                        L, P = L[:half], P[:half]
+                        rows = half
                         continue
+                    # Down copies first, then the up rows: [down, L].
                     p_up = site_rel[comp]
-                    down = L.copy()
-                    down[:, comp] = sent
-                    L = np.concatenate([down, L])
-                    P = np.concatenate([P * (1.0 - p_up), P * p_up])
+                    Lbuf[rows:2 * rows] = L
+                    np.multiply(P, p_up, out=Pbuf[rows:2 * rows])
+                    L[:, comp] = sent
+                    P *= 1.0 - p_up
+                    rows *= 2
                 else:
                     a, b = int(u[comp]), int(v[comp])
                     la = L[:, a]
@@ -366,34 +376,33 @@ def _collapse_dfs_kernel(
                             lo = np.minimum(la, lb)
                             hi = np.maximum(la, lb)
                             merge = joins[:, None] & (L == hi[:, None])
-                            L = np.where(merge, lo[:, None], L)
+                            np.copyto(L, lo[:, None], where=merge)
                     else:
-                        n_joins = int(joins.sum())
+                        idx = np.nonzero(joins)[0]
+                        n_joins = idx.size
                         if n_joins == 0:
                             # Dead or redundant everywhere: the marginal
                             # r + (1 - r) is exactly 1 — collapse.
                             c += 1
                             continue
-                        if L.shape[0] + n_joins > cap and L.shape[0] > 1:
-                            half = L.shape[0] // 2
+                        if rows + n_joins > cap and rows > 1:
+                            half = rows // 2
                             stack.append((L[half:].copy(), P[half:].copy(), c))
-                            L, P = L[:half], P[:half]
+                            rows = half
                             continue
+                        # Kept rows, then the merged copies: [L, merged].
                         r_up = link_rel[comp]
-                        idx = np.nonzero(joins)[0]
                         lo = np.minimum(la, lb)[idx]
                         hi = np.maximum(la, lb)[idx]
-                        merged = L[idx]
-                        merged = np.where(merged == hi[:, None],
-                                          lo[:, None], merged)
-                        P = np.concatenate(
-                            [np.where(joins, P * (1.0 - r_up), P),
-                             P[idx] * r_up]
-                        )
-                        L = np.concatenate([L, merged])
+                        merged = Lbuf[rows:rows + n_joins]
+                        merged[...] = L[idx]
+                        np.copyto(merged, lo[:, None], where=merged == hi[:, None])
+                        np.multiply(P[idx], r_up, out=Pbuf[rows:rows + n_joins])
+                        P[idx] *= 1.0 - r_up
+                        rows += n_joins
                 c += 1
         with prof.phase("enum.flush"):
-            flush(L, P)
+            flush(Lbuf[:rows], Pbuf[:rows])
 
     matrix = acc.reshape(n, T + 1)
     return matrix if site is None else matrix[int(site)].copy()

@@ -502,14 +502,14 @@ def _profile_enumeration(args: argparse.Namespace, telemetry) -> None:
     # Bypass the density cache so the kernel (and its phases) actually
     # run; a warm cache would profile a dictionary lookup.
     with density_cache.disabled():
-        enumerate_density_matrix(ring(args.sites or 10), 0.96, 0.96)
+        enumerate_density_matrix(ring(args.sites), 0.96, 0.96)
 
 
 def _profile_montecarlo(args: argparse.Namespace, telemetry) -> None:
     from repro.analytic.montecarlo import montecarlo_density_matrix
     from repro.topology.generators import ring_with_chords
 
-    montecarlo_density_matrix(ring_with_chords(args.sites or 13, 2),
+    montecarlo_density_matrix(ring_with_chords(args.sites, 2),
                               0.9, 0.9, n_samples=args.samples,
                               seed=args.seed)
 
@@ -518,9 +518,8 @@ def _profile_votes(args: argparse.Namespace, telemetry) -> None:
     from repro.quorum.vote_optimizer import optimize_votes
     from repro.topology.generators import ring_with_chords
 
-    sites = args.sites or 12
-    optimize_votes(ring_with_chords(sites, 2), alpha=0.5,
-                   p=np.full(sites, 0.95), r=0.95, method="hillclimb",
+    optimize_votes(ring_with_chords(args.sites, 2), alpha=0.5,
+                   p=np.full(args.sites, 0.95), r=0.95, method="hillclimb",
                    n_samples=args.samples, seed=args.seed)
 
 
@@ -544,11 +543,10 @@ def _profile_serve(args: argparse.Namespace, telemetry) -> None:
     from repro.topology.generators import ring_with_chords
 
     # The `serve --duration-short` smoke preset, with phase profiling on.
-    sites = args.sites or 13
-    topology = ring_with_chords(sites, 2)
+    topology = ring_with_chords(args.sites, 2)
     config = ServeConfig(
         topology=topology,
-        workload=AccessWorkload.uniform(sites, 0.7),
+        workload=AccessWorkload.uniform(args.sites, 0.7),
         initial_assignment=QuorumAssignment.from_read_quorum(
             topology.total_votes, 1
         ),
@@ -571,10 +569,21 @@ _PROFILE_TARGETS = {
     "serve": _profile_serve,
 }
 
+#: ``--sites`` of the targets that take it: the preset it defaults to and
+#: the smallest topology the target builds (a ring needs 3 sites, a ring
+#: with 2 chords 4). ``simulate`` runs its own scale preset.
+_PROFILE_SITES = {
+    "enumeration": (10, 3),
+    "montecarlo": (13, 4),
+    "votes": (12, 4),
+    "serve": (13, 4),
+}
+
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     from pathlib import Path
 
+    from repro.errors import ReproError
     from repro.telemetry.recorder import Telemetry
     from repro.telemetry.recorder import use as _use_telemetry
     from repro.telemetry.spans import SpanRecord
@@ -586,6 +595,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         write_span_jsonl,
     )
 
+    if args.target in _PROFILE_SITES:
+        preset, least = _PROFILE_SITES[args.target]
+        if args.sites is None:
+            args.sites = preset
+        elif args.sites < least:
+            raise ReproError(f"--sites must be >= {least} for the {args.target} "
+                             f"target, got {args.sites}")
     runner = _PROFILE_TARGETS[args.target]
     telemetry = Telemetry(max_spans=50_000)
     with _use_telemetry(telemetry):

@@ -22,7 +22,9 @@ the two labellers for a single state on the link count it observes
 (:data:`CSGRAPH_THRESHOLD`, the measured crossover; the dense case is the
 ``B = 1`` block). Blocks of sampled or enumerated states always take the
 second, as labels, vote totals or — the one road from sampled states to a
-density — :func:`batched_vote_histogram` (DESIGN.md §10).
+density — :func:`batched_vote_histogram` (DESIGN.md §10). Whatever labels
+them, vote totals are binned by one integer helper,
+:func:`entry_vote_totals`.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "batched_component_entries",
     "batched_vote_totals",
     "batched_vote_histogram",
+    "entry_vote_totals",
     "component_vote_totals",
     "votes_in_component_of",
     "component_members",
@@ -247,6 +250,45 @@ def batched_component_labels(
     return labels.reshape(site_masks.shape)
 
 
+def entry_vote_totals(
+    ids: np.ndarray,
+    up: np.ndarray,
+    votes: np.ndarray,
+    n_ids: int,
+) -> np.ndarray:
+    """Component vote total of every entry, in integers: the one binning step.
+
+    ``ids`` (shape ``(B, n)``) names each entry's component among
+    ``n_ids`` ids, ``up`` marks the entries that hold their column's
+    ``votes`` (shape ``(n,)``). Down entries park in a discard bin
+    ``n_ids`` that reads 0. One ``bincount`` sums each component's votes
+    (an unweighted count when every vote is 1) and one gather spreads the
+    sums back, so a down entry's total is 0 whatever its id was. Every
+    vote histogram in the repo (sampled, enumerated, vote search) bins
+    these totals.
+    """
+    ids = np.where(up, ids, np.intp(n_ids))  # bincount's index type
+    if (votes == 1).all():
+        sums = np.bincount(ids.ravel(), minlength=n_ids + 1)
+    else:
+        weights = np.broadcast_to(votes.astype(np.float64), ids.shape).ravel()
+        sums = np.bincount(ids.ravel(), weights=weights, minlength=n_ids + 1)
+        sums = sums.astype(np.int64)
+    sums[n_ids] = 0
+    return sums[ids]
+
+
+def _validated_votes(topology: Topology, votes) -> np.ndarray:
+    votes = np.asarray(votes)
+    if votes.shape != (topology.n_sites,):
+        raise TopologyError(
+            f"votes must have shape ({topology.n_sites},), got {votes.shape}"
+        )
+    if not np.issubdtype(votes.dtype, np.integer) or (votes < 0).any():
+        raise TopologyError(f"votes must be non-negative integers, got {votes}")
+    return votes.astype(np.int64)
+
+
 def batched_vote_totals(
     topology: Topology,
     site_masks: np.ndarray,
@@ -256,17 +298,15 @@ def batched_vote_totals(
     """Fused masks → per-site component vote totals ``(B, n_sites)``.
 
     Equivalent to :func:`batched_component_labels` followed by a per-state
-    :func:`component_vote_totals`, without the label compaction: one
-    weighted ``bincount`` over *all* nodes sums each component's votes. A
-    down site weighs 0 and is a singleton, so its total is 0 with no
-    masking. The sums are small integers, exact in float64.
+    :func:`component_vote_totals`, without the label compaction: the
+    block's batch-global raw ids go straight to
+    :func:`entry_vote_totals`. ``votes`` overrides the topology's vote
+    vector and must be ``n_sites`` non-negative integers.
     """
     site_masks, link_masks = _validated_masks(topology, site_masks, link_masks)
-    votes_arr = topology.votes if votes is None else np.asarray(votes, dtype=np.int64)
+    votes = topology.votes if votes is None else _validated_votes(topology, votes)
     n_comp, raw = _batched_raw_labels(topology, site_masks, link_masks)
-    node_votes = (site_masks * votes_arr.astype(np.float64)).ravel()
-    sums = np.bincount(raw, weights=node_votes, minlength=n_comp)
-    return sums.astype(np.int64)[raw].reshape(site_masks.shape)
+    return entry_vote_totals(raw.reshape(site_masks.shape), site_masks, votes, n_comp)
 
 
 def batched_vote_histogram(

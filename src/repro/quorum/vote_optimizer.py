@@ -43,6 +43,7 @@ import numpy as np
 from repro.connectivity.components import (
     batched_component_entries,
     batched_component_labels,
+    entry_vote_totals,
     gather_groups,
 )
 from repro.errors import OptimizationError, VoteAssignmentError
@@ -114,58 +115,36 @@ class _StateSample:
             )
         self.n_samples = n_samples
         self.n_sites = topology.n_sites
-
-        # Scoring precomputation: flat positions of up entries, their
-        # sites and (batch-global) component ids, plus the per-site count
-        # of down states that always lands in the zero-votes bin.
-        n = self.n_sites
-        flat = self.labels.ravel()
-        self._up_pos = np.nonzero(flat >= 0)[0]
-        self._up_labels = flat[self._up_pos]
-        self._up_sites = self._up_pos % n
-        self._n_components = int(self._up_labels.max()) + 1 if self._up_labels.size else 0
-        down_sites = np.nonzero(flat < 0)[0] % n
-        self._down_counts = np.bincount(down_sites, minlength=n).astype(np.float64)
+        self._up = self.labels >= 0
+        self._n_components = int(self.labels.max()) + 1
         self._comp_entries, self._comp_starts = batched_component_entries(self.labels)
 
     # ------------------------------------------------------------------
     # Vectorized scoring
     # ------------------------------------------------------------------
     def vote_counts(self, votes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """State-count histogram ``(n_sites, T+1)`` plus per-entry totals.
+        """State-count histogram ``(n_sites, T+1)`` plus each entry's bin.
 
-        One weighted ``bincount`` sums each component's votes, a gather
-        spreads them back to entries, and a second ``bincount`` bins the
+        :func:`entry_vote_totals` gives every entry its component's
+        votes (down entries 0) and one ``bincount`` bins the
         ``(site, total)`` pairs — no per-state Python loop. Counts are
         exact small integers held in float64, so every scoring path that
-        consumes them agrees bitwise. ``totals_flat`` (totals indexed by
-        flat position into ``labels.ravel()``, down entries at 0) feeds
+        consumes them agrees bitwise. ``comp_bins`` holds each up entry's
+        bin in the order of the by-component entry index and feeds
         :meth:`moved_counts`.
         """
         with _current_recorder().phases.phase("votesearch.score"):
             votes = np.asarray(votes, dtype=np.int64)
             n, T = self.n_sites, int(votes.sum())
-            if self._up_labels.size:
-                comp_sums = np.bincount(
-                    self._up_labels,
-                    weights=votes[self._up_sites].astype(np.float64),
-                    minlength=self._n_components,
-                )
-                totals_up = comp_sums[self._up_labels].astype(np.int64)
-            else:
-                totals_up = np.empty(0, dtype=np.int64)
-            bins = self._up_sites * (T + 1) + totals_up
+            totals = entry_vote_totals(self.labels, self._up, votes, self._n_components)
+            bins = (np.arange(n, dtype=np.int64) * (T + 1) + totals).ravel()
             counts = np.bincount(bins, minlength=n * (T + 1)).astype(np.float64)
-            counts = counts.reshape(n, T + 1)
-            counts[:, 0] += self._down_counts
-            totals_flat = np.zeros(self.n_samples * n, dtype=np.int64)
-            totals_flat[self._up_pos] = totals_up
-            return counts, totals_flat
+            return counts.reshape(n, T + 1), bins[self._comp_entries]
 
     def moved_counts(
         self,
         counts: np.ndarray,
-        totals_flat: np.ndarray,
+        comp_bins: np.ndarray,
         votes: np.ndarray,
         a: int,
         b: int,
@@ -175,32 +154,28 @@ class _StateSample:
         A single-vote move only changes totals inside the components
         containing ``a`` or ``b``; states where the two sites share a
         component (or where the moving site is down) contribute no
-        change. Only the affected entries are re-binned, so a hillclimb
-        sweep over all ``O(n^2)`` moves costs far less than ``n^2`` full
-        rescores — and, because counts are exact integers, the result is
-        bitwise identical to ``vote_counts(moved votes)``.
+        change. Only the affected entries are re-binned — one gather of
+        their bins, then one bin lower on ``a``'s side and one higher on
+        ``b``'s — so a hillclimb sweep over all ``O(n^2)`` moves costs far
+        less than ``n^2`` full rescores. Counts are exact integers, so the
+        result is bitwise identical to ``vote_counts(moved votes)``.
         """
         if votes[a] <= 0:
             raise OptimizationError(f"site {a} has no vote to move")
         with _current_recorder().phases.phase("votesearch.delta"):
-            n, T = self.n_sites, int(np.asarray(votes).sum())
+            width = counts.size
             la = self.labels[:, a]
             lb = self.labels[:, b]
-            out = counts.copy()
-            flat_out = out.reshape(-1)
             separated = la != lb
-            for comps, delta in (
-                (la[(la >= 0) & separated], -1),
-                (lb[(lb >= 0) & separated], +1),
-            ):
-                if comps.size == 0:
-                    continue
-                entries = gather_groups(
-                    self._comp_entries, self._comp_starts, comps)
-                old_bins = (entries % n) * (T + 1) + totals_flat[entries]
-                flat_out -= np.bincount(old_bins, minlength=n * (T + 1))
-                flat_out += np.bincount(old_bins + delta, minlength=n * (T + 1))
-            return out
+            losing = la[(la >= 0) & separated]
+            gaining = lb[(lb >= 0) & separated]
+            starts = self._comp_starts
+            n_losing = int((starts[losing + 1] - starts[losing]).sum())
+            old = gather_groups(comp_bins, starts, np.concatenate([losing, gaining]))
+            new = old + 1
+            new[:n_losing] -= 2  # a's side loses the vote, b's side gains it
+            moved = np.bincount(new, minlength=width) - np.bincount(old, minlength=width)
+            return counts + moved.reshape(counts.shape)
 
     def density_matrix(self, votes: np.ndarray) -> np.ndarray:
         """Empirical per-site density of component votes under ``votes``."""

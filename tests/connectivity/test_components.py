@@ -264,3 +264,104 @@ class TestVoteHistogram:
             labels = component_labels(topo, site_masks[k], link_masks[k])
             np.testing.assert_array_equal(
                 totals[k], component_vote_totals(labels, votes))
+
+
+def _random_topology(rng):
+    """A seeded random graph whose votes include 0 and values above 1."""
+    n = int(rng.integers(3, 10))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    links = [pair for pair in pairs if rng.random() < 0.35]
+    votes = rng.integers(0, 4, size=n)
+    votes[0] = max(int(votes[0]), 2)
+    votes[-1] = 0
+    return Topology(n, links, votes=votes.tolist())
+
+
+class TestEntryVoteTotals:
+    """The one binning helper against the per-state labelling oracle."""
+
+    @staticmethod
+    def masks(topo, count, rng):
+        site_masks = rng.random((count, topo.n_sites)) < 0.7
+        site_masks[0] = False  # an all-down state
+        return site_masks, rng.random((count, topo.n_links)) < 0.6
+
+    @pytest.mark.parametrize("count", [1, 9])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_totals_match_perstate_oracle(self, seed, count):
+        from repro.connectivity.components import (
+            batched_component_labels,
+            batched_vote_totals,
+            entry_vote_totals,
+        )
+
+        rng = np.random.default_rng(seed)
+        topo = _random_topology(rng)
+        site_masks, link_masks = self.masks(topo, count, rng)
+        expected = np.stack([
+            component_vote_totals(
+                component_labels(topo, site_masks[k], link_masks[k]), topo.votes)
+            for k in range(count)
+        ])
+        fused = batched_vote_totals(topo, site_masks, link_masks)
+        assert fused.dtype == np.int64
+        np.testing.assert_array_equal(fused, expected)
+        labels = batched_component_labels(topo, site_masks, link_masks)
+        n_ids = int(labels.max()) + 1
+        np.testing.assert_array_equal(
+            entry_vote_totals(labels, labels >= 0, topo.votes, n_ids), expected)
+        assert not expected[0].any()
+
+    @pytest.mark.parametrize("count", [1, 9])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_weighted_histogram_is_the_float_reference(self, seed, count):
+        from repro.connectivity.components import batched_vote_histogram
+
+        rng = np.random.default_rng(100 + seed)
+        topo = _random_topology(rng)
+        site_masks, link_masks = self.masks(topo, count, rng)
+        weights = rng.random(count) * 2.5
+        np.testing.assert_array_equal(
+            batched_vote_histogram(topo, site_masks, link_masks, weights),
+            perstate_vote_histogram(topo, site_masks, link_masks, weights))
+
+    def test_unit_votes_count_without_weights(self):
+        from repro.connectivity.components import entry_vote_totals
+
+        ids = np.array([[0, 0, 1, 2], [3, 3, 3, 4]])
+        up = np.array([[True, True, True, False], [True, False, True, True]])
+        np.testing.assert_array_equal(
+            entry_vote_totals(ids, up, np.ones(4, np.int64), 5),
+            [[2, 2, 1, 0], [2, 0, 2, 1]])
+        np.testing.assert_array_equal(
+            entry_vote_totals(ids, up, np.array([1, 0, 3, 2]), 5),
+            [[1, 1, 3, 0], [4, 0, 4, 2]])
+
+
+class TestVotesOverrideValidation:
+    """``batched_vote_totals(votes=...)`` takes ``n_sites`` non-negative
+    integers and nothing that merely broadcasts."""
+
+    TOPO = ring(5)
+    SITES = np.ones((2, 5), bool)
+    LINKS = np.ones((2, 5), bool)
+
+    @pytest.mark.parametrize("votes", [
+        pytest.param([3], id="one-value-broadcast"),
+        pytest.param(np.ones((2, 1), np.int64), id="per-state-column"),
+        pytest.param(np.ones((2, 5), np.int64), id="per-state-matrix"),
+        pytest.param([1, -4, 1, 1, 1], id="negative"),
+        pytest.param([1.0, 2.0, 1.0, 1.0, 1.0], id="floats"),
+    ])
+    def test_rejected(self, votes):
+        from repro.connectivity.components import batched_vote_totals
+
+        with pytest.raises(TopologyError, match="votes must"):
+            batched_vote_totals(self.TOPO, self.SITES, self.LINKS, votes=votes)
+
+    def test_accepted_override(self):
+        from repro.connectivity.components import batched_vote_totals
+
+        totals = batched_vote_totals(self.TOPO, self.SITES, self.LINKS,
+                                     votes=[3, 0, 1, 1, 2])
+        np.testing.assert_array_equal(totals, np.full((2, 5), 7))

@@ -135,7 +135,7 @@ class TestVectorizedScoring:
     def test_delta_matches_full_rescoring(self):
         sample = self._sample()
         votes = np.array([2, 1, 0, 1, 1, 1])
-        counts, totals = sample.vote_counts(votes)
+        counts, bins = sample.vote_counts(votes)
         for a in range(6):
             if votes[a] == 0:
                 continue
@@ -146,16 +146,16 @@ class TestVectorizedScoring:
                 moved[a] -= 1
                 moved[b] += 1
                 assert np.array_equal(
-                    sample.moved_counts(counts, totals, votes, a, b),
+                    sample.moved_counts(counts, bins, votes, a, b),
                     sample.vote_counts(moved)[0],
                 )
 
     def test_moving_from_empty_site_rejected(self):
         sample = self._sample()
         votes = np.array([2, 1, 0, 1, 1, 1])
-        counts, totals = sample.vote_counts(votes)
+        counts, bins = sample.vote_counts(votes)
         with pytest.raises(OptimizationError):
-            sample.moved_counts(counts, totals, votes, 2, 0)
+            sample.moved_counts(counts, bins, votes, 2, 0)
 
     def test_delta_evaluations_are_counted(self):
         res = optimize_votes(ring(4), alpha=0.5, p=0.9, r=0.9,
@@ -193,7 +193,7 @@ class TestScoringProperties:
             sample.density_matrix(votes),
             density_matrix_reference(sample, votes),
         )
-        counts, totals = sample.vote_counts(votes)
+        counts, bins = sample.vote_counts(votes)
         movable = [a for a in range(5) if votes[a] > 0]
         a = movable[0]
         b = (a + 1) % 5
@@ -201,6 +201,6 @@ class TestScoringProperties:
         moved[a] -= 1
         moved[b] += 1
         assert np.array_equal(
-            sample.moved_counts(counts, totals, votes, a, b),
+            sample.moved_counts(counts, bins, votes, a, b),
             sample.vote_counts(moved)[0],
         )

@@ -559,6 +559,21 @@ class TestProfile:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["profile", "frobnicate"])
 
+    @pytest.mark.parametrize("target,sites", [
+        ("enumeration", 0), ("enumeration", 2),
+        ("montecarlo", 0), ("montecarlo", 3),
+        ("votes", 0), ("votes", 3),
+        ("serve", 0), ("serve", 3),
+    ])
+    def test_sites_below_the_target_minimum_rejected(
+            self, capsys, tmp_path, monkeypatch, target, sites):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "profile", target, "--sites", str(sites))
+        assert code == 2
+        assert err.count("error:") == 1 and "--sites" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestShard:
     def test_basic_run(self, capsys):
