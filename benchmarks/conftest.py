@@ -27,6 +27,7 @@ import time
 from pathlib import Path
 from typing import Dict, List
 
+import numpy as np
 import pytest
 
 from repro.experiments.paper import (
@@ -130,7 +131,8 @@ def _bench_json_recorder(request):
 
     Raw round timings feed a telemetry :class:`Histogram`, whose moment
     accumulators supply the reported mean/stddev — the same estimator the
-    ``--telemetry`` path uses for span timings, so the two agree.
+    ``--telemetry`` path uses for span timings, so the two agree. The
+    quantiles are exact, over the raw timings.
 
     Each benchmark also runs under a live recorder so the instrumented
     hot paths attribute their time to named phases; the cumulative phase
@@ -156,8 +158,7 @@ def _bench_json_recorder(request):
     if not data:
         return
     hist = Histogram("bench_seconds", buckets=(1e-4, 1e-2, 0.1, 1.0, 10.0, 60.0))
-    for value in data:
-        hist.observe(value)
+    hist.observe_many(data)
     series = hist.series()[()]
     entry = {
         "test": request.node.name,
@@ -167,9 +168,9 @@ def _bench_json_recorder(request):
         "max": series.max,
         "iterations": series.count,
         "quantiles": {
-            str(q): est.value() for q, est in sorted(series.quantiles.items())
+            str(q): float(np.quantile(data, q)) for q in (0.5, 0.9, 0.99)
         },
-        "phases": telemetry.phases.snapshot(),
+        "phases": telemetry.snapshot().phases,
     }
     _BENCH_JSON.setdefault(_bench_name(request.node.path.stem), []).append(entry)
 

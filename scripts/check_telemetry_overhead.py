@@ -14,8 +14,8 @@ asserts both kernel runs return bitwise identical densities — tracing
 observes outcomes, it must never change them.
 
 The *disabled* recorder is not timed here: with the null recorder no
-function of ``repro/telemetry/`` or ``repro/tracing/`` runs per event in
-the engine's epoch loop, which ``tests/simulation/test_event_cost.py``
+function of ``repro/telemetry/`` runs per event in the engine's epoch
+loop, which ``tests/simulation/test_event_cost.py``
 counts exactly instead.
 
 Run from the repo root:
@@ -89,7 +89,7 @@ def main(argv=None) -> int:
         print("FAIL: tracing changed the enumeration kernel's output")
         return 2
     recorded = {entry["name"]: entry["wall"]
-                for entry in live.phases.snapshot()}
+                for entry in live.snapshot().phases}
     unseen = [name for name in ENUM_PHASES if recorded.get(name, 0.0) <= 0.0]
     if unseen:
         print(f"FAIL: the live recorder saw no time under {unseen}; "

@@ -201,7 +201,7 @@ def _exact_order_kernel(
     # Phase attribution resolves through the current recorder (the
     # kernel has no telemetry argument); with the NULL recorder every
     # phase block is a shared no-op.
-    prof = _current_recorder().phases
+    recorder = _current_recorder()
 
     n = topology.n_sites
     T = topology.total_votes
@@ -223,7 +223,7 @@ def _exact_order_kernel(
 
     for start in range(0, n_states, chunk_size):
         stop = min(start + chunk_size, n_states)
-        with prof.phase("enum.unpack"):
+        with recorder.phase("enum.unpack"):
             idx = np.arange(start, stop, dtype=np.int64)
             bits = ((idx[:, None] >> shifts) & 1).astype(bool)
             count = idx.shape[0]
@@ -236,7 +236,7 @@ def _exact_order_kernel(
 
         # One factor per fallible component, multiplied column-by-column
         # in the same order the reference loop multiplies scalars.
-        with prof.phase("enum.probs"):
+        with recorder.phase("enum.probs"):
             probs = np.ones(count, dtype=np.float64)
             for col, comp in enumerate(free_sites):
                 rel = site_rel[comp]
@@ -246,9 +246,9 @@ def _exact_order_kernel(
                 probs *= np.where(
                     bits[:, free_sites.size + col], rel, 1.0 - rel)
 
-        with prof.phase("enum.label"):
+        with recorder.phase("enum.label"):
             totals = batched_vote_totals(topology, site_masks, link_masks)
-        with prof.phase("enum.accumulate"):
+        with recorder.phase("enum.accumulate"):
             if site is None:
                 # State-major flat bins reproduce the reference's
                 # per-state ``matrix[arange(n), totals] += prob``
@@ -302,7 +302,7 @@ def _collapse_dfs_kernel(
     ``exact-order`` kernel to float round-off (regrouped accumulation —
     the ≤1e-12 differential tier, not bitwise).
     """
-    prof = _current_recorder().phases
+    recorder = _current_recorder()
     cap = max(int(chunk_size), MIN_ROW_CAP)
 
     n = topology.n_sites
@@ -349,7 +349,7 @@ def _collapse_dfs_kernel(
         rows = L0.shape[0]
         Lbuf[:rows] = L0
         Pbuf[:rows] = P0
-        with prof.phase("enum.branch"):
+        with recorder.phase("enum.branch"):
             while c < n_cols:
                 kind, comp = cols[c]
                 L, P = Lbuf[:rows], Pbuf[:rows]
@@ -401,7 +401,7 @@ def _collapse_dfs_kernel(
                         P[idx] *= 1.0 - r_up
                         rows += n_joins
                 c += 1
-        with prof.phase("enum.flush"):
+        with recorder.phase("enum.flush"):
             flush(Lbuf[:rows], Pbuf[:rows])
 
     matrix = acc.reshape(n, T + 1)

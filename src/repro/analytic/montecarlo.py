@@ -51,12 +51,12 @@ def _reliability_vector(value: Reliability, count: int, label: str) -> np.ndarra
     return arr
 
 
-def _profiler():
-    """The current recorder's phases; pool workers run under the NULL
-    recorder, so with ``n_workers > 1`` only in-process blocks show."""
+def _recorder():
+    """The current recorder; pool workers run under the NULL recorder,
+    so with ``n_workers > 1`` only in-process blocks show phases."""
     from repro.telemetry.recorder import current as _current_recorder
 
-    return _current_recorder().phases
+    return _current_recorder()
 
 
 def _block_counts(
@@ -66,7 +66,7 @@ def _block_counts(
     weights: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """One block of states → its count matrix, attributed to ``mc.label``."""
-    with _profiler().phase("mc.label"):
+    with _recorder().phase("mc.label"):
         return batched_vote_histogram(topology, site_masks, link_masks, weights)
 
 
@@ -78,7 +78,7 @@ def _chunk_counts(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Sample ``count`` states and bin their vote totals (one labelling call)."""
-    with _profiler().phase("mc.sample"):
+    with _recorder().phase("mc.sample"):
         site_masks = rng.random((count, topology.n_sites)) < site_rel
         link_masks = rng.random((count, topology.n_links)) < link_rel
     return _block_counts(topology, site_masks, link_masks)

@@ -59,7 +59,7 @@ import numpy as np
 from repro.analytic.montecarlo import (
     Reliability,
     _block_counts,
-    _profiler,
+    _recorder,
     _reliability_vector,
 )
 from repro.errors import DensityError, SimulationError
@@ -266,8 +266,8 @@ def stratified_density_matrix(
             f"allocation must be 'proportional' or 'neyman', got {allocation!r}"
         )
     comps = _split_components(topology, p, r)
-    prof = _profiler()
-    with prof.phase("mc.strat.plan"):
+    recorder = _recorder()
+    with recorder.phase("mc.strat.plan"):
         weights = failure_count_weights(comps.q)
         retained = _retained_strata(weights, tail_epsilon)
         sampled = retained[retained > 0]
@@ -289,7 +289,7 @@ def stratified_density_matrix(
         exact = (0,)
 
     def sample_stratum(k: int, count: int) -> np.ndarray:
-        with prof.phase("mc.strat.sample"):
+        with recorder.phase("mc.strat.sample"):
             failures = _conditional_failure_masks(cond, int(k), count, rng)
             site_masks, link_masks = _masks_from_failures(comps, failures)
         return _block_counts(topology, site_masks, link_masks)
@@ -429,7 +429,7 @@ def importance_density_matrix(
         log_up = np.log1p(-q_prop) - np.log1p(-q)
 
     rng = as_generator(seed)
-    prof = _profiler()
+    recorder = _recorder()
     n, T = topology.n_sites, topology.total_votes
     matrix = np.zeros((n, T + 1), dtype=np.float64)
     weight_sum = 0.0
@@ -439,7 +439,7 @@ def importance_density_matrix(
     while remaining > 0:
         count = min(batch_size, remaining)
         remaining -= count
-        with prof.phase("mc.is.sample"):
+        with recorder.phase("mc.is.sample"):
             from_nominal = rng.random(count) < mixture
             u = rng.random((count, m))
             failures = np.where(from_nominal[:, None], u < q, u < q_prop)

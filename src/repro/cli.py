@@ -24,8 +24,9 @@ writing Python:
   human report (spans, phases, counters, quorum-decision audit).
 - ``profile``           — run a canned workload (enumeration sweep,
   Monte-Carlo estimate, vote search, simulation, serving scenario) under
-  the tracing recorder and export a Perfetto-loadable Chrome trace plus
-  a span JSONL stream, with a phase table and critical path printed.
+  a live recorder and export a Perfetto-loadable Chrome trace plus the
+  snapshot stream ``repro metrics`` reads, with a phase table and
+  critical path printed.
 - ``shard``             — the vectorized N-item sharded simulation:
   Zipf/hotspot item skew, per-item vote vectors and read quorums, one
   shared component labelling per network state, optional per-class
@@ -36,9 +37,10 @@ writing Python:
   regression corpus. Exit 0 = all checks pass, 1 = divergence,
   2 = configuration error.
 
-``simulate`` and ``chaos`` accept ``--telemetry`` (and ``--telemetry-dir``)
-to record metrics, spans, and the quorum-decision audit log, exporting a
-Prometheus text file plus a JSON-lines stream after the run.
+``simulate``, ``chaos``, ``serve`` and ``verify`` accept ``--telemetry``
+(and ``--telemetry-dir``) to record metrics, spans, phases and the
+quorum-decision audit log, exporting a Prometheus text file plus a
+JSON-lines stream after the run.
 
 Every command that draws randomness accepts ``--seed`` (a non-negative
 integer) for exact reproducibility.
@@ -86,7 +88,7 @@ def _analytic_density(family: str, sites: int, p: float, r: float) -> np.ndarray
 
 
 # ----------------------------------------------------------------------
-# Telemetry plumbing shared by simulate/chaos
+# Telemetry plumbing shared by simulate/chaos/serve/verify
 # ----------------------------------------------------------------------
 
 def _add_telemetry_args(sub: argparse.ArgumentParser) -> None:
@@ -99,12 +101,10 @@ def _add_telemetry_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _telemetry_from_args(args: argparse.Namespace):
-    """A live recorder when requested, else None (the null path)."""
-    if not (args.telemetry or args.telemetry_dir):
-        return None
-    from repro.telemetry.recorder import Telemetry
+    """A live recorder when requested, else the null recorder."""
+    from repro.telemetry.recorder import NULL, Telemetry
 
-    return Telemetry()
+    return Telemetry() if args.telemetry or args.telemetry_dir else NULL
 
 
 def _export_telemetry(snapshot, args: argparse.Namespace) -> None:
@@ -182,25 +182,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     protocol = _make_protocol(args.protocol, config.topology.total_votes,
                               args.read_quorum)
     telemetry = _telemetry_from_args(args)
-    if telemetry is None:
+    # Scope the recorder so un-plumbed layers (the optimizer) see it.
+    with _use_telemetry(telemetry):
         result = run_simulation(
             config,
             protocol,
             target_half_width=args.target_half_width,
             fail_fast=not args.keep_going,
+            telemetry=telemetry,
             n_workers=args.workers,
         )
-    else:
-        # Scope the recorder so un-plumbed layers (the optimizer) see it.
-        with _use_telemetry(telemetry):
-            result = run_simulation(
-                config,
-                protocol,
-                target_half_width=args.target_half_width,
-                fail_fast=not args.keep_going,
-                telemetry=telemetry,
-                n_workers=args.workers,
-            )
     print(result.summary())
     if result.telemetry is not None:
         _export_telemetry(result.telemetry, args)
@@ -366,6 +357,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults.chaos import run_chaos_campaign, unchecked_assignment
     from repro.faults.monitor import InvariantMonitor
     from repro.protocols.quorum_consensus import QuorumConsensusProtocol
+    from repro.telemetry.recorder import use as _use_telemetry
 
     scale = _scale(args.scale)
     config = scale.config(args.chords, alpha=args.alpha, seed=args.seed)
@@ -385,28 +377,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     telemetry = _telemetry_from_args(args)
     monitor = InvariantMonitor(max_records=args.max_violations,
                                telemetry=telemetry)
-    if telemetry is None:
+    with _use_telemetry(telemetry):
         report = run_chaos_campaign(
             config,
             protocol,
             n_batches=args.batches,
             monitor=monitor,
             fail_fast=args.fail_fast,
+            telemetry=telemetry,
             n_workers=args.workers,
         )
-    else:
-        from repro.telemetry.recorder import use as _use_telemetry
-
-        with _use_telemetry(telemetry):
-            report = run_chaos_campaign(
-                config,
-                protocol,
-                n_batches=args.batches,
-                monitor=monitor,
-                fail_fast=args.fail_fast,
-                telemetry=telemetry,
-                n_workers=args.workers,
-            )
     print(report.summary())
     if report.telemetry is not None:
         _export_telemetry(report.telemetry, args)
@@ -425,6 +405,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.quorum.assignment import QuorumAssignment
     from repro.serving import ServeConfig, run_serve, serving_schedule
     from repro.simulation.workload import AccessWorkload
+    from repro.telemetry.recorder import use as _use_telemetry
     from repro.topology.generators import ring_with_chords
 
     # A gate outside its domain (NaN included) is a usage error, caught
@@ -456,17 +437,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config.fault_schedule = serving_schedule(args.scenario, topology,
                                              config.horizon)
     telemetry = _telemetry_from_args(args)
-    if telemetry is None:
-        report = run_serve(config)
-    else:
-        from repro.telemetry.recorder import use as _use_telemetry
-
-        with _use_telemetry(telemetry):
-            report = run_serve(config, telemetry)
+    with _use_telemetry(telemetry):
+        report = run_serve(config, telemetry)
     report.min_availability = args.min_availability
     report.max_p99 = args.max_p99
     print(report.summary())
-    if telemetry is not None:
+    if telemetry.enabled:
         _export_telemetry(telemetry.snapshot(), args)
     return report.exit_code
 
@@ -491,7 +467,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# repro profile — canned workloads under a tracing recorder
+# repro profile — canned workloads under a live recorder
 # ----------------------------------------------------------------------
 
 def _profile_enumeration(args: argparse.Namespace, telemetry) -> None:
@@ -542,7 +518,7 @@ def _profile_serve(args: argparse.Namespace, telemetry) -> None:
     from repro.simulation.workload import AccessWorkload
     from repro.topology.generators import ring_with_chords
 
-    # The `serve --duration-short` smoke preset, with phase profiling on.
+    # The `serve --duration-short` smoke preset.
     topology = ring_with_chords(args.sites, 2)
     config = ServeConfig(
         topology=topology,
@@ -554,7 +530,6 @@ def _profile_serve(args: argparse.Namespace, telemetry) -> None:
         n_clients=64,
         seed=args.seed,
         scenario="correlated",
-        profile_phases=True,
     )
     config.fault_schedule = serving_schedule("correlated", topology,
                                              config.horizon)
@@ -584,17 +559,19 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.errors import ReproError
+    from repro.telemetry.export import (
+        critical_path_section,
+        phase_section,
+        span_tree_digest,
+        write_chrome_trace,
+        write_jsonl,
+    )
     from repro.telemetry.recorder import Telemetry
     from repro.telemetry.recorder import use as _use_telemetry
     from repro.telemetry.spans import SpanRecord
-    from repro.tracing.export import (
-        critical_path,
-        span_tree_digest,
-        top_phases,
-        write_chrome_trace,
-        write_span_jsonl,
-    )
 
+    if args.top < 1:
+        raise ReproError(f"--top must be >= 1, got {args.top}")
     if args.target in _PROFILE_SITES:
         preset, least = _PROFILE_SITES[args.target]
         if args.sites is None:
@@ -610,6 +587,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     # A runner may return a pre-merged snapshot (cross-process targets);
     # otherwise snapshot the recorder the workload ran under.
     snapshot = merged if merged is not None else telemetry.snapshot()
+    snapshot.meta.update(target=args.target, seed=args.seed)
     records = [SpanRecord.from_dict(span) for span in snapshot.spans]
 
     out = Path(args.out)
@@ -618,29 +596,17 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     trace_path = out.with_name(out.name + ".trace.json")
     write_chrome_trace(trace_path, records, phases=snapshot.phases,
                        meta={"target": args.target, "seed": args.seed})
-    spans_path = out.with_name(out.name + ".spans.jsonl")
-    with spans_path.open("w", encoding="utf-8") as handle:
-        write_span_jsonl(handle, records)
+    events_path = write_jsonl(snapshot, out.with_name(out.name + ".events.jsonl"))
 
     print(f"profiled {args.target} (seed {args.seed}): "
           f"{len(records)} spans, {len(snapshot.phases)} phases")
     print(f"  chrome trace : {trace_path}  "
           "(load in Perfetto or chrome://tracing)")
-    print(f"  span stream  : {spans_path}")
+    print(f"  event stream : {events_path}  (summarize with `repro metrics`)")
     print(f"  tree digest  : {span_tree_digest(records)}")
-    if snapshot.phases:
-        print()
-        print("phases (top by cumulative wall time)")
-        for entry in top_phases(snapshot.phases, limit=args.top):
-            print(f"  {entry['name']:<28} calls={entry['count']:>8} "
-                  f"wall={float(entry['wall']):.4f}s "
-                  f"cpu={float(entry['cpu']):.4f}s")
-    path = critical_path(records)
-    if len(path) > 1:
-        print()
-        print("critical path (max-wall chain)")
-        for depth, record in enumerate(path):
-            print(f"  {'  ' * depth}{record.name}  wall={record.wall:.4f}s")
+    for line in (phase_section(snapshot.phases, limit=args.top)
+                 + critical_path_section(records)):
+        print(line)
     return 0
 
 
@@ -675,6 +641,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from repro.telemetry.recorder import use as _use_telemetry
     from repro.verification import run_profile, write_corpus
 
     if args.regenerate_golden:
@@ -684,17 +651,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
               "future `repro verify` run")
         return 0
     telemetry = _telemetry_from_args(args)
-    if telemetry is None:
+    with _use_telemetry(telemetry):
         report = run_profile(args.profile, bug=args.inject_bug,
                              golden=not args.no_golden)
-    else:
-        from repro.telemetry.recorder import use as _use_telemetry
-
-        with _use_telemetry(telemetry):
-            report = run_profile(args.profile, bug=args.inject_bug,
-                                 golden=not args.no_golden)
     print(report.summary(drift_top=args.drift_top))
-    if telemetry is not None:
+    if telemetry.enabled:
         _export_telemetry(telemetry.snapshot(), args)
     return 0 if report.passed else 1
 
@@ -970,14 +931,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
-        help="run a canned workload under the tracing recorder and export "
-        "a Chrome trace (Perfetto-loadable) plus a span JSONL stream",
+        help="run a canned workload under a live recorder and export a "
+        "Chrome trace (Perfetto-loadable) plus the telemetry event stream",
     )
     profile.add_argument("target", choices=sorted(_PROFILE_TARGETS),
                          help="which hot path to profile")
     profile.add_argument("--out", default="profile", metavar="PREFIX",
                          help="output prefix; writes PREFIX.trace.json and "
-                         "PREFIX.spans.jsonl (default: profile)")
+                         "PREFIX.events.jsonl (default: profile)")
     profile.add_argument("--seed", type=_seed, default=0)
     profile.add_argument("--sites", type=int, default=None,
                          help="topology size (default: per-target preset)")

@@ -93,7 +93,7 @@ def optimal_read_quorum(
         return _exhaustive(model, alpha)
     with tel.span("optimizer.sweep", alpha=alpha,
                   total_votes=model.total_votes), \
-            tel.phases.phase("optimizer.exhaustive"):
+            tel.phase("optimizer.exhaustive"):
         result = _exhaustive(model, alpha)
     tel.metrics.counter(
         "repro_optimizer_sweeps_total", "Figure-1 optimizer sweeps run",

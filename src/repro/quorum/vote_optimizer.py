@@ -109,7 +109,7 @@ class _StateSample:
             )
         self.site_masks = rng.random((n_samples, topology.n_sites)) < site_rel
         link_draws = rng.random((n_samples, topology.n_links))
-        with _current_recorder().phases.phase("votesearch.label"):
+        with _current_recorder().phase("votesearch.label"):
             self.labels = batched_component_labels(
                 topology, self.site_masks, link_draws < link_rel
             )
@@ -133,7 +133,7 @@ class _StateSample:
         bin in the order of the by-component entry index and feeds
         :meth:`moved_counts`.
         """
-        with _current_recorder().phases.phase("votesearch.score"):
+        with _current_recorder().phase("votesearch.score"):
             votes = np.asarray(votes, dtype=np.int64)
             n, T = self.n_sites, int(votes.sum())
             totals = entry_vote_totals(self.labels, self._up, votes, self._n_components)
@@ -162,7 +162,7 @@ class _StateSample:
         """
         if votes[a] <= 0:
             raise OptimizationError(f"site {a} has no vote to move")
-        with _current_recorder().phases.phase("votesearch.delta"):
+        with _current_recorder().phase("votesearch.delta"):
             width = counts.size
             la = self.labels[:, a]
             lb = self.labels[:, b]

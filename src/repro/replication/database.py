@@ -339,7 +339,7 @@ class ReplicatedDatabase:
             delay = policy.backoff(attempt, self._retry_rng)
             if not policy.within_deadline(self._time + delay - started):
                 break
-            tel.counter(
+            tel.metrics.counter(
                 "repro_retry_attempts_total",
                 "retry attempts scheduled, by op and denial cause",
             ).inc(op=op, cause=cause)
@@ -350,7 +350,7 @@ class ReplicatedDatabase:
             result = attempt_once(attempt)
             if result.granted:
                 return result
-        tel.counter(
+        tel.metrics.counter(
             "repro_retry_exhausted_total",
             "accesses failed after their retry budget, by op and last cause",
         ).inc(op=op, cause=self.last_audit_reason or result.outcome.value)

@@ -84,13 +84,6 @@ class ServeConfig:
     # Chaos ------------------------------------------------------------
     fault_schedule: Optional[FaultSchedule] = None
 
-    # Observability ----------------------------------------------------
-    #: Record per-request phase timings and per-event spans. The service
-    #: always runs a live private recorder for audit reconciliation, so
-    #: profiling is opted into separately; it never changes outcomes,
-    #: only what the trace/phase exports contain.
-    profile_phases: bool = False
-
     def __post_init__(self) -> None:
         if self.n_requests <= 0:
             raise ReproError(f"n_requests must be positive, got {self.n_requests}")

@@ -54,11 +54,8 @@ from repro.serving.config import ServeConfig
 from repro.serving.report import ReassignmentEvent, ServeReport, outcome_code
 from repro.serving.requests import RequestStream
 from repro.simulation.events import EventKind
-from repro.telemetry.recorder import Telemetry
-from repro.telemetry.recorder import current as _current_telemetry
-from repro.telemetry.spans import NULL_SPAN
-from repro.tracing.context import SCOPE_SERVE, TraceContext
-from repro.tracing.profiler import NULL_PROFILER
+from repro.telemetry.recorder import Telemetry, resolve
+from repro.telemetry.spans import NULL_SPAN, SCOPE_SERVE, TraceContext
 
 __all__ = ["AdaptiveQuorumService", "run_serve"]
 
@@ -184,29 +181,18 @@ class AdaptiveQuorumService:
 
     def __init__(self, config: ServeConfig, telemetry=None) -> None:
         self.config = config
-        # Reconciliation requires THIS run's exact audit totals, so the
-        # service only adopts a recorder handed over *explicitly*; the
-        # ambient recorder may span several runs (a benchmark loop, a
-        # verification battery) and its cumulative audit would never
-        # reconcile. Without an explicit recorder the service records
-        # into a live private one.
-        explicit = telemetry is not None and getattr(telemetry, "enabled", False)
+        # Reconciliation requires THIS run's exact audit totals and
+        # counters, so they go to a live recorder handed over explicitly,
+        # else to a private one: the ambient recorder may span several
+        # runs (a benchmark loop, a verification battery) and its
+        # cumulative audit would never reconcile. Spans and phases have
+        # no per-run reconciliation: they go to the recorder handed over,
+        # else the ambient one (NULL when none is installed) — that is
+        # how benchmark rounds accumulate their serve.* phase tables.
+        explicit = telemetry is not None and telemetry.enabled
         tel = telemetry if explicit else Telemetry()
         self.telemetry = tel
-        # Phase attribution has no per-run reconciliation, so it *does*
-        # flow to the ambient recorder when one is installed — that is
-        # how benchmark rounds accumulate their serve.* phase tables.
-        ambient = _current_telemetry()
-        self._profiling = (explicit or ambient.enabled
-                           or config.profile_phases)
-        if explicit:
-            self._prof = tel.phases
-        elif ambient.enabled:
-            self._prof = ambient.phases
-        elif config.profile_phases:
-            self._prof = tel.phases
-        else:
-            self._prof = NULL_PROFILER
+        self._trace = resolve(telemetry)
 
         topology = config.topology
         self.n_sites = topology.n_sites
@@ -243,13 +229,12 @@ class AdaptiveQuorumService:
         self._db_counts: Dict[Tuple[str, str], int] = {}
 
         metrics = tel.metrics
-        # Filled once from ``_latencies`` at report time; no P² markers,
-        # the report's quantiles are exact.
+        # Filled once from ``_latencies`` at report time; the report's
+        # quantiles are exact, computed from the same array.
         self._latency = metrics.histogram(
             "repro_serve_latency_seconds",
             "time from submission to grant, simulated seconds",
             buckets=_LATENCY_BUCKETS,
-            quantiles=(),
         )
         self._c_retry_attempts = metrics.counter(
             "repro_retry_attempts_total",
@@ -317,10 +302,9 @@ class AdaptiveQuorumService:
     # Network changes, degradation, invariants
     # ------------------------------------------------------------------
     def _apply_fault(self, kind: EventKind, target: int) -> None:
-        span = (self.telemetry.span("serve.fault.apply", kind=kind.name,
-                                    target=target, t=self.now)
-                if self._profiling else NULL_SPAN)
-        with span, self._prof.phase("serve.fault"):
+        trace = self._trace
+        with trace.span("serve.fault.apply", kind=kind.name, target=target,
+                        t=self.now), trace.phase("serve.fault"):
             self._flush_observation()
             if kind is EventKind.SITE_FAIL:
                 self.db.fail_site(target)
@@ -355,7 +339,7 @@ class AdaptiveQuorumService:
     # Request lifecycle
     # ------------------------------------------------------------------
     def _admit(self, rid: int, at: float, site: int, is_read: bool) -> None:
-        with self._prof.phase("serve.admit"):
+        with self._trace.phase("serve.admit"):
             self._advance(at)
             self.workload_est.observe(site, is_read)
             if not self.breakers.allow(site, self.now):
@@ -373,7 +357,7 @@ class AdaptiveQuorumService:
         self._attempt(pending)
 
     def _attempt(self, pending: _Pending) -> None:
-        with self._prof.phase("serve.attempt"):
+        with self._trace.phase("serve.attempt"):
             pending.attempts += 1
             site = pending.site
             if pending.is_read:
@@ -429,9 +413,9 @@ class AdaptiveQuorumService:
     # Adaptive control loop
     # ------------------------------------------------------------------
     def _control_tick(self) -> None:
-        span = (self.telemetry.span("serve.control.tick", t=self.now)
-                if self._profiling else NULL_SPAN)
-        with span, self._prof.phase("serve.control"):
+        trace = self._trace
+        with trace.span("serve.control.tick", t=self.now), \
+                trace.phase("serve.control"):
             self._flush_observation()
             self._maybe_reassign("control")
             self._push(self.now + self.config.control_interval, _CONTROL, None)
@@ -506,7 +490,7 @@ class AdaptiveQuorumService:
         return False
 
     def _watchdog_tick(self) -> None:
-        with self._prof.phase("serve.watchdog"):
+        with self._trace.phase("serve.watchdog"):
             self._watchdog_tick_inner()
 
     def _watchdog_tick_inner(self) -> None:
@@ -548,7 +532,7 @@ class AdaptiveQuorumService:
             # includes the wait on the queue, so it measures how long the
             # sequencer is starved by the transport layer.
             nonlocal next_chunk
-            with self._prof.phase("serve.transport"):
+            with self._trace.phase("serve.transport"):
                 while not arrivals and next_chunk < n_chunks:
                     index, chunk = await transport.get()
                     buffered[index] = chunk
@@ -587,12 +571,12 @@ class AdaptiveQuorumService:
         # (seed, "serve", ordinal), and the sequencer opens spans in
         # deterministic sim-time order, so the exported tree is identical
         # for any --clients / transport_slots value.
+        trace = self._trace
         serve_ctx = TraceContext(self.config.seed, SCOPE_SERVE, 0)
-        with self.telemetry.spans.scoped(serve_ctx), \
-                self.telemetry.span("serve.run",
-                                    scenario=self.config.scenario,
-                                    n_requests=self.config.n_requests,
-                                    seed=self.config.seed):
+        with (trace.spans.scoped(serve_ctx) if trace.enabled else NULL_SPAN), \
+                trace.span("serve.run", scenario=self.config.scenario,
+                           n_requests=self.config.n_requests,
+                           seed=self.config.seed):
             transport: asyncio.Queue = asyncio.Queue(
                 maxsize=self.config.transport_slots
             )

@@ -194,15 +194,15 @@ class ShardedEngine(_ShardEngineBase):
 
     def _account_epoch(self, network: _ClassLedger, result: ShardBatchResult,
                        duration: float, reads: Accesses, writes: Accesses) -> None:
-        phases = _current_recorder().phases
-        with phases.phase("shard.label"):
+        recorder = _current_recorder()
+        with recorder.phase("shard.label"):
             labels = network.tracker.labels
         up = labels >= 0
         lab = labels[up]
         n_comps = int(lab.max()) + 1 if lab.size else 0
         width = network.density_time.shape[1]
 
-        with phases.phase("shard.account"):
+        with recorder.phase("shard.account"):
             for start in range(0, self.n_classes, _CLASS_BLOCK):
                 block = slice(start, start + _CLASS_BLOCK)
                 totals = network.totals[block]
@@ -254,7 +254,7 @@ class ShardedEngine(_ShardEngineBase):
         # so handing every item its class's sums is bitwise what adding
         # per item would have produced. ``mode="clip"`` only lets take()
         # write into ``out`` unbuffered; class_of is in range.
-        with _current_recorder().phases.phase("shard.scatter"):
+        with _current_recorder().phase("shard.scatter"):
             for per_item, per_class in (
                 (result.surv_read_time, network.surv_read),
                 (result.surv_write_time, network.surv_write),

@@ -32,7 +32,7 @@ from repro.simulation.engine import BatchResult, ChangeObserver, SimulationEngin
 from repro.simulation.runner import QuarantinedBatch
 from repro.telemetry import recorder
 from repro.telemetry.snapshot import TelemetrySnapshot
-from repro.tracing.context import SCOPE_BATCH, SCOPE_RUN, TraceContext
+from repro.telemetry.spans import SCOPE_BATCH, SCOPE_RUN, TraceContext
 
 if TYPE_CHECKING:
     from repro.faults.monitor import InvariantMonitor, ViolationRecord

@@ -1,11 +1,14 @@
-"""Telemetry: metrics, span tracing, and the quorum-decision audit log.
+"""Telemetry: metrics, spans, phases, and the quorum-decision audit log.
 
 The observability layer for the whole simulation stack (DESIGN.md §7).
-Three surfaces behind one recorder object:
+Four surfaces behind one recorder object:
 
 - **metrics** — labeled :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` series in a :class:`MetricsRegistry`;
-- **spans** — nested timed sections with wall + CPU clocks;
+- **spans** — nested timed sections with wall + CPU clocks, whose ids
+  derive from a :class:`TraceContext` so the tree is the same for any
+  worker count;
+- **phases** — ``(count, wall, cpu)`` per named kernel section;
 - **audit** — per-decision grant/denial records with causes, making ACC
   decomposable (``site_down`` / ``no_quorum`` / ``stale_assignment``).
 
@@ -27,10 +30,14 @@ from repro.telemetry.audit import (
     STALE_ASSIGNMENT,
 )
 from repro.telemetry.export import (
+    critical_path,
     load_snapshot_jsonl,
     render_report,
+    span_tree_digest,
+    to_chrome_trace,
     to_jsonl_lines,
     to_prometheus,
+    write_chrome_trace,
     write_jsonl,
 )
 from repro.telemetry.metrics import (
@@ -38,7 +45,6 @@ from repro.telemetry.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    P2Quantile,
 )
 from repro.telemetry.recorder import (
     NULL,
@@ -50,7 +56,7 @@ from repro.telemetry.recorder import (
     use,
 )
 from repro.telemetry.snapshot import TelemetrySnapshot
-from repro.telemetry.spans import SpanCollector, SpanRecord
+from repro.telemetry.spans import SpanCollector, SpanRecord, TraceContext
 
 __all__ = [
     "AuditLog",
@@ -64,20 +70,24 @@ __all__ = [
     "NO_QUORUM",
     "NULL",
     "NullTelemetry",
-    "P2Quantile",
     "SITE_DOWN",
     "STALE_ASSIGNMENT",
     "SpanCollector",
     "SpanRecord",
     "Telemetry",
     "TelemetrySnapshot",
+    "TraceContext",
+    "critical_path",
     "current",
     "load_snapshot_jsonl",
     "render_report",
     "resolve",
     "set_current",
+    "span_tree_digest",
+    "to_chrome_trace",
     "to_jsonl_lines",
     "to_prometheus",
     "use",
+    "write_chrome_trace",
     "write_jsonl",
 ]

@@ -1,24 +1,54 @@
-"""Exporters: Prometheus text, JSON-lines, and the human report.
+"""Exporters, span-tree analysis, and the human report.
 
-All three consume a :class:`~repro.telemetry.snapshot.TelemetrySnapshot`
-(plain data), never a live recorder, so exporting cannot perturb a run
-and ``repro metrics`` can re-render a stream written days earlier.
+Everything here consumes plain data — a
+:class:`~repro.telemetry.snapshot.TelemetrySnapshot` or a list of
+:class:`~repro.telemetry.spans.SpanRecord` — never a live recorder, so
+exporting cannot perturb a run and ``repro metrics`` can re-render a
+stream written days earlier.
+
+- :func:`to_prometheus` — Prometheus text exposition.
+- :func:`write_jsonl` / :func:`load_snapshot_jsonl` — the snapshot
+  stream (``events.jsonl``), the one on-disk format for every record
+  type, spans and phases included.
+- :func:`to_chrome_trace` / :func:`write_chrome_trace` — Chrome Trace
+  Format, loadable in Perfetto / ``chrome://tracing``. Each span becomes
+  a complete (``"X"``) event; ``tid`` lanes are *clock domains*: a span
+  shares its parent's lane only while its interval nests inside the
+  parent's, so a subtree merged from a pool worker — timed against that
+  worker's clock epoch — heads its own lane instead of being mis-nested
+  on the dispatcher's timeline.
+- :func:`span_tree_digest` / :func:`critical_path` / :func:`top_phases`
+  — the analysis behind the report and the determinism tests: the
+  digest hashes only ``(id, parent, name)`` triples, never timings, so
+  it is bitwise stable across machines and worker counts.
+- :func:`render_report` — the ``repro metrics`` summary, built from
+  section renderers (:func:`phase_section`,
+  :func:`critical_path_section`) that ``repro profile`` prints too.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.errors import ReproError
 from repro.telemetry.snapshot import TelemetrySnapshot
+from repro.telemetry.spans import SpanRecord
 
 __all__ = [
     "to_prometheus",
     "to_jsonl_lines",
     "write_jsonl",
     "load_snapshot_jsonl",
+    "to_chrome_trace",
+    "write_chrome_trace",
+    "span_tree_digest",
+    "critical_path",
+    "top_phases",
+    "phase_section",
+    "critical_path_section",
     "render_report",
 ]
 
@@ -86,6 +116,7 @@ def load_snapshot_jsonl(path: Union[str, Path]) -> TelemetrySnapshot:
     if not path.exists():
         raise ReproError(f"telemetry stream not found: {path}")
     records = []
+    locations = []
     with path.open() as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
@@ -97,7 +128,180 @@ def load_snapshot_jsonl(path: Union[str, Path]) -> TelemetrySnapshot:
                 raise ReproError(
                     f"{path}:{line_no}: invalid JSON in telemetry stream: {exc}"
                 ) from None
-    return TelemetrySnapshot.from_records(records)
+            locations.append(f"{path}:{line_no}")
+    return TelemetrySnapshot.from_records(records, locations)
+
+
+# ----------------------------------------------------------------------
+# Chrome trace and span-tree analysis
+# ----------------------------------------------------------------------
+
+
+_US = 1_000_000.0  # Chrome trace timestamps are microseconds.
+_EPS_S = 1e-6  # Nesting slack: float round-trips through µs timestamps.
+
+
+def _lane_assignment(records: Sequence[SpanRecord]) -> Dict[int, int]:
+    """Map each span id to the id of the span heading its ``tid`` lane.
+
+    A lane is a clock domain. A span joins its parent's lane only when
+    its ``[start, start+wall]`` interval nests inside the parent's
+    (small float tolerance); a child that escapes — a subtree merged
+    from a pool worker, timed against that worker's clock epoch and
+    re-parented under the dispatching span — heads a new lane, as does
+    any root or orphan (a span whose parent was dropped by the cap
+    stays visible instead of vanishing).
+    """
+    by_id = {r.span_id: r for r in records}
+    lanes: Dict[int, int] = {}
+
+    def nests(child: SpanRecord, parent: SpanRecord) -> bool:
+        return (child.start >= parent.start - _EPS_S
+                and child.start + child.wall
+                <= parent.start + parent.wall + _EPS_S)
+
+    def resolve(span_id: int) -> int:
+        chain = []
+        cursor = span_id
+        while cursor not in lanes:
+            chain.append(cursor)
+            record = by_id[cursor]
+            parent = record.parent_id
+            if (parent is None or parent not in by_id
+                    or not nests(record, by_id[parent])):
+                lanes[cursor] = cursor
+                break
+            cursor = parent
+        head = lanes[cursor]
+        for sid in chain:
+            lanes[sid] = head
+        return head
+
+    for record in records:
+        resolve(record.span_id)
+    return lanes
+
+
+def to_chrome_trace(records: Sequence[SpanRecord],
+                    phases: Optional[Sequence[Dict[str, object]]] = None,
+                    meta: Optional[Dict[str, object]] = None) -> Dict[str, object]:
+    """Render spans (and optionally a phase table) as a Chrome trace dict.
+
+    Events are sorted by ``(tid, ts, -dur)`` so parents precede their
+    children at equal timestamps and the output is deterministic for a
+    deterministic record set.
+    """
+    lanes = _lane_assignment(records)
+    # Deterministic tid per lane: lane heads ordered by earliest start
+    # (comparable only within a domain, but stable), ties by span id.
+    lane_order: Dict[int, int] = {}
+    lane_starts: Dict[int, float] = {}
+    lane_names: Dict[int, str] = {}
+    for record in records:
+        lane = lanes[record.span_id]
+        if lane not in lane_starts or record.start < lane_starts[lane]:
+            lane_starts[lane] = record.start
+        if record.span_id == lane:
+            lane_names[lane] = record.name
+    for tid, lane in enumerate(
+            sorted(lane_starts, key=lambda l: (lane_starts[l], l)), start=1):
+        lane_order[lane] = tid
+
+    events: List[Dict[str, object]] = []
+    for lane, tid in sorted(lane_order.items(), key=lambda kv: kv[1]):
+        events.append({
+            "ph": "M", "pid": 1, "tid": tid, "name": "thread_name",
+            "args": {"name": lane_names.get(lane, f"subtree {lane}")},
+        })
+    span_events: List[Dict[str, object]] = []
+    for record in records:
+        event: Dict[str, object] = {
+            "ph": "X",
+            "pid": 1,
+            "tid": lane_order[lanes[record.span_id]],
+            "name": record.name,
+            "cat": "repro",
+            "ts": record.start * _US,
+            "dur": record.wall * _US,
+            "args": {
+                "span_id": record.span_id,
+                "parent_id": record.parent_id,
+                "cpu_s": record.cpu,
+            },
+        }
+        if record.attrs:
+            event["args"].update(
+                {str(k): v for k, v in sorted(record.attrs.items())})
+        span_events.append(event)
+    span_events.sort(key=lambda e: (e["tid"], e["ts"], -e["dur"]))
+    events.extend(span_events)
+
+    other: Dict[str, object] = dict(meta or {})
+    if phases:
+        other["phases"] = list(phases)
+    return {
+        "traceEvents": events,
+        "displayTimeUnit": "ms",
+        "otherData": other,
+    }
+
+
+def write_chrome_trace(path: str, records: Sequence[SpanRecord],
+                       phases: Optional[Sequence[Dict[str, object]]] = None,
+                       meta: Optional[Dict[str, object]] = None) -> None:
+    trace = to_chrome_trace(records, phases=phases, meta=meta)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(trace, handle, indent=None, separators=(",", ":"))
+        handle.write("\n")
+
+
+def span_tree_digest(records: Sequence[SpanRecord]) -> str:
+    """SHA-256 over the sorted ``(id, parent, name)`` structure.
+
+    Timings are excluded on purpose: two runs with identical structure
+    but different wall clocks digest identically, which is exactly the
+    property the workers-1-vs-N determinism test asserts.
+    """
+    lines = sorted(
+        f"{r.span_id}|{r.parent_id if r.parent_id is not None else 0}|{r.name}"
+        for r in records
+    )
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def critical_path(records: Sequence[SpanRecord]) -> List[SpanRecord]:
+    """The max-wall root-to-leaf chain through the span tree.
+
+    At each level the child with the largest wall time is taken
+    (ties broken by span id, so the path is deterministic). For serving
+    runs this surfaces the dominating request/control chain; for batch
+    runs it descends into the slowest batch.
+    """
+    if not records:
+        return []
+    by_id = {r.span_id: r for r in records}
+    children: Dict[Optional[int], List[SpanRecord]] = {}
+    for record in records:
+        parent = record.parent_id if record.parent_id in by_id else None
+        children.setdefault(parent, []).append(record)
+
+    def pick(candidates: List[SpanRecord]) -> SpanRecord:
+        return max(candidates, key=lambda r: (r.wall, -r.span_id))
+
+    path: List[SpanRecord] = []
+    cursor: Optional[SpanRecord] = pick(children.get(None, []))
+    while cursor is not None:
+        path.append(cursor)
+        kids = children.get(cursor.span_id)
+        cursor = pick(kids) if kids else None
+    return path
+
+
+def top_phases(phases: Sequence[Dict[str, object]],
+               limit: int = 10) -> List[Dict[str, object]]:
+    """The ``limit`` phases with the largest cumulative wall time."""
+    ranked = sorted(phases, key=lambda p: (-float(p["wall"]), str(p["name"])))
+    return list(ranked[: max(0, int(limit))])
 
 
 # ----------------------------------------------------------------------
@@ -113,8 +317,7 @@ def _span_rollup(snapshot: TelemetrySnapshot) -> List[Dict[str, object]]:
             "name": name,
             "count": series["count"],
             "wall": series["sum"],
-            "mean": series["mean"] or 0.0,
-            "p50": (series["quantiles"] or {}).get("0.5"),
+            "mean": series["sum"] / series["count"] if series["count"] else 0.0,
         }
     # CPU totals come from the retained span records (capped, best-effort).
     for span in snapshot.spans:
@@ -122,6 +325,35 @@ def _span_rollup(snapshot: TelemetrySnapshot) -> List[Dict[str, object]]:
         if entry is not None:
             entry["cpu"] = entry.get("cpu", 0.0) + span["cpu"]
     return sorted(rollup.values(), key=lambda e: -e["wall"])
+
+
+def phase_section(phases: Sequence[Dict[str, object]],
+                  limit: int = 10) -> List[str]:
+    """The ``limit`` phases with the most wall time, as report lines."""
+    if not phases:
+        return []
+    lines = ["", "phases (top by cumulative wall time)",
+             f"  {'name':<32} {'calls':>9} {'wall s':>10} {'cpu s':>10}"]
+    for entry in top_phases(phases, limit=limit):
+        lines.append(
+            f"  {entry['name']:<32} {entry['count']:>9} "
+            f"{float(entry['wall']):>10.4f} {float(entry['cpu']):>10.4f}"
+        )
+    if len(phases) > limit:
+        lines.append(f"  (+ {len(phases) - limit} more phases)")
+    return lines
+
+
+def critical_path_section(records: Sequence[SpanRecord]) -> List[str]:
+    """The max-wall root-to-leaf chain, as report lines (none if trivial)."""
+    path = critical_path(records)
+    if len(path) <= 1:
+        return []
+    lines = ["", "critical path (max-wall chain through the span tree)"]
+    for depth, record in enumerate(path):
+        lines.append(f"  {'  ' * depth}{record.name}  "
+                     f"wall={record.wall:.4f}s cpu={record.cpu:.4f}s")
+    return lines
 
 
 def render_report(snapshot: TelemetrySnapshot) -> str:
@@ -147,34 +379,9 @@ def render_report(snapshot: TelemetrySnapshot) -> str:
             lines.append(f"  ({snapshot.span_overflow} spans beyond the record cap; "
                          "aggregates above remain exact)")
 
-    if snapshot.phases:
-        from repro.tracing.export import top_phases
-
-        lines.append("")
-        lines.append("phases (top by cumulative wall time)")
-        lines.append(f"  {'name':<32} {'calls':>9} {'wall s':>10} {'cpu s':>10}")
-        for entry in top_phases(snapshot.phases, limit=10):
-            lines.append(
-                f"  {entry['name']:<32} {entry['count']:>9} "
-                f"{float(entry['wall']):>10.4f} {float(entry['cpu']):>10.4f}"
-            )
-        if len(snapshot.phases) > 10:
-            lines.append(f"  (+ {len(snapshot.phases) - 10} more phases)")
-
-    if snapshot.spans:
-        from repro.telemetry.spans import SpanRecord
-        from repro.tracing.export import critical_path
-
-        path = critical_path(
-            [SpanRecord.from_dict(span) for span in snapshot.spans])
-        if len(path) > 1:
-            lines.append("")
-            lines.append("critical path (max-wall chain through the span tree)")
-            for depth, record in enumerate(path):
-                lines.append(
-                    f"  {'  ' * depth}{record.name}  "
-                    f"wall={record.wall:.4f}s cpu={record.cpu:.4f}s"
-                )
+    lines.extend(phase_section(snapshot.phases))
+    lines.extend(critical_path_section(
+        [SpanRecord.from_dict(span) for span in snapshot.spans]))
 
     interesting = [
         metric for metric in snapshot.counters

@@ -4,13 +4,12 @@ The registry is deliberately small; numpy (for the batched histogram
 fill) is its only dependency. Metrics are identified by name; each
 metric holds one time series per label set
 (labels are passed as keyword arguments to the observation methods, the
-way Prometheus client libraries do it). Histograms combine fixed
-cumulative buckets — chosen for latency-style measurements — with P²
-streaming quantile estimators (Jain & Chlamtac 1985), so medians and
-tail quantiles are available without storing samples. A histogram
-registered with ``quantiles=()`` keeps no markers and may instead be
-filled in one vectorised call (:meth:`Histogram.observe_many`) by a
-caller that stores its samples and computes exact quantiles itself.
+way Prometheus client libraries do it). A histogram keeps fixed
+cumulative buckets — chosen for latency-style measurements — plus count,
+sum, sum of squares, min and max per series, so it fills one value at a
+time (:meth:`Histogram.observe`) or a whole array in one vectorised call
+(:meth:`Histogram.observe_many`). A caller that needs exact quantiles
+keeps its samples and computes them itself.
 
 Everything here is the *enabled* implementation. The zero-overhead
 disabled path lives in :mod:`repro.telemetry.recorder`: the null recorder
@@ -21,7 +20,7 @@ branches on an "is telemetry on?" flag at the call site.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,9 +31,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "P2Quantile",
     "DEFAULT_BUCKETS",
-    "DEFAULT_QUANTILES",
 ]
 
 #: Label sets are canonicalized to sorted item tuples so that
@@ -48,94 +45,8 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
     1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 5.0, 30.0,
 )
 
-#: Quantiles every histogram tracks with P² estimators.
-DEFAULT_QUANTILES: Tuple[float, ...] = (0.5, 0.9, 0.99)
-
-
 def _label_key(labels: Dict[str, object]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
-
-
-class P2Quantile:
-    """Streaming quantile estimation via the P² algorithm.
-
-    Maintains five markers whose heights converge on the ``q``-quantile
-    without storing observations. Exact for the first five samples;
-    afterwards a piecewise-parabolic update keeps the markers at ideal
-    positions. Accuracy is ample for telemetry (a few percent of the
-    distribution's local density scale).
-    """
-
-    __slots__ = ("q", "_heights", "_positions", "_desired", "_increments", "_count")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ReproError(f"quantile must lie strictly in (0, 1), got {q}")
-        self.q = q
-        self._heights: List[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-        self._count = 0
-
-    def observe(self, value: float) -> None:
-        self._count += 1
-        heights = self._heights
-        if len(heights) < 5:
-            heights.append(float(value))
-            heights.sort()
-            return
-        # Find the cell k containing the observation, clamping extremes.
-        if value < heights[0]:
-            heights[0] = float(value)
-            k = 0
-        elif value >= heights[4]:
-            heights[4] = float(value)
-            k = 3
-        else:
-            k = 0
-            while k < 3 and value >= heights[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            self._positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        # Adjust the three interior markers toward their desired positions.
-        for i in (1, 2, 3):
-            delta = self._desired[i] - self._positions[i]
-            pos_next = self._positions[i + 1] - self._positions[i]
-            pos_prev = self._positions[i - 1] - self._positions[i]
-            if (delta >= 1.0 and pos_next > 1.0) or (delta <= -1.0 and pos_prev < -1.0):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                self._positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
-
-    def value(self) -> float:
-        """Current estimate (NaN before any observation)."""
-        if not self._heights:
-            return math.nan
-        if self._count <= 5:
-            # Exact small-sample quantile (nearest-rank on sorted heights).
-            rank = max(0, min(len(self._heights) - 1,
-                              int(math.ceil(self.q * len(self._heights))) - 1))
-            return self._heights[rank]
-        return self._heights[2]
 
 
 class Counter:
@@ -209,18 +120,17 @@ class Gauge:
 
 
 class _HistogramSeries:
-    """Per-label-set histogram state: buckets + moments + quantiles."""
+    """Per-label-set histogram state: buckets + moments."""
 
-    __slots__ = ("bucket_counts", "count", "sum", "sum_sq", "min", "max", "quantiles")
+    __slots__ = ("bucket_counts", "count", "sum", "sum_sq", "min", "max")
 
-    def __init__(self, n_buckets: int, quantiles: Sequence[float]) -> None:
+    def __init__(self, n_buckets: int) -> None:
         self.bucket_counts = [0] * (n_buckets + 1)  # +1 for the +Inf bucket
         self.count = 0
         self.sum = 0.0
         self.sum_sq = 0.0
         self.min = math.inf
         self.max = -math.inf
-        self.quantiles = {q: P2Quantile(q) for q in quantiles}
 
     def mean(self) -> float:
         return self.sum / self.count if self.count else math.nan
@@ -233,7 +143,7 @@ class _HistogramSeries:
 
 
 class Histogram:
-    """Fixed cumulative buckets plus streaming quantiles per label set."""
+    """Fixed cumulative buckets plus moments per label set."""
 
     kind = "histogram"
 
@@ -242,7 +152,6 @@ class Histogram:
         name: str,
         help: str = "",
         buckets: Optional[Sequence[float]] = None,
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
     ) -> None:
         self.name = name
         self.help = help
@@ -250,14 +159,13 @@ class Histogram:
         if not bounds:
             raise ReproError(f"histogram {name} needs at least one bucket bound")
         self.buckets = bounds
-        self.quantile_levels = tuple(quantiles)
         self._series: Dict[LabelKey, _HistogramSeries] = {}
 
     def _get(self, labels: Dict[str, object]) -> _HistogramSeries:
         key = _label_key(labels)
         series = self._series.get(key)
         if series is None:
-            series = _HistogramSeries(len(self.buckets), self.quantile_levels)
+            series = _HistogramSeries(len(self.buckets))
             self._series[key] = series
         return series
 
@@ -277,24 +185,15 @@ class Histogram:
         series.sum_sq += value * value
         series.min = min(series.min, value)
         series.max = max(series.max, value)
-        for estimator in series.quantiles.values():
-            estimator.observe(value)
 
     def observe_many(self, values, **labels: object) -> None:
-        """Observe every entry of ``values`` at once (marker-free only).
+        """Observe every entry of ``values`` at once.
 
         Same bucket rule as :meth:`observe` (``value <= bound``, i.e.
         ``searchsorted(..., side="left")``); count, min and max are
-        exact, sum and sum_sq are numpy sums. P² markers are sequential
-        by nature, so a histogram that keeps them refuses the batch. An
-        empty batch creates no series.
+        exact, sum and sum_sq are numpy sums. An empty batch creates no
+        series.
         """
-        if self.quantile_levels:
-            raise ReproError(
-                f"histogram {self.name} keeps P² quantile markers, which "
-                "observe one value at a time; register it with quantiles=() "
-                "to observe in batches"
-            )
         values = np.asarray(values, dtype=np.float64).ravel()
         if values.size == 0:
             return
@@ -350,10 +249,8 @@ class MetricsRegistry:
         name: str,
         help: str = "",
         buckets: Optional[Sequence[float]] = None,
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
     ) -> Histogram:
-        return self._register(Histogram, name, help, buckets=buckets,
-                              quantiles=quantiles)
+        return self._register(Histogram, name, help, buckets=buckets)
 
     def get(self, name: str):
         return self._metrics.get(name)

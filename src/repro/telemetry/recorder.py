@@ -1,21 +1,28 @@
 """Recorders: the enabled telemetry pipeline and its null twin.
 
-:class:`Telemetry` bundles the three observation surfaces — a
+:class:`Telemetry` bundles the observation surfaces — a
 :class:`~repro.telemetry.metrics.MetricsRegistry`, a
-:class:`~repro.telemetry.spans.SpanCollector`, and an
-:class:`~repro.telemetry.audit.AuditLog` — behind one object that the
-simulation stack threads through itself.
+:class:`~repro.telemetry.spans.SpanCollector`, an
+:class:`~repro.telemetry.audit.AuditLog` and a phase table — behind one
+object that the simulation stack threads through itself.
+
+A *phase* is a named accumulator for the inner kernels (enumeration
+branch/flush, Monte-Carlo labelling blocks, vote-search scoring, the
+serving sequencer), where a span per entry would distort the timing and
+overflow the span cap: entering one costs two clock reads, and the
+recorder keeps only ``{name: [count, wall, cpu]}``.
 
 :class:`NullTelemetry` is the disabled path. Its ``enabled`` flag lets
 hot loops skip whole instrumentation blocks with a single boolean test,
-and every surface it exposes is a shared no-op singleton, so code that
-does call through it costs one attribute lookup and an empty method.
-The module-level :data:`NULL` instance is the default recorder
-everywhere: constructing a simulation without telemetry never allocates
-telemetry state.
+and every surface it exposes is a shared no-op singleton — ``span()``
+and ``phase()`` both return :data:`~repro.telemetry.spans.NULL_SPAN` —
+so code that does call through it costs one attribute lookup and an
+empty method. The module-level :data:`NULL` instance is the default
+recorder everywhere: constructing a simulation without telemetry never
+allocates telemetry state.
 
 A module-level *current* recorder supports layers that are awkward to
-plumb an argument through (the quorum optimizer, the CLI):
+plumb an argument through (the kernels, the quorum optimizer, the CLI):
 :func:`set_current` installs one, :func:`use` scopes one to a ``with``
 block, and :func:`resolve` is the idiom constructors use
 (``self.telemetry = resolve(telemetry)``).
@@ -23,13 +30,13 @@ block, and :func:`resolve` is the idiom constructors use
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager
-from typing import Iterator, Optional, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 from repro.telemetry.audit import AuditLog
-from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import NULL_SPAN, SpanCollector
-from repro.tracing.profiler import NULL_PROFILER, PhaseProfiler
 
 __all__ = [
     "Telemetry",
@@ -42,8 +49,34 @@ __all__ = [
 ]
 
 
+class _ActivePhase:
+    """One phase entry; created by :meth:`Telemetry.phase`."""
+
+    __slots__ = ("_table", "_name", "_wall0", "_cpu0")
+
+    def __init__(self, table: Dict[str, List[float]], name: str) -> None:
+        self._table = table
+        self._name = name
+
+    def __enter__(self) -> "_ActivePhase":
+        self._wall0 = time.perf_counter()
+        self._cpu0 = time.process_time()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        wall = time.perf_counter() - self._wall0
+        cpu = time.process_time() - self._cpu0
+        entry = self._table.get(self._name)
+        if entry is None:
+            self._table[self._name] = [1, wall, cpu]
+        else:
+            entry[0] += 1
+            entry[1] += wall
+            entry[2] += cpu
+
+
 class Telemetry:
-    """An enabled recorder: metrics + spans + audit, snapshot-able."""
+    """An enabled recorder: metrics + spans + phases + audit, snapshot-able."""
 
     enabled = True
 
@@ -58,20 +91,14 @@ class Telemetry:
             ),
         )
         self.audit = AuditLog(max_records=max_audit_records)
-        self.phases = PhaseProfiler()
+        #: ``{phase name: [count, wall, cpu]}``; read through snapshot().
+        self._phases: Dict[str, List[float]] = {}
 
-    # Convenience pass-throughs -----------------------------------------
     def span(self, name: str, **attrs: object):
         return self.spans.span(name, **attrs)
 
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self.metrics.counter(name, help)
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self.metrics.gauge(name, help)
-
-    def histogram(self, name: str, help: str = "", buckets=None) -> Histogram:
-        return self.metrics.histogram(name, help, buckets=buckets)
+    def phase(self, name: str) -> _ActivePhase:
+        return _ActivePhase(self._phases, name)
 
     def start_batch(self, batch_index: int) -> None:
         """Tag subsequent audit records with the batch index."""
@@ -128,8 +155,8 @@ class _NullRegistry:
     def gauge(self, name: str, help: str = "") -> _NullMetric:
         return _NULL_METRIC
 
-    def histogram(self, name: str, help: str = "", buckets=None,
-                  quantiles=()) -> _NullMetric:
+    def histogram(self, name: str, help: str = "",
+                  buckets=None) -> _NullMetric:
         return _NULL_METRIC
 
     def get(self, name: str) -> None:
@@ -171,19 +198,12 @@ class NullTelemetry:
     def __init__(self) -> None:
         self.metrics = _NullRegistry()
         self.audit = _NullAudit()
-        self.phases = NULL_PROFILER
 
     def span(self, name: str, **attrs: object):
         return NULL_SPAN
 
-    def counter(self, name: str, help: str = "") -> _NullMetric:
-        return _NULL_METRIC
-
-    def gauge(self, name: str, help: str = "") -> _NullMetric:
-        return _NULL_METRIC
-
-    def histogram(self, name: str, help: str = "", buckets=None) -> _NullMetric:
-        return _NULL_METRIC
+    def phase(self, name: str):
+        return NULL_SPAN
 
     def start_batch(self, batch_index: int) -> None:
         pass

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.telemetry.audit import GRANTED
@@ -24,6 +24,43 @@ __all__ = ["TelemetrySnapshot"]
 #: ``phase`` records (PR 7); v1 streams are still readable.
 SCHEMA_VERSION = 2
 _READABLE_SCHEMAS = (1, 2)
+
+_NUMBER = (int, float)
+_TYPE_NAMES = {int: "an integer", _NUMBER: "a number", str: "a string",
+               list: "a list", dict: "an object",
+               (int, type(None)): "an integer or null"}
+
+#: What a reader needs of each record type: ``(required, optional)``
+#: fields and the type each value must have. Every field that is summed,
+#: merged or printed is here, so a malformed stream fails on load with
+#: its ``path:line`` instead of deep inside a report.
+_FIELDS = {
+    "meta": ({"schema": int},
+             {"meta": dict, "span_overflow": int, "audit_overflow": int}),
+    "counter": ({"name": str, "series": list}, {}),
+    "gauge": ({"name": str, "series": list}, {}),
+    "histogram": ({"name": str, "buckets": list, "series": list}, {}),
+    "span": ({"span_id": int, "name": str, "start": _NUMBER,
+              "wall": _NUMBER, "cpu": _NUMBER},
+             {"parent_id": (int, type(None)), "attrs": dict}),
+    "phase": ({"name": str, "count": int, "wall": _NUMBER, "cpu": _NUMBER},
+              {}),
+    "audit": ({"op": str, "reason": str}, {}),
+    "audit_total": ({"op": str, "reason": str, "volume": _NUMBER}, {}),
+}
+#: The same for each entry of a metric record's ``series`` list.
+_SERIES_FIELDS = {
+    "counter": {"labels": dict, "value": _NUMBER},
+    "gauge": {"labels": dict, "value": _NUMBER},
+    "histogram": {"labels": dict, "bucket_counts": list, "count": int,
+                  "sum": _NUMBER},
+}
+#: The snapshot list each non-meta record type is appended to.
+_COLLECTIONS = {
+    "counter": "counters", "gauge": "gauges", "histogram": "histograms",
+    "span": "spans", "phase": "phases", "audit": "audit_records",
+    "audit_total": "audit_totals",
+}
 
 
 def _labels_dict(key) -> Dict[str, str]:
@@ -64,8 +101,7 @@ class TelemetrySnapshot:
                 snap.histograms.append(_histogram_metric(metric))
         snap.spans = [record.to_dict() for record in telemetry.spans.records]
         snap.span_overflow = telemetry.spans.overflowed
-        profiler = getattr(telemetry, "phases", None)
-        snap.phases = profiler.snapshot() if profiler is not None else []
+        snap.phases = _phase_rows(telemetry._phases)
         snap.audit_records = [record.to_dict() for record in telemetry.audit.records]
         snap.audit_totals = telemetry.audit.totals_as_dicts()
         snap.audit_overflow = telemetry.audit.overflowed
@@ -87,13 +123,9 @@ class TelemetrySnapshot:
         - **gauges** — point-in-time values: the last snapshot holding a
           series wins (workers set disjoint series in practice).
         - **histograms** — bucket counts add, ``count``/``sum`` add,
-          ``min``/``max`` combine, stddev is recomputed from pooled
+          ``min``/``max`` combine, and stddev is recomputed from pooled
           second moments (``sum_sq`` reconstructed per side from
-          ``stddev``/``mean``/``count``), and quantiles are re-estimated
-          from the merged buckets — P² marker state is not mergeable, so
-          when several sides carry samples the pooled estimate
-          interpolates within the merged cumulative bucket profile.
-          A series present in only one snapshot is copied verbatim.
+          ``stddev``/``mean``/``count``).
         - **spans / audit records** — concatenate; overflow counts add.
         - **phases** — (count, wall, cpu) add per phase name.
         """
@@ -107,9 +139,14 @@ class TelemetrySnapshot:
         snap.counters = _merge_scalar([s.counters for s in snapshots], add=True)
         snap.gauges = _merge_scalar([s.gauges for s in snapshots], add=False)
         snap.histograms = _merge_histograms([s.histograms for s in snapshots])
-        from repro.tracing.profiler import merge_phase_lists
-
-        snap.phases = merge_phase_lists(s.phases for s in snapshots)
+        phases: Dict[str, List[float]] = {}
+        for source in snapshots:
+            for entry in source.phases:
+                slot = phases.setdefault(str(entry["name"]), [0, 0.0, 0.0])
+                slot[0] += int(entry["count"])
+                slot[1] += float(entry["wall"])
+                slot[2] += float(entry["cpu"])
+        snap.phases = _phase_rows(phases)
         for source in snapshots:
             snap.spans.extend(source.spans)
             snap.span_overflow += source.span_overflow
@@ -222,42 +259,73 @@ class TelemetrySnapshot:
             yield {"type": "audit_total", **total}
 
     @classmethod
-    def from_records(cls, records) -> "TelemetrySnapshot":
+    def from_records(cls, records: Iterable[object],
+                     locations: Optional[Sequence[str]] = None
+                     ) -> "TelemetrySnapshot":
+        """Rebuild a snapshot from :meth:`to_records` output.
+
+        This is where outside input enters the package, so each record is
+        checked against :data:`_FIELDS`; a bad one raises
+        :class:`ReproError` naming ``locations[i]`` (``path:line`` when
+        :func:`~repro.telemetry.export.load_snapshot_jsonl` reads a file)
+        or else its 1-based position.
+        """
         snap = cls()
         seen_meta = False
-        for record in records:
-            kind = record.get("type")
+        for index, record in enumerate(records):
+            where = (locations[index] if locations is not None
+                     else f"record {index + 1}")
+            _check(record, {"type": str}, {}, where, "telemetry record")
+            kind = record["type"]
+            if kind not in _FIELDS:
+                raise ReproError(
+                    f"{where}: unknown telemetry record type {kind!r}")
+            _check(record, *_FIELDS[kind], where, f"{kind} record")
+            if kind in _SERIES_FIELDS:
+                for series in record["series"]:
+                    _check(series, _SERIES_FIELDS[kind], {}, where,
+                           f"{kind} series")
             payload = {k: v for k, v in record.items() if k != "type"}
-            if kind == "meta":
-                schema = int(payload.get("schema", 0))
-                if schema not in _READABLE_SCHEMAS:
-                    raise ReproError(
-                        f"telemetry stream schema {schema} not supported "
-                        f"(expected one of {_READABLE_SCHEMAS})"
-                    )
-                snap.meta = dict(payload.get("meta", {}))
-                snap.span_overflow = int(payload.get("span_overflow", 0))
-                snap.audit_overflow = int(payload.get("audit_overflow", 0))
-                seen_meta = True
-            elif kind == "counter":
-                snap.counters.append(payload)
-            elif kind == "gauge":
-                snap.gauges.append(payload)
-            elif kind == "histogram":
-                snap.histograms.append(payload)
-            elif kind == "span":
-                snap.spans.append(payload)
-            elif kind == "phase":
-                snap.phases.append(payload)
-            elif kind == "audit":
-                snap.audit_records.append(payload)
-            elif kind == "audit_total":
-                snap.audit_totals.append(payload)
-            else:
-                raise ReproError(f"unknown telemetry record type {kind!r}")
+            if kind != "meta":
+                getattr(snap, _COLLECTIONS[kind]).append(payload)
+                continue
+            if payload["schema"] not in _READABLE_SCHEMAS:
+                raise ReproError(
+                    f"{where}: telemetry stream schema {payload['schema']} "
+                    f"not supported (expected one of {_READABLE_SCHEMAS})"
+                )
+            snap.meta = dict(payload.get("meta", {}))
+            snap.span_overflow = payload.get("span_overflow", 0)
+            snap.audit_overflow = payload.get("audit_overflow", 0)
+            seen_meta = True
         if not seen_meta:
             raise ReproError("telemetry stream carries no meta record")
         return snap
+
+
+def _check(record: object, required: Dict[str, object],
+           optional: Dict[str, object], where: str, what: str) -> None:
+    """Raise ReproError unless ``record`` is an object with these fields."""
+    if not isinstance(record, dict):
+        raise ReproError(f"{where}: {what} is not an object")
+    for fields, needed in ((required, True), (optional, False)):
+        for key, kind in fields.items():
+            if key not in record:
+                if needed:
+                    raise ReproError(f"{where}: {what} has no {key!r}")
+                continue
+            value = record[key]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ReproError(f"{where}: {what} {key!r} must be "
+                                 f"{_TYPE_NAMES[kind]}, got {value!r}")
+
+
+def _phase_rows(table: Dict[str, List[float]]) -> List[Dict[str, object]]:
+    """A ``{name: [count, wall, cpu]}`` table as plain rows, by name."""
+    return [
+        {"name": name, "count": int(count), "wall": wall, "cpu": cpu}
+        for name, (count, wall, cpu) in sorted(table.items())
+    ]
 
 
 def _scalar_metric(metric) -> Dict[str, object]:
@@ -310,53 +378,21 @@ def _merge_scalar(collections: List[List[Dict[str, object]]],
     ]
 
 
-def _bucket_quantile(q: float, buckets: List[float],
-                     bucket_counts: List[float], count: float,
-                     lo: float, hi: float) -> float:
-    """Pooled quantile re-estimate from a merged cumulative bucket profile.
-
-    Linear interpolation within the bin containing rank ``q * count``;
-    the open-ended bins are clamped to the observed ``min``/``max``.
-    """
-    target = q * count
-    cumulative = 0.0
-    for i, bin_count in enumerate(bucket_counts):
-        if bin_count <= 0:
-            continue
-        if cumulative + bin_count >= target:
-            lower = lo if i == 0 else max(lo, buckets[i - 1])
-            upper = hi if i >= len(buckets) else min(hi, buckets[i])
-            frac = min(1.0, max(0.0, (target - cumulative) / bin_count))
-            if lower > 0.0 and upper > lower:
-                # Default buckets are log-spaced; geometric interpolation
-                # within a bin tracks latency-shaped data far better than
-                # linear for wide bins.
-                return lower * (upper / lower) ** frac
-            return lower + (upper - lower) * frac
-        cumulative += bin_count
-    return hi
-
-
-def _merge_histogram_series(series_list: List[Dict[str, object]],
-                            buckets: List[float]) -> Dict[str, object]:
-    nonempty = [s for s in series_list if s["count"] > 0]
-    if len(nonempty) <= 1:
-        # 0 or 1 side carries samples: copy it verbatim — its P² quantile
-        # estimates are strictly better than a bucket re-estimate.
-        base = dict(nonempty[0] if nonempty else series_list[0])
-        base["labels"] = dict(base["labels"])
-        return base
-    bucket_counts = [0] * len(nonempty[0]["bucket_counts"])
+def _merge_histogram_series(series_list: List[Dict[str, object]]
+                            ) -> Dict[str, object]:
+    bucket_counts = [0] * len(series_list[0]["bucket_counts"])
     count = 0
     total = 0.0
     sum_sq = 0.0
     lo = math.inf
     hi = -math.inf
-    for series in nonempty:
+    for series in series_list:
         if len(series["bucket_counts"]) != len(bucket_counts):
             raise ReproError(
                 "cannot merge histogram series with differing bucket layouts"
             )
+        if series["count"] == 0:
+            continue
         for i, bin_count in enumerate(series["bucket_counts"]):
             bucket_counts[i] += bin_count
         count += series["count"]
@@ -364,26 +400,19 @@ def _merge_histogram_series(series_list: List[Dict[str, object]],
         mean = float(series["mean"])
         stddev = float(series["stddev"])
         sum_sq += (stddev * stddev + mean * mean) * series["count"]
-        if series["min"] is not None:
-            lo = min(lo, float(series["min"]))
-        if series["max"] is not None:
-            hi = max(hi, float(series["max"]))
-    mean = total / count
-    var = max(0.0, sum_sq / count - mean * mean)
-    levels = sorted({q for s in nonempty for q in s["quantiles"]})
+        lo = min(lo, float(series["min"]))
+        hi = max(hi, float(series["max"]))
+    mean = total / count if count else None
     return {
         "labels": dict(series_list[0]["labels"]),
         "bucket_counts": bucket_counts,
         "count": count,
         "sum": total,
-        "min": lo,
-        "max": hi,
+        "min": lo if count else None,
+        "max": hi if count else None,
         "mean": mean,
-        "stddev": math.sqrt(var),
-        "quantiles": {
-            q: _bucket_quantile(float(q), buckets, bucket_counts, count, lo, hi)
-            for q in levels
-        },
+        "stddev": (math.sqrt(max(0.0, sum_sq / count - mean * mean))
+                   if count else None),
     }
 
 
@@ -412,7 +441,7 @@ def _merge_histograms(collections: List[List[Dict[str, object]]]
             "help": helps[name],
             "buckets": buckets_of[name],
             "series": [
-                _merge_histogram_series(series_list, buckets_of[name])
+                _merge_histogram_series(series_list)
                 for _, series_list in sorted(grouped[name].items())
             ],
         }
@@ -433,10 +462,6 @@ def _histogram_metric(metric) -> Dict[str, object]:
                 "max": None if math.isinf(state.max) else state.max,
                 "mean": None if state.count == 0 else state.mean(),
                 "stddev": None if state.count == 0 else state.stddev(),
-                "quantiles": {
-                    str(q): (None if math.isnan(est.value()) else est.value())
-                    for q, est in state.quantiles.items()
-                },
             }
         )
     return {

@@ -14,16 +14,20 @@ loss is visible in every snapshot and merge) but their durations still
 feed the ``repro_span_seconds`` histogram, so aggregate timings stay
 exact even on runs with millions of spans.
 
-While a :class:`~repro.tracing.context.TraceContext` is active
-(:meth:`SpanCollector.scoped`), span ids come from the context's
-deterministic derivation instead of the sequential counter, and a span
-opened with an empty stack adopts the context's ``parent_span_id`` —
-this is how worker-local spans re-parent under the dispatching span
-when snapshots merge across the process pool.
+While a :class:`TraceContext` is active (:meth:`SpanCollector.scoped`),
+span ids come from ``(seed, scope, index, ordinal)`` by a keyed 64-bit
+hash instead of the sequential counter, and a span opened with an empty
+stack adopts the context's ``parent_span_id``. The ordinal is the span's
+creation rank within the context, and every traced layer opens its
+spans in an order fixed by its configuration, so the ids — and the
+whole exported tree — are the same for any ``--workers`` /
+``--clients`` value, and worker-local spans re-parent under the
+dispatching span when snapshots merge across the process pool.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -31,7 +35,54 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.telemetry.metrics import Histogram
 
-__all__ = ["SpanRecord", "ActiveSpan", "SpanCollector", "NULL_SPAN"]
+__all__ = [
+    "SCOPE_BATCH",
+    "SCOPE_RUN",
+    "SCOPE_SERVE",
+    "TraceContext",
+    "SpanRecord",
+    "ActiveSpan",
+    "SpanCollector",
+    "NULL_SPAN",
+]
+
+#: Context scopes (part of the id-derivation key, so scopes never collide).
+SCOPE_RUN = "run"
+SCOPE_BATCH = "batch"
+SCOPE_SERVE = "serve"
+
+
+@dataclass(frozen=True)
+class TraceContext:
+    """One deterministic id namespace; picklable, so it crosses the pool.
+
+    ``seed`` is the run's configuration seed (``None`` hashes as the
+    literal string ``"None"``: unseeded runs still get stable ids).
+    ``scope``/``index`` locate the namespace (e.g. ``("batch", 3)``), and
+    ``parent_span_id`` is the dispatching span that context-root spans
+    re-parent under.
+    """
+
+    seed: Optional[int]
+    scope: str
+    index: int
+    parent_span_id: Optional[int] = None
+
+    def span_id(self, ordinal: int) -> int:
+        """Deterministic 63-bit id of the ``ordinal``-th span opened here.
+
+        Uniform over ``[1, 2^63)``: never equal to the small sequential
+        ids a collector assigns outside any context, and colliding with
+        each other only with birthday-bound probability.
+        """
+        key = f"{self.seed}/{self.scope}/{self.index}/{ordinal}".encode()
+        digest = hashlib.blake2b(key, digest_size=8).digest()
+        return (int.from_bytes(digest, "big") & ((1 << 63) - 1)) or 1
+
+    def child(self, scope: str, index: int,
+              parent_span_id: Optional[int]) -> "TraceContext":
+        """A sub-namespace sharing this context's seed."""
+        return TraceContext(self.seed, scope, index, parent_span_id)
 
 
 @dataclass
@@ -121,7 +172,7 @@ class ActiveSpan:
 
 
 class _NullSpan:
-    """Shared no-op span: the disabled path allocates nothing."""
+    """Shared no-op span and phase: the disabled path allocates nothing."""
 
     __slots__ = ()
 
@@ -152,14 +203,14 @@ class SpanCollector:
         self._stack: List[ActiveSpan] = []
         self._next_id = 1
         self._epoch = time.perf_counter()
-        self._context = None  # active TraceContext, if any
+        self._context: Optional[TraceContext] = None
         self._ctx_ordinal = 0
 
     def span(self, name: str, **attrs: object) -> ActiveSpan:
         return ActiveSpan(self, name, attrs)
 
     @contextmanager
-    def scoped(self, context) -> Iterator[None]:
+    def scoped(self, context: TraceContext) -> Iterator[None]:
         """Derive ids from ``context`` for spans opened in this block.
 
         Contexts nest (the previous one is restored on exit) and each

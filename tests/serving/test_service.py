@@ -273,12 +273,10 @@ class TestLatency:
         for name, q in QUANTILES:
             assert latency[name] == nearest_rank(granted, q)
         assert latency["max"] == granted.max()
-        # The exported histogram is filled from the same latencies, once,
-        # and carries no streaming quantile markers.
+        # The exported histogram is filled from the same latencies, once.
         (series,) = tel.metrics.get("repro_serve_latency_seconds").series().values()
         assert series.count == granted.size
         assert series.max == latency["max"]
-        assert series.quantiles == {}
 
 
 class TestDecisionView:

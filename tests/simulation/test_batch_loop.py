@@ -11,7 +11,7 @@ import pytest
 import repro.faults.chaos as chaos
 import repro.simulation.parallel as parallel
 import repro.simulation.runner as runner
-import repro.tracing.context as context
+import repro.telemetry.spans as spans
 from repro.errors import BatchExecutionError, SimulationError
 from repro.faults.chaos import run_chaos_campaign
 from repro.protocols.majority import MajorityConsensusProtocol
@@ -23,7 +23,7 @@ from repro.simulation.workload import AccessWorkload
 from repro.telemetry.export import to_prometheus
 from repro.telemetry.recorder import NullTelemetry, Telemetry
 from repro.topology.generators import ring
-from repro.tracing.context import SCOPE_BATCH, SCOPE_RUN, TraceContext
+from repro.telemetry.spans import SCOPE_BATCH, SCOPE_RUN, TraceContext
 
 QUARANTINED = "repro_chaos_quarantined_total"
 
@@ -82,7 +82,7 @@ def test_the_process_pool_twins_are_gone():
         (runner, "_run_simulation_parallel"),
         (chaos, "_run_chaos_parallel"),
         (parallel, "run_batches_parallel"),
-        (context, "BatchTracer"),
+        (spans, "BatchTracer"),
     ]:
         assert not hasattr(module, name), f"{module.__name__}.{name}"
 

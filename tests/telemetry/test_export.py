@@ -17,10 +17,10 @@ from repro.telemetry.snapshot import TelemetrySnapshot
 @pytest.fixture
 def telemetry() -> Telemetry:
     tel = Telemetry()
-    tel.counter("repro_test_ops_total", "operations").inc(3, op="read")
-    tel.counter("repro_test_ops_total").inc(1, op="write")
-    tel.gauge("repro_test_depth", "queue depth").set(7)
-    hist = tel.histogram("repro_test_seconds", "latency")
+    tel.metrics.counter("repro_test_ops_total", "operations").inc(3, op="read")
+    tel.metrics.counter("repro_test_ops_total").inc(1, op="write")
+    tel.metrics.gauge("repro_test_depth", "queue depth").set(7)
+    hist = tel.metrics.histogram("repro_test_seconds", "latency")
     for v in (0.0005, 0.02, 0.3):
         hist.observe(v)
     with tel.span("unit.work", stage=1):

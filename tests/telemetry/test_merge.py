@@ -1,7 +1,5 @@
 """TelemetrySnapshot.merged: the per-worker → campaign aggregation."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -85,29 +83,15 @@ class TestHistogramMerge:
         assert got["mean"] == pytest.approx(want["mean"], abs=1e-12)
         assert got["stddev"] == pytest.approx(want["stddev"], abs=1e-9)
 
-    def test_pooled_quantiles_are_sane(self):
-        rng = np.random.default_rng(4)
-        samples = rng.exponential(0.001, 2_000)
-        shards = [Telemetry() for _ in range(3)]
-        for i, value in enumerate(samples):
-            self._observe(shards[i % 3], [value])
-        merged = TelemetrySnapshot.merged([_snap(t) for t in shards])
-        series = merged.histogram_series("lat")[0]
-        estimates = [series["quantiles"][q] for q in ("0.5", "0.9", "0.99")]
-        assert estimates == sorted(estimates)
-        for q, estimate in zip((0.5, 0.9, 0.99), estimates):
-            exact = float(np.quantile(samples, q))
-            assert series["min"] <= estimate <= series["max"]
-            # Bucket re-estimates are decade-resolution by construction.
-            assert exact / 10 < estimate < exact * 10
-
-    def test_single_nonempty_side_copies_p2_estimates_verbatim(self):
+    def test_empty_side_changes_nothing(self):
         a = Telemetry()
         self._observe(a, [0.001, 0.002, 0.003, 0.004, 0.005])
         empty = TelemetrySnapshot(meta={"created_at": 0.0})
-        merged = TelemetrySnapshot.merged([_snap(a), empty])
-        assert (merged.histogram_series("lat")[0]
-                == _snap(a).histogram_series("lat")[0])
+        (got,) = TelemetrySnapshot.merged([_snap(a), empty]).histogram_series("lat")
+        (want,) = _snap(a).histogram_series("lat")
+        assert got["stddev"] == pytest.approx(want["stddev"], rel=1e-9)
+        assert {k: v for k, v in got.items() if k != "stddev"} == {
+            k: v for k, v in want.items() if k != "stddev"}
 
     def test_bucket_layout_mismatch_rejected(self):
         a, b = Telemetry(), Telemetry()

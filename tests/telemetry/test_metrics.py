@@ -11,7 +11,6 @@ from repro.telemetry.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    P2Quantile,
 )
 
 
@@ -94,12 +93,6 @@ class TestHistogram:
         assert h.count(op="read") == 1
         assert h.sum(op="write") == 2.0
 
-    def test_quantile_small_sample_exact(self):
-        h = Histogram("lat")
-        for v in (1.0, 2.0, 3.0):
-            h.observe(v)
-        assert h.series()[()].quantiles[0.5].value() == 2.0
-
     def test_empty_bucket_list_rejected(self):
         with pytest.raises(ReproError):
             Histogram("lat", buckets=())
@@ -109,10 +102,10 @@ class TestObserveMany:
     BUCKETS = (0.25, 0.5, 1.0, 2.0, 4.0)
 
     def _pair(self, values):
-        one = Histogram("lat", buckets=self.BUCKETS, quantiles=())
+        one = Histogram("lat", buckets=self.BUCKETS)
         for value in values:
             one.observe(value, op="read")
-        many = Histogram("lat", buckets=self.BUCKETS, quantiles=())
+        many = Histogram("lat", buckets=self.BUCKETS)
         many.observe_many(np.asarray(values), op="read")
         return one.series()[(("op", "read"),)], many.series()[(("op", "read"),)]
 
@@ -125,14 +118,13 @@ class TestObserveMany:
         assert (many.count, many.min, many.max) == (one.count, one.min, one.max)
         assert many.sum == pytest.approx(one.sum, rel=1e-12)
         assert many.sum_sq == pytest.approx(one.sum_sq, rel=1e-12)
-        assert many.quantiles == {}
 
     def test_bound_values_land_in_their_own_bucket(self):
         _, many = self._pair(list(self.BUCKETS))
         assert many.bucket_counts == [1, 1, 1, 1, 1, 0]
 
     def test_accumulates_across_calls(self):
-        h = Histogram("lat", buckets=self.BUCKETS, quantiles=())
+        h = Histogram("lat", buckets=self.BUCKETS)
         h.observe_many([0.1, 3.0])
         h.observe_many([9.0])
         series = h.series()[()]
@@ -140,18 +132,19 @@ class TestObserveMany:
         assert (series.count, series.min, series.max) == (3, 0.1, 9.0)
 
     def test_empty_batch_creates_no_series(self):
-        h = Histogram("lat", buckets=self.BUCKETS, quantiles=())
+        h = Histogram("lat", buckets=self.BUCKETS)
         h.observe_many(np.empty(0))
         assert h.series() == {}
 
-    def test_refused_with_p2_markers(self):
-        with pytest.raises(ReproError, match="P²"):
-            Histogram("lat").observe_many([1.0])
-
-    def test_registry_forwards_quantiles(self):
-        reg = MetricsRegistry()
-        assert reg.histogram("plain", quantiles=()).quantile_levels == ()
-        assert reg.histogram("timed").quantile_levels == (0.5, 0.9, 0.99)
+    def test_default_buckets_and_observe_mix(self):
+        # Every histogram takes batches; single and batched observations
+        # land in the same series.
+        h = MetricsRegistry().histogram("lat")
+        h.observe(2e-6)
+        h.observe_many([2e-6, 0.2])
+        series = h.series()[()]
+        assert series.count == 3
+        assert series.bucket_counts[1] == 2 and series.bucket_counts[6] == 1
 
     def test_marker_free_snapshot_round_trip(self):
         from repro.telemetry.recorder import Telemetry
@@ -159,38 +152,16 @@ class TestObserveMany:
 
         tels = [Telemetry(), Telemetry()]
         for tel, values in zip(tels, ([0.1, 0.3], [5.0])):
-            tel.metrics.histogram("lat", "h", buckets=self.BUCKETS,
-                                  quantiles=()).observe_many(values)
+            tel.metrics.histogram("lat", "h",
+                                  buckets=self.BUCKETS).observe_many(values)
         snaps = [tel.snapshot() for tel in tels]
         back = TelemetrySnapshot.from_records(list(snaps[0].to_records()))
         merged = TelemetrySnapshot.merged(snaps)
         for snap in (snaps[0], back, merged, TelemetrySnapshot.merged(snaps[:1])):
             (series,) = snap.histogram_series("lat")
-            assert series["quantiles"] == {}
+            assert "quantiles" not in series
         (pooled,) = merged.histogram_series("lat")
         assert pooled["count"] == 3 and pooled["max"] == 5.0
-
-
-class TestP2Quantile:
-    def test_rejects_degenerate_q(self):
-        with pytest.raises(ReproError):
-            P2Quantile(0.0)
-        with pytest.raises(ReproError):
-            P2Quantile(1.0)
-
-    def test_nan_before_observations(self):
-        assert math.isnan(P2Quantile(0.5).value())
-
-    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
-    def test_streaming_estimate_close_to_numpy(self, q):
-        rng = np.random.default_rng(42)
-        data = rng.exponential(1.0, size=5000)
-        est = P2Quantile(q)
-        for v in data:
-            est.observe(v)
-        exact = float(np.quantile(data, q))
-        # P² is approximate; a few percent of the local scale is expected.
-        assert est.value() == pytest.approx(exact, rel=0.05)
 
 
 class TestRegistry:

@@ -77,6 +77,11 @@ class TestNullPath:
         assert NULL.span("anything", x=1) is NULL_SPAN
         assert not NULL.enabled
 
+    def test_null_span_and_phase_are_one_shared_object(self):
+        # One null object for both timed surfaces: the disabled path
+        # allocates nothing, whichever a kernel opens.
+        assert NULL.span("a") is NULL.phase("b") is NULL_SPAN
+
     def test_enabled_recorder_routes_to_collector(self):
         tel = Telemetry()
         with tel.span("work"):

@@ -395,6 +395,30 @@ class TestErrorPaths:
         assert code == 2
         assert "events.jsonl" in err
 
+    @pytest.mark.parametrize("bad,complaint", [
+        ('{"type": "histogram", "name": "h", "buckets": [1]}', "no 'series'"),
+        ('{"type": "span", "name": "s", "start": 0, "wall": 1, "cpu": 1}',
+         "no 'span_id'"),
+        ('{"type": "phase", "name": "p", "count": 1, "cpu": 0.5}', "no 'wall'"),
+        ('{"type": "audit_total", "op": "read", "reason": "granted"}',
+         "no 'volume'"),
+        ('{"type": "counter", "name": "c", "series": '
+         '[{"labels": {}, "value": "x"}]}', "'value' must be a number"),
+        ('[1, 2]', "not an object"),
+        ('{"type": "meta", "schema": "two"}', "'schema' must be an integer"),
+    ], ids=["histogram-no-series", "span-no-id", "phase-no-wall",
+            "audit-total-no-volume", "counter-value-string", "array-line",
+            "schema-string"])
+    def test_metrics_malformed_stream_is_clean_error(self, capsys, tmp_path,
+                                                     bad, complaint):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"type": "meta", "schema": 2, "meta": {}}\n' + bad + "\n")
+        code, out, err = run_cli(capsys, "metrics", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert f"{path}:2:" in err and complaint in err
+        assert out == ""
+
     def test_metrics_unreadable_stream_is_clean_error(self, capsys, tmp_path):
         # DIR/events.jsonl exists but is a directory: the OSError from
         # opening it is a usage error (2), not a divergence (1).
@@ -537,8 +561,8 @@ class TestProfile:
         )
         assert code == 0
         trace = tmp_path / "enum-profile.trace.json"
-        spans = tmp_path / "enum-profile.spans.jsonl"
-        assert trace.exists() and spans.exists()
+        events = tmp_path / "enum-profile.events.jsonl"
+        assert trace.exists() and events.exists()
         assert "tree digest" in out
         assert "enum." in out  # phase table names the kernel phases
         import json
@@ -558,6 +582,26 @@ class TestProfile:
     def test_unknown_target_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["profile", "frobnicate"])
+
+    def test_event_stream_feeds_repro_metrics(self, capsys, tmp_path,
+                                              monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run_cli(capsys, "profile", "enumeration", "--sites", "6",
+                             "--out", "enum-profile")
+        assert code == 0
+        code, out, _ = run_cli(capsys, "metrics", "enum-profile.events.jsonl")
+        assert code == 0
+        assert "phases (top by cumulative wall time)" in out
+        assert "enum.branch" in out and "target        : enumeration" in out
+
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_below_one_rejected(self, capsys, tmp_path, monkeypatch, top):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "profile", "enumeration", "--top", top)
+        assert code == 2
+        assert err == f"error: --top must be >= 1, got {top}\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("target,sites", [
         ("enumeration", 0), ("enumeration", 2),

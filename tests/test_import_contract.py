@@ -216,3 +216,29 @@ def test_no_engine_registry_and_no_engine_selector(capsys):
         build_parser().parse_args(["engines"])
     assert excinfo.value.code == 2
     assert "invalid choice: 'engines'" in capsys.readouterr().err
+
+
+def test_one_recorder_package_with_one_histogram_mode():
+    import dataclasses
+
+    from repro.serving import ServeConfig
+    from repro.telemetry import metrics
+    from repro.telemetry.recorder import NULL, Telemetry
+
+    assert not (SRC / "repro/tracing").exists()
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; print(sorted(m for m in sys.modules "
+         "if m.startswith(('repro.telemetry', 'repro.tracing'))))"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = ast.literal_eval(done.stdout.strip())
+    assert not [m for m in loaded if m.startswith("repro.tracing")]
+    assert len(loaded) <= 7, loaded
+    assert "profile_phases" not in {f.name for f in dataclasses.fields(ServeConfig)}
+    for fn in (metrics.Histogram, metrics.MetricsRegistry.histogram):
+        assert "quantiles" not in inspect.signature(fn).parameters
+    for recorder in (NULL, Telemetry()):
+        assert not {"counter", "gauge", "histogram", "phases"} & set(dir(recorder))

@@ -6,16 +6,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.telemetry.recorder import Telemetry
-from repro.telemetry.spans import SpanRecord
-from repro.tracing.export import (
+from repro.telemetry.export import (
     critical_path,
+    load_snapshot_jsonl,
     span_tree_digest,
     to_chrome_trace,
     top_phases,
     write_chrome_trace,
-    write_span_jsonl,
+    write_jsonl,
 )
+from repro.telemetry.recorder import Telemetry
+from repro.telemetry.snapshot import TelemetrySnapshot
+from repro.telemetry.spans import SpanRecord
 
 _SCRIPTS = Path(__file__).resolve().parents[2] / "scripts"
 
@@ -144,11 +146,12 @@ class TestChromeTrace:
 
 class TestSpanJsonl:
     def test_round_trip(self, nested_records, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        with path.open("w") as handle:
-            write_span_jsonl(handle, nested_records)
-        rebuilt = [SpanRecord.from_dict(json.loads(line))
-                   for line in path.read_text().splitlines()]
+        # Spans travel in the one snapshot stream (``events.jsonl``).
+        snapshot = TelemetrySnapshot(
+            meta={"created_at": 0.0},
+            spans=[record.to_dict() for record in nested_records])
+        loaded = load_snapshot_jsonl(write_jsonl(snapshot, tmp_path / "e.jsonl"))
+        rebuilt = [SpanRecord.from_dict(span) for span in loaded.spans]
         assert rebuilt == nested_records
 
 

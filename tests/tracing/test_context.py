@@ -1,11 +1,11 @@
-"""TraceContext id derivation and collector scoping (DESIGN.md §12)."""
+"""TraceContext id derivation and collector scoping (DESIGN.md §7)."""
 
 import pickle
 
 import pytest
 
 from repro.telemetry.recorder import Telemetry
-from repro.tracing.context import (
+from repro.telemetry.spans import (
     SCOPE_BATCH,
     SCOPE_RUN,
     SCOPE_SERVE,

@@ -1,87 +1,64 @@
-"""Phase profiler: accumulation, merging, and the null-object contract."""
+"""Phases on the recorder: accumulation, merging, and the null-object contract."""
 
 import pytest
 
-from repro.telemetry.recorder import NullTelemetry, Telemetry
+from repro.telemetry.recorder import NULL, Telemetry
 from repro.telemetry.snapshot import TelemetrySnapshot
-from repro.tracing.profiler import (
-    NULL_PROFILER,
-    NullProfiler,
-    PhaseProfiler,
-    merge_phase_lists,
-)
+from repro.telemetry.spans import NULL_SPAN
+
+
+def _phases(*rows):
+    return TelemetrySnapshot(meta={"created_at": 0.0}, phases=list(rows))
 
 
 class TestPhaseProfiler:
     def test_accumulates_count_wall_cpu(self):
-        profiler = PhaseProfiler()
+        tel = Telemetry()
         for _ in range(3):
-            with profiler.phase("work"):
+            with tel.phase("work"):
                 sum(range(1000))
-        [entry] = profiler.snapshot()
+        [entry] = tel.snapshot().phases
         assert entry["name"] == "work"
         assert entry["count"] == 3
         assert entry["wall"] >= 0.0
         assert entry["cpu"] >= 0.0
 
     def test_snapshot_sorted_by_name(self):
-        profiler = PhaseProfiler()
+        tel = Telemetry()
         for name in ("z", "a", "m"):
-            with profiler.phase(name):
+            with tel.phase(name):
                 pass
-        assert [e["name"] for e in profiler.snapshot()] == ["a", "m", "z"]
-
-    def test_add_direct(self):
-        profiler = PhaseProfiler()
-        profiler.add("bulk", wall=1.5, cpu=1.0, count=10)
-        profiler.add("bulk", wall=0.5, cpu=0.25, count=2)
-        [entry] = profiler.snapshot()
-        assert entry["count"] == 12
-        assert entry["wall"] == pytest.approx(2.0)
-        assert entry["cpu"] == pytest.approx(1.25)
-
-    def test_reset(self):
-        profiler = PhaseProfiler()
-        with profiler.phase("gone"):
-            pass
-        profiler.reset()
-        assert profiler.snapshot() == []
-        assert len(profiler) == 0
+        assert [e["name"] for e in tel.snapshot().phases] == ["a", "m", "z"]
 
     def test_exception_still_accounted(self):
-        profiler = PhaseProfiler()
+        tel = Telemetry()
         with pytest.raises(ValueError):
-            with profiler.phase("boom"):
+            with tel.phase("boom"):
                 raise ValueError("x")
-        [entry] = profiler.snapshot()
+        [entry] = tel.snapshot().phases
         assert entry["count"] == 1
 
 
 class TestNullProfiler:
     def test_disabled_and_inert(self):
-        assert not NULL_PROFILER.enabled
-        assert PhaseProfiler().enabled
-        with NULL_PROFILER.phase("ignored"):
+        assert not NULL.enabled
+        assert Telemetry().enabled
+        with NULL.phase("ignored"):
             pass
-        assert NULL_PROFILER.snapshot() == []
+        assert NULL.snapshot() is None
 
     def test_shared_phase_object(self):
-        # The disabled path must not allocate per call.
-        assert (NULL_PROFILER.phase("a") is NULL_PROFILER.phase("b"))
-
-    def test_null_telemetry_exposes_null_profiler(self):
-        assert isinstance(NullTelemetry().phases, NullProfiler)
-        assert isinstance(Telemetry().phases, PhaseProfiler)
+        # The disabled path must not allocate per call: every phase is the
+        # one shared no-op span.
+        assert NULL.phase("a") is NULL.phase("b") is NULL_SPAN
 
 
 class TestMergePhaseLists:
     def test_sums_by_name(self):
-        a = [{"name": "x", "count": 2, "wall": 1.0, "cpu": 0.5}]
-        b = [
-            {"name": "x", "count": 3, "wall": 0.5, "cpu": 0.25},
-            {"name": "y", "count": 1, "wall": 2.0, "cpu": 2.0},
-        ]
-        merged = merge_phase_lists([a, b])
+        a = _phases({"name": "x", "count": 2, "wall": 1.0, "cpu": 0.5})
+        b = _phases({"name": "x", "count": 3, "wall": 0.5, "cpu": 0.25},
+                    {"name": "y", "count": 1, "wall": 2.0, "cpu": 2.0})
+        merged = TelemetrySnapshot.merged([a, b]).phases
         assert [e["name"] for e in merged] == ["x", "y"]
         x, y = merged
         assert x["count"] == 5
@@ -90,28 +67,29 @@ class TestMergePhaseLists:
         assert y["count"] == 1
 
     def test_empty(self):
-        assert merge_phase_lists([]) == []
-        assert merge_phase_lists([[], []]) == []
+        assert TelemetrySnapshot.merged([_phases()]).phases == []
+        assert TelemetrySnapshot.merged([_phases(), _phases()]).phases == []
 
 
 class TestSnapshotRoundTrip:
     def test_phases_survive_jsonl_round_trip(self):
         tel = Telemetry()
-        with tel.phases.phase("enum.label"):
-            pass
-        tel.phases.add("mc.sample", wall=0.25, cpu=0.2, count=4)
+        for name in ("enum.label", "mc.sample", "mc.sample"):
+            with tel.phase(name):
+                pass
         snapshot = tel.snapshot()
         records = list(snapshot.to_records())
         rebuilt = TelemetrySnapshot.from_records(records)
         assert rebuilt.phases == snapshot.phases
-        assert {e["name"] for e in rebuilt.phases} == {"enum.label", "mc.sample"}
+        assert {e["name"]: e["count"] for e in rebuilt.phases} == {
+            "enum.label": 1, "mc.sample": 2}
 
     def test_merged_snapshots_sum_phases(self):
-        snapshots = []
-        for wall in (1.0, 2.0):
-            tel = Telemetry()
-            tel.phases.add("serve.attempt", wall=wall, cpu=wall / 2, count=1)
-            snapshots.append(tel.snapshot())
+        snapshots = [
+            _phases({"name": "serve.attempt", "count": 1, "wall": wall,
+                     "cpu": wall / 2})
+            for wall in (1.0, 2.0)
+        ]
         merged = TelemetrySnapshot.merged(snapshots)
         [entry] = merged.phases
         assert entry["count"] == 2

@@ -1,6 +1,6 @@
 """Cross-process span re-parenting: one tree, any worker count.
 
-The tentpole determinism contract (DESIGN.md §12): span ids derive from
+The determinism contract (DESIGN.md §7): span ids derive from
 ``(seed, scope, index, ordinal)``, so the exported span tree — hashed by
 :func:`span_tree_digest`, which sees only ``(id, parent, name)`` — is
 bitwise identical whether batches run serially or fan out over a pool.
@@ -13,10 +13,9 @@ import pytest
 from repro.experiments.paper import TEST_SCALE
 from repro.protocols.majority import MajorityConsensusProtocol
 from repro.simulation.runner import run_simulation
+from repro.telemetry.export import span_tree_digest
 from repro.telemetry.recorder import Telemetry
-from repro.telemetry.spans import SpanRecord
-from repro.tracing.context import SCOPE_RUN, TraceContext
-from repro.tracing.export import span_tree_digest
+from repro.telemetry.spans import SCOPE_RUN, SpanRecord, TraceContext
 
 pytestmark = pytest.mark.slow
 
@@ -97,7 +96,7 @@ class TestTracingIsObservational:
         from repro.simulation.workload import AccessWorkload
         from repro.topology.generators import ring_with_chords
 
-        def build(profile):
+        def build(clients):
             topology = ring_with_chords(9, 1)
             config = ServeConfig(
                 topology=topology,
@@ -106,17 +105,18 @@ class TestTracingIsObservational:
                     topology.total_votes, 1
                 ),
                 n_requests=2_000,
-                n_clients=8 if profile else 32,
+                n_clients=clients,
                 seed=5,
                 scenario="correlated",
-                profile_phases=profile,
             )
             config.fault_schedule = serving_schedule(
                 "correlated", topology, config.horizon)
             return config
 
-        plain = run_serve(build(False))
-        profiled = run_serve(build(True))
-        # Different client concurrency AND profiling on vs off: outcomes
-        # must not move by a bit.
+        plain = run_serve(build(32))
+        recorder = Telemetry()
+        profiled = run_serve(build(8), recorder)
+        # Different client concurrency AND a live recorder for spans and
+        # phases vs none: outcomes must not move by a bit.
+        assert recorder.snapshot().phases
         assert plain.digest() == profiled.digest()
