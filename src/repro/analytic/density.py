@@ -10,16 +10,39 @@ zero). A *density matrix* stacks one density per site, shape
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.errors import DensityError
+from repro.errors import DensityError, ReliabilityError
 
-__all__ = ["validate_density", "normalize_density", "density_matrix_mean"]
+__all__ = ["validate_density", "normalize_density", "density_matrix_mean",
+           "reliability_vector"]
+
+#: A reliability: one probability for every component, or one per component.
+Reliability = Union[float, Sequence[float], np.ndarray]
 
 #: Probability mass mismatch tolerated before :func:`validate_density` raises.
 MASS_TOLERANCE = 1e-9
+
+
+def reliability_vector(value: Reliability, count: int, label: str) -> np.ndarray:
+    """``value`` as ``count`` float64 probabilities (a scalar is broadcast).
+
+    Raises :class:`~repro.errors.ReliabilityError` on a wrong shape and
+    on any entry outside [0, 1], NaN included.
+    """
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.ndim == 0:
+        arr = np.full(count, float(arr))
+    if arr.shape != (count,):
+        raise ReliabilityError(
+            f"{label} must be scalar or length {count}, got shape {arr.shape}")
+    bad = ~((arr >= 0.0) & (arr <= 1.0))
+    if bad.any():
+        raise ReliabilityError(
+            f"{label} values must be in [0, 1], got {arr[bad][0]}")
+    return arr
 
 
 def validate_density(

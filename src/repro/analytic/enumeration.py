@@ -44,10 +44,11 @@ to ask otherwise runs)
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
+from repro.analytic.density import Reliability, reliability_vector
 from repro.connectivity.components import batched_vote_totals, entry_vote_totals
 from repro.errors import DensityError, TopologyError
 from repro.telemetry.recorder import current as _current_recorder
@@ -85,19 +86,6 @@ DEFAULT_CHUNK_SIZE = 8_192
 
 #: Row caps below this are clamped up; the DFS needs headroom to double.
 MIN_ROW_CAP = 64
-
-Reliability = Union[float, Sequence[float], np.ndarray]
-
-
-def _as_reliability_vector(value: Reliability, count: int, label: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = np.full(count, float(arr))
-    if arr.shape != (count,):
-        raise DensityError(f"{label} must be scalar or length {count}, got shape {arr.shape}")
-    if ((arr < 0.0) | (arr > 1.0)).any():
-        raise DensityError(f"{label} values must be in [0, 1]")
-    return arr
 
 
 def resolve_backend(backend: Optional[str] = None) -> str:
@@ -165,8 +153,8 @@ def enumerate_density_matrix(
     if chunk_size <= 0:
         raise DensityError(f"chunk_size must be positive, got {chunk_size}")
     backend = resolve_backend(backend)
-    site_rel = _as_reliability_vector(p, topology.n_sites, "site reliability")
-    link_rel = _as_reliability_vector(r, topology.n_links, "link reliability")
+    site_rel = reliability_vector(p, topology.n_sites, "site reliability")
+    link_rel = reliability_vector(r, topology.n_links, "link reliability")
     free_sites, free_links, n_free = _free_components(site_rel, link_rel, backend)
 
     from repro.analytic import cache as density_cache

@@ -25,30 +25,17 @@ a property the test suite checks.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.analytic.density import normalize_density
+from repro.analytic.density import Reliability, normalize_density, reliability_vector
 from repro.connectivity.components import batched_vote_histogram
-from repro.errors import DensityError, SimulationError, TopologyError
+from repro.errors import SimulationError, TopologyError
 from repro.rng import RandomState, as_generator, spawn
 from repro.topology.model import Topology
 
 __all__ = ["montecarlo_density_matrix", "montecarlo_density"]
-
-Reliability = Union[float, Sequence[float], np.ndarray]
-
-
-def _reliability_vector(value: Reliability, count: int, label: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = np.full(count, float(arr))
-    if arr.shape != (count,):
-        raise DensityError(f"{label} must be scalar or length {count}, got shape {arr.shape}")
-    if ((arr < 0.0) | (arr > 1.0)).any():
-        raise DensityError(f"{label} values must be in [0, 1]")
-    return arr
 
 
 def _recorder():
@@ -63,11 +50,10 @@ def _block_counts(
     topology: Topology,
     site_masks: np.ndarray,
     link_masks: np.ndarray,
-    weights: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """One block of states → its count matrix, attributed to ``mc.label``."""
     with _recorder().phase("mc.label"):
-        return batched_vote_histogram(topology, site_masks, link_masks, weights)
+        return batched_vote_histogram(topology, site_masks, link_masks)
 
 
 def _chunk_counts(
@@ -124,8 +110,8 @@ def montecarlo_density_matrix(
     if n_workers <= 0:
         raise SimulationError(f"n_workers must be positive, got {n_workers}")
 
-    site_rel = _reliability_vector(p, topology.n_sites, "site reliability")
-    link_rel = _reliability_vector(r, topology.n_links, "link reliability")
+    site_rel = reliability_vector(p, topology.n_sites, "site reliability")
+    link_rel = reliability_vector(r, topology.n_links, "link reliability")
 
     plan = _sample_plan(n_samples, batch_size)
     streams = spawn(seed if seed is not None else as_generator(None), len(plan))

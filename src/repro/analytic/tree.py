@@ -25,28 +25,13 @@ giving an independent cross-check of :mod:`repro.analytic.bus`.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
-
 import numpy as np
 
-from repro.analytic.density import validate_density
-from repro.errors import DensityError, TopologyError
+from repro.analytic.density import Reliability, reliability_vector, validate_density
+from repro.errors import TopologyError
 from repro.topology.model import Topology
 
 __all__ = ["tree_density", "tree_density_matrix"]
-
-Reliability = Union[float, Sequence[float], np.ndarray]
-
-
-def _vector(value: Reliability, count: int, label: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = np.full(count, float(arr))
-    if arr.shape != (count,):
-        raise DensityError(f"{label} must be scalar or length {count}, got shape {arr.shape}")
-    if ((arr < 0.0) | (arr > 1.0)).any():
-        raise DensityError(f"{label} values must be in [0, 1]")
-    return arr
 
 
 def _check_tree(topology: Topology) -> None:
@@ -70,8 +55,8 @@ def tree_density(
     _check_tree(topology)
     if not 0 <= site < topology.n_sites:
         raise TopologyError(f"unknown site {site}")
-    site_rel = _vector(p, topology.n_sites, "site reliability")
-    link_rel = _vector(r, topology.n_links, "link reliability")
+    site_rel = reliability_vector(p, topology.n_sites, "site reliability")
+    link_rel = reliability_vector(r, topology.n_links, "link reliability")
     T = topology.total_votes
     votes = topology.votes
 

@@ -1,13 +1,11 @@
-"""Variance-reduced Monte-Carlo density estimation (stratified + IS).
+"""Variance-reduced Monte-Carlo density estimation: stratified sampling.
 
 Plain Monte-Carlo (:mod:`repro.analytic.montecarlo`) spends almost its
 whole sample budget re-observing the all-up network state once component
-reliability is high — exactly the regime the paper's figures sweep
-(p = 0.96) and the serving layer cares about (p >= 0.99). Two standard
-estimators recover that budget:
+reliability is high (p >= 0.99). Stratifying on the number of failures
+recovers that budget.
 
-**Stratified sampling over the number-of-failures stratum.** The total
-failure count ``K`` over the fallible components follows a
+The total failure count ``K`` over the fallible components follows a
 Poisson-Binomial law whose probabilities ``W_k = P(K = k)`` are computed
 *exactly* by the :func:`failure_count_weights` convolution, so the
 density matrix decomposes as ``f = sum_k W_k f^(k)`` with each ``f^(k)``
@@ -21,31 +19,14 @@ estimated only from states conditioned on exactly ``k`` failures:
   conditional law ``P(x | K = k)`` by sequential conditional Bernoulli
   sampling against a suffix DP table (handles fully heterogeneous
   per-component reliabilities, e.g. the bus hub).
-- the sample budget is split across strata proportionally to ``W_k``
-  (default) or by Neyman allocation from a pilot pass; strata whose
-  weight or allocation is negligible are dropped and contribute exactly
-  zero, with the retained mass renormalized (bias bounded by
-  ``tail_epsilon``).
+- the sample budget is split across strata proportionally to ``W_k``;
+  strata outside the smallest set covering ``1 - TAIL_EPSILON`` of the
+  mass, or apportioned no sample, are dropped and contribute exactly
+  zero, with the retained mass renormalized.
 
-**Importance sampling for rare-failure regimes.** Failure probabilities
-are inflated to a defensive mixture proposal
-``g = lam * p + (1 - lam) * p'`` (``p'`` chosen so the expected failure
-count is ``target_failures``), and each sample carries the likelihood
-ratio ``w(x) = p(x) / g(x) = 1 / (lam + (1 - lam) * p'(x)/p(x))`` —
-computable in closed form per sample because nominal and proposal are
-both product-Bernoulli laws:
-
-    p'(x)/p(x) = prod_i (q'_i/q_i)^{x_i} ((1-q'_i)/(1-q_i))^{1-x_i}
-
-The mixture bounds every weight by ``1/lam`` (no weight blow-up when the
-proposal is mis-tuned). The returned matrix is the *self-normalized*
-estimator ``f(v) = sum_s w_s 1{v_s = v} / sum_s w_s`` (consistent; bias
-O(1/n)); the effective sample size ``n_eff = (sum w)^2 / sum w^2`` is
-reported so downstream confidence intervals stay honest.
-
-Both estimators turn a block of masks into counts through plain
+The estimator turns a block of masks into counts through plain
 Monte-Carlo's kernel (DESIGN.md §10,
-:func:`~repro.connectivity.components.batched_vote_histogram`) and derive
+:func:`~repro.connectivity.components.batched_vote_histogram`) and derives
 every random draw from the caller's seed alone: exactly reproducible.
 """
 
@@ -56,12 +37,8 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.analytic.montecarlo import (
-    Reliability,
-    _block_counts,
-    _recorder,
-    _reliability_vector,
-)
+from repro.analytic.density import Reliability, reliability_vector
+from repro.analytic.montecarlo import _block_counts, _recorder
 from repro.errors import DensityError, SimulationError
 from repro.rng import RandomState, as_generator
 from repro.topology.model import Topology
@@ -70,9 +47,10 @@ __all__ = [
     "failure_count_weights",
     "StratificationPlan",
     "stratified_density_matrix",
-    "ImportanceStats",
-    "importance_density_matrix",
 ]
+
+#: Probability mass the retained strata may leave out.
+TAIL_EPSILON = 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -94,8 +72,8 @@ class _Components:
 
 def _split_components(topology: Topology, p: Reliability,
                       r: Reliability) -> _Components:
-    site_rel = _reliability_vector(p, topology.n_sites, "site reliability")
-    link_rel = _reliability_vector(r, topology.n_links, "link reliability")
+    site_rel = reliability_vector(p, topology.n_sites, "site reliability")
+    link_rel = reliability_vector(r, topology.n_links, "link reliability")
     rel = np.concatenate([site_rel, link_rel])
     fallible = np.nonzero((rel > 0.0) & (rel < 1.0))[0]
     return _Components(
@@ -191,7 +169,7 @@ def _conditional_failure_masks(cond: np.ndarray, k: int, count: int,
 
 @dataclass(frozen=True)
 class StratificationPlan:
-    """How one stratified run splits its budget (reported for tests/benches).
+    """How one stratified run split its budget (reported for tests/benches).
 
     ``weights`` is the full exact Poisson-Binomial pmf (sums to 1);
     ``allocations`` maps each *sampled* stratum to its sample count;
@@ -199,33 +177,30 @@ class StratificationPlan:
     stratum 0 when it has positive weight); ``retained_mass`` is the
     total weight of every stratum that contributes (exact + sampled) —
     dropped strata contribute exactly zero and ``1 - retained_mass <=
-    tail_epsilon`` plus any allocation-starved mass.
+    TAIL_EPSILON`` plus the mass of strata apportioned no sample.
     """
 
     weights: np.ndarray
     allocations: Dict[int, int]
     exact_strata: Tuple[int, ...]
     retained_mass: float
-    allocation: str
 
     @property
     def sampled_states(self) -> int:
         return int(sum(self.allocations.values()))
 
 
-def _retained_strata(weights: np.ndarray, tail_epsilon: float) -> np.ndarray:
-    """Smallest weight-ordered stratum set covering ``1 - tail_epsilon``."""
+def _retained_strata(weights: np.ndarray) -> np.ndarray:
+    """Smallest weight-ordered stratum set covering ``1 - TAIL_EPSILON``."""
     order = np.argsort(weights)[::-1]
     cumulative = np.cumsum(weights[order])
-    keep = int(np.searchsorted(cumulative, 1.0 - tail_epsilon)) + 1
+    keep = int(np.searchsorted(cumulative, 1.0 - TAIL_EPSILON)) + 1
     retained = np.sort(order[:keep])
     return retained[weights[retained] > 0.0]
 
 
 def _largest_remainder(shares: np.ndarray, total: int) -> np.ndarray:
     """Deterministic integer apportionment of ``total`` by ``shares``."""
-    if shares.sum() <= 0.0:
-        return np.zeros_like(shares, dtype=np.int64)
     raw = shares / shares.sum() * total
     counts = np.floor(raw).astype(np.int64)
     remainder = total - int(counts.sum())
@@ -242,9 +217,6 @@ def stratified_density_matrix(
     r: Reliability,
     n_samples: int = 10_000,
     seed: RandomState = None,
-    allocation: str = "proportional",
-    tail_epsilon: float = 1e-9,
-    pilot_fraction: float = 0.25,
     return_plan: bool = False,
 ):
     """Estimate the density matrix by stratifying on the failure count.
@@ -253,23 +225,16 @@ def stratified_density_matrix(
     :func:`~repro.analytic.montecarlo.montecarlo_density_matrix` — an
     ``(n_sites, T+1)`` matrix whose rows are proper densities, exactly
     reproducible from ``seed`` — but with the all-up stratum evaluated
-    deterministically and the sample budget spent only on states that
-    actually contain failures. ``allocation`` is ``"proportional"``
-    (budget ~ stratum weight) or ``"neyman"`` (a pilot pass of
-    ``pilot_fraction`` of the budget estimates per-stratum spread first;
-    pilot samples are pooled into the final estimate).
+    deterministically and the sample budget, apportioned to the strata
+    by weight, spent only on states that actually contain failures.
     """
     if n_samples <= 0:
         raise SimulationError(f"n_samples must be positive, got {n_samples}")
-    if allocation not in ("proportional", "neyman"):
-        raise SimulationError(
-            f"allocation must be 'proportional' or 'neyman', got {allocation!r}"
-        )
     comps = _split_components(topology, p, r)
     recorder = _recorder()
     with recorder.phase("mc.strat.plan"):
         weights = failure_count_weights(comps.q)
-        retained = _retained_strata(weights, tail_epsilon)
+        retained = _retained_strata(weights)
         sampled = retained[retained > 0]
         budget = n_samples - (1 if 0 in retained else 0)
         k_max = int(sampled.max()) if sampled.size else 0
@@ -288,71 +253,24 @@ def stratified_density_matrix(
         matrix += weights[0] * _block_counts(topology, site_masks, link_masks)
         exact = (0,)
 
-    def sample_stratum(k: int, count: int) -> np.ndarray:
-        with recorder.phase("mc.strat.sample"):
-            failures = _conditional_failure_masks(cond, int(k), count, rng)
-            site_masks, link_masks = _masks_from_failures(comps, failures)
-        return _block_counts(topology, site_masks, link_masks)
-
     if sampled.size and budget > 0:
-        shares = weights[sampled].astype(np.float64)
-        stratum_counts: Dict[int, np.ndarray] = {}
-        stratum_n: Dict[int, int] = {}
-        if allocation == "neyman":
-            # Pilot pass: proportional spend of a budget slice, then
-            # re-apportion the remainder by W_k * s_k (Neyman), where
-            # s_k is the pilot's per-sample spread of the mean
-            # normalized vote share (a scalar proxy for the density's
-            # within-stratum variability).
-            pilot_budget = max(int(budget * pilot_fraction),
-                               min(budget, 4 * sampled.size))
-            pilot_budget = min(pilot_budget, budget)
-            pilot_alloc = np.maximum(
-                _largest_remainder(shares, pilot_budget),
-                min(2, pilot_budget))
-            spreads = np.zeros(sampled.size, dtype=np.float64)
-            for idx, k in enumerate(sampled):
-                count = int(pilot_alloc[idx])
-                counts = sample_stratum(int(k), count)
-                stratum_counts[int(k)] = counts
-                stratum_n[int(k)] = count
-                # Per-sample scalar: mean over sites of v/T, recovered
-                # from the histogram (sufficient for a spread estimate).
-                votes = np.arange(T + 1) / max(T, 1)
-                per_site = counts @ votes / count
-                mean = float(per_site.mean())
-                second = float((counts @ (votes ** 2)).mean() / count)
-                spreads[idx] = max(second - mean * mean, 0.0) ** 0.5
-            remaining = budget - int(sum(stratum_n.values()))
-            extra = _largest_remainder(shares * spreads, max(remaining, 0))
-            final_alloc = np.array(
-                [stratum_n[int(k)] for k in sampled]) + extra
-            for idx, k in enumerate(sampled):
-                count = int(extra[idx])
-                if count > 0:
-                    stratum_counts[int(k)] = stratum_counts[int(k)] + \
-                        sample_stratum(int(k), count)
-                    stratum_n[int(k)] += count
-        else:
-            final_alloc = _largest_remainder(shares, budget)
-            for idx, k in enumerate(sampled):
-                count = int(final_alloc[idx])
-                if count <= 0:
-                    continue
-                stratum_counts[int(k)] = sample_stratum(int(k), count)
-                stratum_n[int(k)] = count
-        for k, counts in stratum_counts.items():
-            count = stratum_n[k]
-            if count > 0:
-                matrix += weights[k] * counts / count
-                allocations[k] = count
+        counts = _largest_remainder(weights[sampled], budget)
+        for k, count in zip(sampled.tolist(), counts.tolist()):
+            if count <= 0:
+                continue
+            with recorder.phase("mc.strat.sample"):
+                failures = _conditional_failure_masks(cond, k, count, rng)
+                site_masks, link_masks = _masks_from_failures(comps, failures)
+            stratum = _block_counts(topology, site_masks, link_masks)
+            matrix += weights[k] * stratum / count
+            allocations[k] = count
 
     retained_mass = float(weights[list(exact)].sum()
                           + weights[list(allocations)].sum())
     if retained_mass <= 0.0:
         raise DensityError("no stratum retained; check reliabilities")
     # Conditioning on the retained strata keeps rows proper densities;
-    # the dropped tail (<= tail_epsilon plus allocation-starved mass)
+    # the dropped tail (<= TAIL_EPSILON plus unapportioned mass)
     # contributes exactly zero.
     matrix /= retained_mass
     if return_plan:
@@ -361,107 +279,6 @@ def stratified_density_matrix(
             allocations=allocations,
             exact_strata=exact,
             retained_mass=retained_mass,
-            allocation=allocation,
         )
         return matrix, plan
-    return matrix
-
-
-# ----------------------------------------------------------------------
-# Importance-sampling estimator
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ImportanceStats:
-    """Weight diagnostics of one importance-sampled run."""
-
-    n_samples: int
-    #: Kish effective sample size ``(sum w)^2 / sum w^2``.
-    effective_samples: float
-    mean_weight: float
-    max_weight: float
-
-
-def importance_density_matrix(
-    topology: Topology,
-    p: Reliability,
-    r: Reliability,
-    n_samples: int = 10_000,
-    seed: RandomState = None,
-    target_failures: float = 2.0,
-    mixture: float = 0.25,
-    batch_size: int = 2048,
-    return_stats: bool = False,
-):
-    """Estimate the density matrix by defensive-mixture importance sampling.
-
-    Designed for rare-failure regimes (p >= 0.99): the proposal inflates
-    every fallible failure probability to at least
-    ``target_failures / m`` so failure states are actually visited,
-    while the ``mixture`` fraction of nominal-law samples bounds every
-    likelihood weight by ``1 / mixture``. Returns the self-normalized
-    density matrix; with ``return_stats`` also an
-    :class:`ImportanceStats` whose ``effective_samples`` should replace
-    the raw sample count in confidence-interval math.
-    """
-    if n_samples <= 0:
-        raise SimulationError(f"n_samples must be positive, got {n_samples}")
-    if not 0.0 < mixture <= 1.0:
-        raise SimulationError(f"mixture must be in (0, 1], got {mixture}")
-    if target_failures <= 0.0:
-        raise SimulationError(
-            f"target_failures must be positive, got {target_failures}")
-    comps = _split_components(topology, p, r)
-    m = comps.q.shape[0]
-    if m == 0:
-        # Fully deterministic network: one state carries all the mass.
-        site_masks, link_masks = _masks_from_failures(
-            comps, np.zeros((1, 0), dtype=bool))
-        matrix = _block_counts(topology, site_masks, link_masks)
-        if return_stats:
-            return matrix, ImportanceStats(n_samples, float(n_samples), 1.0, 1.0)
-        return matrix
-
-    q = comps.q
-    q_prop = np.maximum(q, min(0.5, target_failures / m))
-    with np.errstate(divide="ignore"):
-        log_fail = np.log(q_prop) - np.log(q)
-        log_up = np.log1p(-q_prop) - np.log1p(-q)
-
-    rng = as_generator(seed)
-    recorder = _recorder()
-    n, T = topology.n_sites, topology.total_votes
-    matrix = np.zeros((n, T + 1), dtype=np.float64)
-    weight_sum = 0.0
-    weight_sq_sum = 0.0
-    max_weight = 0.0
-    remaining = n_samples
-    while remaining > 0:
-        count = min(batch_size, remaining)
-        remaining -= count
-        with recorder.phase("mc.is.sample"):
-            from_nominal = rng.random(count) < mixture
-            u = rng.random((count, m))
-            failures = np.where(from_nominal[:, None], u < q, u < q_prop)
-            # log g(x)/p(x), then w = 1 / (lam + (1-lam) g/p): bounded
-            # by 1/lam, exact for product-Bernoulli nominal & proposal.
-            log_ratio = failures @ log_fail + (~failures) @ log_up
-            w = 1.0 / (mixture + (1.0 - mixture) * np.exp(log_ratio))
-            site_masks, link_masks = _masks_from_failures(comps, failures)
-        matrix += _block_counts(topology, site_masks, link_masks, weights=w)
-        weight_sum += float(w.sum())
-        weight_sq_sum += float((w * w).sum())
-        max_weight = max(max_weight, float(w.max()))
-
-    if weight_sum <= 0.0:
-        raise DensityError("importance weights collapsed to zero mass")
-    matrix /= weight_sum  # self-normalized estimator: rows sum to 1
-    if return_stats:
-        stats = ImportanceStats(
-            n_samples=n_samples,
-            effective_samples=weight_sum * weight_sum / weight_sq_sum,
-            mean_weight=weight_sum / n_samples,
-            max_weight=max_weight,
-        )
-        return matrix, stats
     return matrix

@@ -158,6 +158,9 @@ def _make_protocol(name: str, total_votes: int, read_quorum: Optional[int]):
     from repro.protocols.read_one_write_all import ReadOneWriteAllProtocol
     from repro.quorum.assignment import QuorumAssignment
 
+    if read_quorum is not None and name != "quorum":
+        raise SimulationError(
+            f"--read-quorum applies only to --protocol quorum, not {name!r}")
     if name == "majority":
         return MajorityConsensusProtocol(total_votes)
     if name == "rowa":

@@ -313,25 +313,18 @@ def batched_vote_histogram(
     topology: Topology,
     site_masks: np.ndarray,
     link_masks: np.ndarray,
-    weights: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Masks of B states → ``(n_sites, T+1)`` histogram of vote totals.
 
-    ``counts[s, t]`` is the number of states (or, with ``weights``, the
-    summed per-state weight, added in state-major order) in which site
-    ``s``'s component holds ``t`` votes; a down site lands in bin 0.
-    Every Monte-Carlo density estimator reaches its counts through here.
+    ``counts[s, t]`` is the number of states in which site ``s``'s
+    component holds ``t`` votes; a down site lands in bin 0. Every
+    Monte-Carlo density estimator reaches its counts through here.
     """
     bins = batched_vote_totals(topology, site_masks, link_masks)
-    B, n = bins.shape
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (B,):
-            raise TopologyError(f"weights must have shape ({B},), got {weights.shape}")
-        weights = np.repeat(weights, n)
+    n = bins.shape[1]
     width = topology.total_votes + 1
     bins += np.arange(n) * width
-    counts = np.bincount(bins.ravel(), weights=weights, minlength=n * width)
+    counts = np.bincount(bins.ravel(), minlength=n * width)
     return counts.astype(np.float64).reshape(n, width)
 
 

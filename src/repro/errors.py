@@ -28,6 +28,7 @@ __all__ = [
     "ProtocolError",
     "DensityError",
     "OptimizationError",
+    "ReliabilityError",
     "SerializabilityError",
     "VerificationError",
     "FaultInjectionError",
@@ -164,6 +165,17 @@ class DensityError(ReproError):
 
 class OptimizationError(ReproError):
     """Raised when a quorum optimizer is given an empty or infeasible range."""
+
+
+class ReliabilityError(DensityError, OptimizationError):
+    """Raised for a site or link reliability that is not a probability.
+
+    NaN, a value outside [0, 1] or a vector of the wrong length. Every
+    density backend and the vote optimizer check their inputs through
+    :func:`repro.analytic.density.reliability_vector`, so existing
+    ``except DensityError`` and ``except OptimizationError`` sites keep
+    catching it.
+    """
 
 
 class VerificationError(ReproError):

@@ -40,6 +40,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.analytic.density import reliability_vector
 from repro.connectivity.components import (
     batched_component_entries,
     batched_component_labels,
@@ -93,20 +94,8 @@ class _StateSample:
         seed: RandomState,
     ) -> None:
         rng = as_generator(seed)
-        site_rel = np.asarray(p, dtype=np.float64)
-        link_rel = np.asarray(r, dtype=np.float64)
-        if site_rel.ndim == 0:
-            site_rel = np.full(topology.n_sites, float(site_rel))
-        if link_rel.ndim == 0:
-            link_rel = np.full(topology.n_links, float(link_rel))
-        if site_rel.shape != (topology.n_sites,):
-            raise OptimizationError(
-                f"site reliability must be scalar or length {topology.n_sites}"
-            )
-        if link_rel.shape != (topology.n_links,):
-            raise OptimizationError(
-                f"link reliability must be scalar or length {topology.n_links}"
-            )
+        site_rel = reliability_vector(p, topology.n_sites, "site reliability")
+        link_rel = reliability_vector(r, topology.n_links, "link reliability")
         self.site_masks = rng.random((n_samples, topology.n_sites)) < site_rel
         link_draws = rng.random((n_samples, topology.n_links))
         with _current_recorder().phase("votesearch.label"):

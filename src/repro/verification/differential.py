@@ -7,14 +7,14 @@
    engines is compared metric-by-metric with CI-aware tolerances. The
    model-producing witnesses of :mod:`repro.verification.witnesses`
    (closed form, collapse-DFS enumeration, its exact-order witness
-   ``enum-exact-order``, plain Monte-Carlo, and the variance-reduced
-   ``mc-stratified``/``mc-importance`` variants) are crossed all-pairs;
-   on top of that ride closed-form vs simulation (ACC at the simulated
-   quorum), simulation vs parallel fan-out (bitwise), the simulator's
-   pooled accounting vs the telemetry audit log (exact), the static
-   quorum-consensus protocol vs the QR reassignment protocol (grant-mask
-   differential over sampled network states), and the vectorized sharded
-   engine vs its per-item reference loop (bitwise).
+   ``enum-exact-order``, plain Monte-Carlo, and its stratified variant
+   ``mc-stratified``) are crossed all-pairs; on top of that ride
+   closed-form vs simulation (ACC at the simulated quorum), simulation
+   vs parallel fan-out (bitwise), the simulator's pooled accounting vs
+   the telemetry audit log (exact), the static quorum-consensus protocol
+   vs the QR reassignment protocol (grant-mask differential over sampled
+   network states), and the vectorized sharded engine vs its per-item
+   reference loop (bitwise).
 2. **Metamorphic relations** — the identities of
    :mod:`repro.verification.metamorphic`.
 3. **Golden corpus** — drift against the locked reference results
@@ -40,7 +40,6 @@ from repro.verification.witnesses import (
     enum_exact_order_engine,
     enumeration_engine,
     grant_mask_mismatch,
-    importance_mc_engine,
     montecarlo_engine,
     simulation_engine_run,
     stratified_mc_engine,
@@ -59,7 +58,6 @@ MODEL_ENGINES = (
     ("enum-exact-order", enum_exact_order_engine),
     ("monte-carlo", montecarlo_engine),
     ("mc-stratified", stratified_mc_engine),
-    ("mc-importance", importance_mc_engine),
 )
 
 #: Tighter absolute floors for specific exact-vs-exact pairs. The

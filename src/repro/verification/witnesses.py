@@ -2,8 +2,8 @@
 
 Every availability backend the repo implements — closed forms, exact
 state enumeration (the production collapse-DFS and its exact-order
-witness), static Monte-Carlo plus its two variance-reduced variants, and
-the discrete-event simulator with its parallel fan-out path — is called
+witness), static Monte-Carlo plus its stratified variant, and the
+discrete-event simulator with its parallel fan-out path — is called
 here on a :class:`~repro.verification.cases.VerificationCase`.
 
 Model witnesses report :class:`~repro.verification.tolerance.Estimate`
@@ -23,10 +23,7 @@ import numpy as np
 from repro.analytic import closed_form_density
 from repro.analytic.enumeration import BACKEND_CAPS, enumerate_density_matrix
 from repro.analytic.montecarlo import montecarlo_density_matrix
-from repro.analytic.variance import (
-    importance_density_matrix,
-    stratified_density_matrix,
-)
+from repro.analytic.variance import stratified_density_matrix
 from repro.connectivity.dynamic import ComponentTracker, NetworkState
 from repro.errors import VerificationError
 from repro.protocols.quorum_consensus import QuorumConsensusProtocol
@@ -51,7 +48,6 @@ __all__ = [
     "enum_exact_order_engine",
     "montecarlo_engine",
     "stratified_mc_engine",
-    "importance_mc_engine",
     "simulation_engine_run",
     "grant_mask_mismatch",
     "OffByOneModel",
@@ -71,14 +67,12 @@ class ModelEngine:
 
     ``half_width_at(value)`` converts the engine's sampling budget into
     the 95 % CI half-width of one availability estimate; exact engines
-    return 0. ``n_samples`` is the *effective* sample size — importance
-    sampling reports its Kish effective count so the half-widths stay
-    honest under weight dispersion.
+    return 0.
     """
 
     name: str
     model: AvailabilityModel
-    #: (Effective) Monte-Carlo sample count; ``None`` marks an exact engine.
+    #: Monte-Carlo sample count; ``None`` marks an exact engine.
     n_samples: Optional[int] = None
 
     def half_width_at(self, value: float) -> float:
@@ -175,8 +169,7 @@ def montecarlo_engine(case: VerificationCase) -> ModelEngine:
     return ModelEngine("monte-carlo", model, n_samples=case.mc_samples)
 
 
-def stratified_mc_engine(case: VerificationCase,
-                         allocation: str = "proportional") -> ModelEngine:
+def stratified_mc_engine(case: VerificationCase) -> ModelEngine:
     """Failure-count-stratified Monte-Carlo (variance-reduced)."""
     matrix = stratified_density_matrix(
         case.topology(),
@@ -184,27 +177,9 @@ def stratified_mc_engine(case: VerificationCase,
         case.link_reliabilities(),
         n_samples=case.mc_samples,
         seed=case.seed,
-        allocation=allocation,
     )
     model = AvailabilityModel.from_density_matrix(matrix[: case.n_sites])
     return ModelEngine("mc-stratified", model, n_samples=case.mc_samples)
-
-
-def importance_mc_engine(case: VerificationCase) -> ModelEngine:
-    """Defensive-mixture importance sampling (rare-failure regimes)."""
-    matrix, stats = importance_density_matrix(
-        case.topology(),
-        case.site_reliabilities(),
-        case.link_reliabilities(),
-        n_samples=case.mc_samples,
-        seed=case.seed,
-        return_stats=True,
-    )
-    model = AvailabilityModel.from_density_matrix(matrix[: case.n_sites])
-    # Report the Kish effective sample size so CI half-widths account
-    # for weight dispersion rather than pretending every draw is equal.
-    return ModelEngine("mc-importance", model,
-                       n_samples=max(int(stats.effective_samples), 1))
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from repro.analytic.density import (
     density_matrix_mean,
     normalize_density,
+    reliability_vector,
     validate_density,
 )
 from repro.errors import DensityError
@@ -87,3 +88,53 @@ class TestDensityMatrixMean:
     def test_requires_2d(self):
         with pytest.raises(DensityError):
             density_matrix_mean(np.ones(3) / 3)
+
+
+class TestReliabilityVector:
+    """Every density backend and the vote search take reliabilities
+    through one validator: NaN and values outside [0, 1] are refused."""
+
+    @staticmethod
+    def _backends():
+        from repro.analytic.enumeration import enumerate_density_matrix
+        from repro.analytic.montecarlo import montecarlo_density_matrix
+        from repro.analytic.tree import tree_density_matrix
+        from repro.analytic.variance import stratified_density_matrix
+        from repro.quorum.vote_optimizer import optimize_votes
+        from repro.topology.generators import ring, star
+
+        return {
+            "enumerate": lambda p: enumerate_density_matrix(ring(4), p, 0.9),
+            "montecarlo": lambda p: montecarlo_density_matrix(
+                ring(4), p, 0.9, n_samples=10, seed=0),
+            "stratified": lambda p: stratified_density_matrix(
+                ring(4), p, 0.9, n_samples=10, seed=0),
+            "tree": lambda p: tree_density_matrix(star(4), p, 0.9),
+            "optimize_votes": lambda p: optimize_votes(
+                ring(4), 0.5, p, 0.9, n_samples=10, seed=0),
+        }
+
+    @pytest.mark.parametrize("value", [float("nan"), 1.5, -0.1])
+    @pytest.mark.parametrize(
+        "backend",
+        ["enumerate", "montecarlo", "stratified", "tree", "optimize_votes"])
+    def test_backend_rejects_a_non_probability(self, backend, value):
+        from repro.errors import ReliabilityError
+
+        run = self._backends()[backend]
+        with pytest.raises(ReliabilityError, match=r"site reliability .*\[0, 1\]"):
+            run(value)
+        # One bad entry in a vector is enough.
+        with pytest.raises(ReliabilityError):
+            run(np.array([0.9, 0.9, value, 0.9]))
+
+    def test_shape_and_error_family(self):
+        from repro.errors import OptimizationError, ReliabilityError
+
+        assert issubclass(ReliabilityError, DensityError)
+        assert issubclass(ReliabilityError, OptimizationError)
+        np.testing.assert_array_equal(reliability_vector(0.5, 3, "p"), [0.5] * 3)
+        np.testing.assert_array_equal(
+            reliability_vector([0.0, 1.0], 2, "p"), [0.0, 1.0])
+        with pytest.raises(ReliabilityError, match="length 3"):
+            reliability_vector([0.5, 0.5], 3, "p")

@@ -1,15 +1,14 @@
-"""Variance-reduced Monte-Carlo estimators (DESIGN.md §13).
+"""The variance-reduced Monte-Carlo estimator (DESIGN.md §13).
 
 Three claims are load-bearing and tested here:
 
-- **Unbiasedness**: stratified and importance-sampled density matrices
-  converge to the closed forms / exhaustive enumeration the exact
-  engines compute — no systematic tilt from the stratification or the
-  proposal distribution.
+- **Unbiasedness**: stratified density matrices converge to the closed
+  forms / exhaustive enumeration the exact engines compute — no
+  systematic tilt from the stratification.
 - **Exact stratum accounting** (Hypothesis): the Poisson-Binomial
   stratum weights sum to 1 for any failure-probability vector, and
   strata outside the retained set contribute exactly zero mass.
-- **Determinism**: both estimators are pure functions of their seed.
+- **Determinism**: the estimator is a pure function of its seed.
 """
 
 import numpy as np
@@ -18,12 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analytic.ring import ring_density_matrix
-from repro.analytic.variance import (
-    ImportanceStats,
-    failure_count_weights,
-    importance_density_matrix,
-    stratified_density_matrix,
-)
+from repro.analytic.variance import failure_count_weights, stratified_density_matrix
 from repro.errors import DensityError, SimulationError
 from repro.topology.generators import fully_connected, ring
 
@@ -65,13 +59,11 @@ class TestFailureCountWeights:
 
 
 class TestStratifiedUnbiasedness:
-    @pytest.mark.parametrize("allocation", ["proportional", "neyman"])
-    def test_converges_to_ring_closed_form(self, allocation):
+    def test_converges_to_ring_closed_form(self):
         topology = ring(7)
         exact = ring_density_matrix(topology, 0.9, 0.9)
         estimate = stratified_density_matrix(
-            topology, 0.9, 0.9, n_samples=60_000, seed=5,
-            allocation=allocation)
+            topology, 0.9, 0.9, n_samples=60_000, seed=5)
         _assert_density_matrix(estimate, topology)
         assert np.abs(estimate - exact).max() < 5e-3
 
@@ -105,9 +97,6 @@ class TestStratifiedUnbiasedness:
     def test_rejects_bad_args(self):
         with pytest.raises(SimulationError):
             stratified_density_matrix(ring(7), 0.9, 0.9, n_samples=0)
-        with pytest.raises(SimulationError):
-            stratified_density_matrix(ring(7), 0.9, 0.9,
-                                      allocation="uniformly-wrong")
 
 
 class TestStratificationPlan:
@@ -137,53 +126,6 @@ class TestStratificationPlan:
             plan.weights[k] for k in range(m + 1) if k not in covered)
         np.testing.assert_allclose(
             plan.retained_mass + dropped_mass, 1.0, atol=1e-9)
-
-
-class TestImportanceSampling:
-    def test_converges_to_ring_closed_form_rare_event(self):
-        topology = ring(7)
-        exact = ring_density_matrix(topology, 0.999, 0.999)
-        estimate = importance_density_matrix(
-            topology, 0.999, 0.999, n_samples=60_000, seed=5)
-        _assert_density_matrix(estimate, topology)
-        assert np.abs(estimate - exact).max() < 5e-3
-
-    def test_beats_plain_mc_in_rare_regime(self):
-        from repro.analytic.montecarlo import montecarlo_density_matrix
-
-        topology = ring(7)
-        exact = ring_density_matrix(topology, 0.999, 0.999)
-        plain_err = np.abs(
-            montecarlo_density_matrix(topology, 0.999, 0.999,
-                                      n_samples=4_000, seed=2) - exact).max()
-        is_err = np.abs(
-            importance_density_matrix(topology, 0.999, 0.999,
-                                      n_samples=4_000, seed=2) - exact).max()
-        assert is_err < plain_err
-
-    def test_seed_deterministic(self):
-        one = importance_density_matrix(ring(7), 0.999, 0.999,
-                                        n_samples=2_000, seed=3)
-        two = importance_density_matrix(ring(7), 0.999, 0.999,
-                                        n_samples=2_000, seed=3)
-        np.testing.assert_array_equal(one, two)
-
-    def test_stats_bound_the_weights(self):
-        _, stats = importance_density_matrix(
-            ring(7), 0.999, 0.999, n_samples=4_000, seed=1,
-            return_stats=True)
-        assert isinstance(stats, ImportanceStats)
-        assert stats.n_samples == 4_000
-        assert 0 < stats.effective_samples <= stats.n_samples
-        # Defensive mixture bounds every weight by 1/lambda.
-        assert stats.max_weight <= 1.0 / 0.25 + 1e-12
-        assert stats.mean_weight == pytest.approx(1.0, rel=0.2)
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(SimulationError):
-            importance_density_matrix(ring(7), 0.999, 0.999, n_samples=0)
-        with pytest.raises(SimulationError):
-            importance_density_matrix(ring(7), 0.999, 0.999, mixture=0.0)
 
 
 class TestConditionalTable:
@@ -238,8 +180,9 @@ class TestConditionalTable:
         np.testing.assert_array_equal(drawn, expected)
 
     def test_pinned_sampler_bits(self):
-        """Both variance-reduced samplers, byte for byte (hashes of PR 23's
-        output): the benchmark digest is otherwise their only pin."""
+        """The stratified sampler, byte for byte (a hash of its output
+        since the table-driven draw): the benchmark digest is otherwise
+        its only pin."""
         import hashlib
 
         from repro.topology.generators import paper_topology
@@ -252,16 +195,9 @@ class TestConditionalTable:
         assert sha(stratified_density_matrix(
             topology, 0.96, 0.96, n_samples=4_000, seed=24)) == (
             "d470ffad1cd7910532034fdd333126d9cffca1aea394aeb50ca2ecbf39b33bcc")
-        assert sha(stratified_density_matrix(
-            topology, 0.96, 0.96, n_samples=4_000, seed=24,
-            allocation="neyman")) == (
-            "0aa3fef3410f7a34537e0998cd3c59639578b16c96042b41b6024735c693fbbd")
-        assert sha(importance_density_matrix(
-            topology, 0.99, 0.99, n_samples=4_000, seed=24)) == (
-            "7c24bfd8c216d41b3effd8bf1e10bd001563c6a66d75f020667d4e29b68d5b7e")
 
 
-def test_linkless_topology_through_all_three_samplers():
+def test_linkless_topology_through_both_samplers():
     """``n_links == 0``: every site is its own component, so each row is
     Bernoulli(p) on {0, 1} votes; the kernel must not divide by the link
     count on the way."""
@@ -269,8 +205,7 @@ def test_linkless_topology_through_all_three_samplers():
     from repro.topology.model import Topology
 
     topology = Topology(3, [])
-    for sampler in (montecarlo_density_matrix, stratified_density_matrix,
-                    importance_density_matrix):
+    for sampler in (montecarlo_density_matrix, stratified_density_matrix):
         matrix = sampler(topology, 0.9, 0.9, n_samples=4_000, seed=1)
         _assert_density_matrix(matrix, topology)
         np.testing.assert_allclose(matrix[:, 1], 0.9, atol=0.03)

@@ -221,18 +221,6 @@ class TestVoteHistogram:
                 counts, perstate_vote_histogram(topo, site_masks, link_masks))
             np.testing.assert_array_equal(counts.sum(axis=1), float(count))
 
-    def test_weights_are_added_in_state_order(self):
-        from repro.connectivity.components import batched_vote_histogram
-
-        topo = self.WEIGHTED
-        site_masks, link_masks = self.masks(topo, 40, seed=9)
-        weights = np.random.default_rng(10).random(40) * 3.0
-        np.testing.assert_array_equal(
-            batched_vote_histogram(topo, site_masks, link_masks, weights),
-            perstate_vote_histogram(topo, site_masks, link_masks, weights))
-        with pytest.raises(TopologyError):
-            batched_vote_histogram(topo, site_masks, link_masks, weights[:-1])
-
     def test_no_links(self):
         from repro.connectivity.components import batched_vote_histogram
 
@@ -311,19 +299,6 @@ class TestEntryVoteTotals:
         np.testing.assert_array_equal(
             entry_vote_totals(labels, labels >= 0, topo.votes, n_ids), expected)
         assert not expected[0].any()
-
-    @pytest.mark.parametrize("count", [1, 9])
-    @pytest.mark.parametrize("seed", range(6))
-    def test_weighted_histogram_is_the_float_reference(self, seed, count):
-        from repro.connectivity.components import batched_vote_histogram
-
-        rng = np.random.default_rng(100 + seed)
-        topo = _random_topology(rng)
-        site_masks, link_masks = self.masks(topo, count, rng)
-        weights = rng.random(count) * 2.5
-        np.testing.assert_array_equal(
-            batched_vote_histogram(topo, site_masks, link_masks, weights),
-            perstate_vote_histogram(topo, site_masks, link_masks, weights))
 
     def test_unit_votes_count_without_weights(self):
         from repro.connectivity.components import entry_vote_totals

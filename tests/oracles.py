@@ -166,13 +166,12 @@ def density_matrix_reference(sample, votes):
     return counts / sample.n_samples
 
 
-def perstate_vote_histogram(topology, site_masks, link_masks, weights=None):
+def perstate_vote_histogram(topology, site_masks, link_masks):
     """Per-state labelling loop: the oracle of ``batched_vote_histogram``.
 
     One :func:`component_labels` + :func:`component_vote_totals` call per
-    state, each state adding 1 (or its weight) to its ``(site, total)``
-    cells in state order — the order the kernel's weighted ``bincount``
-    adds in, so the two agree bit for bit.
+    state, each state adding 1 to its ``(site, total)`` cells; the counts
+    are small integers, so the two agree bit for bit.
     """
     counts = np.zeros((topology.n_sites, topology.total_votes + 1),
                       dtype=np.float64)
@@ -180,7 +179,7 @@ def perstate_vote_histogram(topology, site_masks, link_masks, weights=None):
     for k in range(site_masks.shape[0]):
         labels = component_labels(topology, site_masks[k], link_masks[k])
         totals = component_vote_totals(labels, topology.votes)
-        counts[site_ids, totals] += 1.0 if weights is None else weights[k]
+        counts[site_ids, totals] += 1.0
     return counts
 
 

@@ -367,6 +367,25 @@ class TestErrorPaths:
                        "--protocol quorum\n")
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["simulate", "chaos"])
+    @pytest.mark.parametrize("protocol", ["majority", "rowa"])
+    def test_read_quorum_without_quorum_protocol_rejected(
+            self, command, protocol, capsys):
+        code, out, err = run_cli(capsys, command, "--scale", "test",
+                                 "--protocol", protocol, "--read-quorum", "3")
+        assert code == 2
+        assert err == ("error: --read-quorum applies only to --protocol "
+                       f"quorum, not {protocol!r}\n")
+        assert out == ""
+
+    @pytest.mark.parametrize("p", ["nan", "1.5", "-0.1"])
+    def test_votes_rejects_a_non_probability(self, p, capsys):
+        code, out, err = run_cli(capsys, "votes", "--sites", "4", "--p", p)
+        assert code == 2
+        assert err.startswith("error: site reliability values must be in [0, 1]")
+        assert len(err.splitlines()) == 1
+        assert out == ""
+
     def test_negative_violation_cap_rejected(self, capsys):
         code, out, err = run_cli(capsys, "chaos", "--scale", "test",
                                  "--broken", "--max-violations", "-1")
@@ -513,7 +532,7 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--profile", "quick")
         assert code == 0
         assert "0 failed" in out
-        assert "engine pairs (20)" in out
+        assert "engine pairs (15)" in out
 
     @pytest.mark.slow
     def test_real_injected_off_by_one_exits_one(self, capsys):

@@ -16,6 +16,8 @@ selected, by argument or by environment. The engine registry is gone:
 callers name the backend they call, the reliability sweeps reach the
 closed form without passing through ``repro.verification``, and neither
 the serving config nor the sweeps nor the CLI offers an engine selector.
+There is one variance-reduced sampler, proportional stratification: no
+importance sampler, no allocation mode and no weighted histogram kernel.
 """
 
 import ast
@@ -242,3 +244,26 @@ def test_one_recorder_package_with_one_histogram_mode():
         assert "quantiles" not in inspect.signature(fn).parameters
     for recorder in (NULL, Telemetry()):
         assert not {"counter", "gauge", "histogram", "phases"} & set(dir(recorder))
+
+
+def test_one_variance_reduced_sampler_and_an_unweighted_kernel():
+    import dataclasses
+
+    from repro.analytic import variance
+    from repro.connectivity.components import batched_vote_histogram
+    from repro.verification.differential import MODEL_ENGINES
+    from repro.verification.witnesses import stratified_mc_engine
+
+    def params(fn):
+        return set(inspect.signature(fn).parameters)
+
+    exported = set(variance.__all__) | set(dir(variance))
+    assert [name for name in exported if "importance" in name.lower()] == []
+    assert not params(variance.stratified_density_matrix) & {
+        "allocation", "pilot_fraction", "tail_epsilon"}
+    assert "allocation" not in {
+        f.name for f in dataclasses.fields(variance.StratificationPlan)}
+    assert "weights" not in params(batched_vote_histogram)
+    assert params(stratified_mc_engine) == {"case"}
+    assert [name for name, _ in MODEL_ENGINES if name.startswith("mc-")] == [
+        "mc-stratified"]

@@ -2,7 +2,6 @@
 
 from repro.verification.cases import profile_cases
 from repro.verification.differential import MODEL_ENGINES
-from repro.verification.witnesses import importance_mc_engine
 
 
 class TestModelWitnesses:
@@ -15,9 +14,3 @@ class TestModelWitnesses:
             assert engine.name == name
             estimates = engine.availability_estimates(case)
             assert 0.0 <= estimates["A*"].value <= 1.0
-
-    def test_mc_importance_reports_effective_samples(self):
-        case = profile_cases("quick")[0]
-        engine = importance_mc_engine(case)
-        # Kish effective size: positive and never above the raw budget.
-        assert 0 < engine.n_samples <= case.mc_samples
