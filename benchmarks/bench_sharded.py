@@ -1,10 +1,10 @@
-"""SHARD: vectorized multi-item engine vs the per-item multidb loop.
+"""SHARD: vectorized multi-item engine vs the per-item reference loop.
 
 The sharded engine's pitch (DESIGN.md §14): one component labelling per
 network state, accounted once per ``(votes, q_r)`` quorum class (here
 all 10^4 items are one) and settled on the sampled access cells. The
-retained reference evaluates the same epochs with one
-``MultiItemDatabase`` protocol object per item, so at 10^4 items the
+retained reference evaluates the same epochs with one tracker and one
+protocol object per item, so at 10^4 items the
 vectorized path must win by a wide margin *while staying bitwise equal*.
 
 Claims gated here:

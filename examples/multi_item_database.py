@@ -34,10 +34,11 @@ N = 9
 P = R = 0.93
 
 
-def tune(name: str, alpha: float, votes: np.ndarray, topology) -> QuorumConsensusProtocol:
+def tune(name: str, alpha: float, votes: np.ndarray, topology,
+         seed: int) -> QuorumConsensusProtocol:
     """Figure-1 tuning for one item's vote geometry and read mix."""
     matrix = montecarlo_density_matrix(
-        topology.with_votes(votes), P, R, n_samples=4_000, seed=hash(name) % 2**31
+        topology.with_votes(votes), P, R, n_samples=4_000, seed=seed
     )
     model = AvailabilityModel.from_density_matrix(matrix)
     best = optimal_read_quorum(model, alpha)
@@ -59,13 +60,13 @@ def main() -> None:
         topology,
         [
             ItemBinding(catalog_item, tune("catalog", 0.95,
-                                           catalog_item.votes_vector(N), topology),
+                                           catalog_item.votes_vector(N), topology, seed=1),
                         initial_value={"skus": 0}),
             ItemBinding(ledger_item, tune("ledger", 0.10,
-                                          ledger_item.votes_vector(N), topology),
+                                          ledger_item.votes_vector(N), topology, seed=2),
                         initial_value=0),
             ItemBinding(config_item, tune("config", 0.50,
-                                          config_item.votes_vector(N), topology),
+                                          config_item.votes_vector(N), topology, seed=3),
                         initial_value="v0"),
         ],
     )

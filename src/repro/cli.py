@@ -202,9 +202,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from repro.errors import ReproError
     from repro.experiments.figures import figure_data
     from repro.experiments.report import render_figure
 
+    if args.points < 1:
+        raise ReproError(f"--points must be at least 1, got {args.points}")
     fig = figure_data(chords=args.chords, scale=_scale(args.scale), seed=args.seed)
     if args.chart:
         from repro.experiments.charts import figure_chart

@@ -2,10 +2,10 @@
 
 A denied access in the replicated database is often transient: the
 submitting site's component is one repair away from a quorum. A
-:class:`RetryPolicy` gives the data path a disciplined second chance —
-exponential backoff with full-jitter, a cap on attempts, and a hard
-deadline — all measured on the database's simulated clock, so retries
-compose deterministically with scripted fault schedules.
+:class:`RetryPolicy` gives the serving sequencer a disciplined second
+chance — exponential backoff with full-jitter, a cap on attempts, and a
+hard deadline — all measured on its simulated clock, so retries compose
+deterministically with scripted fault schedules.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ __all__ = ["RetryPolicy"]
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Retry discipline for :class:`~repro.replication.database.ReplicatedDatabase`.
+    """Retry discipline for the serving sequencer's denied requests.
 
     Attributes
     ----------
@@ -78,11 +78,6 @@ class RetryPolicy:
             )
 
     # ------------------------------------------------------------------
-    @classmethod
-    def none(cls) -> "RetryPolicy":
-        """The no-retry policy (single attempt)."""
-        return cls(max_attempts=1)
-
     def backoff(self, attempt: int, rng: RandomState = None) -> float:
         """Backoff to wait after failed attempt number ``attempt`` (1-based)."""
         if attempt < 1:

@@ -21,15 +21,11 @@ component (a superset of a write quorum). ``q_w > T/2`` makes concurrent
 writes in disjoint components impossible — also asserted by the checker,
 which tracks commit timestamps globally.
 
-**Resilience.** With a :class:`~repro.faults.retry.RetryPolicy` attached,
-a denied access is retried with jittered exponential backoff on the
-database's *simulated* clock, bounded by attempts and an optional
-deadline. The ``on_wait`` hook fires after each backoff advance so a
-driving harness (a chaos scenario, a fault-schedule replayer) can apply
-the repairs that make the retry worthwhile. With an
-:class:`~repro.faults.monitor.InvariantMonitor` attached, consistency
-mismatches are *recorded* with context instead of raised, so one bad
-read cannot kill a whole chaos campaign.
+**Resilience.** A denied access is returned, never retried here: the
+caller that owns a clock (the serving sequencer) schedules its own
+retries. With an :class:`~repro.faults.monitor.InvariantMonitor`
+attached, consistency mismatches are *recorded* with context instead of
+raised, so one bad read cannot kill a whole chaos campaign.
 
 **Decision view.** What an access needs besides the grant itself — the
 replica sites of its component, the member count, the effective quorums,
@@ -46,11 +42,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.monitor import InvariantMonitor
-    from repro.faults.retry import RetryPolicy
 
 import numpy as np
 
@@ -60,7 +55,6 @@ from repro.protocols.base import ReplicaControlProtocol
 from repro.replication.item import ReplicatedItem
 from repro.replication.store import CopyState, SiteStore
 from repro.replication.transaction import AccessOutcome, ReadResult, WriteResult
-from repro.rng import RandomState, as_generator
 from repro.telemetry import audit as _audit
 from repro.telemetry.recorder import resolve as _resolve_telemetry
 from repro.topology.model import Topology
@@ -116,10 +110,6 @@ class ReplicatedDatabase:
         protocol: ReplicaControlProtocol,
         item: Optional[ReplicatedItem] = None,
         initial_value: Any = None,
-        check_serializability: bool = True,
-        retry_policy: Optional["RetryPolicy"] = None,
-        retry_seed: RandomState = None,
-        on_wait: Optional[Callable[[float], None]] = None,
         monitor: Optional["InvariantMonitor"] = None,
         telemetry=None,
         record_history: bool = True,
@@ -132,14 +122,6 @@ class ReplicatedDatabase:
                 "item vote placement disagrees with the topology's vote vector; "
                 "build the topology with Topology.with_votes(item.votes_vector(n))"
             )
-        self.check_serializability = check_serializability
-        #: Optional retry/backoff discipline applied by submit_read/submit_write.
-        self.retry_policy = retry_policy
-        self._retry_rng = as_generator(retry_seed)
-        #: Called with the new simulated time after each backoff advance,
-        #: letting the driving harness heal (or further break) the network
-        #: while the access waits.
-        self.on_wait = on_wait
         #: Optional chaos monitor: serializability mismatches are recorded
         #: there (with context) instead of raised.
         self.monitor = monitor
@@ -276,7 +258,7 @@ class ReplicatedDatabase:
             raise SerializabilityError(detail)
 
     def _audit_decision(self, op: str, site: int, reason: str,
-                        votes: Optional[int], attempt: int,
+                        votes: Optional[int],
                         view: Optional[_ComponentView] = None) -> None:
         """Audit one access decision (enabled recorders only).
 
@@ -312,79 +294,28 @@ class ReplicatedDatabase:
                 "repro_db_accesses_total", "database access decisions by cause",
             ).labels(op=op, outcome=reason)
         series.inc()
-        if attempt > 1:
-            tel.metrics.counter(
-                "repro_db_retries_total", "access attempts beyond the first",
-            ).inc(op=op)
-
-    def _retry_loop(self, op: str, attempt_once):
-        """Drive ``attempt_once(attempt_number)`` under the retry policy.
-
-        Backoff runs on the simulated clock; ``on_wait`` fires after every
-        advance so the harness can evolve the network before the retry.
-        The last (possibly still denied) result is returned. Every retry
-        scheduled counts toward ``repro_retry_attempts_total`` and a final
-        denial toward ``repro_retry_exhausted_total``, both labeled with
-        the (refined) cause of the denial that provoked them.
-        """
-        policy = self.retry_policy
-        result = attempt_once(1)
-        if policy is None or result.granted:
-            return result
-        started = self._time
-        attempt = 1
-        tel = self.telemetry
-        while attempt < policy.max_attempts:
-            cause = self.last_audit_reason or result.outcome.value
-            delay = policy.backoff(attempt, self._retry_rng)
-            if not policy.within_deadline(self._time + delay - started):
-                break
-            tel.metrics.counter(
-                "repro_retry_attempts_total",
-                "retry attempts scheduled, by op and denial cause",
-            ).inc(op=op, cause=cause)
-            self.advance_time(delay)
-            if self.on_wait is not None:
-                self.on_wait(self._time)
-            attempt += 1
-            result = attempt_once(attempt)
-            if result.granted:
-                return result
-        tel.metrics.counter(
-            "repro_retry_exhausted_total",
-            "accesses failed after their retry budget, by op and last cause",
-        ).inc(op=op, cause=self.last_audit_reason or result.outcome.value)
-        return result
 
     def submit_read(self, site: int) -> ReadResult:
         """Submit a read at ``site``; returns the outcome.
 
-        A granted read returns the newest copy visible in the component.
-        Under a retry policy, denied reads are retried with backoff; every
-        attempt is appended to the history and the returned result's
-        ``attempts`` says which try produced it.
+        A granted read returns the newest copy visible in the component
+        and is checked against the last granted write.
         """
         self._check_site(site)
-        return self._retry_loop("read", lambda attempt: self._read_once(site, attempt))
-
-    def _read_once(self, site: int, attempt: int) -> ReadResult:
         if not self.state.site_up[site]:
-            result = ReadResult(
-                AccessOutcome.SITE_DOWN, site, self._time, attempts=attempt
-            )
+            result = ReadResult(AccessOutcome.SITE_DOWN, site, self._time)
             if self.record_history:
                 self.history.append(result)
-            self._audit_decision("read", site, _audit.SITE_DOWN, None, attempt)
+            self._audit_decision("read", site, _audit.SITE_DOWN, None)
             return result
         votes = self.tracker.votes_at(site)
         if not self.protocol.decide(site, is_read=True, tracker=self.tracker):
             result = ReadResult(
                 AccessOutcome.NO_QUORUM, site, self._time, component_votes=votes,
-                attempts=attempt,
             )
             if self.record_history:
                 self.history.append(result)
-            self._audit_decision("read", site, _audit.NO_QUORUM, votes, attempt)
+            self._audit_decision("read", site, _audit.NO_QUORUM, votes)
             return result
 
         view = self._view_of(site)
@@ -397,15 +328,14 @@ class ReplicatedDatabase:
                 "holds no replica"
             )
         newest = self._newest_copy(view)
-        if self.check_serializability:
-            expected_ts, expected_value = self._last_commit
-            if newest.timestamp != expected_ts or newest.value != expected_value:
-                self._consistency_violation(
-                    f"read at site {site} returned timestamp {newest.timestamp} "
-                    f"(value {newest.value!r}) but the last committed write is "
-                    f"timestamp {expected_ts} (value {expected_value!r}) — "
-                    "one-copy serializability violated"
-                )
+        expected_ts, expected_value = self._last_commit
+        if newest.timestamp != expected_ts or newest.value != expected_value:
+            self._consistency_violation(
+                f"read at site {site} returned timestamp {newest.timestamp} "
+                f"(value {newest.value!r}) but the last committed write is "
+                f"timestamp {expected_ts} (value {expected_value!r}) — "
+                "one-copy serializability violated"
+            )
         result = ReadResult(
             AccessOutcome.GRANTED,
             site,
@@ -413,42 +343,29 @@ class ReplicatedDatabase:
             value=newest.value,
             timestamp=newest.timestamp,
             component_votes=votes,
-            attempts=attempt,
         )
         if self.record_history:
             self.history.append(result)
-        self._audit_decision("read", site, _audit.GRANTED, votes, attempt, view)
+        self._audit_decision("read", site, _audit.GRANTED, votes, view)
         return result
 
     def submit_write(self, site: int, value: Any) -> WriteResult:
-        """Submit a write at ``site``; on grant, installs at all reachable replicas.
-
-        Under a retry policy, denied writes are retried with backoff
-        exactly like reads.
-        """
+        """Submit a write at ``site``; on grant, installs at all reachable replicas."""
         self._check_site(site)
-        return self._retry_loop(
-            "write", lambda attempt: self._write_once(site, value, attempt)
-        )
-
-    def _write_once(self, site: int, value: Any, attempt: int) -> WriteResult:
         if not self.state.site_up[site]:
-            result = WriteResult(
-                AccessOutcome.SITE_DOWN, site, self._time, attempts=attempt
-            )
+            result = WriteResult(AccessOutcome.SITE_DOWN, site, self._time)
             if self.record_history:
                 self.history.append(result)
-            self._audit_decision("write", site, _audit.SITE_DOWN, None, attempt)
+            self._audit_decision("write", site, _audit.SITE_DOWN, None)
             return result
         votes = self.tracker.votes_at(site)
         if not self.protocol.decide(site, is_read=False, tracker=self.tracker):
             result = WriteResult(
                 AccessOutcome.NO_QUORUM, site, self._time, component_votes=votes,
-                attempts=attempt,
             )
             if self.record_history:
                 self.history.append(result)
-            self._audit_decision("write", site, _audit.NO_QUORUM, votes, attempt)
+            self._audit_decision("write", site, _audit.NO_QUORUM, votes)
             return result
 
         view = self._view_of(site)
@@ -460,7 +377,7 @@ class ReplicatedDatabase:
             )
         self._clock += 1
         timestamp = self._clock
-        if self.check_serializability and timestamp <= self._last_commit[0]:
+        if timestamp <= self._last_commit[0]:
             self._consistency_violation(
                 f"write commit timestamp {timestamp} not newer than last commit "
                 f"{self._last_commit[0]} — concurrent writes slipped through"
@@ -479,11 +396,10 @@ class ReplicatedDatabase:
             timestamp=timestamp,
             updated_sites=replicas,
             component_votes=votes,
-            attempts=attempt,
         )
         if self.record_history:
             self.history.append(result)
-        self._audit_decision("write", site, _audit.GRANTED, votes, attempt, view)
+        self._audit_decision("write", site, _audit.GRANTED, votes, view)
         return result
 
     def peek_newest(self, site: int):

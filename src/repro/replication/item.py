@@ -38,6 +38,11 @@ class ReplicatedItem:
                 f"item {self.item_id!r}: {len(self.replica_sites)} sites but "
                 f"{len(self.replica_votes)} vote entries"
             )
+        if min(self.replica_sites) < 0:
+            raise ReproError(
+                f"item {self.item_id!r} lists a negative replica site "
+                f"{min(self.replica_sites)}"
+            )
         if len(set(self.replica_sites)) != len(self.replica_sites):
             raise ReproError(f"item {self.item_id!r} lists a replica site twice")
         if any(v < 0 for v in self.replica_votes):

@@ -4,13 +4,13 @@ A real distributed database replicates many items, and the Figure-1
 algorithm naturally tunes each item separately — a read-mostly catalog
 wants ``q_r = 1``, a write-heavy ledger wants majority, and partially
 replicated items carry their own vote geometry. This module composes
-the single-item machinery:
+single-item databases:
 
-- one shared :class:`~repro.connectivity.dynamic.NetworkState` (all
-  items see the same partitions);
-- per item: a vote vector, a replica-control protocol, a
-  :class:`~repro.connectivity.dynamic.ComponentTracker` with that item's
-  votes, per-site copies, and the one-copy-serializability checker;
+- one :class:`~repro.replication.database.ReplicatedDatabase` per item,
+  built on the topology with that item's vote vector, so every item has
+  the one data path (decision view, 1SR checker, audit);
+- every failure and repair forwarded to all of them, so all items see
+  the same partitions;
 - multi-item transactions: an all-or-nothing group of reads/writes that
   commits iff *every* touched item's quorum is satisfied at the
   submitting site. Under the paper's instantaneous-event model no
@@ -22,15 +22,13 @@ the single-item machinery:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.connectivity.dynamic import ComponentTracker, NetworkState
-from repro.errors import ProtocolError, ReproError
+from repro.errors import ReproError
 from repro.protocols.base import ReplicaControlProtocol
+from repro.replication.database import ReplicatedDatabase
 from repro.replication.item import ReplicatedItem
-from repro.replication.store import SiteStore
 from repro.replication.transaction import AccessOutcome, ReadResult, WriteResult
 from repro.topology.model import Topology
 
@@ -73,45 +71,30 @@ class MultiItemDatabase:
         if len(set(ids)) != len(ids):
             raise ReproError(f"duplicate item ids in {ids}")
         self.topology = topology
-        self.state = NetworkState(topology)
-
-        self._bindings: Dict[str, ItemBinding] = {}
-        self._trackers: Dict[str, ComponentTracker] = {}
-        self._stores: Dict[str, Dict[int, SiteStore]] = {}
-        self._clocks: Dict[str, int] = {}
-        self._last_commit: Dict[str, Tuple[int, Any]] = {}
-
+        self._dbs: Dict[str, ReplicatedDatabase] = {}
         for binding in bindings:
             item = binding.item
-            votes = item.votes_vector(topology.n_sites)
-            tracker = ComponentTracker(self.state, votes=votes)
-            self._bindings[item.item_id] = binding
-            self._trackers[item.item_id] = tracker
-            stores: Dict[int, SiteStore] = {}
-            for site in item.replica_sites:
-                store = SiteStore(site)
-                store.initialize(item.item_id, binding.initial_value)
-                stores[site] = store
-            self._stores[item.item_id] = stores
-            self._clocks[item.item_id] = 0
-            self._last_commit[item.item_id] = (0, binding.initial_value)
-            binding.protocol.on_network_change(tracker)
+            self._dbs[item.item_id] = ReplicatedDatabase(
+                topology.with_votes(item.votes_vector(topology.n_sites)),
+                binding.protocol,
+                item=item,
+                initial_value=binding.initial_value,
+                record_history=False,
+            )
+        #: The network state; every item's database holds an identical one.
+        self.state: NetworkState = self._dbs[ids[0]].state
 
     # ------------------------------------------------------------------
     @property
     def item_ids(self) -> List[str]:
-        return list(self._bindings)
+        return list(self._dbs)
 
     def tracker_for(self, item_id: str) -> ComponentTracker:
         self._check_item(item_id)
-        return self._trackers[item_id]
-
-    def binding_for(self, item_id: str) -> ItemBinding:
-        self._check_item(item_id)
-        return self._bindings[item_id]
+        return self._dbs[item_id].tracker
 
     def _check_item(self, item_id: str) -> None:
-        if item_id not in self._bindings:
+        if item_id not in self._dbs:
             raise ReproError(f"unknown item {item_id!r}")
 
     def _check_site(self, site: int) -> None:
@@ -119,85 +102,27 @@ class MultiItemDatabase:
             raise ReproError(f"unknown site {site}")
 
     # ------------------------------------------------------------------
-    # Network control
+    # Network control: forwarded to every item's database
     # ------------------------------------------------------------------
-    def _network_changed(self) -> None:
-        for item_id, binding in self._bindings.items():
-            binding.protocol.on_network_change(self._trackers[item_id])
-
     def fail_site(self, site: int) -> None:
-        self.state.fail_site(site)
-        self._network_changed()
+        for db in self._dbs.values():
+            db.fail_site(site)
 
     def repair_site(self, site: int) -> None:
-        self.state.repair_site(site)
-        self._network_changed()
+        for db in self._dbs.values():
+            db.repair_site(site)
 
     def fail_link(self, a: int, b: int) -> None:
-        self.state.fail_link(self.topology.link_id(a, b))
-        self._network_changed()
+        for db in self._dbs.values():
+            db.fail_link(a, b)
 
     def repair_link(self, a: int, b: int) -> None:
-        self.state.repair_link(self.topology.link_id(a, b))
-        self._network_changed()
+        for db in self._dbs.values():
+            db.repair_link(a, b)
 
     # ------------------------------------------------------------------
-    # Per-item decisions and data path
+    # Data path
     # ------------------------------------------------------------------
-    def _decide(self, item_id: str, site: int, is_read: bool) -> bool:
-        binding = self._bindings[item_id]
-        return binding.protocol.decide(site, is_read, self._trackers[item_id])
-
-    def _component_replicas(self, item_id: str, site: int) -> List[int]:
-        item = self._bindings[item_id].item
-        members = self._trackers[item_id].component_of(site)
-        return [int(s) for s in members if item.holds_copy(int(s))]
-
-    def _execute_read(self, item_id: str, site: int) -> ReadResult:
-        tracker = self._trackers[item_id]
-        replicas = self._component_replicas(item_id, site)
-        if not replicas:
-            raise ProtocolError(
-                f"protocol granted a read of {item_id!r} at site {site} but the "
-                "component holds no replica"
-            )
-        newest = max(
-            (self._stores[item_id][rep].read(item_id) for rep in replicas),
-            key=lambda copy: copy.timestamp,
-        )
-        expected_ts, expected_value = self._last_commit[item_id]
-        if newest.timestamp != expected_ts or newest.value != expected_value:
-            from repro.errors import SerializabilityError
-
-            raise SerializabilityError(
-                f"read of {item_id!r} at site {site} returned timestamp "
-                f"{newest.timestamp} but the last commit is {expected_ts}"
-            )
-        return ReadResult(
-            AccessOutcome.GRANTED, site, 0.0,
-            value=newest.value, timestamp=newest.timestamp,
-            component_votes=int(tracker.vote_totals[site]),
-        )
-
-    def _execute_write(self, item_id: str, site: int, value: Any) -> WriteResult:
-        tracker = self._trackers[item_id]
-        replicas = self._component_replicas(item_id, site)
-        if not replicas:
-            raise ProtocolError(
-                f"protocol granted a write of {item_id!r} at site {site} but the "
-                "component holds no replica"
-            )
-        self._clocks[item_id] += 1
-        timestamp = self._clocks[item_id]
-        for rep in replicas:
-            self._stores[item_id][rep].write(item_id, value, timestamp)
-        self._last_commit[item_id] = (timestamp, value)
-        return WriteResult(
-            AccessOutcome.GRANTED, site, 0.0,
-            timestamp=timestamp, updated_sites=tuple(replicas),
-            component_votes=int(tracker.vote_totals[site]),
-        )
-
     def read(self, item_id: str, site: int) -> ReadResult:
         """Single-item read (a one-read transaction)."""
         result = self.transaction(site, reads=[item_id])
@@ -243,22 +168,21 @@ class MultiItemDatabase:
             return TransactionResult(AccessOutcome.SITE_DOWN, site)
 
         # Decision phase: conjunction over all touched items.
-        for item_id in read_ids:
-            if not self._decide(item_id, site, is_read=True):
-                return TransactionResult(
-                    AccessOutcome.NO_QUORUM, site, blocking_item=item_id
-                )
-        for item_id in writes:
-            if not self._decide(item_id, site, is_read=False):
+        dbs = self._dbs
+        touched = [(i, True) for i in read_ids] + [(i, False) for i in writes]
+        for item_id, is_read in touched:
+            db = dbs[item_id]
+            if not db.protocol.decide(site, is_read, db.tracker):
                 return TransactionResult(
                     AccessOutcome.NO_QUORUM, site, blocking_item=item_id
                 )
 
         # Execution phase: no event can interleave (instantaneous model),
-        # so applying sequentially is atomic.
-        read_results = {i: self._execute_read(i, site) for i in read_ids}
+        # so applying sequentially is atomic, and every item's database
+        # grants again what its protocol just granted.
+        read_results = {i: dbs[i].submit_read(site) for i in read_ids}
         write_results = {
-            i: self._execute_write(i, site, value) for i, value in writes.items()
+            i: dbs[i].submit_write(site, value) for i, value in writes.items()
         }
         return TransactionResult(
             AccessOutcome.GRANTED, site, reads=read_results, writes=write_results
@@ -268,7 +192,4 @@ class MultiItemDatabase:
     def copy_at(self, item_id: str, site: int):
         """Inspect one raw copy (tests/debugging)."""
         self._check_item(item_id)
-        stores = self._stores[item_id]
-        if site not in stores:
-            raise ReproError(f"site {site} holds no replica of {item_id!r}")
-        return stores[site].read(item_id)
+        return self._dbs[item_id].copy_at(site)

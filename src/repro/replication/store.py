@@ -10,7 +10,7 @@ commit overall.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.errors import ReproError
 
@@ -55,10 +55,6 @@ class SiteStore:
             return self._copies[item_id]
         except KeyError:
             raise ReproError(f"site {self.site} holds no copy of {item_id!r}") from None
-
-    def write(self, item_id: str, value: Any, timestamp: int) -> None:
-        """Install a newer version; stale installs are rejected."""
-        self.install(item_id, CopyState(value=value, timestamp=timestamp))
 
     def install(self, item_id: str, copy: CopyState) -> None:
         """Install ``copy`` itself (one immutable copy may sit at many sites).

@@ -36,8 +36,6 @@ class ReadResult:
     timestamp: Optional[int] = None
     #: Votes visible in the submitting site's component when decided.
     component_votes: int = 0
-    #: Which attempt produced this result (1 = first try; >1 under retry).
-    attempts: int = 1
 
     @property
     def granted(self) -> bool:
@@ -56,8 +54,6 @@ class WriteResult:
     #: Replica sites whose copies were updated (granted writes only).
     updated_sites: Tuple[int, ...] = ()
     component_votes: int = 0
-    #: Which attempt produced this result (1 = first try; >1 under retry).
-    attempts: int = 1
 
     @property
     def granted(self) -> bool:

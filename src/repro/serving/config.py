@@ -66,7 +66,6 @@ class ServeConfig:
     stale_reads: bool = True
     #: Abort the run (exit 1) on the first invariant violation.
     abort_on_violation: bool = True
-    check_serializability: bool = True
 
     # Adaptive control loop --------------------------------------------
     #: Simulated seconds between estimation/optimization ticks.

@@ -203,7 +203,6 @@ class AdaptiveQuorumService:
             topology,
             self.protocol,
             initial_value=0,
-            check_serializability=config.check_serializability,
             monitor=self.monitor,
             telemetry=tel,
             record_history=False,

@@ -9,7 +9,7 @@ hotspot-skewed item access, and per-shard quorum optimization grouped by
 - :mod:`repro.sharding.workload` — the (item, site) access sampler;
 - :mod:`repro.sharding.config` — :class:`ShardConfig`;
 - :mod:`repro.sharding.engine` — the vectorized engine and the per-item
-  ``multidb`` reference it matches bitwise;
+  reference loop it matches bitwise;
 - :mod:`repro.sharding.optimizer` — per-class quorum/vote optimization;
 - :mod:`repro.sharding.runner` — batch fan-out (bitwise for any
   ``--workers``).

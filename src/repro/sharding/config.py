@@ -6,8 +6,8 @@ failure/repair process, but N replicated items with per-item vote
 vectors (an ``(n_items, n_sites)`` matrix) and per-item read quorums
 (an ``(n_items,)`` vector). Accounting is restricted to the paper's
 ``"sampled"`` mode — integer access counts are what make the vectorized
-engine bitwise-equal to the per-item ``multidb`` reference loop
-regardless of class structure or worker count.
+engine bitwise-equal to the per-item reference loop (one tracker and one
+protocol per item) regardless of class structure or worker count.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Vectorized sharded engine plus its per-item ``multidb`` reference.
+"""Vectorized sharded engine plus its per-item reference loop.
 
 Both engines drive the *same* epoch loop as
 :class:`~repro.simulation.engine.SimulationEngine` — one generated
@@ -15,10 +15,12 @@ does). They differ only in how one epoch is accounted:
   the time-weighted density are kept per class and scattered to the items
   at batch end; counts are settled on the access cells the workload hands
   over. An epoch costs ``O(classes x sites + accesses)``.
-- :class:`ReferenceShardEngine` drives a
-  :class:`~repro.replication.multidb.MultiItemDatabase` — one
-  :class:`ComponentTracker` and one protocol *per item*, evaluated in a
-  Python loop. This is the retained reference path.
+- :class:`ReferenceShardEngine` walks one
+  :class:`~repro.connectivity.dynamic.NetworkState` with one
+  :class:`ComponentTracker` (on the item's votes row) and one
+  :class:`~repro.protocols.quorum_consensus.QuorumConsensusProtocol`
+  *per item*, evaluated in a Python loop. This is the retained reference
+  path.
 
 Every accumulator is either an integer-valued count or a float updated by
 the same sequence of additions in both engines (an item's sequence is its
@@ -31,15 +33,12 @@ that.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import List
 
 import numpy as np
 
 from repro.connectivity.dynamic import ComponentTracker, NetworkState
 from repro.quorum.assignment import QuorumAssignment
 from repro.protocols.quorum_consensus import QuorumConsensusProtocol
-from repro.replication.item import ReplicatedItem
-from repro.replication.multidb import ItemBinding, MultiItemDatabase
 from repro.rng import spawn, stream_for
 from repro.sharding.config import ShardConfig
 from repro.sharding.workload import Accesses
@@ -271,61 +270,35 @@ def _dense(accesses: Accesses, shape) -> np.ndarray:
     return grid.reshape(shape)
 
 
-class _MultiDbNetwork:
-    """Adapter driving a :class:`MultiItemDatabase` from link-id events."""
+class _ItemTrackers(NetworkState):
+    """A NetworkState with one tracker and one protocol per item."""
+
+    __slots__ = ("trackers", "protocols")
 
     def __init__(self, config: ShardConfig):
-        topo = config.topology
-        totals = config.total_votes
-        bindings: List[ItemBinding] = []
-        for i in range(config.n_items):
-            votes_row = config.votes[i]
-            sites = tuple(int(s) for s in np.nonzero(votes_row)[0])
-            item = ReplicatedItem(
-                f"item-{i:05d}",
-                sites,
-                tuple(int(votes_row[s]) for s in sites),
-            )
-            assignment = QuorumAssignment.from_read_quorum(
-                int(totals[i]), int(config.read_quorums[i])
-            )
-            bindings.append(ItemBinding(item, QuorumConsensusProtocol(assignment)))
-        self.db = MultiItemDatabase(topo, bindings)
-        self.item_ids = [b.item.item_id for b in bindings]
-        self._links = topo.links
-
-    def fail_site(self, site: int) -> None:
-        self.db.fail_site(site)
-
-    def repair_site(self, site: int) -> None:
-        self.db.repair_site(site)
-
-    def fail_link(self, link_id: int) -> None:
-        link = self._links[link_id]
-        self.db.fail_link(link.a, link.b)
-
-    def repair_link(self, link_id: int) -> None:
-        link = self._links[link_id]
-        self.db.repair_link(link.a, link.b)
+        super().__init__(config.topology)
+        self.trackers = [ComponentTracker(self, votes=row) for row in config.votes]
+        self.protocols = [
+            QuorumConsensusProtocol(QuorumAssignment.from_read_quorum(int(t), int(q)))
+            for t, q in zip(config.total_votes, config.read_quorums)
+        ]
 
 
 class ReferenceShardEngine(_ShardEngineBase):
-    """The retained per-item loop: a ``MultiItemDatabase`` evaluated item
-    by item with one tracker and one protocol each. Slow on purpose —
-    this is the oracle the vectorized engine must match bitwise."""
+    """The retained per-item loop: one tracker and one protocol per item,
+    evaluated item by item. Slow on purpose — this is the oracle the
+    vectorized engine must match bitwise."""
 
-    def _begin_batch(self) -> _MultiDbNetwork:
-        return _MultiDbNetwork(self.config)
+    def _begin_batch(self) -> _ItemTrackers:
+        return _ItemTrackers(self.config)
 
-    def _account_epoch(self, network: _MultiDbNetwork, result: ShardBatchResult,
+    def _account_epoch(self, network: _ItemTrackers, result: ShardBatchResult,
                        duration: float, reads: Accesses, writes: Accesses) -> None:
-        db = network.db
         width = result.density_time.shape[1]
         shape = (self.config.n_items, self.config.topology.n_sites)
         reads, writes = _dense(reads, shape), _dense(writes, shape)
-        for i, item_id in enumerate(network.item_ids):
-            tracker = db.tracker_for(item_id)
-            protocol = db.binding_for(item_id).protocol
+        for i, (tracker, protocol) in enumerate(
+                zip(network.trackers, network.protocols)):
             read_mask, write_mask = protocol.grant_masks(tracker)
             r_row = reads[i]
             w_row = writes[i]

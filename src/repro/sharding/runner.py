@@ -25,7 +25,7 @@ from repro.sharding.engine import (
 __all__ = ["ShardRunResult", "run_sharded", "ENGINE_KINDS"]
 
 #: Selectable accounting paths: the vectorized engine and the retained
-#: per-item multidb reference it must match bitwise.
+#: per-item reference loop it must match bitwise.
 ENGINE_KINDS = ("vectorized", "reference")
 
 
@@ -137,8 +137,8 @@ def run_sharded(
 ) -> ShardRunResult:
     """Run every batch of ``config``; bitwise identical for any ``n_workers``.
 
-    ``engine`` selects the vectorized path or the per-item multidb
-    reference.
+    ``engine`` selects the vectorized path or the per-item reference
+    loop.
     """
     if n_workers <= 0:
         raise ShardingError(f"n_workers must be positive, got {n_workers}")

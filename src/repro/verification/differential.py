@@ -269,7 +269,7 @@ def _protocol_checks(case: VerificationCase) -> List[CheckResult]:
 
 
 def _sharded_checks(case: VerificationCase) -> List[CheckResult]:
-    """Vectorized N-item engine vs the per-item multidb reference.
+    """Vectorized N-item engine vs the per-item reference loop.
 
     Builds a three-item Zipf shard config on the case's network and
     failure process and demands *bitwise* agreement (``abs_floor=0``) on

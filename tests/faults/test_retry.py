@@ -1,4 +1,7 @@
-"""RetryPolicy mechanics and the database's resilient access paths."""
+"""RetryPolicy mechanics and the database's monitor routing.
+
+Retries themselves are the serving sequencer's (tests/serving).
+"""
 
 import pytest
 
@@ -7,7 +10,6 @@ from repro.faults.chaos import unchecked_assignment
 from repro.faults.monitor import InvariantMonitor
 from repro.faults.retry import RetryPolicy
 from repro.protocols.quorum_consensus import QuorumConsensusProtocol
-from repro.quorum.assignment import QuorumAssignment
 from repro.replication.database import ReplicatedDatabase
 from repro.rng import as_generator
 from repro.topology.generators import ring
@@ -39,9 +41,6 @@ class TestPolicy:
         assert not policy.within_deadline(10.0)
         assert RetryPolicy(deadline=None).within_deadline(1e9)
 
-    def test_none_policy_single_attempt(self):
-        assert RetryPolicy.none().max_attempts == 1
-
     def test_validation(self):
         with pytest.raises(FaultInjectionError):
             RetryPolicy(max_attempts=0)
@@ -58,95 +57,6 @@ class TestPolicy:
 
     def test_describe(self):
         assert "attempts=4" in RetryPolicy().describe()
-
-
-def majority_db(**kwargs):
-    topo = ring(5)
-    protocol = QuorumConsensusProtocol(QuorumAssignment.majority(5))
-    return ReplicatedDatabase(topo, protocol, initial_value="v0", **kwargs)
-
-
-class TestDatabaseRetry:
-    def test_no_policy_means_single_attempt(self):
-        db = majority_db()
-        for site in (1, 2, 3):
-            db.fail_site(site)
-        result = db.submit_write(0, "x")
-        assert not result.granted
-        assert result.attempts == 1
-        assert len(db.history) == 1
-
-    def test_retry_succeeds_after_heal_on_wait(self):
-        healed = []
-
-        def heal(now):
-            if not healed:
-                db.repair_site(1)
-                db.repair_site(2)
-                healed.append(now)
-
-        db = majority_db(
-            retry_policy=RetryPolicy(max_attempts=3, base_delay=2.0),
-            on_wait=heal,
-        )
-        for site in (1, 2, 3):
-            db.fail_site(site)
-        # Component {0,4} holds 2 votes < q_w = 4: attempt 1 denied; the
-        # heal during backoff brings {0,1,2,4} = 4 votes; attempt 2 grants.
-        result = db.submit_write(0, "x")
-        assert result.granted
-        assert result.attempts == 2
-        assert result.time == pytest.approx(2.0)  # backoff advanced the clock
-        assert len(db.history) == 2  # every attempt is logged
-        assert db.copy_at(0).value == "x"
-
-    def test_retries_give_up_after_max_attempts(self):
-        waits = []
-        db = majority_db(
-            retry_policy=RetryPolicy(max_attempts=3, base_delay=1.0,
-                                     multiplier=2.0),
-            on_wait=waits.append,
-        )
-        for site in (1, 2, 3):
-            db.fail_site(site)
-        result = db.submit_write(0, "x")
-        assert not result.granted
-        assert result.attempts == 3
-        assert waits == [pytest.approx(1.0), pytest.approx(3.0)]
-
-    def test_deadline_stops_retrying_early(self):
-        db = majority_db(
-            retry_policy=RetryPolicy(max_attempts=10, base_delay=4.0,
-                                     multiplier=1.0, max_delay=4.0,
-                                     deadline=6.0),
-        )
-        for site in (1, 2, 3):
-            db.fail_site(site)
-        result = db.submit_write(0, "x")
-        # First backoff (4.0) fits the deadline, the second (-> 8.0) does not.
-        assert result.attempts == 2
-
-    def test_granted_first_try_never_waits(self):
-        db = majority_db(retry_policy=RetryPolicy(max_attempts=5, base_delay=9.0,
-                                                  max_delay=9.0))
-        result = db.submit_read(0)
-        assert result.granted and result.attempts == 1
-        assert result.time == 0.0
-
-    def test_read_retry_returns_committed_value(self):
-        def heal(now):
-            db.repair_site(1)
-
-        db = majority_db(
-            retry_policy=RetryPolicy(max_attempts=2, base_delay=1.0),
-            on_wait=heal,
-        )
-        db.submit_write(0, "committed")
-        for site in (1, 2, 3):
-            db.fail_site(site)
-        result = db.submit_read(0)
-        assert result.granted
-        assert result.value == "committed"
 
 
 class TestMonitorRouting:

@@ -7,7 +7,8 @@ Invariants driven under arbitrary failures, repairs, and transactions:
 - per-item one-copy serializability: a committed read returns the last
   committed write of that item (tracked shadow state);
 - isolation of items: writing one item never moves another item's
-  timestamps.
+  timestamps;
+- one network: every item's tracker labels the same components.
 """
 
 import numpy as np
@@ -109,6 +110,12 @@ class MultiDbMachine(RuleBasedStateMachine):
             )
             assert newest.timestamp == self.commit_count[item]
             assert newest.value == self.committed[item] or self.commit_count[item] == 0
+
+    @invariant()
+    def items_see_one_network(self):
+        first, *rest = (self.db.tracker_for(item).labels for item in ITEMS)
+        for labels in rest:
+            assert (labels == first).all()
 
     @invariant()
     def copies_never_exceed_commit_count(self):

@@ -121,7 +121,7 @@ class TestConsistencyAcrossPartitions:
         with pytest.raises(SerializabilityError):
             db.submit_read(2)          # sees stale v0: checker fires
 
-    def test_checker_can_be_disabled(self):
+    def test_monitor_records_the_stale_read(self):
         class YesProtocol(ReplicaControlProtocol):
             name = "always-yes"
 
@@ -130,13 +130,16 @@ class TestConsistencyAcrossPartitions:
                 return up, up.copy()
 
         topo = ring(4)
+        monitor = InvariantMonitor()
         db = ReplicatedDatabase(topo, YesProtocol(), initial_value="v0",
-                                check_serializability=False)
+                                monitor=monitor)
         db.fail_link(1, 2)
         db.fail_link(3, 0)
         db.submit_write(0, "left")
         stale = db.submit_read(2)
-        assert stale.value == "v0"  # observably stale without the checker
+        assert stale.granted
+        assert stale.value == "v0"  # the stale copy really was served
+        assert [v.rule for v in monitor.violations] == ["one-copy-serializability"]
 
 
 class TestWithDynamicProtocol:

@@ -25,24 +25,24 @@ class TestSiteStore:
     def test_write_monotone(self):
         store = SiteStore(0)
         store.initialize("x", None)
-        store.write("x", "a", 1)
-        store.write("x", "b", 3)
+        store.install("x", CopyState("a", 1))
+        store.install("x", CopyState("b", 3))
         assert store.read("x").value == "b"
 
     def test_stale_write_rejected(self):
         store = SiteStore(0)
         store.initialize("x", None)
-        store.write("x", "a", 5)
+        store.install("x", CopyState("a", 5))
         with pytest.raises(ReproError):
-            store.write("x", "old", 5)
+            store.install("x", CopyState("old", 5))
         with pytest.raises(ReproError):
-            store.write("x", "older", 3)
+            store.install("x", CopyState("older", 3))
 
     def test_multiple_items(self):
         store = SiteStore(0)
         store.initialize("x", 1)
         store.initialize("y", 2)
-        store.write("x", 10, 1)
+        store.install("x", CopyState(10, 1))
         assert store.read("y").value == 2
         assert set(store.items()) == {"x", "y"}
 
@@ -76,6 +76,12 @@ class TestReplicatedItem:
         item = ReplicatedItem.at_sites("x", [4])
         with pytest.raises(ReproError):
             item.votes_vector(3)
+
+    def test_negative_replica_site_rejected(self):
+        # A negative site would wrap around in votes_vector: [-1, 0] put a
+        # vote at site n - 1, which holds_copy() denies holding a copy.
+        with pytest.raises(ReproError, match="negative replica site"):
+            ReplicatedItem.at_sites("x", [-1, 0])
 
     def test_validation(self):
         with pytest.raises(ReproError):

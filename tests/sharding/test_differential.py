@@ -1,7 +1,7 @@
-"""Differential battery: the vectorized engine vs the multidb reference.
+"""Differential battery: the vectorized engine vs the per-item reference.
 
 The sharded engine's contract is *bitwise* equality with the retained
-per-item ``multidb`` loop — same counters, same survivability times,
+per-item loop (one tracker and one protocol per item) — same counters, same survivability times,
 same density tables — for every topology family, every item count, and
 every way the items fall into ``(votes row, q_r)`` quorum classes. These
 tests sweep that grid; ``repro verify`` runs the registered

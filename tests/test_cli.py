@@ -386,6 +386,14 @@ class TestErrorPaths:
         assert len(err.splitlines()) == 1
         assert out == ""
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_nonpositive_figure_points_rejected(self, points, capsys):
+        code, out, err = run_cli(capsys, "figure", "--scale", "test",
+                                 "--points", points)
+        assert code == 2
+        assert err == f"error: --points must be at least 1, got {points}\n"
+        assert out == ""
+
     def test_negative_violation_cap_rejected(self, capsys):
         code, out, err = run_cli(capsys, "chaos", "--scale", "test",
                                  "--broken", "--max-violations", "-1")

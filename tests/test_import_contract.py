@@ -18,6 +18,10 @@ closed form without passing through ``repro.verification``, and neither
 the serving config nor the sweeps nor the CLI offers an engine selector.
 There is one variance-reduced sampler, proportional stratification: no
 importance sampler, no allocation mode and no weighted histogram kernel.
+There is one replicated data path: the multi-item database is a set of
+single-item databases, the sharded reference engine drives bare trackers
+without importing ``repro.replication``, and the database retries
+nothing and cannot switch its one-copy-serializability check off.
 """
 
 import ast
@@ -267,3 +271,35 @@ def test_one_variance_reduced_sampler_and_an_unweighted_kernel():
     assert params(stratified_mc_engine) == {"case"}
     assert [name for name, _ in MODEL_ENGINES if name.startswith("mc-")] == [
         "mc-stratified"]
+
+
+def _imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def test_one_replicated_data_path():
+    import dataclasses
+
+    from repro.replication import ReadResult, ReplicatedDatabase, WriteResult
+    from repro.replication.multidb import MultiItemDatabase
+    from repro.serving import ServeConfig
+
+    offenders = [
+        f"{path.relative_to(SRC)}: {name}"
+        for path in sorted((SRC / "repro/sharding").rglob("*.py"))
+        for name in _imported_modules(path)
+        if name == "repro.replication" or name.startswith("repro.replication.")
+    ]
+    assert offenders == []
+    assert not set(inspect.signature(ReplicatedDatabase).parameters) & {
+        "retry_policy", "retry_seed", "on_wait", "check_serializability"}
+    assert "check_serializability" not in {
+        f.name for f in dataclasses.fields(ServeConfig)}
+    for result in (ReadResult, WriteResult):
+        assert "attempts" not in {f.name for f in dataclasses.fields(result)}
+    assert not {"_execute_read", "_execute_write", "_component_replicas"} & set(
+        dir(MultiItemDatabase))
