@@ -1,11 +1,12 @@
 #!/usr/bin/env python
-"""Paired protocol comparison on one recorded failure history.
+"""Paired protocol comparison over one failure history.
 
-Records a single failure trace on the paper's Topology 2 (101-site ring
-plus 2 chords), then replays the *identical* history under every
-replica-control protocol in the library — static quorum consensus at
-several assignments, primary copy, and dynamic voting — so differences
-in availability are purely protocol effects, with zero failure-process
+Runs every replica-control protocol in the library — static quorum
+consensus at several assignments, primary copy, and dynamic voting — on
+one simulation config of the paper's Topology 2 (101-site ring plus 2
+chords). A batch's failure history depends on ``(seed, batch)`` alone,
+so every protocol sees the *identical* history and differences in
+availability are purely protocol effects, with zero failure-process
 variance (common random numbers at their strongest).
 
 Run:  python examples/protocol_shootout.py [--alpha 0.5]
@@ -20,8 +21,7 @@ from repro.protocols.quorum_consensus import QuorumConsensusProtocol
 from repro.protocols.read_one_write_all import ReadOneWriteAllProtocol
 from repro.quorum.assignment import QuorumAssignment
 from repro.simulation.config import SimulationConfig
-from repro.simulation.engine import SimulationEngine
-from repro.simulation.trace import TraceReplayer
+from repro.simulation.runner import run_simulation
 from repro.topology.generators import ring_with_chords
 
 N_SITES = 101
@@ -45,17 +45,8 @@ def main() -> None:
         n_batches=1,
         initial_state="stationary",
         seed=args.seed,
-    )
+    ).with_accounting("expected")
 
-    print(f"recording one failure history on {topology.name} "
-          f"(~{args.accesses:.0f} accesses of simulated time)...")
-    engine = SimulationEngine(config, MajorityConsensusProtocol(T), record_trace=True)
-    batch = engine.run_batch(0)
-    trace = batch.trace
-    print(f"trace: {len(trace)} events over {trace.duration():.1f} time units "
-          f"({trace.counts_by_kind()})")
-
-    replayer = TraceReplayer(topology, trace)
     contenders = [
         ("majority consensus", MajorityConsensusProtocol(T)),
         ("read-one/write-all", ReadOneWriteAllProtocol(T)),
@@ -65,12 +56,16 @@ def main() -> None:
         ("dynamic voting", DynamicVotingProtocol(N_SITES)),
     ]
 
-    print(f"\ntime-weighted ACC at alpha = {args.alpha} over the SAME history:")
+    print(f"time-weighted ACC at alpha = {args.alpha} on {topology.name}, "
+          f"~{args.accesses:.0f} accesses of simulated time, the SAME history "
+          f"for every protocol:")
     results = []
     for name, protocol in contenders:
-        acc = replayer.availability_of(protocol, alpha=args.alpha)
-        results.append((acc, name))
-        print(f"  {name:<22s} {acc:.4f}")
+        batch = run_simulation(config, protocol).batches[0]
+        results.append((batch.availability, name))
+        print(f"  {name:<22s} {batch.availability:.4f}")
+    print(f"history: {batch.n_events} events over {batch.measured_time:.1f} "
+          f"time units")
 
     best = max(results)
     print(f"\nwinner on this history: {best[1]} ({best[0]:.4f})")

@@ -4,7 +4,7 @@ Commands mirror the paper's workflows so the library is usable without
 writing Python:
 
 - ``optimize``          — Figure-1 optimal quorum assignment from an
-  analytic density (ring / complete / bus / tree), with an optional
+  analytic density (ring / complete / bus), with an optional
   write-availability floor (section 5.4).
 - ``simulate``          — run the discrete-event simulator for one
   protocol and print availability with confidence intervals.
@@ -13,6 +13,12 @@ writing Python:
 - ``rw-table``          — the section 5.5 read-write-ratio summary over
   several topologies.
 - ``write-constraint``  — the section 5.4 floor sweep for one topology.
+- ``votes``             — optimize the vote vector too (heterogeneous
+  site reliabilities), then the quorums on it.
+- ``shootout``          — every replica-control protocol run on one
+  config, so all of them see the same failure history.
+- ``campaign``          — regenerate the paper's whole evaluation
+  section (figures and both tables).
 - ``chaos``             — scripted fault-injection campaign with invariant
   monitoring (DESIGN.md: "Chaos engineering the quorum layer").
 - ``serve``             — the adaptive quorum serving layer: an asyncio
@@ -32,10 +38,11 @@ writing Python:
   shared component labelling per network state, optional per-class
   quorum optimization (``--optimize``), bitwise identical for any
   ``--workers``.
-- ``verify``            — the differential-verification battery: every
-  applicable engine pair, the metamorphic relations, and the golden
-  regression corpus. Exit 0 = all checks pass, 1 = divergence,
-  2 = configuration error.
+- ``cache``             — statistics of the cross-layer density cache.
+- ``verify``            — the fidelity battery: every applicable engine
+  pair, the metamorphic relations, the paper's checkable claims
+  (DESIGN.md §9) and the golden regression corpus. Exit 0 = all checks
+  pass, 1 = divergence, 2 = configuration error.
 
 ``simulate``, ``chaos``, ``serve`` and ``verify`` accept ``--telemetry``
 (and ``--telemetry-dir``) to record metrics, spans, phases and the
@@ -245,9 +252,13 @@ def _cmd_write_constraint(args: argparse.Namespace) -> int:
 
 
 def _cmd_votes(args: argparse.Namespace) -> int:
+    from repro.errors import ReproError
     from repro.quorum.vote_optimizer import optimize_votes
     from repro.topology.generators import ring_with_chords
 
+    if args.flaky_every < 0:
+        raise ReproError(
+            f"--flaky-every must be non-negative, got {args.flaky_every}")
     topology = ring_with_chords(args.sites, args.chords)
     p = np.full(args.sites, args.p)
     if args.flaky_every > 0:
@@ -276,31 +287,32 @@ def _cmd_shootout(args: argparse.Namespace) -> int:
     from repro.protocols.majority import MajorityConsensusProtocol
     from repro.protocols.primary_copy import PrimaryCopyProtocol
     from repro.protocols.read_one_write_all import ReadOneWriteAllProtocol
-    from repro.simulation.engine import SimulationEngine
-    from repro.simulation.trace import TraceReplayer
+    from repro.simulation.runner import run_simulation
     from repro.topology.generators import paper_topology
 
     scale = _scale(args.scale)
     limit = scale.n_sites * (scale.n_sites - 3) // 2
     topology = paper_topology(min(args.chords, limit), n_sites=scale.n_sites)
+    # A batch's failure history depends on (seed, batch) alone, so every
+    # protocol below is measured over the same histories.
     config = scale.config(args.chords, alpha=args.alpha, seed=args.seed,
-                          topology=topology)
+                          topology=topology).with_accounting("expected")
     T = topology.total_votes
-    engine = SimulationEngine(config, MajorityConsensusProtocol(T), record_trace=True)
-    batch = engine.run_batch(0)
-    replayer = TraceReplayer(topology, batch.trace)
-    print(f"recorded {len(batch.trace)} events over "
-          f"{batch.trace.duration():.1f} time units on {topology.name}")
-    print(f"time-weighted ACC at alpha = {args.alpha}, same history:")
     contenders = [
         ("majority", MajorityConsensusProtocol(T)),
         ("rowa", ReadOneWriteAllProtocol(T)),
         ("primary-copy", PrimaryCopyProtocol(0)),
         ("dynamic-voting", DynamicVotingProtocol(topology.n_sites)),
     ]
+    print(f"ACC at alpha = {args.alpha} on {topology.name}, same failure "
+          f"history for every protocol:")
     for name, protocol in contenders:
-        acc = replayer.availability_of(protocol, alpha=args.alpha)
-        print(f"  {name:<16s} {acc:.4f}")
+        result = run_simulation(config, protocol)
+        print(f"  {name:<16s} {result.availability.mean:.4f}")
+    events = sum(b.n_events for b in result.batches)
+    measured = sum(b.measured_time for b in result.batches)
+    print(f"history: {events} events, {measured:.1f} measured time units "
+          f"in {result.n_batches} batches")
     return 0
 
 
@@ -743,14 +755,6 @@ def _cmd_shard(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    from repro.experiments.validation import validate_reproduction
-
-    report = validate_reproduction(seed=args.seed)
-    print(report)
-    return 0 if report.passed else 1
-
-
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
@@ -839,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     shoot = sub.add_parser(
         "shootout",
-        help="replay one failure trace under every protocol",
+        help="every protocol over one failure history",
     )
     shoot.add_argument("--chords", type=int, default=2)
     shoot.add_argument("--alpha", type=float, default=0.5)
@@ -968,13 +972,6 @@ def build_parser() -> argparse.ArgumentParser:
         "so the printed statistics show warm-cache behaviour",
     )
     cache_p.set_defaults(func=_cmd_cache)
-
-    val = sub.add_parser(
-        "validate",
-        help="run the reproduction-fidelity check battery (EXPERIMENTS.md)",
-    )
-    val.add_argument("--seed", type=_seed, default=0)
-    val.set_defaults(func=_cmd_validate)
 
     verify = sub.add_parser(
         "verify",

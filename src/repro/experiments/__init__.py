@@ -41,11 +41,6 @@ from repro.experiments.sweeps import (
     find_majority_crossover,
     reliability_sweep,
 )
-from repro.experiments.validation import (
-    CheckResult,
-    ValidationReport,
-    validate_reproduction,
-)
 
 __all__ = [
     "ExperimentScale",
@@ -58,12 +53,10 @@ __all__ = [
     "PAPER_RHO",
     "PAPER_SCALE",
     "CampaignResult",
-    "CheckResult",
     "ReadWriteRatioRow",
     "SMALL_SCALE",
     "SweepPoint",
     "TEST_SCALE",
-    "ValidationReport",
     "WriteConstraintRow",
     "ascii_chart",
     "figure_chart",
@@ -77,6 +70,5 @@ __all__ = [
     "reliability_sweep",
     "render_write_constraint_table",
     "run_campaign",
-    "validate_reproduction",
     "write_constraint_table",
 ]

@@ -9,9 +9,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import OptimizationError
 from repro.quorum.availability import AvailabilityModel
-from repro.quorum.constraints import optimize_with_write_floor
+from repro.quorum.constraints import feasible_read_quorums, optimize_with_write_floor
 from repro.quorum.optimizer import optimal_read_quorum
 
 __all__ = [
@@ -44,13 +43,12 @@ def write_constraint_table(
     ``write_floor = 0`` row is the unconstrained optimum. Infeasible
     floors (beyond what majority can deliver) produce a row flagged
     ``feasible=False`` rather than an exception, so the full sweep always
-    renders.
+    renders. A floor or ``alpha`` outside [0, 1] raises
+    :class:`~repro.errors.OptimizationError`.
     """
     rows = []
     for floor in write_floors:
-        try:
-            res = optimize_with_write_floor(model, alpha, floor)
-        except OptimizationError:
+        if feasible_read_quorums(model, floor).size == 0:
             rows.append(
                 WriteConstraintRow(
                     write_floor=float(floor),
@@ -62,6 +60,7 @@ def write_constraint_table(
                 )
             )
             continue
+        res = optimize_with_write_floor(model, alpha, floor)
         write_avail = float(np.asarray(model.write_availability_at(res.read_quorum)))
         rows.append(
             WriteConstraintRow(

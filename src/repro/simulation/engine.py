@@ -229,7 +229,6 @@ class SimulationEngine:
         protocol: ReplicaControlProtocol,
         change_observer: Optional[ChangeObserver] = None,
         record_trace: bool = False,
-        fault_schedule: Optional[object] = None,
         telemetry: Optional[object] = None,
     ) -> None:
         self.config = config
@@ -244,14 +243,6 @@ class SimulationEngine:
         bind = getattr(protocol, "bind_telemetry", None)
         if bind is not None:
             bind(self.telemetry)
-        #: Scripted chaos injectors; an explicit argument overrides the
-        #: config's. Components a schedule owns are removed from the
-        #: stochastic fallible set for the whole batch.
-        self.fault_schedule = (
-            fault_schedule
-            if fault_schedule is not None
-            else getattr(config, "fault_schedule", None)
-        )
 
     # ------------------------------------------------------------------
     def run_batch(self, batch_index: int) -> BatchResult:
@@ -292,7 +283,7 @@ class SimulationEngine:
         walk = trace = None
         try:
             self.protocol.reset()
-            walk = HistoryWalk(cfg, state, failure_rng, self.fault_schedule,
+            walk = HistoryWalk(cfg, state, failure_rng, cfg.fault_schedule,
                                chaos_rng, self.telemetry)
             trace = NetworkTrace.empty(topo, state)
             self.protocol.on_network_change(tracker)

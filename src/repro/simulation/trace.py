@@ -6,10 +6,10 @@ produced, plus the initial network state. Uses:
 - **debugging / observability** — inspect exactly which partitions
   occurred and when;
 - **replay** — drive a :class:`~repro.connectivity.dynamic.NetworkState`
-  through the same history to evaluate a *different* protocol on an
-  identical failure sequence (paired comparison with zero
-  failure-process variance — the strongest form of common random
-  numbers);
+  through the same history epoch by epoch (a paired protocol comparison
+  needs no replay: a batch's failure history depends on
+  ``(seed, batch)`` alone, so one config run under each protocol already
+  shares it);
 - **serialization** — traces round-trip through plain dicts for storage.
 """
 
@@ -208,30 +208,3 @@ class TraceReplayer:
             apply[kind_value](target)
         if now < end_time:
             yield now, end_time, tracker
-
-    def availability_of(self, protocol, alpha: float) -> float:
-        """Time-weighted ACC of ``protocol`` over the whole trace.
-
-        Uses the expected-value accounting (the trace fixes the failure
-        history; access sampling would only add noise). Assumes the
-        paper's uniform access distribution.
-        """
-        if not 0.0 <= alpha <= 1.0:
-            raise SimulationError(f"alpha must be in [0, 1], got {alpha}")
-        protocol.reset()
-        total_time = 0.0
-        weighted = 0.0
-        n = self.topology.n_sites
-        for start, end, tracker in self.epochs():
-            protocol.on_network_change(tracker)
-            read_mask, write_mask = protocol.grant_masks(tracker)
-            duration = end - start
-            grant_fraction = (
-                alpha * float(read_mask.sum()) / n
-                + (1.0 - alpha) * float(write_mask.sum()) / n
-            )
-            weighted += duration * grant_fraction
-            total_time += duration
-        if total_time <= 0:
-            raise SimulationError("trace carries no time to evaluate over")
-        return weighted / total_time

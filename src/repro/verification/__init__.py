@@ -16,7 +16,8 @@ executable oracle:
   (:mod:`~repro.verification.tolerance`).
 - :mod:`~repro.verification.metamorphic` checks identities the algebra
   must obey regardless of engine (monotonicity, read/write symmetry,
-  access-mix extremes, relabeling invariance).
+  access-mix extremes, relabeling invariance) and the paper's claims
+  about the optimum (convergence, write floor, upper envelope).
 - :mod:`~repro.verification.golden` locks reference results (paper-figure
   values and seeded engine outputs) in the repository and reports
   per-metric drift.

@@ -9,7 +9,8 @@
    (closed form, collapse-DFS enumeration, its exact-order witness
    ``enum-exact-order``, plain Monte-Carlo, and its stratified variant
    ``mc-stratified``) are crossed all-pairs; on top of that ride
-   closed-form vs simulation (ACC at the simulated quorum), simulation
+   closed-form vs simulation (ACC at the simulated quorum and the whole
+   vote density, plus section 3's one-sided ``acc-ceiling``), simulation
    vs parallel fan-out (bitwise), the simulator's pooled accounting vs
    the telemetry audit log (exact), the static quorum-consensus protocol
    vs the QR reassignment protocol (grant-mask differential over sampled
@@ -213,6 +214,30 @@ def _simulation_checks(
         )
     )
 
+    # The whole simulated vote density, not only its tail at one quorum.
+    for k, (exact, simulated) in enumerate(zip(closed.model.read_density,
+                                               serial.density)):
+        results.append(
+            compare(
+                "closed-form|simulation",
+                case.name,
+                f"f({k})",
+                Estimate(float(exact), source="closed-form"),
+                simulated,
+                abs_floor=5e-3,
+                detail="time-weighted vote density of an arbitrary site",
+            )
+        )
+
+    # Section 3: the submitting site must be up, so no protocol's ACC
+    # exceeds the site reliability. One-sided: only an excess counts.
+    excess = max(serial.pooled_acc - case.p, 0.0)
+    results.append(compare(
+        "acc-ceiling", case.name, "pooled ACC above site reliability p",
+        Estimate(excess, serial.acc.half_width), Estimate(0.0), abs_floor=5e-3,
+        detail=f"pooled ACC {serial.pooled_acc:.6g}, p = {case.p:g}",
+    ))
+
     # Parallel fan-out is contractually bitwise identical to serial.
     for i, (a, b) in enumerate(zip(serial.batch_acc, parallel.batch_acc)):
         results.append(
@@ -299,47 +324,26 @@ def _sharded_checks(case: VerificationCase) -> List[CheckResult]:
     vec = run_sharded(config, engine="vectorized")
     ref = run_sharded(config, engine="reference")
 
-    pair = "sharded|multidb-reference"
-    detail = "bitwise contract: one shared labelling vs the per-item loop"
-    results: List[CheckResult] = []
-    for item in range(config.n_items):
-        results.append(
-            compare(
-                pair, case.name, f"item-ACC[{item}]",
-                Estimate(float(vec.item_availability[item]), source="sharded"),
-                Estimate(float(ref.item_availability[item]),
-                         source="multidb-reference"),
-                abs_floor=0.0, detail=detail,
-            )
-        )
-    results.append(
+    values = [
+        (f"item-ACC[{item}]", vec.item_availability[item],
+         ref.item_availability[item])
+        for item in range(config.n_items)
+    ] + [
+        ("SURV(read)", vec.surv_read.sum(), ref.surv_read.sum()),
+        ("SURV(write)", vec.surv_write.sum(), ref.surv_write.sum()),
+        ("density max|diff|",
+         np.abs(vec.density_time() - ref.density_time()).max(), 0.0),
+    ]
+    return [
         compare(
-            pair, case.name, "SURV(read)",
-            Estimate(float(vec.surv_read.sum()), source="sharded"),
-            Estimate(float(ref.surv_read.sum()), source="multidb-reference"),
-            abs_floor=0.0, detail=detail,
+            "sharded|multidb-reference", case.name, metric,
+            Estimate(float(a), source="sharded"),
+            Estimate(float(b), source="multidb-reference"),
+            abs_floor=0.0,
+            detail="bitwise contract: one shared labelling vs the per-item loop",
         )
-    )
-    results.append(
-        compare(
-            pair, case.name, "SURV(write)",
-            Estimate(float(vec.surv_write.sum()), source="sharded"),
-            Estimate(float(ref.surv_write.sum()), source="multidb-reference"),
-            abs_floor=0.0, detail=detail,
-        )
-    )
-    results.append(
-        compare(
-            pair, case.name, "density max|diff|",
-            Estimate(
-                float(np.abs(vec.density_time() - ref.density_time()).max()),
-                source="sharded",
-            ),
-            Estimate(0.0, source="multidb-reference"),
-            abs_floor=0.0, detail=detail,
-        )
-    )
-    return results
+        for metric, a, b in values
+    ]
 
 
 def run_case(case: VerificationCase, bug: Optional[str] = None) -> List[CheckResult]:

@@ -29,6 +29,12 @@ closed-form engine at a case's parameter point:
   differences of the paper objective), permuting item ids permutes the
   plan exactly, and duplicating an item class moves nothing.
 
+Three more state the paper's claims about the optimum (DESIGN.md §9):
+**convergence-identity** (§5.3, made exact: ``A(1, q) - A(0, q) =
+sum_{k=q}^{T-q} f(k)`` at ``q = floor(T/2)``), **write-floor** (§5.4:
+the floor holds and never gains availability) and **upper-envelope**
+(§3: ``A* <= alpha R(1) + (1 - alpha) W(floor(T/2) + 1)``).
+
 Every relation returns :class:`~repro.verification.tolerance.CheckResult`
 rows where ``value_a`` is the worst observed violation and the tolerance
 is the float round-off floor — these are identities, not estimates.
@@ -42,7 +48,8 @@ import numpy as np
 
 from repro.analytic import closed_form_density
 from repro.analytic.enumeration import enumerate_density_matrix
-from repro.quorum.availability import AvailabilityModel
+from repro.quorum.availability import AvailabilityModel, write_availability
+from repro.quorum.constraints import optimize_with_write_floor
 from repro.quorum.optimizer import optimal_read_quorum
 from repro.topology.model import Topology
 from repro.verification.cases import VerificationCase
@@ -213,6 +220,54 @@ def _alpha_extremes(case: VerificationCase, bug: Optional[str]) -> List[CheckRes
             f"(q_r={model.max_read_quorum})",
         ),
     ]
+
+
+def _convergence(case: VerificationCase, bug: Optional[str]) -> List[CheckResult]:
+    """At ``q = floor(T/2)`` the pure-read and pure-write curves differ by
+    exactly the density mass of the middle band ``q..T-q``."""
+    model = _build_model(case, case.p, case.r, bug)
+    q = model.max_read_quorum
+    spread = float(model.availability(1.0, q)) - float(model.availability(0.0, q))
+    band = float(model.read_density[q:model.total_votes - q + 1].sum())
+    return [_violation_result(
+        "convergence-identity", case.name,
+        "|A(1,q) - A(0,q) - sum f(q..T-q)| at q = floor(T/2)",
+        abs(spread - band), detail=f"spread {spread:.6g}, band mass {band:.6g}",
+    )]
+
+
+def _write_floor(case: VerificationCase, bug: Optional[str]) -> List[CheckResult]:
+    """The floor holds, ``A(0, q_r) >= A_w``, and costs (never gains)
+    availability, for floors from 0 to the best any quorum meets."""
+    model = _build_model(case, case.p, case.r, bug)
+    free = optimal_read_quorum(model, case.alpha).availability
+    top = float(model.write_availability_at(model.max_read_quorum))
+    worst = 0.0
+    for floor in (0.0, 0.5 * top, top):
+        floored = optimize_with_write_floor(model, case.alpha, floor)
+        met = float(model.availability(0.0, floored.read_quorum))
+        worst = max(worst, floor - met, floored.availability - free)
+    return [_violation_result(
+        "write-floor", case.name,
+        "max of A_w - A(0, q_r) and A*(floor) - A*(free)", worst,
+        detail=f"floors up to {top:.6g}, unconstrained A*={free:.6g}",
+    )]
+
+
+def _upper_envelope(case: VerificationCase, bug: Optional[str]) -> List[CheckResult]:
+    """``A*`` never beats the best read term and the best write term at once."""
+    model = _build_model(case, case.p, case.r, bug)
+    read = float(model.read_availability(1))
+    write = float(write_availability(model.write_density, model.total_votes // 2 + 1))
+    worst = max(
+        optimal_read_quorum(model, a).availability - (a * read + (1.0 - a) * write)
+        for a in (0.0, 0.25, 0.5, 0.75, 1.0, case.alpha)
+    )
+    return [_violation_result(
+        "upper-envelope", case.name,
+        "max A* - (alpha R(1) + (1-alpha) W(floor(T/2)+1))", max(worst, 0.0),
+        detail=f"R(1)={read:.6g}, W(floor(T/2)+1)={write:.6g}",
+    )]
 
 
 def _permuted_topology(
@@ -434,6 +489,9 @@ _RELATIONS: Dict[str, Callable[[VerificationCase, Optional[str]], List[CheckResu
     "reliability-monotonicity-links": lambda c, b: _monotonicity(c, b, "links"),
     "alpha-symmetry": _alpha_symmetry,
     "alpha-extremes": _alpha_extremes,
+    "convergence-identity": _convergence,
+    "write-floor": _write_floor,
+    "upper-envelope": _upper_envelope,
     "relabeling-invariance": _relabeling,
     "shard-alpha-monotonicity": _shard_alpha_monotonicity,
     "shard-permutation-invariance": _shard_permutation,

@@ -32,6 +32,7 @@ from repro.quorum.assignment import QuorumAssignment
 from repro.quorum.availability import AvailabilityModel
 from repro.quorum.optimizer import optimal_read_quorum
 from repro.simulation.runner import SimulationResult, run_simulation
+from repro.simulation.stats import BatchStatistics
 from repro.telemetry.recorder import Telemetry
 from repro.verification.cases import VerificationCase
 from repro.verification.tolerance import (
@@ -194,7 +195,9 @@ class SimulationEngineRun:
     ``batch_acc``/``batch_surv`` are the raw per-batch values used for
     the bitwise serial-vs-parallel determinism contract; ``pooled_acc``
     and ``audit_acc`` are the exact volume ratios the audit-reconciliation
-    check compares.
+    check compares. ``density[k]`` is the time-weighted probability that
+    an arbitrary voting site's component holds ``k`` votes, with its
+    batch-means half-width.
     """
 
     name: str
@@ -204,10 +207,7 @@ class SimulationEngineRun:
     batch_surv: Tuple[float, ...]
     pooled_acc: float
     audit_acc: Optional[float]
-
-    @property
-    def read_quorum_metric(self) -> str:
-        return "ACC"
+    density: Tuple[Estimate, ...]
 
 
 def _pooled_acc(result: SimulationResult) -> float:
@@ -243,6 +243,10 @@ def simulation_engine_run(
     audit_acc = None
     if result.telemetry is not None:
         audit_acc = float(result.telemetry.audit_availability())
+    batch_density = np.array([
+        b.density_time.density_matrix()[: case.n_sites].mean(axis=0)
+        for b in result.batches
+    ])
     return SimulationEngineRun(
         name=name,
         acc=students_t_estimate(result.availability, source=name),
@@ -254,6 +258,10 @@ def simulation_engine_run(
         ),
         pooled_acc=_pooled_acc(result),
         audit_acc=audit_acc,
+        density=tuple(
+            students_t_estimate(BatchStatistics(f"f({k})", tuple(column)), name)
+            for k, column in enumerate(batch_density.T)
+        ),
     )
 
 

@@ -1,32 +1,37 @@
-"""Tests for the availability bounds."""
+"""Tests for the paper's §3 availability bounds.
 
-import numpy as np
+ACC never exceeds the site reliability ``p``, and the optimal quorum
+assignment never beats the best read term and the best write term at
+once: ``A* <= alpha R(1) + (1 - alpha) W(floor(T/2) + 1)``. The envelope
+is the ``upper-envelope`` row of ``repro verify``; these tests drive
+that row and the optimizer it checks.
+"""
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analytic.complete import complete_density
 from repro.analytic.ring import ring_density
-from repro.errors import OptimizationError
-from repro.quorum.availability import AvailabilityModel
-from repro.quorum.bounds import (
-    quorum_consensus_upper_bound,
-    replication_headroom,
-    single_copy_surv_bound,
-    site_reliability_acc_bound,
-)
+from repro.errors import VerificationError
+from repro.quorum.availability import AvailabilityModel, write_availability
 from repro.quorum.optimizer import optimal_read_quorum
+from repro.verification.cases import VerificationCase, profile_cases
+from repro.verification.metamorphic import run_relation
+
+
+def _case(family, n, p, r, alpha):
+    return VerificationCase(name=f"{family}-{n}", family=family, n_sites=n,
+                            p=p, r=r, alpha=alpha, read_quorums=(1,))
+
+
+def _headroom(density, alpha, p):
+    """``p - A*``: the availability replication leaves on the table."""
+    model = AvailabilityModel(density, density)
+    return p - optimal_read_quorum(model, alpha).availability
 
 
 class TestScalarBounds:
-    def test_values_and_validation(self):
-        assert site_reliability_acc_bound(0.96) == 0.96
-        assert single_copy_surv_bound(0.5) == 0.5
-        with pytest.raises(OptimizationError):
-            site_reliability_acc_bound(1.5)
-        with pytest.raises(OptimizationError):
-            single_copy_surv_bound(-0.1)
-
     def test_simulated_acc_respects_site_bound(self):
         """Measured ACC of a real simulation never exceeds p."""
         from repro.experiments.paper import TEST_SCALE
@@ -35,70 +40,66 @@ class TestScalarBounds:
 
         cfg = TEST_SCALE.config(chords=4, alpha=0.5, seed=2)
         res = run_simulation(cfg, MajorityConsensusProtocol(cfg.topology.total_votes))
-        bound = site_reliability_acc_bound(0.96)
-        assert res.availability.mean <= bound + 0.02
+        assert res.availability.mean <= 0.96 + 0.02
 
 
 class TestQuorumEnvelope:
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7, 1.0])
     @pytest.mark.parametrize(
-        "density",
-        [ring_density(31, 0.96, 0.96), complete_density(31, 0.9, 0.7)],
+        "family,p,r", [("ring", 0.96, 0.96), ("complete", 0.9, 0.7)],
         ids=["ring", "complete"],
     )
-    def test_optimizer_never_beats_envelope(self, alpha, density):
-        model = AvailabilityModel(density, density)
-        best = optimal_read_quorum(model, alpha).availability
-        assert best <= quorum_consensus_upper_bound(model, alpha) + 1e-12
+    def test_optimizer_never_beats_envelope(self, alpha, family, p, r):
+        [row] = run_relation("upper-envelope", _case(family, 31, p, r, alpha))
+        assert row.passed and row.value_a == 0.0
+
+    @staticmethod
+    def _gap(n, alpha):
+        f = ring_density(n, 0.96, 0.96)
+        model = AvailabilityModel(f, f)
+        envelope = (alpha * model.read_availability(1)
+                    + (1 - alpha) * write_availability(f, n // 2 + 1))
+        return envelope - optimal_read_quorum(model, alpha).availability
 
     def test_envelope_tight_at_pure_workloads_even_T(self):
         """At alpha = 1 the envelope is achieved by q_r = 1; at alpha = 0
         by the majority assignment. The alpha = 0 end is tight only for
         even T: for odd T the paper's convention q_w = T - q_r + 1 cannot
         reach q_w = floor(T/2) + 1 (see QuorumAssignment.majority)."""
-        f = ring_density(20, 0.96, 0.96)
-        model = AvailabilityModel(f, f)
         for alpha in (0.0, 1.0):
-            best = optimal_read_quorum(model, alpha).availability
-            env = quorum_consensus_upper_bound(model, alpha)
-            assert best == pytest.approx(env, abs=1e-12)
+            assert self._gap(20, alpha) == pytest.approx(0.0, abs=1e-12)
 
     def test_envelope_strict_at_alpha_zero_odd_T(self):
-        f = ring_density(21, 0.96, 0.96)
-        model = AvailabilityModel(f, f)
-        best = optimal_read_quorum(model, 0.0).availability
-        env = quorum_consensus_upper_bound(model, 0.0)
-        assert best < env  # q_w = 12 achievable vs q_w = 11 in the envelope
+        assert self._gap(21, 0.0) > 0.0  # q_w = 12 achievable, not 11
 
     @given(st.floats(0.0, 1.0))
     @settings(max_examples=30)
     def test_envelope_random_alpha(self, alpha):
-        f = complete_density(17, 0.9, 0.8)
-        model = AvailabilityModel(f, f)
-        best = optimal_read_quorum(model, alpha).availability
-        assert best <= quorum_consensus_upper_bound(model, alpha) + 1e-12
+        [row] = run_relation("upper-envelope", _case("complete", 17, 0.9, 0.8, alpha))
+        assert row.passed
 
     def test_alpha_validation(self):
-        f = ring_density(9, 0.9, 0.9)
-        with pytest.raises(OptimizationError):
-            quorum_consensus_upper_bound(AvailabilityModel(f, f), 1.2)
+        with pytest.raises(VerificationError):
+            _case("ring", 9, 0.9, 0.9, 1.2)
+
+    def test_a_model_above_the_envelope_is_caught(self):
+        # On the bus with 8 voting sites the shifted quorum reaches
+        # q_w = floor(T/2), below the smallest legal write quorum.
+        bus = next(c for c in profile_cases("full") if c.name == "bus-8-sim")
+        [row] = run_relation("upper-envelope", bus, "quorum-off-by-one")
+        assert not row.passed
 
 
 class TestHeadroom:
     def test_dense_network_has_no_headroom(self):
         """Complete graph at p = r = .96: the optimum hits the p ceiling
         (the paper's fig-7 plateau at .9627 ~ .96)."""
-        f = complete_density(51, 0.96, 0.96)
-        model = AvailabilityModel(f, f)
-        assert replication_headroom(model, 0.5, 0.96) < 0.01
+        assert _headroom(complete_density(51, 0.96, 0.96), 0.5, 0.96) < 0.01
 
     def test_sparse_network_pays_partition_penalty(self):
-        f = ring_density(101, 0.96, 0.96)
-        model = AvailabilityModel(f, f)
-        assert replication_headroom(model, 0.5, 0.96) > 0.3
+        assert _headroom(ring_density(101, 0.96, 0.96), 0.5, 0.96) > 0.3
 
     def test_headroom_nonnegative_for_matching_reliability(self):
         for density in (ring_density(15, 0.9, 0.9), complete_density(15, 0.9, 0.9)):
-            model = AvailabilityModel(density, density)
             for alpha in (0.0, 0.5, 1.0):
-                assert replication_headroom(model, alpha, 0.9) >= -1e-9
+                assert _headroom(density, alpha, 0.9) >= -1e-9

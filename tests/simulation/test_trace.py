@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.protocols.dynamic_voting import DynamicVotingProtocol
 from repro.protocols.majority import MajorityConsensusProtocol
+from repro.protocols.primary_copy import PrimaryCopyProtocol
 from repro.protocols.quorum_consensus import QuorumConsensusProtocol
 from repro.protocols.read_one_write_all import ReadOneWriteAllProtocol
 from repro.quorum.assignment import QuorumAssignment
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.events import Event, EventKind
+from repro.simulation.runner import run_simulation
 from repro.simulation.trace import (
     TRACE_SCHEMA_VERSION,
     NetworkTrace,
@@ -139,26 +142,48 @@ class TestReplay:
                                       horizon=batch.measured_time)
         assert replayed == pytest.approx(batch.availability, abs=1e-9)
 
-    def test_paired_protocol_comparison(self):
-        """Two protocols over ONE failure history: ROWA must beat majority
-        at alpha = 1 epoch-for-epoch (reads need 1 vote, not a majority)."""
-        cfg, batch = recorded_batch(accesses=10_000.0)
-        replayer = TraceReplayer(cfg.topology, batch.trace)
-        n = cfg.topology.n_sites
-        rowa = replayer.availability_of(ReadOneWriteAllProtocol(n), alpha=1.0)
-        majority = replayer.availability_of(MajorityConsensusProtocol(n), alpha=1.0)
-        assert rowa >= majority
-
     def test_topology_mismatch_rejected(self):
         cfg, batch = recorded_batch()
         with pytest.raises(SimulationError):
             TraceReplayer(ring(11), batch.trace)
 
-    def test_alpha_validated(self):
-        cfg, batch = recorded_batch(accesses=500.0)
-        replayer = TraceReplayer(cfg.topology, batch.trace)
-        with pytest.raises(SimulationError):
-            replayer.availability_of(MajorityConsensusProtocol(9), alpha=1.5)
+
+class TestPairedRuns:
+    """One config run under several protocols shares its failure history:
+    a batch's history depends on ``(seed, batch)`` alone."""
+
+    @staticmethod
+    def _runs(alpha):
+        n = 9
+        cfg = SimulationConfig.paper_like(
+            ring(n), alpha=alpha, warmup_accesses=500.0,
+            accesses_per_batch=5_000.0, n_batches=3, seed=8,
+        ).with_accounting("expected")
+        protocols = (
+            MajorityConsensusProtocol(n),
+            ReadOneWriteAllProtocol(n),
+            PrimaryCopyProtocol(0),
+            DynamicVotingProtocol(n),
+            QuorumConsensusProtocol(QuorumAssignment.from_read_quorum(n, 2)),
+        )
+        return [run_simulation(cfg, protocol) for protocol in protocols]
+
+    def test_every_protocol_sees_the_same_history(self):
+        runs = self._runs(0.5)
+        histories = {
+            tuple((b.n_events, b.measured_time) for b in run.batches)
+            for run in runs
+        }
+        assert len(histories) == 1
+        assert all(b.n_events > 0 for b in runs[0].batches)
+
+    def test_paired_protocol_comparison(self):
+        """Two protocols over ONE failure history: ROWA must beat majority
+        at alpha = 1 batch for batch (reads need 1 vote, not a majority)."""
+        majority, rowa = self._runs(1.0)[:2]
+        for m, r in zip(majority.batches, rowa.batches):
+            assert r.availability >= m.availability
+        assert rowa.availability.mean > majority.availability.mean
 
 
 def _availability_over(replayer, protocol, alpha, horizon):

@@ -148,6 +148,7 @@ class TestVotesAndShootout:
         assert code == 0
         for name in ("majority", "rowa", "primary-copy", "dynamic-voting"):
             assert name in out
+        assert "in 3 batches" in out
 
 
 class TestCampaign:
@@ -279,15 +280,6 @@ class TestServe:
         assert "retry pressure" in mout
 
 
-class TestValidate:
-    def test_validate_runs_and_passes(self, capsys):
-        # The default validation scale takes a few seconds; acceptable for
-        # one integration test of the full battery through the CLI.
-        code, out, _ = run_cli(capsys, "validate", "--seed", "1")
-        assert code == 0
-        assert "REPRODUCTION VALID" in out
-
-
 def _seeded_commands():
     """Every subcommand with a ``--seed`` option, with its required args."""
     required = {"profile": ["enumeration"], "shard": ["--family", "ring"]}
@@ -399,6 +391,27 @@ class TestErrorPaths:
                                  "--broken", "--max-violations", "-1")
         assert code == 2
         assert err == "error: max_records must be non-negative, got -1\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("argv,complaint", [
+        (["--floors", "2"], "write availability floor must be in [0, 1], got 2.0"),
+        (["--floors", "0.1", "-0.5"], "write availability floor must be in [0, 1]"),
+        (["--floors", "nan"], "write availability floor must be in [0, 1], got nan"),
+        (["--alpha", "2"], "alpha must be in [0, 1], got 2.0"),
+    ], ids=["floor-2", "second-floor-negative", "floor-nan", "alpha-2"])
+    def test_write_constraint_outside_unit_interval_rejected(
+            self, argv, complaint, capsys):
+        code, out, err = run_cli(capsys, "write-constraint", "--scale", "test",
+                                 *argv)
+        assert code == 2
+        assert err.startswith(f"error: {complaint}")
+        assert len(err.splitlines()) == 1
+        assert out == ""
+
+    def test_negative_flaky_every_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "votes", "--flaky-every", "-1")
+        assert code == 2
+        assert err == "error: --flaky-every must be non-negative, got -1\n"
         assert out == ""
 
     @pytest.mark.parametrize("samples", ["0", "-5"])

@@ -22,6 +22,9 @@ There is one replicated data path: the multi-item database is a set of
 single-item databases, the sharded reference engine drives bare trackers
 without importing ``repro.replication``, and the database retries
 nothing and cannot switch its one-copy-serializability check off.
+There is one fidelity battery, ``repro verify``: no ``validate``
+subcommand, no second check-result type, no bounds module, and no second
+ACC evaluator on the trace replayer.
 """
 
 import ast
@@ -303,3 +306,23 @@ def test_one_replicated_data_path():
         assert "attempts" not in {f.name for f in dataclasses.fields(result)}
     assert not {"_execute_read", "_execute_write", "_component_replicas"} & set(
         dir(MultiItemDatabase))
+
+
+def test_one_fidelity_battery(capsys):
+    import repro.experiments
+    from repro.cli import build_parser
+    from repro.simulation.engine import SimulationEngine
+    from repro.simulation.trace import TraceReplayer
+
+    for module in ("repro.experiments.validation", "repro.quorum.bounds"):
+        with pytest.raises(ModuleNotFoundError):
+            __import__(module)
+    assert not {"CheckResult", "ValidationReport", "validate_reproduction"} & (
+        set(repro.experiments.__all__) | set(dir(repro.experiments)))
+    assert not hasattr(TraceReplayer, "availability_of")
+    assert list(inspect.signature(SimulationEngine).parameters) == [
+        "config", "protocol", "change_observer", "record_trace", "telemetry"]
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["validate"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'validate'" in capsys.readouterr().err

@@ -56,6 +56,14 @@ class TestQuickProfile:
         assert len(quick_report.relations) >= 4
         assert set(METAMORPHIC_RELATIONS) <= set(quick_report.relations)
 
+    def test_every_paper_claim_row_exercised(self, quick_report):
+        rows = {"convergence-identity", "write-floor", "upper-envelope",
+                "acc-ceiling"}
+        assert rows <= set(quick_report.relations)
+        density = {r.metric for r in quick_report.results
+                   if r.check == "closed-form|simulation"}
+        assert {"f(0)", "f(7)"} <= density
+
     def test_covers_ring_complete_bus(self, quick_report):
         case_families = {c.family for c in profile_cases("quick")}
         assert case_families == {"ring", "complete", "bus"}
@@ -68,7 +76,7 @@ class TestQuickProfile:
     def test_summary_reports_coverage_and_drift(self, quick_report):
         text = quick_report.summary()
         assert "engine pairs (15)" in text
-        assert "metamorphic relations (8)" in text
+        assert "metamorphic relations (12)" in text
         assert "highest drift" in text
         assert "0 failed" in text
 
@@ -90,6 +98,7 @@ class TestBugInjection:
         failed_checks = {r.check for r in bug_report.failures}
         assert "alpha-symmetry" in failed_checks
         assert "alpha-extremes" in failed_checks
+        assert "convergence-identity" in failed_checks
 
     def test_summary_names_the_injection(self, bug_report):
         assert "quorum-off-by-one" in bug_report.summary()
