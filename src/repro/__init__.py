@@ -61,16 +61,13 @@ from repro.analytic import (
     montecarlo_density,
     rel,
     ring_density,
-    tree_density,
 )
 from repro.quorum import (
     AvailabilityModel,
-    Coterie,
     OptimizationResult,
     QuorumAssignment,
     VoteAssignment,
     availability_curve,
-    coterie_from_votes,
     optimal_read_quorum,
     optimize_votes,
     optimize_with_write_floor,
@@ -98,13 +95,8 @@ from repro.simulation import (
     run_simulation,
     simulate_batch,
 )
-from repro.replication import (
-    ItemBinding,
-    MultiItemDatabase,
-    ReplicatedDatabase,
-    ReplicatedItem,
-)
-from repro.experiments import figure_data, paper_config
+from repro.replication import ReplicatedDatabase, ReplicatedItem
+from repro.experiments import figure_data
 
 __version__ = "1.0.0"
 
@@ -113,13 +105,10 @@ __all__ = [
     "AdaptiveQuorumProtocol",
     "AvailabilityModel",
     "ComponentTracker",
-    "Coterie",
     "DensityError",
     "DynamicVotingProtocol",
-    "ItemBinding",
     "Link",
     "MajorityConsensusProtocol",
-    "MultiItemDatabase",
     "NetworkTrace",
     "NetworkState",
     "OnlineDensityEstimator",
@@ -153,7 +142,6 @@ __all__ = [
     "complete_density",
     "component_labels",
     "component_vote_totals",
-    "coterie_from_votes",
     "enumerate_density",
     "erdos_renyi",
     "figure_data",
@@ -163,7 +151,6 @@ __all__ = [
     "optimal_read_quorum",
     "optimize_votes",
     "optimize_with_write_floor",
-    "paper_config",
     "paper_topology",
     "random_tree",
     "rel",
@@ -173,6 +160,5 @@ __all__ = [
     "run_simulation",
     "simulate_batch",
     "star",
-    "tree_density",
     "weighted_availability",
 ]

@@ -22,11 +22,10 @@ from repro.analytic.density import (
     normalize_density,
     validate_density,
 )
-from repro.analytic.rel import all_connected_probability, rel
+from repro.analytic.rel import rel
 from repro.analytic.ring import ring_density
 from repro.analytic.complete import complete_density
 from repro.analytic.bus import bus_density
-from repro.analytic.tree import tree_density, tree_density_matrix
 from repro.analytic.enumeration import enumerate_density, enumerate_density_matrix
 from repro.analytic.montecarlo import montecarlo_density, montecarlo_density_matrix
 from repro.analytic.markov import (
@@ -73,7 +72,6 @@ def closed_form_density(family: str, n_sites: int, p: float, r: float):
 __all__ = [
     "CLOSED_FORM_FAMILIES",
     "JointMarkovChain",
-    "all_connected_probability",
     "bus_density",
     "closed_form_density",
     "complete_density",
@@ -88,7 +86,5 @@ __all__ = [
     "ring_density",
     "static_protocol_key",
     "stationary_availability",
-    "tree_density",
-    "tree_density_matrix",
     "validate_density",
 ]

@@ -31,7 +31,7 @@ from scipy.special import comb
 
 from repro.errors import DensityError
 
-__all__ = ["rel", "rel_table", "all_connected_probability"]
+__all__ = ["rel", "rel_table"]
 
 #: Distinct link reliabilities to keep growable tables for (LRU-evicted).
 MAX_CACHED_RELIABILITIES = 256
@@ -95,8 +95,3 @@ def rel(m: int, r: float) -> float:
     if m < 0:
         raise DensityError(f"m must be non-negative, got {m}")
     return float(rel_table(m, r)[m])
-
-
-def all_connected_probability(m: int, r: float) -> float:
-    """Readable alias for :func:`rel`."""
-    return rel(m, r)

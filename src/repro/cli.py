@@ -731,10 +731,10 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         n_batches=args.batches,
         seed=args.seed,
     )
-    result = run_sharded(config, engine=args.engine, n_workers=args.workers)
+    result = run_sharded(config, n_workers=args.workers)
 
     print(f"sharded run     : {args.family}-{args.sites}, {args.items} items "
-          f"({args.dist}), engine={args.engine}, workers={args.workers}")
+          f"({args.dist}), workers={args.workers}")
     print(f"quorum classes  : {result.n_classes} for {args.items} items")
     if plan is not None:
         print(f"optimization    : {plan.optimizations_run} per-class runs "
@@ -1022,8 +1022,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard.add_argument("--accesses", type=float, default=5_000.0,
                        help="accesses per measured batch")
     shard.add_argument("--warmup", type=float, default=500.0)
-    shard.add_argument("--engine", choices=("vectorized", "reference"),
-                       default="vectorized")
     shard.add_argument("--workers", type=int, default=1, metavar="N",
                        help="fan batches over N processes; bitwise "
                        "identical for any N")

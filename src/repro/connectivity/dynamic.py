@@ -180,8 +180,8 @@ class ComponentTracker:
 
     ``votes`` overrides the topology's vote vector — several trackers
     with different vote vectors (one per replicated item) can share one
-    network state, which is how the multi-item database gives each item
-    its own quorum space over a single failure process.
+    network state, which is how the per-item reference shard engine
+    gives each item its own quorum space over a single failure process.
 
     ``audit_interval`` (0 = off) cross-checks the incrementally
     maintained state against the full relabel (and the bitmasks against

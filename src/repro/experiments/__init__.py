@@ -20,7 +20,6 @@ from repro.experiments.paper import (
     ExperimentScale,
     SMALL_SCALE,
     TEST_SCALE,
-    paper_config,
 )
 from repro.experiments.figures import FigureData, FigureSeries, figure_data
 from repro.experiments.tables import (
@@ -62,7 +61,6 @@ __all__ = [
     "figure_chart",
     "figure_data",
     "find_majority_crossover",
-    "paper_config",
     "read_write_ratio_table",
     "render_figure",
     "render_campaign",

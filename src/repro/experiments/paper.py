@@ -29,7 +29,6 @@ __all__ = [
     "PAPER_SCALE",
     "SMALL_SCALE",
     "TEST_SCALE",
-    "paper_config",
 ]
 
 #: Sites in the paper's evaluated networks.
@@ -119,13 +118,3 @@ TEST_SCALE = ExperimentScale(
     accesses_per_batch=4_000.0,
     n_batches=3,
 )
-
-
-def paper_config(
-    chords: int,
-    alpha: float,
-    scale: ExperimentScale = SMALL_SCALE,
-    **kwargs,
-) -> SimulationConfig:
-    """Shorthand for ``scale.config(chords, alpha, ...)``."""
-    return scale.config(chords, alpha, **kwargs)

@@ -21,10 +21,6 @@ Dynamic protocols:
 - :class:`AdaptiveQuorumProtocol` — the paper's complete on-line loop:
   QR plus the estimators plus the Figure-1 optimizer with hysteresis.
 
-Generalization: :class:`CoterieProtocol` runs replica control from
-explicit read groups and a write coterie (footnote 1: coteries are
-strictly more general than voting).
-
 Estimators: :class:`OnlineDensityEstimator` (section 4.2 — ``f_i`` from
 component vote totals observed during normal processing) and
 :class:`WorkloadEstimator` (Figure 1 step 1 — ``alpha``, ``r_i``,
@@ -41,11 +37,9 @@ from repro.protocols.dynamic_voting import DynamicVotingProtocol
 from repro.protocols.estimator import OnlineDensityEstimator
 from repro.protocols.workload_estimator import WorkloadEstimator
 from repro.protocols.adaptive import AdaptiveQuorumProtocol
-from repro.protocols.coterie_protocol import CoterieProtocol
 
 __all__ = [
     "AdaptiveQuorumProtocol",
-    "CoterieProtocol",
     "DynamicVotingProtocol",
     "MajorityConsensusProtocol",
     "OnlineDensityEstimator",

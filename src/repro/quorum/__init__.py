@@ -15,8 +15,6 @@ Layout:
 - :mod:`repro.quorum.constraints` — the section 5.4 enhancements: weighted
   availability ``A(ω, α, q)`` and optimization under a minimum write
   throughput ``A_w``.
-- :mod:`repro.quorum.coterie` — the coterie view of quorum systems
-  (Garcia-Molina & Barbara) used to cross-check vote-based assignments.
 """
 
 from repro.quorum.votes import VoteAssignment
@@ -35,19 +33,16 @@ from repro.quorum.constraints import (
     weighted_availability,
     weighted_availability_curve,
 )
-from repro.quorum.coterie import Coterie, coterie_from_votes
 from repro.quorum.vote_optimizer import VoteSearchResult, optimize_votes
 
 __all__ = [
     "AvailabilityModel",
-    "Coterie",
     "OptimizationResult",
     "QuorumAssignment",
     "VoteAssignment",
     "VoteSearchResult",
     "availability",
     "availability_curve",
-    "coterie_from_votes",
     "feasible_read_quorums",
     "optimal_read_quorum",
     "optimize_votes",

@@ -19,17 +19,13 @@ from repro.replication.transaction import (
     WriteResult,
 )
 from repro.replication.database import ReplicatedDatabase
-from repro.replication.multidb import ItemBinding, MultiItemDatabase, TransactionResult
 
 __all__ = [
     "AccessOutcome",
-    "ItemBinding",
-    "MultiItemDatabase",
     "CopyState",
     "ReadResult",
     "ReplicatedDatabase",
     "ReplicatedItem",
     "SiteStore",
-    "TransactionResult",
     "WriteResult",
 ]

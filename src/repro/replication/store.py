@@ -32,8 +32,7 @@ class SiteStore:
     """All item copies held at one site.
 
     A site can hold copies of many items; the paper evaluates a single
-    item, but the store is keyed by item id so multi-item databases work
-    without change.
+    item, and the store is keyed by item id.
     """
 
     def __init__(self, site: int) -> None:

@@ -14,11 +14,11 @@ many streams are drawn.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
-__all__ = ["RandomState", "as_generator", "spawn", "spawn_many", "stream_for"]
+__all__ = ["RandomState", "as_generator", "spawn", "stream_for"]
 
 #: Anything accepted where a source of randomness is required.
 RandomState = Union[None, int, np.random.SeedSequence, np.random.Generator]
@@ -55,12 +55,6 @@ def spawn(seed: RandomState, count: int) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in seq.spawn(count)]
 
 
-def spawn_many(seed: RandomState, labels: Sequence[str]) -> dict[str, np.random.Generator]:
-    """Spawn one independent generator per label, e.g. ``{"failures": ...}``."""
-    gens = spawn(seed, len(labels))
-    return dict(zip(labels, gens))
-
-
 def stream_for(seed: RandomState, *indices: int) -> np.random.Generator:
     """Deterministically derive a generator for a coordinate tuple.
 
@@ -76,11 +70,3 @@ def stream_for(seed: RandomState, *indices: int) -> np.random.Generator:
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     child = np.random.SeedSequence(entropy=seq.entropy, spawn_key=tuple(indices))
     return np.random.default_rng(child)
-
-
-def iter_streams(seed: RandomState) -> Iterator[np.random.Generator]:
-    """Yield an unbounded sequence of independent generators."""
-    index = 0
-    while True:
-        yield stream_for(seed, index)
-        index += 1

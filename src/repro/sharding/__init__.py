@@ -10,7 +10,7 @@ hotspot-skewed item access, and per-shard quorum optimization grouped by
 - :mod:`repro.sharding.config` — :class:`ShardConfig`;
 - :mod:`repro.sharding.engine` — the vectorized engine and the per-item
   reference loop it matches bitwise;
-- :mod:`repro.sharding.optimizer` — per-class quorum/vote optimization;
+- :mod:`repro.sharding.optimizer` — per-class quorum optimization;
 - :mod:`repro.sharding.runner` — batch fan-out (bitwise for any
   ``--workers``).
 """
@@ -24,9 +24,7 @@ from repro.sharding.engine import (
 from repro.sharding.optimizer import (
     ShardGroup,
     ShardPlan,
-    ShardVotePlan,
     group_items,
-    optimize_shard_votes,
     optimize_shards,
 )
 from repro.sharding.runner import ENGINE_KINDS, ShardRunResult, run_sharded
@@ -41,10 +39,8 @@ __all__ = [
     "ShardGroup",
     "ShardPlan",
     "ShardRunResult",
-    "ShardVotePlan",
     "ShardedEngine",
     "group_items",
-    "optimize_shard_votes",
     "optimize_shards",
     "run_sharded",
 ]

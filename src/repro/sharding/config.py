@@ -21,6 +21,7 @@ from repro.errors import ShardingError
 from repro.sharding.grouping import group_rows
 from repro.sharding.workload import ItemWorkload
 from repro.simulation.config import SimulationConfig
+from repro.simulation.processes import failure_parameters
 from repro.topology.model import Topology
 
 __all__ = ["ShardConfig"]
@@ -104,19 +105,10 @@ class ShardConfig:
             )
         object.__setattr__(self, "read_quorums", read_quorums)
 
-        n_components = topo.n_sites + topo.n_links
-        for label, value in (
-            ("mean_time_to_failure", self.mean_time_to_failure),
-            ("mean_time_to_repair", self.mean_time_to_repair),
-        ):
-            arr = np.asarray(value, dtype=np.float64)
-            if arr.ndim == 1 and arr.shape != (n_components,):
-                raise ShardingError(
-                    f"{label} vector must have length n_sites + n_links = "
-                    f"{n_components}, got {arr.shape[0]}"
-                )
-            if arr.ndim > 1 or (arr <= 0).any():
-                raise ShardingError(f"{label} must be positive")
+        failure_parameters(
+            self.mean_time_to_failure, self.mean_time_to_repair,
+            topo.n_sites + topo.n_links, ShardingError,
+        )
         if self.warmup_accesses < 0:
             raise ShardingError(
                 f"warmup_accesses must be non-negative, got {self.warmup_accesses}"

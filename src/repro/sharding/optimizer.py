@@ -12,10 +12,6 @@ optimal assignment depends on the item only through that signature. So:
    groups share the same seed, so results are invariant under item
    permutation and class duplication);
 3. scatter the per-group ``q_r*`` / ``A*`` back to the items.
-
-``optimize_shard_votes`` rides the same grouping on top of the PR 5
-vote-vector search — 10^5 items with 20 classes cost 20 vote searches,
-not 10^5.
 """
 
 from __future__ import annotations
@@ -34,10 +30,8 @@ from repro.topology.model import Topology
 __all__ = [
     "ShardGroup",
     "ShardPlan",
-    "ShardVotePlan",
     "group_items",
     "optimize_shards",
-    "optimize_shard_votes",
 ]
 
 #: Free-component cap above which the exact enumeration density is
@@ -153,7 +147,7 @@ def _group_density(
 
         # The exact-order witness, not the default kernel: these
         # densities feed golden corpus entries and the bitwise
-        # sharded|multidb-reference pair, which were locked on its bits.
+        # sharded|per-item-reference pair, which were locked on its bits.
         return enumerate_density_matrix(
             revoted,
             np.full(topology.n_sites, p),
@@ -250,82 +244,4 @@ def optimize_shards(
         read_quorums=read_quorums,
         availabilities=availabilities,
         group_results=tuple(results),
-    )
-
-
-@dataclass(frozen=True)
-class ShardVotePlan:
-    """Per-item vote vectors + read quorums from per-class vote search."""
-
-    groups: Tuple[ShardGroup, ...]
-    group_of: np.ndarray
-    votes: np.ndarray
-    read_quorums: np.ndarray
-    availabilities: np.ndarray
-    searches_run: int
-
-
-def optimize_shard_votes(
-    topology: Topology,
-    alphas: Union[np.ndarray, Sequence[float]],
-    p,
-    r,
-    *,
-    total_votes: Optional[int] = None,
-    method: str = "hillclimb",
-    n_samples: int = 2_000,
-    seed: int = 0,
-) -> ShardVotePlan:
-    """Run the PR 5 vote search once per distinct alpha class.
-
-    The full ``optimize_votes`` search (vote vector + quorum, common
-    random numbers) costs the same for 10 items as for 10^6 — it runs
-    once per class and the winning ``(votes, q_r)`` pair is scattered to
-    every member. Every class shares the same ``seed``, so the outcome
-    of a class never depends on which other classes exist.
-    """
-    alphas = np.asarray(alphas, dtype=np.float64)
-    if alphas.ndim != 1 or alphas.shape[0] < 1:
-        raise ShardingError("alphas must be a non-empty 1-D array")
-    n_items = alphas.shape[0]
-    # For the vote search the signature is alpha alone — the search
-    # chooses the vote vector, so incoming votes do not split classes.
-    placeholder = np.zeros((n_items, 1), dtype=np.int64)
-    group_of, raw_groups = group_items(alphas, placeholder)
-
-    from repro.quorum.vote_optimizer import optimize_votes
-
-    votes_matrix = np.zeros((n_items, topology.n_sites), dtype=np.int64)
-    read_quorums = np.empty(n_items, dtype=np.int64)
-    availabilities = np.empty(n_items, dtype=np.float64)
-    groups: List[ShardGroup] = []
-    for group in raw_groups:
-        best = optimize_votes(
-            topology,
-            group.alpha,
-            p,
-            r,
-            total_votes=total_votes,
-            method=method,
-            n_samples=n_samples,
-            seed=seed,
-        )
-        votes_matrix[group.item_indices] = np.asarray(best.votes, dtype=np.int64)
-        read_quorums[group.item_indices] = best.quorum.read_quorum
-        availabilities[group.item_indices] = best.availability
-        groups.append(
-            ShardGroup(
-                index=group.index,
-                alpha=group.alpha,
-                votes=tuple(int(v) for v in best.votes),
-                item_indices=group.item_indices,
-            )
-        )
-    return ShardVotePlan(
-        groups=tuple(groups),
-        group_of=group_of,
-        votes=votes_matrix,
-        read_quorums=read_quorums,
-        availabilities=availabilities,
-        searches_run=len(groups),
     )

@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.simulation.processes import reliability_to_repair_time
+from repro.simulation.processes import failure_parameters, reliability_to_repair_time
 from repro.simulation.workload import AccessWorkload
 from repro.topology.model import Topology
 
@@ -98,21 +98,10 @@ class SimulationConfig:
                 f"workload covers {self.workload.n_sites} sites but the topology "
                 f"has {self.topology.n_sites}"
             )
-        n_components = self.topology.n_sites + self.topology.n_links
-        for label, value in (
-            ("mean_time_to_failure", self.mean_time_to_failure),
-            ("mean_time_to_repair", self.mean_time_to_repair),
-        ):
-            arr = np.asarray(value, dtype=np.float64)
-            if arr.ndim not in (0, 1):
-                raise SimulationError(f"{label} must be a scalar or 1-D vector")
-            if arr.ndim == 1 and arr.shape != (n_components,):
-                raise SimulationError(
-                    f"{label} vector must have length n_sites + n_links = "
-                    f"{n_components}, got {arr.shape[0]}"
-                )
-            if (arr <= 0).any() or np.isnan(arr).any():
-                raise SimulationError(f"{label} must be positive, not NaN")
+        failure_parameters(
+            self.mean_time_to_failure, self.mean_time_to_repair,
+            self.topology.n_sites + self.topology.n_links,
+        )
         if self.warmup_accesses < 0:
             raise SimulationError(
                 f"warmup_accesses must be non-negative, got {self.warmup_accesses}"

@@ -39,7 +39,7 @@ from repro.simulation.events import (
 )
 from repro.topology.model import Topology
 
-__all__ = ["reliability_to_repair_time", "FailureProcesses"]
+__all__ = ["reliability_to_repair_time", "failure_parameters", "FailureProcesses"]
 
 ParamLike = Union[float, Sequence[float], np.ndarray]
 
@@ -69,16 +69,43 @@ def reliability_to_repair_time(reliability: float, mean_time_to_failure: float) 
     return mean_time_to_failure * (1.0 - reliability) / reliability
 
 
-def _param_vector(value: ParamLike, count: int, label: str) -> np.ndarray:
+def _param_vector(value: ParamLike, count: int, label: str, error: type[SimulationError]) -> np.ndarray:
     arr = np.asarray(value, dtype=np.float64)
     if arr.ndim == 0:
         arr = np.full(count, float(arr))
     if arr.shape != (count,):
-        raise SimulationError(f"{label} must be scalar or length {count}, got shape {arr.shape}")
+        raise error(
+            f"{label} must be a scalar or a vector of length n_sites + n_links "
+            f"= {count}, got shape {arr.shape}"
+        )
     # NaN compares false to everything, so name it; ``inf`` is "never".
     if (arr <= 0.0).any() or np.isnan(arr).any():
-        raise SimulationError(f"{label} values must be positive, not NaN")
+        raise error(f"{label} must be positive, not NaN")
     return arr
+
+
+def failure_parameters(
+    mean_time_to_failure: ParamLike,
+    mean_time_to_repair: ParamLike,
+    count: int,
+    error: type[SimulationError] = SimulationError,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one check on mean failure and repair times, as two length-``count`` vectors.
+
+    Each is a positive scalar or per-component vector, never NaN; ``inf``
+    means "never", but not for both at once. Configs call this at
+    construction with their own ``error`` class, so a bad value fails
+    there and not inside a batch.
+    """
+    mttf = _param_vector(mean_time_to_failure, count, "mean_time_to_failure", error)
+    mttr = _param_vector(mean_time_to_repair, count, "mean_time_to_repair", error)
+    if (np.isinf(mttf) & np.isinf(mttr)).any():
+        raise error(
+            "a component that never fails and is never repaired has no "
+            "stationary state: mean_time_to_failure and mean_time_to_repair "
+            "are both inf"
+        )
+    return mttf, mttr
 
 
 class FailureProcesses:
@@ -103,14 +130,9 @@ class FailureProcesses:
         self.topology = topology
         n = topology.n_sites + topology.n_links
         self.n_components = n
-        self.mttf = _param_vector(mean_time_to_failure, n, "mean time to failure")
-        self.mttr = _param_vector(mean_time_to_repair, n, "mean time to repair")
-        if (np.isinf(self.mttf) & np.isinf(self.mttr)).any():
-            raise SimulationError(
-                "a component that never fails and is never repaired has no "
-                "stationary state: mean times to failure and to repair are "
-                "both inf"
-            )
+        self.mttf, self.mttr = failure_parameters(
+            mean_time_to_failure, mean_time_to_repair, n
+        )
         self.rng = as_generator(seed)
 
         if fallible_sites is None:

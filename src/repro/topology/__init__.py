@@ -15,7 +15,7 @@ every topology family the paper touches:
 """
 
 from repro.topology.model import Link, Topology
-from repro.topology.chords import chord_endpoints, spread_chords
+from repro.topology.chords import chord_endpoints
 from repro.topology.generators import (
     bus,
     erdos_renyi,
@@ -48,7 +48,6 @@ __all__ = [
     "random_tree",
     "ring",
     "ring_with_chords",
-    "spread_chords",
     "star",
     "to_dict",
     "to_networkx",

@@ -27,7 +27,7 @@ from typing import Iterator, List, Tuple
 
 from repro.errors import TopologyError
 
-__all__ = ["chord_endpoints", "spread_chords", "max_chords"]
+__all__ = ["chord_endpoints", "max_chords"]
 
 _GOLDEN = (5**0.5 - 1) / 2  # 1/phi, the low-discrepancy rotation constant
 
@@ -99,8 +99,3 @@ def chord_endpoints(n_sites: int, n_chords: int) -> List[Tuple[int, int]]:
             if len(chords) == n_chords:
                 return chords
     return chords
-
-
-def spread_chords(n_sites: int, n_chords: int) -> List[Tuple[int, int]]:
-    """Alias of :func:`chord_endpoints`; kept for readable call sites."""
-    return chord_endpoints(n_sites, n_chords)

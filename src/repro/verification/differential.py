@@ -81,7 +81,7 @@ ENGINE_PAIRS = tuple(
     "simulation|parallel",
     "simulation|audit",
     "static|reassignment",
-    "sharded|multidb-reference",
+    "sharded|per-item-reference",
 )
 
 
@@ -336,9 +336,9 @@ def _sharded_checks(case: VerificationCase) -> List[CheckResult]:
     ]
     return [
         compare(
-            "sharded|multidb-reference", case.name, metric,
+            "sharded|per-item-reference", case.name, metric,
             Estimate(float(a), source="sharded"),
-            Estimate(float(b), source="multidb-reference"),
+            Estimate(float(b), source="per-item-reference"),
             abs_floor=0.0,
             detail="bitwise contract: one shared labelling vs the per-item loop",
         )

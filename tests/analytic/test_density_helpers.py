@@ -98,10 +98,9 @@ class TestReliabilityVector:
     def _backends():
         from repro.analytic.enumeration import enumerate_density_matrix
         from repro.analytic.montecarlo import montecarlo_density_matrix
-        from repro.analytic.tree import tree_density_matrix
         from repro.analytic.variance import stratified_density_matrix
         from repro.quorum.vote_optimizer import optimize_votes
-        from repro.topology.generators import ring, star
+        from repro.topology.generators import ring
 
         return {
             "enumerate": lambda p: enumerate_density_matrix(ring(4), p, 0.9),
@@ -109,7 +108,6 @@ class TestReliabilityVector:
                 ring(4), p, 0.9, n_samples=10, seed=0),
             "stratified": lambda p: stratified_density_matrix(
                 ring(4), p, 0.9, n_samples=10, seed=0),
-            "tree": lambda p: tree_density_matrix(star(4), p, 0.9),
             "optimize_votes": lambda p: optimize_votes(
                 ring(4), 0.5, p, 0.9, n_samples=10, seed=0),
         }
@@ -117,7 +115,7 @@ class TestReliabilityVector:
     @pytest.mark.parametrize("value", [float("nan"), 1.5, -0.1])
     @pytest.mark.parametrize(
         "backend",
-        ["enumerate", "montecarlo", "stratified", "tree", "optimize_votes"])
+        ["enumerate", "montecarlo", "stratified", "optimize_votes"])
     def test_backend_rejects_a_non_probability(self, backend, value):
         from repro.errors import ReliabilityError
 

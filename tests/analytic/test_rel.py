@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.analytic.rel import all_connected_probability, rel, rel_table
+from repro.analytic.rel import rel, rel_table
 from repro.errors import DensityError
 
 
@@ -86,6 +86,3 @@ class TestRelProperties:
         table = rel_table(10, 0.6)
         for m in range(11):
             assert table[m] == pytest.approx(rel(m, 0.6))
-
-    def test_alias(self):
-        assert all_connected_probability(4, 0.8) == rel(4, 0.8)

@@ -1,14 +1,23 @@
-"""Tests for the polynomial-time tree density against the exact oracle."""
+"""The tree-density oracle against exact enumeration, and the bus closed
+form against the oracle.
+
+``tests/oracles.py::tree_density`` shares no code with the enumeration
+kernels or with ``analytic/bus.py``, so agreement here checks all three.
+"""
 
 import numpy as np
 import pytest
 
 from repro.analytic.bus import bus_density
 from repro.analytic.enumeration import enumerate_density, enumerate_density_matrix
-from repro.analytic.tree import tree_density, tree_density_matrix
 from repro.errors import DensityError, TopologyError
 from repro.topology.generators import bus, random_tree, ring, star
 from repro.topology.model import Topology
+from tests.oracles import tree_density
+
+
+def tree_density_matrix(topology, p, r):
+    return np.stack([tree_density(topology, s, p, r) for s in topology.sites()])
 
 
 class TestAgainstOracle:
@@ -56,8 +65,8 @@ class TestAgainstOracle:
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_bus_encoding_cross_check(self):
-        """tree_density on the star-through-a-hub encoding reproduces the
-        independent-sites bus closed form — two derivations, one answer."""
+        """The tree oracle on the star-through-a-hub encoding reproduces
+        the independent-sites bus closed form — two derivations, one answer."""
         n, p, r = 6, 0.9, 0.8
         topo = bus(n)  # hub = site n with zero votes
         site_rel = np.full(n + 1, p)

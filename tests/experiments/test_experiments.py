@@ -13,7 +13,6 @@ from repro.experiments.paper import (
     PAPER_RHO,
     PAPER_SCALE,
     TEST_SCALE,
-    paper_config,
 )
 from repro.experiments.report import (
     render_figure,
@@ -39,14 +38,14 @@ class TestPaperParameters:
         assert PAPER_SCALE.accesses_per_batch == 1_000_000
 
     def test_config_derivation(self):
-        cfg = paper_config(chords=2, alpha=0.75, scale=TEST_SCALE)
+        cfg = TEST_SCALE.config(2, alpha=0.75)
         assert cfg.component_reliability == pytest.approx(0.96)
         assert cfg.mean_time_to_failure == pytest.approx(128.0)
         assert cfg.workload.alpha == 0.75
         assert cfg.topology.n_sites == TEST_SCALE.n_sites
 
     def test_chord_clamping_at_small_scale(self):
-        cfg = paper_config(chords=4949, alpha=0.5, scale=TEST_SCALE)
+        cfg = TEST_SCALE.config(4949, alpha=0.5)
         assert cfg.topology.is_fully_connected()
 
     def test_explicit_topology_override(self):

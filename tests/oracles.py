@@ -4,12 +4,13 @@ Each of these is the slow, obviously-right way to do a job that ``src/``
 does with one production path. None has a caller outside the tests.
 """
 
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from repro.analytic.density import reliability_vector
 from repro.connectivity.components import (
     DOWN_LABEL,
     component_labels,
@@ -277,3 +278,79 @@ def newest_copy_scan(db, site):
     copies = [store.read(db.item.item_id) for s, store in sorted(db.stores.items())
               if labels[s] == labels[site]]
     return max(copies, key=lambda copy: copy.timestamp, default=None)
+
+
+def tree_density(topology, site, p, r):
+    """Exact ``f_site(v)`` on a tree, by convolution over subtrees.
+
+    Root the tree at ``site``. An up node's component within its subtree
+    holds its own votes plus, independently per child ``c``, nothing
+    (probability ``1 - r_uc * p_c``) or ``c``'s own subtree component.
+    With no cycles those events are independent, so the density is a
+    chain of convolutions, O(n * T^2). A star through a zero-vote hub
+    is the paper's bus, which makes this the bus closed form's witness.
+    """
+    if topology.n_links != topology.n_sites - 1 or not topology.is_connected():
+        raise TopologyError(f"{topology!r} is not a tree")
+    site_rel = reliability_vector(p, topology.n_sites, "site reliability")
+    link_rel = reliability_vector(r, topology.n_links, "link reliability")
+    T = topology.total_votes
+    parent = {site: -1}
+    order, stack = [], [site]
+    while stack:  # iterative: a 2000-site path must not recurse
+        u = stack.pop()
+        order.append(u)
+        for c in topology.neighbors(u):
+            if c != parent[u]:
+                parent[c] = u
+                stack.append(c)
+    subtree = {}
+    for u in reversed(order):
+        dist = np.zeros(T + 1)
+        dist[int(topology.votes[u])] = 1.0
+        for c in topology.neighbors(u):
+            if c != parent[u]:
+                keep = link_rel[topology.link_id(u, c)] * site_rel[c]
+                branch = keep * subtree[c]
+                branch[0] += 1.0 - keep
+                dist = np.convolve(dist, branch)[: T + 1]
+        subtree[u] = dist
+    f = site_rel[site] * subtree[site]
+    f[0] += 1.0 - site_rel[site]
+    return f
+
+
+def vote_quorum_groups(votes, threshold):
+    """Minimal site sets holding at least ``threshold`` of ``votes``.
+
+    The coterie view of weighted voting (the paper's footnote 1): a
+    component may act iff it contains one of these groups. Enumerated by
+    increasing size, so a superset of a group already found is never
+    minimal. Exponential in the number of voting sites.
+    """
+    votes = [int(v) for v in votes]
+    voters = [s for s, v in enumerate(votes) if v > 0]
+    groups = []
+    for size in range(1, len(voters) + 1):
+        for combo in combinations(voters, size):
+            group = frozenset(combo)
+            if (sum(votes[s] for s in combo) >= threshold
+                    and not any(g <= group for g in groups)):
+                groups.append(group)
+    return groups
+
+
+def group_grant_masks(labels, read_groups, write_groups):
+    """Grant masks by the coterie rule, one component at a time.
+
+    A site may read (write) iff its component contains some read (write)
+    group: the set-level oracle of a threshold protocol's ``grant_masks``.
+    """
+    labels = np.asarray(labels)
+    read = np.zeros(labels.shape[0], dtype=bool)
+    write = np.zeros(labels.shape[0], dtype=bool)
+    for label in np.unique(labels[labels != DOWN_LABEL]):
+        members = frozenset(np.flatnonzero(labels == label).tolist())
+        read[list(members)] = any(g <= members for g in read_groups)
+        write[list(members)] = any(g <= members for g in write_groups)
+    return read, write

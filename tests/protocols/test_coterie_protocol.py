@@ -1,53 +1,28 @@
-"""Tests for the coterie-based replica control protocol."""
+"""Quorum consensus against the coterie rule (the paper's footnote 1).
+
+Rendered as a coterie, ``(q_r, q_w)`` lets a component read (write) iff
+it contains a minimal site set holding ``q_r`` (``q_w``) votes.
+``tests/oracles.py`` enumerates those sets and applies the rule one
+component at a time; ``QuorumConsensusProtocol`` compares vote totals
+against thresholds. The two must grant exactly the same sites.
+"""
 
 import numpy as np
 import pytest
 
 from repro.connectivity.dynamic import ComponentTracker, NetworkState
-from repro.errors import ProtocolError, QuorumConstraintError
-from repro.protocols.coterie_protocol import CoterieProtocol
 from repro.protocols.quorum_consensus import QuorumConsensusProtocol
 from repro.quorum.assignment import QuorumAssignment
-from repro.quorum.coterie import Coterie
-from repro.quorum.votes import VoteAssignment
 from repro.topology.generators import ring, ring_with_chords
+from tests.oracles import group_grant_masks, vote_quorum_groups
 
 
-class TestConstruction:
-    def test_basic(self):
-        # Singleton reads force write-all (the ROWA coterie).
-        proto = CoterieProtocol(
-            read_groups=[{0}, {1}, {2}],
-            write_coterie=Coterie([{0, 1, 2}]),
-        )
-        assert proto.n_sites == 3
-
-    def test_read_write_intersection_enforced(self):
-        # Read group {0} misses write group {1, 2}: stale reads possible.
-        with pytest.raises(QuorumConstraintError):
-            CoterieProtocol(
-                read_groups=[{0}],
-                write_coterie=Coterie([{1, 2}]),
-            )
-
-    def test_empty_read_groups_rejected(self):
-        with pytest.raises(QuorumConstraintError):
-            CoterieProtocol(read_groups=[], write_coterie=Coterie([{0}]))
-        with pytest.raises(QuorumConstraintError):
-            CoterieProtocol(read_groups=[set()], write_coterie=Coterie([{0}]))
-
-    def test_n_sites_bound(self):
-        with pytest.raises(ProtocolError):
-            CoterieProtocol(
-                read_groups=[{5}],
-                write_coterie=Coterie([{5}]),
-                n_sites=3,
-            )
-
-    def test_from_votes_validates_condition_one(self):
-        votes = VoteAssignment.uniform(5)
-        with pytest.raises(QuorumConstraintError):
-            CoterieProtocol.from_votes(votes, read_quorum=1, write_quorum=3)
+def coterie_masks(tracker, votes, assignment):
+    return group_grant_masks(
+        tracker.labels,
+        vote_quorum_groups(votes, assignment.read_quorum),
+        vote_quorum_groups(votes, assignment.write_quorum),
+    )
 
 
 class TestEquivalenceWithVoting:
@@ -58,12 +33,8 @@ class TestEquivalenceWithVoting:
         grant decisions as the vote-counting implementation."""
         n = 7
         topo = ring_with_chords(n, 1)
-        votes = VoteAssignment.uniform(n)
         assignment = QuorumAssignment.from_read_quorum(n, q_r)
         vote_proto = QuorumConsensusProtocol(assignment)
-        coterie_proto = CoterieProtocol.from_votes(
-            votes, assignment.read_quorum, assignment.write_quorum
-        )
 
         state = NetworkState(topo)
         tracker = ComponentTracker(state)
@@ -75,69 +46,17 @@ class TestEquivalenceWithVoting:
             else:
                 link = k - topo.n_sites
                 state.set_link(link, not state.link_up[link])
-            for a, b in zip(
-                vote_proto.grant_masks(tracker), coterie_proto.grant_masks(tracker)
-            ):
+            for a, b in zip(vote_proto.grant_masks(tracker),
+                            coterie_masks(tracker, topo.votes, assignment)):
                 np.testing.assert_array_equal(a, b)
 
     def test_weighted_votes_equivalence(self):
-        votes = VoteAssignment([3, 1, 1, 1])
-        proto = CoterieProtocol.from_votes(votes, read_quorum=2, write_quorum=5)
         topo = ring(4).with_votes([3, 1, 1, 1])
         state = NetworkState(topo)
         tracker = ComponentTracker(state)
-        vote_proto = QuorumConsensusProtocol(QuorumAssignment(6, 2, 5))
+        assignment = QuorumAssignment(6, 2, 5)
+        vote_proto = QuorumConsensusProtocol(assignment)
         state.fail_link(topo.link_id(1, 2))
-        for a, b in zip(
-            vote_proto.grant_masks(tracker), proto.grant_masks(tracker)
-        ):
+        for a, b in zip(vote_proto.grant_masks(tracker),
+                        coterie_masks(tracker, topo.votes, assignment)):
             np.testing.assert_array_equal(a, b)
-
-
-class TestBeyondVoting:
-    def test_asymmetric_hand_built_coterie(self):
-        """A hub-centric coterie: writes need the hub plus any other
-        site; reads need the hub alone OR all three non-hub sites (the
-        only hub-free set meeting every write group). Not expressible as
-        a single (q_r, q_w) pair: the hub alone reads, yet a two-site
-        hub-free component cannot, so no vote threshold separates them."""
-        proto = CoterieProtocol(
-            read_groups=[{0}, {1, 2, 3}],
-            write_coterie=Coterie([{0, 1}, {0, 2}, {0, 3}]),
-            n_sites=4,
-        )
-        topo = ring(4)
-        state = NetworkState(topo)
-        tracker = ComponentTracker(state)
-        # Isolate site 0: cut both its links.
-        state.fail_link(topo.link_id(0, 1))
-        state.fail_link(topo.link_id(3, 0))
-        read_mask, write_mask = proto.grant_masks(tracker)
-        # Hub alone may read but not write.
-        assert read_mask[0] and not write_mask[0]
-        # {1,2,3} may read (full hub-free group) but not write.
-        assert read_mask[1] and not write_mask[1]
-        # Shrink the hub-free side: {1,2} alone may no longer read.
-        state.fail_site(3)
-        read_mask, write_mask = proto.grant_masks(tracker)
-        assert read_mask[0]
-        assert not read_mask[1] and not read_mask[2]
-
-    def test_all_down(self):
-        proto = CoterieProtocol(
-            [{0, 1}, {1, 2}, {0, 2}], Coterie([{0, 1}, {1, 2}, {0, 2}])
-        )
-        topo = ring(3)
-        state = NetworkState(topo)
-        tracker = ComponentTracker(state)
-        for s in range(3):
-            state.fail_site(s)
-        read_mask, write_mask = proto.grant_masks(tracker)
-        assert not read_mask.any() and not write_mask.any()
-
-    def test_network_smaller_than_protocol(self):
-        proto = CoterieProtocol([{4}], Coterie([{4}]))
-        topo = ring(3)
-        tracker = ComponentTracker(NetworkState(topo))
-        with pytest.raises(ProtocolError):
-            proto.grant_masks(tracker)

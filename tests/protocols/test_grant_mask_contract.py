@@ -21,7 +21,6 @@ from repro.connectivity.dynamic import ComponentTracker, NetworkState
 from repro.errors import ProtocolError
 from repro.protocols.adaptive import AdaptiveQuorumProtocol
 from repro.protocols.base import ReplicaControlProtocol
-from repro.protocols.coterie_protocol import CoterieProtocol
 from repro.protocols.dynamic_voting import DynamicVotingProtocol
 from repro.protocols.majority import MajorityConsensusProtocol
 from repro.protocols.primary_copy import PrimaryCopyProtocol
@@ -29,7 +28,6 @@ from repro.protocols.quorum_consensus import QuorumConsensusProtocol
 from repro.protocols.read_one_write_all import ReadOneWriteAllProtocol
 from repro.protocols.reassignment import QuorumReassignmentProtocol
 from repro.quorum.assignment import QuorumAssignment
-from repro.quorum.votes import VoteAssignment
 from repro.serving.service import _MaskCachingProtocol
 from repro.topology.generators import ring_with_chords
 
@@ -47,8 +45,6 @@ PROTOCOLS = {
     "majority": lambda: MajorityConsensusProtocol(N),
     "rowa": lambda: ReadOneWriteAllProtocol(N),
     "primary-copy": lambda: PrimaryCopyProtocol(2),
-    "coterie": lambda: CoterieProtocol.from_votes(
-        VoteAssignment.uniform(N), read_quorum=3, write_quorum=4),
     "dynamic-voting": lambda: DynamicVotingProtocol(N),
     "reassignment": _reassignment,
     "adaptive": lambda: AdaptiveQuorumProtocol(

@@ -1,162 +1,68 @@
-"""Unit tests for the coterie machinery."""
+"""The coterie view of vote assignments (the paper's footnote 1).
+
+The minimal site sets holding ``q`` votes (``tests/oracles.py``) are what
+the coterie-equivalence tests compare ``QuorumConsensusProtocol``
+against; these tests pin that enumeration and, through it, the section
+2.1 safety argument on concrete vote vectors.
+"""
+
+import itertools
 
 import pytest
 
-from repro.errors import QuorumConstraintError, VoteAssignmentError
-from repro.quorum.coterie import Coterie, coterie_from_votes, read_groups_from_votes
-from repro.quorum.votes import VoteAssignment
+from tests.oracles import vote_quorum_groups
 
 
-class TestCoterieValidation:
-    def test_valid_majority_coterie(self):
-        c = Coterie([{0, 1}, {1, 2}, {0, 2}])
-        assert len(c) == 3
-
-    def test_rejects_disjoint_groups(self):
-        with pytest.raises(QuorumConstraintError):
-            Coterie([{0, 1}, {2, 3}])
-
-    def test_rejects_non_minimal(self):
-        with pytest.raises(QuorumConstraintError):
-            Coterie([{0}, {0, 1}])
-
-    def test_rejects_empty_group(self):
-        with pytest.raises(QuorumConstraintError):
-            Coterie([set()])
-
-    def test_rejects_empty_coterie(self):
-        with pytest.raises(QuorumConstraintError):
-            Coterie([])
-
-    def test_singleton_coterie(self):
-        c = Coterie([{0}])
-        assert c.permits({0, 3})
-        assert not c.permits({1, 2})
-
-    def test_duplicate_groups_collapse(self):
-        c = Coterie([{0, 1}, {1, 0}])
-        assert len(c) == 1
-
-    def test_universe_inference_and_bounds(self):
-        c = Coterie([{0, 2}])
-        assert c.universe == 3
-        with pytest.raises(QuorumConstraintError):
-            Coterie([{0, 5}], universe=3)
+def groups(*sets):
+    return {frozenset(s) for s in sets}
 
 
-class TestCoterieSemantics:
-    def test_permits(self):
-        c = Coterie([{0, 1}, {1, 2}, {0, 2}])
-        assert c.permits({0, 1, 3})
-        assert not c.permits({0, 3})
-
-    def test_contains_and_iter(self):
-        c = Coterie([{0, 1}, {1, 2}, {0, 2}])
-        assert {0, 1} in c
-        assert {0, 3} not in c
-        assert len(list(c)) == 3
-
-    def test_equality(self):
-        assert Coterie([{0, 1}, {1, 2}, {0, 2}]) == Coterie([{1, 2}, {0, 2}, {0, 1}])
-
-    def test_domination(self):
-        # {{0}} dominates {{0,1}}: every group of the latter contains {0}.
-        primary = Coterie([{0}])
-        pair = Coterie([{0, 1}])
-        assert primary.dominates(pair)
-        assert not pair.dominates(primary)
-        assert not pair.dominates(pair)
-        # Majority-of-3 contains {1,2}, which holds no group of {{0}} —
-        # so the primary coterie does NOT dominate it.
-        majority = Coterie([{0, 1}, {1, 2}, {0, 2}])
-        assert not primary.dominates(majority)
-
-    def test_majority_of_three_is_not_dominated(self):
-        majority = Coterie([{0, 1}, {1, 2}, {0, 2}], universe=3)
-        assert not majority.is_dominated()
-
-    def test_pair_coterie_on_three_sites_is_dominated(self):
-        # {0,1} alone is dominated (e.g. by the primary coterie {{0}}).
-        c = Coterie([{0, 1}], universe=3)
-        assert c.is_dominated()
-
-    def test_domination_guard_on_large_universe(self):
-        c = Coterie([{0, 1}], universe=25)
-        with pytest.raises(QuorumConstraintError):
-            c.is_dominated()
+def assert_coterie(write_groups):
+    """Write groups pairwise intersect and none contains another."""
+    for g1, g2 in itertools.combinations(write_groups, 2):
+        assert g1 & g2, (sorted(g1), sorted(g2))
+        assert not (g1 <= g2 or g2 <= g1), (sorted(g1), sorted(g2))
 
 
 class TestCoterieFromVotes:
     def test_uniform_majority(self):
-        votes = VoteAssignment.uniform(3)
-        c = coterie_from_votes(votes, write_quorum=2)
-        assert c == Coterie([{0, 1}, {1, 2}, {0, 2}])
+        assert set(vote_quorum_groups([1, 1, 1], 2)) == groups({0, 1}, {1, 2}, {0, 2})
 
     def test_rowa_write_coterie_is_all_sites(self):
-        votes = VoteAssignment.uniform(4)
-        c = coterie_from_votes(votes, write_quorum=4)
-        assert c == Coterie([{0, 1, 2, 3}])
+        assert vote_quorum_groups([1, 1, 1, 1], 4) == [frozenset({0, 1, 2, 3})]
 
     def test_weighted_votes(self):
         # Votes (3,1,1,1): T=6, q_w=4. Without site 0 at most 3 votes are
         # reachable, so every group is {0, x} — site 0 is a veto player.
-        votes = VoteAssignment([3, 1, 1, 1])
-        c = coterie_from_votes(votes, write_quorum=4)
-        expected = Coterie([{0, 1}, {0, 2}, {0, 3}], universe=4)
-        assert c == expected
+        assert set(vote_quorum_groups([3, 1, 1, 1], 4)) == groups(
+            {0, 1}, {0, 2}, {0, 3})
 
     def test_primary_copy_votes(self):
-        votes = VoteAssignment([0, 1, 0])
-        c = coterie_from_votes(votes, write_quorum=1)
-        assert c == Coterie([{1}], universe=3)
-
-    def test_sub_majority_quorum_rejected(self):
-        votes = VoteAssignment.uniform(4)
-        with pytest.raises(QuorumConstraintError):
-            coterie_from_votes(votes, write_quorum=2)
+        assert vote_quorum_groups([0, 1, 0], 1) == [frozenset({1})]
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_vote_coteries_always_validate(self, n):
         """Executable proof of the section 2.1 safety argument: any
         strict-majority write quorum over any vote vector yields a valid
         coterie (pairwise intersecting, minimal)."""
-        import itertools
-
-        for votes_tuple in itertools.product([0, 1, 2], repeat=n):
-            if sum(votes_tuple) == 0:
+        for votes in itertools.product([0, 1, 2], repeat=n):
+            if sum(votes) == 0:
                 continue
-            votes = VoteAssignment(list(votes_tuple))
-            q_w = votes.total // 2 + 1
-            coterie_from_votes(votes, q_w)  # constructor re-checks both laws
-
-    def test_group_enumeration_guard(self):
-        votes = VoteAssignment.uniform(21)
-        with pytest.raises(VoteAssignmentError):
-            coterie_from_votes(votes, write_quorum=11)
+            assert_coterie(vote_quorum_groups(votes, sum(votes) // 2 + 1))
 
 
 class TestReadGroups:
     def test_read_groups_need_not_intersect(self):
-        votes = VoteAssignment.uniform(4)
-        groups = read_groups_from_votes(votes, read_quorum=1)
-        assert groups == tuple(frozenset({s}) for s in range(4))
+        assert vote_quorum_groups([1, 1, 1, 1], 1) == [
+            frozenset({s}) for s in range(4)]
 
     def test_read_groups_intersect_write_groups(self):
         """Condition 1 at the set level: q_r + q_w > T forces every read
         group to meet every write group."""
-        votes = VoteAssignment([2, 1, 1, 1, 1])
-        T = votes.total
+        votes = [2, 1, 1, 1, 1]
+        T = sum(votes)
         for q_r in range(1, T // 2 + 1):
-            q_w = T - q_r + 1
-            reads = read_groups_from_votes(votes, q_r)
-            writes = coterie_from_votes(votes, q_w)
-            for rg in reads:
+            writes = vote_quorum_groups(votes, T - q_r + 1)
+            for rg in vote_quorum_groups(votes, q_r):
                 for wg in writes:
                     assert rg & wg, (sorted(rg), sorted(wg))
-
-    def test_threshold_bounds(self):
-        votes = VoteAssignment.uniform(3)
-        with pytest.raises(QuorumConstraintError):
-            read_groups_from_votes(votes, 0)
-        with pytest.raises(QuorumConstraintError):
-            read_groups_from_votes(votes, 4)

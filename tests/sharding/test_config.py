@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ShardingError
+from repro.errors import ShardingError, SimulationError
 from repro.sharding import ItemWorkload, ShardConfig
 from repro.simulation.config import SimulationConfig
 from repro.simulation.workload import AccessWorkload
@@ -12,6 +12,42 @@ from repro.topology.generators import ring
 
 def _workload(n_items=3, n_sites=5):
     return ItemWorkload.uniform(n_items, n_sites, 0.5)
+
+
+#: Both configs, each with the error class it raises (ShardingError is a
+#: SimulationError, so the single-item config must not raise the subclass).
+CONFIGS = {
+    "simulation": (lambda **kw: SimulationConfig(
+        ring(5), AccessWorkload.uniform(5, 0.5), **kw), SimulationError),
+    "shard": (lambda **kw: ShardConfig(
+        topology=ring(5), workload=_workload(), **kw), ShardingError),
+}
+
+#: ``(mean_time_to_failure, mean_time_to_repair, message)``; ring(5) has
+#: 5 sites + 5 links = 10 components.
+BAD_FAILURE_PARAMETERS = [
+    (float("nan"), 5.0, "mean_time_to_failure must be positive, not NaN"),
+    (128.0, float("nan"), "mean_time_to_repair must be positive, not NaN"),
+    (np.array([1.0] * 9 + [np.nan]), 5.0, "mean_time_to_failure must be positive"),
+    (0.0, 5.0, "mean_time_to_failure must be positive"),
+    (128.0, -1.0, "mean_time_to_repair must be positive"),
+    (np.ones(4), 5.0, r"mean_time_to_failure .* n_sites \+ n_links = 10"),
+    (128.0, np.ones((2, 5)), r"mean_time_to_repair .* n_sites \+ n_links = 10"),
+    (float("inf"), float("inf"), "both inf"),
+    (np.full(10, np.inf), np.r_[np.ones(9), np.inf], "both inf"),
+]
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("mttf,mttr,message", BAD_FAILURE_PARAMETERS)
+def test_one_failure_parameter_rule_at_construction(config, mttf, mttr, message):
+    build, error = CONFIGS[config]
+    with pytest.raises(SimulationError, match=message) as excinfo:
+        build(mean_time_to_failure=mttf, mean_time_to_repair=mttr)
+    assert type(excinfo.value) is error
+    # ``inf`` alone is "never fails" / "never repaired": legal in both.
+    build(mean_time_to_failure=float("inf"), mean_time_to_repair=5.0)
+    build(mean_time_to_failure=128.0, mean_time_to_repair=float("inf"))
 
 
 class TestValidation:

@@ -5,7 +5,7 @@ per-item loop (one tracker and one protocol per item) — same counters, same su
 same density tables — for every topology family, every item count, and
 every way the items fall into ``(votes row, q_r)`` quorum classes. These
 tests sweep that grid; ``repro verify`` runs the registered
-``sharded|multidb-reference`` pair on the quick profile.
+``sharded|per-item-reference`` pair on the quick profile.
 """
 
 import numpy as np

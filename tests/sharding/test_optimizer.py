@@ -9,7 +9,7 @@ from repro.analytic import closed_form_density
 from repro.errors import ShardingError
 from repro.quorum.availability import AvailabilityModel
 from repro.quorum.optimizer import optimal_read_quorum
-from repro.sharding import group_items, optimize_shard_votes, optimize_shards
+from repro.sharding import group_items, optimize_shards
 from repro.sharding.grouping import group_rows
 from repro.topology.generators import ring
 
@@ -150,18 +150,3 @@ class TestOptimizeShards:
     def test_alpha_out_of_range_rejected(self):
         with pytest.raises(ShardingError, match="alpha"):
             optimize_shards(ring(4), np.asarray([1.5]), 0.9, 0.85)
-
-
-class TestOptimizeShardVotes:
-    @pytest.mark.slow
-    def test_one_search_per_alpha_class(self):
-        alphas = np.tile(np.asarray([0.25, 0.75]), 50)
-        plan = optimize_shard_votes(
-            ring(5), alphas, 0.9, 0.85, n_samples=400, seed=1
-        )
-        assert plan.searches_run == 2
-        assert plan.votes.shape == (100, 5)
-        for group in plan.groups:
-            ids = group.item_indices
-            assert (plan.votes[ids] == plan.votes[ids[0]]).all()
-            assert (plan.read_quorums[ids] == plan.read_quorums[ids[0]]).all()

@@ -691,18 +691,6 @@ class TestShard:
         assert "class alpha=0.9" in out
         assert "q_r=" in out
 
-    def test_reference_engine_matches_vectorized(self, capsys):
-        argv = (
-            "shard", "--family", "complete", "--sites", "4", "--items", "3",
-            "--accesses", "800", "--warmup", "0", "--batches", "1",
-        )
-        code_v, out_v, _ = run_cli(capsys, *argv, "--engine", "vectorized")
-        code_r, out_r, _ = run_cli(capsys, *argv, "--engine", "reference")
-        assert code_v == code_r == 0
-        # Identical accounting: every stat line after the header matches.
-        tail = lambda text: text.splitlines()[1:]
-        assert tail(out_v) == tail(out_r)
-
     def test_bad_item_count_clean_error(self, capsys):
         code, _, err = run_cli(
             capsys, "shard", "--family", "ring", "--items", "0",

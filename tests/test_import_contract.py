@@ -18,13 +18,15 @@ closed form without passing through ``repro.verification``, and neither
 the serving config nor the sweeps nor the CLI offers an engine selector.
 There is one variance-reduced sampler, proportional stratification: no
 importance sampler, no allocation mode and no weighted histogram kernel.
-There is one replicated data path: the multi-item database is a set of
-single-item databases, the sharded reference engine drives bare trackers
-without importing ``repro.replication``, and the database retries
-nothing and cannot switch its one-copy-serializability check off.
+There is one replicated data path: the sharded reference engine drives
+bare trackers without importing ``repro.replication``, and the database
+retries nothing and cannot switch its one-copy-serializability check off.
 There is one fidelity battery, ``repro verify``: no ``validate``
 subcommand, no second check-result type, no bounds module, and no second
-ACC evaluator on the trace replayer.
+ACC evaluator on the trace replayer. Code that no entry point runs is
+gone: the multi-item database, the coterie classes, the tree density,
+the sharded vote search and the alias shims; what the tests compare
+against lives in ``tests/oracles.py``.
 """
 
 import ast
@@ -225,6 +227,13 @@ def test_no_engine_registry_and_no_engine_selector(capsys):
         build_parser().parse_args(["engines"])
     assert excinfo.value.code == 2
     assert "invalid choice: 'engines'" in capsys.readouterr().err
+    # The per-item reference is an oracle for tests and `repro verify`,
+    # reached through run_sharded(engine=...), not a user option.
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(
+            ["shard", "--family", "ring", "--engine", "reference"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
 
 def test_one_recorder_package_with_one_histogram_mode():
@@ -288,7 +297,6 @@ def test_one_replicated_data_path():
     import dataclasses
 
     from repro.replication import ReadResult, ReplicatedDatabase, WriteResult
-    from repro.replication.multidb import MultiItemDatabase
     from repro.serving import ServeConfig
 
     offenders = [
@@ -304,8 +312,6 @@ def test_one_replicated_data_path():
         f.name for f in dataclasses.fields(ServeConfig)}
     for result in (ReadResult, WriteResult):
         assert "attempts" not in {f.name for f in dataclasses.fields(result)}
-    assert not {"_execute_read", "_execute_write", "_component_replicas"} & set(
-        dir(MultiItemDatabase))
 
 
 def test_one_fidelity_battery(capsys):
@@ -326,3 +332,52 @@ def test_one_fidelity_battery(capsys):
         build_parser().parse_args(["validate"])
     assert excinfo.value.code == 2
     assert "invalid choice: 'validate'" in capsys.readouterr().err
+
+
+#: Modules with no CLI, benchmark or example caller, deleted outright.
+DELETED_MODULES = (
+    "repro.replication.multidb", "repro.quorum.coterie",
+    "repro.protocols.coterie_protocol", "repro.analytic.tree",
+)
+
+#: Names they exported, plus the sharded vote search and the alias shims.
+REMOVED_NAMES = {
+    "MultiItemDatabase", "ItemBinding", "TransactionResult",
+    "Coterie", "coterie_from_votes", "read_groups_from_votes",
+    "CoterieProtocol", "tree_density", "tree_density_matrix",
+    "optimize_shard_votes", "ShardVotePlan",
+    "all_connected_probability", "spread_chords", "paper_config",
+    "spawn_many", "iter_streams",
+}
+
+
+def test_code_no_entry_point_runs_is_gone():
+    import importlib
+    import pkgutil
+
+    import repro
+
+    for module in DELETED_MODULES:
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+    modules = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if info.name != "repro.__main__"
+    ]
+    offenders = sorted(
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in REMOVED_NAMES & (set(getattr(module, "__all__", ())) | set(dir(module)))
+    )
+    assert offenders == []
+
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; print(sum(m == 'repro' or m.startswith('repro.') "
+         "for m in sys.modules))"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) == 67

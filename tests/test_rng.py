@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.rng import as_generator, iter_streams, spawn, spawn_many, stream_for
+from repro.rng import as_generator, spawn, stream_for
 
 
 class TestAsGenerator:
@@ -42,11 +42,6 @@ class TestSpawn:
         with pytest.raises(ValueError):
             spawn(0, -1)
 
-    def test_spawn_many_labels(self):
-        gens = spawn_many(1, ["failures", "accesses"])
-        assert set(gens) == {"failures", "accesses"}
-        assert gens["failures"].random() != gens["accesses"].random()
-
 
 class TestStreamFor:
     def test_coordinate_determinism(self):
@@ -69,10 +64,3 @@ class TestStreamFor:
     def test_rejects_generator_input(self):
         with pytest.raises(TypeError):
             stream_for(np.random.default_rng(0), 1)
-
-    def test_iter_streams(self):
-        it = iter_streams(11)
-        first = next(it)
-        second = next(it)
-        assert first.random() != second.random()
-        assert next(iter_streams(11)).random() == stream_for(11, 0).random()

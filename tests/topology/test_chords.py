@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import TopologyError
-from repro.topology.chords import chord_endpoints, max_chords, spread_chords
+from repro.topology.chords import chord_endpoints, max_chords
 
 
 class TestMaxChords:
@@ -59,9 +59,6 @@ class TestChordEndpoints:
     def test_over_limit_rejected(self):
         with pytest.raises(TopologyError):
             chord_endpoints(10, max_chords(10) + 1)
-
-    def test_spread_alias(self):
-        assert spread_chords(31, 7) == chord_endpoints(31, 7)
 
     def test_first_chords_spread_around_ring(self):
         """Consecutive same-distance chords should not share endpoints."""
