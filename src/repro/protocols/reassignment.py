@@ -62,6 +62,10 @@ class QuorumReassignmentProtocol(ReplicaControlProtocol):
         self.site_assignment: List[QuorumAssignment] = [self._initial] * self.n_sites
         #: Count of successful installations (observability for benches).
         self.installs = 0
+        #: ``(vote_totals, newest_version, installs)`` the memoized masks
+        #: were computed under, and the masks; see :meth:`grant_masks`.
+        self._masks_key: Optional[tuple] = None
+        self._masks: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Effective assignment lookup
@@ -133,6 +137,17 @@ class QuorumReassignmentProtocol(ReplicaControlProtocol):
             ).inc(propagated, protocol=self.name)
 
     def grant_masks(self, tracker: ComponentTracker) -> Tuple[np.ndarray, np.ndarray]:
+        # The masks depend on the partition and on each component's newest
+        # assignment. A tracker's arrays are copy-on-write, so the same
+        # ``vote_totals`` object is the same partition; propagation leaves
+        # every component's newest assignment as it was, an install raises
+        # ``newest_version`` and ``installs``, and ``reset()`` drops the
+        # memo. The key holds the array itself, so its id is not recycled.
+        key = self._masks_key
+        totals = tracker.vote_totals
+        if (key is not None and key[0] is totals
+                and key[1] == self.newest_version and key[2] == self.installs):
+            return self._masks
         read_mask = np.zeros(self.n_sites, dtype=bool)
         write_mask = np.zeros(self.n_sites, dtype=bool)
         for members, assignment, votes in self._component_views(tracker):
@@ -140,7 +155,9 @@ class QuorumReassignmentProtocol(ReplicaControlProtocol):
                 read_mask[members] = True
             if assignment.allows_write(votes):
                 write_mask[members] = True
-        return read_mask, write_mask
+        self._masks_key = (totals, self.newest_version, self.installs)
+        self._masks = (read_mask, write_mask)
+        return self._masks
 
     # ------------------------------------------------------------------
     # Reassignment

@@ -69,8 +69,7 @@ def decision_key(tracker: ComponentTracker, protocol: Any
     Every failure or repair moves the network state's version; a QR
     install raises the newest assignment version and the install count,
     and a protocol ``reset()`` rewinds both. Protocols without versions
-    contribute ``None``. One key serves every per-state cache of decision
-    answers (the database's view, the serving layer's grant masks). It
+    contribute ``None``. The database's decision view is keyed on it. It
     reads two attributes: no array is reduced per access.
     """
     return (

@@ -45,9 +45,6 @@ class SiteStore:
         """Install the initial copy (timestamp 0)."""
         self._copies[item_id] = CopyState(value=value, timestamp=0)
 
-    def has_copy(self, item_id: str) -> bool:
-        return item_id in self._copies
-
     def read(self, item_id: str) -> CopyState:
         """Return this copy's state; raises if the site holds no copy."""
         try:

@@ -34,7 +34,6 @@ class CircuitBreakerConfig:
 
     failure_threshold: int = 8
     cooldown: float = 20.0
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
@@ -60,7 +59,7 @@ class CircuitBreaker:
 
     def allow(self, now: float) -> bool:
         """May a request proceed at simulated time ``now``?"""
-        if not self.config.enabled or self.state is BreakerState.CLOSED:
+        if self.state is BreakerState.CLOSED:
             return True
         if self.state is BreakerState.OPEN:
             if now - self.opened_at >= self.config.cooldown:
@@ -80,8 +79,6 @@ class CircuitBreaker:
         self.state = BreakerState.CLOSED
 
     def on_failure(self, now: float) -> None:
-        if not self.config.enabled:
-            return
         if self.state is BreakerState.HALF_OPEN:
             self._trip(now)
             return

@@ -35,21 +35,19 @@ import heapq
 import math
 import time as _walltime
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.errors import DensityError, OptimizationError
 from repro.faults.monitor import InvariantMonitor
-from repro.protocols.base import ReplicaControlProtocol
+from repro.faults.retry import RetryPolicy
+from repro.protocols.adaptive import install_from_any, reassignment_decision
 from repro.protocols.estimator import OnlineDensityEstimator
 from repro.protocols.reassignment import QuorumReassignmentProtocol
 from repro.protocols.workload_estimator import WorkloadEstimator
-from repro.quorum.availability import AvailabilityModel
-from repro.quorum.optimizer import optimal_read_quorum
-from repro.replication.database import ReplicatedDatabase, decision_key
+from repro.replication.database import ReplicatedDatabase
 from repro.rng import stream_for
-from repro.serving.breakers import BreakerBoard
+from repro.serving.breakers import BreakerBoard, CircuitBreakerConfig
 from repro.serving.config import ServeConfig
 from repro.serving.report import ReassignmentEvent, ServeReport, outcome_code
 from repro.serving.requests import RequestStream
@@ -58,6 +56,35 @@ from repro.telemetry.recorder import Telemetry, resolve
 from repro.telemetry.spans import NULL_SPAN, SCOPE_SERVE, TraceContext
 
 __all__ = ["AdaptiveQuorumService", "run_serve"]
+
+# Serving settings. No caller sets them, so they are module constants;
+# a test that needs another value monkeypatches the constant.
+
+#: Jittered exponential backoff with a hard per-request deadline: the
+#: deadline doubles as the per-request timeout (a retry that cannot start
+#: before it is not scheduled, and the request times out).
+RETRY_POLICY = RetryPolicy(max_attempts=4, base_delay=0.5, multiplier=2.0,
+                           max_delay=8.0, deadline=30.0, jitter=0.1)
+#: Max requests simultaneously waiting on a backoff; beyond it new
+#: arrivals are shed with cause ``overload`` (explicit backpressure).
+QUEUE_CAPACITY = 512
+BREAKER = CircuitBreakerConfig()
+#: Simulated seconds between estimation/optimization ticks.
+CONTROL_INTERVAL = 25.0
+#: Observed simulated time before the density estimate is trusted.
+MIN_OBSERVATION_TIME = 50.0
+#: Required estimated availability gain before a reassignment.
+IMPROVEMENT_THRESHOLD = 0.005
+FORGETTING_FACTOR = 1.0
+#: Watchdog cadence; a pending reassignment older than
+#: ``STALL_THRESHOLD`` forces re-estimation (estimator reset).
+WATCHDOG_INTERVAL = 60.0
+STALL_THRESHOLD = 150.0
+#: Requests per transport chunk, and the bounded asyncio queue between
+#: client feeders and the sequencer, in chunks: wall-clock pacing only,
+#: never outcomes.
+CHUNK_SIZE = 4_096
+TRANSPORT_SLOTS = 64
 
 #: Substream index for the retry-backoff jitter stream.
 _STREAM_RETRY = 201
@@ -109,60 +136,6 @@ def _latency_summary(granted: np.ndarray) -> Dict[str, float]:
     }
 
 
-class _MaskCachingProtocol(ReplicaControlProtocol):
-    """Memoizes the inner protocol's grant masks between state changes.
-
-    ``QuorumReassignmentProtocol.grant_masks`` walks every component; at
-    ~10⁶ accesses per run that is the hot path. Masks only change when
-    the network state version moves or an assignment is installed, so
-    the cache key is the database's :func:`decision_key` (state version,
-    newest assignment version, installs). Everything else delegates to
-    the inner protocol, so the monitor and audit layers see the QR state
-    unchanged.
-    """
-
-    def __init__(self, inner: QuorumReassignmentProtocol) -> None:
-        self._inner = inner
-        self._key: Optional[tuple] = None
-        self._masks: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self.name = inner.name
-        self.declarative_grants = getattr(inner, "declarative_grants", False)
-
-    def grant_masks(self, tracker):
-        key = decision_key(tracker, self._inner)
-        if key != self._key:
-            self._masks = self._inner.grant_masks(tracker)
-            self._key = key
-        return self._masks
-
-    def on_network_change(self, tracker) -> None:
-        self._inner.on_network_change(tracker)
-        self._key = None
-
-    def invalidate(self) -> None:
-        self._key = None
-
-    # Read by decision_key on every access: forwarded, not __getattr__.
-    @property
-    def newest_version(self) -> int:
-        return self._inner.newest_version
-
-    @property
-    def installs(self) -> int:
-        return self._inner.installs
-
-    def bind_telemetry(self, telemetry) -> None:
-        super().bind_telemetry(telemetry)
-        self._inner.bind_telemetry(telemetry)
-
-    def reset(self) -> None:
-        self._inner.reset()
-        self._key = None
-
-    def __getattr__(self, attr):
-        return getattr(self._inner, attr)
-
-
 class _Pending:
     """One in-flight request between its first attempt and its outcome."""
 
@@ -197,27 +170,26 @@ class AdaptiveQuorumService:
         topology = config.topology
         self.n_sites = topology.n_sites
         self.qr = QuorumReassignmentProtocol(self.n_sites, config.initial_assignment)
-        self.protocol = _MaskCachingProtocol(self.qr)
         self.monitor = InvariantMonitor(record_snapshots=False, telemetry=tel)
         self.db = ReplicatedDatabase(
             topology,
-            self.protocol,
+            self.qr,
             initial_value=0,
             monitor=self.monitor,
             telemetry=tel,
             record_history=False,
         )
         self.stream = RequestStream(
-            config.workload, config.n_requests, config.seed, config.chunk_size
+            config.workload, config.n_requests, config.seed, CHUNK_SIZE
         )
         self.density = OnlineDensityEstimator(
             self.n_sites, topology.total_votes,
-            forgetting_factor=config.forgetting_factor,
+            forgetting_factor=FORGETTING_FACTOR,
         )
         self.workload_est = WorkloadEstimator(
-            self.n_sites, forgetting_factor=config.forgetting_factor
+            self.n_sites, forgetting_factor=FORGETTING_FACTOR
         )
-        self.breakers = BreakerBoard(self.n_sites, config.breaker)
+        self.breakers = BreakerBoard(self.n_sites, BREAKER)
         self._retry_rng = stream_for(config.seed, _STREAM_RETRY)
 
         n = config.n_requests
@@ -273,8 +245,8 @@ class AdaptiveQuorumService:
                 topology, chaos_rng
             ):
                 self._push(at, _FAULT, (kind, int(target)))
-        self._push(config.control_interval, _CONTROL, None)
-        self._push(config.watchdog_interval, _WATCHDOG, None)
+        self._push(CONTROL_INTERVAL, _CONTROL, None)
+        self._push(WATCHDOG_INTERVAL, _WATCHDOG, None)
         self._update_mode()
 
     # ------------------------------------------------------------------
@@ -318,14 +290,14 @@ class AdaptiveQuorumService:
             self._after_network_change()
 
     def _after_network_change(self) -> None:
-        self.monitor.observe(self.now, self.db.tracker, self.protocol)
+        self.monitor.observe(self.now, self.db.tracker, self.qr)
         self._update_mode()
-        if self.config.abort_on_violation and not self.monitor.ok:
+        if not self.monitor.ok:
             self._aborted = True
 
     def _update_mode(self) -> None:
         """Enter/leave read-only mode as write quorums vanish/return."""
-        writable = bool(self.protocol.grant_masks(self.db.tracker)[1].any())
+        writable = bool(self.qr.grant_masks(self.db.tracker)[1].any())
         if not writable and not self._read_only:
             self._read_only = True
             self._read_only_since = self.now
@@ -344,11 +316,10 @@ class AdaptiveQuorumService:
             if not self.breakers.allow(site, self.now):
                 self._record(rid, _CODE_CIRCUIT_OPEN, 0)
                 return
-            if (self._read_only and not is_read
-                    and self.config.read_only_fast_reject):
+            if self._read_only and not is_read:
                 self._record(rid, _CODE_READ_ONLY, 0)
                 return
-            if len(self._waiting) >= self.config.queue_capacity:
+            if len(self._waiting) >= QUEUE_CAPACITY:
                 self._shed += 1
                 self._record(rid, _CODE_OVERLOAD, 0)
                 return
@@ -379,7 +350,7 @@ class AdaptiveQuorumService:
                 self._record(pending.rid, _CODE_GRANTED, pending.attempts)
                 return
 
-            policy = self.config.retry_policy
+            policy = RETRY_POLICY
             if pending.attempts < policy.max_attempts:
                 delay = policy.backoff(pending.attempts, self._retry_rng)
                 if policy.within_deadline(self.now + delay - pending.submit):
@@ -397,7 +368,7 @@ class AdaptiveQuorumService:
         self._retries_exhausted += 1
         self._c_retry_exhausted.inc(op=op, cause=cause)
         self.breakers.on_failure(pending.site, self.now)
-        if pending.is_read and self.config.stale_reads:
+        if pending.is_read:
             # Graceful degradation: serve the newest component-local
             # copy, explicitly marked stale (never counted as granted).
             if self.db.peek_newest(pending.site) is not None:
@@ -416,91 +387,48 @@ class AdaptiveQuorumService:
         with trace.span("serve.control.tick", t=self.now), \
                 trace.phase("serve.control"):
             self._flush_observation()
-            self._maybe_reassign("control")
-            self._push(self.now + self.config.control_interval, _CONTROL, None)
+            self._maybe_reassign()
+            self._push(self.now + CONTROL_INTERVAL, _CONTROL, None)
 
-    def _estimate(self):
-        """(model, alpha) from online estimates, or None if starved."""
-        if self._observed_time < self.config.min_observation_time:
-            return None
-        try:
-            matrix = self.density.density_matrix()
-        except DensityError:
-            return None
-        alpha, r_i, w_i = self.workload_est.snapshot()
-        model = AvailabilityModel.from_density_matrix(
-            matrix, read_weights=r_i, write_weights=w_i)
-        return model, alpha
+    def _maybe_reassign(self) -> None:
+        """The §4.3 decision, once enough simulated time was observed."""
+        if self._observed_time < MIN_OBSERVATION_TIME:
+            return
+        decision = reassignment_decision(
+            self.qr, self.db.tracker, self.density, self.workload_est,
+            IMPROVEMENT_THRESHOLD)
+        if decision is None:
+            return
+        target, installed = decision
+        if target is not None and installed is None:
+            # Wanted to reassign, could not (installation rule): remember
+            # the intent so the watchdog can detect the stall.
+            if self._pending_target is None or self._pending_target[0] != target:
+                self._pending_target = (target, self.now)
+            return
+        if installed is not None:
+            self._installed(target, installed, "control")
+        self._pending_target = None
 
-    def _maybe_reassign(self, trigger: str) -> bool:
-        estimate = self._estimate()
-        if estimate is None:
-            return False
-        model, alpha = estimate
-        try:
-            best = optimal_read_quorum(model, alpha)
-        except OptimizationError:
-            return False
-        tracker = self.db.tracker
-        up = np.nonzero(tracker.labels >= 0)[0]
-        if up.size == 0:
-            return False
-        site = int(up[np.argmax(self.qr.site_version[up])])
-        current = self.qr.effective_assignment(tracker, site)
-        if current is None or best.assignment == current:
-            self._pending_target = None
-            return False
-        gain = best.availability - float(
-            model.availability(alpha, current.read_quorum)
-        )
-        if gain < self.config.improvement_threshold:
-            self._pending_target = None
-            return False
-        if self._try_install(best.assignment, trigger):
-            self._pending_target = None
-            return True
-        # Wanted to reassign, could not (installation rule): remember the
-        # intent so the watchdog can detect the stall.
-        if self._pending_target is None or self._pending_target[0] != best.assignment:
-            self._pending_target = (best.assignment, self.now)
-        return False
-
-    def _try_install(self, assignment, trigger: str) -> bool:
-        """Install ``assignment`` from any component that may (QR rule)."""
-        tracker = self.db.tracker
-        for members, effective, _votes in self.qr.component_views(tracker):
-            site = int(members[0])
-            if not self.qr.can_reassign(tracker, site):
-                continue
-            if self.qr.try_reassign(tracker, site, assignment):
-                self.protocol.invalidate()
-                self._reassignments.append(
-                    ReassignmentEvent(
-                        time=self.now,
-                        site=site,
-                        old_read_quorum=effective.read_quorum,
-                        new_read_quorum=assignment.read_quorum,
-                        version=self.qr.max_version(),
-                        trigger=trigger,
-                    )
-                )
-                self._after_network_change()
-                return True
-        return False
+    def _installed(self, target, installed, trigger: str) -> None:
+        site, old = installed
+        self._reassignments.append(ReassignmentEvent(
+            time=self.now, site=site, old_read_quorum=old.read_quorum,
+            new_read_quorum=target.read_quorum,
+            version=self.qr.max_version(), trigger=trigger))
+        self._after_network_change()
 
     def _watchdog_tick(self) -> None:
         with self._trace.phase("serve.watchdog"):
-            self._watchdog_tick_inner()
-
-    def _watchdog_tick_inner(self) -> None:
-        self._watchdog_ticks += 1
-        if self._pending_target is not None:
-            target, since = self._pending_target
-            if self.now - since >= self.config.stall_threshold:
+            self._watchdog_ticks += 1
+            pending = self._pending_target
+            if pending is not None and self.now - pending[1] >= STALL_THRESHOLD:
                 self._watchdog_interventions += 1
                 self._flush_observation()
-                if self._try_install(target, "watchdog"):
-                    self._pending_target = None
+                target = pending[0]
+                installed = install_from_any(self.qr, self.db.tracker, target)
+                if installed is not None:
+                    self._installed(target, installed, "watchdog")
                 else:
                     # Still uninstallable: the evidence that produced the
                     # target is stale too. Force re-estimation from
@@ -508,8 +436,8 @@ class AdaptiveQuorumService:
                     # current conditions.
                     self.density.reset()
                     self._observed_time = 0.0
-                    self._pending_target = None
-        self._push(self.now + self.config.watchdog_interval, _WATCHDOG, None)
+                self._pending_target = None
+            self._push(self.now + WATCHDOG_INTERVAL, _WATCHDOG, None)
 
     # ------------------------------------------------------------------
     # Async transport + sequencer
@@ -569,7 +497,7 @@ class AdaptiveQuorumService:
         # Serve-scope trace context: span ids derive from
         # (seed, "serve", ordinal), and the sequencer opens spans in
         # deterministic sim-time order, so the exported tree is identical
-        # for any --clients / transport_slots value.
+        # for any --clients value.
         trace = self._trace
         serve_ctx = TraceContext(self.config.seed, SCOPE_SERVE, 0)
         with (trace.spans.scoped(serve_ctx) if trace.enabled else NULL_SPAN), \
@@ -577,7 +505,7 @@ class AdaptiveQuorumService:
                            n_requests=self.config.n_requests,
                            seed=self.config.seed):
             transport: asyncio.Queue = asyncio.Queue(
-                maxsize=self.config.transport_slots
+                maxsize=TRANSPORT_SLOTS
             )
             feeders = [
                 asyncio.create_task(self._feed(transport, client))

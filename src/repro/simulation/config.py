@@ -191,9 +191,6 @@ class SimulationConfig:
     def with_accounting(self, accounting: str) -> "SimulationConfig":
         return replace(self, accounting=accounting)
 
-    def with_initial_state(self, initial_state: str) -> "SimulationConfig":
-        return replace(self, initial_state=initial_state)
-
     def with_seed(self, seed: Optional[int]) -> "SimulationConfig":
         return replace(self, seed=seed)
 

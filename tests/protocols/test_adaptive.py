@@ -5,7 +5,13 @@ import pytest
 
 from repro.connectivity.dynamic import ComponentTracker, NetworkState
 from repro.errors import ProtocolError, SimulationError
-from repro.protocols.adaptive import AdaptiveQuorumProtocol
+from repro.protocols.adaptive import (
+    AdaptiveQuorumProtocol,
+    Decision,
+    reassignment_decision,
+)
+from repro.protocols.estimator import OnlineDensityEstimator
+from repro.protocols.reassignment import QuorumReassignmentProtocol
 from repro.protocols.workload_estimator import WorkloadEstimator
 from repro.quorum.assignment import QuorumAssignment
 from repro.topology.generators import ring
@@ -81,7 +87,7 @@ class TestAdaptiveProtocol:
 
     def test_starts_as_majority(self):
         topo, state, tracker, proto = self._setup()
-        assert proto.current_assignment(tracker, 0) == QuorumAssignment.majority(9)
+        assert proto.qr.effective_assignment(tracker, 0) == QuorumAssignment.majority(9)
 
     def test_no_reassignment_without_evidence(self):
         topo, state, tracker, proto = self._setup(min_observation_weight=1e9)
@@ -111,9 +117,9 @@ class TestAdaptiveProtocol:
         for link in range(topo.n_links):
             state.set_link(link, True)
         proto.on_network_change(tracker)
-        assignment = proto.current_assignment(tracker, 0)
+        assignment = proto.qr.effective_assignment(tracker, 0)
         assert assignment.read_quorum < 4
-        assert proto.effective_alpha() == pytest.approx(0.9, abs=0.02)
+        assert proto.workload.alpha == pytest.approx(0.9, abs=0.02)
 
     def test_hysteresis_defers_marginal_changes(self):
         topo, state, tracker, proto = self._setup(
@@ -126,45 +132,11 @@ class TestAdaptiveProtocol:
             proto.on_network_change(tracker)
         assert proto.installs == 0
 
-    def test_alpha_hint_overrides_measurement(self):
-        topo, state, tracker, proto = self._setup(alpha_hint=0.25)
-        proto.workload.observe(0, is_read=True)
-        assert proto.effective_alpha() == 0.25
-
-    def test_write_floor_respected(self):
-        topo, state, tracker, proto = self._setup(
-            min_observation_weight=10.0, improvement_threshold=0.0,
-            write_floor=0.3, alpha_hint=0.9,
-        )
-        for _ in range(30):
-            proto.record_epoch(tracker, 1.0,
-                               reads=np.full(9, 9.0), writes=np.ones(9))
-            proto.on_network_change(tracker)
-        model = proto.current_model()
-        assignment = proto.current_assignment(tracker, 0)
-        write_avail = float(np.asarray(
-            model.write_availability_at(assignment.read_quorum)
-        ))
-        assert write_avail >= 0.3 - 1e-9
-
     def test_validation(self):
-        with pytest.raises(ProtocolError):
-            AdaptiveQuorumProtocol(5, 5, check_interval=0)
         with pytest.raises(ProtocolError):
             AdaptiveQuorumProtocol(5, 5, improvement_threshold=-1.0)
         with pytest.raises(ProtocolError):
-            AdaptiveQuorumProtocol(5, 5, alpha_hint=2.0)
-
-    def test_record_access_scheme(self):
-        """The paper's literal per-access recording also feeds both
-        estimators."""
-        topo, state, tracker, proto = self._setup(min_observation_weight=5.0)
-        for _ in range(20):
-            proto.record_access(tracker, site=0, is_read=True)
-            proto.record_access(tracker, site=1, is_read=False)
-        assert proto.workload.alpha == pytest.approx(0.5, abs=0.05)
-        assert proto.density.total_weight == pytest.approx(40.0)
-        assert proto.density.density(0)[9] == pytest.approx(1.0)
+            AdaptiveQuorumProtocol(5, 5, min_observation_weight=-1.0)
 
     def test_record_epoch_validates_duration(self):
         topo, state, tracker, proto = self._setup()
@@ -177,6 +149,63 @@ class TestAdaptiveProtocol:
         proto.reset()
         assert proto.density.total_weight == 0.0
         assert proto.installs == 0
+
+
+class TestReassignmentDecision:
+    """The one §4.3 step that the protocol and the serving tick share."""
+
+    N = 6
+
+    def _setup(self, alpha_reads=9.0):
+        topo = ring(self.N)
+        state = NetworkState(topo)
+        tracker = ComponentTracker(state)
+        qr = QuorumReassignmentProtocol(self.N, QuorumAssignment.majority(self.N))
+        density = OnlineDensityEstimator(self.N, self.N)
+        # Half the time isolated, half the time whole: reads want q_r = 1.
+        density.observe_all(np.ones(self.N, dtype=np.int64), weight=1.0)
+        density.observe_all(np.full(self.N, self.N), weight=1.0)
+        workload = WorkloadEstimator(self.N)
+        workload.observe_counts(np.full(self.N, alpha_reads), np.ones(self.N))
+        return topo, state, tracker, qr, density, workload
+
+    def test_no_verdict_while_a_site_is_unobserved(self):
+        _, _, tracker, qr, _, workload = self._setup()
+        empty = OnlineDensityEstimator(self.N, self.N)
+        assert reassignment_decision(qr, tracker, empty, workload, 0.0) is None
+
+    def test_no_verdict_with_every_site_down(self):
+        _, state, tracker, qr, density, workload = self._setup()
+        for site in range(self.N):
+            state.fail_site(site)
+        assert reassignment_decision(qr, tracker, density, workload, 0.0) is None
+
+    def test_a_gain_below_the_threshold_keeps_the_current_assignment(self):
+        _, _, tracker, qr, density, workload = self._setup()
+        assert reassignment_decision(qr, tracker, density, workload, 1.0) == (
+            Decision(None, None))
+        assert qr.installs == 0
+
+    def test_installs_from_the_first_component_that_may(self):
+        # {0, 1} holds the newest-version up site but only 2 of 6 votes;
+        # {2, 3, 4, 5} holds a majority write quorum and installs.
+        topo, state, tracker, qr, density, workload = self._setup()
+        state.fail_link(topo.link_id(1, 2))
+        state.fail_link(topo.link_id(5, 0))
+        qr.on_network_change(tracker)
+        decision = reassignment_decision(qr, tracker, density, workload, 0.0)
+        assert decision.target == QuorumAssignment.read_one_write_all(self.N)
+        assert decision.installed == (2, QuorumAssignment.majority(self.N))
+        assert qr.site_version.tolist() == [1, 1, 2, 2, 2, 2]
+
+    def test_a_target_no_component_may_install_is_returned_uninstalled(self):
+        topo, state, tracker, qr, density, workload = self._setup()
+        for a, b in ((1, 2), (3, 4), (5, 0)):
+            state.fail_link(topo.link_id(a, b))
+        decision = reassignment_decision(qr, tracker, density, workload, 0.0)
+        assert decision.target == QuorumAssignment.read_one_write_all(self.N)
+        assert decision.installed is None
+        assert qr.installs == 0
 
 
 class TestAdaptiveInSimulator:
@@ -204,5 +233,5 @@ class TestAdaptiveInSimulator:
         static = run_simulation(cfg, MajorityConsensusProtocol(21))
         assert adaptive.installs >= 1
         # Measured alpha converged to the true 0.9.
-        assert adaptive.effective_alpha() == pytest.approx(0.9, abs=0.03)
+        assert adaptive.workload.alpha == pytest.approx(0.9, abs=0.03)
         assert dynamic.availability.mean > static.availability.mean + 0.03

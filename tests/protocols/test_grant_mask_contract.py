@@ -1,8 +1,8 @@
 """``grant_masks`` hands out arrays it never touches again.
 
 The epoch ledger stores an epoch's masks only when they are not the very
-objects of the epoch before (DESIGN.md §8), the serving layer re-serves a
-cached pair between state changes, and callers hold masks across calls. All
+objects of the epoch before (DESIGN.md §8), the memoizing protocols
+re-serve a pair between state changes, and callers hold masks across calls. All
 of that is sound only under the contract in
 ``ReplicaControlProtocol.grant_masks``: a returned array is never mutated
 afterwards, and the same objects come back only while their contents are
@@ -28,7 +28,9 @@ from repro.protocols.quorum_consensus import QuorumConsensusProtocol
 from repro.protocols.read_one_write_all import ReadOneWriteAllProtocol
 from repro.protocols.reassignment import QuorumReassignmentProtocol
 from repro.quorum.assignment import QuorumAssignment
-from repro.serving.service import _MaskCachingProtocol
+from repro.serving import ServeConfig
+from repro.serving.service import AdaptiveQuorumService
+from repro.simulation.workload import AccessWorkload
 from repro.topology.generators import ring_with_chords
 
 N = 6
@@ -39,6 +41,17 @@ def _reassignment():
     return QuorumReassignmentProtocol(N, QuorumAssignment.majority(N))
 
 
+def _serving_qr():
+    """The memoizing QR the serving service hands its database."""
+    config = ServeConfig(
+        topology=TOPOLOGY,
+        workload=AccessWorkload.uniform(N, 0.7),
+        initial_assignment=QuorumAssignment.from_read_quorum(N, 2),
+        n_requests=1,
+    )
+    return AdaptiveQuorumService(config).qr
+
+
 PROTOCOLS = {
     "quorum-consensus": lambda: QuorumConsensusProtocol(
         QuorumAssignment.from_read_quorum(N, 2)),
@@ -47,9 +60,8 @@ PROTOCOLS = {
     "primary-copy": lambda: PrimaryCopyProtocol(2),
     "dynamic-voting": lambda: DynamicVotingProtocol(N),
     "reassignment": _reassignment,
-    "adaptive": lambda: AdaptiveQuorumProtocol(
-        N, N, alpha_hint=0.9, min_observation_weight=3.0),
-    "mask-caching": lambda: _MaskCachingProtocol(_reassignment()),
+    "adaptive": lambda: AdaptiveQuorumProtocol(N, N, min_observation_weight=3.0),
+    "mask-caching": _serving_qr,
 }
 
 #: ``(is a site, index, read quorum to try installing afterwards or 0)``.
@@ -220,3 +232,63 @@ class TestQuorumConsensusMemo:
             for array in fresh:  # an id-keyed memo finds its key among these
                 tracker.vote_totals = array
                 assert not self.protocol.grant_masks(tracker)[0].any()
+
+
+class TestReassignmentMemo:
+    """QR's memo: same partition, version and install count, same masks."""
+
+    def setup_method(self):
+        self.state = NetworkState(TOPOLOGY)
+        self.tracker = ComponentTracker(self.state)
+        self.protocol = _reassignment()
+        self.protocol.on_network_change(self.tracker)
+
+    def test_unchanged_partition_yields_the_same_masks(self):
+        first = self.protocol.grant_masks(self.tracker)
+        again = self.protocol.grant_masks(self.tracker)
+        assert again[0] is first[0] and again[1] is first[1]
+        totals = self.tracker.vote_totals
+        self.state.fail_link(0)  # ring + chords: still connected
+        self.protocol.on_network_change(self.tracker)
+        assert self.tracker.vote_totals is totals
+        after = self.protocol.grant_masks(self.tracker)
+        assert after[0] is first[0] and after[1] is first[1]
+
+    def test_changed_partition_yields_fresh_masks(self):
+        first = self.protocol.grant_masks(self.tracker)
+        self.state.fail_site(3)
+        self.protocol.on_network_change(self.tracker)
+        after = self.protocol.grant_masks(self.tracker)
+        assert after[0] is not first[0] and after[1] is not first[1]
+        assert not after[0][3] and first[0][3]
+
+    def test_an_install_yields_fresh_masks(self):
+        first = self.protocol.grant_masks(self.tracker)
+        kept = tuple(mask.copy() for mask in first)
+        rowa = QuorumAssignment.read_one_write_all(N)
+        assert self.protocol.try_reassign(self.tracker, 0, rowa)
+        after = self.protocol.grant_masks(self.tracker)
+        assert after[0] is not first[0] and after[1] is not first[1]
+        assert after[0].all() and after[1].all()
+        # Under ROWA one site down leaves reads everywhere and writes nowhere.
+        self.state.fail_site(3)
+        self.protocol.on_network_change(self.tracker)
+        down = self.protocol.grant_masks(self.tracker)
+        assert down[0].sum() == N - 1 and not down[1].any()
+        assert np.array_equal(first[0], kept[0]) and np.array_equal(first[1], kept[1])
+
+    def test_reset_forgets_the_masks(self):
+        first = self.protocol.grant_masks(self.tracker)
+        self.protocol.reset()
+        after = self.protocol.grant_masks(self.tracker)
+        assert after[0] is not first[0] and after[1] is not first[1]
+        assert np.array_equal(after[0], first[0])
+
+    def test_a_second_tracker_never_sees_the_firsts_masks(self):
+        first = self.protocol.grant_masks(self.tracker)
+        other_state = NetworkState(TOPOLOGY)
+        other_state.fail_site(1)
+        other = self.protocol.grant_masks(ComponentTracker(other_state))
+        assert other[0] is not first[0] and not other[0][1] and first[0][1]
+        back = self.protocol.grant_masks(self.tracker)
+        assert back[0][1] and np.array_equal(back[0], first[0])

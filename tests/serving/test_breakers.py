@@ -11,10 +11,9 @@ from repro.serving.breakers import (
 )
 
 
-def _breaker(threshold=3, cooldown=10.0, enabled=True):
+def _breaker(threshold=3, cooldown=10.0):
     return CircuitBreaker(
-        CircuitBreakerConfig(failure_threshold=threshold, cooldown=cooldown,
-                             enabled=enabled)
+        CircuitBreakerConfig(failure_threshold=threshold, cooldown=cooldown)
     )
 
 
@@ -69,14 +68,6 @@ class TestStateMachine:
         assert b.trips == 2
         assert not b.allow(20.0)
         assert b.allow(24.0)
-
-    def test_disabled_always_allows(self):
-        b = _breaker(enabled=False)
-        for t in range(50):
-            b.on_failure(float(t))
-        assert b.state is BreakerState.CLOSED
-        assert b.allow(50.0)
-        assert b.trips == 0
 
 
 class TestBoard:

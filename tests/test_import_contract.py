@@ -26,7 +26,9 @@ subcommand, no second check-result type, no bounds module, and no second
 ACC evaluator on the trace replayer. Code that no entry point runs is
 gone: the multi-item database, the coterie classes, the tree density,
 the sharded vote search and the alias shims; what the tests compare
-against lives in ``tests/oracles.py``.
+against lives in ``tests/oracles.py``. There is one on-line reassignment
+loop: serving calls the adaptive protocol's decision, ``ServeConfig``
+holds only what its callers set, and QR memoizes its own grant masks.
 """
 
 import ast
@@ -381,3 +383,25 @@ def test_code_no_entry_point_runs_is_gone():
     )
     assert done.returncode == 0, done.stderr
     assert int(done.stdout) == 67
+
+
+def test_one_online_reassignment_loop():
+    import dataclasses
+
+    import repro.serving.service as service
+    from repro.protocols.adaptive import AdaptiveQuorumProtocol
+    from repro.serving import ServeConfig
+    from repro.serving.breakers import CircuitBreakerConfig
+
+    assert [f.name for f in dataclasses.fields(ServeConfig)] == [
+        "topology", "workload", "initial_assignment", "n_requests",
+        "n_clients", "seed", "scenario", "fault_schedule"]
+    assert [f.name for f in dataclasses.fields(CircuitBreakerConfig)] == [
+        "failure_threshold", "cooldown"]
+    assert not hasattr(service, "_MaskCachingProtocol")
+    source = Path(service.__file__).read_text()
+    assert "optimal_read_quorum" not in source
+    assert "AvailabilityModel" not in source
+    assert list(inspect.signature(AdaptiveQuorumProtocol).parameters) == [
+        "n_sites", "total_votes", "min_observation_weight",
+        "improvement_threshold", "forgetting_factor"]
