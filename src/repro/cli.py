@@ -328,61 +328,19 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-_CHAOS_SCENARIOS = ("partition", "flap", "cascade", "correlated", "mixed")
-
-
-def _chaos_schedule(scenario: str, n_sites: int, horizon: float):
-    """A canned adversarial scenario scaled to the batch horizon."""
-    from repro.faults.schedule import (
-        CascadingFailure,
-        CorrelatedFailure,
-        FaultSchedule,
-        FlappingSite,
-        ScriptedPartition,
-    )
-
-    half = list(range(n_sites // 2))
-    injectors = {
-        # Split half the sites off, merge back, then split differently —
-        # the section-2.2 merge/split stressor.
-        "partition": [
-            ScriptedPartition(0.2 * horizon, [half], heal_at=0.45 * horizon),
-            ScriptedPartition(0.55 * horizon, [half[::2]], heal_at=0.8 * horizon),
-        ],
-        "flap": [
-            FlappingSite(0, period=horizon / 10.0, until=0.9 * horizon),
-            FlappingSite(1, period=horizon / 7.0, until=0.9 * horizon),
-        ],
-        "cascade": [
-            CascadingFailure(0.2 * horizon, half[:3] or [0],
-                             delay=horizon / 20.0, heal_at=0.7 * horizon),
-        ],
-        "correlated": [
-            CorrelatedFailure(sites=[0, 1], mean_interval=horizon / 4.0,
-                              until=0.85 * horizon, down_time=horizon / 20.0),
-        ],
-    }
-    injectors["mixed"] = (
-        injectors["partition"][:1]
-        + [FlappingSite(n_sites - 1, period=horizon / 8.0, until=0.9 * horizon)]
-        + [CascadingFailure(0.5 * horizon, [n_sites - 2, n_sites - 3],
-                            delay=horizon / 30.0, heal_at=0.85 * horizon)]
-    )
-    return FaultSchedule(injectors[scenario])
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults.chaos import run_chaos_campaign, unchecked_assignment
     from repro.faults.monitor import InvariantMonitor
     from repro.protocols.quorum_consensus import QuorumConsensusProtocol
+    from repro.serving.scenarios import serving_schedule
     from repro.telemetry.recorder import use as _use_telemetry
 
     scale = _scale(args.scale)
     config = scale.config(args.chords, alpha=args.alpha, seed=args.seed)
     topology = config.topology
     horizon = config.warmup_time + config.batch_time
-    schedule = _chaos_schedule(args.scenario, topology.n_sites, horizon)
-    config = config.with_fault_schedule(schedule)
+    config = config.with_fault_schedule(
+        serving_schedule(args.scenario, topology, horizon))
     if args.broken:
         # Deliberately violate q_r + q_w > T (and q_w > T/2): the campaign
         # must FAIL with quorum-intersection violations, proving the
@@ -760,6 +718,8 @@ def _cmd_shard(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.serving.scenarios import SERVE_SCENARIOS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Optimal quorum assignments for replicated distributed databases "
@@ -865,7 +825,8 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="fault-injection campaign with invariant monitoring",
     )
-    chaos.add_argument("--scenario", choices=_CHAOS_SCENARIOS, default="mixed")
+    chaos.add_argument("--scenario", choices=SERVE_SCENARIOS, default="mixed",
+                       help="scripted fault scenario (the table repro serve uses)")
     chaos.add_argument("--chords", type=int, default=2)
     chaos.add_argument("--alpha", type=float, default=0.5)
     chaos.add_argument("--protocol", default="majority",
@@ -913,9 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--clients", type=int, default=1_000,
                        help="concurrent client feeders (pacing only; results "
                        "are bitwise identical for any value)")
-    from repro.serving.scenarios import SERVE_SCENARIOS as _SERVE_SCENARIOS
-
-    serve.add_argument("--scenario", choices=_SERVE_SCENARIOS,
+    serve.add_argument("--scenario", choices=SERVE_SCENARIOS,
                        default="correlated",
                        help="scripted fault scenario injected during serving")
     serve.add_argument("--seed", type=_seed, default=0)

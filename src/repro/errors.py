@@ -202,9 +202,8 @@ class FaultInjectionError(ContextualError):
     """Raised when a fault schedule is malformed or cannot be applied.
 
     Examples: a scripted partition naming a site outside the topology, a
-    flapping schedule with a non-positive period, or a correlated-failure
-    group whose members overlap a component the stochastic processes were
-    told to keep infallible.
+    flapping schedule with a non-positive period, or an event with a
+    negative time or a non-topology kind.
     """
 
 
@@ -213,8 +212,8 @@ class InvariantViolation(ContextualError):
 
     During chaos runs the :class:`~repro.faults.monitor.InvariantMonitor`
     *records* these (with full event context) instead of raising them
-    mid-batch; ``raise_on_violation=True`` turns them back into hard
-    failures for tests. ``rule`` names the violated invariant
+    mid-batch; :meth:`~repro.faults.monitor.ViolationRecord.to_error`
+    turns a record back into a raisable error. ``rule`` names the violated invariant
     (``"quorum-intersection"``, ``"write-write-intersection"``,
     ``"version-regression"``, ``"stale-assignment-grant"``,
     ``"concurrent-writes"``, ``"one-copy-serializability"``).

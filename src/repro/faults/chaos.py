@@ -3,11 +3,13 @@
 :func:`run_chaos_campaign` is the top of the chaos stack. It runs a
 protocol through many batches of a fault-scheduled simulation with an
 :class:`~repro.faults.monitor.InvariantMonitor` attached, quarantines any
-batch that dies (keeping its seed and fault trace for deterministic
-replay via :func:`replay_batch`), and renders everything into a
-:class:`ChaosReport`. A clean protocol passes a long sweep with zero
-violations and zero aborted batches; a broken one is caught with enough
-context to reproduce the exact failing scenario.
+batch that dies (keeping its seed and fault trace: batch streams derive
+from ``(seed, batch)`` alone, so
+``SimulationEngine(config, protocol, record_trace=True).run_batch(i)``
+replays it exactly), and renders everything into a :class:`ChaosReport`.
+A clean protocol passes a long sweep with zero violations and zero
+aborted batches; a broken one is caught with enough context to reproduce
+the exact failing scenario.
 
 :func:`unchecked_assignment` deliberately builds an *invalid* quorum
 assignment (bypassing the section-2.1 validation) so tests and demos can
@@ -22,11 +24,10 @@ from typing import List, Optional
 
 from repro.errors import FaultInjectionError
 from repro.faults.monitor import InvariantMonitor, ViolationRecord
-from repro.faults.schedule import FaultSchedule
 from repro.protocols.base import ReplicaControlProtocol
 from repro.quorum.assignment import QuorumAssignment
 from repro.simulation.config import SimulationConfig
-from repro.simulation.engine import BatchResult, SimulationEngine, ChangeObserver
+from repro.simulation.engine import BatchResult
 from repro.simulation.parallel import BatchLoop
 from repro.simulation.runner import QuarantinedBatch
 from repro.telemetry.recorder import resolve as _resolve_telemetry
@@ -35,7 +36,6 @@ from repro.telemetry.snapshot import TelemetrySnapshot
 __all__ = [
     "ChaosReport",
     "run_chaos_campaign",
-    "replay_batch",
     "unchecked_assignment",
 ]
 
@@ -122,7 +122,6 @@ def run_chaos_campaign(
     n_batches: Optional[int] = None,
     monitor: Optional[InvariantMonitor] = None,
     fail_fast: bool = False,
-    change_observer: Optional[ChangeObserver] = None,
     telemetry=None,
     n_workers: int = 1,
 ) -> ChaosReport:
@@ -143,7 +142,6 @@ def run_chaos_campaign(
     DESIGN.md §8): each batch runs with a fresh in-worker monitor
     configured like the campaign's, and violations, checks and telemetry
     merge back in batch index order, so the report is the serial one.
-    ``change_observer`` callbacks require ``n_workers=1``.
     """
     if n_batches is None:
         n_batches = config.n_batches
@@ -153,12 +151,14 @@ def run_chaos_campaign(
     if monitor is None:
         monitor = InvariantMonitor(telemetry=telemetry)
     loop = BatchLoop(config, protocol, telemetry, n_workers, fail_fast,
-                     monitor=monitor, change_observer=change_observer)
+                     monitor=monitor)
     with loop:
         loop.run(range(n_batches))
     report = ChaosReport(
         protocol_name=protocol.name,
-        schedule_description=_schedule_description(config),
+        schedule_description=(
+            "none" if config.fault_schedule is None
+            else config.fault_schedule.describe()),
         n_batches_requested=n_batches,
         batches=loop.batches,
         quarantined=loop.quarantined,
@@ -174,31 +174,3 @@ def run_chaos_campaign(
     )
     return report
 
-
-def _schedule_description(config: SimulationConfig) -> str:
-    schedule = config.fault_schedule
-    if isinstance(schedule, FaultSchedule):
-        return schedule.describe()
-    return "none" if schedule is None else type(schedule).__name__
-
-
-def replay_batch(
-    config: SimulationConfig,
-    protocol: ReplicaControlProtocol,
-    batch_index: int,
-    monitor: Optional[InvariantMonitor] = None,
-) -> BatchResult:
-    """Deterministically re-run one (possibly quarantined) batch.
-
-    Batch streams derive from ``(config.seed, batch_index)`` alone, so
-    replaying a quarantined batch reproduces its failure exactly — or,
-    with an instrumented ``monitor`` attached, lets you watch the run up
-    to the abort. Raises the original
-    :class:`~repro.errors.BatchExecutionError` if the batch still dies.
-    """
-    observer = None if monitor is None else monitor.observe
-    if monitor is not None:
-        monitor.start_batch(batch_index, seed=config.seed)
-    engine = SimulationEngine(config, protocol, change_observer=observer,
-                              record_trace=True)
-    return engine.run_batch(batch_index)

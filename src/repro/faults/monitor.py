@@ -19,8 +19,8 @@ on:
 
 Violations are *recorded*, not raised — a chaos campaign wants the full
 list of everything that went wrong plus a replayable seed, not a
-traceback from the first hiccup. Tests that want hard failures pass
-``raise_on_violation=True``.
+traceback from the first hiccup. A test asserts ``monitor.ok`` (with
+``monitor.summary()`` as the message) to fail on any of them.
 """
 
 from __future__ import annotations
@@ -87,7 +87,6 @@ class InvariantMonitor:
 
     def __init__(
         self,
-        raise_on_violation: bool = False,
         record_snapshots: bool = True,
         max_records: int = 1_000,
         telemetry=None,
@@ -95,7 +94,6 @@ class InvariantMonitor:
         if max_records < 0:
             raise FaultInjectionError(
                 f"max_records must be non-negative, got {max_records}")
-        self.raise_on_violation = raise_on_violation
         self.record_snapshots = record_snapshots
         self.max_records = int(max_records)
         #: Violations double as metrics: every record increments
@@ -133,7 +131,7 @@ class InvariantMonitor:
         tracker: Optional[ComponentTracker] = None,
         protocol: Any = None,
     ) -> None:
-        """Record one violation (or raise it, under raise_on_violation)."""
+        """Record one violation (counted only, past ``max_records``)."""
         if self.telemetry.enabled:
             self.telemetry.metrics.counter(
                 "repro_invariant_violations_total",
@@ -150,8 +148,6 @@ class InvariantMonitor:
             seed=self._seed,
             snapshot=snapshot,
         )
-        if self.raise_on_violation:
-            raise violation.to_error()
         if len(self.violations) < self.max_records:
             self.violations.append(violation)
         else:
@@ -180,30 +176,31 @@ class InvariantMonitor:
     __call__ = observe
 
     # ------------------------------------------------------------------
-    def _effective_assignments(self, tracker: ComponentTracker, protocol: Any):
-        """Per-component (members, assignment) pairs, where discoverable.
+    def _component_views(self, tracker: ComponentTracker, protocol: Any):
+        """Per-component ``(members, assignment, votes)``, where discoverable.
 
-        Dynamic protocols expose ``_component_views``; static quorum
-        protocols expose a single ``assignment``. Protocols exposing
-        neither (majority, ROWA, primary-copy) are structurally safe by
-        construction and are only covered by the behavioral checks.
+        Dynamic protocols expose ``component_views``; static quorum
+        protocols a single ``assignment`` that every component shares.
+        Protocols exposing neither (majority, ROWA, primary-copy) are
+        structurally safe by construction and are only covered by the
+        behavioral checks.
         """
-        views = getattr(protocol, "_component_views", None)
+        views = getattr(protocol, "component_views", None)
         if views is not None:
-            return [(members, assignment) for members, assignment, _ in views(tracker)]
+            return list(views(tracker))
         assignment = getattr(protocol, "assignment", None)
-        if assignment is not None:
-            labels = tracker.labels
-            out = []
-            if labels.size and (labels >= 0).any():
-                for label in range(int(labels.max()) + 1):
-                    members = np.nonzero(labels == label)[0]
-                    out.append((members, assignment))
-            return out
-        return []
+        labels = tracker.labels
+        if assignment is None or not (labels >= 0).any():
+            return []
+        totals = tracker.vote_totals
+        out = []
+        for label in range(int(labels.max()) + 1):
+            members = np.nonzero(labels == label)[0]
+            out.append((members, assignment, int(totals[members[0]])))
+        return out
 
     def _check_assignments(self, now, tracker, protocol) -> None:
-        for members, assignment in self._effective_assignments(tracker, protocol):
+        for members, assignment, _ in self._component_views(tracker, protocol):
             T = getattr(assignment, "total_votes", None)
             q_r = getattr(assignment, "read_quorum", None)
             q_w = getattr(assignment, "write_quorum", None)
@@ -286,23 +283,6 @@ class InvariantMonitor:
                     tracker, protocol,
                 )
 
-    def _component_grant_views(self, tracker, protocol):
-        """Per-component (members, assignment, votes) for grant replay."""
-        views = getattr(protocol, "component_views", None)
-        if views is not None:
-            return list(views(tracker))
-        assignment = getattr(protocol, "assignment", None)
-        if assignment is None:
-            return []
-        labels = tracker.labels
-        totals = tracker.vote_totals
-        out = []
-        if labels.size and (labels >= 0).any():
-            for label in range(int(labels.max()) + 1):
-                members = np.nonzero(labels == label)[0]
-                out.append((members, assignment, int(totals[members[0]])))
-        return out
-
     def _check_metamorphic_grants(self, now, tracker, protocol) -> None:
         """Metamorphic replay of declarative grant decisions.
 
@@ -326,7 +306,7 @@ class InvariantMonitor:
         read_mask = np.asarray(read_mask, dtype=bool)
         write_mask = np.asarray(write_mask, dtype=bool)
         observed = []  # (assignment, votes, got_read, got_write, members)
-        for members, assignment, votes in self._component_grant_views(tracker, protocol):
+        for members, assignment, votes in self._component_views(tracker, protocol):
             for op, mask, allowed in (
                 ("read", read_mask, assignment.allows_read(votes)),
                 ("write", write_mask, assignment.allows_write(votes)),

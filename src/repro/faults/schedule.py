@@ -1,483 +1,218 @@
-"""Deterministic, seedable fault schedules for chaos runs.
+"""Fault schedules: scripted topology events as data.
 
-A :class:`FaultSchedule` is a collection of :class:`FaultInjector` objects
-that together script an adversarial failure scenario: exactly *which*
-sites and links go down, *when*, and when (if ever) they come back. The
-engine plugs the schedule in alongside the stochastic
+A :class:`FaultSchedule` is a validated, time-sorted tuple of
+``(time, EventKind, target)`` topology events: exactly *which* sites and
+links go down, *when*, and when (if ever) they come back. The engine
+primes it into every batch alongside the stochastic
 :class:`~repro.simulation.processes.FailureProcesses`; every component an
-injector touches is *owned* by the schedule and automatically removed
-from the stochastic fallible set, so a scripted partition cannot be
-half-healed by a random repair.
+event names is *owned* by the schedule and leaves the stochastic fallible
+set, so a scripted partition cannot be half-healed by a random repair.
+The serving sequencer pushes the same events onto its heap.
 
 All times are absolute simulated time from the start of the batch
-(warm-up included); chaos configurations normally run with
-``warmup_accesses=0`` or ``initial_state="stationary"`` so schedule times
-line up with the measured window.
+(warm-up included). Nothing here draws randomness: a schedule is
+reproducible because it is data.
 
-Injectors that draw randomness (:class:`CorrelatedFailure` occurrence
-times, per-member jitter) take their stream from the schedule's own seed
-when one is given, otherwise from the engine's per-batch chaos stream —
-either way the scenario is exactly reproducible from ``(seed, batch)``.
+:func:`partition`, :func:`flap`, :func:`cascade` and :func:`correlated`
+build the event lists of the one scenario table,
+:func:`repro.serving.scenarios.serving_schedule`.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import FaultInjectionError
-from repro.rng import RandomState, as_generator
 from repro.simulation.events import SOURCE_CHAOS, EventKind, EventQueue
 from repro.topology.model import Topology
 
-__all__ = [
-    "FaultInjector",
-    "FaultSchedule",
-    "SiteCrash",
-    "LinkCut",
-    "ScriptedPartition",
-    "FlappingSite",
-    "CascadingFailure",
-    "CorrelatedFailure",
-]
+__all__ = ["FaultSchedule", "partition", "flap", "cascade", "correlated"]
 
 #: One scheduled fault: (absolute time, event kind, site or link id).
 ScheduledFault = Tuple[float, EventKind, int]
 
 _SITE_KINDS = (EventKind.SITE_FAIL, EventKind.SITE_REPAIR)
-_LINK_KINDS = (EventKind.LINK_FAIL, EventKind.LINK_REPAIR)
-
-
-def _check_time(value: float, label: str) -> float:
-    value = float(value)
-    if value < 0.0:
-        raise FaultInjectionError(f"{label} must be non-negative, got {value}")
-    return value
-
-
-def _check_sites(sites: Iterable[int], topology: Topology, label: str) -> List[int]:
-    out = []
-    for site in sites:
-        site = int(site)
-        if not 0 <= site < topology.n_sites:
-            raise FaultInjectionError(
-                f"{label} names site {site}, outside 0..{topology.n_sites - 1}"
-            )
-        out.append(site)
-    return out
-
-
-class FaultInjector(ABC):
-    """One scripted fault scenario over a topology."""
-
-    @abstractmethod
-    def events(self, topology: Topology, rng) -> List[ScheduledFault]:
-        """The (time, kind, target) faults this injector contributes.
-
-        ``rng`` is a :class:`numpy.random.Generator`; deterministic
-        injectors ignore it. Implementations must validate their targets
-        against ``topology`` and raise
-        :class:`~repro.errors.FaultInjectionError` on mismatch.
-        """
-
-    def owned_sites(self, topology: Topology) -> Set[int]:
-        """Site ids whose up/down future this injector controls."""
-        return {
-            target
-            for _, kind, target in self.events(topology, as_generator(0))
-            if kind in _SITE_KINDS
-        }
-
-    def owned_links(self, topology: Topology) -> Set[int]:
-        """Link ids whose up/down future this injector controls."""
-        return {
-            target
-            for _, kind, target in self.events(topology, as_generator(0))
-            if kind in _LINK_KINDS
-        }
-
-    def describe(self) -> str:
-        return type(self).__name__
-
-
-class SiteCrash(FaultInjector):
-    """Crash a set of sites at ``at``; optionally repair them at ``heal_at``."""
-
-    def __init__(self, at: float, sites: Sequence[int],
-                 heal_at: Optional[float] = None) -> None:
-        self.at = _check_time(at, "crash time")
-        self.sites = [int(s) for s in sites]
-        if not self.sites:
-            raise FaultInjectionError("SiteCrash needs at least one site")
-        self.heal_at = None if heal_at is None else _check_time(heal_at, "heal time")
-        if self.heal_at is not None and self.heal_at <= self.at:
-            raise FaultInjectionError(
-                f"heal time {self.heal_at} must come after crash time {self.at}"
-            )
-
-    def events(self, topology: Topology, rng) -> List[ScheduledFault]:
-        sites = _check_sites(self.sites, topology, "SiteCrash")
-        out = [(self.at, EventKind.SITE_FAIL, s) for s in sites]
-        if self.heal_at is not None:
-            out.extend((self.heal_at, EventKind.SITE_REPAIR, s) for s in sites)
-        return out
-
-    def describe(self) -> str:
-        heal = f", heal@{self.heal_at:g}" if self.heal_at is not None else ""
-        return f"site-crash(sites={self.sites}, t={self.at:g}{heal})"
-
-
-class LinkCut(FaultInjector):
-    """Cut the links joining given site pairs at ``at``; heal at ``heal_at``."""
-
-    def __init__(self, at: float, pairs: Sequence[Tuple[int, int]],
-                 heal_at: Optional[float] = None) -> None:
-        self.at = _check_time(at, "cut time")
-        self.pairs = [(int(a), int(b)) for a, b in pairs]
-        if not self.pairs:
-            raise FaultInjectionError("LinkCut needs at least one site pair")
-        self.heal_at = None if heal_at is None else _check_time(heal_at, "heal time")
-        if self.heal_at is not None and self.heal_at <= self.at:
-            raise FaultInjectionError(
-                f"heal time {self.heal_at} must come after cut time {self.at}"
-            )
-
-    def _link_ids(self, topology: Topology) -> List[int]:
-        try:
-            return [topology.link_id(a, b) for a, b in self.pairs]
-        except Exception as exc:
-            raise FaultInjectionError(f"LinkCut names a missing link: {exc}") from exc
-
-    def events(self, topology: Topology, rng) -> List[ScheduledFault]:
-        links = self._link_ids(topology)
-        out = [(self.at, EventKind.LINK_FAIL, l) for l in links]
-        if self.heal_at is not None:
-            out.extend((self.heal_at, EventKind.LINK_REPAIR, l) for l in links)
-        return out
-
-    def describe(self) -> str:
-        return f"link-cut(pairs={self.pairs}, t={self.at:g})"
-
-
-class ScriptedPartition(FaultInjector):
-    """Partition the network into the given site groups at ``at``.
-
-    Every link whose endpoints fall in different groups is cut at ``at``
-    and (when ``heal_at`` is given) restored at ``heal_at``. Sites not
-    named in any group form one implicit "rest" group together, so a
-    single ``groups=[[0, 1, 2]]`` splits those three sites off from
-    everyone else. This is the primitive behind the paper's section-2.2
-    merge/split scenarios.
-    """
-
-    def __init__(self, at: float, groups: Sequence[Sequence[int]],
-                 heal_at: Optional[float] = None) -> None:
-        self.at = _check_time(at, "partition time")
-        self.groups = [[int(s) for s in group] for group in groups]
-        if not self.groups or all(not g for g in self.groups):
-            raise FaultInjectionError("ScriptedPartition needs at least one non-empty group")
-        flat = [s for group in self.groups for s in group]
-        if len(flat) != len(set(flat)):
-            raise FaultInjectionError("ScriptedPartition groups must be disjoint")
-        self.heal_at = None if heal_at is None else _check_time(heal_at, "heal time")
-        if self.heal_at is not None and self.heal_at <= self.at:
-            raise FaultInjectionError(
-                f"heal time {self.heal_at} must come after partition time {self.at}"
-            )
-
-    def cut_link_ids(self, topology: Topology) -> List[int]:
-        """The link ids severed by this partition."""
-        for group in self.groups:
-            _check_sites(group, topology, "ScriptedPartition")
-        group_of = {}
-        for index, group in enumerate(self.groups):
-            for site in group:
-                group_of[site] = index
-        rest = len(self.groups)  # implicit group for unlisted sites
-        cut = []
-        for link_id, link in enumerate(topology.links):
-            ga = group_of.get(link.a, rest)
-            gb = group_of.get(link.b, rest)
-            if ga != gb:
-                cut.append(link_id)
-        return cut
-
-    def events(self, topology: Topology, rng) -> List[ScheduledFault]:
-        links = self.cut_link_ids(topology)
-        out = [(self.at, EventKind.LINK_FAIL, l) for l in links]
-        if self.heal_at is not None:
-            out.extend((self.heal_at, EventKind.LINK_REPAIR, l) for l in links)
-        return out
-
-    def describe(self) -> str:
-        heal = f", heal@{self.heal_at:g}" if self.heal_at is not None else ""
-        return f"partition(groups={self.groups}, t={self.at:g}{heal})"
-
-
-class FlappingSite(FaultInjector):
-    """A site that cycles down/up with a fixed period until ``until``.
-
-    Each cycle starting at ``start + k * period`` spends
-    ``down_fraction * period`` down, then comes back up. Flapping is the
-    classic stressor for version-propagation rules: the site repeatedly
-    leaves and rejoins components that may have moved on without it.
-    """
-
-    def __init__(self, site: int, period: float, until: float,
-                 down_fraction: float = 0.5, start: float = 0.0) -> None:
-        self.site = int(site)
-        self.period = float(period)
-        if self.period <= 0.0:
-            raise FaultInjectionError(f"flap period must be positive, got {period}")
-        if not 0.0 < float(down_fraction) < 1.0:
-            raise FaultInjectionError(
-                f"down_fraction must be strictly inside (0, 1), got {down_fraction}"
-            )
-        self.down_fraction = float(down_fraction)
-        self.start = _check_time(start, "flap start")
-        self.until = _check_time(until, "flap end")
-        if self.until <= self.start:
-            raise FaultInjectionError(
-                f"flap end {self.until} must come after start {self.start}"
-            )
-
-    def events(self, topology: Topology, rng) -> List[ScheduledFault]:
-        _check_sites([self.site], topology, "FlappingSite")
-        out: List[ScheduledFault] = []
-        down_time = self.down_fraction * self.period
-        t = self.start
-        while t < self.until:
-            out.append((t, EventKind.SITE_FAIL, self.site))
-            out.append((t + down_time, EventKind.SITE_REPAIR, self.site))
-            t += self.period
-        return out
-
-    def describe(self) -> str:
-        return (
-            f"flapping(site={self.site}, period={self.period:g}, "
-            f"until={self.until:g})"
-        )
-
-
-class CascadingFailure(FaultInjector):
-    """Sites fail one after another, ``delay`` apart, starting at ``start``.
-
-    Models a rolling outage (overload shedding, a bad deploy sweeping
-    through a fleet). All victims are repaired together at ``heal_at``
-    when given.
-    """
-
-    def __init__(self, start: float, sites: Sequence[int], delay: float,
-                 heal_at: Optional[float] = None) -> None:
-        self.start = _check_time(start, "cascade start")
-        self.sites = [int(s) for s in sites]
-        if not self.sites:
-            raise FaultInjectionError("CascadingFailure needs at least one site")
-        self.delay = float(delay)
-        if self.delay < 0.0:
-            raise FaultInjectionError(f"cascade delay must be non-negative, got {delay}")
-        self.heal_at = None if heal_at is None else _check_time(heal_at, "heal time")
-        last_failure = self.start + self.delay * (len(self.sites) - 1)
-        if self.heal_at is not None and self.heal_at <= last_failure:
-            raise FaultInjectionError(
-                f"heal time {self.heal_at} must come after the last cascade "
-                f"failure at {last_failure}"
-            )
-
-    def events(self, topology: Topology, rng) -> List[ScheduledFault]:
-        sites = _check_sites(self.sites, topology, "CascadingFailure")
-        out = [
-            (self.start + k * self.delay, EventKind.SITE_FAIL, s)
-            for k, s in enumerate(sites)
-        ]
-        if self.heal_at is not None:
-            out.extend((self.heal_at, EventKind.SITE_REPAIR, s) for s in sites)
-        return out
-
-    def describe(self) -> str:
-        return (
-            f"cascade(sites={self.sites}, start={self.start:g}, "
-            f"delay={self.delay:g})"
-        )
-
-
-class CorrelatedFailure(FaultInjector):
-    """A shared-risk group: sites and links that fail *together*.
-
-    Models a rack power feed, a fiber conduit, or an availability zone:
-    one underlying fault takes out every member at once. Occurrences are
-    either scripted (``at_times``) or sampled as a Poisson process of
-    mean inter-occurrence time ``mean_interval`` up to ``until`` —
-    sampled from the schedule's seeded stream, so still reproducible.
-    Each occurrence holds the group down for ``down_time``; ``jitter``
-    spreads member failures over ``[0, jitter]`` after the trigger
-    (near-simultaneous, as real correlated failures are).
-    """
-
-    def __init__(
-        self,
-        sites: Sequence[int] = (),
-        link_pairs: Sequence[Tuple[int, int]] = (),
-        at_times: Optional[Sequence[float]] = None,
-        mean_interval: Optional[float] = None,
-        until: Optional[float] = None,
-        down_time: float = 1.0,
-        jitter: float = 0.0,
-    ) -> None:
-        self.sites = [int(s) for s in sites]
-        self.link_pairs = [(int(a), int(b)) for a, b in link_pairs]
-        if not self.sites and not self.link_pairs:
-            raise FaultInjectionError(
-                "CorrelatedFailure needs at least one site or link member"
-            )
-        if (at_times is None) == (mean_interval is None):
-            raise FaultInjectionError(
-                "give exactly one of at_times (scripted) or mean_interval (Poisson)"
-            )
-        if at_times is not None:
-            self.at_times: Optional[List[float]] = sorted(
-                _check_time(t, "occurrence time") for t in at_times
-            )
-            if not self.at_times:
-                raise FaultInjectionError("at_times must not be empty")
-        else:
-            self.at_times = None
-        self.mean_interval = None if mean_interval is None else float(mean_interval)
-        if self.mean_interval is not None and self.mean_interval <= 0.0:
-            raise FaultInjectionError(
-                f"mean_interval must be positive, got {mean_interval}"
-            )
-        if self.mean_interval is not None and until is None:
-            raise FaultInjectionError("Poisson occurrences need an 'until' horizon")
-        self.until = None if until is None else _check_time(until, "until")
-        self.down_time = float(down_time)
-        if self.down_time <= 0.0:
-            raise FaultInjectionError(f"down_time must be positive, got {down_time}")
-        self.jitter = float(jitter)
-        if self.jitter < 0.0:
-            raise FaultInjectionError(f"jitter must be non-negative, got {jitter}")
-        if self.jitter >= self.down_time:
-            raise FaultInjectionError(
-                f"jitter ({self.jitter}) must be smaller than down_time "
-                f"({self.down_time}) or a repair could precede its failure"
-            )
-
-    def _members(self, topology: Topology) -> List[Tuple[EventKind, EventKind, int]]:
-        members = [
-            (EventKind.SITE_FAIL, EventKind.SITE_REPAIR, s)
-            for s in _check_sites(self.sites, topology, "CorrelatedFailure")
-        ]
-        for a, b in self.link_pairs:
-            try:
-                link = topology.link_id(a, b)
-            except Exception as exc:
-                raise FaultInjectionError(
-                    f"CorrelatedFailure names a missing link ({a}, {b})"
-                ) from exc
-            members.append((EventKind.LINK_FAIL, EventKind.LINK_REPAIR, link))
-        return members
-
-    def _occurrences(self, rng) -> List[float]:
-        if self.at_times is not None:
-            return list(self.at_times)
-        assert self.mean_interval is not None and self.until is not None
-        times: List[float] = []
-        t = float(rng.exponential(self.mean_interval))
-        while t < self.until:
-            times.append(t)
-            t += float(rng.exponential(self.mean_interval))
-        return times
-
-    def events(self, topology: Topology, rng) -> List[ScheduledFault]:
-        members = self._members(topology)
-        out: List[ScheduledFault] = []
-        for occurrence in self._occurrences(rng):
-            for fail_kind, repair_kind, target in members:
-                offset = float(rng.uniform(0.0, self.jitter)) if self.jitter else 0.0
-                out.append((occurrence + offset, fail_kind, target))
-                out.append((occurrence + self.down_time, repair_kind, target))
-        return out
-
-    def owned_sites(self, topology: Topology) -> Set[int]:
-        return set(_check_sites(self.sites, topology, "CorrelatedFailure"))
-
-    def owned_links(self, topology: Topology) -> Set[int]:
-        return {topology.link_id(a, b) for a, b in self.link_pairs}
-
-    def describe(self) -> str:
-        mode = (
-            f"at={self.at_times}"
-            if self.at_times is not None
-            else f"poisson(mean={self.mean_interval:g}, until={self.until:g})"
-        )
-        return (
-            f"correlated(sites={self.sites}, links={self.link_pairs}, {mode}, "
-            f"down={self.down_time:g})"
-        )
 
 
 class FaultSchedule:
-    """An ordered bundle of fault injectors, primed into an event queue.
+    """A validated, time-sorted tuple of scripted topology events.
 
-    ``seed`` fixes the schedule's private random stream (used by
-    stochastic injectors); when ``None``, the engine's per-batch chaos
-    stream is used instead, so occurrences vary across batches while
-    remaining reproducible from the batch seed.
+    Every event is a ``(time, kind, target)`` triple with a non-negative
+    time and a topology kind; :meth:`all_events` checks each target
+    against a topology. The sort is stable, so events at one instant keep
+    the order they were given in.
     """
 
-    def __init__(self, injectors: Sequence[FaultInjector],
-                 seed: RandomState = None) -> None:
-        injectors = list(injectors)
-        for injector in injectors:
-            if not isinstance(injector, FaultInjector):
+    def __init__(self, events: Iterable[ScheduledFault] = ()) -> None:
+        checked: List[ScheduledFault] = []
+        for event in events:
+            try:
+                time, kind, target = event
+            except (TypeError, ValueError):
                 raise FaultInjectionError(
-                    f"expected FaultInjector instances, got {type(injector).__name__}"
+                    f"a fault is a (time, kind, target) triple, got {event!r}"
+                ) from None
+            if not isinstance(kind, EventKind) or not kind.is_topology_change:
+                raise FaultInjectionError(
+                    f"fault schedules may only inject topology events, got {kind!r}"
                 )
-        self.injectors = injectors
-        self.seed = seed
+            time = float(time)
+            if not time >= 0.0:
+                raise FaultInjectionError(
+                    f"fault times must be non-negative, got {time}")
+            checked.append((time, kind, int(target)))
+        checked.sort(key=lambda fault: fault[0])
+        self.events: Tuple[ScheduledFault, ...] = tuple(checked)
 
-    def __len__(self) -> int:
-        return len(self.injectors)
+    def all_events(self, topology: Topology) -> List[ScheduledFault]:
+        """Every event, time-ordered, each target checked against ``topology``."""
+        for _, kind, target in self.events:
+            what, limit = (
+                ("site", topology.n_sites) if kind in _SITE_KINDS
+                else ("link", topology.n_links)
+            )
+            if not 0 <= target < limit:
+                raise FaultInjectionError(
+                    f"{kind.value} names {what} {target}, outside 0..{limit - 1}"
+                )
+        return list(self.events)
 
-    # ------------------------------------------------------------------
     def owned_components(self, topology: Topology) -> Tuple[List[int], List[int]]:
-        """(site ids, link ids) whose future any injector scripts.
+        """(site ids, link ids) whose future the schedule scripts.
 
         The engine removes these from the stochastic fallible masks so
         random repairs cannot undo scripted faults mid-scenario.
         """
-        sites: Set[int] = set()
-        links: Set[int] = set()
-        for injector in self.injectors:
-            sites |= injector.owned_sites(topology)
-            links |= injector.owned_links(topology)
+        sites, links = set(), set()
+        for _, kind, target in self.all_events(topology):
+            (sites if kind in _SITE_KINDS else links).add(target)
         return sorted(sites), sorted(links)
 
-    def all_events(self, topology: Topology, rng: RandomState = None) -> List[ScheduledFault]:
-        """Every scheduled fault, time-ordered, from all injectors."""
-        generator = as_generator(self.seed if self.seed is not None else rng)
-        out: List[ScheduledFault] = []
-        for injector in self.injectors:
-            out.extend(injector.events(topology, generator))
-        out.sort(key=lambda fault: fault[0])
-        return out
-
-    def prime(self, queue: EventQueue, topology: Topology,
-              rng: RandomState = None) -> int:
-        """Schedule every fault into ``queue`` (tagged as chaos events).
+    def prime(self, queue: EventQueue, topology: Topology) -> int:
+        """Schedule every event into ``queue``, tagged as chaos.
 
         Returns the number of events scheduled.
         """
-        events = self.all_events(topology, rng)
+        events = self.all_events(topology)
         for time, kind, target in events:
-            if not kind.is_topology_change:
-                raise FaultInjectionError(
-                    f"fault schedules may only inject topology events, got {kind}"
-                )
             queue.schedule(time, kind, target, source=SOURCE_CHAOS)
         return len(events)
 
     def describe(self) -> str:
-        if not self.injectors:
-            return "empty-schedule"
-        return " + ".join(injector.describe() for injector in self.injectors)
+        """One line: event count, time span, the sites and how many links."""
+        if not self.events:
+            return "no faults"
+        sites = sorted({t for _, kind, t in self.events if kind in _SITE_KINDS})
+        n_links = len({t for _, kind, t in self.events if kind not in _SITE_KINDS})
+        parts = [f"{len(self.events)} events at t={self.events[0][0]:g}"
+                 f"..{self.events[-1][0]:g}"]
+        if sites:
+            parts.append(f"sites {sites}")
+        if n_links:
+            parts.append(f"{n_links} links")
+        return ", ".join(parts)
+
+
+def _check_heal(heal_at: Optional[float], last_failure: float) -> None:
+    if heal_at is not None and heal_at <= last_failure:
+        raise FaultInjectionError(
+            f"heal time {heal_at} must come after the last failure at {last_failure}"
+        )
+
+
+def partition(topology: Topology, at: float, groups: Sequence[Sequence[int]],
+              heal_at: Optional[float] = None) -> List[ScheduledFault]:
+    """Cut every link between the site ``groups`` at ``at``; heal at ``heal_at``.
+
+    Sites named in no group form one implicit "rest" group, so
+    ``groups=[[0, 1, 2]]`` splits those three sites off from everyone
+    else: the primitive behind the paper's section-2.2 merge/split
+    scenarios.
+    """
+    group_of = {}
+    for index, group in enumerate(groups):
+        for site in group:
+            site = int(site)
+            if not 0 <= site < topology.n_sites:
+                raise FaultInjectionError(
+                    f"partition names site {site}, outside 0..{topology.n_sites - 1}")
+            if site in group_of:
+                raise FaultInjectionError("partition groups must be disjoint")
+            group_of[site] = index
+    if not group_of:
+        raise FaultInjectionError("a partition needs at least one site")
+    _check_heal(heal_at, at)
+    rest = len(groups)
+    cut = [
+        link_id for link_id, link in enumerate(topology.links)
+        if group_of.get(link.a, rest) != group_of.get(link.b, rest)
+    ]
+    events = [(at, EventKind.LINK_FAIL, link) for link in cut]
+    if heal_at is not None:
+        events += [(heal_at, EventKind.LINK_REPAIR, link) for link in cut]
+    return events
+
+
+def flap(site: int, period: float, until: float, down_fraction: float = 0.5,
+         start: float = 0.0) -> List[ScheduledFault]:
+    """``site`` cycles down/up every ``period`` from ``start`` until ``until``.
+
+    Each cycle spends ``down_fraction * period`` down, then comes back
+    up: the classic stressor for version propagation, since the site
+    keeps rejoining components that moved on without it.
+    """
+    if not period > 0.0:
+        raise FaultInjectionError(f"flap period must be positive, got {period}")
+    if not 0.0 < down_fraction < 1.0:
+        raise FaultInjectionError(
+            f"down_fraction must be strictly inside (0, 1), got {down_fraction}")
+    if not until > start:
+        raise FaultInjectionError(f"flap end {until} must come after start {start}")
+    events: List[ScheduledFault] = []
+    down_time = down_fraction * period
+    t = start
+    while t < until:
+        events.append((t, EventKind.SITE_FAIL, site))
+        events.append((t + down_time, EventKind.SITE_REPAIR, site))
+        t += period
+    return events
+
+
+def cascade(start: float, sites: Sequence[int], delay: float,
+            heal_at: Optional[float] = None) -> List[ScheduledFault]:
+    """``sites`` fail one after another, ``delay`` apart, from ``start``.
+
+    A rolling outage (overload shedding, a bad deploy sweeping a fleet);
+    every victim is repaired at ``heal_at`` when given.
+    """
+    if not sites:
+        raise FaultInjectionError("a cascade needs at least one site")
+    if not delay >= 0.0:
+        raise FaultInjectionError(f"cascade delay must be non-negative, got {delay}")
+    _check_heal(heal_at, start + delay * (len(sites) - 1))
+    events = [(start + k * delay, EventKind.SITE_FAIL, site)
+              for k, site in enumerate(sites)]
+    if heal_at is not None:
+        events += [(heal_at, EventKind.SITE_REPAIR, site) for site in sites]
+    return events
+
+
+def correlated(sites: Sequence[int], at_times: Sequence[float],
+               down_time: float) -> List[ScheduledFault]:
+    """A shared-risk group: ``sites`` fail together at each of ``at_times``.
+
+    A rack power feed or an availability zone: one underlying fault takes
+    every member down at once and holds it down for ``down_time``.
+    """
+    if not sites:
+        raise FaultInjectionError("a correlated group needs at least one site")
+    if not at_times:
+        raise FaultInjectionError("a correlated group needs at least one time")
+    if not down_time > 0.0:
+        raise FaultInjectionError(f"down_time must be positive, got {down_time}")
+    events: List[ScheduledFault] = []
+    for at in sorted(at_times):
+        for site in sites:
+            events.append((at, EventKind.SITE_FAIL, site))
+            events.append((at + down_time, EventKind.SITE_REPAIR, site))
+    return events

@@ -8,12 +8,7 @@ network apart — staying correct (invariant-monitored end to end) and
 live (retries, breakers, load shedding, graceful degradation).
 """
 
-from repro.serving.breakers import (
-    BreakerBoard,
-    BreakerState,
-    CircuitBreaker,
-    CircuitBreakerConfig,
-)
+from repro.serving.breakers import BreakerBoard, BreakerState, CircuitBreaker
 from repro.serving.config import ServeConfig
 from repro.serving.report import (
     OUTCOME_NAMES,
@@ -30,7 +25,6 @@ __all__ = [
     "BreakerBoard",
     "BreakerState",
     "CircuitBreaker",
-    "CircuitBreakerConfig",
     "OUTCOME_NAMES",
     "ReassignmentEvent",
     "RequestChunk",

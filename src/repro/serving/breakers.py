@@ -2,24 +2,30 @@
 
 A site whose accesses keep failing (its component lost quorum, or the
 site itself is down) should stop absorbing retry budget: the breaker
-*opens* after ``failure_threshold`` consecutive failures and fast-fails
-subsequent requests for ``cooldown`` simulated seconds. After the
-cooldown one probe request is let through (*half-open*); success closes
-the breaker, failure re-opens it for another cooldown.
+*opens* after :data:`FAILURE_THRESHOLD` consecutive failures and
+fast-fails subsequent requests for :data:`COOLDOWN` simulated seconds.
+After the cooldown one probe request is let through (*half-open*);
+success closes the breaker, failure re-opens it for another cooldown.
 
 All state transitions run on simulated time inside the single-sequencer
-engine, so breaker behaviour is deterministic for a fixed seed.
+engine, so breaker behaviour is deterministic for a fixed seed. The two
+settings are module constants; a test that needs another value
+monkeypatches them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List
 
 from repro.errors import ReproError
 
-__all__ = ["BreakerState", "CircuitBreakerConfig", "CircuitBreaker", "BreakerBoard"]
+__all__ = ["BreakerState", "CircuitBreaker", "BreakerBoard"]
+
+#: Consecutive failures that open a site's breaker.
+FAILURE_THRESHOLD = 8
+#: Simulated seconds an open breaker fast-fails before letting one probe in.
+COOLDOWN = 20.0
 
 
 class BreakerState(Enum):
@@ -28,29 +34,12 @@ class BreakerState(Enum):
     HALF_OPEN = "half_open"
 
 
-@dataclass(frozen=True)
-class CircuitBreakerConfig:
-    """Breaker policy shared by every site's breaker."""
-
-    failure_threshold: int = 8
-    cooldown: float = 20.0
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ReproError(
-                f"failure_threshold must be >= 1, got {self.failure_threshold}"
-            )
-        if self.cooldown <= 0.0:
-            raise ReproError(f"cooldown must be positive, got {self.cooldown}")
-
-
 class CircuitBreaker:
     """One site's breaker state machine."""
 
-    __slots__ = ("config", "state", "failures", "opened_at", "probing", "trips")
+    __slots__ = ("state", "failures", "opened_at", "probing", "trips")
 
-    def __init__(self, config: CircuitBreakerConfig) -> None:
-        self.config = config
+    def __init__(self) -> None:
         self.state = BreakerState.CLOSED
         self.failures = 0
         self.opened_at = 0.0
@@ -62,7 +51,7 @@ class CircuitBreaker:
         if self.state is BreakerState.CLOSED:
             return True
         if self.state is BreakerState.OPEN:
-            if now - self.opened_at >= self.config.cooldown:
+            if now - self.opened_at >= COOLDOWN:
                 self.state = BreakerState.HALF_OPEN
                 self.probing = False
             else:
@@ -83,7 +72,7 @@ class CircuitBreaker:
             self._trip(now)
             return
         self.failures += 1
-        if self.failures >= self.config.failure_threshold:
+        if self.failures >= FAILURE_THRESHOLD:
             self._trip(now)
 
     def _trip(self, now: float) -> None:
@@ -97,12 +86,11 @@ class CircuitBreaker:
 class BreakerBoard:
     """The per-site breaker array plus aggregate accounting."""
 
-    def __init__(self, n_sites: int, config: CircuitBreakerConfig) -> None:
+    def __init__(self, n_sites: int) -> None:
         if n_sites <= 0:
             raise ReproError(f"need at least one site, got {n_sites}")
-        self.config = config
         self.breakers: List[CircuitBreaker] = [
-            CircuitBreaker(config) for _ in range(n_sites)
+            CircuitBreaker() for _ in range(n_sites)
         ]
         #: Requests fast-failed by an open breaker.
         self.rejections = 0

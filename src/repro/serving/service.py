@@ -39,15 +39,15 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.errors import ReproError
 from repro.faults.monitor import InvariantMonitor
-from repro.faults.retry import RetryPolicy
 from repro.protocols.adaptive import install_from_any, reassignment_decision
 from repro.protocols.estimator import OnlineDensityEstimator
 from repro.protocols.reassignment import QuorumReassignmentProtocol
 from repro.protocols.workload_estimator import WorkloadEstimator
 from repro.replication.database import ReplicatedDatabase
 from repro.rng import stream_for
-from repro.serving.breakers import BreakerBoard, CircuitBreakerConfig
+from repro.serving.breakers import BreakerBoard
 from repro.serving.config import ServeConfig
 from repro.serving.report import ReassignmentEvent, ServeReport, outcome_code
 from repro.serving.requests import RequestStream
@@ -55,20 +55,25 @@ from repro.simulation.events import EventKind
 from repro.telemetry.recorder import Telemetry, resolve
 from repro.telemetry.spans import NULL_SPAN, SCOPE_SERVE, TraceContext
 
-__all__ = ["AdaptiveQuorumService", "run_serve"]
+__all__ = ["AdaptiveQuorumService", "backoff", "run_serve"]
 
 # Serving settings. No caller sets them, so they are module constants;
 # a test that needs another value monkeypatches the constant.
 
-#: Jittered exponential backoff with a hard per-request deadline: the
-#: deadline doubles as the per-request timeout (a retry that cannot start
-#: before it is not scheduled, and the request times out).
-RETRY_POLICY = RetryPolicy(max_attempts=4, base_delay=0.5, multiplier=2.0,
-                           max_delay=8.0, deadline=30.0, jitter=0.1)
+#: Jittered exponential backoff (:func:`backoff`): tries per request,
+#: including the first, and the first backoff, its growth factor, its
+#: cap and the jitter band, in simulated seconds.
+MAX_ATTEMPTS = 4
+RETRY_BASE_DELAY = 0.5
+RETRY_MULTIPLIER = 2.0
+RETRY_MAX_DELAY = 8.0
+RETRY_JITTER = 0.1
+#: The hard per-request deadline, which doubles as its timeout: a retry
+#: that cannot start before it is not scheduled, and the request times out.
+RETRY_DEADLINE = 30.0
 #: Max requests simultaneously waiting on a backoff; beyond it new
 #: arrivals are shed with cause ``overload`` (explicit backpressure).
 QUEUE_CAPACITY = 512
-BREAKER = CircuitBreakerConfig()
 #: Simulated seconds between estimation/optimization ticks.
 CONTROL_INTERVAL = 25.0
 #: Observed simulated time before the density estimate is trusted.
@@ -88,8 +93,6 @@ TRANSPORT_SLOTS = 64
 
 #: Substream index for the retry-backoff jitter stream.
 _STREAM_RETRY = 201
-#: Substream index handed to the fault schedule (stochastic injectors).
-_STREAM_CHAOS = 202
 
 # Heap event kinds, in tie-break priority order at equal simulated time.
 _FAULT, _RETRY, _CONTROL, _WATCHDOG = 0, 1, 2, 3
@@ -111,6 +114,21 @@ _CODE_BY_CAUSE = {
 
 #: Latency buckets on the simulated clock (backoff-scale, not µs-scale).
 _LATENCY_BUCKETS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 60.0)
+
+
+def backoff(attempt: int, rng: np.random.Generator) -> float:
+    """Backoff to wait after failed attempt number ``attempt`` (1-based).
+
+    ``min(RETRY_BASE_DELAY * RETRY_MULTIPLIER ** (attempt - 1),
+    RETRY_MAX_DELAY)``, scaled by one uniform draw from ``rng`` in
+    ``[1 - RETRY_JITTER, 1 + RETRY_JITTER]``: the jitter decorrelates
+    retry storms when many sites retry the same outage.
+    """
+    if attempt < 1:
+        raise ReproError(f"attempt numbers are 1-based, got {attempt}")
+    delay = min(RETRY_BASE_DELAY * RETRY_MULTIPLIER ** (attempt - 1),
+                RETRY_MAX_DELAY)
+    return delay * float(rng.uniform(1.0 - RETRY_JITTER, 1.0 + RETRY_JITTER))
 
 
 def _latency_summary(granted: np.ndarray) -> Dict[str, float]:
@@ -189,7 +207,7 @@ class AdaptiveQuorumService:
         self.workload_est = WorkloadEstimator(
             self.n_sites, forgetting_factor=FORGETTING_FACTOR
         )
-        self.breakers = BreakerBoard(self.n_sites, BREAKER)
+        self.breakers = BreakerBoard(self.n_sites)
         self._retry_rng = stream_for(config.seed, _STREAM_RETRY)
 
         n = config.n_requests
@@ -240,11 +258,8 @@ class AdaptiveQuorumService:
         self._n_feeders = min(config.n_clients, self.stream.n_chunks)
 
         if config.fault_schedule is not None:
-            chaos_rng = stream_for(config.seed, _STREAM_CHAOS)
-            for at, kind, target in config.fault_schedule.all_events(
-                topology, chaos_rng
-            ):
-                self._push(at, _FAULT, (kind, int(target)))
+            for at, kind, target in config.fault_schedule.all_events(topology):
+                self._push(at, _FAULT, (kind, target))
         self._push(CONTROL_INTERVAL, _CONTROL, None)
         self._push(WATCHDOG_INTERVAL, _WATCHDOG, None)
         self._update_mode()
@@ -350,10 +365,9 @@ class AdaptiveQuorumService:
                 self._record(pending.rid, _CODE_GRANTED, pending.attempts)
                 return
 
-            policy = RETRY_POLICY
-            if pending.attempts < policy.max_attempts:
-                delay = policy.backoff(pending.attempts, self._retry_rng)
-                if policy.within_deadline(self.now + delay - pending.submit):
+            if pending.attempts < MAX_ATTEMPTS:
+                delay = backoff(pending.attempts, self._retry_rng)
+                if self.now + delay - pending.submit < RETRY_DEADLINE:
                     self._retries_scheduled += 1
                     self._c_retry_attempts.inc(op=op, cause=cause)
                     self._waiting[pending.rid] = pending

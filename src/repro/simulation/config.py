@@ -17,7 +17,7 @@ only the confidence interval widens, and it is always reported.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
@@ -25,6 +25,9 @@ from repro.errors import SimulationError
 from repro.simulation.processes import failure_parameters, reliability_to_repair_time
 from repro.simulation.workload import AccessWorkload
 from repro.topology.model import Topology
+
+if TYPE_CHECKING:
+    from repro.faults.schedule import FaultSchedule
 
 __all__ = ["SimulationConfig"]
 
@@ -72,9 +75,9 @@ class SimulationConfig:
     seed:
         Reproducibility seed; batch ``k`` derives an independent stream.
     fault_schedule:
-        Optional :class:`~repro.faults.schedule.FaultSchedule` of scripted
-        chaos injectors, primed into every batch alongside the stochastic
-        processes. Components the schedule owns are removed from the
+        Optional :class:`~repro.faults.schedule.FaultSchedule`: scripted
+        topology events primed into every batch alongside the stochastic
+        processes. Components its events name are removed from the
         stochastic fallible set automatically.
     """
 
@@ -90,7 +93,7 @@ class SimulationConfig:
     fallible_sites: Optional[np.ndarray] = None
     fallible_links: Optional[np.ndarray] = None
     seed: Optional[int] = 0
-    fault_schedule: Optional[object] = None
+    fault_schedule: Optional["FaultSchedule"] = None
 
     def __post_init__(self) -> None:
         if self.workload.n_sites != self.topology.n_sites:
@@ -120,15 +123,14 @@ class SimulationConfig:
             raise SimulationError(
                 f"initial_state must be one of {INITIAL_STATES}, got {self.initial_state!r}"
             )
-        schedule = self.fault_schedule
-        if schedule is not None and (
-            not callable(getattr(schedule, "prime", None))
-            or not callable(getattr(schedule, "owned_components", None))
-        ):
-            raise SimulationError(
-                "fault_schedule must expose prime(queue, topology, rng) and "
-                f"owned_components(topology); got {type(schedule).__name__}"
-            )
+        if self.fault_schedule is not None:
+            # Imported here: repro.faults imports this module.
+            from repro.faults.schedule import FaultSchedule
+
+            if not isinstance(self.fault_schedule, FaultSchedule):
+                raise SimulationError(
+                    "fault_schedule must be a FaultSchedule, got "
+                    f"{type(self.fault_schedule).__name__}")
 
     # ------------------------------------------------------------------
     @classmethod

@@ -134,7 +134,7 @@ class HistoryWalk:
     """
 
     def __init__(self, config, network, failure_rng, schedule=None,
-                 chaos_rng=None, telemetry=_NULL_TELEMETRY) -> None:
+                 telemetry=_NULL_TELEMETRY) -> None:
         topo = config.topology
         queue = EventQueue()
         processes = FailureProcesses(
@@ -159,7 +159,7 @@ class HistoryWalk:
                 processes.prime(queue)
         if schedule is not None:
             with telemetry.span("engine.apply_schedule"):
-                schedule.prime(queue, topo, chaos_rng)
+                schedule.prime(queue, topo)
         #: The batch measures ``[warmup_end, horizon)``.
         self.warmup_end = config.warmup_time
         self.horizon = self.warmup_end + config.batch_time
@@ -262,11 +262,10 @@ class SimulationEngine:
         cfg = self.config
         topo = cfg.topology
         batch_seed = stream_for(cfg.seed, batch_index) if cfg.seed is not None else None
-        # Three substreams are always drawn so that runs with and without
-        # a fault schedule share identical failure/access streams for the
-        # same seed (the first children of a stream do not depend on how
-        # many siblings follow).
-        failure_rng, access_rng, chaos_rng = spawn(batch_seed, 3)
+        # Three substreams, the third unused since fault schedules stopped
+        # drawing randomness: spawning three keeps every pinned history
+        # bitwise by construction, whatever spawn does with the count.
+        failure_rng, access_rng, _ = spawn(batch_seed, 3)
 
         state = NetworkState(topo)
         tracker = ComponentTracker(state)
@@ -284,7 +283,7 @@ class SimulationEngine:
         try:
             self.protocol.reset()
             walk = HistoryWalk(cfg, state, failure_rng, cfg.fault_schedule,
-                               chaos_rng, self.telemetry)
+                               self.telemetry)
             trace = NetworkTrace.empty(topo, state)
             self.protocol.on_network_change(tracker)
             self._measure_loop(

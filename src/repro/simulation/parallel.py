@@ -132,20 +132,6 @@ def _picklable(exc: BatchExecutionError) -> BatchExecutionError:
     return clean
 
 
-def _compose_observers(monitor: Optional["InvariantMonitor"],
-                       extra: Optional[ChangeObserver]) -> Optional[ChangeObserver]:
-    if monitor is None:
-        return extra
-    if extra is None:
-        return monitor.observe
-
-    def observer(now, tracker, protocol) -> None:
-        monitor.observe(now, tracker, protocol)
-        extra(now, tracker, protocol)
-
-    return observer
-
-
 class BatchLoop:
     """One run's batches: trace root, dispatch, and the outcome consumer.
 
@@ -156,8 +142,8 @@ class BatchLoop:
     and merges worker monitors under the parent's ``max_records`` cap.
     A ``monitor`` marks a chaos campaign: every quarantine increments
     ``repro_chaos_quarantined_total`` on the caller's recorder.
-    ``change_observer`` cannot cross a process boundary and is rejected
-    with ``n_workers > 1``.
+    ``change_observer`` (a plain run's hook, never a campaign's) cannot
+    cross a process boundary and is rejected with ``n_workers > 1``.
     """
 
     def __init__(
@@ -177,6 +163,8 @@ class BatchLoop:
                 "change_observer callbacks cannot cross the process boundary; "
                 "use n_workers=1"
             )
+        if monitor is not None and change_observer is not None:
+            raise SimulationError("pass a monitor or a change_observer, not both")
         self.config = config
         self.protocol = protocol
         self.telemetry = telemetry
@@ -188,7 +176,8 @@ class BatchLoop:
         self._snapshots: List[TelemetrySnapshot] = []
         self._engine = (
             SimulationEngine(config, protocol,
-                             _compose_observers(monitor, change_observer),
+                             change_observer if monitor is None
+                             else monitor.observe,
                              telemetry=telemetry)
             if n_workers == 1 else None
         )
@@ -219,7 +208,6 @@ class BatchLoop:
         from repro.pool import fan_out
 
         monitor_kwargs = None if self.monitor is None else {
-            "raise_on_violation": self.monitor.raise_on_violation,
             "record_snapshots": self.monitor.record_snapshots,
             "max_records": self.monitor.max_records,
         }

@@ -13,13 +13,14 @@ The two acceptance scenarios for the chaos subsystem live here:
 import pytest
 
 from repro.errors import BatchExecutionError, FaultInjectionError
-from repro.faults.chaos import ChaosReport, replay_batch, run_chaos_campaign, unchecked_assignment
-from repro.faults.schedule import FaultSchedule, FlappingSite, ScriptedPartition
+from repro.faults.chaos import ChaosReport, run_chaos_campaign, unchecked_assignment
+from repro.faults.schedule import FaultSchedule, flap, partition
 from repro.protocols.majority import MajorityConsensusProtocol
 from repro.protocols.quorum_consensus import QuorumConsensusProtocol
 from repro.protocols.reassignment import QuorumReassignmentProtocol
 from repro.quorum.assignment import QuorumAssignment
 from repro.simulation.config import SimulationConfig
+from repro.simulation.engine import SimulationEngine
 from repro.simulation.runner import run_simulation
 from repro.simulation.workload import AccessWorkload
 from repro.topology.generators import ring
@@ -40,10 +41,10 @@ def chaos_config(n_sites=7, accesses=300.0, n_batches=2, seed=5, schedule=None):
 
 
 def partition_schedule(horizon):
-    return FaultSchedule([
-        ScriptedPartition(0.2 * horizon, [[0, 1, 2]], heal_at=0.5 * horizon),
-        FlappingSite(6, period=horizon / 8.0, until=0.9 * horizon),
-    ])
+    return FaultSchedule(
+        partition(ring(7), 0.2 * horizon, [[0, 1, 2]], heal_at=0.5 * horizon)
+        + flap(6, period=horizon / 8.0, until=0.9 * horizon)
+    )
 
 
 class TestUncheckedAssignment:
@@ -182,24 +183,25 @@ class TestQuarantine:
         (quarantine,) = report.quarantined
         # A fresh protocol instance + the quarantined batch index replays
         # the exact same abort (batch streams derive from (seed, index)).
+        engine = SimulationEngine(config, _DyingProtocol(7, die_in_batches=[0]),
+                                  record_trace=True)
         with pytest.raises(BatchExecutionError) as excinfo:
-            replay_batch(
-                config,
-                _DyingProtocol(7, die_in_batches=[0]),
-                quarantine.batch_index,
-            )
+            engine.run_batch(quarantine.batch_index)
         replayed = excinfo.value
         assert replayed.batch_index == quarantine.batch_index
-        assert replayed.sim_time == pytest.approx(quarantine.sim_time)
+        assert replayed.sim_time == quarantine.sim_time
+        assert replayed.trace.events == quarantine.trace.events
 
     def test_replay_of_clean_batch_matches_campaign(self):
         config = chaos_config(schedule=partition_schedule(42.0))
         report = run_chaos_campaign(config, MajorityConsensusProtocol(7),
                                     n_batches=1)
-        replayed = replay_batch(config, MajorityConsensusProtocol(7), 0)
+        replayed = SimulationEngine(config, MajorityConsensusProtocol(7),
+                                    record_trace=True).run_batch(0)
         original = report.batches[0]
         assert replayed.accesses_granted == original.accesses_granted
         assert replayed.accesses_submitted == original.accesses_submitted
+        assert len(replayed.trace.chaos_events()) > 0
 
     def test_runner_keep_going_quarantines_and_continues(self):
         config = chaos_config(n_batches=3, schedule=partition_schedule(42.0))

@@ -272,15 +272,6 @@ class TestRecording:
         assert violation.snapshot["site_up"] == [1] * 6
         assert "batch 3" in str(violation)
 
-    def test_raise_on_violation(self, network):
-        topo, state, tracker = network
-        monitor = InvariantMonitor(raise_on_violation=True)
-        monitor.start_batch(0, seed=1)
-        with pytest.raises(InvariantViolation) as excinfo:
-            monitor.record(2.0, "test-rule", "boom")
-        assert excinfo.value.rule == "test-rule"
-        assert excinfo.value.seed == 1
-
     def test_record_cap_counts_overflow(self, network):
         topo, state, tracker = network
         monitor = InvariantMonitor(max_records=2)

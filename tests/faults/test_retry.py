@@ -1,62 +1,86 @@
-"""RetryPolicy mechanics and the database's monitor routing.
+"""Retry backoff mechanics and the database's monitor routing.
 
-Retries themselves are the serving sequencer's (tests/serving).
+The retry settings are constants of ``repro.serving.service`` and
+:func:`~repro.serving.service.backoff` is their one function; retries
+themselves are the serving sequencer's (tests/serving).
 """
 
 import pytest
 
-from repro.errors import FaultInjectionError, SerializabilityError
+from repro.errors import ReproError, SerializabilityError
 from repro.faults.chaos import unchecked_assignment
 from repro.faults.monitor import InvariantMonitor
-from repro.faults.retry import RetryPolicy
 from repro.protocols.quorum_consensus import QuorumConsensusProtocol
+from repro.quorum.assignment import QuorumAssignment
 from repro.replication.database import ReplicatedDatabase
 from repro.rng import as_generator
-from repro.topology.generators import ring
+from repro.serving import ServeConfig, run_serve, serving_schedule
+from repro.serving import service
+from repro.serving.service import backoff
+from repro.simulation.workload import AccessWorkload
+from repro.topology.generators import ring, ring_with_chords
 
 
 class TestPolicy:
-    def test_backoff_grows_then_caps(self):
-        policy = RetryPolicy(max_attempts=6, base_delay=1.0, multiplier=2.0,
-                             max_delay=5.0)
-        delays = [policy.backoff(k) for k in range(1, 6)]
+    def test_backoff_grows_then_caps(self, monkeypatch):
+        monkeypatch.setattr(service, "RETRY_BASE_DELAY", 1.0)
+        monkeypatch.setattr(service, "RETRY_MAX_DELAY", 5.0)
+        monkeypatch.setattr(service, "RETRY_JITTER", 0.0)
+        delays = [backoff(k, as_generator(0)) for k in range(1, 6)]
         assert delays == [1.0, 2.0, 4.0, 5.0, 5.0]
 
-    def test_jitter_stays_in_band(self):
-        policy = RetryPolicy(base_delay=2.0, multiplier=1.0, max_delay=2.0,
-                             jitter=0.5)
+    def test_shipped_backoff_stays_in_its_jitter_band(self):
         rng = as_generator(0)
-        for _ in range(50):
-            assert 1.0 <= policy.backoff(1, rng) <= 3.0
+        for attempt, nominal in ((1, 0.5), (2, 1.0), (3, 2.0), (4, 4.0), (5, 8.0), (9, 8.0)):
+            for _ in range(20):
+                assert 0.9 * nominal <= backoff(attempt, rng) <= 1.1 * nominal
+
+    def test_jitter_stays_in_band(self, monkeypatch):
+        monkeypatch.setattr(service, "RETRY_BASE_DELAY", 2.0)
+        monkeypatch.setattr(service, "RETRY_MULTIPLIER", 1.0)
+        monkeypatch.setattr(service, "RETRY_JITTER", 0.5)
+        rng = as_generator(0)
+        draws = [backoff(1, rng) for _ in range(50)]
+        assert all(1.0 <= d <= 3.0 for d in draws)
+        assert len(set(draws)) == 50
 
     def test_jittered_backoff_is_seed_deterministic(self):
-        policy = RetryPolicy(jitter=0.3)
-        a = [policy.backoff(k, as_generator(5)) for k in range(1, 4)]
-        b = [policy.backoff(k, as_generator(5)) for k in range(1, 4)]
+        a = [backoff(k, as_generator(5)) for k in range(1, 4)]
+        b = [backoff(k, as_generator(5)) for k in range(1, 4)]
         assert a == b
 
-    def test_deadline(self):
-        policy = RetryPolicy(deadline=10.0)
-        assert policy.within_deadline(9.99)
-        assert not policy.within_deadline(10.0)
-        assert RetryPolicy(deadline=None).within_deadline(1e9)
+    def test_one_uniform_draw_per_backoff(self):
+        rng, twin = as_generator(3), as_generator(3)
+        for attempt in (1, 2, 3):
+            assert backoff(attempt, rng) == (
+                min(0.5 * 2.0 ** (attempt - 1), 8.0) * twin.uniform(0.9, 1.1))
+
+    def test_deadline(self, monkeypatch):
+        topology = ring_with_chords(9, 2)
+
+        def run():
+            config = ServeConfig(
+                topology=topology,
+                workload=AccessWorkload.uniform(9, 0.7),
+                initial_assignment=QuorumAssignment.from_read_quorum(
+                    topology.total_votes, 1),
+                n_requests=6_000, n_clients=4, seed=11, scenario="correlated")
+            config.fault_schedule = serving_schedule(
+                "correlated", topology, config.horizon)
+            return run_serve(config)
+
+        assert run().retries_scheduled > 0
+        # No backoff is shorter than 0.45: past a 0.4 deadline no retry
+        # can start, and every denied request times out on its first try.
+        monkeypatch.setattr(service, "RETRY_DEADLINE", 0.4)
+        report = run()
+        assert report.retries_scheduled == 0
+        assert report.outcomes["timeout"] > 0
+        assert report.attempt_counts.max() == 1
 
     def test_validation(self):
-        with pytest.raises(FaultInjectionError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(FaultInjectionError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(FaultInjectionError):
-            RetryPolicy(base_delay=4.0, max_delay=2.0)
-        with pytest.raises(FaultInjectionError):
-            RetryPolicy(jitter=1.5)
-        with pytest.raises(FaultInjectionError):
-            RetryPolicy(deadline=0.0)
-        with pytest.raises(FaultInjectionError):
-            RetryPolicy().backoff(0)
-
-    def test_describe(self):
-        assert "attempts=4" in RetryPolicy().describe()
+        with pytest.raises(ReproError, match="1-based"):
+            backoff(0, as_generator(0))
 
 
 class TestMonitorRouting:

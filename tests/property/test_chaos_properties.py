@@ -2,7 +2,7 @@
 
 The headline property is the executable form of the paper's correctness
 claim under adversarial conditions: for ANY scripted fault schedule (and
-any retry discipline on the data path), a correct protocol preserves
+any retry on the data path), a correct protocol preserves
 one-copy serializability and never grants writes in two disjoint
 components. The invariant monitor is the judge — the same one chaos
 campaigns use — so these tests also guard the monitor against false
@@ -13,79 +13,68 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SerializabilityError
 from repro.faults.chaos import run_chaos_campaign
-from repro.faults.retry import RetryPolicy
-from repro.faults.schedule import (
-    CascadingFailure,
-    CorrelatedFailure,
-    FaultSchedule,
-    FlappingSite,
-    ScriptedPartition,
-    SiteCrash,
-)
+from repro.faults.schedule import FaultSchedule, cascade, correlated, flap, partition
 from repro.protocols.majority import MajorityConsensusProtocol
 from repro.protocols.reassignment import QuorumReassignmentProtocol
 from repro.quorum.assignment import QuorumAssignment
 from repro.replication.database import ReplicatedDatabase
+from repro.rng import as_generator
+from repro.serving import service
 from repro.simulation.config import SimulationConfig
+from repro.simulation.events import EventKind
 from repro.simulation.workload import AccessWorkload
 from repro.topology.generators import ring
 
 N_SITES = 7
+TOPOLOGY = ring(N_SITES)
 HORIZON = 120.0 / N_SITES  # accesses_per_batch / aggregate rate
 
 times = st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False)
 durations = st.floats(0.5, 5.0, allow_nan=False, allow_infinity=False)
 site_sets = st.sets(st.integers(0, N_SITES - 1), min_size=1, max_size=3)
 
+# Each strategy draws one raw event list; a schedule is one to three of
+# them concatenated.
 site_crashes = st.builds(
-    lambda at, sites, heal: SiteCrash(at, sorted(sites), heal_at=at + heal),
+    lambda at, sites, heal: (
+        [(at, EventKind.SITE_FAIL, s) for s in sorted(sites)]
+        + [(at + heal, EventKind.SITE_REPAIR, s) for s in sorted(sites)]
+    ),
     times, site_sets, durations,
 )
 partitions = st.builds(
-    lambda at, group, heal: ScriptedPartition(at, [sorted(group)],
-                                              heal_at=at + heal),
+    lambda at, group, heal: partition(TOPOLOGY, at, [sorted(group)],
+                                      heal_at=at + heal),
     times, site_sets, durations,
 )
 flappers = st.builds(
-    lambda site, period, until: FlappingSite(site, period=period, until=until),
+    lambda site, period, until: flap(site, period=period, until=until),
     st.integers(0, N_SITES - 1),
     st.floats(1.0, 4.0),
     st.floats(8.0, HORIZON),
 )
 cascades = st.builds(
-    lambda start, sites, delay, heal: CascadingFailure(
+    lambda start, sites, delay, heal: cascade(
         start, sorted(sites), delay,
         heal_at=start + delay * (len(sites) - 1) + heal,
     ),
     times, site_sets, st.floats(0.0, 1.0), durations,
 )
-correlated = st.builds(
-    lambda sites, at, down: CorrelatedFailure(sites=sorted(sites),
-                                              at_times=[at], down_time=down),
+correlated_groups = st.builds(
+    lambda sites, at, down: correlated(sorted(sites), [at], down_time=down),
     site_sets, times, durations,
 )
 
 fault_schedules = st.lists(
-    st.one_of(site_crashes, partitions, flappers, cascades, correlated),
+    st.one_of(site_crashes, partitions, flappers, cascades, correlated_groups),
     min_size=1, max_size=3,
-).map(FaultSchedule)
-
-retry_policies = st.builds(
-    RetryPolicy,
-    max_attempts=st.integers(1, 4),
-    base_delay=st.floats(0.1, 2.0),
-    multiplier=st.floats(1.0, 2.0),
-    max_delay=st.just(8.0),
-    deadline=st.one_of(st.none(), st.floats(1.0, 10.0)),
-    jitter=st.floats(0.0, 0.5),
-)
+).map(lambda lists: FaultSchedule([event for events in lists for event in events]))
 
 
 def chaos_config(schedule, seed):
     return SimulationConfig(
-        topology=ring(N_SITES),
+        topology=TOPOLOGY,
         workload=AccessWorkload.uniform(N_SITES, 0.5, 1.0),
         warmup_accesses=0.0,
         accesses_per_batch=120.0,
@@ -164,12 +153,12 @@ class TestRetryPreservesSerializability:
                 db._network_changed()
 
     @settings(max_examples=60, deadline=None)
-    @given(policy=retry_policies, attempt=st.integers(1, 10),
-           seed=st.integers(0, 2**16))
-    def test_backoff_is_bounded(self, policy, attempt, seed):
-        from repro.rng import as_generator
-
-        delay = policy.backoff(attempt, as_generator(seed))
-        assert 0.0 <= delay <= policy.max_delay * (1.0 + policy.jitter) + 1e-9
-        if policy.jitter == 0.0 and attempt > 1:
-            assert delay >= policy.backoff(attempt - 1)
+    @given(attempt=st.integers(1, 10), seed=st.integers(0, 2**16))
+    def test_backoff_is_bounded(self, attempt, seed):
+        delay = service.backoff(attempt, as_generator(seed))
+        cap = service.RETRY_MAX_DELAY * (1.0 + service.RETRY_JITTER)
+        assert 0.0 < delay <= cap
+        nominal = min(service.RETRY_BASE_DELAY
+                      * service.RETRY_MULTIPLIER ** (attempt - 1),
+                      service.RETRY_MAX_DELAY)
+        assert abs(delay - nominal) <= nominal * service.RETRY_JITTER

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.faults.schedule import FaultSchedule, SiteCrash
+from repro.faults.schedule import FaultSchedule
 from repro.quorum.assignment import QuorumAssignment
 from repro.replication.database import ReplicatedDatabase
 from repro.serving import (
@@ -28,6 +28,7 @@ from repro.serving import (
 from repro.serving import service as service_module
 from repro.serving.report import outcome_code
 from repro.serving.service import AdaptiveQuorumService, _latency_summary
+from repro.simulation.events import EventKind
 from repro.simulation.workload import AccessWorkload
 from repro.telemetry.recorder import Telemetry
 from repro.topology.generators import ring_with_chords
@@ -235,7 +236,8 @@ class TestLatency:
         # is NaN, and a refused request misses every latency limit.
         report = run_serve(make_config(
             scenario="custom", n_requests=500,
-            fault_schedule=FaultSchedule([SiteCrash(0.0, range(N_SITES))])))
+            fault_schedule=FaultSchedule(
+                (0.0, EventKind.SITE_FAIL, site) for site in range(N_SITES))))
         assert "granted" not in report.outcomes
         assert math.isnan(report.latency["p99"])
         assert report.passed

@@ -14,6 +14,7 @@ import repro.simulation.runner as runner
 import repro.telemetry.spans as spans
 from repro.errors import BatchExecutionError, SimulationError
 from repro.faults.chaos import run_chaos_campaign
+from repro.faults.schedule import FaultSchedule
 from repro.protocols.majority import MajorityConsensusProtocol
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import SimulationEngine
@@ -67,13 +68,10 @@ class _DiesIfStartedDegraded(MajorityConsensusProtocol):
         return super().on_network_change(tracker)
 
 
-class _UnprimableSchedule:
+class _UnprimableSchedule(FaultSchedule):
     """A fault schedule whose priming raises: the walk is never built."""
 
-    def owned_components(self, topology):
-        return ()
-
-    def prime(self, queue, topology, rng):
+    def prime(self, queue, topology):
         raise RuntimeError("schedule cannot be primed")
 
 

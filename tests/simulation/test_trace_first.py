@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.errors import BatchExecutionError
-from repro.faults.schedule import FaultSchedule, ScriptedPartition, SiteCrash
+from repro.faults.schedule import FaultSchedule, partition
 from repro.protocols.majority import MajorityConsensusProtocol
 from repro.sharding import ItemWorkload, ShardConfig, run_sharded
 from repro.simulation import processes as processes_module
@@ -48,10 +48,12 @@ TOPOLOGIES = {
 #: Two crashes and a partition at one instant inside the warm-up, healed at
 #: different measured times: same-instant chaos groups, chaos repairs, and
 #: components the stochastic processes must leave alone.
-CHAOS = FaultSchedule([
-    SiteCrash(at=9.0, sites=[1, 2], heal_at=31.5),
-    ScriptedPartition(at=9.0, groups=[[3, 4, 5]], heal_at=40.0),
-])
+def chaos_schedule(topology):
+    return FaultSchedule(
+        [(9.0, EventKind.SITE_FAIL, 1), (9.0, EventKind.SITE_FAIL, 2),
+         (31.5, EventKind.SITE_REPAIR, 1), (31.5, EventKind.SITE_REPAIR, 2)]
+        + partition(topology, 9.0, [[3, 4, 5]], heal_at=40.0)
+    )
 
 CASES = [
     (topology, initial_state, accounting, chaos)
@@ -69,14 +71,15 @@ def case_id(case):
 
 def build_config(case, **overrides):
     name, initial_state, accounting, chaos = case
+    topology = TOPOLOGIES[name]()
     fields = dict(
         alpha=0.5, rho=1.0 / 8.0, warmup_accesses=500.0,
         accesses_per_batch=1_500.0, n_batches=1, seed=7,
         initial_state=initial_state, accounting=accounting,
-        fault_schedule=CHAOS if chaos else None,
+        fault_schedule=chaos_schedule(topology) if chaos else None,
     )
     fields.update(overrides)
-    return SimulationConfig.paper_like(TOPOLOGIES[name](), **fields)
+    return SimulationConfig.paper_like(topology, **fields)
 
 
 def run_case(case, **engine_kwargs):
@@ -277,13 +280,10 @@ class TestQuarantineTrace:
         cut = len(full.trace.events) // 2
         when = full.trace.events[cut][0]
 
-        class BadSchedule:
+        class BadSchedule(FaultSchedule):
             """Chaos on a link the topology does not have, maybe after a good one."""
 
-            def owned_components(self, topology):
-                return [], []
-
-            def prime(self, queue, topology, rng):
+            def prime(self, queue, topology):
                 for _ in range(applied_first):
                     queue.schedule(when, EventKind.SITE_FAIL, 4, source=SOURCE_CHAOS)
                 queue.schedule(when, EventKind.LINK_FAIL, 10**6, source=SOURCE_CHAOS)
@@ -304,11 +304,8 @@ class TestQuarantineTrace:
         assert error.sim_time == (when if applied_first else full.trace.events[cut - 1][0])
 
     def test_a_non_topology_event_aborts_the_batch(self):
-        class AccessSchedule:
-            def owned_components(self, topology):
-                return [], []
-
-            def prime(self, queue, topology, rng):
+        class AccessSchedule(FaultSchedule):
+            def prime(self, queue, topology):
                 queue.schedule(1.0, EventKind.ACCESS, 0)
                 return 1
 

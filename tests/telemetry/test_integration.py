@@ -9,7 +9,7 @@ import pytest
 
 from repro.experiments.paper import ExperimentScale
 from repro.faults.chaos import run_chaos_campaign
-from repro.faults.schedule import FaultSchedule, ScriptedPartition
+from repro.faults.schedule import FaultSchedule, partition
 from repro.protocols.adaptive import AdaptiveQuorumProtocol
 from repro.protocols.majority import MajorityConsensusProtocol
 from repro.protocols.reassignment import QuorumReassignmentProtocol
@@ -113,9 +113,8 @@ class TestChaosTelemetry:
         config = TEN_BATCH_SCALE.config(0, alpha=0.5, seed=5)
         horizon = config.warmup_time + config.batch_time
         half = list(range(config.topology.n_sites // 2))
-        config = config.with_fault_schedule(FaultSchedule([
-            ScriptedPartition(0.3 * horizon, [half], heal_at=0.7 * horizon),
-        ]))
+        config = config.with_fault_schedule(FaultSchedule(partition(
+            config.topology, 0.3 * horizon, [half], heal_at=0.7 * horizon)))
         protocol = MajorityConsensusProtocol(config.topology.total_votes)
         tel = Telemetry()
         report = run_chaos_campaign(config, protocol, n_batches=4,

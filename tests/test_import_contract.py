@@ -29,6 +29,9 @@ the sharded vote search and the alias shims; what the tests compare
 against lives in ``tests/oracles.py``. There is one on-line reassignment
 loop: serving calls the adaptive protocol's decision, ``ServeConfig``
 holds only what its callers set, and QR memoizes its own grant masks.
+There is one fault layer: a schedule is a list of events from the one
+scenario table that ``repro chaos`` and ``repro serve`` share, and the
+injector classes, the retry policy and the breaker config are gone.
 """
 
 import ast
@@ -340,6 +343,7 @@ def test_one_fidelity_battery(capsys):
 DELETED_MODULES = (
     "repro.replication.multidb", "repro.quorum.coterie",
     "repro.protocols.coterie_protocol", "repro.analytic.tree",
+    "repro.faults.retry",
 )
 
 #: Names they exported, plus the sharded vote search and the alias shims.
@@ -350,6 +354,10 @@ REMOVED_NAMES = {
     "optimize_shard_votes", "ShardVotePlan",
     "all_connected_probability", "spread_chords", "paper_config",
     "spawn_many", "iter_streams",
+    "FaultInjector", "SiteCrash", "LinkCut", "ScriptedPartition",
+    "FlappingSite", "CascadingFailure", "CorrelatedFailure", "RetryPolicy",
+    "CircuitBreakerConfig", "replay_batch", "_chaos_schedule",
+    "_CHAOS_SCENARIOS", "RETRY_POLICY", "BREAKER", "_STREAM_CHAOS",
 }
 
 
@@ -390,14 +398,12 @@ def test_one_online_reassignment_loop():
 
     import repro.serving.service as service
     from repro.protocols.adaptive import AdaptiveQuorumProtocol
-    from repro.serving import ServeConfig
-    from repro.serving.breakers import CircuitBreakerConfig
+    from repro.serving import ServeConfig, breakers
 
     assert [f.name for f in dataclasses.fields(ServeConfig)] == [
         "topology", "workload", "initial_assignment", "n_requests",
         "n_clients", "seed", "scenario", "fault_schedule"]
-    assert [f.name for f in dataclasses.fields(CircuitBreakerConfig)] == [
-        "failure_threshold", "cooldown"]
+    assert (breakers.FAILURE_THRESHOLD, breakers.COOLDOWN) == (8, 20.0)
     assert not hasattr(service, "_MaskCachingProtocol")
     source = Path(service.__file__).read_text()
     assert "optimal_read_quorum" not in source
@@ -405,3 +411,31 @@ def test_one_online_reassignment_loop():
     assert list(inspect.signature(AdaptiveQuorumProtocol).parameters) == [
         "n_sites", "total_votes", "min_observation_weight",
         "improvement_threshold", "forgetting_factor"]
+
+
+def test_one_fault_layer(capsys):
+    from repro.cli import build_parser
+    from repro.faults.schedule import FaultSchedule
+    from repro.serving import SERVE_SCENARIOS
+
+    for command in ("chaos", "serve"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--scenario", "bogus"])
+        choices = capsys.readouterr().err.split("choose from ")[1].strip().rstrip(")")
+        assert [c.strip("'") for c in choices.split(", ")] == list(SERVE_SCENARIOS)
+
+    names = ("FaultInjector", "SiteCrash", "LinkCut", "RetryPolicy",
+             "CircuitBreakerConfig", "_chaos_schedule", "replay_batch",
+             "raise_on_violation", "chaos_rng", "_STREAM_CHAOS")
+    offenders = sorted(
+        f"{path.relative_to(SRC)}: {name}"
+        for path in SRC.rglob("*.py")
+        for name in names
+        if name in path.read_text()
+    )
+    assert offenders == []
+    assert list(inspect.signature(FaultSchedule).parameters) == ["events"]
+    assert list(inspect.signature(FaultSchedule.prime).parameters) == [
+        "self", "queue", "topology"]
+    assert list(inspect.signature(FaultSchedule.all_events).parameters) == [
+        "self", "topology"]
