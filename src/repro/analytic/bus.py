@@ -32,7 +32,6 @@ Both variants assume one vote per site; ``T = n``.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import comb
 
 from repro.analytic.density import validate_density
 from repro.errors import DensityError, TopologyError
@@ -64,6 +63,8 @@ def bus_density(
     for label, value in (("site reliability p", p), ("bus reliability r", r)):
         if not 0.0 <= value <= 1.0:
             raise DensityError(f"{label} must be in [0, 1], got {value}")
+
+    from scipy.special import comb
 
     n = n_sites
     f = np.zeros(n + 1, dtype=np.float64)

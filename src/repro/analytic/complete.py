@@ -27,7 +27,6 @@ is exactly a set ``S`` (|S| = v, i in S) iff
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import comb
 
 from repro.analytic.density import normalize_density, validate_density
 from repro.analytic.rel import rel_table
@@ -44,6 +43,8 @@ def complete_density(n_sites: int, p: float, r: float) -> np.ndarray:
     for label, value in (("site reliability p", p), ("link reliability r", r)):
         if not 0.0 <= value <= 1.0:
             raise DensityError(f"{label} must be in [0, 1], got {value}")
+
+    from scipy.special import comb
 
     n = n_sites
     f = np.zeros(n + 1, dtype=np.float64)

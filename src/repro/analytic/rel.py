@@ -27,7 +27,6 @@ from __future__ import annotations
 from collections import OrderedDict
 
 import numpy as np
-from scipy.special import comb
 
 from repro.errors import DensityError
 
@@ -45,6 +44,8 @@ def _raw_rel_table(m_max: int, r: float) -> np.ndarray:
     if old is not None and old.size > m_max:
         _RAW_TABLES.move_to_end(r)
         return old
+
+    from scipy.special import comb
 
     table = np.empty(m_max + 1, dtype=np.float64)
     start = 2

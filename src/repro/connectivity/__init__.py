@@ -7,7 +7,10 @@ site, the total number of votes in its current component (a down site is
 "in a component of size zero", matching the paper's access accounting).
 
 ``component_labels`` selects a union-find (sparse networks) or a
-scipy.sparse.csgraph call (dense ones) from the link count.
+scipy.sparse.csgraph call (dense ones) from the link count. scipy is
+imported by that call, so the first sampled block or dense relabel in a
+process also pays scipy's import; a run that labels only sparse states
+never loads it.
 """
 
 from repro.connectivity.components import (

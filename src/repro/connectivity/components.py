@@ -24,7 +24,10 @@ the two labellers for a single state on the link count it observes
 second, as labels, vote totals or — the one road from sampled states to a
 density — :func:`batched_vote_histogram` (DESIGN.md §10). Whatever labels
 them, vote totals are binned by one integer helper,
-:func:`entry_vote_totals`.
+:func:`entry_vote_totals`. :func:`_batched_raw_labels` imports scipy when
+it is called, so the first sampled block or dense relabel in a process
+also pays scipy's import, and a run that only tracks sparse networks
+never loads it (DESIGN.md §5.6).
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from repro.errors import TopologyError
 from repro.topology.model import Topology
@@ -192,6 +193,9 @@ def _batched_raw_labels(
     -1 marking) — callers mask with ``site_masks`` themselves. csgraph
     numbers components in the order of their lowest node.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     B, n = site_masks.shape
     u, v = topology.link_endpoint_arrays()
     n_nodes, n_links = B * n, u.shape[0]

@@ -16,7 +16,6 @@ from math import sqrt
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.special import stdtrit
 
 from repro.errors import SimulationError
 
@@ -40,6 +39,8 @@ def student_t_half_width(values: Sequence[float], confidence: float = 0.95) -> f
     sem = float(arr.std(ddof=1)) / sqrt(n)
     # The Student-t quantile straight from scipy.special: what
     # ``scipy.stats.t.ppf`` evaluates, without importing scipy.stats.
+    from scipy.special import stdtrit
+
     t = float(stdtrit(n - 1, 0.5 + confidence / 2.0))
     return t * sem
 

@@ -28,13 +28,13 @@ import pstats
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from repro.analytic.montecarlo import _chunk_counts
 from repro.analytic.variance import (
     _conditional_failure_masks,
     _conditional_failure_table,
 )
-from repro.connectivity import components
 from repro.rng import as_generator
 from repro.topology.generators import paper_topology
 
@@ -75,8 +75,10 @@ def test_one_block_is_one_labelling_call_on_a_direct_csr_graph(monkeypatch):
         labelled.append((graph.format, graph.nnz))
         return real(graph, **kwargs)
 
-    real = components.connected_components
-    monkeypatch.setattr(components, "connected_components", counted)
+    # ``_batched_raw_labels`` imports the labeller when called, so the
+    # wrapper goes where that import reads it.
+    real = csgraph.connected_components
+    monkeypatch.setattr(csgraph, "connected_components", counted)
     stats = block_profile(256)
     slots = 256 * TOPOLOGY.n_links
     # the warm-up block and the profiled one

@@ -32,6 +32,10 @@ holds only what its callers set, and QR memoizes its own grant masks.
 There is one fault layer: a schedule is a list of events from the one
 scenario table that ``repro chaos`` and ``repro serve`` share, and the
 injector classes, the retry policy and the breaker config are gone.
+numpy is the one module-level third-party import: scipy is imported by
+the labelling, closed-form and t-interval functions that call it, so a
+sparse simulation, a chaos campaign, a serve run and the ring optimizer
+load no scipy module, and those calls do.
 """
 
 import ast
@@ -101,11 +105,11 @@ print(json.dumps([after_import, after_use]))
 """
 
 
-def _probe():
+def _probe(script=_PROBE, argv=DENIED):
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + inherited if inherited else ""))
     done = subprocess.run(
-        [sys.executable, "-c", _PROBE, *DENIED],
+        [sys.executable, "-c", script, *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -118,6 +122,75 @@ def test_import_and_analytic_paths_load_no_denied_package():
     assert after_use == [], (
         "optimizer / enumeration / vote search / sweeps / a serial run "
         "loaded a denied package")
+
+
+_SCIPY_PROBE = """
+import json, sys
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+stages = {}
+import repro, repro.cli
+stages["import repro, repro.cli"] = scipy_loaded()
+
+from repro.experiments.paper import TEST_SCALE
+from repro.protocols.majority import MajorityConsensusProtocol
+from repro.simulation.runner import run_simulation
+from repro.topology.generators import fully_connected, ring, ring_with_chords
+config = TEST_SCALE.config(0, alpha=0.5, seed=1)
+run_simulation(config, MajorityConsensusProtocol(21))
+chorded = ring_with_chords(101, 448)
+assert chorded.n_links == 549
+run_simulation(TEST_SCALE.config(0, alpha=0.5, seed=1, topology=chorded),
+               MajorityConsensusProtocol(101))
+stages["run_simulation"] = scipy_loaded()
+
+from repro.faults.chaos import run_chaos_campaign
+run_chaos_campaign(config, MajorityConsensusProtocol(21), n_batches=2)
+stages["run_chaos_campaign"] = scipy_loaded()
+
+from repro.quorum.assignment import QuorumAssignment
+from repro.serving import ServeConfig, run_serve, serving_schedule
+from repro.simulation.workload import AccessWorkload
+topology = ring_with_chords(13, 2)
+serve = ServeConfig(
+    topology=topology, workload=AccessWorkload.uniform(13, 0.7),
+    initial_assignment=QuorumAssignment.from_read_quorum(topology.total_votes, 1),
+    n_requests=2000, n_clients=8, seed=7, scenario="correlated")
+serve.fault_schedule = serving_schedule("correlated", topology, serve.n_requests)
+assert run_serve(serve).outcomes["granted"] > 0
+stages["run_serve"] = scipy_loaded()
+
+from repro.analytic import closed_form_density
+from repro.quorum.availability import AvailabilityModel
+from repro.quorum.optimizer import optimal_read_quorum
+density = closed_form_density("ring", 11, 0.96, 0.96)
+optimal_read_quorum(AvailabilityModel(density, density), 0.5)
+stages["ring closed form + optimal_read_quorum"] = scipy_loaded()
+
+import numpy as np
+from repro.analytic.montecarlo import montecarlo_density_matrix
+from repro.connectivity.components import component_labels
+from repro.simulation.stats import student_t_half_width
+montecarlo_density_matrix(ring(5), 0.9, 0.9, n_samples=64, seed=1)
+closed_form_density("complete", 9, 0.9, 0.9)
+assert student_t_half_width([0.5, 0.6]) > 0
+dense = fully_connected(40)
+assert dense.n_links == 780
+labels = component_labels(dense, np.ones(40, dtype=bool), np.ones(780, dtype=bool))
+assert (labels == labels[0]).all()
+stages["scipy callers"] = scipy_loaded()
+print(json.dumps(stages))
+"""
+
+
+def test_a_run_that_calls_no_scipy_loads_none():
+    stages = _probe(_SCIPY_PROBE, argv=())
+    callers = stages.pop("scipy callers")
+    assert stages == dict.fromkeys(stages, []), (
+        "a path that calls no scipy function loaded scipy")
+    # The probe reached the labelling, closed-form and t-interval calls.
+    assert {"scipy.sparse.csgraph", "scipy.special"} <= set(callers)
 
 
 def test_no_source_file_imports_scipy_optimize_or_numba():
