@@ -14,14 +14,12 @@ never loads it.
 """
 
 from repro.connectivity.components import (
-    batched_component_entries,
     batched_component_labels,
     batched_vote_histogram,
     batched_vote_totals,
     component_labels,
     component_members,
     component_vote_totals,
-    gather_groups,
     votes_in_component_of,
 )
 from repro.connectivity.dynamic import ComponentTracker, NetworkState
@@ -29,13 +27,11 @@ from repro.connectivity.dynamic import ComponentTracker, NetworkState
 __all__ = [
     "ComponentTracker",
     "NetworkState",
-    "batched_component_entries",
     "batched_component_labels",
     "batched_vote_histogram",
     "batched_vote_totals",
     "component_labels",
     "component_members",
     "component_vote_totals",
-    "gather_groups",
     "votes_in_component_of",
 ]

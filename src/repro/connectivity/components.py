@@ -42,14 +42,12 @@ from repro.topology.model import Topology
 __all__ = [
     "component_labels",
     "batched_component_labels",
-    "batched_component_entries",
     "batched_vote_totals",
     "batched_vote_histogram",
     "entry_vote_totals",
     "component_vote_totals",
     "votes_in_component_of",
     "component_members",
-    "gather_groups",
 ]
 
 #: Label assigned to down sites; real components use labels >= 0.
@@ -268,8 +266,10 @@ def entry_vote_totals(
     ``n_ids`` that reads 0. One ``bincount`` sums each component's votes
     (an unweighted count when every vote is 1) and one gather spreads the
     sums back, so a down entry's total is 0 whatever its id was. Every
-    vote histogram in the repo (sampled, enumerated, vote search) bins
-    these totals.
+    per-site vote histogram in the repo (sampled, enumerated, one vote
+    vector of the vote search) bins these totals; the vote search's
+    sweep over all moves reads the sample's distinct component member
+    sets instead (``quorum/vote_optimizer.py``).
     """
     ids = np.where(up, ids, np.intp(n_ids))  # bincount's index type
     if (votes == 1).all():
@@ -330,51 +330,6 @@ def batched_vote_histogram(
     bins += np.arange(n) * width
     counts = np.bincount(bins.ravel(), minlength=n * width)
     return counts.astype(np.float64).reshape(n, width)
-
-
-def batched_component_entries(labels: np.ndarray) -> tuple:
-    """Index the up entries of a batched label matrix by component id.
-
-    ``labels`` is the ``(B, n_sites)`` output of
-    :func:`batched_component_labels` (batch-global ids, down sites at
-    ``-1``). Returns ``(entries, starts)`` where ``entries`` holds flat
-    positions into ``labels.ravel()`` sorted by component, and component
-    ``c``'s members occupy ``entries[starts[c]:starts[c + 1]]``. This is
-    the batch generalization of :func:`component_members`, precomputed
-    once so delta-scorers can gather "every entry in the component
-    containing site ``s`` of state ``k``" without touching the other
-    states (DESIGN.md §10).
-    """
-    flat = np.asarray(labels, dtype=np.int64).ravel()
-    up_pos = np.nonzero(flat >= 0)[0]
-    lab = flat[up_pos]
-    order = np.argsort(lab, kind="stable")
-    entries = up_pos[order]
-    n_components = int(lab.max()) + 1 if lab.size else 0
-    starts = np.searchsorted(lab[order], np.arange(n_components + 1))
-    return entries, starts
-
-
-def gather_groups(
-    entries: np.ndarray, starts: np.ndarray, group_ids: np.ndarray
-) -> np.ndarray:
-    """Concatenate the members of the named groups (vectorized multi-slice).
-
-    ``(entries, starts)`` come from :func:`batched_component_entries`;
-    ``group_ids`` names components. Equivalent to
-    ``np.concatenate([entries[starts[c]:starts[c+1]] for c in group_ids])``
-    without the Python loop.
-    """
-    group_ids = np.asarray(group_ids, dtype=np.int64)
-    lo = starts[group_ids]
-    hi = starts[group_ids + 1]
-    lens = hi - lo
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=entries.dtype)
-    # Multi-arange: block i covers lo[i] .. hi[i]-1 of the sorted index.
-    idx = np.repeat(hi - np.cumsum(lens), lens) + np.arange(total)
-    return entries[idx]
 
 
 def component_vote_totals(

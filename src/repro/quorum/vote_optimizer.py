@@ -22,43 +22,53 @@ Two search strategies:
   from site a to site b), restarted from the uniform assignment; each
   step re-uses the shared state sample.
 
-Scoring is fully vectorized (DESIGN.md §10): the shared
-:class:`_StateSample` batch-labels all sampled states once at
-construction, scores a candidate with one scatter-add over the
-precomputed label matrix, and evaluates hillclimb single-vote moves by
-*delta* — a move only changes vote totals inside the components
-containing the two sites involved, so most of the histogram is reused.
-Every intermediate is an exact small integer, so a delta-scored move is
-bitwise what a full rescoring of the moved vector gives (the per-state
-loop in ``tests/oracles.py`` is the oracle of both).
+Scoring is vectorized (DESIGN.md §10): the shared :class:`_StateSample`
+batch-labels all sampled states once at construction and scores one
+vote vector with one scatter-add over the label matrix. A hillclimb
+sweep scores all ``n(n-1)`` single-vote moves at once:
+:meth:`_StateSample.move_uppers` gives every move the exact integer
+upper cumulative of its site-summed histogram from a handful of
+``bincount`` and matrix products, and the sweep takes each move's best
+quorum from those. Only the moves within a rounding window of the
+sweep's best are re-scored one vector at a time, so the climb takes
+bit for bit the moves a per-candidate loop would
+(``tests/oracles.py::hillclimb_reference``).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.analytic.density import reliability_vector
-from repro.connectivity.components import (
-    batched_component_entries,
-    batched_component_labels,
-    entry_vote_totals,
-    gather_groups,
-)
+from repro.connectivity.components import batched_component_labels, entry_vote_totals
 from repro.errors import OptimizationError, VoteAssignmentError
 from repro.quorum.availability import AvailabilityModel
 from repro.quorum.optimizer import OptimizationResult, optimal_read_quorum
 from repro.rng import RandomState, as_generator
 from repro.telemetry.recorder import current as _current_recorder
 from repro.topology.model import Topology
-from dataclasses import dataclass
 
 __all__ = ["VoteSearchResult", "optimize_votes", "availability_of_votes"]
 
 #: Exhaustive composition enumeration guard.
 MAX_EXHAUSTIVE_STATES = 200_000
+
+#: A move must beat the current value by more than this to be taken.
+_IMPROVEMENT = 1e-12
+
+#: Sweep values and per-vector values differ by float rounding (about
+#: 1e-14 at 100 sites) plus the quorum optimizer's 1e-12 tie tolerance,
+#: so every move the per-vector rule could pick lies within this of the
+#: sweep's best (DESIGN.md §10).
+_SHORTLIST_WINDOW = 1e-11
+
+#: Component rows per matrix product in :meth:`_StateSample.move_uppers`
+#: (bounds the dense membership block at this many rows times n_sites).
+_CHUNK_ROWS = 4_096
 
 
 @dataclass(frozen=True)
@@ -80,9 +90,10 @@ class _StateSample:
     """Common random numbers: one set of network states scores all vote vectors.
 
     All ``n_samples`` states are labelled at construction with a single
-    block-diagonal :func:`batched_component_labels` call; the label
-    matrix plus its by-component entry index are the only per-sample
-    structures any scoring path touches afterwards.
+    block-diagonal :func:`batched_component_labels` call. The label
+    matrix (one vote vector's counts) and the distinct component member
+    sets (a sweep over every move) are the only per-sample structures any
+    scoring path touches afterwards.
     """
 
     def __init__(
@@ -98,29 +109,43 @@ class _StateSample:
         link_rel = reliability_vector(r, topology.n_links, "link reliability")
         self.site_masks = rng.random((n_samples, topology.n_sites)) < site_rel
         link_draws = rng.random((n_samples, topology.n_links))
+        self.n_samples = n_samples
+        self.n_sites = topology.n_sites
         with _current_recorder().phase("votesearch.label"):
             self.labels = batched_component_labels(
                 topology, self.site_masks, link_draws < link_rel
             )
-        self.n_samples = n_samples
-        self.n_sites = topology.n_sites
-        self._up = self.labels >= 0
-        self._n_components = int(self.labels.max()) + 1
-        self._comp_entries, self._comp_starts = batched_component_entries(self.labels)
+            self._up = self.labels >= 0
+            self._n_components = int(self.labels.max()) + 1
+            self.members, self.weights = self._distinct_components()
+
+    def _distinct_components(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Each distinct member set of a sampled component, with its weight.
+
+        Returns ``(members, weights)``: ``members[k]`` marks the sites of
+        the k-th distinct set (bool, ``(K, n)``) and ``weights[k]`` is its
+        size times the number of sampled states holding it — the up
+        entries it stands for. Sets are keyed by their packed bit rows,
+        so equal sets from different states merge exactly.
+        """
+        members = np.zeros((self._n_components, self.n_sites), dtype=bool)
+        members[self.labels[self._up], np.nonzero(self._up)[1]] = True
+        rows, counts = np.unique(np.packbits(members, axis=1), axis=0,
+                                 return_counts=True)
+        members = np.unpackbits(rows, axis=1, count=self.n_sites).astype(bool)
+        return members, (counts * members.sum(axis=1)).astype(np.float64)
 
     # ------------------------------------------------------------------
     # Vectorized scoring
     # ------------------------------------------------------------------
-    def vote_counts(self, votes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """State-count histogram ``(n_sites, T+1)`` plus each entry's bin.
+    def vote_counts(self, votes: np.ndarray) -> np.ndarray:
+        """State-count histogram ``(n_sites, T+1)`` of component vote totals.
 
         :func:`entry_vote_totals` gives every entry its component's
         votes (down entries 0) and one ``bincount`` bins the
         ``(site, total)`` pairs — no per-state Python loop. Counts are
         exact small integers held in float64, so every scoring path that
-        consumes them agrees bitwise. ``comp_bins`` holds each up entry's
-        bin in the order of the by-component entry index and feeds
-        :meth:`moved_counts`.
+        consumes them agrees bitwise.
         """
         with _current_recorder().phase("votesearch.score"):
             votes = np.asarray(votes, dtype=np.int64)
@@ -128,48 +153,75 @@ class _StateSample:
             totals = entry_vote_totals(self.labels, self._up, votes, self._n_components)
             bins = (np.arange(n, dtype=np.int64) * (T + 1) + totals).ravel()
             counts = np.bincount(bins, minlength=n * (T + 1)).astype(np.float64)
-            return counts.reshape(n, T + 1), bins[self._comp_entries]
-
-    def moved_counts(
-        self,
-        counts: np.ndarray,
-        comp_bins: np.ndarray,
-        votes: np.ndarray,
-        a: int,
-        b: int,
-    ) -> np.ndarray:
-        """Histogram for ``votes`` with one vote moved ``a -> b``, by delta.
-
-        A single-vote move only changes totals inside the components
-        containing ``a`` or ``b``; states where the two sites share a
-        component (or where the moving site is down) contribute no
-        change. Only the affected entries are re-binned — one gather of
-        their bins, then one bin lower on ``a``'s side and one higher on
-        ``b``'s — so a hillclimb sweep over all ``O(n^2)`` moves costs far
-        less than ``n^2`` full rescores. Counts are exact integers, so the
-        result is bitwise identical to ``vote_counts(moved votes)``.
-        """
-        if votes[a] <= 0:
-            raise OptimizationError(f"site {a} has no vote to move")
-        with _current_recorder().phase("votesearch.delta"):
-            width = counts.size
-            la = self.labels[:, a]
-            lb = self.labels[:, b]
-            separated = la != lb
-            losing = la[(la >= 0) & separated]
-            gaining = lb[(lb >= 0) & separated]
-            starts = self._comp_starts
-            n_losing = int((starts[losing + 1] - starts[losing]).sum())
-            old = gather_groups(comp_bins, starts, np.concatenate([losing, gaining]))
-            new = old + 1
-            new[:n_losing] -= 2  # a's side loses the vote, b's side gains it
-            moved = np.bincount(new, minlength=width) - np.bincount(old, minlength=width)
-            return counts + moved.reshape(counts.shape)
+            return counts.reshape(n, T + 1)
 
     def density_matrix(self, votes: np.ndarray) -> np.ndarray:
         """Empirical per-site density of component votes under ``votes``."""
-        counts, _ = self.vote_counts(votes)
-        return counts / self.n_samples
+        return self.vote_counts(votes) / self.n_samples
+
+    def move_uppers(self, votes: np.ndarray) -> np.ndarray:
+        """``U[t-1, a, b]``: entries whose component holds ``>= t`` votes
+        after one vote moves ``a -> b``, for ``t = 1..T``, summed over sites.
+
+        Shape ``(T, n, n)``, integers held exactly in float64. A move
+        changes totals only in states where ``a`` and ``b`` lie in
+        different components: each entry of ``a``'s component (total
+        ``X``) drops to ``X - 1`` and each entry of ``b``'s (total ``Y``)
+        rises to ``Y + 1``. With ``G[x, a, b]`` the up entries of the
+        components of total ``x`` that hold both ``a`` and ``b``, summed
+        over states, and ``P[x, a] = G[x, a, a]``,
+
+            U_ab[t] = U[t] - P[t, a] + P[t-1, b] + G[t, a, b] - G[t-1, a, b]
+
+        where ``U`` is the unmoved vector's count. ``G[x]`` is
+        ``E^T diag(weight) E`` over the member rows ``E`` of the distinct
+        components of total ``x`` (:attr:`members`, :attr:`weights`),
+        multiplied in blocks of at most :data:`_CHUNK_ROWS` rows. Only
+        legal moves (``a != b``, ``votes[a] >= 1``) are meaningful.
+        """
+        votes = np.asarray(votes, dtype=np.int64)
+        n, T = self.n_sites, int(votes.sum())
+        totals = self.members @ votes
+        order = np.argsort(totals, kind="stable")
+        G = np.zeros((T + 1, n, n))
+        for lo in range(0, order.size, _CHUNK_ROWS):
+            rows = order[lo:lo + _CHUNK_ROWS]
+            block = self.members[rows].astype(np.float64)
+            weighted = block * self.weights[rows, None]
+            chunk_totals = totals[rows]
+            cuts = np.flatnonzero(np.diff(chunk_totals)) + 1
+            for start, stop in zip(np.r_[0, cuts], np.r_[cuts, rows.size]):
+                G[chunk_totals[start]] += block[start:stop].T @ weighted[start:stop]
+        P = np.diagonal(G, axis1=1, axis2=2)
+        upper = np.cumsum(np.bincount(totals, self.weights, T + 1)[::-1])[::-1]
+        out = G[1:] - G[:-1]
+        out += upper[1:, None, None]
+        out -= P[1:, :, None]
+        out += P[:-1, None, :]
+        return out
+
+    def sweep(self, votes: np.ndarray, alpha: float) -> np.ndarray:
+        """Best ``A(alpha, q_r)`` of every single-vote move ``a -> b``.
+
+        Shape ``(n, n)``; illegal moves (``a == b`` or ``votes[a] == 0``)
+        read ``-inf``. Each value is the maximum over ``q_r = 1..max(T//2, 1)``
+        of :meth:`move_uppers` mixed as in Figure 1 step 3, so it agrees
+        with :func:`availability_of_votes` on the moved vector up to
+        float rounding and the optimizer's tie tolerance.
+        """
+        with _current_recorder().phase("votesearch.sweep"):
+            votes = np.asarray(votes, dtype=np.int64)
+            T = int(votes.sum())
+            uppers = self.move_uppers(votes)
+            Q = max(T // 2, 1)
+            scale = 1.0 / (self.n_sites * self.n_samples)
+            # q_r = 1..Q reads U[q_r] and U[T - q_r + 1] (rows q_r - 1, T - q_r).
+            values = uppers[:Q] * (alpha * scale)
+            values += uppers[T - Q:][::-1] * ((1.0 - alpha) * scale)
+            best = values.max(axis=0)
+            best[votes == 0, :] = -np.inf
+            np.fill_diagonal(best, -np.inf)
+            return best
 
 
 def availability_of_votes(
@@ -235,12 +287,6 @@ def optimize_votes(
         raise VoteAssignmentError(f"vote budget must be positive, got {T}")
 
     sample = _StateSample(topology, p, r, n_samples=n_samples, seed=seed)
-    evaluated = 0
-
-    def score(votes: np.ndarray) -> Tuple[float, OptimizationResult]:
-        nonlocal evaluated
-        evaluated += 1
-        return availability_of_votes(sample, votes, alpha)
 
     if method == "exhaustive":
         from math import comb
@@ -252,12 +298,14 @@ def optimize_votes(
                 f"{MAX_EXHAUSTIVE_STATES} cap; use method='hillclimb'"
             )
         best: Optional[Tuple[float, np.ndarray, OptimizationResult]] = None
+        evaluated = 0
         for comp in _compositions(T, n):
             votes = np.asarray(comp, dtype=np.int64)
             if votes.sum() != T or (votes < 0).any() or votes.max() == 0:
                 continue
-            value, quorum = score(votes)
-            if best is None or value > best[0] + 1e-12:
+            evaluated += 1
+            value, quorum = availability_of_votes(sample, votes, alpha)
+            if best is None or value > best[0] + _IMPROVEMENT:
                 best = (value, votes, quorum)
         assert best is not None
         value, votes, quorum = best
@@ -270,37 +318,31 @@ def optimize_votes(
             f"unknown method {method!r}; choose 'hillclimb' or 'exhaustive'"
         )
 
-    # Hill-climb from (near-)uniform. Steepest ascent: every single-vote
-    # move is delta-scored against the sweep's base histogram, the best
-    # strictly-improving one is taken. Exact value ties resolve to the
-    # lowest (a, b) — moves are enumerated in ascending (a, b) order and
-    # a later candidate must be strictly better to displace the
-    # incumbent — so the search is deterministic.
+    # Hill-climb from (near-)uniform. Steepest ascent: one sweep scores
+    # every legal single-vote move and the best strictly-improving one is
+    # taken. The shortlist of moves near the sweep's best is re-scored
+    # per vector in ascending (a, b) order with the per-candidate rule —
+    # beat value + 1e-12, be strictly better to displace the incumbent —
+    # so exact ties resolve to the lowest (a, b) and every decision is
+    # the one full per-move scoring would make.
     votes = np.full(n, T // n, dtype=np.int64)
     votes[: T - int(votes.sum())] += 1
-    value, quorum = score(votes)
+    value, quorum = availability_of_votes(sample, votes, alpha)
+    evaluated = 1
     for _ in range(max_iterations):
-        base_counts, base_totals = sample.vote_counts(votes)
+        sweep = sample.sweep(votes, alpha)
+        evaluated += int(np.isfinite(sweep).sum())
+        floor = max(float(sweep.max()), value + _IMPROVEMENT) - _SHORTLIST_WINDOW
         best_move: Optional[Tuple[float, int, int, OptimizationResult]] = None
-        for a in range(n):
-            if votes[a] == 0:
-                continue
-            for b in range(n):
-                if a == b:
-                    continue
-                evaluated += 1
-                cand_counts = sample.moved_counts(
-                    base_counts, base_totals, votes, a, b
-                )
-                model = AvailabilityModel.from_density_matrix(
-                    cand_counts / sample.n_samples
-                )
-                cand_quorum = optimal_read_quorum(model, alpha)
-                cand_value = cand_quorum.availability
-                if cand_value > value + 1e-12 and (
-                    best_move is None or cand_value > best_move[0]
-                ):
-                    best_move = (cand_value, a, b, cand_quorum)
+        for a, b in zip(*np.nonzero(sweep >= floor)):
+            moved = votes.copy()
+            moved[a] -= 1
+            moved[b] += 1
+            cand_value, cand_quorum = availability_of_votes(sample, moved, alpha)
+            if cand_value > value + _IMPROVEMENT and (
+                best_move is None or cand_value > best_move[0]
+            ):
+                best_move = (cand_value, int(a), int(b), cand_quorum)
         if best_move is None:
             break
         value, a, b, quorum = best_move

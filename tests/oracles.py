@@ -141,8 +141,7 @@ def enumerate_density_matrix_reference(topology, p, r):
 
 
 def density_matrix_reference(sample, votes):
-    """Per-state scoring loop: the oracle of ``_StateSample.density_matrix``
-    and ``moved_counts``.
+    """Per-state scoring loop: the oracle of ``_StateSample.density_matrix``.
 
     Identical math, one sampled state at a time. ``sample.labels`` are
     batch-global, so each state's ids are shifted to a local base first;
@@ -165,6 +164,58 @@ def density_matrix_reference(sample, votes):
             totals[up] = sums[local]
         counts[site_ids, totals] += 1.0
     return counts / sample.n_samples
+
+
+def hillclimb_reference(topology, alpha, p, r, total_votes=None,
+                        n_samples=2_000, max_iterations=50, seed=0):
+    """Per-candidate hill climb: the oracle of ``optimize_votes``' sweep.
+
+    The pre-sweep search: every legal single-vote move ``a -> b`` of every
+    sweep is scored on its own by ``availability_of_votes`` (one
+    histogram, one ``AvailabilityModel``, one ``optimal_read_quorum``),
+    in ascending ``(a, b)`` order; a move must beat the current value by
+    more than 1e-12 and be strictly better to displace the incumbent.
+    ``optimize_votes(..., method="hillclimb")`` must return an equal
+    ``VoteSearchResult``.
+    """
+    from repro.quorum.vote_optimizer import (
+        VoteSearchResult,
+        _StateSample,
+        availability_of_votes,
+    )
+
+    n = topology.n_sites
+    T = n if total_votes is None else int(total_votes)
+    sample = _StateSample(topology, p, r, n_samples=n_samples, seed=seed)
+    votes = np.full(n, T // n, dtype=np.int64)
+    votes[: T - int(votes.sum())] += 1
+    value, quorum = availability_of_votes(sample, votes, alpha)
+    evaluated = 1
+    for _ in range(max_iterations):
+        best_move = None
+        for a in range(n):
+            if votes[a] == 0:
+                continue
+            for b in range(n):
+                if a == b:
+                    continue
+                evaluated += 1
+                moved = votes.copy()
+                moved[a] -= 1
+                moved[b] += 1
+                cand_value, cand_quorum = availability_of_votes(sample, moved, alpha)
+                if cand_value > value + 1e-12 and (
+                    best_move is None or cand_value > best_move[0]
+                ):
+                    best_move = (cand_value, a, b, cand_quorum)
+        if best_move is None:
+            break
+        value, a, b, quorum = best_move
+        votes[a] -= 1
+        votes[b] += 1
+    return VoteSearchResult(
+        tuple(int(v) for v in votes), quorum, value, "hillclimb", evaluated
+    )
 
 
 def perstate_vote_histogram(topology, site_masks, link_masks):

@@ -24,9 +24,9 @@ PINS = {
         {"mc.label": 79, "mc.sample": 79},
     ),
     ("votes",): (
-        "3c31e668356953870df3c5b34b67220ea099961bed313548ca87be558a8bcdc4",
-        {"optimizer.exhaustive": 727, "votesearch.delta": 726,
-         "votesearch.label": 1, "votesearch.score": 8},
+        "35022995b8636f0e55a8240fa2970e48e8520d9ed369a8e2620a74b2734a43c0",
+        {"optimizer.exhaustive": 7, "votesearch.label": 1,
+         "votesearch.score": 7, "votesearch.sweep": 7},
     ),
     ("serve", "--accesses", "5000"): (
         "15c5f539f4c542194afa585831cc2698db962e293b1b6832bc5b044ccdd9f058",
