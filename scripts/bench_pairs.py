@@ -23,6 +23,16 @@ A run that reports ``failed`` > 0 is listed and voids every verdict. The
 summary ends with ``digests equal on k/n pairs``. The metric directions
 come from ``PARENT_DIR/BENCHMARK.json``. Timing claims
 need a quiet machine, so this is a tool to run by hand, not a CI job.
+
+``--record PR --claim METRIC`` (``--claim`` repeats) also appends one row
+per claimed metric to the committed perf record, ``BENCH_trajectory.json``
+at the root of the repo this script is in; nothing else writes that file.
+A row holds the PR, both checkouts' commits (``null`` for a directory
+that is not a git checkout), the workload, the metric, both sides'
+median and quartiles, the pairs won and lost, the verdict, the seeds,
+the run length, the cores and CPU model the pairs ran on, and how many
+pairs had equal digests. Rows taken from prose before the record existed
+carry ``"source": "CHANGES.md"`` and ``null`` where it gave no figure.
 Exit codes: 0 the pairs ran, 2 a run produced no result line.
 """
 
@@ -30,15 +40,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import re
 import subprocess
 import sys
 from pathlib import Path
 from statistics import median, quantiles
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 #: Share of all pairs run the change must win before a gain is claimed.
 WIN_SHARE = 0.9
+
+#: The committed perf record ``--record`` appends to.
+TRAJECTORY = Path(__file__).resolve().parents[1] / "BENCH_trajectory.json"
 
 
 def parse_seeds(text: str) -> List[int]:
@@ -100,24 +115,81 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {**json.loads(lines[-1]), "result_digest": parse_digest(done.stdout)}
 
 
+def checkout_commit(checkout: Path) -> Optional[str]:
+    """HEAD of ``checkout`` when it is the top of a git work tree, else None."""
+    done = subprocess.run(
+        ["git", "-C", str(checkout), "rev-parse", "--show-toplevel", "HEAD"],
+        capture_output=True, text=True,
+    )
+    lines = done.stdout.split()
+    if done.returncode or Path(lines[0]).resolve() != checkout.resolve():
+        return None
+    return lines[1]
+
+
+def cpu_model() -> str:
+    """The ``model name`` of the first CPU, or what ``platform`` knows."""
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def trajectory_row(pr: int, args, metric: str, v: dict, digests_equal: int,
+                   failed_runs: int) -> dict:
+    """One claim's row of ``BENCH_trajectory.json``."""
+    def side(mid_q1_q3):
+        return dict(zip(("median", "q1", "q3"), mid_q1_q3))
+
+    return {
+        "pr": pr, "commit": checkout_commit(args.change),
+        "parent_commit": checkout_commit(args.parent),
+        "workload": args.workload, "metric": metric,
+        "parent": side(v["parent"]), "change": side(v["change"]),
+        "pairs": v["pairs"], "won": v["won"], "lost": v["lost"],
+        "gain": v["gain"] and not failed_runs, "failed_runs": failed_runs,
+        "seeds": args.seeds, "seconds": args.seconds,
+        "cores": len(os.sched_getaffinity(0)), "cpu_model": cpu_model(),
+        "digests_equal": digests_equal, "source": "bench_pairs.py",
+    }
+
+
+def append_rows(rows: List[dict], path: Path) -> None:
+    record = json.loads(path.read_text()) if path.exists() else []
+    path.write_text(json.dumps(record + rows, indent=2) + "\n")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", type=parse_seeds, required=True,
+    parser.add_argument("--seeds", required=True,
                         help='e.g. "101-110" or "101,103-105"')
     parser.add_argument("--seconds", type=float, default=18.0)
+    parser.add_argument("--record", type=int, metavar="PR",
+                        help="append the claims' rows to BENCH_trajectory.json")
+    parser.add_argument("--claim", action="append", default=[], metavar="METRIC",
+                        help="a metric the change claims (with --record)")
     args = parser.parse_args(argv)
+    seeds = parse_seeds(args.seeds)
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    if (args.record is None) != (not args.claim):
+        parser.error("--record and --claim go together")
+    unknown = sorted(set(args.claim) - set(metrics))
+    if unknown:
+        parser.error(f"--claim names no end-to-end metric: {', '.join(unknown)}")
     samples: Dict[str, Dict[str, List[float]]] = {
         name: {"parent": [], "change": []} for name in metrics}
     failures = []
     digest_words = []
     sides = {"parent": args.parent, "change": args.change}
-    for index, seed in enumerate(args.seeds):
+    for index, seed in enumerate(seeds):
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
         digests = {}
         for side in order:
@@ -133,10 +205,15 @@ def main(argv=None) -> int:
             f"{name} {samples[name]['parent'][-1]:.6g} -> {samples[name]['change'][-1]:.6g}"
             for name in metrics) + "  " + digest_words[-1], flush=True)
 
-    print(f"\n{args.workload}, {len(args.seeds)} pairs, --seconds {args.seconds:g}, "
+    print(f"\n{args.workload}, {len(seeds)} pairs, --seconds {args.seconds:g}, "
           "parent -> change, median [q1, q3]:")
+    rows = []
     for name, better in metrics.items():
         v = verdict(samples[name]["parent"], samples[name]["change"], better)
+        if name in args.claim:
+            rows.append(trajectory_row(args.record, args, name, v,
+                                       digest_words.count("digest equal"),
+                                       len(failures)))
         ratio = v["change"][0] / v["parent"][0] - 1.0 if v["parent"][0] else float("nan")
         word = "VOID (failed runs)" if failures else "gain" if v["gain"] else "no gain"
         print("  {:12s} {:.6g} [{:.6g}, {:.6g}] -> {:.6g} [{:.6g}, {:.6g}]  "
@@ -148,6 +225,9 @@ def main(argv=None) -> int:
         print("  FAILED " + line)
     print(f"  digests equal on {digest_words.count('digest equal')}"
           f"/{len(digest_words)} pairs")
+    if rows:
+        append_rows(rows, TRAJECTORY)
+        print(f"  recorded {len(rows)} row(s) in {TRAJECTORY}")
     return 0
 
 

@@ -5,16 +5,20 @@ forms do not apply, ``f_i`` can be estimated by sampling independent
 network states from the stationary distribution (every site up w.p. ``p``,
 every link up w.p. ``r``) and recording each site's component vote total.
 
-The estimator is fully batched (DESIGN.md §10): samples are drawn in
-blocks of ``batch_size`` states, and each block goes masks → counts
-through :func:`~repro.connectivity.components.batched_vote_histogram` —
-one block-diagonal :func:`scipy.sparse.csgraph.connected_components`
-call labels every partition of every state in the block and the same
-function bins the vote totals; this module owns no labelling or binning
-code. Blocks draw their random masks from independent substreams spawned
-off the caller's seed, so the estimate depends only on ``(seed,
-n_samples, batch_size)`` — in particular it is *identical* for any
-``n_workers``, which merely shards the blocks across a process pool.
+The estimator is batched and streams (DESIGN.md §10): samples are drawn
+in blocks of ``batch_size`` states, and a block goes masks → counts
+through :func:`~repro.connectivity.components.batched_vote_histogram` in
+row sub-blocks of at most ``SLOT_BUDGET`` link slots
+(:func:`~repro.connectivity.components.sub_blocks`; one sub-block per
+block on every sparse paper topology), each drawn just before it is
+labelled by one block-diagonal
+:func:`scipy.sparse.csgraph.connected_components` call; this module owns
+no labelling or binning code. Counts are summed as soon as they exist,
+so memory grows with neither ``n_samples`` nor the block's slot count.
+Blocks draw their random masks from independent substreams spawned off
+the caller's seed, so the estimate depends only on ``(seed, n_samples,
+batch_size)`` — in particular it is *identical* for any ``n_workers``,
+which hands each worker process one contiguous run of blocks.
 
 This is the *off-line* counterpart of the on-line estimator in
 :mod:`repro.protocols.estimator`: the on-line estimator sees states
@@ -30,7 +34,11 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.analytic.density import Reliability, normalize_density, reliability_vector
-from repro.connectivity.components import batched_vote_histogram
+from repro.connectivity.components import (
+    VoteHistogram,
+    batched_vote_histogram,
+    sub_blocks,
+)
 from repro.errors import SimulationError, TopologyError
 from repro.rng import RandomState, as_generator, spawn
 from repro.topology.model import Topology
@@ -63,19 +71,37 @@ def _chunk_counts(
     count: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Sample ``count`` states and bin their vote totals (one labelling call)."""
-    with _recorder().phase("mc.sample"):
-        site_masks = rng.random((count, topology.n_sites)) < site_rel
-        link_masks = rng.random((count, topology.n_links)) < link_rel
-    return _block_counts(topology, site_masks, link_masks)
+    """Sample ``count`` states and bin their vote totals.
+
+    The block's site masks are drawn first, then its link masks one
+    :func:`~repro.connectivity.components.sub_blocks` range at a time,
+    each labelled as soon as it is drawn. A ``Generator`` fills row by
+    row, so this is the stream of one ``(count, n_links)`` draw, and the
+    block's uniforms never exist at once.
+    """
+    recorder = _recorder()
+    histogram = VoteHistogram(topology)
+    for rows in sub_blocks(topology, count):
+        with recorder.phase("mc.sample"):
+            if not rows.start:
+                site_masks = rng.random((count, topology.n_sites)) < site_rel
+            link_masks = rng.random(
+                (rows.stop - rows.start, topology.n_links)) < link_rel
+        with recorder.phase("mc.label"):
+            histogram.add(site_masks[rows], link_masks)
+    return histogram.counts()
 
 
-def _chunk_task(
+def _run_counts(
     shared: Tuple[Topology, np.ndarray, np.ndarray],
-    block: Tuple[int, np.random.Generator],
+    run: List[Tuple[int, np.random.Generator]],
 ) -> np.ndarray:
-    """The :func:`repro.pool.fan_out` task: one block's count matrix."""
-    return _chunk_counts(*shared, *block)
+    """The :func:`repro.pool.fan_out` task: one summed count matrix for a
+    contiguous run of blocks, each added as soon as it is done."""
+    counts = np.zeros((shared[0].n_sites, shared[0].total_votes + 1))
+    for count, rng in run:
+        counts += _chunk_counts(*shared, count, rng)
+    return counts
 
 
 def _sample_plan(n_samples: int, batch_size: int) -> List[int]:
@@ -96,12 +122,13 @@ def montecarlo_density_matrix(
     """Estimate the density matrix ``(n_sites, T+1)`` from random states.
 
     States are sampled in blocks of ``batch_size``; each block's random
-    masks come from an independent substream spawned off ``seed``, and
-    the whole block is labelled by one block-diagonal
-    ``connected_components`` call. With ``n_workers > 1`` the blocks are
-    sharded across a process pool; because the substream assignment
-    depends only on the block index, the returned matrix is bitwise
-    identical for every ``n_workers`` value.
+    masks come from an independent substream spawned off ``seed`` and
+    are labelled in slot-bounded sub-blocks, and each block's counts
+    join one running sum. With ``n_workers > 1`` the blocks are cut into
+    at most ``n_workers`` contiguous runs, one process-pool task each,
+    and the runs' sums are added; counts are integers below 2**53 and
+    the substream depends only on the block index, so the returned
+    matrix is bitwise identical for every ``n_workers`` value.
     """
     if n_samples <= 0:
         raise SimulationError(f"n_samples must be positive, got {n_samples}")
@@ -118,17 +145,17 @@ def montecarlo_density_matrix(
 
     shared = (topology, site_rel, link_rel)
     blocks = list(zip(plan, streams))
-    if n_workers == 1 or len(blocks) == 1:
-        chunk_results = [_chunk_task(shared, block) for block in blocks]
+    workers = min(n_workers, len(blocks))
+    if workers == 1:
+        counts = _run_counts(shared, blocks)
     else:
         from repro.pool import fan_out
 
-        chunk_results = fan_out(_chunk_task, shared, blocks, n_workers)
-    # Summed in fixed block order, so the matrix is bitwise identical
-    # for any worker count.
-    counts = chunk_results[0]
-    for chunk in chunk_results[1:]:
-        counts += chunk
+        cuts = [len(blocks) * i // workers for i in range(workers + 1)]
+        runs = [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
+        # Every partial sum is an integer below 2**53, so the grouping
+        # leaves the matrix bitwise that of the serial path.
+        counts = sum(fan_out(_run_counts, shared, runs, workers))
     return counts / n_samples
 
 

@@ -149,16 +149,15 @@ def _conditional_failure_masks(cond: np.ndarray, k: int, count: int,
 
     Sequential conditional Bernoulli sampling from the exact law
     ``P(x | K = k)`` — valid for fully heterogeneous ``q`` — against the
-    run's :func:`_conditional_failure_table`. The uniforms are one
-    ``(m, count)`` block, row ``i`` for component ``i``: the same stream
-    as ``m`` successive ``rng.random(count)`` draws.
+    run's :func:`_conditional_failure_table`. Component ``i``'s uniforms
+    are drawn in its own step, ``rng.random(count)``: the stream of one
+    ``(m, count)`` block read row by row, without the block.
     """
     m = cond.shape[0]
-    uniforms = rng.random((m, count))
     failures = np.empty((m, count), dtype=bool)
     remaining = np.full(count, k, dtype=np.int64)
     for i in range(m):
-        np.less(uniforms[i], cond[i].take(remaining), out=failures[i])
+        np.less(rng.random(count), cond[i].take(remaining), out=failures[i])
         remaining -= failures[i]
     return failures.T
 

@@ -22,8 +22,10 @@ the two labellers for a single state on the link count it observes
 (:data:`CSGRAPH_THRESHOLD`, the measured crossover; the dense case is the
 ``B = 1`` block). Blocks of sampled or enumerated states always take the
 second, as labels, vote totals or — the one road from sampled states to a
-density — :func:`batched_vote_histogram` (DESIGN.md §10). Whatever labels
-them, vote totals are binned by one integer helper,
+density — :func:`batched_vote_histogram` (DESIGN.md §10), which labels
+in :func:`sub_blocks` of at most :data:`SLOT_BUDGET` link slots and sums
+their integer counts, so its memory is bounded whatever the block size.
+Whatever labels them, vote totals are binned by one integer helper,
 :func:`entry_vote_totals`. :func:`_batched_raw_labels` imports scipy when
 it is called, so the first sampled block or dense relabel in a process
 also pays scipy's import, and a run that only tracks sparse networks
@@ -44,6 +46,8 @@ __all__ = [
     "batched_component_labels",
     "batched_vote_totals",
     "batched_vote_histogram",
+    "sub_blocks",
+    "VoteHistogram",
     "entry_vote_totals",
     "component_vote_totals",
     "votes_in_component_of",
@@ -74,6 +78,16 @@ def _validate_masks(topology: Topology, site_up: np.ndarray, link_up: np.ndarray
 #: vs 187. Union-find grows with the links; the block's cost is mostly
 #: fixed. No paper topology has between 357 and 5050 links.
 CSGRAPH_THRESHOLD = 550
+
+#: Most link slots one labelling call of :func:`batched_vote_histogram`
+#: (and of the Monte-Carlo draw that feeds it) holds. A call costs about
+#: 30 bytes of transient arrays per slot (the block's int32 columns, its
+#: float64 data and csgraph's transpose of both), so a 256-state block of
+#: the 101-site complete graph (1.29 M slots) took 32.5 MiB as one call
+#: and takes 11 calls of 23-24 states instead. It is at least 2**17 so
+#: that a 1 024-state block of topology 16 (119 808 slots) is still one
+#: call: every sparse paper topology labels a block in one call.
+SLOT_BUDGET = 2**17
 
 
 def component_labels(
@@ -173,6 +187,7 @@ def _batched_raw_labels(
     topology: Topology,
     site_masks: np.ndarray,
     link_masks: np.ndarray,
+    data: Optional[np.ndarray] = None,
 ) -> tuple:
     """One block-diagonal csgraph call over B states; raw (uncompacted) labels.
 
@@ -184,7 +199,9 @@ def _batched_raw_labels(
     column: ``v`` for a usable link, ``u`` otherwise — a self-loop, which
     joins nothing. ``float64`` data with ``int32`` indices is what csgraph
     validates to, so scipy converts nothing on the way in, and no array of
-    the block's size is wider than int32 except that data.
+    the block's size is wider than int32 except that data. csgraph reads
+    only the pattern, so a caller labelling block after block may pass
+    one array of ``B * n_links`` ones as ``data`` each time.
 
     Returns ``(n_components, raw)`` where ``raw`` has shape ``(B * n,)``,
     ids are batch-global and down sites carry their own singleton ids (no
@@ -213,7 +230,8 @@ def _batched_raw_labels(
            out=indptr[:-1].reshape(B, n))
     indptr[-1] = n_slots
     graph = csr_matrix(
-        (np.ones(n_slots), indices.ravel(), indptr), shape=(n_nodes, n_nodes)
+        (np.ones(n_slots) if data is None else data, indices.ravel(), indptr),
+        shape=(n_nodes, n_nodes)
     )
     return connected_components(graph, directed=False)
 
@@ -313,6 +331,52 @@ def batched_vote_totals(
     return entry_vote_totals(raw.reshape(site_masks.shape), site_masks, votes, n_comp)
 
 
+def sub_blocks(topology: Topology, n_states: int) -> List[slice]:
+    """The fewest near-equal row ranges of ``n_states`` states that each
+    hold at most :data:`SLOT_BUDGET` link slots (one state at least)."""
+    rows = max(1, SLOT_BUDGET // max(1, topology.n_links))
+    parts = max(1, -(-n_states // rows))
+    cuts = [n_states * i // parts for i in range(parts + 1)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+class VoteHistogram:
+    """A running ``(n_sites, T+1)`` histogram of vote totals, one labelling
+    call per :meth:`add`.
+
+    The counts are one int64 vector that every call's integer
+    ``bincount`` is added to, so the histogram of states labelled in
+    sub-blocks is bitwise that of one call over all of them. The calls
+    share one array of ones, grown to the largest call, as their graph
+    data: allocating 8 bytes per slot per sub-block instead cost a lone
+    1 000-state complete-101 estimate ~15 % of its CPU in page faults.
+    """
+
+    def __init__(self, topology: Topology) -> None:
+        self.topology = topology
+        n, self._width = topology.n_sites, topology.total_votes + 1
+        self._offsets = np.arange(n) * self._width
+        self._counts = np.zeros(n * self._width, dtype=np.int64)
+        self._ones = np.ones(0)
+
+    def add(self, site_masks: np.ndarray, link_masks: np.ndarray) -> None:
+        """Label ``(B, n_sites)`` / ``(B, n_links)`` boolean masks in one
+        call and count their sites' vote totals."""
+        n_slots = site_masks.shape[0] * self.topology.n_links
+        if self._ones.shape[0] < n_slots:
+            self._ones = np.ones(n_slots)
+        n_comp, raw = _batched_raw_labels(self.topology, site_masks, link_masks,
+                                          self._ones[:n_slots])
+        bins = entry_vote_totals(raw.reshape(site_masks.shape), site_masks,
+                                 self.topology.votes, n_comp)
+        bins += self._offsets
+        self._counts += np.bincount(bins.ravel(), minlength=self._counts.shape[0])
+
+    def counts(self) -> np.ndarray:
+        """The counts so far, as a float64 ``(n_sites, T+1)`` matrix."""
+        return self._counts.astype(np.float64).reshape(-1, self._width)
+
+
 def batched_vote_histogram(
     topology: Topology,
     site_masks: np.ndarray,
@@ -322,14 +386,16 @@ def batched_vote_histogram(
 
     ``counts[s, t]`` is the number of states in which site ``s``'s
     component holds ``t`` votes; a down site lands in bin 0. Every
-    Monte-Carlo density estimator reaches its counts through here.
+    Monte-Carlo density estimator reaches its counts through a
+    :class:`VoteHistogram`, this function included: it labels one
+    :func:`sub_blocks` range per call, so the labelling's transient
+    arrays are bounded by :data:`SLOT_BUDGET` whatever B is.
     """
-    bins = batched_vote_totals(topology, site_masks, link_masks)
-    n = bins.shape[1]
-    width = topology.total_votes + 1
-    bins += np.arange(n) * width
-    counts = np.bincount(bins.ravel(), minlength=n * width)
-    return counts.astype(np.float64).reshape(n, width)
+    site_masks, link_masks = _validated_masks(topology, site_masks, link_masks)
+    histogram = VoteHistogram(topology)
+    for rows in sub_blocks(topology, site_masks.shape[0]):
+        histogram.add(site_masks[rows], link_masks[rows])
+    return histogram.counts()
 
 
 def component_vote_totals(

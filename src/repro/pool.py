@@ -7,7 +7,9 @@ process, and callers import this module only when ``n_workers > 1``, so
 a serial run never loads :mod:`multiprocessing`.
 
 Results come back through the pool's own pickle pipe. A result here is
-a few hundred KB of ``float64`` per 0.7-12.5 CPU seconds of batch, and a
+a few hundred KB of ``float64`` per 0.7-12.5 CPU seconds of batch, or
+one summed ``(n_sites, T+1)`` count matrix per worker for a Monte-Carlo
+estimate (its blocks go out as one contiguous run per worker), and a
 pickle round trip of that costs about as much as a copy (DESIGN.md §8
 has the measurements), so there is no second transport to choose.
 """

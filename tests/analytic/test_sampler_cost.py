@@ -6,9 +6,12 @@ that; a count can. The number of function calls ``cProfile`` sees (Python
 and built-in alike) is a pure function of the code and the shapes, so
 each gate below names one piece of plumbing that must not come back:
 
-* a block is labelled by exactly one ``connected_components`` call, on a
-  graph written straight into CSR (no ``coo_matrix`` is ever built) and
-  binned with broadcasting (no ``numpy.tile``);
+* a block within ``components.SLOT_BUDGET`` link slots (every block of a
+  sparse paper topology) is labelled by exactly one
+  ``connected_components`` call, on a graph written straight into CSR (no
+  ``coo_matrix`` is ever built) and binned with broadcasting (no
+  ``numpy.tile``); a larger block is one such call per sub-block
+  (``test_sampler_streaming.py``);
 * that graph's shape is fixed by the topology and ``B``: every link owns
   one slot in every state (``nnz == B * n_links``, an unusable link being
   a self-loop), so nothing scans the draw for its usable links (no

@@ -1,6 +1,8 @@
-"""bench_pairs.py's verdict is choosing-metrics §8, no more generous."""
+"""bench_pairs.py's verdict is choosing-metrics §8, no more generous, and its
+``--record`` rows share one schema."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -93,3 +95,70 @@ def test_pairs_report_digests_per_pair_and_in_the_summary(mod, monkeypatch, tmp_
     assert [line.rsplit("  ", 1)[-1] for line in out[:3]] == [
         "digest equal", "digest equal", "DIGEST DIFFERS"]
     assert out[-1].strip() == "digests equal on 2/3 pairs"
+
+
+ROW_TYPES = {
+    "pr": int, "commit": (str, type(None)), "parent_commit": (str, type(None)),
+    "workload": str, "metric": str, "parent": dict, "change": dict,
+    "pairs": int, "won": int, "lost": int, "gain": bool, "failed_runs": int,
+    "seeds": str, "seconds": float, "cores": int, "cpu_model": (str, type(None)),
+    "digests_equal": int, "source": str,
+}
+
+
+def check_row(row):
+    assert set(row) == set(ROW_TYPES), sorted(set(row) ^ set(ROW_TYPES))
+    for key, kind in ROW_TYPES.items():
+        assert isinstance(row[key], kind), (key, row[key])
+    for side in ("parent", "change"):
+        assert set(row[side]) == {"median", "q1", "q3"}
+        assert row[side]["q1"] <= row[side]["median"] <= row[side]["q3"]
+    assert row["won"] + row["lost"] <= row["pairs"]
+    assert 0 <= row["digests_equal"] <= row["pairs"]
+    assert row["source"] in ("bench_pairs.py", "CHANGES.md")
+
+
+def test_the_committed_record_has_one_schema(mod):
+    """Shape only: shared runners are noisy, so no value is gated."""
+    rows = json.loads(mod.TRAJECTORY.read_text())
+    assert isinstance(rows, list) and rows
+    for row in rows:
+        check_row(row)
+    assert len({(r["pr"], r["workload"], r["metric"]) for r in rows}) == len(rows)
+
+
+def test_record_appends_one_row_per_claim(mod, monkeypatch, tmp_path, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "pass_s", "better": "lower"},'
+        ' {"name": "peak_rss_mb", "better": "lower"}]}')
+    change = tmp_path / "change"
+    record = tmp_path / "trajectory.json"
+    record.write_text('[{"pr": 1}]\n')
+
+    def fake_run(checkout, workload, seed, seconds):
+        rss = 90.0 if checkout == change else 100.0 + seed
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"pass_s": {"value": 1.0}, "peak_rss_mb": {"value": rss}},
+                "result_digest": "aa"}
+
+    monkeypatch.setattr(mod, "run_once", fake_run)
+    monkeypatch.setattr(mod, "TRAJECTORY", record)
+    assert mod.main([str(tmp_path), str(change), "--workload", "w", "--seeds", "1-10",
+                     "--record", "41", "--claim", "peak_rss_mb"]) == 0
+    rows = json.loads(record.read_text())
+    assert rows[0] == {"pr": 1} and len(rows) == 2
+    check_row(rows[1])
+    assert rows[1]["metric"] == "peak_rss_mb" and rows[1]["seeds"] == "1-10"
+    assert (rows[1]["won"], rows[1]["gain"], rows[1]["digests_equal"]) == (10, True, 10)
+    assert rows[1]["commit"] is None  # not a git checkout
+
+
+@pytest.mark.parametrize("extra", [["--record", "41"], ["--claim", "pass_s"],
+                                   ["--record", "41", "--claim", "nonsense"]])
+def test_record_needs_a_known_claim(mod, tmp_path, extra):
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "pass_s", "better": "lower"}]}')
+    with pytest.raises(SystemExit) as exc:
+        mod.main([str(tmp_path), str(tmp_path), "--workload", "w", "--seeds", "1",
+                  *extra])
+    assert exc.value.code == 2

@@ -516,3 +516,27 @@ def test_one_fault_layer(capsys):
         "self", "queue", "topology"]
     assert list(inspect.signature(FaultSchedule.all_events).parameters) == [
         "self", "topology"]
+
+
+_LABEL_PHASE_PROBE = """
+import json, sys
+from repro.telemetry.recorder import Telemetry
+opened = []
+real_phase = Telemetry.phase
+def phase(self, name):
+    if name.endswith(".label"):
+        opened.append("scipy.sparse.csgraph" in sys.modules)
+    return real_phase(self, name)
+Telemetry.phase = phase
+from repro.cli import main
+assert main(["profile", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(json.dumps(opened))
+"""
+
+
+@pytest.mark.parametrize("target", ["montecarlo", "votes"])
+def test_a_profiled_label_phase_books_no_scipy_import(target, tmp_path):
+    """csgraph is loaded before the first ``*.label`` phase opens, so the
+    phase times the labelling, not scipy's first import."""
+    opened = _probe(_LABEL_PHASE_PROBE, argv=(target, str(tmp_path / "p")))
+    assert opened and all(opened), opened
