@@ -11,14 +11,16 @@ through :func:`~repro.connectivity.components.batched_vote_histogram` in
 row sub-blocks of at most ``SLOT_BUDGET`` link slots
 (:func:`~repro.connectivity.components.sub_blocks`; one sub-block per
 block on every sparse paper topology), each drawn just before it is
-labelled by one block-diagonal
-:func:`scipy.sparse.csgraph.connected_components` call; this module owns
-no labelling or binning code. Counts are summed as soon as they exist,
-so memory grows with neither ``n_samples`` nor the block's slot count.
-Blocks draw their random masks from independent substreams spawned off
-the caller's seed, so the estimate depends only on ``(seed, n_samples,
-batch_size)`` — in particular it is *identical* for any ``n_workers``,
-which hands each worker process one contiguous run of blocks.
+labelled by one
+:func:`scipy.sparse.csgraph.connected_components` call over its runs of
+consecutive up sites; this module owns no labelling or binning code.
+Counts are summed as soon as they exist, and each block's generator is
+made when the block starts (:class:`~repro.rng.Substreams`), so memory
+grows with neither ``n_samples`` nor the block's slot count. Blocks draw
+their random masks from independent substreams of the caller's seed, so
+the estimate depends only on ``(seed, n_samples, batch_size)`` — in
+particular it is *identical* for any ``n_workers``, which hands each
+worker process one contiguous run of blocks.
 
 This is the *off-line* counterpart of the on-line estimator in
 :mod:`repro.protocols.estimator`: the on-line estimator sees states
@@ -29,7 +31,7 @@ a property the test suite checks.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from repro.connectivity.components import (
     sub_blocks,
 )
 from repro.errors import SimulationError, TopologyError
-from repro.rng import RandomState, as_generator, spawn
+from repro.rng import RandomState, Substreams, as_generator
 from repro.topology.model import Topology
 
 __all__ = ["montecarlo_density_matrix", "montecarlo_density"]
@@ -93,21 +95,21 @@ def _chunk_counts(
 
 
 def _run_counts(
-    shared: Tuple[Topology, np.ndarray, np.ndarray],
-    run: List[Tuple[int, np.random.Generator]],
+    shared: Tuple[Topology, np.ndarray, np.ndarray, int, int, Substreams],
+    blocks: range,
 ) -> np.ndarray:
     """The :func:`repro.pool.fan_out` task: one summed count matrix for a
-    contiguous run of blocks, each added as soon as it is done."""
-    counts = np.zeros((shared[0].n_sites, shared[0].total_votes + 1))
-    for count, rng in run:
-        counts += _chunk_counts(*shared, count, rng)
+    contiguous run of blocks, each added as soon as it is done.
+
+    Block ``i`` holds ``batch_size`` states (the last one the rest of
+    ``n_samples``) and draws from substream ``i``, made when the block
+    starts, so no run holds more than one block's generator."""
+    topology, site_rel, link_rel, n_samples, batch_size, streams = shared
+    counts = np.zeros((topology.n_sites, topology.total_votes + 1))
+    for i in blocks:
+        count = min(batch_size, n_samples - i * batch_size)
+        counts += _chunk_counts(topology, site_rel, link_rel, count, streams[i])
     return counts
-
-
-def _sample_plan(n_samples: int, batch_size: int) -> List[int]:
-    """Fixed decomposition of ``n_samples`` into labelling blocks."""
-    full, rem = divmod(n_samples, batch_size)
-    return [batch_size] * full + ([rem] if rem else [])
 
 
 def montecarlo_density_matrix(
@@ -122,13 +124,14 @@ def montecarlo_density_matrix(
     """Estimate the density matrix ``(n_sites, T+1)`` from random states.
 
     States are sampled in blocks of ``batch_size``; each block's random
-    masks come from an independent substream spawned off ``seed`` and
-    are labelled in slot-bounded sub-blocks, and each block's counts
-    join one running sum. With ``n_workers > 1`` the blocks are cut into
-    at most ``n_workers`` contiguous runs, one process-pool task each,
-    and the runs' sums are added; counts are integers below 2**53 and
-    the substream depends only on the block index, so the returned
-    matrix is bitwise identical for every ``n_workers`` value.
+    masks come from an independent substream of ``seed``, made when the
+    block starts, and are labelled in slot-bounded sub-blocks, and each
+    block's counts join one running sum. With ``n_workers > 1`` the
+    blocks are cut into at most ``n_workers`` contiguous runs, one
+    process-pool task each, and the runs' sums are added; counts are
+    integers below 2**53 and the substream depends only on the block
+    index, so the returned matrix is bitwise identical for every
+    ``n_workers`` value.
     """
     if n_samples <= 0:
         raise SimulationError(f"n_samples must be positive, got {n_samples}")
@@ -140,19 +143,18 @@ def montecarlo_density_matrix(
     site_rel = reliability_vector(p, topology.n_sites, "site reliability")
     link_rel = reliability_vector(r, topology.n_links, "link reliability")
 
-    plan = _sample_plan(n_samples, batch_size)
-    streams = spawn(seed if seed is not None else as_generator(None), len(plan))
+    n_blocks = -(-n_samples // batch_size)
+    streams = Substreams(seed if seed is not None else as_generator(None), n_blocks)
 
-    shared = (topology, site_rel, link_rel)
-    blocks = list(zip(plan, streams))
-    workers = min(n_workers, len(blocks))
+    shared = (topology, site_rel, link_rel, n_samples, batch_size, streams)
+    workers = min(n_workers, n_blocks)
     if workers == 1:
-        counts = _run_counts(shared, blocks)
+        counts = _run_counts(shared, range(n_blocks))
     else:
         from repro.pool import fan_out
 
-        cuts = [len(blocks) * i // workers for i in range(workers + 1)]
-        runs = [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
+        cuts = [n_blocks * i // workers for i in range(workers + 1)]
+        runs = [range(a, b) for a, b in zip(cuts, cuts[1:])]
         # Every partial sum is an integer below 2**53, so the grouping
         # leaves the matrix bitwise that of the serial path.
         counts = sum(fan_out(_run_counts, shared, runs, workers))

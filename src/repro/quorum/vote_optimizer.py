@@ -23,8 +23,9 @@ Two search strategies:
   step re-uses the shared state sample.
 
 Scoring is vectorized (DESIGN.md §10): the shared :class:`_StateSample`
-batch-labels all sampled states once at construction and scores one
-vote vector with one scatter-add over the label matrix. A hillclimb
+labels its sampled states once at construction, in slot-bounded
+sub-blocks, and scores one vote vector with one weighted ``bincount``
+over its distinct component member sets. A hillclimb
 sweep scores all ``n(n-1)`` single-vote moves at once:
 :meth:`_StateSample.move_uppers` gives every move the exact integer
 upper cumulative of its site-summed histogram from a handful of
@@ -44,7 +45,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.analytic.density import reliability_vector
-from repro.connectivity.components import batched_component_labels, entry_vote_totals
+from repro.connectivity.components import batched_component_labels, sub_blocks
 from repro.errors import OptimizationError, VoteAssignmentError
 from repro.quorum.availability import AvailabilityModel
 from repro.quorum.optimizer import OptimizationResult, optimal_read_quorum
@@ -89,11 +90,14 @@ class VoteSearchResult:
 class _StateSample:
     """Common random numbers: one set of network states scores all vote vectors.
 
-    All ``n_samples`` states are labelled at construction with a single
-    block-diagonal :func:`batched_component_labels` call. The label
-    matrix (one vote vector's counts) and the distinct component member
-    sets (a sweep over every move) are the only per-sample structures any
-    scoring path touches afterwards.
+    The sample is labelled at construction, one :func:`sub_blocks` range
+    of states per :func:`batched_component_labels` call: the site masks
+    are drawn first, then each range's link uniforms just before it is
+    labelled, which is the stream of one ``(n_samples, n_links)`` draw.
+    Each range's compacted ids are offset by the components of the ranges
+    before it, so :attr:`labels` are those of one call over the whole
+    sample. The distinct component member sets and their multiplicities
+    are the only per-sample structures any scoring path reads afterwards.
     """
 
     def __init__(
@@ -108,32 +112,49 @@ class _StateSample:
         site_rel = reliability_vector(p, topology.n_sites, "site reliability")
         link_rel = reliability_vector(r, topology.n_links, "link reliability")
         self.site_masks = rng.random((n_samples, topology.n_sites)) < site_rel
-        link_draws = rng.random((n_samples, topology.n_links))
         self.n_samples = n_samples
         self.n_sites = topology.n_sites
+        self.labels = np.empty((n_samples, topology.n_sites), dtype=np.int64)
         with _current_recorder().phase("votesearch.label"):
-            self.labels = batched_component_labels(
-                topology, self.site_masks, link_draws < link_rel
-            )
-            self._up = self.labels >= 0
-            self._n_components = int(self.labels.max()) + 1
-            self.members, self.weights = self._distinct_components()
+            n_components = 0
+            for rows in sub_blocks(topology, n_samples):
+                link_masks = rng.random(
+                    (rows.stop - rows.start, topology.n_links)) < link_rel
+                labels = batched_component_labels(
+                    topology, self.site_masks[rows], link_masks)
+                up = labels >= 0
+                labels[up] += n_components
+                self.labels[rows] = labels
+                if up.any():
+                    n_components = int(labels.max()) + 1
+            self._n_components = n_components
+            self.members, multiplicity = self._distinct_components()
+        sizes = self.members.sum(axis=1)
+        self.weights = (multiplicity * sizes).astype(np.float64)
+        # One entry per (distinct set, member site), for :meth:`vote_counts`.
+        self._entry_sets, self._entry_sites = np.nonzero(self.members)
+        self._entry_states = multiplicity[self._entry_sets].astype(np.float64)
+        self._down = n_samples - self.site_masks.sum(axis=0)
 
     def _distinct_components(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Each distinct member set of a sampled component, with its weight.
+        """Each distinct member set of a sampled component, with its
+        multiplicity.
 
-        Returns ``(members, weights)``: ``members[k]`` marks the sites of
-        the k-th distinct set (bool, ``(K, n)``) and ``weights[k]`` is its
-        size times the number of sampled states holding it — the up
-        entries it stands for. Sets are keyed by their packed bit rows,
-        so equal sets from different states merge exactly.
+        Returns ``(members, multiplicity)``: ``members[k]`` marks the
+        sites of the k-th distinct set (bool, ``(K, n)``) and
+        ``multiplicity[k]`` is the number of sampled states holding it (a
+        set occurs at most once per state). Sets are keyed by their
+        packed bit rows, so equal sets from different states merge
+        exactly. :attr:`weights` is the multiplicity times the set's
+        size: the up entries it stands for.
         """
+        up = self.labels >= 0
         members = np.zeros((self._n_components, self.n_sites), dtype=bool)
-        members[self.labels[self._up], np.nonzero(self._up)[1]] = True
+        members[self.labels[up], np.nonzero(up)[1]] = True
         rows, counts = np.unique(np.packbits(members, axis=1), axis=0,
                                  return_counts=True)
         members = np.unpackbits(rows, axis=1, count=self.n_sites).astype(bool)
-        return members, (counts * members.sum(axis=1)).astype(np.float64)
+        return members, counts
 
     # ------------------------------------------------------------------
     # Vectorized scoring
@@ -141,19 +162,23 @@ class _StateSample:
     def vote_counts(self, votes: np.ndarray) -> np.ndarray:
         """State-count histogram ``(n_sites, T+1)`` of component vote totals.
 
-        :func:`entry_vote_totals` gives every entry its component's
-        votes (down entries 0) and one ``bincount`` bins the
-        ``(site, total)`` pairs — no per-state Python loop. Counts are
-        exact small integers held in float64, so every scoring path that
+        Read off the distinct member sets, not the label matrix: a set of
+        total ``t`` held by ``m`` states adds ``m`` to bin ``(s, t)`` of
+        each of its sites ``s`` (one weighted ``bincount`` over the
+        sets' entries), and a site's down states add to its bin 0. The
+        counts are exact small integers held in float64, the same as
+        binning every ``(state, site)`` entry, so every scoring path that
         consumes them agrees bitwise.
         """
         with _current_recorder().phase("votesearch.score"):
             votes = np.asarray(votes, dtype=np.int64)
             n, T = self.n_sites, int(votes.sum())
-            totals = entry_vote_totals(self.labels, self._up, votes, self._n_components)
-            bins = (np.arange(n, dtype=np.int64) * (T + 1) + totals).ravel()
-            counts = np.bincount(bins, minlength=n * (T + 1)).astype(np.float64)
-            return counts.reshape(n, T + 1)
+            totals = (self.members @ votes)[self._entry_sets]
+            bins = self._entry_sites * (T + 1) + totals
+            counts = np.bincount(bins, weights=self._entry_states,
+                                 minlength=n * (T + 1)).reshape(n, T + 1)
+            counts[:, 0] += self._down
+            return counts
 
     def density_matrix(self, votes: np.ndarray) -> np.ndarray:
         """Empirical per-site density of component votes under ``votes``."""

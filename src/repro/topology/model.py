@@ -77,7 +77,7 @@ class Topology:
 
     __slots__ = (
         "_n_sites", "_links", "_votes", "_name", "_adjacency", "_link_index",
-        "_endpoint_arrays",
+        "_endpoint_arrays", "_run_layout",
     )
 
     def __init__(

@@ -1,9 +1,11 @@
 """The samplers stream: bounded memory, the same bytes (DESIGN.md §10).
 
 A block of sampled states is drawn and labelled in row sub-blocks of at
-most ``components.SLOT_BUDGET`` link slots, and every count is summed as
-soon as it exists, so a sampler's working set depends on neither
-``n_samples`` nor the block's slot count. Counts are integers below
+most ``components.SLOT_BUDGET`` link slots, every count is summed as
+soon as it exists, and each block's generator is made when the block
+starts, so a sampler's working set depends on neither ``n_samples`` nor
+the block's slot count. The vote search's common sample is drawn and
+labelled in the same sub-blocks. Counts are integers below
 2**53, so none of that regrouping may change a returned byte: the gates
 below hold the bytes against a budget forced down to seven states, against
 sha256 pins computed before the samplers streamed, and across worker
@@ -23,6 +25,7 @@ from repro.analytic.montecarlo import montecarlo_density_matrix
 from repro.analytic.variance import stratified_density_matrix
 from repro.connectivity import components
 from repro.connectivity.components import batched_vote_histogram
+from repro.quorum.vote_optimizer import _StateSample
 from repro.topology.generators import fully_connected, paper_topology
 
 MiB = 2**20
@@ -54,11 +57,20 @@ class TestStreamedMemory:
         assert peak <= 8 * MiB, f"{peak / MiB:.1f} MiB"
 
     def test_memory_does_not_grow_with_n_samples(self):
-        # 7.2 -> 63.3 MiB when every block's count matrix was kept.
+        # 7.2 -> 63.3 MiB when every block's count matrix was kept, and
+        # 1.30 -> 1.92 MiB while every block's generator was spawned up
+        # front; 0.64 -> 0.63 MiB with each made when its block starts.
         topology = paper_topology(16)
         small, large = (traced_peak(lambda: montecarlo_density_matrix(
             topology, 0.96, 0.96, n_samples=n, seed=1)) for n in (20_000, 200_000))
-        assert large - small <= 1 * MiB, f"{small / MiB:.2f} -> {large / MiB:.2f} MiB"
+        assert large - small <= MiB / 8, f"{small / MiB:.2f} -> {large / MiB:.2f} MiB"
+
+    def test_the_vote_search_labels_its_sample_within_the_slot_budget(self):
+        # 33.1 MiB when the 200 states were drawn and labelled in one call.
+        topology = paper_topology(4949)
+        peak = traced_peak(lambda: _StateSample(topology, 0.96, 0.96,
+                                                n_samples=200, seed=0))
+        assert peak <= 6 * MiB, f"{peak / MiB:.1f} MiB"
 
     def test_stratified_draws_one_component_row_at_a_time(self):
         # 15.3 MiB with one (m, count) float64 block of uniforms per stratum.
@@ -102,6 +114,26 @@ def test_a_seven_state_budget_changes_no_byte(topology, monkeypatch, labelling_c
     monkeypatch.setattr(components, "SLOT_BUDGET", 7 * topology.n_links)
     split = run()
     assert max(labelling_calls) <= 7 * topology.n_links
+    for a, b in zip(whole, split):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES, ids=lambda t: t.name)
+def test_a_seven_state_budget_changes_no_vote_sample_byte(topology, monkeypatch,
+                                                          labelling_calls):
+    votes = np.arange(topology.n_sites) % 3
+
+    def run():
+        sample = _StateSample(topology, 0.9, 0.8, n_samples=300, seed=5)
+        return (sample.site_masks, sample.labels, sample.members, sample.weights,
+                sample.vote_counts(votes), sample.move_uppers(votes))
+
+    whole = run()
+    assert len(labelling_calls) == 1
+    labelling_calls.clear()
+    monkeypatch.setattr(components, "SLOT_BUDGET", 7 * topology.n_links)
+    split = run()
+    assert len(labelling_calls) == 300 // 7 + 1
     for a, b in zip(whole, split):
         assert a.tobytes() == b.tobytes()
 

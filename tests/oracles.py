@@ -235,6 +235,29 @@ def perstate_vote_histogram(topology, site_masks, link_masks):
     return counts
 
 
+def raw_label_vote_histogram(topology, site_masks, link_masks):
+    """Site-by-site binning of :func:`usable_links_raw_labels`: the oracle
+    of ``batched_vote_histogram`` that shares no run, chord or
+    difference-array step with it.
+
+    Each up site's votes are added to its raw component, and every
+    ``(state, site)`` entry adds 1 to the cell of its component's total
+    (0 for a down site), one state at a time.
+    """
+    B, n = site_masks.shape
+    _, raw = usable_links_raw_labels(topology, site_masks, link_masks)
+    raw = raw.reshape(B, n)
+    votes = topology.votes
+    counts = np.zeros((n, topology.total_votes + 1), dtype=np.float64)
+    for k in range(B):
+        up = site_masks[k]
+        sums = np.zeros(B * n, dtype=np.int64)
+        np.add.at(sums, raw[k][up], votes[up])
+        for site in range(n):
+            counts[site, sums[raw[k, site]] if up[site] else 0] += 1.0
+    return counts
+
+
 def montecarlo_perstate_counts(topology, site_rel, link_rel, count, rng):
     """Per-state Monte-Carlo labelling loop (the pre-batching estimator).
 

@@ -1,9 +1,11 @@
 """Tests for the random-stream substrate."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.rng import as_generator, spawn, stream_for
+from repro.rng import Substreams, as_generator, spawn, stream_for
 
 
 class TestAsGenerator:
@@ -41,6 +43,44 @@ class TestSpawn:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             spawn(0, -1)
+
+
+class TestSubstreams:
+    """The lazy children are the streams ``spawn`` makes, in order."""
+
+    SEEDS = {
+        "int": lambda: 11,
+        "big-int": lambda: 2**70 + 3,
+        "seed-sequence": lambda: np.random.SeedSequence(5, spawn_key=(2,)),
+        "generator": lambda: np.random.default_rng(9),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SEEDS))
+    def test_each_child_is_spawns_child(self, kind):
+        eager = spawn(self.SEEDS[kind](), 4)
+        lazy = Substreams(self.SEEDS[kind](), 4)
+        assert len(lazy) == 4
+        for i in (3, 0, 2, 1):  # any order: a child depends on its index only
+            assert lazy[i].random(3).tobytes() == eager[i].random(3).tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(SEEDS))
+    def test_it_leaves_a_parent_where_spawn_does(self, kind):
+        parents = [self.SEEDS[kind]() for _ in range(2)]
+        spawn(parents[0], 4)
+        Substreams(parents[1], 4)
+        again = [spawn(parent, 1)[0].random(2).tobytes() for parent in parents]
+        assert again[0] == again[1]
+
+    def test_it_pickles_for_workers(self):
+        lazy = Substreams(11, 3)
+        clone = pickle.loads(pickle.dumps(lazy))
+        assert clone[2].random(2).tobytes() == lazy[2].random(2).tobytes()
+
+    def test_an_index_outside_raises(self):
+        with pytest.raises(IndexError):
+            Substreams(11, 3)[3]
+        with pytest.raises(ValueError):
+            Substreams(11, -1)
 
 
 class TestStreamFor:
