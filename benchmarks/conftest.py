@@ -11,13 +11,13 @@ record (git-ignored); what gates a PR is the repo benchmark,
 
 Scale is selected with the ``REPRO_BENCH_SCALE`` environment variable:
 
-- ``bench`` (default): 101-site networks, 10 000 accesses x 2 batches —
-  the whole suite finishes in a few minutes;
-- ``small``: 30 000 accesses x 4 batches;
+- ``bench`` (default): 101-site networks, 500 warm-up + 12 000 accesses
+  x 2 batches from a stationary start — the whole suite finishes in a
+  few minutes. The bench suite is the only place this scale exists;
 - ``paper``: the paper's full 100 000 + 1 000 000 x 5 configuration.
-  One pass of its evaluation (``repro campaign --scale paper``) takes
-  about 30 s wall, or 66 s with ``--full``, on a 2-core x86-64 host;
-  each benchmark repeats its figure for every timed round.
+  One pass of its evaluation (``repro campaign``, paper scale by
+  default) takes about 40 s wall on a 2-core x86-64 host; each
+  benchmark repeats its figure for every timed round.
 """
 
 from __future__ import annotations
@@ -32,11 +32,7 @@ from typing import Dict, List
 import numpy as np
 import pytest
 
-from repro.experiments.paper import (
-    PAPER_SCALE,
-    SMALL_SCALE,
-    ExperimentScale,
-)
+from repro.experiments.paper import PAPER_SCALE, ExperimentScale
 from repro.telemetry.metrics import Histogram
 
 #: Default benchmark scale: full-size networks, laptop-size access volume.
@@ -52,7 +48,7 @@ BENCH_SCALE = ExperimentScale(
     initial_state="stationary",
 )
 
-_SCALES = {"bench": BENCH_SCALE, "small": SMALL_SCALE, "paper": PAPER_SCALE}
+_SCALES = {"bench": BENCH_SCALE, "paper": PAPER_SCALE}
 
 RESULTS_PATH = Path(__file__).parent / "results.txt"
 

@@ -8,8 +8,8 @@ paper's preferred remedy: restrict to read quorums whose induced write
 availability ``A(0, q_r)`` meets a floor ``A_w``, then maximize.
 
 This example reproduces the paper's worked example (its Topology 2 at
-``alpha = 0.75`` with ``A_w >= 20%``) at configurable scale, and also
-shows the alternative write-weighting method the paper describes but
+``alpha = 0.75`` with ``A_w >= 20%``) at the paper's full scale, and
+also shows the alternative write-weighting method the paper describes but
 declines to recommend.
 
 Run:  python examples/write_constraint_tuning.py
@@ -18,7 +18,7 @@ Run:  python examples/write_constraint_tuning.py
 import numpy as np
 
 from repro.experiments.figures import figure_data
-from repro.experiments.paper import SMALL_SCALE
+from repro.experiments.paper import PAPER_SCALE
 from repro.experiments.report import render_write_constraint_table
 from repro.experiments.tables import write_constraint_table
 from repro.quorum.constraints import optimize_with_write_floor, weighted_availability_curve
@@ -30,7 +30,7 @@ FLOOR = 0.20
 
 def main() -> None:
     print("simulating the paper's Topology 2 (101-site ring + 2 chords)...")
-    fig = figure_data(chords=2, scale=SMALL_SCALE, seed=2)
+    fig = figure_data(chords=2, scale=PAPER_SCALE, seed=2)
     model = fig.model
 
     free = optimal_read_quorum(model, ALPHA)

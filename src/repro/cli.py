@@ -8,17 +8,13 @@ writing Python:
   write-availability floor (section 5.4).
 - ``simulate``          — run the discrete-event simulator for one
   protocol and print availability with confidence intervals.
-- ``figure``            — regenerate one paper figure's series from a
-  simulation run (the on-line density technique).
-- ``rw-table``          — the section 5.5 read-write-ratio summary over
-  several topologies.
-- ``write-constraint``  — the section 5.4 floor sweep for one topology.
 - ``votes``             — optimize the vote vector too (heterogeneous
   site reliabilities), then the quorums on it.
 - ``shootout``          — every replica-control protocol run on one
   config, so all of them see the same failure history.
 - ``campaign``          — regenerate the paper's whole evaluation
-  section (figures and both tables).
+  section (figures and both tables), or with ``--only`` just the named
+  sections (``FIG-2`` … ``FIG-7``, ``TAB-WC``, ``TAB-RW``).
 - ``chaos``             — scripted fault-injection campaign with invariant
   monitoring (DESIGN.md: "Chaos engineering the quorum layer").
 - ``serve``             — the adaptive quorum serving layer: an asyncio
@@ -64,7 +60,7 @@ import numpy as np
 __all__ = ["main", "build_parser"]
 
 _DENSITY_FAMILIES = ("ring", "complete", "bus")
-_SCALES = ("test", "small", "paper", "bench")
+_SCALES = ("test", "paper")
 
 
 def _seed(text: str) -> int:
@@ -76,13 +72,9 @@ def _seed(text: str) -> int:
 
 
 def _scale(name: str):
-    from repro.experiments.paper import PAPER_SCALE, SMALL_SCALE, TEST_SCALE
-    from repro.experiments.paper import ExperimentScale
+    from repro.experiments.paper import PAPER_SCALE, TEST_SCALE
 
-    if name == "bench":
-        return ExperimentScale("bench", 101, 500.0, 12_000.0, 2,
-                               initial_state="stationary")
-    return {"test": TEST_SCALE, "small": SMALL_SCALE, "paper": PAPER_SCALE}[name]
+    return {"test": TEST_SCALE, "paper": PAPER_SCALE}[name]
 
 
 def _analytic_density(family: str, sites: int, p: float, r: float) -> np.ndarray:
@@ -141,14 +133,17 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
     density = _analytic_density(args.family, args.sites, args.p, args.r)
     model = AvailabilityModel(density, density)
-    if args.write_floor > 0.0:
+    # Any floor but 0 goes through the constrained optimizer, which
+    # rejects one outside [0, 1] (NaN included).
+    constrained = args.write_floor != 0.0
+    if constrained:
         result = optimize_with_write_floor(model, args.alpha, args.write_floor)
     else:
         result = optimal_read_quorum(model, args.alpha)
     write = float(np.asarray(model.write_availability_at(result.read_quorum)))
     print(f"topology        : {args.family}-{args.sites} (p={args.p}, r={args.r})")
     print(f"alpha           : {args.alpha}")
-    if args.write_floor > 0:
+    if constrained:
         print(f"write floor     : {args.write_floor}")
     print(f"optimal quorums : q_r={result.read_quorum}  q_w={result.write_quorum}")
     print(f"availability    : {result.availability:.4f}")
@@ -205,49 +200,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(result.summary())
     if result.telemetry is not None:
         _export_telemetry(result.telemetry, args)
-    return 0
-
-
-def _cmd_figure(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
-    from repro.experiments.figures import figure_data
-    from repro.experiments.report import render_figure
-
-    if args.points < 1:
-        raise ReproError(f"--points must be at least 1, got {args.points}")
-    fig = figure_data(chords=args.chords, scale=_scale(args.scale), seed=args.seed)
-    if args.chart:
-        from repro.experiments.charts import figure_chart
-
-        print(figure_chart(fig))
-    else:
-        print(render_figure(fig, max_points=args.points))
-    return 0
-
-
-def _cmd_rw_table(args: argparse.Namespace) -> int:
-    from repro.experiments.figures import figure_data
-    from repro.experiments.paper import PAPER_ALPHAS
-    from repro.experiments.report import render_rw_table
-    from repro.experiments.tables import read_write_ratio_table
-
-    models = []
-    for chords in args.chords:
-        fig = figure_data(chords=chords, scale=_scale(args.scale),
-                          seed=args.seed + chords)
-        models.append((fig.topology_name, fig.model))
-    print(render_rw_table(read_write_ratio_table(models, PAPER_ALPHAS)))
-    return 0
-
-
-def _cmd_write_constraint(args: argparse.Namespace) -> int:
-    from repro.experiments.figures import figure_data
-    from repro.experiments.report import render_write_constraint_table
-    from repro.experiments.tables import write_constraint_table
-
-    fig = figure_data(chords=args.chords, scale=_scale(args.scale), seed=args.seed)
-    rows = write_constraint_table(fig.model, args.alpha, write_floors=args.floors)
-    print(render_write_constraint_table(rows, args.alpha, fig.topology_name))
     return 0
 
 
@@ -323,6 +275,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         scale=_scale(args.scale),
         seed=args.seed,
         include_fully_connected=args.full,
+        only=args.only,
     )
     print(render_campaign(result))
     return 0
@@ -726,6 +679,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments.campaign import SECTION_IDS
     from repro.serving.scenarios import SERVE_SCENARIOS
 
     parser = argparse.ArgumentParser(
@@ -753,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=("majority", "rowa", "primary", "quorum"))
     sim.add_argument("--read-quorum", type=int, default=None,
                      help="q_r for --protocol quorum (q_w = T - q_r + 1)")
-    sim.add_argument("--scale", choices=_SCALES, default="bench")
+    sim.add_argument("--scale", choices=_SCALES, default="paper")
     sim.add_argument("--target-half-width", type=float, default=None,
                      help="add batches until the 95%% CI half-width reaches this")
     sim.add_argument("--seed", type=_seed, default=0)
@@ -768,30 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "for replay) and continue")
     _add_telemetry_args(sim)
     sim.set_defaults(func=_cmd_simulate, keep_going=False)
-
-    fig = sub.add_parser("figure", help="regenerate one paper figure's series")
-    fig.add_argument("--chords", type=int, default=0)
-    fig.add_argument("--scale", choices=_SCALES, default="bench")
-    fig.add_argument("--points", type=int, default=12)
-    fig.add_argument("--chart", action="store_true",
-                     help="render an ASCII line chart instead of the table")
-    fig.add_argument("--seed", type=_seed, default=0)
-    fig.set_defaults(func=_cmd_figure)
-
-    rw = sub.add_parser("rw-table", help="section 5.5 read-write-ratio summary")
-    rw.add_argument("--chords", type=int, nargs="+", default=[0, 2, 16, 256])
-    rw.add_argument("--scale", choices=_SCALES, default="bench")
-    rw.add_argument("--seed", type=_seed, default=0)
-    rw.set_defaults(func=_cmd_rw_table)
-
-    wc = sub.add_parser("write-constraint", help="section 5.4 floor sweep")
-    wc.add_argument("--chords", type=int, default=2)
-    wc.add_argument("--alpha", type=float, default=0.75)
-    wc.add_argument("--floors", type=float, nargs="+",
-                    default=[0.0, 0.05, 0.1, 0.2, 0.4])
-    wc.add_argument("--scale", choices=_SCALES, default="bench")
-    wc.add_argument("--seed", type=_seed, default=0)
-    wc.set_defaults(func=_cmd_write_constraint)
 
     votes = sub.add_parser("votes", help="optimize the vote assignment too")
     votes.add_argument("--sites", type=int, default=12)
@@ -823,10 +753,14 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign",
         help="regenerate the paper's whole evaluation section",
     )
-    camp.add_argument("--scale", choices=_SCALES, default="bench")
+    camp.add_argument("--scale", choices=_SCALES, default="paper")
     camp.add_argument("--seed", type=_seed, default=0)
     camp.add_argument("--full", action="store_true",
                       help="include the fully-connected topology (slow)")
+    camp.add_argument("--only", nargs="+", choices=SECTION_IDS, metavar="ID",
+                      help="print only these sections and run only the "
+                      "topologies they need: FIG-2 ... FIG-7 (FIG-8 with "
+                      "--full), TAB-WC (section 5.4), TAB-RW (section 5.5)")
     camp.set_defaults(func=_cmd_campaign)
 
     chaos = sub.add_parser(

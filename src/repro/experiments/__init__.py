@@ -2,7 +2,7 @@
 
 - :mod:`repro.experiments.paper` — the paper's section 5 parameters
   (101 sites, seven topologies, reliability 0.96, rho = 1/128, five read
-  fractions) plus laptop-scale variants used by tests and benches.
+  fractions) plus the small ``TEST_SCALE`` the tests run at.
 - :mod:`repro.experiments.figures` — regenerate the data behind
   Figures 2–7: availability vs read quorum, one curve per alpha.
 - :mod:`repro.experiments.tables` — the section 5.4 write-constraint
@@ -18,7 +18,6 @@ from repro.experiments.paper import (
     PAPER_RHO,
     PAPER_SCALE,
     ExperimentScale,
-    SMALL_SCALE,
     TEST_SCALE,
 )
 from repro.experiments.figures import FigureData, FigureSeries, figure_data
@@ -34,7 +33,6 @@ from repro.experiments.report import (
     render_write_constraint_table,
 )
 from repro.experiments.campaign import CampaignResult, render_campaign, run_campaign
-from repro.experiments.charts import ascii_chart, figure_chart
 from repro.experiments.sweeps import (
     SweepPoint,
     find_majority_crossover,
@@ -53,12 +51,9 @@ __all__ = [
     "PAPER_SCALE",
     "CampaignResult",
     "ReadWriteRatioRow",
-    "SMALL_SCALE",
     "SweepPoint",
     "TEST_SCALE",
     "WriteConstraintRow",
-    "ascii_chart",
-    "figure_chart",
     "figure_data",
     "find_majority_crossover",
     "read_write_ratio_table",

@@ -2,13 +2,14 @@
 
 :func:`run_campaign` executes everything section 5 reports — all six
 figures, the section 5.4 write-constraint example, and the section 5.5
-read-write-ratio table — at a chosen scale, and
-:func:`render_campaign` renders it as one text report ready to diff
-against EXPERIMENTS.md. ``python -m repro campaign`` is the CLI entry.
+read-write-ratio table — at a chosen scale, or the sections it is asked
+for, and :func:`render_campaign` renders it as one text report ready to
+diff against EXPERIMENTS.md. ``python -m repro campaign [--only ID ...]``
+is the CLI entry.
 
-At ``PAPER_SCALE`` this is the full reproduction run: ``repro campaign
---scale paper`` took 31 s wall (28 s user) in one process on a 2-core
-Intel Xeon; the default bench scale finishes in about a minute.
+At ``PAPER_SCALE``, the default, this is the full reproduction run:
+``repro campaign`` took 39.5 s wall in one process on a 2-core x86-64
+host; ``--scale test`` takes under a second.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from repro.errors import ReproError
 from repro.experiments.figures import FigureData, figure_data
 from repro.experiments.paper import (
     PAPER_ALPHAS,
     PAPER_CHORD_COUNTS,
+    PAPER_SCALE,
     ExperimentScale,
-    SMALL_SCALE,
 )
 from repro.experiments.report import (
     render_figure,
@@ -35,20 +37,34 @@ from repro.experiments.tables import (
     write_constraint_table,
 )
 
-__all__ = ["CampaignResult", "run_campaign", "render_campaign"]
+__all__ = ["CampaignResult", "SECTION_IDS", "run_campaign", "render_campaign"]
 
-#: Figure number -> chord count, as in the paper (Figures 2-7; 4949 is
-#: stated to coincide with 256 and is costly, so it is opt-in).
+#: Figure number -> chord count, as in the paper (Figures 2-7), then
+#: 4949 as Figure 8: stated to coincide with 256 and costly, so opt-in.
 FIGURE_CHORDS: Tuple[Tuple[int, int], ...] = (
-    (2, 0), (3, 1), (4, 2), (5, 4), (6, 16), (7, 256),
+    (2, 0), (3, 1), (4, 2), (5, 4), (6, 16), (7, 256), (8, PAPER_CHORD_COUNTS[-1]),
 )
+
+#: Section 5.4 reads its worked example off Topology 2 (our Figure 4),
+#: at alpha = 0.75, over these write-availability floors.
+WRITE_CONSTRAINT_FIGURE = 4
+WRITE_CONSTRAINT_ALPHA = 0.75
+WRITE_FLOORS = (0.0, 0.05, 0.1, 0.2)
+
+#: The report's sections in report order; ``FIG-8`` needs the fully
+#: connected topology (``include_fully_connected``, ``--full``).
+SECTION_IDS: Tuple[str, ...] = tuple(
+    f"FIG-{number}" for number, _ in FIGURE_CHORDS
+) + ("TAB-WC", "TAB-RW")
 
 
 @dataclass
 class CampaignResult:
-    """Everything one campaign run produced."""
+    """Everything one campaign run produced: the figures its ``sections``
+    needed, and the tables among them."""
 
     scale_name: str
+    sections: Tuple[str, ...]
     figures: List[Tuple[int, FigureData]]
     write_constraint_rows: Tuple[WriteConstraintRow, ...]
     write_constraint_alpha: float
@@ -62,48 +78,58 @@ class CampaignResult:
 
 
 def run_campaign(
-    scale: ExperimentScale = SMALL_SCALE,
+    scale: ExperimentScale = PAPER_SCALE,
     seed: int = 0,
-    alphas: Sequence[float] = PAPER_ALPHAS,
-    write_constraint_alpha: float = 0.75,
-    write_floors: Sequence[float] = (0.0, 0.05, 0.1, 0.2),
     include_fully_connected: bool = False,
+    only: Optional[Sequence[str]] = None,
 ) -> CampaignResult:
-    """Run every section-5 experiment at ``scale``.
+    """Run the section-5 experiments at ``scale``: every section, or the
+    :data:`SECTION_IDS` that ``only`` names.
 
-    One simulation per topology; every figure curve and both tables come
-    from those runs' on-line density estimates (the paper's own
-    technique, section 4.2).
+    One simulation per topology a selected section needs (TAB-WC needs
+    topology 2, TAB-RW all of them), seeded ``seed + chords``, so a
+    section comes out the same alone as in the whole report. Every curve
+    and both tables come from those runs' on-line density estimates (the
+    paper's own technique, section 4.2).
     """
-    figure_list = list(FIGURE_CHORDS)
-    if include_fully_connected:
-        figure_list.append((8, PAPER_CHORD_COUNTS[-1]))
+    figure_list = FIGURE_CHORDS if include_fully_connected else FIGURE_CHORDS[:-1]
+    available = [f"FIG-{number}" for number, _ in figure_list] + ["TAB-WC", "TAB-RW"]
+    unknown = sorted(set(only or ()) - set(available))
+    if unknown:
+        raise ReproError(f"no campaign section {', '.join(unknown)}: this campaign "
+                         f"has {' '.join(available)} (FIG-8 needs --full)")
+    sections = tuple(s for s in available if only is None or s in only)
 
-    figures: List[Tuple[int, FigureData]] = []
-    models = []
-    for number, chords in figure_list:
-        fig = figure_data(chords=chords, scale=scale, seed=seed + chords)
-        figures.append((number, fig))
-        models.append((fig.topology_name, fig.model))
-
-    # Section 5.4 reads its worked example off Topology 2 (our Figure 4).
-    topology2 = next(fig for num, fig in figures if num == 4)
-    wc_rows = write_constraint_table(
-        topology2.model, write_constraint_alpha, write_floors=write_floors
-    )
-
-    rw_rows = read_write_ratio_table(models, alphas)
+    figures = [
+        (number, figure_data(chords=chords, scale=scale, seed=seed + chords))
+        for number, chords in figure_list
+        if f"FIG-{number}" in sections or "TAB-RW" in sections
+        or (number == WRITE_CONSTRAINT_FIGURE and "TAB-WC" in sections)
+    ]
+    wc_rows: Tuple[WriteConstraintRow, ...] = ()
+    if "TAB-WC" in sections:
+        wc_rows = write_constraint_table(
+            dict(figures)[WRITE_CONSTRAINT_FIGURE].model,
+            WRITE_CONSTRAINT_ALPHA,
+            write_floors=WRITE_FLOORS,
+        )
+    rw_rows: Tuple[ReadWriteRatioRow, ...] = ()
+    if "TAB-RW" in sections:
+        rw_rows = read_write_ratio_table(
+            [(fig.topology_name, fig.model) for _, fig in figures], PAPER_ALPHAS
+        )
     return CampaignResult(
         scale_name=scale.name,
+        sections=sections,
         figures=figures,
         write_constraint_rows=wc_rows,
-        write_constraint_alpha=write_constraint_alpha,
+        write_constraint_alpha=WRITE_CONSTRAINT_ALPHA,
         rw_rows=rw_rows,
     )
 
 
-def render_campaign(result: CampaignResult, max_points: int = 12) -> str:
-    """The whole campaign as one text report."""
+def render_campaign(result: CampaignResult) -> str:
+    """The campaign's selected sections as one text report."""
     lines = [
         "=" * 72,
         "Johnson & Raab (ICPP 1991) — evaluation campaign "
@@ -111,20 +137,23 @@ def render_campaign(result: CampaignResult, max_points: int = 12) -> str:
         "=" * 72,
     ]
     for number, fig in result.figures:
+        if f"FIG-{number}" not in result.sections:
+            continue
         lines.append("")
         lines.append(f"--- Figure {number} ---")
-        lines.append(render_figure(fig, max_points=max_points))
-    lines.append("")
-    lines.append("--- section 5.4 write-constraint example (Topology 2) ---")
-    topology2 = result.figure(4)
-    lines.append(
-        render_write_constraint_table(
-            result.write_constraint_rows,
-            result.write_constraint_alpha,
-            topology2.topology_name,
+        lines.append(render_figure(fig))
+    if "TAB-WC" in result.sections:
+        lines.append("")
+        lines.append("--- section 5.4 write-constraint example (Topology 2) ---")
+        lines.append(
+            render_write_constraint_table(
+                result.write_constraint_rows,
+                result.write_constraint_alpha,
+                result.figure(WRITE_CONSTRAINT_FIGURE).topology_name,
+            )
         )
-    )
-    lines.append("")
-    lines.append("--- section 5.5 ---")
-    lines.append(render_rw_table(result.rw_rows))
+    if "TAB-RW" in result.sections:
+        lines.append("")
+        lines.append("--- section 5.5 ---")
+        lines.append(render_rw_table(result.rw_rows))
     return "\n".join(lines)

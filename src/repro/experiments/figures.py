@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments.paper import PAPER_ALPHAS, SMALL_SCALE, ExperimentScale
+from repro.experiments.paper import PAPER_ALPHAS, PAPER_SCALE, ExperimentScale
 from repro.protocols.majority import MajorityConsensusProtocol
 from repro.quorum.availability import AvailabilityModel
 from repro.simulation.config import SimulationConfig
@@ -86,7 +86,7 @@ def figure_data(
     topology: Optional[Topology] = None,
     chords: Optional[int] = None,
     alphas: Sequence[float] = PAPER_ALPHAS,
-    scale: ExperimentScale = SMALL_SCALE,
+    scale: ExperimentScale = PAPER_SCALE,
     weighting: str = "time",
     seed: Optional[int] = 0,
 ) -> FigureData:

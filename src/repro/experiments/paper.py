@@ -3,11 +3,11 @@
 The paper's full scale (101 sites, 100 000 warm-up accesses, 1 000 000
 accesses per batch, 5–18 batches) took half an hour to two hours per
 batch on a 1990 DEC Station 5000. :data:`PAPER_SCALE` encodes those
-numbers faithfully; :data:`SMALL_SCALE` and :data:`TEST_SCALE` shrink the
-access volume (and, for TEST_SCALE, the network) while keeping every
-dimensionless parameter — reliability, rho, alpha grid — identical, so
-the qualitative results are unchanged and only the confidence intervals
-widen. EXPERIMENTS.md records which scale produced each reported number.
+numbers faithfully; :data:`TEST_SCALE` shrinks the network and the
+access volume for tests while keeping every dimensionless parameter —
+reliability, rho, alpha grid — identical, so the qualitative results are
+unchanged and only the confidence intervals widen. EXPERIMENTS.md
+records which scale produced each reported number.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "PAPER_RHO",
     "ExperimentScale",
     "PAPER_SCALE",
-    "SMALL_SCALE",
     "TEST_SCALE",
 ]
 
@@ -99,15 +98,6 @@ PAPER_SCALE = ExperimentScale(
     warmup_accesses=100_000.0,
     accesses_per_batch=1_000_000.0,
     n_batches=5,
-)
-
-#: Laptop-scale: full 101-site networks, 30x fewer accesses per batch.
-SMALL_SCALE = ExperimentScale(
-    name="small",
-    n_sites=PAPER_N_SITES,
-    warmup_accesses=3_000.0,
-    accesses_per_batch=30_000.0,
-    n_batches=4,
 )
 
 #: Test-scale: small networks, short batches — seconds, not minutes.

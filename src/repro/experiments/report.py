@@ -16,11 +16,15 @@ from repro.experiments.tables import ReadWriteRatioRow, WriteConstraintRow
 __all__ = ["render_figure", "render_write_constraint_table", "render_rw_table"]
 
 
-def _sample_indices(n: int, max_points: int) -> np.ndarray:
+#: Quorum rows a rendered figure shows.
+_FIGURE_ROWS = 12
+
+
+def _sample_indices(n: int) -> np.ndarray:
     """Evenly spaced indices (always including both endpoints)."""
-    if n <= max_points:
+    if n <= _FIGURE_ROWS:
         return np.arange(n)
-    return np.unique(np.linspace(0, n - 1, max_points).round().astype(int))
+    return np.unique(np.linspace(0, n - 1, _FIGURE_ROWS).round().astype(int))
 
 
 def _spaced(n: int) -> str:
@@ -28,9 +32,9 @@ def _spaced(n: int) -> str:
     return f"{n:,}".replace(",", " ")
 
 
-def render_figure(data: FigureData, max_points: int = 12) -> str:
+def render_figure(data: FigureData) -> str:
     """Render one figure as a q_r-by-alpha availability table."""
-    idx = _sample_indices(data.quorums.shape[0], max_points)
+    idx = _sample_indices(data.quorums.shape[0])
     header_alphas = "  ".join(f"a={s.alpha:4.2f}" for s in data.series)
     run = data.result
     epochs = sum(b.n_epochs for b in run.batches)

@@ -107,7 +107,7 @@ def to_jsonl_lines(snapshot: TelemetrySnapshot) -> List[str]:
 
 def write_jsonl(snapshot: TelemetrySnapshot, path: Union[str, Path]) -> Path:
     path = Path(path)
-    path.write_text("\n".join(to_jsonl_lines(snapshot)) + "\n")
+    path.write_text("\n".join(to_jsonl_lines(snapshot)) + "\n", encoding="utf-8")
     return path
 
 
@@ -115,20 +115,26 @@ def load_snapshot_jsonl(path: Union[str, Path]) -> TelemetrySnapshot:
     path = Path(path)
     if not path.exists():
         raise ReproError(f"telemetry stream not found: {path}")
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ReproError(
+            f"{path}: telemetry stream is not UTF-8 text "
+            f"(byte {exc.start}: {exc.reason})"
+        ) from None
     records = []
     locations = []
-    with path.open() as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ReproError(
-                    f"{path}:{line_no}: invalid JSON in telemetry stream: {exc}"
-                ) from None
-            locations.append(f"{path}:{line_no}")
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise ReproError(
+                f"{path}:{line_no}: invalid JSON in telemetry stream: {exc}"
+            ) from None
+        locations.append(f"{path}:{line_no}")
     return TelemetrySnapshot.from_records(records, locations)
 
 

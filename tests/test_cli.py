@@ -89,25 +89,19 @@ class TestSimulate:
 
 
 class TestReports:
+    """One report section each, through ``campaign --only``."""
+
     def test_figure(self, capsys):
         code, out, _ = run_cli(
-            capsys, "figure", "--chords", "0", "--scale", "test", "--points", "6",
+            capsys, "campaign", "--only", "FIG-2", "--scale", "test",
         )
         assert code == 0
         assert "availability vs read quorum" in out
         assert "convergence spread" in out
 
-    def test_figure_chart_mode(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "figure", "--chords", "0", "--scale", "test", "--chart",
-        )
-        assert code == 0
-        assert "(* overlap)" in out
-        assert "a=0.75" in out
-
     def test_rw_table(self, capsys):
         code, out, _ = run_cli(
-            capsys, "rw-table", "--chords", "0", "2", "--scale", "test",
+            capsys, "campaign", "--only", "TAB-RW", "--scale", "test",
         )
         assert code == 0
         assert "regime" in out
@@ -115,8 +109,7 @@ class TestReports:
 
     def test_write_constraint(self, capsys):
         code, out, _ = run_cli(
-            capsys, "write-constraint", "--chords", "2", "--scale", "test",
-            "--floors", "0.0", "0.5",
+            capsys, "campaign", "--only", "TAB-WC", "--scale", "test",
         )
         assert code == 0
         assert "floor A_w" in out
@@ -151,12 +144,86 @@ class TestVotesAndShootout:
         assert "in 3 batches" in out
 
 
+#: The header each ``--only`` ID prints its section under.
+_SECTION_TITLES = {
+    **{f"FIG-{n}": f"Figure {n}" for n in range(2, 9)},
+    "TAB-WC": "section 5.4 write-constraint example (Topology 2)",
+    "TAB-RW": "section 5.5",
+}
+
+
+def _report_sections(text):
+    """A printed campaign report as (header, {section title: section text})."""
+    header, *sections = text.removesuffix("\n").split("\n\n--- ")
+    return header, dict(section.split(" ---\n", 1) for section in sections)
+
+
 class TestCampaign:
+    @pytest.fixture(scope="class")
+    def full_reports(self):
+        """The whole test-scale report, without and with ``--full``."""
+        import contextlib
+        import io
+
+        reports = {}
+        for extra in ((), ("--full",)):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["campaign", "--scale", "test", "--seed", "3",
+                             *extra]) == 0
+            reports[bool(extra)] = out.getvalue()
+        return reports
+
     def test_campaign_runs(self, capsys):
         code, out, _ = run_cli(capsys, "campaign", "--scale", "test")
         assert code == 0
         assert "--- Figure 2 ---" in out
         assert "--- section 5.5 ---" in out
+
+    @pytest.mark.parametrize("only", [
+        *([section] for section in _SECTION_TITLES),
+        ["TAB-RW", "FIG-3"],
+    ], ids="+".join)
+    def test_only_prints_the_full_reports_sections(self, only, full_reports,
+                                                   capsys):
+        full = "FIG-8" in only
+        code, out, err = run_cli(capsys, "campaign", "--scale", "test",
+                                 "--seed", "3", "--only", *only,
+                                 *(["--full"] if full else []))
+        assert (code, err) == (0, "")
+        header, sections = _report_sections(out)
+        whole_header, whole_sections = _report_sections(full_reports[full])
+        assert header == whole_header
+        # Report order, whatever order --only names them in.
+        assert list(sections) == [title for title in whole_sections
+                                  if title in {_SECTION_TITLES[s] for s in only}]
+        for title, text in sections.items():
+            assert text == whole_sections[title]
+
+    def test_write_constraint_runs_one_topology(self, capsys, monkeypatch):
+        import repro.experiments.campaign as campaign
+
+        real = campaign.figure_data
+        calls = []
+
+        def counting(**kwargs):
+            calls.append(kwargs["chords"])
+            return real(**kwargs)
+
+        monkeypatch.setattr(campaign, "figure_data", counting)
+        code, out, _ = run_cli(capsys, "campaign", "--scale", "test",
+                               "--only", "TAB-WC")
+        assert code == 0
+        assert calls == [2]
+        assert "floor A_w" in out and "--- Figure" not in out
+
+    def test_fully_connected_section_needs_full(self, capsys):
+        code, out, err = run_cli(capsys, "campaign", "--scale", "test",
+                                 "--only", "FIG-8")
+        assert code == 2
+        assert err.startswith("error: no campaign section FIG-8")
+        assert len(err.splitlines()) == 1
+        assert out == ""
 
 
 class TestChaos:
@@ -280,14 +347,19 @@ class TestServe:
         assert "retry pressure" in mout
 
 
+def _subcommands():
+    """The parser's subcommands, name -> sub-parser."""
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    return commands
+
+
 def _seeded_commands():
     """Every subcommand with a ``--seed`` option, with its required args."""
     required = {"profile": ["enumeration"], "shard": ["--family", "ring"]}
-    (commands,) = [action.choices for action in build_parser()._actions
-                   if isinstance(action, argparse._SubParsersAction)]
     return [
         [name, *required.get(name, [])]
-        for name, sub in sorted(commands.items())
+        for name, sub in sorted(_subcommands().items())
         if any("--seed" in action.option_strings for action in sub._actions)
     ]
 
@@ -378,14 +450,6 @@ class TestErrorPaths:
         assert len(err.splitlines()) == 1
         assert out == ""
 
-    @pytest.mark.parametrize("points", ["0", "-3"])
-    def test_nonpositive_figure_points_rejected(self, points, capsys):
-        code, out, err = run_cli(capsys, "figure", "--scale", "test",
-                                 "--points", points)
-        assert code == 2
-        assert err == f"error: --points must be at least 1, got {points}\n"
-        assert out == ""
-
     def test_negative_violation_cap_rejected(self, capsys):
         code, out, err = run_cli(capsys, "chaos", "--scale", "test",
                                  "--broken", "--max-violations", "-1")
@@ -394,15 +458,18 @@ class TestErrorPaths:
         assert out == ""
 
     @pytest.mark.parametrize("argv,complaint", [
-        (["--floors", "2"], "write availability floor must be in [0, 1], got 2.0"),
-        (["--floors", "0.1", "-0.5"], "write availability floor must be in [0, 1]"),
-        (["--floors", "nan"], "write availability floor must be in [0, 1], got nan"),
-        (["--alpha", "2"], "alpha must be in [0, 1], got 2.0"),
-    ], ids=["floor-2", "second-floor-negative", "floor-nan", "alpha-2"])
+        (["--write-floor", "2"],
+         "write availability floor must be in [0, 1], got 2.0"),
+        (["--write-floor", "-0.5"],
+         "write availability floor must be in [0, 1], got -0.5"),
+        (["--write-floor", "nan"],
+         "write availability floor must be in [0, 1], got nan"),
+        (["--alpha", "2", "--write-floor", "0.1"],
+         "alpha must be in [0, 1], got 2.0"),
+    ], ids=["floor-2", "floor-negative", "floor-nan", "alpha-2"])
     def test_write_constraint_outside_unit_interval_rejected(
             self, argv, complaint, capsys):
-        code, out, err = run_cli(capsys, "write-constraint", "--scale", "test",
-                                 *argv)
+        code, out, err = run_cli(capsys, "optimize", "--sites", "21", *argv)
         assert code == 2
         assert err.startswith(f"error: {complaint}")
         assert len(err.splitlines()) == 1
@@ -426,6 +493,15 @@ class TestErrorPaths:
         assert code == 2
         assert "no telemetry stream" in err
         assert "--telemetry" in err
+
+    def test_metrics_non_utf8_stream_is_clean_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run_cli(capsys, "metrics", str(path))
+        assert code == 2
+        assert err == (f"error: {path}: telemetry stream is not UTF-8 text "
+                       "(byte 0: invalid start byte)\n")
+        assert out == ""
 
     def test_metrics_missing_directory_resolves_events_file(self, capsys,
                                                             tmp_path):
@@ -729,3 +805,25 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    def test_twelve_subcommands(self):
+        assert sorted(_subcommands()) == [
+            "cache", "campaign", "chaos", "metrics", "optimize", "profile",
+            "serve", "shard", "shootout", "simulate", "verify", "votes"]
+
+    @pytest.mark.parametrize("command", ["figure", "rw-table",
+                                         "write-constraint"])
+    def test_campaign_slices_are_not_commands(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_scale_is_test_or_paper(self):
+        scaled = {
+            name: action.choices
+            for name, sub in _subcommands().items()
+            for action in sub._actions if "--scale" in action.option_strings
+        }
+        assert sorted(scaled) == ["campaign", "chaos", "shootout", "simulate"]
+        assert set(map(tuple, scaled.values())) == {("test", "paper")}

@@ -416,11 +416,12 @@ def test_one_fidelity_battery(capsys):
 DELETED_MODULES = (
     "repro.replication.multidb", "repro.quorum.coterie",
     "repro.protocols.coterie_protocol", "repro.analytic.tree",
-    "repro.faults.retry",
+    "repro.faults.retry", "repro.experiments.charts",
 )
 
 #: Names they exported, plus the sharded vote search, the alias shims and
-#: the vote search's per-move delta scorer (a sweep scores every move).
+#: the vote search's per-move delta scorer (a sweep scores every move)
+#: and the `small` scale.
 REMOVED_NAMES = {
     "MultiItemDatabase", "ItemBinding", "TransactionResult",
     "Coterie", "coterie_from_votes", "read_groups_from_votes",
@@ -433,6 +434,7 @@ REMOVED_NAMES = {
     "CircuitBreakerConfig", "replay_batch", "_chaos_schedule",
     "_CHAOS_SCENARIOS", "RETRY_POLICY", "BREAKER", "_STREAM_CHAOS",
     "gather_groups", "batched_component_entries", "moved_counts",
+    "SMALL_SCALE", "figure_chart", "ascii_chart",
 }
 
 
@@ -467,7 +469,7 @@ def test_code_no_entry_point_runs_is_gone():
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert int(done.stdout) == 67
+    assert int(done.stdout) == 66
 
 
 def test_one_online_reassignment_loop():
