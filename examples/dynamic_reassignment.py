@@ -18,6 +18,9 @@ The example prints measured availability for three strategies:
 Run:  python examples/dynamic_reassignment.py
 """
 
+import sys
+
+from repro.cli import run_script
 from repro.protocols.estimator import OnlineDensityEstimator
 from repro.protocols.majority import MajorityConsensusProtocol
 from repro.protocols.quorum_consensus import QuorumConsensusProtocol
@@ -103,4 +106,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_script(main))

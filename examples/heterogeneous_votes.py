@@ -18,9 +18,12 @@ stripped of influence.
 Run:  python examples/heterogeneous_votes.py
 """
 
+import sys
+
 import numpy as np
 
 from repro import optimize_votes
+from repro.cli import run_script
 from repro.quorum.availability import AvailabilityModel
 from repro.quorum.optimizer import optimal_read_quorum
 from repro.quorum.vote_optimizer import _StateSample, availability_of_votes
@@ -71,4 +74,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_script(main))

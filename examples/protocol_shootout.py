@@ -13,7 +13,9 @@ Run:  python examples/protocol_shootout.py [--alpha 0.5]
 """
 
 import argparse
+import sys
 
+from repro.cli import run_script
 from repro.protocols.dynamic_voting import DynamicVotingProtocol
 from repro.protocols.majority import MajorityConsensusProtocol
 from repro.protocols.primary_copy import PrimaryCopyProtocol
@@ -72,4 +74,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_script(main))

@@ -12,6 +12,8 @@ Walks the paper's Figure-1 algorithm end to end on a 25-site network:
 Run:  python examples/quickstart.py
 """
 
+import sys
+
 from repro import (
     AvailabilityModel,
     MajorityConsensusProtocol,
@@ -21,6 +23,7 @@ from repro import (
     ring_density,
     run_simulation,
 )
+from repro.cli import run_script
 from repro.simulation.config import SimulationConfig
 from repro.topology.generators import ring
 
@@ -69,4 +72,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_script(main))

@@ -12,6 +12,9 @@ built-in one-copy-serializability checker verifies every step.
 Run:  python examples/replicated_database_demo.py
 """
 
+import sys
+
+from repro.cli import run_script
 from repro.protocols.quorum_consensus import QuorumConsensusProtocol
 from repro.quorum.assignment import QuorumAssignment
 from repro.replication.database import ReplicatedDatabase
@@ -67,4 +70,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_script(main))

@@ -15,8 +15,11 @@ declines to recommend.
 Run:  python examples/write_constraint_tuning.py
 """
 
+import sys
+
 import numpy as np
 
+from repro.cli import run_script
 from repro.experiments.figures import figure_data
 from repro.experiments.paper import PAPER_SCALE
 from repro.experiments.report import render_write_constraint_table
@@ -69,4 +72,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_script(main))

@@ -30,8 +30,7 @@ to ask otherwise runs)
 ``exact-order`` (the witness)
     generates up/down states in chunks of bit-unpacked numpy masks,
     computes state probabilities as column-wise product reductions,
-    labels every state of a chunk with one block-diagonal
-    ``connected_components`` call
+    labels every state of a chunk with one block labelling call
     (:func:`~repro.connectivity.components.batched_vote_totals`), and
     accumulates probabilities with an ordered unbuffered scatter-add.
     Every floating-point operation is sequenced exactly like a per-state

@@ -52,8 +52,9 @@ integer) for exact reproducibility.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -944,20 +945,65 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     0 = ok, 1 = domain failure (divergence, FAIL verdict, missed SLO),
     2 = usage, configuration or I/O error, or an interrupt: one
-    ``error: …`` line on stderr, never a traceback.
+    ``error: …`` line on stderr, never a traceback. A reader that closes
+    standard output early (``| head``) ends the run as if it had
+    finished: exit 0, nothing on stderr.
     """
     from repro.errors import ReproError
 
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        if _stdout_closed():
+            return 0
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 2
+
+
+def _stdout_closed() -> bool:
+    """Whether standard output is a pipe whose reader has gone.
+
+    Polling the descriptor reports an error condition then (``POLLERR``),
+    which tells a closed ``| head`` from a broken pipe elsewhere. Python
+    flushes standard output once more at exit, so the descriptor is then
+    pointed at the null device, which keeps that last flush quiet.
+    """
+    import select
+
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return False  # not a descriptor (a captured stream)
+    poller = select.poll()
+    poller.register(fd, select.POLLOUT)
+    if not any(event & select.POLLERR for _, event in poller.poll(0)):
+        return False
+    os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+    return True
+
+
+def run_script(script: Callable[[], Optional[int]]) -> int:
+    """Run an example's ``main`` and return its exit code, ending it as
+    :func:`main` ends a command when standard output's reader has gone:
+    exit 0, no traceback."""
+    try:
+        code = script()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        if not _stdout_closed():
+            raise
+        return 0
+    return code or 0
 
 
 if __name__ == "__main__":  # pragma: no cover

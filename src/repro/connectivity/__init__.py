@@ -6,11 +6,12 @@ quorum machinery needs from the network reduces to one vector: for each
 site, the total number of votes in its current component (a down site is
 "in a component of size zero", matching the paper's access accounting).
 
-``component_labels`` selects a union-find (sparse networks) or a
-scipy.sparse.csgraph call (dense ones) from the link count. scipy is
-imported by that call, so the first sampled block or dense relabel in a
-process also pays scipy's import; a run that labels only sparse states
-never loads it.
+``component_labels`` selects a union-find (sparse networks) or the block
+labeller (denser ones) from the link count. The block labeller contracts
+a topology's path into runs and labels them with numpy where most links
+are path links; only on the plain site graph of a dense network does it
+call scipy.sparse.csgraph, which it imports then, so a run that labels
+only sparse states never loads scipy.
 """
 
 from repro.connectivity.components import (

@@ -11,34 +11,33 @@ accounting naturally counts accesses submitted to down sites as denials
 Two labellers honour one label contract; the tests hold each against an
 independent min-propagation labeller (``tests/oracles.py``). A pure-Python
 union-find with path halving serves one state of a sparse network (the
-paper's rings). :func:`_label_runs` lays B states side by side in one CSR
-matrix and labels them with a single scipy.sparse.csgraph call; it is the
-only builder of a ``connected_components`` input in the repo. Its nodes
-are *runs*: maximal ranges of consecutive site ids joined by usable path
-links ``(i, i + 1)``, found with one mask, so a 101-site ring at
-p = r = 0.96 hands csgraph about 12 nodes per state instead of 101. Every
-other link, a *chord*, owns one slot per state, and the draw only decides
-whether the slot points at the run of the chord's other end or back at
-its own row (a self-loop, which joins nothing). Whether a topology's path
-is contracted is decided from the topology alone
-(:data:`CONTRACT_PATH_SHARE`); when it is not, every site is its own run
-and the graph is the plain site graph. csgraph numbers components by
-their lowest node and a component's lowest run starts at its lowest site,
-so the labels are those of a one-node-per-site graph bit for bit.
-``component_labels`` picks between the two labellers for a single state
-on the link count it observes (:data:`CSGRAPH_THRESHOLD`, the measured
-crossover; the dense case is the ``B = 1`` block). Blocks of sampled or
-enumerated states always take the second, as labels, vote totals or —
+paper's rings). :func:`_label_runs` lays B states side by side and labels
+them in one call. Its nodes are *runs*: maximal ranges of consecutive site
+ids joined by usable path links ``(i, i + 1)``, found with one mask, so a
+101-site ring at p = r = 0.96 has about 12 nodes per state instead of
+101. Every other link is a *chord*, and a usable chord between two runs
+is an edge. Whether a topology's path is contracted is decided from the
+topology alone (:data:`CONTRACT_PATH_SHARE`). A contracted block is
+labelled by a numpy union over its chord edges (:func:`_union_runs`);
+otherwise every site is its own run and one scipy.sparse.csgraph call
+labels the plain site graph, the repo's only ``connected_components``
+input. Both number components by their lowest node, and a component's
+lowest run starts at its lowest site, so the labels are those of a
+one-node-per-site graph bit for bit. ``component_labels`` picks between
+the two labellers for a single state on the link count it observes
+(:data:`CSGRAPH_THRESHOLD`, the measured crossover; above it runs the
+``B = 1`` block). Blocks of sampled, enumerated or simulated states always
+take the second, as labels, vote totals (:func:`batched_vote_totals`) or —
 the one road from sampled states to a density —
 :func:`batched_vote_histogram` (DESIGN.md §10), which labels in
 :func:`sub_blocks` of at most :data:`SLOT_BUDGET` link slots, bins whole
 runs into one integer difference array and sums over sites once, so its
-memory is bounded whatever the block size. Per-site vote totals (the
-fused :func:`batched_vote_totals`, the enumeration's flush) come from one
-integer helper, :func:`entry_vote_totals`.
-:func:`_label_runs` imports scipy when it is called, so the first sampled
-block or dense relabel in a process also pays scipy's import, and a run
-that only tracks sparse networks never loads it (DESIGN.md §5.6).
+memory is bounded whatever the block size. Both sum each component's
+run votes in integers (:func:`_run_totals`); the enumeration's flush
+bins per-site totals from :func:`entry_vote_totals`.
+:func:`_label_runs` imports scipy only to label a site graph, so a process
+that labels only sparse networks (the simulator's figures, a sparse
+Monte-Carlo estimate) never loads it (DESIGN.md §5.6).
 """
 
 from __future__ import annotations
@@ -78,18 +77,20 @@ def _validate_masks(topology: Topology, site_up: np.ndarray, link_up: np.ndarray
         )
 
 
-#: Link count above which ``component_labels`` takes the csgraph labeller:
-#: the measured crossover. One relabel of a 101-site ring plus chords at
-#: p = r = 0.96 (µs per call, union-find vs csgraph, best of 5 runs of 5
-#: loops over 100 states, 2-core x86-64, scipy 1.17): 101 links 42 vs 174,
-#: 357 links 95 vs 181, 485 links 112 vs 180, 549 links 129 vs 173, 613
-#: links 135 vs 177, 1125 links 235 vs 135, 2149 links 432 vs 144, 5050
-#: links 1023 vs 184. Union-find grows with the links; the block's cost is
-#: mostly fixed, and some 40 µs higher where the path is contracted (613
-#: links and fewer, :data:`CONTRACT_PATH_SHARE`), so the crossover now
-#: lies between 613 and 1125 links. No paper topology has between 357 and
-#: 5050 links, so neither changes side and the threshold stays.
-CSGRAPH_THRESHOLD = 550
+#: Link count above which ``component_labels`` takes the ``B = 1`` block of
+#: :func:`_label_runs` (the numpy union where the path is contracted,
+#: csgraph on the site graph) instead of union-find: the measured
+#: crossover. One relabel of a 101-site ring plus chords at p = r = 0.96
+#: (µs per call, union-find vs block, best of 5 runs of 5 loops over 100
+#: states, two runs, 2-core x86-64): contracted, 101 links 32 vs 50, 165
+#: links 41 vs 56, 229 links 53 vs 58, 261 links 56-58 vs 59-61, 281 links
+#: 59-60 vs 57-59, 301 links 59-61 vs 58-62, 321 links 62-64 vs 60, 357
+#: links 67-69 vs 58-62, 549 links 101 vs 77; site graph, 1010 links 184 vs
+#: 110, 2149 links 322 vs 110, 5050 links 772 vs 143. Union-find grows
+#: with the links and the block's cost is mostly fixed, so they cross near
+#: 300 links: topology 256 (357 links) takes the block, the sparser paper
+#: topologies keep union-find.
+CSGRAPH_THRESHOLD = 300
 
 #: Least share of a topology's links that are path links ``(i, i + 1)``
 #: for the block labeller to contract runs of the path (:func:`_label_runs`):
@@ -103,12 +104,12 @@ CONTRACT_PATH_SHARE = 0.1
 
 #: Most link slots (``B * n_links``) one labelling call of
 #: :func:`batched_vote_histogram` (and of the Monte-Carlo draw that feeds
-#: it) holds. A call holds about 13-18 bytes of transient arrays per link
-#: slot (traced: the path and chord masks, the chord columns, csgraph's
-#: transpose of the chord slots; a contracted topology's path links own
-#: no slot, so topology 16 is the 13), so a 256-state block of the
-#: 101-site complete graph (1.29 M slots) took 32.5 MiB as one call on
-#: the site graph and takes 11 calls of 23-24 states instead. It is at
+#: it) holds. A call holds about 10-18 bytes of transient arrays per link
+#: slot (traced: the path and chord masks, the chord columns, on a site
+#: graph csgraph's transpose of the slots; a contracted topology's union
+#: holds only its usable chords, so topology 16 is the 10), so a 256-state
+#: block of the 101-site complete graph (1.29 M slots) took 32.5 MiB as one
+#: call on the site graph and takes 11 calls of 23-24 states instead. It is at
 #: least 2**17 so that a 1 024-state block of topology 16 (119 808 slots)
 #: is still one call: every sparse paper topology labels a block in one
 #: call.
@@ -251,62 +252,54 @@ def _run_layout(topology: Topology) -> _RunLayout:
     return layout
 
 
+def contracts_path(topology: Topology) -> bool:
+    """Whether :func:`_label_runs` contracts ``topology``'s path into runs."""
+    return _run_layout(topology).path is not None
+
+
 def _label_runs(
     topology: Topology,
     site_masks: np.ndarray,
     link_masks: np.ndarray,
     data: Optional[np.ndarray] = None,
 ) -> tuple:
-    """One csgraph call over the runs of B states; the repo's one builder
-    of a ``connected_components`` input.
+    """Components of the runs of B states in one call.
 
     A *run* is a maximal range of consecutive site ids of one state whose
     path links ``(i, i + 1)`` are usable: a down site is a run of its own.
     One mask marks each run's first site, ``flatnonzero`` lists them in
     block order and ``repeat`` gives every site its run, so runs are
-    numbered by their first sites. Every other link is a *chord* and owns
-    one slot per state, in the row of its ``u``-end's run: the column is
-    the ``v``-end's run when the chord is usable, else the row itself (a
-    self-loop, which joins nothing). A run's chords are those of its
-    sites, and chord ids ascend by ``(u, v)``, so row ``r`` of state ``k``
-    starts at slot ``k * n_chords + chord_start[first site of r]`` and no
-    sort is needed. ``float64`` data with ``int32`` indices is what csgraph
-    validates to, so scipy converts nothing on the way in; csgraph reads
-    only the pattern, so a caller labelling block after block may pass
-    one array of ``B * n_chords`` ones as ``data`` each time.
+    numbered by their first sites. Every other link is a *chord*; a
+    usable chord joins the runs of its two ends, and :func:`_union_runs`
+    labels the runs from those edges.
 
     On a topology whose links are mostly chords the contraction costs
-    more than it saves (:data:`CONTRACT_PATH_SHARE`): every link is then
-    a chord and every site its own run, and the graph is the plain site
-    graph.
+    more than it saves (:data:`CONTRACT_PATH_SHARE`): every site is then
+    its own run, and the block is one csgraph call on the plain site
+    graph, the repo's one builder of a ``connected_components`` input.
+    Each link owns one slot per state in the row of its ``u``-end, column
+    its ``v``-end when usable, else the row itself (a self-loop, which
+    joins nothing); link ids ascend by ``(u, v)``, so row ``k * n + s``
+    starts at slot ``k * n_links + chord_start[s]`` and no sort is
+    needed. ``float64`` data with ``int32`` indices is what csgraph
+    validates to, so scipy converts nothing on the way in; csgraph reads
+    only the pattern, so a caller labelling block after block may pass
+    one array of ``B * n_links`` ones as ``data`` each time.
 
     Returns ``(n_components, comp, starts)``: ``comp[r]`` is run ``r``'s
-    component and ``starts[r]`` its first entry ``k * n + s``. csgraph
-    numbers components in the order of their lowest node; a component's
-    lowest run starts at its lowest site, so ``comp`` numbers components
-    exactly as a graph of one node per site would.
+    component and ``starts[r]`` its first entry ``k * n + s``. Components
+    are numbered in the order of their lowest node; a component's lowest
+    run starts at its lowest site, so ``comp`` numbers components exactly
+    as a graph of one node per site would.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
     layout = _run_layout(topology)
     B, n = site_masks.shape
-    n_chords = layout.chord_u.shape[0]
-    n_slots = B * n_chords
     if max(B * n, B * topology.n_links) >= 2**31:
         raise TopologyError(
-            f"a block of {B} states of {topology.name} exceeds csgraph's int32 indices"
+            f"a block of {B} states of {topology.name} exceeds int32 indices"
         )
     cu, cv = layout.chord_u, layout.chord_v
-    state_slot = (np.arange(B, dtype=np.int32) * n_chords)[:, None]
-    if layout.path is None:
-        starts = np.arange(B * n)
-        usable = link_masks & site_masks[:, cu] & site_masks[:, cv]
-        indices = np.where(usable, cv, cu)
-        indices += (np.arange(B, dtype=np.int32) * n)[:, None]
-        indptr = np.empty(B * n + 1, dtype=np.int32)
-        np.add(state_slot, layout.chord_start, out=indptr[:-1].reshape(B, n))
-    else:
+    if layout.path is not None:
         pu, pv = layout.path_u, layout.path_v
         start = np.ones((B, n), dtype=bool)
         start[:, pv] = ~(link_masks[:, layout.path] & site_masks[:, pu]
@@ -315,17 +308,66 @@ def _label_runs(
         run = np.repeat(np.arange(starts.shape[0], dtype=np.int32),
                         np.diff(starts, append=B * n)).reshape(B, n)
         usable = link_masks[:, layout.chords] & site_masks[:, cu] & site_masks[:, cv]
-        indices = np.where(usable, run[:, cv], run[:, cu])
-        indptr = np.empty(starts.shape[0] + 1, dtype=np.int32)
-        indptr[:-1] = (state_slot + layout.chord_start).ravel()[starts]
+        n_comp, comp = _union_runs(starts.shape[0], run[:, cu][usable],
+                                   run[:, cv][usable])
+        return n_comp, comp, starts
+
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n_slots = B * cu.shape[0]
+    usable = link_masks & site_masks[:, cu] & site_masks[:, cv]
+    indices = np.where(usable, cv, cu)
+    indices += (np.arange(B, dtype=np.int32) * n)[:, None]
+    indptr = np.empty(B * n + 1, dtype=np.int32)
+    np.add((np.arange(B, dtype=np.int32) * cu.shape[0])[:, None], layout.chord_start,
+           out=indptr[:-1].reshape(B, n))
     indptr[-1] = n_slots
-    n_nodes = indptr.shape[0] - 1
     graph = csr_matrix(
         (np.ones(n_slots) if data is None else data, indices.ravel(), indptr),
-        shape=(n_nodes, n_nodes)
+        shape=(B * n, B * n)
     )
     n_comp, comp = connected_components(graph, directed=False)
-    return n_comp, comp, starts
+    return n_comp, comp, np.arange(B * n)
+
+
+def _union_runs(n_runs: int, a: np.ndarray, b: np.ndarray) -> tuple:
+    """Components of ``n_runs`` nodes joined by the edges ``(a[i], b[i])``.
+
+    Hook and jump: each edge's larger end is hooked to its smallest
+    neighbour below it, then every node jumps to its root until none
+    moves; each edge whose ends still have two roots hooks the larger
+    root to the smaller, and the jumps repeat, until no edge is left
+    between two roots. A node only ever points lower, so each
+    component's root is its lowest node, and ranking the roots numbers
+    components by their lowest node, as csgraph does. Returns
+    ``(n_components, comp)``, ``comp`` int32.
+
+    The loops use operators and indexing only, no function calls: how
+    many rounds they take depends on the graph, the calls a labelling
+    makes on the code alone.
+    """
+    parent = np.arange(n_runs)
+    lo, hi = np.minimum(a, b, dtype=np.intp), np.maximum(a, b, dtype=np.intp)
+    np.minimum.at(parent, hi, lo)
+    while True:
+        while True:
+            jumped = parent[parent]
+            moved = jumped != parent
+            if not moved[moved].shape[0]:
+                break
+            parent = jumped
+        root_lo, root_hi = parent[lo], parent[hi]
+        crossing = root_lo != root_hi
+        root_lo, root_hi = root_lo[crossing], root_hi[crossing]
+        if not root_lo.shape[0]:
+            break
+        # A root hooked twice keeps one of its smaller roots; any one will do.
+        lo, hi = np.minimum(root_lo, root_hi), np.maximum(root_lo, root_hi)
+        parent[hi] = lo
+    rank = np.cumsum(parent == np.arange(n_runs), dtype=np.int32)
+    rank -= 1
+    return int(rank[-1]) + 1 if n_runs else 0, rank[parent]
 
 
 def _batched_raw_labels(
@@ -432,15 +474,37 @@ def batched_vote_totals(
     """Fused masks → per-site component vote totals ``(B, n_sites)``.
 
     Equivalent to :func:`batched_component_labels` followed by a per-state
-    :func:`component_vote_totals`, without the label compaction: the
-    block's batch-global raw ids go straight to
-    :func:`entry_vote_totals`. ``votes`` overrides the topology's vote
-    vector and must be ``n_sites`` non-negative integers.
+    :func:`component_vote_totals`, without labelling a site: each run's
+    component total (:func:`_run_totals`) is repeated over the run's
+    sites. ``votes`` overrides the topology's vote vector and must be
+    ``n_sites`` non-negative integers.
     """
     site_masks, link_masks = _validated_masks(topology, site_masks, link_masks)
     votes = topology.votes if votes is None else _validated_votes(topology, votes)
-    n_comp, raw = _batched_raw_labels(topology, site_masks, link_masks)
-    return entry_vote_totals(raw.reshape(site_masks.shape), site_masks, votes, n_comp)
+    site_votes = np.zeros(topology.n_sites + 1, dtype=np.int64)
+    np.cumsum(votes, out=site_votes[1:])
+    totals, first, stop = _run_totals(
+        site_votes, site_masks, *_label_runs(topology, site_masks, link_masks))
+    stop -= first
+    return np.repeat(totals, stop).reshape(site_masks.shape)
+
+
+def _run_totals(site_votes: np.ndarray, site_masks: np.ndarray, n_comp: int,
+                comp: np.ndarray, starts: np.ndarray) -> tuple:
+    """``(totals, first, stop)`` of the runs :func:`_label_runs` found.
+
+    A run spans sites ``[first, stop)`` of its state and its total is its
+    component's vote total, in integers: ``site_votes[s]`` holds the votes
+    of the sites below ``s``, a down site is a run of its own with no
+    votes, and one ``bincount`` sums each component's runs.
+    """
+    first = starts % site_masks.shape[1]
+    stop = np.diff(starts, append=site_masks.size)
+    stop += first
+    run_votes = site_votes[stop] - site_votes[first]
+    run_votes *= site_masks.ravel()[starts]
+    totals = np.bincount(comp, weights=run_votes, minlength=n_comp)[comp]
+    return totals.astype(np.int64), first, stop
 
 
 def sub_blocks(topology: Topology, n_states: int) -> List[slice]:
@@ -462,16 +526,16 @@ class VoteHistogram:
     total)`` of one int64 difference array. :meth:`counts` takes the
     cumulative sum over sites once, so every site of the run is counted
     once, and the histogram of states labelled in sub-blocks is bitwise
-    that of one call over all of them. The calls share one array of ones,
-    grown to the largest call, as their graph data: allocating 8 bytes
-    per slot per sub-block instead cost a lone 1 000-state complete-101
-    estimate ~15 % of its CPU in page faults.
+    that of one call over all of them. The csgraph calls of an
+    uncontracted topology share one array of ones, grown to the largest
+    call, as their graph data: allocating 8 bytes per slot per sub-block
+    instead cost a lone 1 000-state complete-101 estimate ~15 % of its CPU
+    in page faults.
     """
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
         n, self._width = topology.n_sites, topology.total_votes + 1
-        self._n_sites = n
         self._site_votes = np.zeros(n + 1, dtype=np.int64)  # votes below site s
         np.cumsum(topology.votes, out=self._site_votes[1:])
         self._diff = np.zeros((n + 1) * self._width, dtype=np.int64)
@@ -480,18 +544,13 @@ class VoteHistogram:
     def add(self, site_masks: np.ndarray, link_masks: np.ndarray) -> None:
         """Label ``(B, n_sites)`` / ``(B, n_links)`` boolean masks in one
         call and count their sites' vote totals."""
-        n_slots = site_masks.shape[0] * _run_layout(self.topology).chord_u.shape[0]
-        if self._ones.shape[0] < n_slots:
+        layout = _run_layout(self.topology)
+        n_slots = site_masks.shape[0] * layout.chord_u.shape[0]
+        if layout.path is None and self._ones.shape[0] < n_slots:
             self._ones = np.ones(n_slots)
-        n_comp, comp, starts = _label_runs(self.topology, site_masks, link_masks,
-                                           self._ones[:n_slots])
-        first = starts % self._n_sites
-        stop = np.diff(starts, append=site_masks.size)
-        stop += first
-        run_votes = self._site_votes[stop] - self._site_votes[first]
-        run_votes *= site_masks.ravel()[starts]  # a down site is a run of its own
-        totals = np.bincount(comp, weights=run_votes, minlength=n_comp)[comp]
-        totals = totals.astype(np.int64)
+        totals, first, stop = _run_totals(
+            self._site_votes, site_masks,
+            *_label_runs(self.topology, site_masks, link_masks, self._ones[:n_slots]))
         first *= self._width
         first += totals
         stop *= self._width

@@ -38,10 +38,12 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.connectivity.components import batched_vote_totals, contracts_path
 from repro.connectivity.dynamic import ComponentTracker, NetworkState
 from repro.errors import BatchExecutionError
 from repro.protocols.base import ReplicaControlProtocol
 from repro.protocols.estimator import OnlineDensityEstimator
+from repro.protocols.quorum_consensus import QuorumConsensusProtocol
 from repro.rng import spawn, stream_for
 from repro.simulation.config import SimulationConfig
 from repro.simulation.events import (
@@ -183,41 +185,163 @@ class HistoryWalk:
         trace.sources.extend(
             SOURCE_CHAOS if chaos else SOURCE_STOCHASTIC for *_, chaos in rows)
 
-    def epochs(self) -> Iterator[Tuple[float, float, Optional[List[tuple]]]]:
-        """Yield ``(start, end, events)`` for every epoch of ``[0, horizon)``.
+    def blocks(self) -> Iterator[Tuple[List[tuple], np.ndarray, np.ndarray, np.ndarray]]:
+        """Yield ``(block, rows, edges, applied)`` per block of the history.
 
-        An epoch ends at the next event, at the warm-up boundary (a
-        straddling epoch is split so its measured part is accounted
-        exactly) or at the horizon. ``events`` are the rows applied at
-        ``start``, an instant's together: ``None`` for the first epoch,
-        empty after the warm-up split.
+        ``block`` is the block's rows as tuples and ``rows`` the same as one
+        array. Epoch ``i`` of the block is ``[edges[i], edges[i + 1])``:
+        the first starts at the previous block's last instant (0 for the
+        first block), the others at each instant of this block, and a last,
+        empty block carries the epoch that ends at the horizon. An epoch is
+        split where the warm-up ends (:func:`_epoch_edges`). It begins
+        after ``rows[:applied[i]]`` are applied. The consumer applies a
+        block's events; a block is kept as walked once the next is asked
+        for, and ``_at`` holds the applied prefix of the block in hand.
         """
-        apply, warmup_end, horizon = self._apply, self.warmup_end, self.horizon
-        block = self._block = next(self._blocks, [])
-        at, n = 0, len(block)
-        now, events = 0.0, None
-        while now < horizon:
-            # Every generated event is before the horizon.
-            epoch_end = block[at][0] if block else horizon
-            if now < warmup_end < epoch_end:
-                epoch_end = warmup_end
-            yield now, epoch_end, events
-            now = epoch_end
-            first = at
-            try:
-                while at < n and block[at][0] <= now:
-                    _, code, target, _ = block[at]
-                    apply[code](target)
-                    at += 1
-            finally:
-                self._at = at  # the applied prefix, also if an event raised
-            events = block[first:at]
-            if at == n > 0:
-                # A block never ends inside an instant: nothing to carry.
-                self._walked.append(np.array(block, dtype=_ROW_DTYPE))
-                block = self._block = next(self._blocks, [])
-                at, n = 0, len(block)
-                self._at = 0
+        start = 0.0
+        for block in self._blocks:
+            rows = np.array(block, dtype=_ROW_DTYPE)
+            times = rows["time"]
+            instants = times[np.append(times[1:] != times[:-1], True)]
+            edges = _epoch_edges(start, instants, self.warmup_end)
+            applied = np.searchsorted(times, edges, side="right")
+            applied[0] = 0
+            self._block, self._at = block, 0
+            yield block, rows, edges, applied
+            self._walked.append(rows)
+            self._block, self._at = [], 0
+            start = float(instants[-1])
+        edges = _epoch_edges(start, np.array([self.horizon]), self.warmup_end)
+        yield [], np.empty(0, dtype=_ROW_DTYPE), edges, np.zeros(edges.shape, np.intp)
+
+    def catch_up(self, count: int) -> None:
+        """Apply every walked event and the first ``count`` of the block in
+        hand to the network, which a walk accounted without applying
+        (:meth:`SimulationEngine._account_chunks`) left as primed."""
+        apply = self._apply
+        for rows in self._walked:
+            for _, code, target, _ in rows.tolist():
+                apply[code](target)
+        at = 0
+        try:
+            while at < count:
+                _, code, target, _ = self._block[at]
+                apply[code](target)
+                at += 1
+        finally:
+            self._at = at
+
+    def epochs(self) -> Iterator[Tuple[float, float, Optional[List[tuple]]]]:
+        """Yield ``(start, end, events)`` for every epoch of ``[0, horizon)``,
+        applying each instant's events to the network as it goes.
+
+        ``events`` are the rows applied at ``start``, an instant's
+        together: ``None`` for the first epoch, empty after the warm-up
+        split.
+        """
+        apply = self._apply
+        events = None
+        for block, _, edges, applied in self.blocks():
+            edges, applied = edges.tolist(), applied.tolist()
+            at = 0
+            for i in range(1, len(edges)):
+                yield edges[i - 1], edges[i], events
+                try:
+                    while at < applied[i]:
+                        _, code, target, _ = block[at]
+                        apply[code](target)
+                        at += 1
+                finally:
+                    self._at = at  # the applied prefix, also if an event raised
+                events = block[applied[i - 1]:at]
+
+
+def _flips(base: np.ndarray, component: np.ndarray, now_up: np.ndarray) -> np.ndarray:
+    """Which rows change their component's state.
+
+    Row ``r`` sets ``component[r]`` to ``now_up[r]``, and a component no
+    earlier row set holds its ``base`` value. A stochastic event always
+    flips its component; a scripted one need not.
+    """
+    order = np.argsort(component, kind="stable")
+    ordered, value = component[order], now_up[order]
+    before = base[ordered]
+    again = ordered[1:] == ordered[:-1]
+    before[1:][again] = value[:-1][again]
+    flips = np.empty_like(value)
+    flips[order] = value != before
+    return flips
+
+
+def _masks_after(base: np.ndarray, component: np.ndarray, flips: np.ndarray,
+                 at: int, counts: np.ndarray) -> np.ndarray:
+    """Component up-masks after each prefix ``rows[:c]``, ``c`` in ``counts``.
+
+    ``base`` holds the masks after ``rows[:at]``; ``counts`` ascend from
+    ``at``. Each flipping row (:func:`_flips`) toggles its component in
+    the first state it reaches, and one running parity down the states
+    carries every toggle forward.
+    """
+    k, m = counts.shape[0], base.shape[0]
+    rows = np.flatnonzero(flips[at:counts[-1]])
+    rows += at
+    toggles = np.zeros(k * m, dtype=np.uint8)
+    np.bitwise_xor.at(
+        toggles, np.searchsorted(counts, rows, side="right") * m + component[rows], 1)
+    return base ^ np.bitwise_xor.accumulate(toggles.reshape(k, m), axis=0).view(bool)
+
+
+def _epoch_edges(start: float, instants: np.ndarray, warmup_end: float) -> np.ndarray:
+    """The edges of the epochs from ``start`` through ``instants``.
+
+    An epoch ends at the next instant (an event time, or the horizon),
+    and the one that straddles the warm-up end is split there, so that
+    its measured part is accounted exactly. ``instants`` ascend and all
+    exceed ``start``, except that the first may equal a ``start`` of 0:
+    events at time 0 end an empty first epoch.
+    """
+    edges = np.concatenate(([start], instants))
+    if start < warmup_end < edges[-1]:
+        at = int(np.searchsorted(edges, warmup_end))
+        if edges[at] != warmup_end:
+            edges = np.insert(edges, at, warmup_end)
+    return edges
+
+
+#: Most links a topology may have for its batches to be labelled a chunk of
+#: epochs at a time (:func:`labels_in_chunks`): the measured crossover.
+#: Whole ``expected`` batches of a 101-site ring plus chords at the paper's
+#: parameters, 27 000 accesses after a 3 000-access warm-up (CPU µs per
+#: measured epoch, generation included, tracker loop vs chunks, best of 5,
+#: two runs, 2-core x86-64): 101 links 15.2 vs 5.1, 117 links 17.2 vs 5.3,
+#: 229 links 11.7 vs 7.1, 261 links 10.4-10.6 vs 7.8-7.9, 301 links
+#: 10.0-11.6 vs 8.6-8.9, 321 links 10.0-10.8 vs 9.1-9.3, 341 links 9.7-10.3
+#: vs 9.6-9.8, 357 links 10.0-10.2 vs 10.3-10.4. The tracker gets cheaper
+#: per epoch as chords keep components whole, the labelling dearer per
+#: state, and they cross between 341 and 357 links: the paper's rings with
+#: up to 16 chords take the chunks, topology 256 (357 links) the tracker.
+CHUNK_LINK_LIMIT = 340
+
+
+def labels_in_chunks(protocol: ReplicaControlProtocol, topology) -> bool:
+    """Whether a batch of ``protocol`` on ``topology`` may skip the tracker.
+
+    It may when its grants depend on component vote totals alone: static
+    quorum consensus (a subclass too, unless it overrides ``grant_masks``
+    or ``on_network_change`` or learns from epochs) for the network's
+    ``T``, on a topology whose path the block labeller contracts and
+    that has at most :data:`CHUNK_LINK_LIMIT` links. The engine also
+    needs no change observer and disabled telemetry, both of which read
+    the tracker.
+    """
+    kind = type(protocol)
+    return (isinstance(protocol, QuorumConsensusProtocol)
+            and kind.grant_masks is QuorumConsensusProtocol.grant_masks
+            and kind.on_network_change is ReplicaControlProtocol.on_network_change
+            and getattr(protocol, "record_epoch", None) is None
+            and protocol.assignment.total_votes == topology.total_votes
+            and topology.n_links <= CHUNK_LINK_LIMIT
+            and contracts_path(topology))
 
 
 class SimulationEngine:
@@ -268,7 +392,6 @@ class SimulationEngine:
         failure_rng, access_rng, _ = spawn(batch_seed, 3)
 
         state = NetworkState(topo)
-        tracker = ComponentTracker(state)
         sampled = cfg.accounting == "sampled"
         workload = cfg.workload
         ledger = _EpochLedger(topo.n_sites, topo.total_votes)
@@ -285,9 +408,15 @@ class SimulationEngine:
             walk = HistoryWalk(cfg, state, failure_rng, cfg.fault_schedule,
                                self.telemetry)
             trace = NetworkTrace.empty(topo, state)
-            self.protocol.on_network_change(tracker)
-            self._measure_loop(
-                walk, state, tracker, sampled, workload, access_rng, ledger)
+            if (self.change_observer is None and not self.telemetry.enabled
+                    and labels_in_chunks(self.protocol, topo)):
+                self._account_chunks(walk, state, sampled, workload,
+                                     access_rng, ledger)
+            else:
+                tracker = ComponentTracker(state)
+                self.protocol.on_network_change(tracker)
+                self._measure_loop(
+                    walk, state, tracker, sampled, workload, access_rng, ledger)
             # The last, partially filled chunk: inside the try so that a
             # validation failure still quarantines with the trace.
             ledger.flush()
@@ -323,6 +452,98 @@ class SimulationEngine:
             max_votes_time=ledger.max_votes_time,
             trace=trace if self.record_trace else None,
         )
+
+    # ------------------------------------------------------------------
+    def _account_chunks(
+        self,
+        walk: HistoryWalk,
+        state: NetworkState,
+        sampled: bool,
+        workload,
+        access_rng,
+        ledger: "_EpochLedger",
+    ) -> None:
+        """Account every measured epoch of the walk without a tracker.
+
+        For each piece of at most ``_LEDGER_CHUNK`` measured epochs of a
+        history block, one running parity of the events that flip a
+        component gives every epoch's site and link masks
+        (:func:`_masks_after`), one labelling call their component vote
+        totals, and the grants are ``totals >= q_r`` and ``totals >= q_w``;
+        ``sampled`` draws each epoch's accesses in epoch order, as the
+        tracker loop does.
+        The network is left as primed; a batch that dies replays onto it
+        what the tracker loop would have applied by then
+        (:meth:`HistoryWalk.catch_up`), an event the network rejects
+        included.
+        """
+        topo = state.topology
+        n = topo.n_sites
+        assignment = self.protocol.assignment
+        q_r, q_w = assignment.read_quorum, assignment.write_quorum
+        phase_at = getattr(workload, "at", None)
+        warmup_end = walk.warmup_end
+        # A row's component by kind code (sites, then links), and its bound.
+        offset = np.array([0, 0, n, n])
+        bound = np.array([n, n, topo.n_links, topo.n_links])
+        up = np.concatenate((state.site_up, state.link_up))
+        applied_at_death = 0
+        try:
+            for _, rows, edges, applied in walk.blocks():
+                applied_at_death = 0
+                ledger.n_events += rows.shape[0]
+                kind, target = rows["kind"], rows["target"]
+                component = target + offset[kind]
+                rejected = np.flatnonzero(target >= bound[kind])
+                if rejected.shape[0]:
+                    # Only the epochs before the rejected event's instant run.
+                    stop = int(np.searchsorted(edges, rows["time"][rejected[0]]))
+                    edges, applied = edges[:stop + 1], applied[:stop + 1]
+                    component = component[:rejected[0]]
+                flips = _flips(up, component, (kind[:component.shape[0]] & 1) > 0)
+                starts, ends = edges[:-1], edges[1:]
+                measured = np.flatnonzero((ends > starts) & (starts >= warmup_end))
+                at = 0
+                for first in range(0, measured.shape[0], _LEDGER_CHUNK):
+                    epochs = measured[first:first + _LEDGER_CHUNK]
+                    counts = applied[epochs]
+                    masks = _masks_after(up, component, flips, at, counts)
+                    up, at = masks[-1], int(counts[-1])
+                    totals = batched_vote_totals(topo, masks[:, :n], masks[:, n:])
+                    read_masks, write_masks = totals >= q_r, totals >= q_w
+                    durations = ends[epochs] - starts[epochs]
+                    # Phase times are measured from the warm-up end.
+                    active = [workload] * epochs.shape[0] if phase_at is None else [
+                        phase_at(now - warmup_end) for now in starts[epochs].tolist()]
+                    if sampled:
+                        reads = np.empty(totals.shape)
+                        writes = np.empty(totals.shape)
+                        for j, (duration, count) in enumerate(
+                                zip(durations.tolist(), counts.tolist())):
+                            applied_at_death = count
+                            reads[j], writes[j] = active[j].sample_epoch(
+                                duration, access_rng)
+                        ledger.settle(durations, totals, reads, writes,
+                                      read_masks, write_masks)
+                        continue
+                    # Expected volumes: a run of epochs under one phase at a time.
+                    cuts = [j for j in range(1, len(active))
+                            if active[j] is not active[j - 1]]
+                    for lo, hi in zip([0] + cuts, cuts + [len(active)]):
+                        reads, writes = active[lo].expected_epochs(durations[lo:hi])
+                        ledger.settle(durations[lo:hi], totals[lo:hi], reads,
+                                      writes, read_masks[lo:hi], write_masks[lo:hi])
+                if rejected.shape[0]:
+                    applied_at_death = int(rejected[0]) + 1
+                    break
+                up = _masks_after(up, component, flips, at,
+                                  np.array([rows.shape[0]]))[-1]
+            else:
+                return
+        except Exception:
+            walk.catch_up(applied_at_death)
+            raise
+        walk.catch_up(applied_at_death)  # raises at the rejected event
 
     # ------------------------------------------------------------------
     def _measure_loop(
@@ -625,14 +846,18 @@ class _EpochLedger:
         self._seen = (None, None, None)
         durations = self._durations[:k]
         row_of = self._row_of[:k]
-        totals = self._totals[row_of]
         if self._workload is None:
             reads, writes = self._reads[:k], self._writes[:k]
         else:
             reads, writes = self._workload.expected_epochs(durations)
-        read_masks = self._read_masks[row_of]
-        write_masks = self._write_masks[row_of]
+        self.settle(durations, self._totals[row_of], reads, writes,
+                    self._read_masks[row_of], self._write_masks[row_of])
 
+    def settle(self, durations, totals, reads, writes, read_masks,
+               write_masks) -> None:
+        """Account ``k`` consecutive measured epochs, given as ``(k,)``
+        durations and ``(k, n_sites)`` rows, after every earlier one."""
+        k = durations.shape[0]
         self.density_time.observe_epochs(totals, durations)
         self.density_access.observe_epochs(totals, reads + writes)
         np.add.at(self.max_votes_time, totals.max(axis=1), durations)

@@ -7,19 +7,17 @@ and built-in alike) is a pure function of the code and the shapes, so
 each gate below names one piece of plumbing that must not come back:
 
 * a block within ``components.SLOT_BUDGET`` link slots (every block of a
-  sparse paper topology) is labelled by exactly one
-  ``connected_components`` call, on a graph written straight into CSR (no
-  ``coo_matrix`` is ever built) and binned with broadcasting (no
-  ``numpy.tile``); a larger block is one such call per sub-block
-  (``test_sampler_streaming.py``);
-* that graph's nodes are runs of consecutive up sites and its slots are
-  fixed by the topology and ``B``: every chord (a link that is not a path
-  link ``(i, i + 1)``) owns one slot in every state (``nnz == B *
-  n_chords``, an unusable chord being a self-loop), so the one scan of
-  the draw is the ``flatnonzero`` that finds the run starts, once per
-  block;
-* nothing in a block loops over states at Python level: a 1 024-state
-  block makes exactly the calls a 256-state block makes;
+  sparse paper topology) is labelled by exactly one labelling call, no
+  ``coo_matrix`` is ever built and the counts are binned with
+  broadcasting (no ``numpy.tile``); a larger block is one such call per
+  sub-block (``test_sampler_streaming.py``);
+* on a sparse paper topology that call is the numpy union over runs of
+  consecutive up sites (``components._union_runs``), not csgraph, so the
+  one scan of the draw is the ``flatnonzero`` that finds the run starts,
+  once per block;
+* nothing in a block loops over states at Python level, and the union's
+  rounds make no call: a 1 024-state block makes exactly the calls a
+  256-state block makes;
 * a stratum's conditional draw is a table lookup per fallible component
   (``take``, ``less``, ``-=``), not a recomputation of the conditional
   law: at most 4 profiler-visible calls per component.
@@ -85,13 +83,9 @@ def test_one_block_is_one_labelling_call_on_a_direct_csr_graph(monkeypatch):
     real = csgraph.connected_components
     monkeypatch.setattr(csgraph, "connected_components", counted)
     stats = block_profile(256)
-    u, v = TOPOLOGY.link_endpoint_arrays()
-    chords = int((v != u + 1).sum())  # 16 chords and the ring's (0, 100)
-    assert chords == 17
-    slots = 256 * chords
-    # the warm-up block and the profiled one
-    assert labelled == [("csr", slots), ("csr", slots)]
-    assert calls_named(stats, "", "counted") == 1
+    # The contracted path is labelled by the union, csgraph not at all.
+    assert labelled == []
+    assert calls_named(stats, "components.py", "_union_runs") == 1
     assert calls_named(stats, "_coo.py", "__init__") == 0
     assert calls_named(stats, "numpy", "tile") == 0
     assert calls_named(stats, "", "flatnonzero") == 1

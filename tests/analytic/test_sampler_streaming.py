@@ -18,7 +18,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.sparse import csgraph
 
 import repro.pool
 from repro.analytic.montecarlo import montecarlo_density_matrix
@@ -82,15 +81,16 @@ class TestStreamedMemory:
 
 @pytest.fixture
 def labelling_calls(monkeypatch):
-    """The ``connected_components`` calls made, as their slot counts."""
+    """The block labeller's calls (union or csgraph), as their chord slots."""
     calls = []
-    real = csgraph.connected_components
+    real = components._label_runs
 
-    def counted(graph, **kwargs):
-        calls.append(graph.nnz)
-        return real(graph, **kwargs)
+    def counted(topology, site_masks, link_masks, *args):
+        n_chords = components._run_layout(topology).chord_u.shape[0]
+        calls.append(site_masks.shape[0] * n_chords)
+        return real(topology, site_masks, link_masks, *args)
 
-    monkeypatch.setattr(csgraph, "connected_components", counted)
+    monkeypatch.setattr(components, "_label_runs", counted)
     return calls
 
 

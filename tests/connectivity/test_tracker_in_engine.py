@@ -6,16 +6,18 @@ warm-up reads nothing at all, and same-instant events land between two
 reads. Here every tracker the engine builds cross-checks itself against
 the full relabel (and its bitmasks against the state) on every
 incremental refresh, and the batch must come out exactly as unaudited.
+The protocol is ``TrackedQuorumConsensus``, so that every topology here
+runs on the tracker and not on the chunked labelling.
 """
 
 import pytest
 
 from repro.connectivity.dynamic import ComponentTracker
-from repro.protocols.majority import MajorityConsensusProtocol
 from repro.simulation import engine as engine_module
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import SimulationEngine
 from repro.topology.generators import fully_connected, paper_topology
+from tests.oracles import TrackedQuorumConsensus
 
 TOPOLOGIES = {
     "paper-2": lambda: paper_topology(2, n_sites=31),
@@ -44,7 +46,7 @@ def test_audited_batch_equals_the_unaudited_one(name, monkeypatch):
         accesses_per_batch=1_500.0, n_batches=1, seed=7,
         initial_state="stationary",
     )
-    protocol = MajorityConsensusProtocol(topology.n_sites)
+    protocol = TrackedQuorumConsensus(topology.n_sites)
     plain = SimulationEngine(config, protocol).run_batch(0)
     assert plain.n_events > 100
 

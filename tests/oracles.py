@@ -17,6 +17,8 @@ from repro.connectivity.components import (
     component_vote_totals,
 )
 from repro.errors import TopologyError
+from repro.protocols.quorum_consensus import QuorumConsensusProtocol
+from repro.quorum.assignment import QuorumAssignment
 
 
 def minlabel_component_labels(topology, site_up, link_up):
@@ -428,3 +430,21 @@ def group_grant_masks(labels, read_groups, write_groups):
         read[list(members)] = any(g <= members for g in read_groups)
         write[list(members)] = any(g <= members for g in write_groups)
     return read, write
+
+
+class TrackedQuorumConsensus(QuorumConsensusProtocol):
+    """Static quorum consensus that the engine walks epoch by epoch.
+
+    Overriding ``on_network_change`` (with the same no-op) keeps the
+    engine on its ``ComponentTracker`` loop: the per-epoch oracle of the
+    chunked labelling a plain ``QuorumConsensusProtocol`` gets. ``T``
+    alone builds the majority assignment.
+    """
+
+    def __init__(self, assignment):
+        if isinstance(assignment, int):
+            assignment = QuorumAssignment.majority(assignment)
+        super().__init__(assignment)
+
+    def on_network_change(self, tracker):
+        pass

@@ -29,12 +29,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.protocols.estimator import OnlineDensityEstimator
-from repro.protocols.majority import MajorityConsensusProtocol
 from repro.simulation import engine as engine_module
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import SimulationEngine, _EpochLedger
 from repro.simulation.workload import AccessWorkload, PhasedWorkload
 from repro.topology.generators import ring_with_chords
+from tests.oracles import TrackedQuorumConsensus
 
 CHUNK = 4
 N_SITES = 5
@@ -355,7 +355,7 @@ def run_engine(accounting, ledger_cls, chunk,
     )
     with mock.patch.object(engine_module, "_EpochLedger", ledger_cls), \
             mock.patch.object(engine_module, "_LEDGER_CHUNK", chunk):
-        return SimulationEngine(cfg, MajorityConsensusProtocol(21)).run_batch(0)
+        return SimulationEngine(cfg, TrackedQuorumConsensus(21)).run_batch(0)
 
 
 SCALARS = ("reads_submitted", "writes_submitted", "surv_read", "surv_write",
@@ -364,7 +364,8 @@ GRANTED = ("reads_granted", "writes_granted")
 
 
 class TestEngineAgainstOracle:
-    """Whole batches, non-uniform ``read_weights``, chunk far below n_epochs."""
+    """Whole batches, non-uniform ``read_weights``, chunk far below n_epochs,
+    on the tracker loop, which feeds the ledger epoch by epoch."""
 
     @pytest.mark.parametrize("chunk", [7, 256])
     def test_sampled_batch_is_bitwise(self, chunk):

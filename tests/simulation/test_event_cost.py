@@ -12,8 +12,11 @@ The per-event ``EventQueue.pop`` → ``_apply`` → ``schedule_repair`` →
 ``Event`` → ``heappush`` → ``trace.record`` round trip read 50.0 calls per
 event on the complete graph and 75.0 on topology 2; with the history
 generated ahead of the accounting the same measurement reads 32.0 and 57.6.
-The ceilings sit ≈ 15 % above that: room for a NumPy or CPython that counts
-a helper more, not for the per-event machinery to come back.
+Topology 2 no longer drives a tracker at all: its epochs are labelled a
+chunk at a time, and what is left per event is the history's generation,
+4.7 calls. The ceilings sit ≈ 15 % above the counts: room for a NumPy or
+CPython that counts a helper more, not for the per-event machinery to come
+back.
 
 The same profiles gate the disabled recorder. With the null recorder every
 instrumentation site in the epoch loop is one ``instruments is None`` test,
@@ -67,7 +70,7 @@ def profiled_batch(chords, accesses):
 
 @pytest.mark.parametrize("chords,accesses,ceiling", [
     (4949, 2_000.0, 37.0),   # reads 32.0 (parent: 50.0)
-    (2, 20_000.0, 65.0),     # reads 57.6 (parent: 75.0)
+    (2, 20_000.0, 5.4),      # reads 4.7 (on the tracker: 57.6)
 ])
 def test_marginal_calls_per_event(chords, accesses, ceiling):
     calls, _, events = profiled_batch(chords, accesses)

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -566,6 +570,51 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "verify", "--profile", "quick")
         assert code == 2
         assert err == "error: interrupted\n"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_into_a_closed_pipe(args):
+    """Run ``python ARGS`` with standard output a pipe nobody reads: its
+    read end is closed before the child starts, so its first write fails."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (
+        os.pathsep + inherited if inherited else ""))
+    try:
+        return subprocess.run([sys.executable, *args], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env,
+                              cwd=ROOT, timeout=300)
+    finally:
+        os.close(write_end)
+
+
+class TestClosedStdout:
+    """``repro ... | head -2`` and ``python examples/X.py | head`` end clean."""
+
+    def test_a_command_ends_with_exit_0_and_nothing_on_stderr(self):
+        done = run_into_a_closed_pipe(
+            ["-m", "repro", "campaign", "--only", "FIG-4", "--scale", "test"])
+        assert (done.returncode, done.stderr) == (0, "")
+
+    @pytest.mark.parametrize("script", sorted(
+        path.name for path in (ROOT / "examples").glob("*.py")))
+    def test_an_example_ends_with_exit_0_and_nothing_on_stderr(self, script):
+        done = run_into_a_closed_pipe([f"examples/{script}"])
+        assert (done.returncode, done.stderr) == (0, "")
+
+    def test_a_broken_pipe_elsewhere_is_still_an_error(self, capsys, monkeypatch):
+        import repro.verification
+
+        def broken(*args, **kwargs):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(repro.verification, "run_profile", broken)
+        code, _, err = run_cli(capsys, "verify", "--profile", "quick")
+        assert code == 2
+        assert err == "error: [Errno 32] Broken pipe\n"
 
 
 class TestVerify:

@@ -143,6 +143,9 @@ chorded = ring_with_chords(101, 448)
 assert chorded.n_links == 549
 run_simulation(TEST_SCALE.config(0, alpha=0.5, seed=1, topology=chorded),
                MajorityConsensusProtocol(101))
+from repro.experiments.figures import figure_data
+from repro.topology.generators import paper_topology
+figure_data(topology=paper_topology(16), scale=TEST_SCALE, seed=1)
 stages["run_simulation"] = scipy_loaded()
 
 from repro.faults.chaos import run_chaos_campaign
