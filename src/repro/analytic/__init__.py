@@ -76,8 +76,8 @@ __all__ = [
     "closed_form_density",
     "complete_density",
     "density_matrix_mean",
-    "enumerate_density",
     "dynamic_voting_key",
+    "enumerate_density",
     "enumerate_density_matrix",
     "montecarlo_density",
     "montecarlo_density_matrix",

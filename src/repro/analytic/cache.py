@@ -2,7 +2,7 @@
 
 Density vectors and matrices are pure functions of their inputs —
 ``(family, n_sites, p, r)`` for the closed forms, ``(topology,
-reliabilities, site)`` for the enumeration oracle — and the same inputs
+reliabilities)`` for exact enumeration — and the same inputs
 recur constantly: the sweep engine bisects over reliabilities it has
 already visited, the verification harness re-derives the same golden
 densities per engine, and the optimizers rebuild identical models while
@@ -14,12 +14,12 @@ with the reliabilities quantized to :data:`QUANTIZE_DECIMALS` decimal
 digits (callers that differ below that resolution — e.g. bisection
 midpoints reconstructed from floats — share an entry); enumeration keys
 hash the full topology content (links and the vote vector) plus the
-quantized per-component reliability vectors and the requested row.
+quantized per-component reliability vectors.
 
 The cache is process-wide, bounded (:data:`MAX_ENTRIES`, LRU eviction),
 and can be disabled with ``REPRO_DENSITY_CACHE=0`` in the environment or
-the :func:`disabled` context manager (used by the kernel equivalence
-tests so a cached result never masks a real kernel run). Hits and misses
+the :func:`disabled` context manager (used by the kernel tests so a
+cached result never masks a real kernel run). Hits and misses
 are exported as the telemetry counters
 ``repro_density_cache_hits_total`` / ``repro_density_cache_misses_total``
 labelled by layer, and :func:`stats` summarizes them for the
@@ -105,23 +105,12 @@ def closed_form_key(family: str, n_sites: int, p, r) -> Tuple:
     )
 
 
-def enumeration_key(
-    topology: Topology,
-    site_rel,
-    link_rel,
-    site: Optional[int] = None,
-    numerics: str = "exact-order",
-) -> Tuple:
-    """Key for the enumeration oracle: full topology content + rels + row.
+def enumeration_key(topology: Topology, site_rel, link_rel) -> Tuple:
+    """Key for exact enumeration: full topology content + rels.
 
     The digest covers the link list and the vote vector (both part of the
-    density), the quantized per-component reliability vectors, and which
-    row — full matrix (``site is None``) or a single site — was asked
-    for. ``numerics`` names the floating-point accumulation class of the
-    producing backend (``"exact-order"`` for the bitwise witness
-    kernel, ``"regrouped"`` for the collapse-DFS): entries whose bits
-    may legitimately differ never share a slot, so a bitwise caller
-    cannot receive a regrouped result.
+    density) and the quantized per-component reliability vectors. A
+    single site's row is a row of the cached matrix, so no key names one.
     """
     digest = hashlib.sha256()
     digest.update(np.int64(topology.n_sites).tobytes())
@@ -131,12 +120,7 @@ def enumeration_key(
     digest.update(np.asarray(topology.votes, dtype=np.int64).tobytes())
     digest.update(_quantized(site_rel, topology.n_sites).tobytes())
     digest.update(_quantized(link_rel, topology.n_links).tobytes())
-    return (
-        "enumeration",
-        digest.hexdigest(),
-        -1 if site is None else int(site),
-        str(numerics),
-    )
+    return ("enumeration", digest.hexdigest())
 
 
 @dataclass

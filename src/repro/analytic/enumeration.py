@@ -4,7 +4,7 @@ The paper proves that computing ``f_i`` in a general network is
 #P-complete, so no polynomial algorithm is expected. For *small* networks,
 though, we can enumerate all ``2^(n_sites + n_links)`` up/down states,
 weight each by its probability, and accumulate the exact density. This
-module is the library's ground-truth oracle: the closed forms
+module is the library's ground truth: the closed forms
 (:mod:`repro.analytic.ring`, :mod:`~repro.analytic.complete`,
 :mod:`~repro.analytic.bus`), the Monte-Carlo estimator, and the simulator's
 stationary behaviour are all validated against it in the test suite.
@@ -13,49 +13,27 @@ Component reliabilities may be uniform (scalars ``p``, ``r``) or per
 component (arrays), which is how the star-with-perfect-spokes encoding of
 the bus network is enumerated exactly.
 
-Two kernels compute the same matrix (DESIGN.md §15), selected with the
-``backend=`` kwarg:
-
-``collapse-dfs`` (the default, and what every caller without a reason
-to ask otherwise runs)
-    a subset-doubling DFS over the fallible components that only
-    branches on a link where it actually joins two distinct live
-    components — everywhere else the link's marginal is exactly
-    ``r + (1 - r) = 1`` and both branches collapse into one. Ring-like
-    topologies collapse from ``2^28`` states to under a million leaf
-    rows. Accumulation is regrouped, so results equal the per-state loop
-    to float round-off (≤1e-12), not bitwise. Cap: :data:`MAX_COMPONENTS`
-    (2^28 states).
-
-``exact-order`` (the witness)
-    generates up/down states in chunks of bit-unpacked numpy masks,
-    computes state probabilities as column-wise product reductions,
-    labels every state of a chunk with one block labelling call
-    (:func:`~repro.connectivity.components.batched_vote_totals`), and
-    accumulates probabilities with an ordered unbuffered scatter-add.
-    Every floating-point operation is sequenced exactly like a per-state
-    ``itertools.product`` loop (the oracle in ``tests/oracles.py``), so
-    the output is **bitwise identical** to it for every ``chunk_size``.
-    The golden corpus's sharded entries and ``repro verify``'s
-    ``enumeration|enum-exact-order`` pair are computed through it. Cap:
-    :data:`MAX_COMPONENTS_EXACT_ORDER` (2^24 states).
+One kernel computes the matrix (DESIGN.md §15): a subset-doubling DFS
+over the fallible components that only branches on a link where it
+actually joins two distinct live components — everywhere else the link's
+marginal is exactly ``r + (1 - r) = 1`` and both branches collapse into
+one. Ring-like topologies collapse from ``2^28`` states to under a
+million leaf rows. Accumulation is regrouped, so results equal a
+per-state loop (the oracles in ``tests/oracles.py``) to float round-off
+(≤1e-12), not bitwise. Cap: :data:`MAX_COMPONENTS` (2^28 states).
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.analytic.density import Reliability, reliability_vector
-from repro.connectivity.components import batched_vote_totals, entry_vote_totals
+from repro.connectivity.components import entry_vote_totals
 from repro.errors import DensityError, TopologyError
 from repro.telemetry.recorder import current as _current_recorder
 from repro.topology.model import Topology
 
 __all__ = [
-    "BACKENDS",
-    "BACKEND_CAPS",
     "enumerate_density",
     "enumerate_density_matrix",
     "resolve_backend",
@@ -65,188 +43,61 @@ __all__ = [
 #: states; the DFS is memory-bounded by its row cap, see DESIGN.md §15).
 MAX_COMPONENTS = 28
 
-#: The witness materializes every state: 2^24 is already minutes.
-MAX_COMPONENTS_EXACT_ORDER = 24
-
-#: Fallible-component cap of each kernel.
-BACKEND_CAPS = {
-    "collapse-dfs": MAX_COMPONENTS,
-    "exact-order": MAX_COMPONENTS_EXACT_ORDER,
-}
-
-#: The production kernel, then its exact-floating-point-order witness.
-BACKENDS = tuple(BACKEND_CAPS)
-
-#: ``exact-order``: states unpacked and labelled per chunk. Large enough
-#: that the per-chunk numpy fixed costs amortize, small enough that the
-#: chunk's mask/label arrays stay cache- and memory-friendly at 2^24
-#: states. ``collapse-dfs``: the cap on live partial-state rows.
-DEFAULT_CHUNK_SIZE = 8_192
+#: Cap on the DFS's live partial-state rows. Its split points move with
+#: the cap, so the output bytes are those of this value (tests
+#: monkeypatch it to exercise the stack-splitting path).
+ROW_CAP = 8_192
 
 #: Row caps below this are clamped up; the DFS needs headroom to double.
 MIN_ROW_CAP = 64
 
 
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Validate a backend name; ``None`` names the production kernel.
+def resolve_backend() -> str:
+    """Name of the one enumeration kernel, ``"collapse-dfs"``.
 
-    The default is a constant: nothing outside the call (process
-    settings, what is installed) changes which kernel runs.
+    The benchmark harness records it with every run.
     """
-    if backend is None:
-        return BACKENDS[0]
-    if backend not in BACKENDS:
-        raise DensityError(
-            f"unknown enumeration backend {backend!r}; choose from {BACKENDS}"
-        )
-    return backend
+    return "collapse-dfs"
 
 
-def _free_components(
-    site_rel: np.ndarray,
-    link_rel: np.ndarray,
-    backend: str,
-) -> tuple:
+def _free_components(site_rel: np.ndarray, link_rel: np.ndarray) -> tuple:
     """Indices of fallible sites/links; components pinned at 0/1 are not
     enumerated, so a star with perfectly reliable spokes costs only
     ``2^(n_sites + 1)`` states rather than ``2^(2n + 1)``."""
     free_sites = np.nonzero((site_rel > 0.0) & (site_rel < 1.0))[0]
     free_links = np.nonzero((link_rel > 0.0) & (link_rel < 1.0))[0]
     n_free = free_sites.size + free_links.size
-    cap = BACKEND_CAPS[backend]
-    if n_free > cap:
-        if n_free <= MAX_COMPONENTS:
-            hint = (
-                f"; the default {BACKENDS[0]!r} backend enumerates up to "
-                f"{MAX_COMPONENTS}"
-            )
-        else:
-            hint = "; use montecarlo_density for larger networks"
+    if n_free > MAX_COMPONENTS:
         raise DensityError(
             f"enumeration over {n_free} fallible components exceeds the "
-            f"{cap}-component safety cap of the {backend!r} backend{hint}"
+            f"{MAX_COMPONENTS}-component safety cap; use montecarlo_density "
+            "for larger networks"
         )
-    return free_sites, free_links, n_free
+    return free_sites, free_links
 
 
 def enumerate_density_matrix(
     topology: Topology,
     p: Reliability,
     r: Reliability,
-    *,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    site: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Exact density matrix ``(n_sites, T+1)`` by full state enumeration.
 
-    ``backend`` picks the kernel (see the module docstring; ``None`` is
-    ``collapse-dfs``). ``exact-order`` is bitwise identical to a
-    per-state loop for every ``chunk_size``; ``collapse-dfs`` regroups
-    the accumulation and agrees to float round-off (the two are cached
-    under separate numerics tags so a bitwise caller never receives a
-    regrouped entry). With ``site`` given, only that site's row (length
-    ``T+1``) is returned — the single-row fast path behind
-    :func:`enumerate_density`.
+    Deterministic: the same inputs give the same bytes. Cached by
+    topology content and quantized reliabilities.
     """
-    if chunk_size <= 0:
-        raise DensityError(f"chunk_size must be positive, got {chunk_size}")
-    backend = resolve_backend(backend)
     site_rel = reliability_vector(p, topology.n_sites, "site reliability")
     link_rel = reliability_vector(r, topology.n_links, "link reliability")
-    free_sites, free_links, n_free = _free_components(site_rel, link_rel, backend)
+    free_sites, free_links = _free_components(site_rel, link_rel)
 
     from repro.analytic import cache as density_cache
 
-    exact_order = backend == "exact-order"
-    kernel = _exact_order_kernel if exact_order else _collapse_dfs_kernel
-    key = density_cache.enumeration_key(
-        topology, site_rel, link_rel, site,
-        numerics="exact-order" if exact_order else "regrouped",
-    )
     return density_cache.fetch(
         "enumeration",
-        key,
-        lambda: kernel(
-            topology, site_rel, link_rel, free_sites, free_links, n_free,
-            chunk_size=chunk_size, site=site,
-        ),
+        density_cache.enumeration_key(topology, site_rel, link_rel),
+        lambda: _collapse_dfs_kernel(
+            topology, site_rel, link_rel, free_sites, free_links),
     )
-
-
-def _exact_order_kernel(
-    topology: Topology,
-    site_rel: np.ndarray,
-    link_rel: np.ndarray,
-    free_sites: np.ndarray,
-    free_links: np.ndarray,
-    n_free: int,
-    *,
-    chunk_size: int,
-    site: Optional[int],
-) -> np.ndarray:
-    # Phase attribution resolves through the current recorder (the
-    # kernel has no telemetry argument); with the NULL recorder every
-    # phase block is a shared no-op.
-    recorder = _current_recorder()
-
-    n = topology.n_sites
-    T = topology.total_votes
-    if site is None:
-        out = np.zeros(n * (T + 1), dtype=np.float64)
-        row_offsets = np.arange(n, dtype=np.int64) * (T + 1)
-    else:
-        out = np.zeros(T + 1, dtype=np.float64)
-
-    base_site_up = site_rel >= 1.0
-    base_link_up = link_rel >= 1.0
-
-    n_states = 1 << n_free
-    # Bit j (j = 0 slowest-varying) of state k mirrors the reference
-    # loop's ``product((False, True), repeat=n_free)`` enumeration order;
-    # matching the order makes the scatter-add accumulation sequence —
-    # and therefore the floating-point result — identical.
-    shifts = np.arange(n_free - 1, -1, -1, dtype=np.int64)
-
-    for start in range(0, n_states, chunk_size):
-        stop = min(start + chunk_size, n_states)
-        with recorder.phase("enum.unpack"):
-            idx = np.arange(start, stop, dtype=np.int64)
-            bits = ((idx[:, None] >> shifts) & 1).astype(bool)
-            count = idx.shape[0]
-
-            site_masks = np.broadcast_to(base_site_up, (count, n)).copy()
-            link_masks = np.broadcast_to(
-                base_link_up, (count, topology.n_links)).copy()
-            site_masks[:, free_sites] = bits[:, : free_sites.size]
-            link_masks[:, free_links] = bits[:, free_sites.size:]
-
-        # One factor per fallible component, multiplied column-by-column
-        # in the same order the reference loop multiplies scalars.
-        with recorder.phase("enum.probs"):
-            probs = np.ones(count, dtype=np.float64)
-            for col, comp in enumerate(free_sites):
-                rel = site_rel[comp]
-                probs *= np.where(bits[:, col], rel, 1.0 - rel)
-            for col, comp in enumerate(free_links):
-                rel = link_rel[comp]
-                probs *= np.where(
-                    bits[:, free_sites.size + col], rel, 1.0 - rel)
-
-        with recorder.phase("enum.label"):
-            totals = batched_vote_totals(topology, site_masks, link_masks)
-        with recorder.phase("enum.accumulate"):
-            if site is None:
-                # State-major flat bins reproduce the reference's
-                # per-state ``matrix[arange(n), totals] += prob``
-                # accumulation order; np.add.at applies the additions
-                # unbuffered, in order.
-                flat = (row_offsets[None, :] + totals).ravel()
-                np.add.at(out, flat, np.repeat(probs, n))
-            else:
-                np.add.at(out, totals[:, site], probs)
-
-    return out.reshape(n, T + 1) if site is None else out
 
 
 def _label_dtype(n_sites: int):
@@ -263,10 +114,6 @@ def _collapse_dfs_kernel(
     link_rel: np.ndarray,
     free_sites: np.ndarray,
     free_links: np.ndarray,
-    n_free: int,
-    *,
-    chunk_size: int,
-    site: Optional[int],
 ) -> np.ndarray:
     """Exact density matrix by subset-doubling DFS with branch collapse.
 
@@ -280,17 +127,17 @@ def _collapse_dfs_kernel(
     component vote totals in integers, then one ``bincount`` adds the
     row probabilities into the ``(site, total)`` bins in row order.
 
-    Peak live rows are capped at ``max(chunk_size, MIN_ROW_CAP)``; the
-    live block grows in place in one buffer of that many rows, and a
-    branch that would exceed the cap defers half its rows to an explicit
-    DFS stack. Row order, split points and flush boundaries fix the
+    Peak live rows are capped at ``max(ROW_CAP, MIN_ROW_CAP)``; the live
+    block grows in place in one buffer of that many rows, and a branch
+    that would exceed the cap defers half its rows to an explicit DFS
+    stack. Row order, split points and flush boundaries fix the
     accumulation order, so results are deterministic for a fixed cap
-    (pinned in ``tests/analytic/test_enumeration.py``) and agree with the
-    ``exact-order`` kernel to float round-off (regrouped accumulation —
-    the ≤1e-12 differential tier, not bitwise).
+    (pinned in ``tests/analytic/test_enumeration.py``) and agree with a
+    per-state loop to float round-off (regrouped accumulation — the
+    ≤1e-12 differential tier, not bitwise).
     """
     recorder = _current_recorder()
-    cap = max(int(chunk_size), MIN_ROW_CAP)
+    cap = max(int(ROW_CAP), MIN_ROW_CAP)
 
     n = topology.n_sites
     T = topology.total_votes
@@ -391,8 +238,7 @@ def _collapse_dfs_kernel(
         with recorder.phase("enum.flush"):
             flush(Lbuf[:rows], Pbuf[:rows])
 
-    matrix = acc.reshape(n, T + 1)
-    return matrix if site is None else matrix[int(site)].copy()
+    return acc.reshape(n, T + 1)
 
 
 def enumerate_density(
@@ -400,14 +246,9 @@ def enumerate_density(
     site: int,
     p: Reliability,
     r: Reliability,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
-    """Exact ``f_site(v)`` for one site (length ``T + 1``).
-
-    Accumulates the single requested row inside the kernel instead of
-    materializing the full ``(n_sites, T+1)`` matrix; the row is bitwise
-    identical to ``enumerate_density_matrix(...)[site]``.
-    """
+    """Exact ``f_site(v)`` for one site (length ``T + 1``): that site's
+    row of :func:`enumerate_density_matrix`, bitwise."""
     if not 0 <= site < topology.n_sites:
         raise TopologyError(f"unknown site {site}")
-    return enumerate_density_matrix(topology, p, r, site=site, backend=backend)
+    return enumerate_density_matrix(topology, p, r)[site].copy()

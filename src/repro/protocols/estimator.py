@@ -27,8 +27,6 @@ conditional density ``A'`` and rely on the paper's footnote 4 argument
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.analytic.density import normalize_density
@@ -58,64 +56,34 @@ class OnlineDensityEstimator:
         self.total_votes = int(total_votes)
         self.forgetting_factor = float(forgetting_factor)
         self._weights = np.zeros((self.n_sites, self.total_votes + 1), dtype=np.float64)
-        self._site_ids = np.arange(self.n_sites)
+        self._cell_base = np.arange(self.n_sites) * (self.total_votes + 1)
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def observe(self, site: int, component_votes: int, weight: float = 1.0) -> None:
-        """Record one observation at one site."""
-        if not 0 <= site < self.n_sites:
-            raise DensityError(f"unknown site {site}")
-        if not 0 <= component_votes <= self.total_votes:
-            raise DensityError(
-                f"component votes must be in 0..{self.total_votes}, got {component_votes}"
-            )
-        if weight < 0:
-            raise DensityError(f"weight must be non-negative, got {weight}")
-        self._decay()
-        self._weights[site, component_votes] += weight
-
     def observe_all(self, vote_totals: np.ndarray, weight: float = 1.0) -> None:
         """Record one observation per site (a full network snapshot).
 
         ``vote_totals`` is the per-site component vote vector the
         connectivity tracker produces; ``weight`` is 1 for a count-style
         observation or the epoch duration for time-weighted estimation.
+        A one-row :meth:`observe_epochs`, kept as its own name because
+        the benchmark harness's replay calls it.
         """
-        totals = np.asarray(vote_totals, dtype=np.int64)
-        if totals.shape != (self.n_sites,):
-            raise DensityError(
-                f"vote_totals must have shape ({self.n_sites},), got {totals.shape}"
-            )
-        if (totals < 0).any() or (totals > self.total_votes).any():
-            raise DensityError(f"vote totals must be in 0..{self.total_votes}")
-        if weight < 0:
-            raise DensityError(f"weight must be non-negative, got {weight}")
-        self._decay()
-        self._weights[self._site_ids, totals] += weight
+        self.observe_epochs(np.asarray(vote_totals)[None],
+                            np.full(1, weight, dtype=np.float64))
 
     def observe_counts(self, vote_totals: np.ndarray, counts: np.ndarray) -> None:
         """Record per-site observation weights in one call.
 
         This is the access-count accounting mode: ``counts[i]`` is how
         many accesses site ``i`` processed during an epoch in which its
-        component held ``vote_totals[i]`` votes. Cheaper than calling
-        :meth:`observe` per access and identical in effect.
+        component held ``vote_totals[i]`` votes. A one-row
+        :meth:`observe_epochs`, kept as its own name because the
+        benchmark harness's replay calls it.
         """
-        totals = np.asarray(vote_totals, dtype=np.int64)
-        weights = np.asarray(counts, dtype=np.float64)
-        if totals.shape != (self.n_sites,) or weights.shape != (self.n_sites,):
-            raise DensityError(
-                f"vote_totals and counts must both have shape ({self.n_sites},), "
-                f"got {totals.shape} and {weights.shape}"
-            )
-        if (totals < 0).any() or (totals > self.total_votes).any():
-            raise DensityError(f"vote totals must be in 0..{self.total_votes}")
-        if (weights < 0).any():
-            raise DensityError("counts must be non-negative")
-        self._decay()
-        np.add.at(self._weights, (self._site_ids, totals), weights)
+        self.observe_epochs(np.asarray(vote_totals)[None],
+                            np.atleast_1d(np.asarray(counts, dtype=np.float64))[None])
 
     def observe_epochs(self, vote_totals: np.ndarray, weights: np.ndarray) -> None:
         """Record a block of consecutive snapshots, oldest first.
@@ -125,8 +93,7 @@ class OnlineDensityEstimator:
         to :meth:`observe_all` — or ``(k, n_sites)`` — per-site weights,
         as ``k`` calls to :meth:`observe_counts`. The block is validated
         once and rejected whole; every cell then receives its additions
-        in epoch order, so the result is bitwise that of the row-by-row
-        calls.
+        in epoch order, and each epoch is preceded by one decay step.
         """
         totals = np.asarray(vote_totals, dtype=np.int64)
         weights = np.asarray(weights, dtype=np.float64)
@@ -145,17 +112,20 @@ class OnlineDensityEstimator:
             raise DensityError(f"vote totals must be in 0..{self.total_votes}")
         if weights.min() < 0:
             raise DensityError("weights must be non-negative")
-        if self.forgetting_factor < 1.0:
-            # Decay separates consecutive rows, so they cannot be fused.
-            row = self.observe_all if weights.ndim == 1 else self.observe_counts
-            for row_totals, row_weights in zip(totals, weights):
-                row(row_totals, row_weights)
+        cells = self._cell_base + totals
+        flat = self._weights.reshape(-1)
+        if self.forgetting_factor < 1.0 or totals.shape[0] == 1:
+            # Decay separates consecutive rows, so they cannot be fused;
+            # a row's cells are distinct (one per site), so a buffered
+            # add is the unbuffered one.
+            for row_cells, row_weights in zip(cells, weights):
+                self._decay()
+                flat[row_cells] += row_weights
             return
         if weights.ndim == 1:
             weights = np.repeat(weights, self.n_sites)
         # Epoch-major cells + unbuffered add.at = per-cell epoch order.
-        cells = self._site_ids * (self.total_votes + 1) + totals
-        np.add.at(self._weights.reshape(-1), cells.ravel(), weights.ravel())
+        np.add.at(flat, cells.ravel(), weights.ravel())
 
     def _decay(self) -> None:
         if self.forgetting_factor < 1.0:

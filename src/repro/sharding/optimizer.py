@@ -34,8 +34,12 @@ __all__ = [
     "optimize_shards",
 ]
 
-#: Free-component cap above which the exact enumeration density is
-#: replaced by seeded Monte Carlo (2^24 states is already seconds).
+#: Free-component cap above which ``engine="auto"`` replaces the exact
+#: enumeration density with seeded Monte Carlo. Not a cost limit: the
+#: collapse-DFS takes ~0.015 s per vote class on ring(11) (22
+#: components) and ~0.26 s on ring(14) (28, its cap). It stays at 22
+#: because ``auto``'s choice is part of every plan's output: raising it
+#: would move the plans of every topology of 23..28 components.
 _ENUMERATION_MAX_COMPONENTS = 22
 
 
@@ -145,14 +149,10 @@ def _group_density(
     if engine == "enumeration":
         from repro.analytic.enumeration import enumerate_density_matrix
 
-        # The exact-order witness, not the default kernel: these
-        # densities feed golden corpus entries and the bitwise
-        # sharded|per-item-reference pair, which were locked on its bits.
         return enumerate_density_matrix(
             revoted,
             np.full(topology.n_sites, p),
             np.full(topology.n_links, r),
-            backend="exact-order",
         )
     if engine == "monte-carlo":
         from repro.analytic.montecarlo import montecarlo_density_matrix

@@ -6,9 +6,9 @@
 1. **Cross-engine pairs** — for each case, every pair of applicable
    engines is compared metric-by-metric with CI-aware tolerances. The
    model-producing witnesses of :mod:`repro.verification.witnesses`
-   (closed form, collapse-DFS enumeration, its exact-order witness
-   ``enum-exact-order``, plain Monte-Carlo, and its stratified variant
-   ``mc-stratified``) are crossed all-pairs; on top of that ride
+   (closed form, collapse-DFS enumeration, plain Monte-Carlo, and its
+   stratified variant ``mc-stratified``) are crossed all-pairs; on top
+   of that ride
    closed-form vs simulation (ACC at the simulated quorum and the whole
    vote density, plus section 3's one-sided ``acc-ceiling``), simulation
    vs parallel fan-out (bitwise), the simulator's pooled accounting vs
@@ -38,7 +38,6 @@ from repro.verification.metamorphic import run_metamorphic
 from repro.verification.tolerance import CheckResult, Estimate, compare
 from repro.verification.witnesses import (
     closed_form_engine,
-    enum_exact_order_engine,
     enumeration_engine,
     grant_mask_mismatch,
     montecarlo_engine,
@@ -56,18 +55,9 @@ __all__ = ["MODEL_ENGINES", "ENGINE_PAIRS", "VerificationReport",
 MODEL_ENGINES = (
     ("closed-form", closed_form_engine),
     ("enumeration", enumeration_engine),
-    ("enum-exact-order", enum_exact_order_engine),
     ("monte-carlo", montecarlo_engine),
     ("mc-stratified", stratified_mc_engine),
 )
-
-#: Tighter absolute floors for specific exact-vs-exact pairs. The
-#: collapse-DFS must agree with its exact-order witness to ≤1e-12
-#: (DESIGN.md §15) — far below the default exact floor the statistical
-#: engines share.
-_PAIR_FLOORS = {
-    frozenset({"enumeration", "enum-exact-order"}): 1e-12,
-}
 
 #: Engine-pair identifiers the runner can emit (the acceptance gate
 #: counts distinct pairs actually exercised): all model-engine pairs
@@ -172,17 +162,10 @@ def _model_pair_checks(
     names = [e.name for e in engines]
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            floor = _PAIR_FLOORS.get(frozenset({a, b}))
-            kwargs = {} if floor is None else {
-                "abs_floor": floor,
-                "detail": "enumeration-kernel differential tier "
-                          f"(abs_floor={floor:g})",
-            }
             for metric in estimates[a]:
                 results.append(
                     compare(f"{a}|{b}", case.name, metric,
-                            estimates[a][metric], estimates[b][metric],
-                            **kwargs)
+                            estimates[a][metric], estimates[b][metric])
                 )
     return results
 

@@ -1,8 +1,8 @@
 """The differential battery's witnesses: each backend, run on one case.
 
 Every availability backend the repo implements — closed forms, exact
-state enumeration (the production collapse-DFS and its exact-order
-witness), static Monte-Carlo plus its stratified variant, and the
+state enumeration (the collapse-DFS), static Monte-Carlo plus its
+stratified variant, and the
 discrete-event simulator with its parallel fan-out path — is called
 here on a :class:`~repro.verification.cases.VerificationCase`.
 
@@ -21,7 +21,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.analytic import closed_form_density
-from repro.analytic.enumeration import BACKEND_CAPS, enumerate_density_matrix
+from repro.analytic.enumeration import MAX_COMPONENTS, enumerate_density_matrix
 from repro.analytic.montecarlo import montecarlo_density_matrix
 from repro.analytic.variance import stratified_density_matrix
 from repro.connectivity.dynamic import ComponentTracker, NetworkState
@@ -46,7 +46,6 @@ __all__ = [
     "SimulationEngineRun",
     "closed_form_engine",
     "enumeration_engine",
-    "enum_exact_order_engine",
     "montecarlo_engine",
     "stratified_mc_engine",
     "simulation_engine_run",
@@ -122,39 +121,20 @@ def _case_free_components(case: VerificationCase) -> int:
                + ((link_rel > 0) & (link_rel < 1)).sum())
 
 
-def _enumeration_model_engine(
-    name: str, case: VerificationCase, backend: str
-) -> Optional[ModelEngine]:
-    """One enumeration kernel as a model engine; ``None`` beyond its cap.
+def enumeration_engine(case: VerificationCase) -> Optional[ModelEngine]:
+    """Exhaustive state enumeration (exact) through the collapse-DFS;
+    ``None`` past 2^28 states.
 
     For the bus family, only the real (voting) sites' rows enter the
     model — the zero-vote hub submits no accesses.
     """
-    if _case_free_components(case) > BACKEND_CAPS[backend]:
+    if _case_free_components(case) > MAX_COMPONENTS:
         return None
     matrix = enumerate_density_matrix(
-        case.topology(), case.site_reliabilities(), case.link_reliabilities(),
-        backend=backend,
+        case.topology(), case.site_reliabilities(), case.link_reliabilities()
     )
     model = AvailabilityModel.from_density_matrix(matrix[: case.n_sites])
-    return ModelEngine(name, model)
-
-
-def enumeration_engine(case: VerificationCase) -> Optional[ModelEngine]:
-    """Exhaustive state enumeration (exact) through the production
-    collapse-DFS kernel; ``None`` past 2^28 states."""
-    return _enumeration_model_engine("enumeration", case, "collapse-dfs")
-
-
-def enum_exact_order_engine(case: VerificationCase) -> Optional[ModelEngine]:
-    """Enumeration through the exact-floating-point-order witness kernel;
-    ``None`` past 2^24 states.
-
-    Crossed against ``enumeration`` in ``repro verify`` at the ≤1e-12
-    differential tier: the DFS regroups its accumulation, this kernel
-    adds state by state.
-    """
-    return _enumeration_model_engine("enum-exact-order", case, "exact-order")
+    return ModelEngine("enumeration", model)
 
 
 def montecarlo_engine(case: VerificationCase) -> ModelEngine:

@@ -6,7 +6,7 @@ import pytest
 from repro.analytic import cache as density_cache
 from repro.analytic import closed_form_density
 from repro.analytic.cache import DensityCache
-from repro.analytic.enumeration import enumerate_density_matrix
+from repro.analytic.enumeration import enumerate_density, enumerate_density_matrix
 from repro.topology.generators import ring
 
 
@@ -53,10 +53,10 @@ class TestDensityCache:
         full = enumerate_density_matrix(topo, 0.9, 0.8)
         again = enumerate_density_matrix(topo, 0.9, 0.8)
         assert np.array_equal(full, again)
-        row = enumerate_density_matrix(topo, 0.9, 0.8, site=1)
+        row = enumerate_density(topo, 1, 0.9, 0.8)
         stats = density_cache.stats()
-        # Full matrix hit once; the single-row request is its own key.
-        assert stats.by_layer["enumeration"] == (1, 2)
+        # One miss; a single row is read from the cached matrix.
+        assert stats.by_layer["enumeration"] == (2, 1)
         assert np.array_equal(row, full[1])
 
     def test_votes_change_the_key(self):

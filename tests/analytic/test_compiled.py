@@ -1,33 +1,36 @@
-"""The production enumeration kernel and the ``backend=`` selector
-(DESIGN.md §15).
+"""The enumeration kernel, the collapse-DFS (DESIGN.md §15).
 
-- the collapse-DFS (what ``enumerate_density_matrix`` runs by default)
-  agrees with the per-state oracle loop of ``tests/oracles.py`` to well
-  inside the ≤1e-12 differential tier and is deterministic for a fixed
-  row cap;
-- ``backend=`` has two values and no other source: an unknown name is an
-  error, and the cap errors name the component count, the backend, and
-  what to use instead.
+- it agrees with the per-state oracle loop of ``tests/oracles.py`` to
+  well inside the ≤1e-12 differential tier, whatever its row cap
+  (``enumeration.ROW_CAP``, monkeypatched here), and is deterministic
+  for a fixed cap;
+- it is the only kernel: the functions take no ``backend=``,
+  ``chunk_size=`` or ``site=``, and the cap error names the component
+  count and what to use instead.
 
-The exact-order witness's bitwise contract is pinned in
-``tests/analytic/test_kernels.py``. (The file keeps the name of the
-module these kernels used to live in so its test ids stay stable.)
+The bitwise pins of its output are in
+``tests/analytic/test_enumeration.py``. (The file keeps the name of the
+module the kernel used to live in so its test ids stay stable.)
 """
+
+import inspect
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analytic import cache as density_cache
+from repro.analytic import enumeration
 from repro.analytic.enumeration import (
-    BACKENDS,
     MAX_COMPONENTS,
-    MAX_COMPONENTS_EXACT_ORDER,
     enumerate_density,
     enumerate_density_matrix,
     resolve_backend,
 )
 from repro.errors import DensityError
 from repro.topology.generators import bus, fully_connected, ring, star
+from repro.topology.model import Topology
 from tests.oracles import enumerate_density_matrix_reference
 
 
@@ -75,21 +78,22 @@ class TestVectorizedCollapseDFS:
         vec = enumerate_density_matrix(topo, site_rel, link_rel)
         assert np.abs(vec - ref).max() <= 1e-13
 
-    def test_deterministic_for_fixed_row_cap(self):
+    def test_deterministic_for_fixed_row_cap(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "ROW_CAP", 64)
         topo = ring(7)
         one = enumerate_density_matrix(topo, 0.9, 0.8)
         two = enumerate_density_matrix(topo, 0.9, 0.8)
         assert np.array_equal(one, two)
 
-    @pytest.mark.parametrize("chunk_size", [1, 64, 500, 100_000])
-    def test_row_cap_invariance(self, chunk_size):
+    @pytest.mark.parametrize("row_cap", [1, 64, 500, 100_000])
+    def test_row_cap_invariance(self, monkeypatch, row_cap):
         # The DFS split points move with the cap, which may regroup the
         # accumulation differently — results agree within the tier (and
         # tiny caps exercise the stack-splitting path).
+        monkeypatch.setattr(enumeration, "ROW_CAP", row_cap)
         topo = ring(6)
         ref = enumerate_density_matrix_reference(topo, 0.9, 0.8)
-        vec = enumerate_density_matrix(topo, 0.9, 0.8,
-                                       chunk_size=chunk_size)
+        vec = enumerate_density_matrix(topo, 0.9, 0.8)
         assert np.abs(vec - ref).max() <= 1e-13
 
     def test_single_row_matches_full_matrix(self):
@@ -100,9 +104,9 @@ class TestVectorizedCollapseDFS:
             assert np.array_equal(full[site], row)
 
     def test_beyond_the_reference_cap(self):
-        # 26 free components: refused by the exact-order witness, exact
-        # through the DFS (ring(13) has a closed form to check against
-        # at the golden 1e-9 tier).
+        # 26 free components, 2^26 states: past what the tests' exact
+        # references reach in seconds; ring(13) has a closed form to
+        # check against at the golden 1e-9 tier.
         from repro.analytic.ring import ring_density_matrix
 
         topo = ring(13)
@@ -112,26 +116,20 @@ class TestVectorizedCollapseDFS:
 
 
 class TestBackendSelection:
-    def test_explicit_names_resolve_to_themselves(self):
-        assert BACKENDS == ("collapse-dfs", "exact-order")
-        for name in BACKENDS:
-            assert resolve_backend(name) == name
-        assert resolve_backend() == resolve_backend(None) == "collapse-dfs"
+    """There is nothing to select: one kernel, and no knob reaches it."""
 
     def test_unknown_backend_is_an_error(self):
-        for name in ("fortran", "auto", "compiled"):
-            with pytest.raises(DensityError, match="unknown enumeration backend"):
+        for name in ("exact-order", "collapse-dfs", "auto"):
+            with pytest.raises(TypeError):
                 enumerate_density_matrix(ring(4), 0.9, 0.9, backend=name)
 
-    def test_cap_error_names_count_backend_and_knob(self):
-        with pytest.raises(DensityError) as err:
-            enumerate_density_matrix(ring(13), 0.9, 0.9, backend="exact-order")
-        message = str(err.value)
-        assert "26 fallible components" in message
-        assert f"{MAX_COMPONENTS_EXACT_ORDER}-component" in message
-        assert "'exact-order' backend" in message
-        assert "'collapse-dfs'" in message
-        assert str(MAX_COMPONENTS) in message
+    def test_signatures_are_the_inputs_alone(self):
+        def params(fn):
+            return list(inspect.signature(fn).parameters)
+
+        assert params(enumerate_density_matrix) == ["topology", "p", "r"]
+        assert params(enumerate_density) == ["topology", "site", "p", "r"]
+        assert resolve_backend() == "collapse-dfs"
 
     def test_cap_error_past_the_compiled_cap(self):
         with pytest.raises(DensityError) as err:
@@ -140,12 +138,63 @@ class TestBackendSelection:
         assert "40 fallible components" in message
         assert f"{MAX_COMPONENTS}-component" in message
         assert "montecarlo_density" in message
+        assert "backend" not in message
 
-    def test_regrouped_results_cached_under_separate_key(self):
-        from repro.analytic.cache import enumeration_key
 
-        topo = ring(4)
-        rel = np.full(4, 0.9)
-        exact = enumeration_key(topo, rel, rel, None)
-        regrouped = enumeration_key(topo, rel, rel, None, numerics="regrouped")
-        assert exact != regrouped
+# ----------------------------------------------------------------------
+# Hypothesis differential against the per-state loop
+# ----------------------------------------------------------------------
+
+#: A reliability: pinned down, pinned up, or fallible.
+_rel = st.one_of(st.sampled_from([0.0, 1.0]),
+                 st.floats(0.01, 0.99, allow_nan=False))
+
+
+@st.composite
+def _networks(draw):
+    """A small network: any link subset (disconnected ones included),
+    votes 0..3 with at least one, and per-component reliabilities that
+    may be exactly 0 or 1; at most 2^12 states for the reference loop."""
+    n = draw(st.integers(1, 5))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    links = draw(st.lists(st.sampled_from(pairs), unique=True,
+                          max_size=min(len(pairs), 7))) if pairs else []
+    votes = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)
+                 .filter(lambda v: sum(v) > 0))
+    topo = Topology(n, links, votes=votes)
+    site_rel = np.array(draw(st.lists(_rel, min_size=n, max_size=n)))
+    link_rel = np.array(draw(st.lists(_rel, min_size=len(links),
+                                      max_size=len(links))), dtype=np.float64)
+    return topo, site_rel, link_rel
+
+
+class TestDifferential:
+    """The collapse-DFS against the per-state loop at ≤1e-12, and every
+    single-site row equal to its matrix row, on generated networks and
+    on the degenerate inputs as explicit examples."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_networks())
+    @example((Topology(1, [], votes=[1]), np.array([0.7]), np.empty(0)))
+    @example((Topology(1, [], votes=[1]), np.array([1.0]), np.empty(0)))
+    @example((Topology(3, [(0, 1), (1, 2)], votes=[1, 0, 0]),
+              np.array([0.8, 0.6, 0.9]), np.array([0.7, 0.5])))
+    @example((Topology(4, [(0, 1), (1, 2), (2, 3), (0, 3)], votes=[0, 2, 0, 1]),
+              np.array([0.9, 0.8, 0.7, 0.6]), np.array([0.5, 0.6, 0.7, 0.8])))
+    @example((Topology(5, [(0, 1), (2, 3)], votes=[1, 2, 1, 1, 3]),
+              np.array([0.9, 0.8, 0.7, 0.6, 0.5]), np.array([0.75, 0.65])))
+    @example((Topology(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+              np.array([0.0, 1.0, 0.6, 1.0, 0.0]),
+              np.array([1.0, 0.0, 0.4, 1.0, 0.3])))
+    @example((Topology(3, [(0, 1), (1, 2), (0, 2)]),
+              np.ones(3), np.ones(3)))
+    @example(_bus_case(4, 0.9, 0.7))
+    def test_matches_the_per_state_loop(self, network):
+        topo, site_rel, link_rel = network
+        ref = enumerate_density_matrix_reference(topo, site_rel, link_rel)
+        matrix = enumerate_density_matrix(topo, site_rel, link_rel)
+        assert matrix.shape == (topo.n_sites, topo.total_votes + 1)
+        assert np.abs(matrix - ref).max() <= 1e-12
+        for site in range(topo.n_sites):
+            row = enumerate_density(topo, site, site_rel, link_rel)
+            assert np.array_equal(row, matrix[site])

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from repro.analytic import cache as density_cache
+from repro.analytic import enumeration
 from repro.analytic.enumeration import enumerate_density, enumerate_density_matrix
 from repro.analytic.ring import ring_density_matrix
 from repro.errors import DensityError, TopologyError
 from repro.topology.generators import fully_connected, paper_topology, ring
 from repro.topology.model import Topology
+from tests.oracles import enumerate_density_matrix_exact_order
 
 
 class TestEnumerationBasics:
@@ -83,7 +85,7 @@ def _weighted_pinned():
     return topo, p, r
 
 
-#: ``(topology, p, r, chunk_size, sha256 of the matrix bytes)``. The
+#: ``(topology, p, r, ROW_CAP, sha256 of the matrix bytes)``. The
 #: collapse-DFS's row order, stack split points and flush boundaries fix
 #: its accumulation order, so any change to them shows here.
 PINNED = [
@@ -117,18 +119,20 @@ class TestCollapseDFSBytes:
         with density_cache.disabled():
             yield
 
-    @pytest.mark.parametrize("topo,p,r,chunk_size,digest", PINNED)
-    def test_bytes_are_pinned(self, topo, p, r, chunk_size, digest):
-        matrix = enumerate_density_matrix(topo, p, r, chunk_size=chunk_size)
+    @pytest.mark.parametrize("topo,p,r,row_cap,digest", PINNED)
+    def test_bytes_are_pinned(self, monkeypatch, topo, p, r, row_cap, digest):
+        monkeypatch.setattr(enumeration, "ROW_CAP", row_cap)
+        matrix = enumerate_density_matrix(topo, p, r)
         assert hashlib.sha256(matrix.tobytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("topo,p,r,chunk_size,digest", PINNED)
-    def test_pinned_matrix_is_exact(self, topo, p, r, chunk_size, digest):
-        matrix = enumerate_density_matrix(topo, p, r, chunk_size=chunk_size)
+    @pytest.mark.parametrize("topo,p,r,row_cap,digest", PINNED)
+    def test_pinned_matrix_is_exact(self, monkeypatch, topo, p, r, row_cap, digest):
+        monkeypatch.setattr(enumeration, "ROW_CAP", row_cap)
+        matrix = enumerate_density_matrix(topo, p, r)
         if topo.n_sites + topo.n_links > 22:
-            # 2^24 states cost the witness ~20 s; the ring's closed form
-            # is exact and shares no code with either kernel.
+            # 2^24 states cost the exact reference ~20 s; the ring's
+            # closed form is exact and shares no code with the kernel.
             reference = ring_density_matrix(topo, p, r)
         else:
-            reference = enumerate_density_matrix(topo, p, r, backend="exact-order")
+            reference = enumerate_density_matrix_exact_order(topo, p, r)
         assert np.abs(matrix - reference).max() <= 1e-12

@@ -7,6 +7,15 @@ from repro.errors import DensityError
 from repro.protocols.estimator import OnlineDensityEstimator
 
 
+def observe_one(est, site, votes, weight=1.0):
+    """One observation at one site: a one-hot ``observe_counts``."""
+    totals = np.zeros(est.n_sites, dtype=np.int64)
+    counts = np.zeros(est.n_sites)
+    totals[site] = votes
+    counts[site] = weight
+    est.observe_counts(totals, counts)
+
+
 class TestConstruction:
     def test_bad_args(self):
         with pytest.raises(DensityError):
@@ -22,9 +31,9 @@ class TestConstruction:
 class TestObserve:
     def test_single_observations(self):
         est = OnlineDensityEstimator(2, 4)
-        est.observe(0, 3)
-        est.observe(0, 3)
-        est.observe(0, 1)
+        observe_one(est, 0, 3)
+        observe_one(est, 0, 3)
+        observe_one(est, 0, 1)
         f = est.density(0)
         assert f[3] == pytest.approx(2 / 3)
         assert f[1] == pytest.approx(1 / 3)
@@ -32,11 +41,14 @@ class TestObserve:
     def test_observe_bounds(self):
         est = OnlineDensityEstimator(2, 4)
         with pytest.raises(DensityError):
-            est.observe(2, 0)
+            est.observe_counts(np.array([0, 5]), np.array([0.0, 1.0]))
         with pytest.raises(DensityError):
-            est.observe(0, 5)
+            est.observe_counts(np.array([-1, 0]), np.array([1.0, 0.0]))
         with pytest.raises(DensityError):
-            est.observe(0, 2, weight=-1.0)
+            est.observe_counts(np.array([2, 0]), np.array([-1.0, 0.0]))
+        with pytest.raises(DensityError):
+            est.observe_counts(np.array([2, 0]), 1.0)  # one count per site
+        assert est.total_weight == 0.0
 
     def test_observe_all_snapshot(self):
         est = OnlineDensityEstimator(3, 5)
@@ -118,7 +130,7 @@ class TestObserveEpochs:
     @pytest.mark.parametrize("forgetting_factor", [1.0, 0.9])
     def test_empty_block_changes_nothing(self, forgetting_factor):
         est = OnlineDensityEstimator(self.N_SITES, self.TOTAL_VOTES, forgetting_factor)
-        est.observe(0, 2, weight=3.0)
+        observe_one(est, 0, 2, weight=3.0)
         before = est._weights.copy()
         est.observe_epochs(np.empty((0, self.N_SITES), dtype=np.int64), np.empty(0))
         est.observe_epochs(np.empty((0, self.N_SITES), dtype=np.int64),
@@ -168,10 +180,10 @@ class TestReadout:
 
     def test_density_matrix_requires_full_coverage(self):
         est = OnlineDensityEstimator(2, 3)
-        est.observe(0, 1)
+        observe_one(est, 0, 1)
         with pytest.raises(DensityError):
             est.density_matrix()
-        est.observe(1, 2)
+        observe_one(est, 1, 2)
         matrix = est.density_matrix()
         np.testing.assert_allclose(matrix.sum(axis=1), 1.0)
 
@@ -182,7 +194,7 @@ class TestReadout:
 
     def test_reset(self):
         est = OnlineDensityEstimator(2, 3)
-        est.observe(0, 1)
+        observe_one(est, 0, 1)
         est.reset()
         assert est.total_weight == 0.0
 
@@ -192,11 +204,11 @@ class TestForgetting:
         fast = OnlineDensityEstimator(1, 4, forgetting_factor=0.5)
         slow = OnlineDensityEstimator(1, 4, forgetting_factor=1.0)
         for _ in range(50):
-            fast.observe(0, 4)
-            slow.observe(0, 4)
+            observe_one(fast, 0, 4)
+            observe_one(slow, 0, 4)
         for _ in range(10):
-            fast.observe(0, 1)
-            slow.observe(0, 1)
+            observe_one(fast, 0, 1)
+            observe_one(slow, 0, 1)
         # The forgetting estimator has essentially converged to the new
         # regime; the non-forgetting one is still dominated by history.
         assert fast.density(0)[1] > 0.95
@@ -204,8 +216,8 @@ class TestForgetting:
 
     def test_no_decay_when_factor_one(self):
         est = OnlineDensityEstimator(1, 2)
-        est.observe(0, 1)
-        est.observe(0, 2)
+        observe_one(est, 0, 1)
+        observe_one(est, 0, 2)
         assert est.total_weight == pytest.approx(2.0)
 
 
@@ -213,9 +225,9 @@ class TestMerge:
     def test_merge_combines_weights(self):
         a = OnlineDensityEstimator(2, 3)
         b = OnlineDensityEstimator(2, 3)
-        a.observe(0, 1)
-        b.observe(0, 3)
-        b.observe(1, 2)
+        observe_one(a, 0, 1)
+        observe_one(b, 0, 3)
+        observe_one(b, 1, 2)
         a.merge(b)
         assert a.density(0)[1] == pytest.approx(0.5)
         assert a.density(0)[3] == pytest.approx(0.5)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.protocols.estimator import OnlineDensityEstimator
+from tests.protocols.test_estimator import observe_one
 
 N_SITES = 4
 TOTAL_VOTES = 6
@@ -36,7 +37,7 @@ def _estimator(factor: float = 1.0) -> OnlineDensityEstimator:
 def _fed(stream, factor: float = 1.0) -> OnlineDensityEstimator:
     est = _estimator(factor)
     for site, votes, weight in stream:
-        est.observe(site, votes, weight)
+        observe_one(est, site, votes, weight)
     return est
 
 

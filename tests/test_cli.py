@@ -678,7 +678,7 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--profile", "quick")
         assert code == 0
         assert "0 failed" in out
-        assert "engine pairs (15)" in out
+        assert "engine pairs (11)" in out
 
     @pytest.mark.slow
     def test_real_injected_off_by_one_exits_one(self, capsys):

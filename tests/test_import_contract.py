@@ -74,7 +74,7 @@ after_import = loaded()
 
 import numpy as np
 from repro.analytic import closed_form_density
-from repro.analytic.enumeration import BACKENDS, enumerate_density_matrix
+from repro.analytic.enumeration import enumerate_density_matrix
 from repro.experiments.sweeps import find_majority_crossover, reliability_sweep
 from repro.quorum.availability import AvailabilityModel
 from repro.quorum.constraints import optimize_with_write_floor
@@ -85,8 +85,7 @@ density = closed_form_density("ring", 11, 0.96, 0.96)
 model = AvailabilityModel(density, density)
 optimal_read_quorum(model, 0.5)
 optimize_with_write_floor(model, 0.5, 0.01)
-for backend in BACKENDS:
-    enumerate_density_matrix(ring(5), 0.9, 0.8, backend=backend)
+enumerate_density_matrix(ring(5), 0.9, 0.8)
 optimize_votes(ring(4), 0.5, 0.9, 0.9, n_samples=50)
 for method in ("hillclimb", "exhaustive"):
     optimize_votes(ring(3), 0.5, 0.9, 0.9, method=method, n_samples=50)
@@ -224,18 +223,10 @@ def test_enum_backend_environment_variable_is_ignored(monkeypatch, value):
     with density_cache.disabled():
         monkeypatch.delenv("REPRO_ENUM_BACKEND", raising=False)
         baseline = enumerate_density_matrix(ring(6), 0.9, 0.8)
-        witness = enumerate_density_matrix(ring(6), 0.9, 0.8, backend="exact-order")
-        # The two kernels differ in the last bits here, so equal bytes
-        # below means the same kernel ran, not just a close answer.
-        assert not np.array_equal(baseline, witness)
 
         monkeypatch.setenv("REPRO_ENUM_BACKEND", value)
         assert resolve_backend() == "collapse-dfs"
         assert np.array_equal(enumerate_density_matrix(ring(6), 0.9, 0.8), baseline)
-        assert np.array_equal(
-            enumerate_density_matrix(ring(6), 0.9, 0.8, backend="exact-order"),
-            witness,
-        )
 
 
 def test_entry_points_expose_no_strategy_selector():
@@ -250,7 +241,8 @@ def test_entry_points_expose_no_strategy_selector():
     assert params(optimal_read_quorum) == {"model", "alpha"}
     assert not params(optimize_votes) & {"scoring", "backend", "use_jit"}
     for fn in (enumerate_density, enumerate_density_matrix):
-        assert not params(fn) & {"use_jit", "method", "scoring"}
+        assert not params(fn) & {"use_jit", "method", "scoring", "backend",
+                                 "chunk_size"}
     # optimize_votes' ``method`` is the vote search (hillclimb vs
     # exhaustive compositions), a different job from the Fig. 1 search.
     assert "method" in params(optimize_votes)

@@ -75,7 +75,7 @@ class TestQuickProfile:
 
     def test_summary_reports_coverage_and_drift(self, quick_report):
         text = quick_report.summary()
-        assert "engine pairs (15)" in text
+        assert "engine pairs (11)" in text
         assert "metamorphic relations (12)" in text
         assert "highest drift" in text
         assert "0 failed" in text
