@@ -6,12 +6,13 @@ quorum machinery needs from the network reduces to one vector: for each
 site, the total number of votes in its current component (a down site is
 "in a component of size zero", matching the paper's access accounting).
 
-``component_labels`` selects a union-find (sparse networks) or the block
-labeller (denser ones) from the link count. The block labeller contracts
-a topology's path into runs and labels them with numpy where most links
-are path links; only on the plain site graph of a dense network does it
-call scipy.sparse.csgraph, which it imports then, so a run that labels
-only sparse states never loads scipy.
+One network state is labelled by a flood over Python-int bitmasks of the
+live graph (``component_labels``), the same masks and search the
+incremental ``ComponentTracker`` keeps, so labelling one state, whatever
+its density, loads no scipy. Blocks of states go to the block labeller,
+which contracts a topology's path into runs and labels them with numpy
+where most links are path links; only on the plain site graph of a dense
+network does it call scipy.sparse.csgraph, which it imports then.
 """
 
 from repro.connectivity.components import (
@@ -19,9 +20,7 @@ from repro.connectivity.components import (
     batched_vote_histogram,
     batched_vote_totals,
     component_labels,
-    component_members,
     component_vote_totals,
-    votes_in_component_of,
 )
 from repro.connectivity.dynamic import ComponentTracker, NetworkState
 
@@ -32,7 +31,5 @@ __all__ = [
     "batched_vote_histogram",
     "batched_vote_totals",
     "component_labels",
-    "component_members",
     "component_vote_totals",
-    "votes_in_component_of",
 ]

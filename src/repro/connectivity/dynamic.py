@@ -7,25 +7,28 @@ vector and invalidates it on mutation, so component maintenance runs
 exactly once per network change regardless of how many accesses land in
 the interval.
 
-Maintenance is *incremental* (DESIGN.md §8): :class:`NetworkState`
-remembers its last flip, and when exactly that one flip separates the
-tracker from the state the tracker applies it instead of relabelling the
-whole graph:
+The tracker keeps the live graph as one Python-int adjacency bitmask per
+site plus a mask of the up sites (``components._live_masks``). A full
+recompute builds them and floods them (``components._flood``, the
+labeller behind :func:`~repro.connectivity.components.component_labels`).
+After that, maintenance is *incremental* (DESIGN.md §8):
+:class:`NetworkState` remembers its last flip, and when exactly that one
+flip separates the tracker from the state the tracker XORs it into the
+masks and applies it instead of relabelling the whole graph:
 
 - a **recovery** event (site or link comes up) can only *merge*
   components — the tracker unions the affected components with a
   vectorized label rewrite, never touching the edge list;
 - a **failure** event can only *split* the component containing the
-  failed element — the tracker floods the live graph, kept as one
-  Python-int adjacency bitmask per site, from one side of the failure
-  and stops the moment it meets the other side (still joined: nothing
-  changes); only a flood that exhausts first carves the sites it
+  failed element — the tracker floods the masks from one side of the
+  failure and stops the moment it meets the other side (still joined:
+  nothing changes); only a flood that exhausts first carves the sites it
   reached off under a fresh id;
 - anything else — several flips between reads, a tracker attached
-  mid-run — takes the full
-  :func:`~repro.connectivity.components.component_labels` recompute,
-  which doubles as the correctness oracle (``audit_interval`` cross-checks
-  the incremental state against it periodically).
+  mid-run — takes the full recompute. ``audit_interval`` cross-checks the
+  incremental state against the block labeller
+  (:func:`~repro.connectivity.components.batched_component_labels`),
+  which shares no code with the flood, every N incremental refreshes.
 
 Labels stay on the documented contract (consecutive ids ``0..k-1`` over
 up sites, ``-1`` for down sites) by construction: a split takes id ``k``,
@@ -40,7 +43,9 @@ import numpy as np
 
 from repro.connectivity.components import (
     DOWN_LABEL,
-    component_labels,
+    _flood,
+    _live_masks,
+    batched_component_labels,
     component_vote_totals,
 )
 from repro.errors import TopologyError
@@ -147,31 +152,15 @@ class NetworkState:
         return NetworkState(self.topology, self.site_up, self.link_up)
 
 
-def _live_masks(state: NetworkState) -> Tuple[List[int], int]:
-    """``state``'s live graph as bitmasks: bit ``j`` of ``adj[i]`` is set iff
-    an *up* link joins ``i`` and ``j`` (whatever the sites' state), and bit
-    ``i`` of ``up`` iff site ``i`` is up."""
-    n = state.topology.n_sites
-    u, v = state.topology.link_endpoint_arrays()
-    u, v = u[state.link_up], v[state.link_up]
-    bits = np.zeros((n + 1, n), dtype=bool)
-    bits[u, v] = bits[v, u] = True
-    bits[n] = state.site_up  # packed with the rest, as one more row
-    masks = [int.from_bytes(row.tobytes(), "little")
-             for row in np.packbits(bits, axis=1, bitorder="little")]
-    return masks[:n], masks[n]
-
-
 class ComponentTracker:
     """Maintains component labels and vote totals for a :class:`NetworkState`.
 
     All getters refresh lazily when the underlying state's version has
     moved; between network changes they are O(1). A refresh that is
     exactly one flip behind applies it incrementally (merge on recovery,
-    bounded flood on failure); any wider gap takes the full recompute.
-    The flood's bitmasks (:func:`_live_masks`) are built on the first
-    incremental refresh after a full recompute — a tracker read once and
-    dropped never pays for them — and then follow every flip with an XOR.
+    bounded flood on failure); any wider gap takes the full recompute,
+    which builds the live graph's bitmasks and floods them. The masks then
+    follow every flip with an XOR.
 
     Returned arrays are never mutated afterwards: a refresh copies them
     on its first real change, and one that changes nothing (a failure
@@ -184,7 +173,7 @@ class ComponentTracker:
     gives each item its own quorum space over a single failure process.
 
     ``audit_interval`` (0 = off) cross-checks the incrementally
-    maintained state against the full relabel (and the bitmasks against
+    maintained state against the block labeller (and the bitmasks against
     the state's masks) every N incremental refreshes, raising
     :class:`~repro.errors.TopologyError` on any divergence — the
     correctness oracle for tests and paranoid runs.
@@ -216,9 +205,9 @@ class ComponentTracker:
         self._cached_version = -1
         self._labels: Optional[np.ndarray] = None
         self._vote_totals: Optional[np.ndarray] = None
-        #: The live graph as bitmasks (:func:`_live_masks`); ``None`` until
-        #: the first incremental refresh after a full recompute.
-        self._adj: Optional[List[int]] = None
+        #: The live graph as bitmasks (``components._live_masks``), built by
+        #: every full recompute.
+        self._adj: List[int] = []
         self._up = 0
         #: ``k``: the ids ``0..k-1`` are exactly the labels in use.
         self._n_components = 0
@@ -254,17 +243,17 @@ class ComponentTracker:
         self._cached_version = state.version
 
     def _full_recompute(self) -> None:
-        topo = self.state.topology
-        self._labels = component_labels(topo, self.state.site_up, self.state.link_up)
+        state = self.state
+        self._adj, self._up = _live_masks(state.topology, state.site_up, state.link_up)
+        self._labels, self._n_components = _flood(self._adj, self._up)
         self._vote_totals = component_vote_totals(self._labels, self.votes)
-        self._n_components = int(self._labels.max()) + 1 if self._labels.size else 0
-        self._adj = None  # flips were skipped: rebuilt when next needed
         self.n_full += 1
 
     def _audit(self) -> None:
-        """Assert the incremental state matches the full relabel (oracle)."""
-        topo = self.state.topology
-        oracle_labels = component_labels(topo, self.state.site_up, self.state.link_up)
+        """Assert the incremental state matches the block labeller (oracle)."""
+        state = self.state
+        oracle_labels = batched_component_labels(
+            state.topology, state.site_up[None], state.link_up[None])[0]
         oracle_totals = component_vote_totals(oracle_labels, self.votes)
         assert self._labels is not None and self._vote_totals is not None
         same_down = np.array_equal(self._labels < 0, oracle_labels < 0)
@@ -275,19 +264,18 @@ class ComponentTracker:
         ).shape[1] if up.any() else 0
         ours = np.unique(self._labels[up]).size if up.any() else 0
         theirs = np.unique(oracle_labels[up]).size if up.any() else 0
-        adj, up_mask = _live_masks(self.state)
-        unbuilt = self._adj is None
+        adj, up_mask = _live_masks(state.topology, state.site_up, state.link_up)
         diverged = [name for name, same in (
             ("labels", same_down and pairs == ours == theirs),
             ("totals", np.array_equal(self._vote_totals, oracle_totals)),
-            ("_up", unbuilt or self._up == up_mask),
-            ("_adj", unbuilt or self._adj == adj),
+            ("_up", self._up == up_mask),
+            ("_adj", self._adj == adj),
         ) if not same]
         if diverged:
             raise TopologyError(
                 f"incremental component state diverged in {', '.join(diverged)} "
-                f"from the full relabel and the state's masks (version "
-                f"{self.state.version}): labels {self._labels.tolist()} "
+                f"from the block labeller and the state's masks (version "
+                f"{state.version}): labels {self._labels.tolist()} "
                 f"vs oracle {oracle_labels.tolist()}, totals "
                 f"{self._vote_totals.tolist()} vs {oracle_totals.tolist()}"
             )
@@ -306,13 +294,8 @@ class ComponentTracker:
     def _apply_change(self, change: NetworkChange) -> None:
         if change.up == change.was_up:
             return  # no-op flip: version moved, structure did not
-        fresh = self._adj is None
-        if fresh:
-            # The state's masks already include this flip.
-            self._adj, self._up = _live_masks(self.state)
         if change.kind == "site":
-            if not fresh:
-                self._up ^= 1 << change.index
+            self._up ^= 1 << change.index
             if change.up:
                 self._attach_site(change.index)
             else:
@@ -320,11 +303,10 @@ class ComponentTracker:
             return
         link = self.state.topology.links[change.index]
         a, b = link.a, link.b
-        if not fresh:
-            # Before the return below: a link that flips under a down site
-            # must be known when the site comes back.
-            self._adj[a] ^= 1 << b
-            self._adj[b] ^= 1 << a
+        # Before the return below: a link that flips under a down site
+        # must be known when the site comes back.
+        self._adj[a] ^= 1 << b
+        self._adj[b] ^= 1 << a
         if not ((self._up >> a) & (self._up >> b) & 1):
             return  # a detached endpoint: the link carries no connectivity
         if change.up:

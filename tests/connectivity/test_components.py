@@ -5,12 +5,9 @@ import pytest
 
 from repro.connectivity.components import (
     DOWN_LABEL,
-    _labels_csgraph,
-    _labels_unionfind,
+    batched_component_labels,
     component_labels,
-    component_members,
     component_vote_totals,
-    votes_in_component_of,
 )
 from repro.errors import TopologyError
 from repro.topology.generators import fully_connected, ring
@@ -77,14 +74,15 @@ class TestComponentLabels:
 class TestBackendAgreement:
     @pytest.mark.parametrize("seed", range(8))
     def test_unionfind_matches_csgraph_on_random_states(self, seed):
+        # The name is older than the flood: the two single-state labellers
+        # are now the flood and the B = 1 block, and with the independent
+        # witness they keep one label contract, entry for entry.
         rng = np.random.default_rng(seed)
         topo = fully_connected(9)
         site_up = rng.random(topo.n_sites) < 0.7
         link_up = rng.random(topo.n_links) < 0.5
-        # Both sides of component_labels' link-count dispatch, and the
-        # independent witness: one label contract, entry for entry.
-        a = _labels_unionfind(topo, site_up, link_up)
-        b = _labels_csgraph(topo, site_up, link_up)
+        a = component_labels(topo, site_up, link_up)
+        b = batched_component_labels(topo, site_up[None], link_up[None])[0]
         assert np.array_equal(a, b)
         assert np.array_equal(
             a, minlabel_component_labels(topo, site_up, link_up))
@@ -111,48 +109,12 @@ class TestVoteTotals:
         with pytest.raises(TopologyError):
             component_vote_totals(np.array([0, 0]), np.array([1, 1, 1]))
 
-    def test_votes_in_component_of(self):
-        topo = ring(5)
-        site_up, link_up = all_up(topo)
-        assert votes_in_component_of(topo, 0, site_up, link_up) == 5
-        site_up[0] = False
-        assert votes_in_component_of(topo, 0, site_up, link_up) == 0
-
-    def test_votes_in_component_unknown_site(self):
-        topo = ring(5)
-        with pytest.raises(TopologyError):
-            votes_in_component_of(topo, 9, *all_up(topo))
-
-
-class TestComponentMembers:
-    def test_groups_match_labels(self):
-        topo = ring(6)
-        site_up, link_up = all_up(topo)
-        link_up[topo.link_id(0, 1)] = False
-        link_up[topo.link_id(2, 3)] = False
-        labels = component_labels(topo, site_up, link_up)
-        groups = component_members(labels)
-        rebuilt = np.full(6, -2)
-        for c, members in enumerate(groups):
-            rebuilt[members] = c
-        assert (rebuilt == labels).all()
-
-    def test_down_sites_excluded(self):
-        topo = ring(4)
-        site_up = np.array([True, False, True, True])
-        labels = component_labels(topo, site_up, np.ones(4, bool))
-        groups = component_members(labels)
-        assert all(1 not in g for g in groups)
-        assert sum(len(g) for g in groups) == 3
-
 
 class TestBatchedLabels:
     """batched_component_labels / batched_vote_totals vs the scalar path."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_batched_labels_match_scalar_partition(self, seed):
-        from repro.connectivity.components import batched_component_labels
-
         rng = np.random.default_rng(seed)
         topo = ring(8)
         site_masks = rng.random((12, topo.n_sites)) < 0.7

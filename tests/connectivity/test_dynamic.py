@@ -242,7 +242,7 @@ class TestAuditCoversTheMasks:
     def test_corrupted_up_mask_raises_at_the_next_refresh(self):
         state, tracker = _primed(ring(6), audit_interval=1)
         state.fail_site(0)
-        tracker.labels  # builds the masks; the audit passes
+        tracker.labels  # the audit passes
         tracker._up ^= 1 << 3
         state.repair_site(0)
         with pytest.raises(TopologyError, match=r"diverged in _up from"):

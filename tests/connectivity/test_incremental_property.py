@@ -1,32 +1,39 @@
-"""Property tests: incremental ComponentTracker vs the full-relabel oracle.
+"""Property tests: incremental ComponentTracker vs an independent labeller.
 
 The incremental path (DESIGN.md §8) applies one site/link flip at a time
-— merge on recovery, bounded reachability search on failure — with the
-full ``component_labels`` recompute kept as the correctness oracle. These
-tests drive ComponentTracker through arbitrary random fail/repair
+— merge on recovery, bounded reachability search on failure — and a
+wider gap takes the full recompute, the flood behind ``component_labels``.
+These tests drive ComponentTracker through arbitrary random fail/repair
 sequences on ring, complete, irregular and the paper's dense 101-site
-topologies and require exact agreement with that recompute at every step.
+topologies and require exact agreement, at every step, with
+``minlabel_component_labels`` (``tests/oracles.py``), which shares no code
+with the flood.
 
-The failure path floods bitmasks the tracker packs from the state's
-boolean masks, so the topologies also sit on both sides of that packing's
-byte boundaries (1, 8, 16, 64, 65 sites), and every sequence runs under a
-drawn vote vector.
+The tracker floods bitmasks it packs from the state's boolean masks, so
+the topologies also sit on both sides of that packing's byte and word
+boundaries (1, 8, 16, 64, 65 sites), and every sequence runs under a
+drawn vote vector. The tracker's own audit (``audit_interval=1``, checked
+against the block labeller) walks the paper's complete graph and a
+chorded 101-site ring.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.connectivity.components import component_labels, component_vote_totals
+from repro.connectivity.components import component_vote_totals
 from repro.connectivity.dynamic import ComponentTracker, NetworkState
 from repro.topology.generators import (
     erdos_renyi,
     fully_connected,
     paper_topology,
     ring,
+    ring_with_chords,
     star,
 )
 from repro.topology.model import Topology
+from tests.oracles import minlabel_component_labels
 
 TOPOLOGIES = {
     "ring": lambda: ring(9),
@@ -58,8 +65,8 @@ def _naive_masks(state: NetworkState):
 
 
 def _assert_matches_oracle(tracker: ComponentTracker, state: NetworkState) -> None:
-    """Labels must match the full recompute up to a component bijection."""
-    expected = component_labels(state.topology, state.site_up, state.link_up)
+    """Labels must match the oracle's up to a component bijection."""
+    expected = minlabel_component_labels(state.topology, state.site_up, state.link_up)
     actual = tracker.labels
     assert actual.shape == expected.shape
     # Down sites agree exactly (-1); up sites agree up to renaming.
@@ -76,8 +83,7 @@ def _assert_matches_oracle(tracker: ComponentTracker, state: NetworkState) -> No
         assert sorted(set(up_labels)) == list(range(up_labels.max() + 1))
     expected_votes = component_vote_totals(expected, tracker.votes)
     assert np.array_equal(tracker.vote_totals, expected_votes)
-    if tracker._adj is not None:
-        assert (tracker._adj, tracker._up) == _naive_masks(state)
+    assert (tracker._adj, tracker._up) == _naive_masks(state)
 
 
 @st.composite
@@ -234,4 +240,29 @@ def test_burst_changes_fall_back_to_full_recompute(flips, topo_name):
     tracker.labels
     for raw_index, up in flips:
         state.set_site(raw_index % topology.n_sites, up)
+    _assert_matches_oracle(tracker, state)
+
+
+@pytest.mark.parametrize("topology, r", [
+    # At r = .03 the complete graph's live links average three per site,
+    # so its flips split and merge components.
+    (fully_connected(101), 0.03),
+    (ring_with_chords(101, 8), 0.9),
+], ids=["complete-101", "ring-101-8-chords"])
+def test_audited_walk_on_101_sites(topology, r):
+    """Every refresh of a 300-flip walk is audited against the block labeller;
+    every 25th read is two flips behind, so full recomputes are audited too."""
+    n, n_links = topology.n_sites, topology.n_links
+    rng = np.random.default_rng(101)
+    state = NetworkState(topology, rng.random(n) < 0.9, rng.random(n_links) < r)
+    tracker = ComponentTracker(state, audit_interval=1)
+    tracker.labels
+    for step in range(300):
+        for _ in range(1 + (step % 25 == 24)):
+            if rng.random() < 0.5:
+                state.set_site(int(rng.integers(n)), bool(rng.random() < 0.9))
+            else:
+                state.set_link(int(rng.integers(n_links)), bool(rng.random() < r))
+        tracker.labels  # raises TopologyError if the audit finds divergence
+    assert tracker.n_incremental == 288 and tracker.n_full == 13
     _assert_matches_oracle(tracker, state)

@@ -38,7 +38,7 @@ def minlabel_component_labels(topology, site_up, link_up):
     over up sites in first-seen order, :data:`DOWN_LABEL` for down sites
     — because a component's representative is its minimum site index,
     and scanning sites in ascending order first meets each component at
-    that minimum. Shares no code with the union-find or the csgraph
+    that minimum. Shares no code with the bitmask flood or the block
     labeller, which is what makes it their witness.
     """
     site_up = np.asarray(site_up, dtype=bool)

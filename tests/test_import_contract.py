@@ -33,9 +33,10 @@ There is one fault layer: a schedule is a list of events from the one
 scenario table that ``repro chaos`` and ``repro serve`` share, and the
 injector classes, the retry policy and the breaker config are gone.
 numpy is the one module-level third-party import: scipy is imported by
-the labelling, closed-form and t-interval functions that call it, so a
-sparse simulation, a chaos campaign, a serve run and the ring optimizer
-load no scipy module, and those calls do.
+the block labelling, closed-form and t-interval functions that call it,
+so a simulation (the complete graph's included: one state is labelled by
+a flood), a chaos campaign, a serve run and the ring optimizer load no
+scipy module, and those calls do.
 """
 
 import ast
@@ -145,6 +146,17 @@ run_simulation(TEST_SCALE.config(0, alpha=0.5, seed=1, topology=chorded),
 from repro.experiments.figures import figure_data
 from repro.topology.generators import paper_topology
 figure_data(topology=paper_topology(16), scale=TEST_SCALE, seed=1)
+# The complete graph: its tracker labels one state at a time, by flood.
+from repro.experiments.paper import ExperimentScale
+complete = ExperimentScale("probe", 101, warmup_accesses=100.0,
+                           accesses_per_batch=300.0, n_batches=1)
+run_simulation(complete.config(4949, alpha=0.5, seed=1), MajorityConsensusProtocol(101))
+import numpy as np
+from repro.connectivity.components import component_labels
+dense = fully_connected(40)
+assert dense.n_links == 780
+labels = component_labels(dense, np.ones(40, dtype=bool), np.ones(780, dtype=bool))
+assert (labels == labels[0]).all()
 stages["run_simulation"] = scipy_loaded()
 
 from repro.faults.chaos import run_chaos_campaign
@@ -170,17 +182,13 @@ density = closed_form_density("ring", 11, 0.96, 0.96)
 optimal_read_quorum(AvailabilityModel(density, density), 0.5)
 stages["ring closed form + optimal_read_quorum"] = scipy_loaded()
 
-import numpy as np
 from repro.analytic.montecarlo import montecarlo_density_matrix
-from repro.connectivity.components import component_labels
 from repro.simulation.stats import student_t_half_width
 montecarlo_density_matrix(ring(5), 0.9, 0.9, n_samples=64, seed=1)
 closed_form_density("complete", 9, 0.9, 0.9)
 assert student_t_half_width([0.5, 0.6]) > 0
-dense = fully_connected(40)
-assert dense.n_links == 780
-labels = component_labels(dense, np.ones(40, dtype=bool), np.ones(780, dtype=bool))
-assert (labels == labels[0]).all()
+# The site graph of a dense network is the block labeller's csgraph call.
+montecarlo_density_matrix(fully_connected(40), 0.9, 0.9, n_samples=64, seed=1)
 stages["scipy callers"] = scipy_loaded()
 print(json.dumps(stages))
 """
