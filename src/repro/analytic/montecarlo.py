@@ -12,8 +12,8 @@ row sub-blocks of at most ``SLOT_BUDGET`` link slots
 (:func:`~repro.connectivity.components.sub_blocks`; one sub-block per
 block on every sparse paper topology), each drawn just before it is
 labelled in one call over its runs of consecutive up sites (a numpy union
-on sparse topologies, csgraph on dense ones); this module owns no
-labelling or binning code.
+on sparse topologies, a bitmask flood per state on dense ones); this
+module owns no labelling or binning code.
 Counts are summed as soon as they exist, and each block's generator is
 made when the block starts (:class:`~repro.rng.Substreams`), so memory
 grows with neither ``n_samples`` nor the block's slot count. Blocks draw

@@ -485,12 +485,6 @@ _PROFILE_SITES = {
 }
 
 
-#: Targets that label sampled blocks. They import scipy's csgraph before
-#: the recorder opens, so no ``*.label`` phase books that first import
-#: (0.42 s of the 0.45 s ``votes`` target); the others load no scipy.
-_PROFILE_LABELLERS = ("montecarlo", "votes")
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -516,8 +510,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             raise ReproError(f"--sites must be >= {least} for the {args.target} "
                              f"target, got {args.sites}")
     runner = _PROFILE_TARGETS[args.target]
-    if args.target in _PROFILE_LABELLERS:
-        import scipy.sparse.csgraph  # noqa: F401
     telemetry = Telemetry(max_spans=50_000)
     with _use_telemetry(telemetry):
         with telemetry.span(f"profile.{args.target}", seed=args.seed):

@@ -8,11 +8,11 @@ site, the total number of votes in its current component (a down site is
 
 One network state is labelled by a flood over Python-int bitmasks of the
 live graph (``component_labels``), the same masks and search the
-incremental ``ComponentTracker`` keeps, so labelling one state, whatever
-its density, loads no scipy. Blocks of states go to the block labeller,
-which contracts a topology's path into runs and labels them with numpy
-where most links are path links; only on the plain site graph of a dense
-network does it call scipy.sparse.csgraph, which it imports then.
+incremental ``ComponentTracker`` keeps. Blocks of states go to the block
+labeller, which contracts a topology's path into runs and labels them
+with a numpy union where enough links are path links; on a dense network
+it floods each state's bitmasks, on any other it takes the union over the
+site graph. Neither imports scipy.
 """
 
 from repro.connectivity.components import (

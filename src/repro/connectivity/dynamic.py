@@ -26,9 +26,9 @@ masks and applies it instead of relabelling the whole graph:
   reached off under a fresh id;
 - anything else — several flips between reads, a tracker attached
   mid-run — takes the full recompute. ``audit_interval`` cross-checks the
-  incremental state against the block labeller
-  (:func:`~repro.connectivity.components.batched_component_labels`),
-  which shares no code with the flood, every N incremental refreshes.
+  incremental state against the numpy union over the plain site graph
+  (``components._union_runs``), which shares no code with the flood,
+  every N incremental refreshes.
 
 Labels stay on the documented contract (consecutive ids ``0..k-1`` over
 up sites, ``-1`` for down sites) by construction: a split takes id ``k``,
@@ -43,9 +43,10 @@ import numpy as np
 
 from repro.connectivity.components import (
     DOWN_LABEL,
+    _compact_labels,
     _flood,
     _live_masks,
-    batched_component_labels,
+    _union_runs,
     component_vote_totals,
 )
 from repro.errors import TopologyError
@@ -173,8 +174,9 @@ class ComponentTracker:
     gives each item its own quorum space over a single failure process.
 
     ``audit_interval`` (0 = off) cross-checks the incrementally
-    maintained state against the block labeller (and the bitmasks against
-    the state's masks) every N incremental refreshes, raising
+    maintained state against the union over the site graph (and the
+    bitmasks against the state's masks) every N incremental refreshes,
+    raising
     :class:`~repro.errors.TopologyError` on any divergence — the
     correctness oracle for tests and paranoid runs.
     """
@@ -250,10 +252,13 @@ class ComponentTracker:
         self.n_full += 1
 
     def _audit(self) -> None:
-        """Assert the incremental state matches the block labeller (oracle)."""
+        """Assert the incremental state matches the union over the site
+        graph (oracle), which the flood of a dense block does not share."""
         state = self.state
-        oracle_labels = batched_component_labels(
-            state.topology, state.site_up[None], state.link_up[None])[0]
+        u, v = state.topology.link_endpoint_arrays()
+        usable = state.link_up & state.site_up[u] & state.site_up[v]
+        oracle_labels = _compact_labels(
+            *_union_runs(state.topology.n_sites, u[usable], v[usable]), state.site_up)
         oracle_totals = component_vote_totals(oracle_labels, self.votes)
         assert self._labels is not None and self._vote_totals is not None
         same_down = np.array_equal(self._labels < 0, oracle_labels < 0)
@@ -274,7 +279,7 @@ class ComponentTracker:
         if diverged:
             raise TopologyError(
                 f"incremental component state diverged in {', '.join(diverged)} "
-                f"from the block labeller and the state's masks (version "
+                f"from the site-graph union and the state's masks (version "
                 f"{state.version}): labels {self._labels.tolist()} "
                 f"vs oracle {oracle_labels.tolist()}, totals "
                 f"{self._vote_totals.tolist()} vs {oracle_totals.tolist()}"

@@ -12,32 +12,33 @@ each gate below names one piece of plumbing that must not come back:
   broadcasting (no ``numpy.tile``); a larger block is one such call per
   sub-block (``test_sampler_streaming.py``);
 * on a sparse paper topology that call is the numpy union over runs of
-  consecutive up sites (``components._union_runs``), not csgraph, so the
-  one scan of the draw is the ``flatnonzero`` that finds the run starts,
-  once per block;
-* nothing in a block loops over states at Python level, and the union's
-  rounds make no call: a 1 024-state block makes exactly the calls a
-  256-state block makes;
+  consecutive up sites (``components._union_runs``), not the flood, so
+  the one scan of the draw is the ``flatnonzero`` that finds the run
+  starts, once per block;
+* nothing in such a block loops over states at Python level, and the
+  union's rounds make no call: a 1 024-state block makes exactly the
+  calls a 256-state block makes;
+* on the complete graph each sub-block is one flood call
+  (``components._flood_block``): one ``packbits`` of its bit matrix and
+  one ``_flood`` per state, no union;
 * a stratum's conditional draw is a table lookup per fallible component
   (``take``, ``less``, ``-=``), not a recomputation of the conditional
   law: at most 4 profiler-visible calls per component.
 
-``connected_components`` is compiled without profiler hooks, so it is
-counted through a wrapper; everything else is read off the profile.
+Everything is read off the profile; no scipy function is called.
 """
 
 import cProfile
 import pstats
 
 import numpy as np
-import pytest
-from scipy.sparse import csgraph
 
 from repro.analytic.montecarlo import _chunk_counts
 from repro.analytic.variance import (
     _conditional_failure_masks,
     _conditional_failure_table,
 )
+from repro.connectivity.components import sub_blocks
 from repro.rng import as_generator
 from repro.topology.generators import paper_topology
 
@@ -71,24 +72,30 @@ def block_profile(batch_size):
     return profile(run)
 
 
-def test_one_block_is_one_labelling_call_on_a_direct_csr_graph(monkeypatch):
-    labelled = []
-
-    def counted(graph, **kwargs):
-        labelled.append((graph.format, graph.nnz))
-        return real(graph, **kwargs)
-
-    # ``_label_runs`` imports the labeller when called, so the
-    # wrapper goes where that import reads it.
-    real = csgraph.connected_components
-    monkeypatch.setattr(csgraph, "connected_components", counted)
+def test_one_block_is_one_labelling_call_on_a_direct_csr_graph():
     stats = block_profile(256)
-    # The contracted path is labelled by the union, csgraph not at all.
-    assert labelled == []
+    # The contracted path is labelled by the union, the flood not at all.
     assert calls_named(stats, "components.py", "_union_runs") == 1
+    assert calls_named(stats, "components.py", "_flood_block") == 0
     assert calls_named(stats, "_coo.py", "__init__") == 0
     assert calls_named(stats, "numpy", "tile") == 0
     assert calls_named(stats, "", "flatnonzero") == 1
+
+
+def test_a_complete_graph_sub_block_is_one_flood_per_state():
+    topology = paper_topology(4949)
+    site_rel = np.full(topology.n_sites, 0.96)
+    link_rel = np.full(topology.n_links, 0.96)
+    run = lambda: _chunk_counts(  # noqa: E731
+        topology, site_rel, link_rel, 25, as_generator(3))
+    run()
+    stats = profile(run)
+    assert sub_blocks(topology, 25) == [slice(0, 25)]
+    assert calls_named(stats, "components.py", "_flood_block") == 1
+    assert calls_named(stats, "components.py", "_flood") == 25
+    assert calls_named(stats, "components.py", "_adjacency_rows") == 1
+    assert calls_named(stats, "", "packbits") == 1
+    assert calls_named(stats, "components.py", "_union_runs") == 0
 
 
 def test_block_call_count_does_not_grow_with_batch_size():

@@ -55,6 +55,19 @@ class TestStreamedMemory:
             topology, 0.96, 0.96, n_samples=512, seed=1))
         assert peak <= 8 * MiB, f"{peak / MiB:.1f} MiB"
 
+    def test_a_complete_graph_histogram_holds_one_sub_block_of_bits(self):
+        # 256 states of the 101-site complete graph, labelled in 11
+        # sub-blocks of 23-24 states. Traced 3.0 MiB as csgraph calls on
+        # the site graph; 0.71 MiB flooded, of which one sub-block's
+        # (24, 101, 128) bit matrix is 0.30 MiB.
+        topology = paper_topology(4949)
+        rng = np.random.default_rng(2)
+        site_masks = rng.random((256, topology.n_sites)) < 0.96
+        link_masks = rng.random((256, topology.n_links)) < 0.96
+        peak = traced_peak(lambda: batched_vote_histogram(
+            topology, site_masks, link_masks))
+        assert peak <= MiB, f"{peak / MiB:.2f} MiB"
+
     def test_memory_does_not_grow_with_n_samples(self):
         # 7.2 -> 63.3 MiB when every block's count matrix was kept, and
         # 1.30 -> 1.92 MiB while every block's generator was spawned up
@@ -81,14 +94,14 @@ class TestStreamedMemory:
 
 @pytest.fixture
 def labelling_calls(monkeypatch):
-    """The block labeller's calls (union or csgraph), as their chord slots."""
+    """The block labeller's calls (union or flood), as their chord slots."""
     calls = []
     real = components._label_runs
 
-    def counted(topology, site_masks, link_masks, *args):
+    def counted(topology, site_masks, link_masks):
         n_chords = components._run_layout(topology).chord_u.shape[0]
         calls.append(site_masks.shape[0] * n_chords)
-        return real(topology, site_masks, link_masks, *args)
+        return real(topology, site_masks, link_masks)
 
     monkeypatch.setattr(components, "_label_runs", counted)
     return calls

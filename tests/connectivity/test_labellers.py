@@ -18,11 +18,15 @@ of ``usable_links_raw_labels`` (``tests/oracles.py``),
 which builds a graph of the usable links only, and bitwise its histogram
 once that oracle's labels are binned site by site. The builder contracts
 runs of path links ``(i, i + 1)`` on topologies that have enough of them
-(``components.CONTRACT_PATH_SHARE``); each builder gate runs with the
-contraction forced on, with the shipped rule and with it forced off, over
+(``components.CONTRACT_PATH_SHARE``); an uncontracted block is flooded a
+state at a time on a dense graph (``components.FLOOD_LINK_SHARE``) and
+labelled by the union over its site graph otherwise. Each builder gate
+runs every route: the contraction forced on, the shipped rule, and the
+contraction forced off with the flood forced on and forced off, over
 topologies renumbered so that they keep many, few or no path links.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -233,12 +237,31 @@ def fresh(topo):
                     votes=topo.votes, name=topo.name)
 
 
+#: ``(CONTRACT_PATH_SHARE, FLOOD_LINK_SHARE)`` of each route: contracted
+#: (every topology that has a path link), the shipped rule, and an
+#: uncontracted block flooded or taken by the site-graph union.
+ROUTES = {
+    "contracted": (0.0, math.inf),
+    "shipped": (components.CONTRACT_PATH_SHARE, components.FLOOD_LINK_SHARE),
+    "flood": (math.inf, 0.0),
+    "site-union": (math.inf, math.inf),
+}
+
+
+@contextlib.contextmanager
+def routed(route):
+    """Force ``route`` on the topologies first labelled inside the block."""
+    contract, flood = ROUTES[route]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(components, "CONTRACT_PATH_SHARE", contract)
+        patch.setattr(components, "FLOOD_LINK_SHARE", flood)
+        yield
+
+
 def on_each_side(check, topo, *masks):
-    """``check`` with the contraction forced on (every topology that has a
-    path link), under the shipped rule, and forced off."""
-    for share in (0.0, components.CONTRACT_PATH_SHARE, math.inf):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(components, "CONTRACT_PATH_SHARE", share)
+    """``check`` on every route, each on a fresh copy of ``topo``."""
+    for route in ROUTES:
+        with routed(route):
             check(topo, *masks)
 
 
@@ -273,6 +296,10 @@ def block_masks(topo, B, state, seed=0):
         return np.ones((B, topo.n_sites), bool), np.ones((B, topo.n_links), bool)
     if state == "all-down":
         return np.zeros((B, topo.n_sites), bool), np.zeros((B, topo.n_links), bool)
+    if state == "sites-down":
+        return np.zeros((B, topo.n_sites), bool), np.ones((B, topo.n_links), bool)
+    if state == "links-down":
+        return np.ones((B, topo.n_sites), bool), np.zeros((B, topo.n_links), bool)
     rng = np.random.default_rng(seed)
     p, r = rng.random(2)
     return (rng.random((B, topo.n_sites)) < p, rng.random((B, topo.n_links)) < r)
@@ -284,6 +311,17 @@ def assert_builder_matches_oracle(topo, site_masks, link_masks):
     assert n_comp == want_comp
     assert raw.dtype == want_raw.dtype
     np.testing.assert_array_equal(raw, want_raw)
+
+
+def assert_block_matches_minlabel(topo, site_masks, link_masks):
+    labels = batched_component_labels(fresh(topo), site_masks, link_masks)
+    for got, site_up, link_up in zip(labels, site_masks, link_masks):
+        # Block ids are batch-global and ascend state by state.
+        up = got >= 0
+        if up.any():
+            got[up] -= got[up].min()
+        np.testing.assert_array_equal(
+            got, minlabel_component_labels(topo, site_up, link_up))
 
 
 def assert_histogram_matches_oracle(topo, site_masks, link_masks):
@@ -339,3 +377,68 @@ EDGE_TOPOLOGIES = [
 def test_block_builder_edge_cases(topo, B, state):
     on_each_side(assert_builder_matches_oracle, topo, *block_masks(topo, B, state))
     on_each_side(assert_histogram_matches_oracle, topo, *block_masks(topo, B, state))
+
+
+@pytest.mark.parametrize("route", ["flood", "site-union"])
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(random_topologies(min_sites=1, min_links=0), relabelled_topologies()),
+       st.sampled_from([1, 3, 40]),
+       st.sampled_from(["random", "all-up", "sites-down", "links-down"]),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_each_uncontracted_route_is_bitwise_both_oracles(route, topo, B, state, seed):
+    masks = block_masks(topo, B, state, seed)
+    with routed(route):
+        assert_builder_matches_oracle(topo, *masks)
+        assert_block_matches_minlabel(topo, *masks)
+        assert_histogram_matches_oracle(topo, *masks)
+
+
+WORD_EDGE_TOPOLOGIES = [
+    Topology(1, [], name="one-site"),
+    fully_connected(63),
+    fully_connected(64),
+    fully_connected(65, votes=[s % 3 for s in range(65)]).with_name("zero-votes-65"),
+    ring_with_chords(65, 40),
+    fully_connected(128),
+]
+
+
+@pytest.mark.parametrize("state", ["random", "all-up", "sites-down", "links-down"])
+@pytest.mark.parametrize("topo", WORD_EDGE_TOPOLOGIES, ids=lambda topo: topo.name)
+def test_block_routes_at_word_edges(topo, state):
+    """Sites 63, 64, 65 and 128 end a 64-bit word or spill into the next."""
+    masks = block_masks(topo, 3, state, seed=topo.n_sites)
+    on_each_side(assert_builder_matches_oracle, topo, *masks)
+    on_each_side(assert_block_matches_minlabel, topo, *masks)
+    on_each_side(assert_histogram_matches_oracle, topo, *masks)
+
+
+def test_the_rule_floods_dense_site_graphs_only():
+    # Links / site pairs: 1.0 for a complete graph whose path links are
+    # too few to contract (.02 at 101 sites, .05 at 40); the sparse paper
+    # topologies are contracted before the rule is asked.
+    assert components._run_layout(paper_topology(4949)).flood
+    assert components._run_layout(fully_connected(40)).flood
+    for chords in (0, 16, 256):
+        assert not components._run_layout(paper_topology(chords)).flood
+    # A renumbered ring keeps no path link: a site graph, but sparse.
+    stride = Topology(9, [(2 * i % 9, 2 * (i + 1) % 9) for i in range(9)])
+    assert components._run_layout(stride).path is None
+    assert not components._run_layout(stride).flood
+
+
+def test_single_state_masks_are_the_builders_b1_block():
+    """``_live_masks`` keeps a link at a down site (the tracker needs it when
+    the site comes back); the block's rows drop it."""
+    topo = fully_connected(70)
+    site_up, link_up = _masks(topo, 0.8, seed=3)
+    adj, up = components._live_masks(topo, site_up, link_up)
+    u, v = topo.link_endpoint_arrays()
+    want = [0] * topo.n_sites
+    for a, b in zip(u[link_up].tolist(), v[link_up].tolist()):
+        want[a] |= 1 << b
+        want[b] |= 1 << a
+    assert adj == want
+    assert up == sum(1 << s for s in np.flatnonzero(site_up).tolist())
+    masked = components._adjacency_rows(topo, link_up[None], site_up[None])
+    assert masked == [row & up if site_up[s] else 0 for s, row in enumerate(want)]

@@ -4,7 +4,8 @@ A module-level third-party import must be needed by every run. The
 packages below serve no ``repro`` code path at all (or only the tests),
 so a fresh interpreter that imports the library and its CLI *and runs the
 analytic paths* must not have them in ``sys.modules``, and no file under
-``src/`` may import ``scipy.optimize`` or ``numba`` even function-locally.
+``src/`` may import ``scipy.optimize``, ``scipy.sparse`` or ``numba`` even
+function-locally.
 DESIGN.md ("Import contract") states the rule.
 
 The second half pins what ISSUE 21 removed so it cannot silently
@@ -32,11 +33,12 @@ holds only what its callers set, and QR memoizes its own grant masks.
 There is one fault layer: a schedule is a list of events from the one
 scenario table that ``repro chaos`` and ``repro serve`` share, and the
 injector classes, the retry policy and the breaker config are gone.
-numpy is the one module-level third-party import: scipy is imported by
-the block labelling, closed-form and t-interval functions that call it,
-so a simulation (the complete graph's included: one state is labelled by
-a flood), a chaos campaign, a serve run and the ring optimizer load no
-scipy module, and those calls do.
+numpy is the one module-level third-party import: scipy.special is
+imported by the closed-form and t-interval functions that call it, so a
+simulation (the complete graph's included: one state is labelled by a
+flood), a chaos campaign, a serve run and the ring optimizer load no
+scipy module, and those calls do. No labeller calls scipy: a block is a
+numpy union or a bitmask flood, so no run loads scipy.sparse.
 """
 
 import ast
@@ -62,7 +64,7 @@ DENIED = (
 )
 
 #: Not imported anywhere under ``src/``, at any scope.
-NEVER_IMPORTED = ("scipy.optimize", "numba")
+NEVER_IMPORTED = ("scipy.optimize", "scipy.sparse", "numba")
 
 _PROBE = """
 import json, sys
@@ -187,7 +189,7 @@ from repro.simulation.stats import student_t_half_width
 montecarlo_density_matrix(ring(5), 0.9, 0.9, n_samples=64, seed=1)
 closed_form_density("complete", 9, 0.9, 0.9)
 assert student_t_half_width([0.5, 0.6]) > 0
-# The site graph of a dense network is the block labeller's csgraph call.
+# The site graph of a dense network: the block labeller floods it.
 montecarlo_density_matrix(fully_connected(40), 0.9, 0.9, n_samples=64, seed=1)
 stages["scipy callers"] = scipy_loaded()
 print(json.dumps(stages))
@@ -199,8 +201,10 @@ def test_a_run_that_calls_no_scipy_loads_none():
     callers = stages.pop("scipy callers")
     assert stages == dict.fromkeys(stages, []), (
         "a path that calls no scipy function loaded scipy")
-    # The probe reached the labelling, closed-form and t-interval calls.
-    assert {"scipy.sparse.csgraph", "scipy.special"} <= set(callers)
+    # The probe reached the closed-form and t-interval calls; the dense
+    # block it labelled loaded no scipy.sparse.
+    assert "scipy.special" in callers
+    assert [m for m in callers if m.startswith("scipy.sparse")] == []
 
 
 def test_no_source_file_imports_scipy_optimize_or_numba():
@@ -526,22 +530,27 @@ def test_one_fault_layer(capsys):
 _LABEL_PHASE_PROBE = """
 import json, sys
 from repro.telemetry.recorder import Telemetry
+def sparse_loaded():
+    return any(m == "scipy.sparse" or m.startswith("scipy.sparse.")
+               for m in sys.modules)
 opened = []
 real_phase = Telemetry.phase
 def phase(self, name):
     if name.endswith(".label"):
-        opened.append("scipy.sparse.csgraph" in sys.modules)
+        opened.append(sparse_loaded())
     return real_phase(self, name)
 Telemetry.phase = phase
 from repro.cli import main
 assert main(["profile", sys.argv[1], "--out", sys.argv[2]]) == 0
+opened.append(sparse_loaded())
 print(json.dumps(opened))
 """
 
 
 @pytest.mark.parametrize("target", ["montecarlo", "votes"])
 def test_a_profiled_label_phase_books_no_scipy_import(target, tmp_path):
-    """csgraph is loaded before the first ``*.label`` phase opens, so the
-    phase times the labelling, not scipy's first import."""
+    """No scipy.sparse module is ever loaded, at any ``*.label`` phase or
+    after the run, so no phase can book its first import: the phase
+    times the labelling."""
     opened = _probe(_LABEL_PHASE_PROBE, argv=(target, str(tmp_path / "p")))
-    assert opened and all(opened), opened
+    assert len(opened) > 1 and not any(opened), opened
