@@ -20,8 +20,16 @@ Claims gated here:
 - **Equality**: the timed runs' pooled counters, survivability times,
   and density tables are bitwise identical.
 - **Fan-out**: a 4-worker pool run matches the serial run bitwise.
+- **Result size**: a 10^4-item batch result keeps SURV time and the time
+  density per quorum class (one, here) and the access density as the
+  cells it touched, so its pickle beyond the five per-item int64
+  vectors (the four access counts and ``class_of``, 40 B an item, 391
+  KiB) is at most 64 KiB: 14.3 KiB measured, against 2 735 KiB while it
+  held two ``(items, votes)`` float64 tables and two per-item SURV
+  vectors.
 """
 
+import pickle
 import sys
 from pathlib import Path
 
@@ -37,6 +45,11 @@ N_ITEMS = 10_000
 #: Alpha classes tiled over the item space: 10^4 items, 8 optimizer-class
 #: signatures — the regime the per-class grouping is built for.
 ALPHA_CLASSES = (0.05, 0.2, 0.35, 0.5, 0.6, 0.75, 0.9, 1.0)
+
+#: Bytes an item adds to a batch result: four int64 counts and ``class_of``.
+PER_ITEM_BYTES = 5 * 8
+#: What a batch result may pickle to beyond its per-item vectors.
+RESULT_BUDGET = 64 * 1024
 
 _STATE = {}
 
@@ -75,6 +88,7 @@ def test_vectorized_engine(benchmark, report):
     result = timed(benchmark, lambda: run_sharded(config, engine="vectorized"))
     _STATE["vectorized_mean"] = benchmark.stats.stats.mean
     _STATE["quorum_classes"] = result.n_classes
+    _STATE["vectorized_result"] = result
     assert result.bitwise_equal(_STATE["reference_result"])
     report(f"=== SHARD: vectorized engine, {N_ITEMS} items ===\n"
            f"  bitwise identical to the reference loop, "
@@ -92,6 +106,19 @@ def test_parallel_fanout_bitwise(benchmark, report):
            f"mean {benchmark.stats.stats.mean * 1e3:.0f}ms")
 
 
+def test_batch_result_is_per_class(report):
+    batch = _STATE["vectorized_result"].batches[0]
+    pickled = len(pickle.dumps(batch))
+    beyond = pickled - PER_ITEM_BYTES * N_ITEMS
+    _STATE["result_bytes"] = pickled
+    report(f"=== SHARD: one batch result, {N_ITEMS} items ===\n"
+           f"  pickled {pickled / 1024:.1f} KiB: {beyond / 1024:.1f} KiB beyond "
+           f"the per-item vectors (budget {RESULT_BUDGET // 1024} KiB), "
+           f"{batch.access_cells.size} access cells")
+    assert beyond <= RESULT_BUDGET, (
+        f"a batch result pickles to {beyond} B beyond its per-item vectors")
+
+
 def test_sharded_summary(report):
     speedup = _STATE["reference_mean"] / _STATE["vectorized_mean"]
     _BENCH_JSON.setdefault("sharded", []).append({
@@ -103,6 +130,7 @@ def test_sharded_summary(report):
         "vectorized_mean_s": round(_STATE["vectorized_mean"], 4),
         "speedup": round(speedup, 2),
         "bitwise_identical": True,
+        "batch_result_bytes": _STATE["result_bytes"],
     })
     report(
         "=== SHARD: summary ===\n"

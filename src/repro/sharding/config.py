@@ -20,7 +20,7 @@ import numpy as np
 from repro.errors import ShardingError
 from repro.sharding.grouping import group_rows
 from repro.sharding.workload import ItemWorkload
-from repro.simulation.config import SimulationConfig
+from repro.simulation.config import SimulationConfig, access_volumes
 from repro.simulation.processes import failure_parameters
 from repro.topology.model import Topology
 
@@ -109,14 +109,7 @@ class ShardConfig:
             self.mean_time_to_failure, self.mean_time_to_repair,
             topo.n_sites + topo.n_links, ShardingError,
         )
-        if self.warmup_accesses < 0:
-            raise ShardingError(
-                f"warmup_accesses must be non-negative, got {self.warmup_accesses}"
-            )
-        if self.accesses_per_batch <= 0:
-            raise ShardingError(
-                f"accesses_per_batch must be positive, got {self.accesses_per_batch}"
-            )
+        access_volumes(self.warmup_accesses, self.accesses_per_batch, ShardingError)
         if self.n_batches <= 0:
             raise ShardingError(f"n_batches must be positive, got {self.n_batches}")
         if self.initial_state not in INITIAL_STATES:

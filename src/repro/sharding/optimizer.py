@@ -193,8 +193,10 @@ def optimize_shards(
     alphas = np.asarray(alphas, dtype=np.float64)
     if alphas.ndim != 1 or alphas.shape[0] < 1:
         raise ShardingError("alphas must be a non-empty 1-D array")
-    if np.any((alphas < 0.0) | (alphas > 1.0)):
-        raise ShardingError("every item alpha must lie in [0, 1]")
+    outside = ~((alphas >= 0.0) & (alphas <= 1.0))  # NaN compares false
+    if outside.any():
+        raise ShardingError(
+            f"every item alpha must lie in [0, 1], got {alphas[outside][0]}")
     n_items = alphas.shape[0]
     if votes is None:
         votes = np.broadcast_to(

@@ -5,6 +5,12 @@ derives its streams from ``(seed, k)`` inside the engine, so fanning the
 batches over a process pool (``n_workers > 1``) is bitwise identical to
 a serial run — and to any other worker count. The fan-out is
 :func:`repro.pool.fan_out`, the same one the single-item runner uses.
+
+A batch comes back in the engine's layout (SURV time and the time density
+per quorum class, the access density as touched cells), so what crosses
+the pool and what a run keeps grows with the items only by the per-item
+counts. :class:`ShardRunResult` pools per class, in batch order, and
+hands each item its class's sums once.
 """
 
 from __future__ import annotations
@@ -48,11 +54,17 @@ class ShardRunResult:
 
     # ------------------------------------------------------------------
     def _pooled(self, name: str) -> np.ndarray:
-        """One per-item field summed over the batches, in batch order."""
+        """One stored field summed over the batches, in batch order."""
         out = np.zeros_like(getattr(self.batches[0], name))
         for batch in self.batches:
             out += getattr(batch, name)
         return out
+
+    @property
+    def _class_of(self) -> np.ndarray:
+        # Every batch of one run comes from one engine kind on one config,
+        # so they share the item -> class map.
+        return self.batches[0].class_of
 
     @property
     def reads_submitted(self) -> np.ndarray:
@@ -96,25 +108,34 @@ class ShardRunResult:
         return granted / submitted if submitted > 0 else 1.0
 
     def _surv(self, name: str) -> np.ndarray:
+        # An item's sum over the batches is its class's sum, the same
+        # additions in the same order, so pooling per class and handing
+        # each item its class's row is bitwise the per-item sum.
         total = self.measured_time
         if total <= 0:
             return np.zeros(self.config.n_items, dtype=np.float64)
-        return self._pooled(name) / total
+        return (self._pooled(name) / total)[self._class_of]
 
     @property
     def surv_read(self) -> np.ndarray:
-        return self._surv("surv_read_time")
+        return self._surv("class_surv_read_time")
 
     @property
     def surv_write(self) -> np.ndarray:
-        return self._surv("surv_write_time")
+        return self._surv("class_surv_write_time")
 
     def density_time(self) -> np.ndarray:
         """Summed ``(n_items, width)`` time-weighted density table."""
-        return self._pooled("density_time")
+        return self._pooled("class_density_time")[self._class_of]
 
     def density_access(self) -> np.ndarray:
-        return self._pooled("density_access")
+        """Summed ``(n_items, width)`` access-weighted density table
+        (integer-valued counts, so exact in any order)."""
+        width = self.batches[0].class_density_time.shape[1]
+        table = np.zeros(self.config.n_items * width, dtype=np.float64)
+        for batch in self.batches:
+            table[batch.access_cells] += batch.access_counts
+        return table.reshape(-1, width)
 
     def bitwise_equal(self, other: "ShardRunResult") -> bool:
         return len(self.batches) == len(other.batches) and all(

@@ -68,8 +68,10 @@ def _alpha_vector(
         raise SimulationError(
             f"alphas must be scalar or shape ({n_items},), got {arr.shape}"
         )
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise SimulationError("every item alpha must lie in [0, 1]")
+    outside = ~((arr >= 0.0) & (arr <= 1.0))  # NaN compares false
+    if outside.any():
+        raise SimulationError(
+            f"every item alpha must lie in [0, 1], got {arr[outside][0]}")
     return arr
 
 

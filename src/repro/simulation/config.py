@@ -29,13 +29,34 @@ from repro.topology.model import Topology
 if TYPE_CHECKING:
     from repro.faults.schedule import FaultSchedule
 
-__all__ = ["SimulationConfig"]
+__all__ = ["SimulationConfig", "access_volumes"]
 
 #: Supported access-accounting modes (DESIGN.md: "Two availability estimators").
 ACCOUNTING_MODES = ("sampled", "expected")
 
 #: Supported batch initial states.
 INITIAL_STATES = ("all_up", "stationary")
+
+
+def access_volumes(
+    warmup_accesses: float,
+    accesses_per_batch: float,
+    error: type[SimulationError] = SimulationError,
+) -> None:
+    """The one check on a config's expected access volumes.
+
+    The warm-up is finite and non-negative, the batch finite and
+    positive. NaN and ``inf`` fail here, at construction, rather than as
+    a NaN estimate or a batch that never ends.
+    """
+    if not (np.isfinite(warmup_accesses) and warmup_accesses >= 0):
+        raise error(
+            f"warmup_accesses must be finite and non-negative, got {warmup_accesses}"
+        )
+    if not (np.isfinite(accesses_per_batch) and accesses_per_batch > 0):
+        raise error(
+            f"accesses_per_batch must be finite and positive, got {accesses_per_batch}"
+        )
 
 
 @dataclass(frozen=True)
@@ -105,14 +126,7 @@ class SimulationConfig:
             self.mean_time_to_failure, self.mean_time_to_repair,
             self.topology.n_sites + self.topology.n_links,
         )
-        if self.warmup_accesses < 0:
-            raise SimulationError(
-                f"warmup_accesses must be non-negative, got {self.warmup_accesses}"
-            )
-        if self.accesses_per_batch <= 0:
-            raise SimulationError(
-                f"accesses_per_batch must be positive, got {self.accesses_per_batch}"
-            )
+        access_volumes(self.warmup_accesses, self.accesses_per_batch)
         if self.n_batches <= 0:
             raise SimulationError(f"n_batches must be positive, got {self.n_batches}")
         if self.accounting not in ACCOUNTING_MODES:

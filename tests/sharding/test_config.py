@@ -50,6 +50,25 @@ def test_one_failure_parameter_rule_at_construction(config, mttf, mttr, message)
     build(mean_time_to_failure=128.0, mean_time_to_repair=float("inf"))
 
 
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("field,value,message", [
+    ("warmup_accesses", -1.0, "finite and non-negative"),
+    ("warmup_accesses", float("nan"), "finite and non-negative"),
+    ("warmup_accesses", float("inf"), "finite and non-negative"),
+    ("accesses_per_batch", 0.0, "finite and positive"),
+    ("accesses_per_batch", float("nan"), "finite and positive"),
+    ("accesses_per_batch", float("inf"), "finite and positive"),
+])
+def test_one_access_volume_rule_at_construction(config, field, value, message):
+    # NaN compares false to both bounds and ``inf`` passes them: the one
+    # gave a NaN SURV, the other a batch that never ends.
+    build, error = CONFIGS[config]
+    with pytest.raises(SimulationError,
+                       match=f"^{field} must be {message}, got {value}$") as excinfo:
+        build(**{field: value})
+    assert type(excinfo.value) is error
+
+
 class TestValidation:
     def test_site_count_mismatch_rejected(self):
         with pytest.raises(ShardingError, match="topology has"):

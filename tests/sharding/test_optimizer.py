@@ -150,3 +150,7 @@ class TestOptimizeShards:
     def test_alpha_out_of_range_rejected(self):
         with pytest.raises(ShardingError, match="alpha"):
             optimize_shards(ring(4), np.asarray([1.5]), 0.9, 0.85)
+
+    def test_nan_alpha_rejected(self):
+        with pytest.raises(ShardingError, match="alpha .* got nan"):
+            optimize_shards(ring(4), np.asarray([0.5, np.nan]), 0.9, 0.85)

@@ -69,6 +69,12 @@ class TestValidation:
         with pytest.raises(SimulationError, match="alpha"):
             ItemWorkload.uniform(3, 4, [0.2, 1.5, 0.4])
 
+    def test_nan_alpha_rejected(self):
+        # NaN compares false to both bounds; it used to pass here and die
+        # inside the first epoch's binomial draw.
+        with pytest.raises(SimulationError, match="alpha .* got nan"):
+            ItemWorkload.uniform(3, 4, [0.2, float("nan"), 0.4])
+
     def test_alpha_vector_length_checked(self):
         with pytest.raises(SimulationError, match="alphas"):
             ItemWorkload.uniform(3, 4, [0.2, 0.4])

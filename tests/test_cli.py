@@ -833,6 +833,27 @@ class TestShard:
         assert "error:" in err
         assert "exponent" in err
 
+    @pytest.mark.parametrize("argv,complaint", [
+        (["--alpha", "nan"], "every item alpha must lie in [0, 1], got nan"),
+        (["--alpha-classes", "0.2", "nan"],
+         "every item alpha must lie in [0, 1], got nan"),
+        (["--alpha", "nan", "--optimize"],
+         "every item alpha must lie in [0, 1], got nan"),
+        (["--accesses", "nan"],
+         "accesses_per_batch must be finite and positive, got nan"),
+        (["--accesses", "inf"],
+         "accesses_per_batch must be finite and positive, got inf"),
+        (["--warmup", "nan"],
+         "warmup_accesses must be finite and non-negative, got nan"),
+    ], ids=["alpha-nan", "alpha-classes-nan", "optimize-alpha-nan",
+            "accesses-nan", "accesses-inf", "warmup-nan"])
+    def test_non_finite_inputs_are_one_error_line(self, argv, complaint, capsys):
+        code, out, err = run_cli(capsys, "shard", "--family", "ring",
+                                 "--items", "20", *argv)
+        assert code == 2
+        assert err == f"error: {complaint}\n"
+        assert out == ""
+
     def test_missing_family_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["shard", "--items", "5"])
