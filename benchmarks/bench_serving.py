@@ -1,13 +1,12 @@
 """SERVE: the adaptive quorum serving layer under chaos (DESIGN.md §11).
 
 One timed measurement: the CI smoke configuration of ``repro serve`` —
-the 13-site paper-family ring, 20 000 accesses, 64 client feeders,
-scripted correlated failures — run end to end through the asyncio
-transport and the deterministic sequencer. Besides the wall-clock
-timing, every round re-asserts the run's hard guarantees: zero invariant
-violations, exact audit/ACC reconciliation, at least one reassignment
-installed by the online estimation loop, and a digest identical across
-rounds (the determinism contract, here across repeated event loops).
+the 13-site paper-family ring, 20 000 accesses, scripted correlated
+failures — run end to end through the deterministic sequencer. Besides
+the wall-clock timing, every round re-asserts the run's hard guarantees:
+zero invariant violations, exact audit/ACC reconciliation, at least one
+reassignment installed by the online estimation loop, and a digest
+identical across rounds (the determinism contract).
 
 The summary entry in ``BENCH_serving.json`` records request throughput
 (served per wall second) and the p99 grant latency in simulated seconds.
@@ -27,7 +26,6 @@ from repro.topology.generators import ring_with_chords
 N_SITES = 13
 CHORDS = 2
 N_REQUESTS = 20_000
-N_CLIENTS = 64
 SEED = 7
 SCENARIO = "correlated"
 
@@ -43,7 +41,6 @@ def _serve_once():
             topology.total_votes, 1
         ),
         n_requests=N_REQUESTS,
-        n_clients=N_CLIENTS,
         seed=SEED,
         scenario=SCENARIO,
     )

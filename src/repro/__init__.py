@@ -66,7 +66,6 @@ from repro.quorum import (
     AvailabilityModel,
     OptimizationResult,
     QuorumAssignment,
-    VoteAssignment,
     availability_curve,
     optimal_read_quorum,
     optimize_votes,
@@ -133,7 +132,6 @@ __all__ = [
     "Topology",
     "TraceReplayer",
     "TopologyError",
-    "VoteAssignment",
     "VoteAssignmentError",
     "WorkloadEstimator",
     "availability_curve",

@@ -17,19 +17,16 @@ hash the full topology content (links and the vote vector) plus the
 quantized per-component reliability vectors.
 
 The cache is process-wide, bounded (:data:`MAX_ENTRIES`, LRU eviction),
-and can be disabled with ``REPRO_DENSITY_CACHE=0`` in the environment or
-the :func:`disabled` context manager (used by the kernel tests so a
-cached result never masks a real kernel run). Hits and misses
-are exported as the telemetry counters
+and is bypassed inside the :func:`disabled` context manager (used by the
+kernel tests and the profiler so a cached result never masks a real
+kernel run). Hits and misses are exported as the telemetry counters
 ``repro_density_cache_hits_total`` / ``repro_density_cache_misses_total``
-labelled by layer, and :func:`stats` summarizes them for the
-``repro cache`` CLI subcommand.
+labelled by layer, and :func:`stats` summarizes them.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -43,7 +40,6 @@ from repro.topology.model import Topology
 __all__ = [
     "CacheStats",
     "DensityCache",
-    "ENV_KNOB",
     "MAX_ENTRIES",
     "QUANTIZE_DECIMALS",
     "closed_form_key",
@@ -55,9 +51,6 @@ __all__ = [
     "stats",
 ]
 
-#: Environment variable that disables the cache when set to ``"0"``.
-ENV_KNOB = "REPRO_DENSITY_CACHE"
-
 #: LRU capacity of the process-wide cache.
 MAX_ENTRIES = 4_096
 
@@ -68,10 +61,8 @@ _FORCE_DISABLED = 0
 
 
 def enabled() -> bool:
-    """True unless ``REPRO_DENSITY_CACHE=0`` or a :func:`disabled` block."""
-    if _FORCE_DISABLED:
-        return False
-    return os.environ.get(ENV_KNOB, "1") != "0"
+    """True outside every :func:`disabled` block."""
+    return not _FORCE_DISABLED
 
 
 @contextmanager

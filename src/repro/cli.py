@@ -17,8 +17,8 @@ writing Python:
   sections (``FIG-2`` … ``FIG-7``, ``TAB-WC``, ``TAB-RW``).
 - ``chaos``             — scripted fault-injection campaign with invariant
   monitoring (DESIGN.md: "Chaos engineering the quorum layer").
-- ``serve``             — the adaptive quorum serving layer: an asyncio
-  service streaming client accesses against a replicated database while
+- ``serve``             — the adaptive quorum serving layer: one
+  sequencer streaming client accesses against a replicated database while
   a scripted fault scenario runs, with online density estimation driving
   QR reassignments. Exit 0 = clean, 1 = SLO/invariant failure,
   2 = usage error.
@@ -34,7 +34,6 @@ writing Python:
   shared component labelling per network state, optional per-class
   quorum optimization (``--optimize``), bitwise identical for any
   ``--workers``.
-- ``cache``             — statistics of the cross-layer density cache.
 - ``verify``            — the fidelity battery: every applicable engine
   pair, the metamorphic relations, the paper's checkable claims
   (DESIGN.md §9) and the golden regression corpus. Exit 0 = all checks
@@ -222,7 +221,6 @@ def _cmd_votes(args: argparse.Namespace) -> int:
         p=p,
         r=args.r,
         total_votes=args.total_votes,
-        method=args.method,
         n_samples=args.samples,
         seed=args.seed,
     )
@@ -231,7 +229,7 @@ def _cmd_votes(args: argparse.Namespace) -> int:
     print(f"vote vector    : {list(result.votes)}")
     print(f"quorums        : {result.quorum.assignment}")
     print(f"availability   : {result.availability:.4f}")
-    print(f"method         : {result.method} ({result.candidates_evaluated} candidates)")
+    print(f"search         : hillclimb ({result.candidates_evaluated} candidates)")
     return 0
 
 
@@ -350,7 +348,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # enough to cross the estimator's min-observation window and see
         # at least one reassignment under the correlated scenario.
         args.accesses = 20_000
-        args.clients = 64
     topology = ring_with_chords(args.sites, args.chords)
     workload = AccessWorkload.uniform(args.sites, args.alpha)
     config = ServeConfig(
@@ -360,7 +357,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             topology.total_votes, args.read_quorum
         ),
         n_requests=args.accesses,
-        n_clients=args.clients,
         seed=args.seed,
         scenario=args.scenario,
     )
@@ -425,7 +421,7 @@ def _profile_votes(args: argparse.Namespace, telemetry) -> None:
     from repro.topology.generators import ring_with_chords
 
     optimize_votes(ring_with_chords(args.sites, 2), alpha=0.5,
-                   p=np.full(args.sites, 0.95), r=0.95, method="hillclimb",
+                   p=np.full(args.sites, 0.95), r=0.95,
                    n_samples=args.samples, seed=args.seed)
 
 
@@ -457,7 +453,6 @@ def _profile_serve(args: argparse.Namespace, telemetry) -> None:
             topology.total_votes, 1
         ),
         n_requests=args.accesses,
-        n_clients=64,
         seed=args.seed,
         scenario="correlated",
     )
@@ -537,36 +532,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     for line in (phase_section(snapshot.phases, limit=args.top)
                  + critical_path_section(records)):
         print(line)
-    return 0
-
-
-def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.analytic import cache as density_cache
-
-    if args.exercise:
-        from repro.analytic import closed_form_density
-        from repro.analytic.enumeration import enumerate_density_matrix
-        from repro.topology.generators import ring
-
-        topo = ring(5)
-        for _ in range(2):  # second pass hits what the first one filled
-            for family in ("ring", "complete", "bus"):
-                for rel in (0.9, 0.96):
-                    closed_form_density(family, 6, rel, rel)
-            enumerate_density_matrix(topo, 0.9, 0.9)
-
-    stats = density_cache.stats()
-    state = "enabled" if density_cache.enabled() else "disabled"
-    print(f"density cache: {state} "
-          f"(set {density_cache.ENV_KNOB}=0 to disable)")
-    print(f"  entries: {stats.entries} (capacity {density_cache.get_cache().max_entries})")
-    print(f"  hits:    {stats.hits}")
-    print(f"  misses:  {stats.misses}")
-    print(f"  hit rate: {stats.hit_rate:.1%}")
-    if stats.by_layer:
-        print("  by layer:")
-        for layer, (hits, misses) in sorted(stats.by_layer.items()):
-            print(f"    {layer:<12} hits={hits} misses={misses}")
     return 0
 
 
@@ -726,8 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mark every k-th site flaky (0 = none)")
     votes.add_argument("--flaky-p", type=float, default=0.55)
     votes.add_argument("--total-votes", type=int, default=None)
-    votes.add_argument("--method", choices=("hillclimb", "exhaustive"),
-                       default="hillclimb")
     votes.add_argument("--samples", type=int, default=2_000)
     votes.add_argument("--seed", type=_seed, default=0)
     votes.set_defaults(func=_cmd_votes)
@@ -792,7 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="adaptive quorum serving: asyncio service + chaos + online "
+        help="adaptive quorum serving: one sequencer + chaos + online "
         "QR reassignment (exit 0 clean / 1 SLO or invariant failure / "
         "2 usage error)",
     )
@@ -806,15 +769,12 @@ def build_parser() -> argparse.ArgumentParser:
                        "loop reassigns from here")
     serve.add_argument("--accesses", type=int, default=1_000_000,
                        help="total client accesses to stream")
-    serve.add_argument("--clients", type=int, default=1_000,
-                       help="concurrent client feeders (pacing only; results "
-                       "are bitwise identical for any value)")
     serve.add_argument("--scenario", choices=SERVE_SCENARIOS,
                        default="correlated",
                        help="scripted fault scenario injected during serving")
     serve.add_argument("--seed", type=_seed, default=0)
     serve.add_argument("--duration-short", action="store_true",
-                       help="CI smoke preset: 20k accesses, 64 clients")
+                       help="CI smoke preset: 20k accesses")
     serve.add_argument("--min-availability", type=float, default=None,
                        metavar="A",
                        help="SLO gate: fail (exit 1) if request-level "
@@ -856,16 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--top", type=int, default=10, metavar="N",
                          help="phases to print in the summary table")
     profile.set_defaults(func=_cmd_profile)
-
-    cache_p = sub.add_parser(
-        "cache", help="cross-layer density cache statistics"
-    )
-    cache_p.add_argument(
-        "--exercise", action="store_true",
-        help="run a small closed-form + enumeration workload twice first, "
-        "so the printed statistics show warm-cache behaviour",
-    )
-    cache_p.set_defaults(func=_cmd_cache)
 
     verify = sub.add_parser(
         "verify",

@@ -2,7 +2,6 @@
 
 Layout:
 
-- :mod:`repro.quorum.votes` — vote assignments (uniform / weighted).
 - :mod:`repro.quorum.assignment` — :class:`QuorumAssignment` with the
   consistency constraints of section 2.1 (``q_r + q_w > T``,
   ``q_w > T/2``).
@@ -17,7 +16,6 @@ Layout:
   throughput ``A_w``.
 """
 
-from repro.quorum.votes import VoteAssignment
 from repro.quorum.assignment import QuorumAssignment
 from repro.quorum.availability import (
     AvailabilityModel,
@@ -39,7 +37,6 @@ __all__ = [
     "AvailabilityModel",
     "OptimizationResult",
     "QuorumAssignment",
-    "VoteAssignment",
     "VoteSearchResult",
     "availability",
     "availability_curve",

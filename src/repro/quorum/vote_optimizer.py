@@ -14,13 +14,11 @@ The objective for a candidate vote vector ``w`` is
 network-state sample set scores every candidate, so comparisons between
 candidates are low-variance even when each estimate is noisy).
 
-Two search strategies:
-
-- ``exhaustive`` — all compositions of ``total_votes`` over the sites
-  (tiny systems only; the ground truth for tests);
-- ``hillclimb`` — steepest-ascent over single-vote moves (shift one vote
-  from site a to site b), restarted from the uniform assignment; each
-  step re-uses the shared state sample.
+The search is steepest ascent over single-vote moves (shift one vote
+from site a to site b), started from the uniform assignment; each step
+re-uses the shared state sample. Its ground truth on tiny systems, the
+search over every composition of ``total_votes``, lives with the tests
+(``tests/oracles.py::exhaustive_votes``).
 
 Scoring is vectorized (DESIGN.md §10): the shared :class:`_StateSample`
 labels its sampled states once at construction, in slot-bounded
@@ -39,7 +37,6 @@ bit for bit the moves a per-candidate loop would
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Tuple
 
 import numpy as np
@@ -54,9 +51,6 @@ from repro.telemetry.recorder import current as _current_recorder
 from repro.topology.model import Topology
 
 __all__ = ["VoteSearchResult", "optimize_votes", "availability_of_votes"]
-
-#: Exhaustive composition enumeration guard.
-MAX_EXHAUSTIVE_STATES = 200_000
 
 #: A move must beat the current value by more than this to be taken.
 _IMPROVEMENT = 1e-12
@@ -79,7 +73,6 @@ class VoteSearchResult:
     votes: Tuple[int, ...]
     quorum: OptimizationResult
     availability: float
-    method: str
     candidates_evaluated: int
 
     @property
@@ -261,25 +254,12 @@ def availability_of_votes(
     return result.availability, result
 
 
-def _compositions(total: int, parts: int):
-    """All non-negative integer vectors of length ``parts`` summing to ``total``."""
-    for dividers in combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        out = []
-        for d in dividers:
-            out.append(d - prev - 1)
-            prev = d
-        out.append(total + parts - 2 - prev)
-        yield out
-
-
 def optimize_votes(
     topology: Topology,
     alpha: float,
     p,
     r,
     total_votes: Optional[int] = None,
-    method: str = "hillclimb",
     n_samples: int = 2_000,
     max_iterations: int = 50,
     seed: RandomState = 0,
@@ -297,8 +277,6 @@ def optimize_votes(
         failure model.
     total_votes:
         Vote budget ``T``; defaults to one per site.
-    method:
-        ``"hillclimb"`` (default) or ``"exhaustive"`` (tiny systems).
     n_samples:
         Network states in the common-random-numbers sample (at least 1).
     """
@@ -312,36 +290,6 @@ def optimize_votes(
         raise VoteAssignmentError(f"vote budget must be positive, got {T}")
 
     sample = _StateSample(topology, p, r, n_samples=n_samples, seed=seed)
-
-    if method == "exhaustive":
-        from math import comb
-
-        n_states = comb(T + n - 1, n - 1)
-        if n_states > MAX_EXHAUSTIVE_STATES:
-            raise OptimizationError(
-                f"exhaustive vote search over {n_states} compositions exceeds the "
-                f"{MAX_EXHAUSTIVE_STATES} cap; use method='hillclimb'"
-            )
-        best: Optional[Tuple[float, np.ndarray, OptimizationResult]] = None
-        evaluated = 0
-        for comp in _compositions(T, n):
-            votes = np.asarray(comp, dtype=np.int64)
-            if votes.sum() != T or (votes < 0).any() or votes.max() == 0:
-                continue
-            evaluated += 1
-            value, quorum = availability_of_votes(sample, votes, alpha)
-            if best is None or value > best[0] + _IMPROVEMENT:
-                best = (value, votes, quorum)
-        assert best is not None
-        value, votes, quorum = best
-        return VoteSearchResult(
-            tuple(int(v) for v in votes), quorum, value, "exhaustive", evaluated
-        )
-
-    if method != "hillclimb":
-        raise OptimizationError(
-            f"unknown method {method!r}; choose 'hillclimb' or 'exhaustive'"
-        )
 
     # Hill-climb from (near-)uniform. Steepest ascent: one sweep scores
     # every legal single-vote move and the best strictly-improving one is
@@ -374,5 +322,5 @@ def optimize_votes(
         votes[a] -= 1
         votes[b] += 1
     return VoteSearchResult(
-        tuple(int(v) for v in votes), quorum, value, "hillclimb", evaluated
+        tuple(int(v) for v in votes), quorum, value, evaluated
     )

@@ -1,4 +1,4 @@
-"""Adaptive quorum serving: a chaos-surviving asyncio service layer.
+"""Adaptive quorum serving: a chaos-surviving service in one sequencer.
 
 ``repro serve`` drives simulated client read/write streams against a
 :class:`~repro.replication.database.ReplicatedDatabase`, estimates the

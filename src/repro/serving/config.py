@@ -3,11 +3,10 @@
 One :class:`ServeConfig` fully determines a serving run: the topology,
 the client workload, the initial quorum assignment, the stream's size
 and seed, and the fault schedule. The serving settings no caller sets
-(retries, queue, breakers, control-loop cadence, transport chunking)
-are constants in :mod:`repro.serving.service`. Identical configs
-produce bitwise identical :class:`~repro.serving.report.ServeReport`
-digests regardless of ``n_clients``, which shapes only wall-clock
-pacing.
+(retries, queue, breakers, control-loop cadence, stream chunking) are
+constants in :mod:`repro.serving.service`. Identical configs produce
+bitwise identical :class:`~repro.serving.report.ServeReport` digests:
+one sequencer serves every request.
 """
 
 from __future__ import annotations
@@ -33,6 +32,8 @@ class ServeConfig:
     initial_assignment: QuorumAssignment
 
     n_requests: int = 1_000_000
+    #: Has no effect: the service is one sequencer. Kept (and still
+    #: checked positive) for callers that pass it.
     n_clients: int = 1_000
     seed: int = 0
     #: Label for reports/golden entries (e.g. a SERVE_SCENARIOS name).

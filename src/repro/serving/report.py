@@ -98,7 +98,6 @@ class ServeReport:
 
     wall_seconds: float
     sim_duration: float
-    n_clients: int
 
     #: SLO gates evaluated by exit_code (None = not enforced).
     min_availability: Optional[float] = None
@@ -201,7 +200,6 @@ class ServeReport:
             "=======================",
             f"requests       : {self.n_requests} over {self.n_sites} sites "
             f"(seed {self.seed}, scenario {self.scenario})",
-            f"clients        : {self.n_clients}",
             f"served         : {self.served}"
             + (f"  (ABORTED, {self.n_requests - self.served} unserved)"
                if self.aborted else ""),

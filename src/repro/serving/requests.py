@@ -1,13 +1,8 @@
 """Deterministic client request streams for the serving layer.
 
-The adaptive serving loop must produce *bitwise identical* results for
-any client-concurrency setting at a fixed seed (ISSUE 6 acceptance).
-That rules out generating requests inside client coroutines: asyncio
-scheduling order would leak into the access stream. Instead the whole
-stream is precomputed here as flat numpy arrays from seeded substreams
-(:func:`repro.rng.stream_for`), giving every request a global id; the
-async transport then only moves *chunks of ids* around, and the engine
-reassembles them in id order before any outcome-affecting decision.
+The whole stream is precomputed here as flat numpy arrays from seeded
+substreams (:func:`repro.rng.stream_for`), giving every request a global
+id; the service's sequencer takes it a chunk at a time in id order.
 
 Sampling matches :class:`~repro.simulation.workload.AccessWorkload`
 semantics: arrivals form a Poisson process at the workload's aggregate

@@ -1,36 +1,30 @@
-"""The adaptive quorum serving engine: asyncio transport, sim-time sequencer.
+"""The adaptive quorum serving engine: one sim-time sequencer.
 
-``repro serve`` is a long-running service in miniature: thousands of
-client coroutines push access requests at a :class:`ReplicatedDatabase`
-while a scripted chaos schedule breaks the network underneath, an online
+``repro serve`` is a long-running service in miniature: a stream of
+client read/write requests hits a :class:`ReplicatedDatabase` while a
+scripted chaos schedule breaks the network underneath, an online
 density estimator watches component sizes, and a control loop installs
 better quorum assignments through the QR protocol — with an invariant
 monitor attached end-to-end.
 
-**Determinism architecture.** The acceptance bar is bitwise-identical
-results for any client-concurrency setting at a fixed seed, which no
-naive asyncio design can meet (task scheduling order is not part of the
-seed). The design splits the service in two:
-
-- *Transport* (async, nondeterministic): ``n_clients`` feeder tasks push
-  precomputed request chunks through a bounded :class:`asyncio.Queue`.
-  This layer provides genuine backpressure and concurrency but carries
-  only *chunk ids* — it cannot influence outcomes.
-- *Sequencer* (deterministic): a single engine coroutine reassembles
-  chunks into global id order and interleaves them with a sim-time event
-  heap (scripted faults, retry timers, control ticks, watchdog ticks).
-  Every outcome-affecting decision — shedding, breaker transitions,
-  retry backoff draws, degradation-mode changes, reassignments — happens
-  here, keyed on simulated time only.
+**One sequencer.** The paper grants or denies each access from the
+network state at its simulated instant (§2, QR in §2.2), so the service
+is one deterministic loop. The request stream is precomputed
+(:class:`~repro.serving.requests.RequestStream`) and taken a chunk at a
+time in id order; the loop interleaves its arrivals with a sim-time
+event heap (scripted faults, retry timers, control ticks, watchdog
+ticks). Every outcome-affecting decision — shedding, breaker
+transitions, retry backoff draws, degradation-mode changes,
+reassignments — is keyed on simulated time only.
 
 Heap ties at equal simulated time break by event kind (faults before
 retries before control before watchdog) and then by insertion sequence,
-so the processing order is a pure function of the configuration.
+and a heap event at an arrival's instant runs before the arrival, so the
+processing order is a pure function of the configuration.
 """
 
 from __future__ import annotations
 
-import asyncio
 import heapq
 import math
 import time as _walltime
@@ -85,11 +79,9 @@ FORGETTING_FACTOR = 1.0
 #: ``STALL_THRESHOLD`` forces re-estimation (estimator reset).
 WATCHDOG_INTERVAL = 60.0
 STALL_THRESHOLD = 150.0
-#: Requests per transport chunk, and the bounded asyncio queue between
-#: client feeders and the sequencer, in chunks: wall-clock pacing only,
+#: Requests the sequencer takes from the stream at a time: memory only,
 #: never outcomes.
 CHUNK_SIZE = 4_096
-TRANSPORT_SLOTS = 64
 
 #: Substream index for the retry-backoff jitter stream.
 _STREAM_RETRY = 201
@@ -168,7 +160,7 @@ class _Pending:
 
 
 class AdaptiveQuorumService:
-    """One serving run: build it, ``await run_async()`` (or use run_serve)."""
+    """One serving run: build it, then ``run()`` (or use run_serve)."""
 
     def __init__(self, config: ServeConfig, telemetry=None) -> None:
         self.config = config
@@ -255,7 +247,6 @@ class AdaptiveQuorumService:
         self._retries_scheduled = 0
         self._retries_exhausted = 0
         self._shed = 0
-        self._n_feeders = min(config.n_clients, self.stream.n_chunks)
 
         if config.fault_schedule is not None:
             for at, kind, target in config.fault_schedule.all_events(topology):
@@ -454,35 +445,16 @@ class AdaptiveQuorumService:
             self._push(self.now + WATCHDOG_INTERVAL, _WATCHDOG, None)
 
     # ------------------------------------------------------------------
-    # Async transport + sequencer
+    # The sequencer
     # ------------------------------------------------------------------
-    async def _feed(self, transport: asyncio.Queue, client: int) -> None:
-        for index in range(client, self.stream.n_chunks, self._n_feeders):
-            await transport.put((index, self.stream.chunk(index)))
-
-    async def _engine(self, transport: asyncio.Queue) -> None:
-        n_chunks = self.stream.n_chunks
-        buffered: Dict[int, object] = {}
+    def _sequence(self) -> None:
+        stream = self.stream
         next_chunk = 0
         arrivals: deque = deque()
-
-        async def refill() -> None:
-            # Reassemble chunks into contiguous global id order; feeder
-            # scheduling decides only *when* chunks show up, never the
-            # order requests are processed in. The serve.transport phase
-            # includes the wait on the queue, so it measures how long the
-            # sequencer is starved by the transport layer.
-            nonlocal next_chunk
-            with self._trace.phase("serve.transport"):
-                while not arrivals and next_chunk < n_chunks:
-                    index, chunk = await transport.get()
-                    buffered[index] = chunk
-                    while next_chunk in buffered:
-                        arrivals.extend(buffered.pop(next_chunk).rows())
-                        next_chunk += 1
-
         while not self._aborted:
-            await refill()
+            if not arrivals and next_chunk < stream.n_chunks:
+                arrivals.extend(stream.chunk(next_chunk).rows())
+                next_chunk += 1
             head_time = arrivals[0][1] if arrivals else math.inf
             heap = self._heap
             while heap and heap[0][0] <= head_time:
@@ -506,33 +478,18 @@ class AdaptiveQuorumService:
             rid, at, site, is_read = arrivals.popleft()
             self._admit(rid, at, site, is_read)
 
-    async def run_async(self) -> ServeReport:
+    def run(self) -> ServeReport:
         started = _walltime.perf_counter()
         # Serve-scope trace context: span ids derive from
         # (seed, "serve", ordinal), and the sequencer opens spans in
-        # deterministic sim-time order, so the exported tree is identical
-        # for any --clients value.
+        # sim-time order, so the exported tree is a function of the seed.
         trace = self._trace
         serve_ctx = TraceContext(self.config.seed, SCOPE_SERVE, 0)
         with (trace.spans.scoped(serve_ctx) if trace.enabled else NULL_SPAN), \
                 trace.span("serve.run", scenario=self.config.scenario,
                            n_requests=self.config.n_requests,
                            seed=self.config.seed):
-            transport: asyncio.Queue = asyncio.Queue(
-                maxsize=TRANSPORT_SLOTS
-            )
-            feeders = [
-                asyncio.create_task(self._feed(transport, client))
-                for client in range(self._n_feeders)
-            ]
-            try:
-                await self._engine(transport)
-            finally:
-                # Clean shutdown: the sequencer has drained (or aborted);
-                # feeders holding undelivered chunks are cancelled.
-                for feeder in feeders:
-                    feeder.cancel()
-                await asyncio.gather(*feeders, return_exceptions=True)
+            self._sequence()
             return self._build_report(_walltime.perf_counter() - started)
 
     # ------------------------------------------------------------------
@@ -609,12 +566,10 @@ class AdaptiveQuorumService:
             aborted=self._aborted,
             wall_seconds=wall_seconds,
             sim_duration=self.now,
-            n_clients=self.config.n_clients,
         )
         return report
 
 
 def run_serve(config: ServeConfig, telemetry=None) -> ServeReport:
-    """Run one serving campaign to completion (the sync entry point)."""
-    service = AdaptiveQuorumService(config, telemetry)
-    return asyncio.run(service.run_async())
+    """Run one serving campaign to completion."""
+    return AdaptiveQuorumService(config, telemetry).run()

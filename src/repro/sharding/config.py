@@ -20,14 +20,16 @@ import numpy as np
 from repro.errors import ShardingError
 from repro.sharding.grouping import group_rows
 from repro.sharding.workload import ItemWorkload
-from repro.simulation.config import SimulationConfig, access_volumes
+from repro.simulation.config import (
+    INITIAL_STATES,
+    SimulationConfig,
+    access_volumes,
+    fallible_masks,
+)
 from repro.simulation.processes import failure_parameters
 from repro.topology.model import Topology
 
 __all__ = ["ShardConfig"]
-
-#: Supported batch initial states (same semantics as SimulationConfig).
-INITIAL_STATES = ("all_up", "stationary")
 
 
 @dataclass(frozen=True)
@@ -110,6 +112,7 @@ class ShardConfig:
             topo.n_sites + topo.n_links, ShardingError,
         )
         access_volumes(self.warmup_accesses, self.accesses_per_batch, ShardingError)
+        fallible_masks(topo, self.fallible_sites, self.fallible_links, ShardingError)
         if self.n_batches <= 0:
             raise ShardingError(f"n_batches must be positive, got {self.n_batches}")
         if self.initial_state not in INITIAL_STATES:
@@ -175,9 +178,17 @@ class ShardConfig:
 
         Two items of one class get the same grant decision at every site
         in every network state (``q_w`` follows from the row). Computed
-        on request, never in ``__post_init__``: it is part of a run.
+        on the first request, never in ``__post_init__`` (it is part of a
+        run), and kept: every engine and ``ShardRunResult.n_classes``
+        read one grouping per config object. The arrays are read-only.
         """
-        return group_rows(np.column_stack((self.votes, self.read_quorums)))
+        classes = self.__dict__.get("_quorum_classes")
+        if classes is None:
+            classes = group_rows(np.column_stack((self.votes, self.read_quorums)))
+            for array in classes:
+                array.setflags(write=False)
+            object.__setattr__(self, "_quorum_classes", classes)
+        return classes
 
     @property
     def warmup_time(self) -> float:

@@ -17,7 +17,7 @@ only the confidence interval widens, and it is always reported.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 import numpy as np
 
@@ -29,12 +29,12 @@ from repro.topology.model import Topology
 if TYPE_CHECKING:
     from repro.faults.schedule import FaultSchedule
 
-__all__ = ["SimulationConfig", "access_volumes"]
+__all__ = ["SimulationConfig", "access_volumes", "fallible_masks"]
 
 #: Supported access-accounting modes (DESIGN.md: "Two availability estimators").
 ACCOUNTING_MODES = ("sampled", "expected")
 
-#: Supported batch initial states.
+#: Supported batch initial states (both configs').
 INITIAL_STATES = ("all_up", "stationary")
 
 
@@ -57,6 +57,28 @@ def access_volumes(
         raise error(
             f"accesses_per_batch must be finite and positive, got {accesses_per_batch}"
         )
+
+
+def fallible_masks(
+    topology: Topology,
+    fallible_sites: Optional[np.ndarray],
+    fallible_links: Optional[np.ndarray],
+    error: type[SimulationError] = SimulationError,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The one check on the fallible masks: ``(sites, links)`` as bool vectors.
+
+    ``None`` marks every site (link) fallible. A mask holds one entry per
+    site (per link); any other shape fails here, at construction, rather
+    than as a failed batch.
+    """
+    masks = []
+    for name, mask, count in (("fallible_sites", fallible_sites, topology.n_sites),
+                              ("fallible_links", fallible_links, topology.n_links)):
+        mask = np.ones(count, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+        if mask.shape != (count,):
+            raise error(f"{name} must have shape ({count},), got {mask.shape}")
+        masks.append(mask)
+    return masks[0], masks[1]
 
 
 @dataclass(frozen=True)
@@ -90,9 +112,10 @@ class SimulationConfig:
         ``"stationary"`` samples the exact stationary up/down state of
         every component (valid because phase durations are exponential),
         so no warm-up is required and short batches are unbiased.
-    hub_sites_infallible / hub_links_infallible:
-        Masks for the bus encoding: mark spoke links / hub site as never
-        failing. ``None`` means everything fails.
+    fallible_sites, fallible_links:
+        Boolean masks, one entry per site / per link: ``False`` marks a
+        component that never fails (the bus encoding's perfect spokes).
+        ``None`` means every component of that kind fails.
     seed:
         Reproducibility seed; batch ``k`` derives an independent stream.
     fault_schedule:
@@ -127,6 +150,7 @@ class SimulationConfig:
             self.topology.n_sites + self.topology.n_links,
         )
         access_volumes(self.warmup_accesses, self.accesses_per_batch)
+        fallible_masks(self.topology, self.fallible_sites, self.fallible_links)
         if self.n_batches <= 0:
             raise SimulationError(f"n_batches must be positive, got {self.n_batches}")
         if self.accounting not in ACCOUNTING_MODES:

@@ -134,22 +134,11 @@ class FailureProcesses:
             mean_time_to_failure, mean_time_to_repair, n
         )
         self.rng = as_generator(seed)
+        # Imported here: repro.simulation.config imports this module.
+        from repro.simulation.config import fallible_masks
 
-        if fallible_sites is None:
-            fallible_sites = np.ones(topology.n_sites, dtype=bool)
-        if fallible_links is None:
-            fallible_links = np.ones(topology.n_links, dtype=bool)
-        fallible_sites = np.asarray(fallible_sites, dtype=bool)
-        fallible_links = np.asarray(fallible_links, dtype=bool)
-        if fallible_sites.shape != (topology.n_sites,):
-            raise SimulationError(
-                f"fallible_sites must have shape ({topology.n_sites},)"
-            )
-        if fallible_links.shape != (topology.n_links,):
-            raise SimulationError(
-                f"fallible_links must have shape ({topology.n_links},)"
-            )
-        self.fallible = np.concatenate([fallible_sites, fallible_links])
+        self.fallible = np.concatenate(
+            fallible_masks(topology, fallible_sites, fallible_links))
         #: Unused standard-exponential draws, next one last.
         self._pool: List[float] = []
 

@@ -20,9 +20,10 @@ hash instead of the sequential counter, and a span opened with an empty
 stack adopts the context's ``parent_span_id``. The ordinal is the span's
 creation rank within the context, and every traced layer opens its
 spans in an order fixed by its configuration, so the ids — and the
-whole exported tree — are the same for any ``--workers`` /
-``--clients`` value, and worker-local spans re-parent under the
-dispatching span when snapshots merge across the process pool.
+whole exported tree — are the same for any ``--workers`` value (the
+serving layer is one sequencer, so its tree is a function of the seed),
+and worker-local spans re-parent under the dispatching span when
+snapshots merge across the process pool.
 """
 
 from __future__ import annotations

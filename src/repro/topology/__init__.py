@@ -27,12 +27,6 @@ from repro.topology.generators import (
     ring_with_chords,
     star,
 )
-from repro.topology.serialization import (
-    from_dict,
-    from_networkx,
-    to_dict,
-    to_networkx,
-)
 
 __all__ = [
     "Link",
@@ -40,8 +34,6 @@ __all__ = [
     "bus",
     "chord_endpoints",
     "erdos_renyi",
-    "from_dict",
-    "from_networkx",
     "fully_connected",
     "grid",
     "paper_topology",
@@ -49,6 +41,4 @@ __all__ = [
     "ring",
     "ring_with_chords",
     "star",
-    "to_dict",
-    "to_networkx",
 ]

@@ -188,7 +188,6 @@ def _serving_entry() -> dict:
             topology.total_votes, 1
         ),
         n_requests=_SERVING_REQUESTS,
-        n_clients=64,
         seed=_SERVING_SEED,
         scenario=_SERVING_SCENARIO,
     )

@@ -67,16 +67,6 @@ class TestDensityCache:
         assert density_cache.stats().misses == 2
         assert base.shape != weighted.shape
 
-    def test_env_knob_disables(self, monkeypatch):
-        monkeypatch.setenv(density_cache.ENV_KNOB, "0")
-        assert not density_cache.enabled()
-        closed_form_density("ring", 6, 0.9, 0.9)
-        closed_form_density("ring", 6, 0.9, 0.9)
-        stats = density_cache.stats()
-        assert stats.hits == 0
-        assert stats.misses == 0
-        assert stats.entries == 0
-
     def test_disabled_context_manager(self):
         with density_cache.disabled():
             assert not density_cache.enabled()

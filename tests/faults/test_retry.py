@@ -64,7 +64,7 @@ class TestPolicy:
                 workload=AccessWorkload.uniform(9, 0.7),
                 initial_assignment=QuorumAssignment.from_read_quorum(
                     topology.total_votes, 1),
-                n_requests=6_000, n_clients=4, seed=11, scenario="correlated")
+                n_requests=6_000, seed=11, scenario="correlated")
             config.fault_schedule = serving_schedule(
                 "correlated", topology, config.horizon)
             return run_serve(config)

@@ -237,8 +237,7 @@ def hillclimb_reference(topology, alpha, p, r, total_votes=None,
     histogram, one ``AvailabilityModel``, one ``optimal_read_quorum``),
     in ascending ``(a, b)`` order; a move must beat the current value by
     more than 1e-12 and be strictly better to displace the incumbent.
-    ``optimize_votes(..., method="hillclimb")`` must return an equal
-    ``VoteSearchResult``.
+    ``optimize_votes`` must return an equal ``VoteSearchResult``.
     """
     from repro.quorum.vote_optimizer import (
         VoteSearchResult,
@@ -276,8 +275,62 @@ def hillclimb_reference(topology, alpha, p, r, total_votes=None,
         votes[a] -= 1
         votes[b] += 1
     return VoteSearchResult(
-        tuple(int(v) for v in votes), quorum, value, "hillclimb", evaluated
+        tuple(int(v) for v in votes), quorum, value, evaluated
     )
+
+
+#: Compositions :func:`exhaustive_votes` scores at most.
+MAX_EXHAUSTIVE_STATES = 200_000
+
+
+def compositions(total, parts):
+    """All non-negative integer vectors of length ``parts`` summing to ``total``."""
+    for dividers in combinations(range(total + parts - 1), parts - 1):
+        prev = -1
+        out = []
+        for d in dividers:
+            out.append(d - prev - 1)
+            prev = d
+        out.append(total + parts - 2 - prev)
+        yield out
+
+
+def exhaustive_votes(topology, alpha, p, r, total_votes=None,
+                     n_samples=2_000, seed=0):
+    """Every vote vector of the budget: the ground truth of ``optimize_votes``.
+
+    Scores each composition of ``total_votes`` over the sites on the same
+    shared sample ``optimize_votes`` draws (same ``n_samples`` and
+    ``seed``), keeping the first best (a later one must beat it by more
+    than 1e-12). Tiny systems only: more than
+    :data:`MAX_EXHAUSTIVE_STATES` compositions raise ``OptimizationError``.
+    """
+    from math import comb
+
+    from repro.errors import OptimizationError
+    from repro.quorum.vote_optimizer import (
+        VoteSearchResult,
+        _StateSample,
+        availability_of_votes,
+    )
+
+    n = topology.n_sites
+    T = n if total_votes is None else int(total_votes)
+    n_states = comb(T + n - 1, n - 1)
+    if n_states > MAX_EXHAUSTIVE_STATES:
+        raise OptimizationError(
+            f"exhaustive vote search over {n_states} compositions exceeds the "
+            f"{MAX_EXHAUSTIVE_STATES} cap")
+    sample = _StateSample(topology, p, r, n_samples=n_samples, seed=seed)
+    best = None
+    for comp in compositions(T, n):
+        votes = np.asarray(comp, dtype=np.int64)
+        value, quorum = availability_of_votes(sample, votes, alpha)
+        if best is None or value > best[0] + 1e-12:
+            best = (value, votes, quorum)
+    value, votes, quorum = best
+    return VoteSearchResult(
+        tuple(int(v) for v in votes), quorum, value, n_states)
 
 
 def perstate_vote_histogram(topology, site_masks, link_masks):

@@ -8,7 +8,6 @@ from repro.quorum.assignment import QuorumAssignment
 from repro.quorum.availability import AvailabilityModel
 from repro.quorum.constraints import feasible_read_quorums, optimize_with_write_floor
 from repro.quorum.optimizer import optimal_read_quorum
-from repro.quorum.votes import VoteAssignment
 from repro.errors import OptimizationError
 from tests.oracles import vote_quorum_groups
 
@@ -160,14 +159,14 @@ class TestCoterieProperties:
     @given(vote_vectors, st.data())
     @settings(max_examples=60)
     def test_any_majority_vote_coterie_is_valid(self, votes, data):
-        va = VoteAssignment(votes)
-        q_w = data.draw(st.integers(va.total // 2 + 1, va.total))
+        total = sum(votes)
+        q_w = data.draw(st.integers(total // 2 + 1, total))
         coterie = vote_quorum_groups(votes, q_w)
         assert coterie
         for group in coterie:
             # Every group carries q_w votes, and the groups form a
             # coterie: pairwise intersecting, none inside another.
-            assert va.votes_of(group) >= q_w
+            assert sum(votes[site] for site in group) >= q_w
             for other in coterie:
                 assert group & other
                 assert group == other or not group <= other

@@ -6,27 +6,31 @@ import pytest
 from repro.errors import OptimizationError, VoteAssignmentError
 from repro.quorum.availability import AvailabilityModel
 from repro.quorum.vote_optimizer import (
-    _compositions,
     _StateSample,
     availability_of_votes,
     optimize_votes,
 )
 from repro.topology.generators import ring, ring_with_chords, star
 from repro.topology.model import Topology
-from tests.oracles import density_matrix_reference, hillclimb_reference
+from tests.oracles import (
+    compositions,
+    density_matrix_reference,
+    exhaustive_votes,
+    hillclimb_reference,
+)
 
 
 class TestCompositions:
     def test_counts(self):
         from math import comb
 
-        comps = list(_compositions(4, 3))
+        comps = list(compositions(4, 3))
         assert len(comps) == comb(4 + 2, 2)
         assert all(sum(c) == 4 for c in comps)
         assert all(min(c) >= 0 for c in comps)
 
     def test_unique(self):
-        comps = [tuple(c) for c in _compositions(3, 4)]
+        comps = [tuple(c) for c in compositions(3, 4)]
         assert len(set(comps)) == len(comps)
 
 
@@ -62,7 +66,6 @@ class TestHillclimb:
         topo = ring(4)
         res = optimize_votes(topo, alpha=0.5, p=0.9, r=0.9,
                              n_samples=500, seed=0)
-        assert res.method == "hillclimb"
         assert res.candidates_evaluated >= 1
         assert res.quorum.assignment.total_votes == res.total_votes
 
@@ -71,10 +74,10 @@ class TestExhaustive:
     def test_matches_hillclimb_value_on_tiny_system(self):
         topo = Topology(3, [(0, 1), (1, 2)])
         p = np.array([0.9, 0.6, 0.9])
-        ex = optimize_votes(topo, alpha=0.5, p=p, r=0.9, total_votes=3,
-                            method="exhaustive", n_samples=1_000, seed=4)
+        ex = exhaustive_votes(topo, alpha=0.5, p=p, r=0.9, total_votes=3,
+                              n_samples=1_000, seed=4)
         hc = optimize_votes(topo, alpha=0.5, p=p, r=0.9, total_votes=3,
-                            method="hillclimb", n_samples=1_000, seed=4)
+                            n_samples=1_000, seed=4)
         # Same shared sample: hill climbing cannot beat the exhaustive
         # optimum, and on 3 sites it should reach it.
         assert hc.availability == pytest.approx(ex.availability, abs=1e-9)
@@ -82,8 +85,8 @@ class TestExhaustive:
     def test_exhaustive_guard(self):
         topo = ring(12)
         with pytest.raises(OptimizationError):
-            optimize_votes(topo, alpha=0.5, p=0.9, r=0.9, total_votes=24,
-                           method="exhaustive", n_samples=10)
+            exhaustive_votes(topo, alpha=0.5, p=0.9, r=0.9, total_votes=24,
+                             n_samples=10)
 
 
 class TestValidation:
@@ -100,11 +103,6 @@ class TestValidation:
     def test_sample_count_positive(self, n_samples):
         with pytest.raises(OptimizationError, match="n_samples must be positive"):
             optimize_votes(ring(3), alpha=0.5, p=0.9, r=0.9, n_samples=n_samples)
-
-    def test_unknown_method(self):
-        with pytest.raises(OptimizationError):
-            optimize_votes(ring(3), alpha=0.5, p=0.9, r=0.9,
-                           method="quantum", n_samples=10)
 
     def test_reliability_shape_check(self):
         with pytest.raises(OptimizationError):

@@ -1,5 +1,7 @@
 """ShardConfig validation, derived quantities, and config borrowing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,49 @@ def test_one_access_volume_rule_at_construction(config, field, value, message):
                        match=f"^{field} must be {message}, got {value}$") as excinfo:
         build(**{field: value})
     assert type(excinfo.value) is error
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("field,mask,count", [
+    ("fallible_sites", np.ones(3, dtype=bool), 5),
+    ("fallible_sites", np.ones((5, 1), dtype=bool), 5),
+    ("fallible_links", np.zeros(2, dtype=bool), 5),
+    ("fallible_links", np.ones(11, dtype=bool), 5),
+])
+def test_one_fallible_mask_rule_at_construction(config, field, mask, count):
+    # A wrong-length mask used to construct; the single-item run then
+    # quarantined every batch and the sharded one raised from run_sharded.
+    build, error = CONFIGS[config]
+    message = f"{field} must have shape ({count},), got {mask.shape}"
+    with pytest.raises(SimulationError, match=f"^{re.escape(message)}$") as excinfo:
+        build(**{field: mask})
+    assert type(excinfo.value) is error
+    build(**{field: np.ones(count, dtype=bool)})
+    build(**{field: None})
+
+
+def test_quorum_classes_grouped_once_per_config(monkeypatch):
+    import repro.sharding.config as config_module
+    from repro.sharding import run_sharded
+
+    calls = []
+    group_rows = config_module.group_rows
+
+    def counted(rows):
+        calls.append(rows.shape)
+        return group_rows(rows)
+
+    monkeypatch.setattr(config_module, "group_rows", counted)
+    config = ShardConfig(topology=ring(5), workload=_workload(), n_batches=3,
+                         warmup_accesses=10.0, accesses_per_batch=50.0)
+    result = run_sharded(config)
+    assert result.n_classes == 1
+    assert calls == [(3, 6)]
+    class_of, first = config.quorum_classes()
+    assert not class_of.flags.writeable and not first.flags.writeable
+    # A replaced config is a new config with its own grouping.
+    assert config.with_read_quorums([1, 2, 3]).quorum_classes()[1].size == 3
+    assert len(calls) == 2
 
 
 class TestValidation:

@@ -32,7 +32,7 @@ PINS = {
         "15c5f539f4c542194afa585831cc2698db962e293b1b6832bc5b044ccdd9f058",
         {"optimizer.exhaustive": 14, "serve.admit": 5000,
          "serve.attempt": 4211, "serve.control": 15, "serve.fault": 12,
-         "serve.transport": 5001, "serve.watchdog": 6},
+         "serve.watchdog": 6},
     ),
     ("simulate", "--workers", "1"): (
         "e095a85a93854250240a7b35b19de45a4e8d9afd107c0c70db9981f29b61a61b",

@@ -130,13 +130,19 @@ class TestVotesAndShootout:
         assert "hillclimb" in out
 
     def test_votes_exhaustive_tiny(self, capsys):
+        # On a tiny system the climb reaches the value of the search over
+        # every vote vector, scored on the same shared sample.
+        from repro.topology.generators import ring_with_chords
+        from tests.oracles import exhaustive_votes
+
         code, out, _ = run_cli(
             capsys, "votes", "--sites", "4", "--chords", "0",
-            "--total-votes", "4", "--method", "exhaustive",
-            "--samples", "200",
+            "--total-votes", "4", "--samples", "200",
         )
         assert code == 0
-        assert "exhaustive" in out
+        best = exhaustive_votes(ring_with_chords(4, 0), 0.5, 0.95, 0.95,
+                                total_votes=4, n_samples=200, seed=0)
+        assert f"availability   : {best.availability:.4f}" in out
 
     def test_shootout(self, capsys):
         code, out, _ = run_cli(
@@ -261,7 +267,7 @@ class TestServe:
     """The serve exit contract: 0 clean, 1 SLO/invariant, 2 usage error."""
 
     SMALL = ("serve", "--sites", "7", "--chords", "1", "--accesses", "2000",
-             "--clients", "8", "--seed", "3")
+             "--seed", "3")
 
     def test_clean_run_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, *self.SMALL, "--scenario", "none")
@@ -321,8 +327,7 @@ class TestServe:
         assert code == 0
         assert "requests       : 20000" in out
 
-    P99_GATE = ("serve", "--accesses", "20000", "--clients", "2",
-                "--seed", "30024")
+    P99_GATE = ("serve", "--accesses", "20000", "--seed", "30024")
 
     def test_p99_gate_reads_exact_quantiles(self, capsys):
         # 1 of ~17k granted requests waited, so p50 = p99 = 0 exactly and
@@ -693,29 +698,6 @@ class TestVerify:
         assert "FAIL" in out
 
 
-class TestCache:
-    def test_stats_cold(self, capsys):
-        from repro.analytic import cache as density_cache
-
-        density_cache.get_cache().clear()
-        code, out, _ = run_cli(capsys, "cache")
-        assert code == 0
-        assert "density cache: enabled" in out
-        assert "hits:    0" in out
-
-    def test_exercise_reports_warm_hits(self, capsys):
-        from repro.analytic import cache as density_cache
-
-        density_cache.get_cache().clear()
-        code, out, _ = run_cli(capsys, "cache", "--exercise")
-        assert code == 0
-        assert "closed_form" in out
-        assert "enumeration" in out
-        stats = density_cache.stats()
-        assert stats.hits >= stats.misses  # second pass re-hit everything
-        density_cache.get_cache().clear()
-
-
 class TestProfile:
     def test_enumeration_writes_perfetto_trace(self, capsys, tmp_path,
                                                monkeypatch):
@@ -876,9 +858,9 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
-    def test_twelve_subcommands(self):
+    def test_eleven_subcommands(self):
         assert sorted(_subcommands()) == [
-            "cache", "campaign", "chaos", "metrics", "optimize", "profile",
+            "campaign", "chaos", "metrics", "optimize", "profile",
             "serve", "shard", "shootout", "simulate", "verify", "votes"]
 
     @pytest.mark.parametrize("command", ["figure", "rw-table",

@@ -38,7 +38,12 @@ imported by the closed-form and t-interval functions that call it, so a
 simulation (the complete graph's included: one state is labelled by a
 flood), a chaos campaign, a serve run and the ring optimizer load no
 scipy module, and those calls do. No labeller calls scipy: a block is a
-numpy union or a bitmask flood, so no run loads scipy.sparse.
+numpy union or a bitmask flood, so no run loads scipy.sparse. The
+serving layer is one synchronous sequencer: no file imports asyncio, and
+a serve run loads neither asyncio nor ssl. The vote search has one
+strategy (its exhaustive ground truth lives in ``tests/oracles.py``), the
+density cache has no environment switch and no subcommand, and neither
+networkx interop nor a second vote-vector class is left in ``src/``.
 """
 
 import ast
@@ -64,7 +69,8 @@ DENIED = (
 )
 
 #: Not imported anywhere under ``src/``, at any scope.
-NEVER_IMPORTED = ("scipy.optimize", "scipy.sparse", "numba")
+NEVER_IMPORTED = ("scipy.optimize", "scipy.sparse", "numba", "networkx",
+                  "asyncio")
 
 _PROBE = """
 import json, sys
@@ -90,8 +96,6 @@ optimal_read_quorum(model, 0.5)
 optimize_with_write_floor(model, 0.5, 0.01)
 enumerate_density_matrix(ring(5), 0.9, 0.8)
 optimize_votes(ring(4), 0.5, 0.9, 0.9, n_samples=50)
-for method in ("hillclimb", "exhaustive"):
-    optimize_votes(ring(3), 0.5, 0.9, 0.9, method=method, n_samples=50)
 reliability_sweep("ring", 11, 0.5, [0.9, 0.96])
 find_majority_crossover("complete", 9, 0.8)
 from repro.experiments.paper import TEST_SCALE
@@ -172,10 +176,12 @@ topology = ring_with_chords(13, 2)
 serve = ServeConfig(
     topology=topology, workload=AccessWorkload.uniform(13, 0.7),
     initial_assignment=QuorumAssignment.from_read_quorum(topology.total_votes, 1),
-    n_requests=2000, n_clients=8, seed=7, scenario="correlated")
+    n_requests=2000, seed=7, scenario="correlated")
 serve.fault_schedule = serving_schedule("correlated", topology, serve.n_requests)
 assert run_serve(serve).outcomes["granted"] > 0
 stages["run_serve"] = scipy_loaded()
+stages["serve transport"] = sorted(
+    m for m in sys.modules if m.split(".")[0] in ("asyncio", "ssl"))
 
 from repro.analytic import closed_form_density
 from repro.quorum.availability import AvailabilityModel
@@ -199,6 +205,7 @@ print(json.dumps(stages))
 def test_a_run_that_calls_no_scipy_loads_none():
     stages = _probe(_SCIPY_PROBE, argv=())
     callers = stages.pop("scipy callers")
+    assert stages.pop("serve transport") == [], "a serve run loaded asyncio or ssl"
     assert stages == dict.fromkeys(stages, []), (
         "a path that calls no scipy function loaded scipy")
     # The probe reached the closed-form and t-interval calls; the dense
@@ -251,16 +258,15 @@ def test_entry_points_expose_no_strategy_selector():
         return set(inspect.signature(fn).parameters)
 
     assert params(optimal_read_quorum) == {"model", "alpha"}
-    assert not params(optimize_votes) & {"scoring", "backend", "use_jit"}
-    for fn in (enumerate_density, enumerate_density_matrix):
+    for fn in (optimize_votes, enumerate_density, enumerate_density_matrix):
         assert not params(fn) & {"use_jit", "method", "scoring", "backend",
                                  "chunk_size"}
-    # optimize_votes' ``method`` is the vote search (hillclimb vs
-    # exhaustive compositions), a different job from the Fig. 1 search.
-    assert "method" in params(optimize_votes)
 
     parser = build_parser()
     for argv in (["optimize", "--method", "exhaustive"],
+                 ["votes", "--method", "exhaustive"],
+                 ["serve", "--clients", "8"],
+                 ["cache"],
                  ["profile", "enumeration", "--backend", "exact-order"]):
         with pytest.raises(SystemExit):
             parser.parse_args(argv)
@@ -424,11 +430,13 @@ DELETED_MODULES = (
     "repro.replication.multidb", "repro.quorum.coterie",
     "repro.protocols.coterie_protocol", "repro.analytic.tree",
     "repro.faults.retry", "repro.experiments.charts",
+    "repro.topology.serialization", "repro.quorum.votes",
 )
 
-#: Names they exported, plus the sharded vote search, the alias shims and
+#: Names they exported, plus the sharded vote search, the alias shims,
 #: the vote search's per-move delta scorer (a sweep scores every move)
-#: and the `small` scale.
+#: and its exhaustive fork, the `small` scale, the density cache's
+#: environment switch and the serving transport's queue size.
 REMOVED_NAMES = {
     "MultiItemDatabase", "ItemBinding", "TransactionResult",
     "Coterie", "coterie_from_votes", "read_groups_from_votes",
@@ -442,6 +450,8 @@ REMOVED_NAMES = {
     "_CHAOS_SCENARIOS", "RETRY_POLICY", "BREAKER", "_STREAM_CHAOS",
     "gather_groups", "batched_component_entries", "moved_counts",
     "SMALL_SCALE", "figure_chart", "ascii_chart",
+    "VoteAssignment", "to_networkx", "from_networkx", "ENV_KNOB",
+    "MAX_EXHAUSTIVE_STATES", "_compositions", "TRANSPORT_SLOTS",
 }
 
 
@@ -476,7 +486,7 @@ def test_code_no_entry_point_runs_is_gone():
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert int(done.stdout) == 66
+    assert int(done.stdout) == 64
 
 
 def test_one_online_reassignment_loop():

@@ -96,7 +96,7 @@ class TestTracingIsObservational:
         from repro.simulation.workload import AccessWorkload
         from repro.topology.generators import ring_with_chords
 
-        def build(clients):
+        def build():
             topology = ring_with_chords(9, 1)
             config = ServeConfig(
                 topology=topology,
@@ -105,7 +105,6 @@ class TestTracingIsObservational:
                     topology.total_votes, 1
                 ),
                 n_requests=2_000,
-                n_clients=clients,
                 seed=5,
                 scenario="correlated",
             )
@@ -113,10 +112,10 @@ class TestTracingIsObservational:
                 "correlated", topology, config.horizon)
             return config
 
-        plain = run_serve(build(32))
+        plain = run_serve(build())
         recorder = Telemetry()
-        profiled = run_serve(build(8), recorder)
-        # Different client concurrency AND a live recorder for spans and
-        # phases vs none: outcomes must not move by a bit.
+        profiled = run_serve(build(), recorder)
+        # Two runs of one seed, one with a live recorder for spans and
+        # phases and one with none: outcomes must not move by a bit.
         assert recorder.snapshot().phases
         assert plain.digest() == profiled.digest()
