@@ -13,18 +13,25 @@ Run:  python examples/replicated_database_demo.py
 """
 
 import sys
+from typing import Dict
 
 from repro.cli import run_script
 from repro.protocols.quorum_consensus import QuorumConsensusProtocol
 from repro.quorum.assignment import QuorumAssignment
-from repro.replication.database import ReplicatedDatabase
+from repro.replication.database import AccessResult, ReplicatedDatabase
 from repro.topology.generators import ring
 
 
-def show(db: ReplicatedDatabase, action: str, result) -> None:
+#: Outcome tally, ``"op:outcome"`` -> count, in first-seen order.
+TALLY: Dict[str, int] = {}
+
+
+def show(action: str, result: AccessResult) -> None:
+    key = f"{result.op}:{result.outcome.value}"
+    TALLY[key] = TALLY.get(key, 0) + 1
     status = "GRANTED" if result.granted else f"DENIED ({result.outcome.value})"
     extra = ""
-    if result.granted and hasattr(result, "value"):
+    if result.granted and result.op == "read":
         extra = f" -> {result.value!r} (ts {result.timestamp})"
     print(f"  {action:<28s} {status}{extra}")
 
@@ -38,34 +45,34 @@ def main() -> None:
     print(f"ring of 7 sites, quorums {assignment}")
 
     print("\nhealthy network:")
-    show(db, "read @ site 0", db.submit_read(0))
-    show(db, "write 'v1' @ site 3", db.submit_write(3, "v1"))
+    show("read @ site 0", db.submit_read(0))
+    show("write 'v1' @ site 3", db.submit_write(3, "v1"))
 
     print("\npartition: cut links 0-1 and 4-5 -> {1..4} (4 votes) vs {5,6,0} (3 votes)")
     db.fail_link(0, 1)
     db.fail_link(4, 5)
-    show(db, "read @ site 2  (4 votes)", db.submit_read(2))
-    show(db, "write @ site 2 (4 < q_w)", db.submit_write(2, "lost-update?"))
-    show(db, "read @ site 6  (3 votes)", db.submit_read(6))
+    show("read @ site 2  (4 votes)", db.submit_read(2))
+    show("write @ site 2 (4 < q_w)", db.submit_write(2, "lost-update?"))
+    show("read @ site 6  (3 votes)", db.submit_read(6))
 
     print("\nheal one link; majority side {1..4,5,6,0 minus cut}:")
     db.repair_link(0, 1)  # component {5,6,0,1,2,3,4} minus 4-5 cut = all 7
-    show(db, "write 'v2' @ site 1", db.submit_write(1, "v2"))
+    show("write 'v2' @ site 1", db.submit_write(1, "v2"))
 
     print("\ncut the ring again around site 4, isolating it:")
     db.fail_link(3, 4)
     # site 4's neighbours are 3 and 5; 4-5 is already down -> isolated.
-    show(db, "read @ site 4 (1 vote)", db.submit_read(4))
-    show(db, "write 'v3' @ site 0 (6 votes)", db.submit_write(0, "v3"))
-    print(f"  stale copy at site 4: {db.copy_at(4).value!r} "
-          f"(ts {db.copy_at(4).timestamp})")
+    show("read @ site 4 (1 vote)", db.submit_read(4))
+    show("write 'v3' @ site 0 (6 votes)", db.submit_write(0, "v3"))
+    print(f"  stale copy at site 4: {db.copies[4].value!r} "
+          f"(ts {db.copies[4].timestamp})")
 
     print("\nfull heal; the stale site reads through the quorum:")
     db.repair_link(4, 5)
     db.repair_link(3, 4)
-    show(db, "read @ site 4", db.submit_read(4))
+    show("read @ site 4", db.submit_read(4))
 
-    print("\noutcome tally:", db.grant_counts())
+    print("\noutcome tally:", TALLY)
     print("one-copy serializability checker: no violations raised")
 
 

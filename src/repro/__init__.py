@@ -94,7 +94,7 @@ from repro.simulation import (
     run_simulation,
     simulate_batch,
 )
-from repro.replication import ReplicatedDatabase, ReplicatedItem
+from repro.replication import ReplicatedDatabase
 from repro.experiments import figure_data
 
 __version__ = "1.0.0"
@@ -123,7 +123,6 @@ __all__ = [
     "ReadOneWriteAllProtocol",
     "ReplicaControlProtocol",
     "ReplicatedDatabase",
-    "ReplicatedItem",
     "ReproError",
     "SerializabilityError",
     "SimulationConfig",

@@ -123,11 +123,6 @@ class CacheStats:
     entries: int = 0
     by_layer: Dict[str, Tuple[int, int]] = field(default_factory=dict)
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class DensityCache:
     """Bounded LRU mapping content keys to density arrays.

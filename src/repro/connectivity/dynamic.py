@@ -146,9 +146,6 @@ class NetworkState:
         """True iff every site and every link is operational."""
         return bool(self.site_up.all() and self.link_up.all())
 
-    def n_up_sites(self) -> int:
-        return int(self.site_up.sum())
-
     def copy(self) -> "NetworkState":
         return NetworkState(self.topology, self.site_up, self.link_up)
 
@@ -447,15 +444,6 @@ class ComponentTracker:
         """Votes in the component containing ``site``."""
         return int(self.vote_totals[site])
 
-    def max_component_votes(self) -> int:
-        """Votes of the best-connected component (0 when all sites are down).
-
-        This is the quantity SURV-style metrics care about: *some* site can
-        access the item iff the largest component clears the quorum.
-        """
-        totals = self.vote_totals
-        return int(totals.max()) if totals.size else 0
-
     def component_of(self, site: int) -> np.ndarray:
         """Site ids of the component containing ``site`` (empty if down).
 
@@ -475,8 +463,3 @@ class ComponentTracker:
             members = by_label[label] = np.nonzero(labels == label)[0]
             members.flags.writeable = False
         return members
-
-    def same_component(self, a: int, b: int) -> bool:
-        """True iff up sites ``a`` and ``b`` can currently communicate."""
-        labels = self.labels
-        return bool(labels[a] >= 0 and labels[a] == labels[b])

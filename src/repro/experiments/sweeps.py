@@ -52,10 +52,6 @@ class SweepPoint:
     availability_at_majority: float
     availability_at_rowa: float
 
-    @property
-    def majority_beats_rowa(self) -> bool:
-        return self.availability_at_majority > self.availability_at_rowa
-
 
 def _model(family: str, n_sites: int, reliability: float) -> AvailabilityModel:
     if family not in DENSITY_FAMILIES:

@@ -3,8 +3,8 @@
 A replica control protocol answers one question: *may this access proceed
 in the submitting site's current component?* The simulator asks it in
 bulk — one boolean per site per operation kind — so the interface is
-mask-based, with a scalar convenience wrapper. Dynamic protocols
-additionally react to network changes via :meth:`on_network_change`.
+mask-based. Dynamic protocols additionally react to network changes via
+:meth:`on_network_change`.
 """
 
 from __future__ import annotations
@@ -57,17 +57,6 @@ class ReplicaControlProtocol(ABC):
         it to propagate new quorum assignments to sites that just merged
         into a better-informed component.
         """
-
-    def decide(self, site: int, is_read: bool, tracker: ComponentTracker) -> bool:
-        """Scalar form of :meth:`grant_masks` for one access."""
-        read_mask, write_mask = self.grant_masks(tracker)
-        mask = read_mask if is_read else write_mask
-        return bool(mask[site])
-
-    def survivability(self, tracker: ComponentTracker) -> Tuple[bool, bool]:
-        """SURV ingredients: does *some* site currently have read/write access?"""
-        read_mask, write_mask = self.grant_masks(tracker)
-        return bool(read_mask.any()), bool(write_mask.any())
 
     def reset(self) -> None:
         """Restore any protocol state to its initial value (new batch)."""

@@ -34,9 +34,7 @@ access-to-failure ratio (``rho = 1/128`` at 101 sites, i.e. hundreds of
 accesses per epoch and ``alpha < 1``) at least one write lands in every
 epoch with overwhelming probability, so "a write happens once per epoch
 in the distinguished component" is the standard Markov-model treatment
-of dynamic voting (state transitions at reconfiguration instants). Set
-``refresh_on_change=False`` to drive writes explicitly instead (the
-replicated-database layer does this).
+of dynamic voting (state transitions at reconfiguration instants).
 """
 
 from __future__ import annotations
@@ -55,13 +53,11 @@ __all__ = ["DynamicVotingProtocol"]
 class DynamicVotingProtocol(ReplicaControlProtocol):
     """Dynamic(-linear) voting over one copy per site."""
 
-    def __init__(self, n_sites: int, linear: bool = True,
-                 refresh_on_change: bool = True) -> None:
+    def __init__(self, n_sites: int, linear: bool = True) -> None:
         if n_sites <= 0:
             raise ProtocolError(f"need at least one site, got {n_sites}")
         self.n_sites = int(n_sites)
         self.linear = bool(linear)
-        self.refresh_on_change = bool(refresh_on_change)
         self.name = f"dynamic-{'linear-' if linear else ''}voting(n={n_sites})"
         self.reset()
 
@@ -109,7 +105,7 @@ class DynamicVotingProtocol(ReplicaControlProtocol):
 
     # ------------------------------------------------------------------
     def on_network_change(self, tracker: ComponentTracker) -> None:
-        """Optionally perform one write in the distinguished component.
+        """Perform one write in the distinguished component.
 
         Note there is deliberately *no* state propagation here: unlike
         the QR protocol's quorum assignments, dynamic voting's version
@@ -121,8 +117,7 @@ class DynamicVotingProtocol(ReplicaControlProtocol):
         distinguished component that contains them re-bases the
         participant set (:meth:`perform_write`).
         """
-        if self.refresh_on_change:
-            self.perform_write(tracker)
+        self.perform_write(tracker)
 
     def perform_write(self, tracker: ComponentTracker) -> bool:
         """Execute one write in the distinguished component (if any).

@@ -93,22 +93,6 @@ class QuorumAssignment:
         return cls(total_votes, 1, total_votes)
 
     # ------------------------------------------------------------------
-    @property
-    def is_majority(self) -> bool:
-        """True iff this is the majority-consensus instance."""
-        if self.total_votes == 1:
-            return self.read_quorum == 1 and self.write_quorum == 1
-        q_r = self.total_votes // 2
-        return (
-            self.read_quorum == q_r
-            and self.write_quorum == self.total_votes - q_r + 1
-        )
-
-    @property
-    def is_read_one_write_all(self) -> bool:
-        """True iff this is the ROWA instance."""
-        return self.read_quorum == 1 and self.write_quorum == self.total_votes
-
     def allows_read(self, component_votes: int) -> bool:
         """May a read proceed in a component holding ``component_votes``?"""
         return component_votes >= self.read_quorum
@@ -124,15 +108,6 @@ class QuorumAssignment:
             if is_read
             else self.allows_write(component_votes)
         )
-
-    def distinguishes_reads(self) -> bool:
-        """False when ``q_r`` and ``q_w`` differ by at most one.
-
-        At ``q_r = floor(T/2)`` the two quorums are nearly equal and the
-        protocol effectively treats reads like writes — which is why all
-        availability curves of a topology converge there (section 5.3).
-        """
-        return self.write_quorum - self.read_quorum > 1
 
     def __str__(self) -> str:
         return f"(q_r={self.read_quorum}, q_w={self.write_quorum}, T={self.total_votes})"

@@ -1,25 +1,31 @@
-"""The replicated database: the data path over a replica-control protocol.
+"""The replicated database: one item, a copy per site, over a protocol.
 
-:class:`ReplicatedDatabase` owns the per-site stores, a mutable network
-state, and a protocol instance; callers drive it with ``submit_read`` /
-``submit_write`` plus explicit failure/repair calls (or let the
-discrete-event simulator drive the network underneath). The execution
-model follows the paper's instantaneous-event semantics: no site or link
-changes state while an access is processing.
+:class:`ReplicatedDatabase` keeps one copy of the item at every site
+(``copies``), a mutable network state, and a protocol instance; callers
+drive it with ``submit_read`` / ``submit_write`` plus explicit
+failure/repair calls. Votes are the topology's, so partial replication is
+a topology with zero-vote sites: their copies count toward no quorum. The
+execution model follows the paper's instantaneous-event semantics: no
+site or link changes state while an access is processing.
 
-**Read path.** If the protocol grants the read, the database returns the
-copy with the highest commit timestamp among replicas in the submitting
-site's component. Quorum intersection (``q_r + q_w > T``) guarantees this
-is the globally newest committed value — asserted, not assumed: a
-one-copy-serializability checker compares every granted read against the
-last granted write and raises :class:`~repro.errors.SerializabilityError`
-on any mismatch.
+**Decision.** Both operations share one step: the protocol's grant mask
+at the submitting site decides, and a denial's cause is refined on the
+spot. A ``no_quorum`` denial in a component whose assignment version is
+older than the newest installed one reads ``stale_assignment`` (the
+QR propagation rule's cost, not the partition's). The cause is the
+result's ``outcome`` and, with a recorder on, the audit record's reason.
 
-**Write path.** If the protocol grants the write, a fresh commit
-timestamp is assigned and the new value installed at every replica in the
-component (a superset of a write quorum). ``q_w > T/2`` makes concurrent
-writes in disjoint components impossible — also asserted by the checker,
-which tracks commit timestamps globally.
+**Read path.** A granted read returns the copy with the highest commit
+timestamp in the submitting site's component. Quorum intersection
+(``q_r + q_w > T``) guarantees this is the globally newest committed
+value — asserted, not assumed: a one-copy-serializability checker
+compares every granted read against the last granted write and raises
+:class:`~repro.errors.SerializabilityError` on any mismatch.
+
+**Write path.** A granted write gets a fresh commit timestamp and is
+installed at every site of the component (a superset of a write quorum).
+``q_w > T/2`` makes concurrent writes in disjoint components impossible —
+also asserted by the checker, which tracks commit timestamps globally.
 
 **Resilience.** A denied access is returned, never retried here: the
 caller that owns a clock (the serving sequencer) schedules its own
@@ -28,19 +34,20 @@ attached, consistency mismatches are *recorded* with context instead of
 raised, so one bad read cannot kill a whole chaos campaign.
 
 **Decision view.** What an access needs besides the grant itself — the
-replica sites of its component, the member count, the effective quorums,
-the component's assignment version and the newest installed one — changes
-only when :func:`decision_key` does. The database keeps one view, built
-per component on first use and dropped when the key moves, so an access
+sites of its component, the effective quorums, the component's
+assignment version and the newest installed one — changes only when
+:func:`decision_key` does. The database keeps one view, built per
+component on first use and dropped when the key moves, so an access
 pays a key comparison and a dict lookup for it. An entry also carries
-its component's newest copy: scanned from the stores on the first read
+its component's newest copy: scanned from ``copies`` on the first read
 that needs it and dropped by a granted write there, so it is always what
-the stores hold and the checker compares against them.
+the copies hold and the checker compares against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
@@ -50,16 +57,66 @@ if TYPE_CHECKING:  # pragma: no cover
 import numpy as np
 
 from repro.connectivity.dynamic import ComponentTracker, NetworkState
-from repro.errors import ProtocolError, ReproError, SerializabilityError
+from repro.errors import ReproError, SerializabilityError
 from repro.protocols.base import ReplicaControlProtocol
-from repro.replication.item import ReplicatedItem
-from repro.replication.store import CopyState, SiteStore
-from repro.replication.transaction import AccessOutcome, ReadResult, WriteResult
 from repro.telemetry import audit as _audit
 from repro.telemetry.recorder import resolve as _resolve_telemetry
 from repro.topology.model import Topology
 
-__all__ = ["ReplicatedDatabase", "decision_key"]
+__all__ = [
+    "AccessOutcome",
+    "AccessResult",
+    "CopyState",
+    "ReplicatedDatabase",
+    "decision_key",
+]
+
+
+class AccessOutcome(Enum):
+    """Why an access ended the way it did: the audit log's causes."""
+
+    GRANTED = _audit.GRANTED
+    #: The submitting site is down — ACC counts this as a denial.
+    SITE_DOWN = _audit.SITE_DOWN
+    #: The component lacks the required quorum of votes.
+    NO_QUORUM = _audit.NO_QUORUM
+    #: As ``NO_QUORUM``, in a component holding an assignment version
+    #: older than the newest installed one.
+    STALE_ASSIGNMENT = _audit.STALE_ASSIGNMENT
+
+
+#: ``AccessOutcome`` by cause string (a dict lookup, not an enum call).
+_OUTCOMES = {outcome.value: outcome for outcome in AccessOutcome}
+
+
+@dataclass(frozen=True)
+class CopyState:
+    """One copy's state: the value and the commit timestamp that wrote it."""
+
+    value: Any
+    timestamp: int
+
+
+@dataclass(frozen=True)
+class AccessResult:
+    """Outcome of one read or write."""
+
+    op: str  # "read" | "write"
+    outcome: AccessOutcome
+    site: int
+    time: float
+    #: The value a granted read returned.
+    value: Any = None
+    #: The commit timestamp a granted access read or wrote.
+    timestamp: Optional[int] = None
+    #: Sites whose copies a granted write updated.
+    updated_sites: Tuple[int, ...] = ()
+    #: Votes visible in the submitting site's component when decided.
+    component_votes: int = 0
+
+    @property
+    def granted(self) -> bool:
+        return self.outcome is AccessOutcome.GRANTED
 
 
 def decision_key(tracker: ComponentTracker, protocol: Any
@@ -86,8 +143,8 @@ _by_timestamp = attrgetter("timestamp")
 class _ComponentView:
     """What every access in one component shares under one decision key."""
 
+    #: The component's sites, each holding a copy.
     replicas: Tuple[int, ...]
-    size: int
     read_quorum: Optional[int]
     write_quorum: Optional[int]
     #: The component's assignment version (versioned protocols only).
@@ -107,26 +164,17 @@ class ReplicatedDatabase:
         self,
         topology: Topology,
         protocol: ReplicaControlProtocol,
-        item: Optional[ReplicatedItem] = None,
         initial_value: Any = None,
         monitor: Optional["InvariantMonitor"] = None,
         telemetry=None,
-        record_history: bool = True,
     ) -> None:
         self.topology = topology
         self.protocol = protocol
-        self.item = item or ReplicatedItem.fully_replicated("item", topology)
-        if not np.array_equal(self.item.votes_vector(topology.n_sites), topology.votes):
-            raise ProtocolError(
-                "item vote placement disagrees with the topology's vote vector; "
-                "build the topology with Topology.with_votes(item.votes_vector(n))"
-            )
         #: Optional chaos monitor: serializability mismatches are recorded
         #: there (with context) instead of raised.
         self.monitor = monitor
         #: Telemetry recorder: every access decision is audited with its
-        #: cause (granted / site_down / no_quorum / stale_assignment) and
-        #: the quorums in force. The null recorder makes this free.
+        #: cause and the quorums in force. The null recorder makes this free.
         self.telemetry = _resolve_telemetry(telemetry)
         if self.telemetry.enabled:
             bind = getattr(protocol, "bind_telemetry", None)
@@ -135,28 +183,15 @@ class ReplicatedDatabase:
 
         self.state = NetworkState(topology)
         self.tracker = ComponentTracker(self.state)
-        self.stores: Dict[int, SiteStore] = {}
-        for site in self.item.replica_sites:
-            store = SiteStore(site)
-            store.initialize(self.item.item_id, initial_value)
-            self.stores[site] = store
+        #: The copy at each site, by site id. Code that replaces one
+        #: outside the write path must drop the view (``_view_key = None``).
+        self.copies: List[CopyState] = (
+            [CopyState(value=initial_value, timestamp=0)] * topology.n_sites)
 
         #: Monotone logical clock assigning commit timestamps.
         self._clock = 0
         #: (timestamp, value) of the last granted write, for the checker.
         self._last_commit: Tuple[int, Any] = (0, initial_value)
-        #: Operation log for post-hoc analysis. Long-running drivers (the
-        #: serving layer pushes ~10^6 accesses through one database) turn
-        #: it off; the audit log keeps the exact totals either way.
-        self.record_history = record_history
-        self.history: List[object] = []
-        #: Refined cause of the most recent access decision, exactly as
-        #: the audit log recorded it (``granted`` / ``site_down`` /
-        #: ``no_quorum`` / ``stale_assignment``). Lets callers reconcile
-        #: their own accounting against the audit totals without
-        #: re-deriving the stale-assignment refinement. None until the
-        #: first audited decision (requires an enabled recorder).
-        self.last_audit_reason: Optional[str] = None
         self._time = 0.0
         #: The decision view: per component (or down site), for
         #: ``_view_key`` only; see :meth:`_view_of`.
@@ -227,10 +262,8 @@ class ReplicatedDatabase:
             versions = np.asarray(versions)
             version = int(versions[members].max()) if members.size else int(versions[site])
             newest = int(versions.max())
-        holds = self.item.holds_copy
         return _ComponentView(
-            replicas=tuple(int(s) for s in members if holds(int(s))),
-            size=int(members.size),
+            replicas=tuple(int(s) for s in members),
             read_quorum=getattr(assignment, "read_quorum", None),
             write_quorum=getattr(assignment, "write_quorum", None),
             version=version,
@@ -245,9 +278,8 @@ class ReplicatedDatabase:
         return copy
 
     def _scan_newest(self, replicas: Tuple[int, ...]) -> CopyState:
-        item_id = self.item.item_id
-        stores = self.stores
-        return max((stores[r].read(item_id) for r in replicas), key=_by_timestamp)
+        copies = self.copies
+        return max((copies[r] for r in replicas), key=_by_timestamp)
 
     def _consistency_violation(self, detail: str) -> None:
         """Record (chaos mode) or raise (strict mode) a 1SR violation."""
@@ -256,76 +288,61 @@ class ReplicatedDatabase:
         else:
             raise SerializabilityError(detail)
 
-    def _audit_decision(self, op: str, site: int, reason: str,
-                        votes: Optional[int],
-                        view: Optional[_ComponentView] = None) -> None:
-        """Audit one access decision (enabled recorders only).
+    def _decide(self, site: int, is_read: bool
+                ) -> Tuple[str, Optional[int], Optional[_ComponentView]]:
+        """``(cause, component votes, view)`` of one access at ``site``.
 
-        A ``no_quorum`` denial is refined to ``stale_assignment`` when
-        the protocol is versioned and the submitting site's component
-        holds an assignment version older than the newest installed one —
-        the denial is then a cost of the QR propagation rule, not of the
-        partition itself. A granted access hands in the ``view`` it
-        already looked up.
+        A down site has no votes and no view. Otherwise the view is
+        looked up after the protocol's grant mask has decided.
         """
-        tel = self.telemetry
-        if not tel.enabled:
-            self.last_audit_reason = reason
-            return
-        if view is None:
-            view = self._view_of(site)
-        if (reason == _audit.NO_QUORUM and view.newest is not None
-                and view.version < view.newest):
-            reason = _audit.STALE_ASSIGNMENT
-        self.last_audit_reason = reason
-        tel.audit.record(
-            self._time, op, reason,
-            site=site,
-            component_votes=None if votes is None else int(votes),
-            component_size=view.size,
-            read_quorum=view.read_quorum,
-            write_quorum=view.write_quorum,
-            assignment_version=view.version,
-        )
-        series = self._access_series.get((op, reason))
-        if series is None:
-            series = self._access_series[(op, reason)] = tel.metrics.counter(
-                "repro_db_accesses_total", "database access decisions by cause",
-            ).labels(op=op, outcome=reason)
-        series.inc()
+        self._check_site(site)
+        if not self.state.site_up[site]:
+            return _audit.SITE_DOWN, None, None
+        votes = self.tracker.votes_at(site)
+        read_mask, write_mask = self.protocol.grant_masks(self.tracker)
+        granted = (read_mask if is_read else write_mask)[site]
+        view = self._view_of(site)
+        if granted:
+            return _audit.GRANTED, votes, view
+        if view.newest is not None and view.version < view.newest:
+            return _audit.STALE_ASSIGNMENT, votes, view
+        return _audit.NO_QUORUM, votes, view
 
-    def submit_read(self, site: int) -> ReadResult:
-        """Submit a read at ``site``; returns the outcome.
+    def _result(self, op: str, site: int, cause: str, votes: Optional[int],
+                view: Optional[_ComponentView], **granted: Any
+                ) -> AccessResult:
+        """The access's result, audited when a recorder is on."""
+        tel = self.telemetry
+        if tel.enabled:
+            if view is None:
+                view = self._view_of(site)
+            tel.audit.record(
+                self._time, op, cause,
+                site=site,
+                component_votes=votes,
+                component_size=len(view.replicas),
+                read_quorum=view.read_quorum,
+                write_quorum=view.write_quorum,
+                assignment_version=view.version,
+            )
+            series = self._access_series.get((op, cause))
+            if series is None:
+                series = self._access_series[(op, cause)] = tel.metrics.counter(
+                    "repro_db_accesses_total", "database access decisions by cause",
+                ).labels(op=op, outcome=cause)
+            series.inc()
+        return AccessResult(op, _OUTCOMES[cause], site, self._time,
+                            component_votes=votes or 0, **granted)
+
+    def submit_read(self, site: int) -> AccessResult:
+        """Submit a read at ``site``.
 
         A granted read returns the newest copy visible in the component
         and is checked against the last granted write.
         """
-        self._check_site(site)
-        if not self.state.site_up[site]:
-            result = ReadResult(AccessOutcome.SITE_DOWN, site, self._time)
-            if self.record_history:
-                self.history.append(result)
-            self._audit_decision("read", site, _audit.SITE_DOWN, None)
-            return result
-        votes = self.tracker.votes_at(site)
-        if not self.protocol.decide(site, is_read=True, tracker=self.tracker):
-            result = ReadResult(
-                AccessOutcome.NO_QUORUM, site, self._time, component_votes=votes,
-            )
-            if self.record_history:
-                self.history.append(result)
-            self._audit_decision("read", site, _audit.NO_QUORUM, votes)
-            return result
-
-        view = self._view_of(site)
-        replicas = view.replicas
-        if not replicas:
-            # A protocol granting a read in a replica-free component is
-            # broken (it saw >= q_r >= 1 votes, so some replica is there).
-            raise ProtocolError(
-                f"protocol granted a read at site {site} but its component "
-                "holds no replica"
-            )
+        cause, votes, view = self._decide(site, is_read=True)
+        if cause != _audit.GRANTED:
+            return self._result("read", site, cause, votes, view)
         newest = self._newest_copy(view)
         expected_ts, expected_value = self._last_commit
         if newest.timestamp != expected_ts or newest.value != expected_value:
@@ -335,45 +352,14 @@ class ReplicatedDatabase:
                 f"timestamp {expected_ts} (value {expected_value!r}) — "
                 "one-copy serializability violated"
             )
-        result = ReadResult(
-            AccessOutcome.GRANTED,
-            site,
-            self._time,
-            value=newest.value,
-            timestamp=newest.timestamp,
-            component_votes=votes,
-        )
-        if self.record_history:
-            self.history.append(result)
-        self._audit_decision("read", site, _audit.GRANTED, votes, view)
-        return result
+        return self._result("read", site, cause, votes, view,
+                            value=newest.value, timestamp=newest.timestamp)
 
-    def submit_write(self, site: int, value: Any) -> WriteResult:
-        """Submit a write at ``site``; on grant, installs at all reachable replicas."""
-        self._check_site(site)
-        if not self.state.site_up[site]:
-            result = WriteResult(AccessOutcome.SITE_DOWN, site, self._time)
-            if self.record_history:
-                self.history.append(result)
-            self._audit_decision("write", site, _audit.SITE_DOWN, None)
-            return result
-        votes = self.tracker.votes_at(site)
-        if not self.protocol.decide(site, is_read=False, tracker=self.tracker):
-            result = WriteResult(
-                AccessOutcome.NO_QUORUM, site, self._time, component_votes=votes,
-            )
-            if self.record_history:
-                self.history.append(result)
-            self._audit_decision("write", site, _audit.NO_QUORUM, votes)
-            return result
-
-        view = self._view_of(site)
-        replicas = view.replicas
-        if not replicas:
-            raise ProtocolError(
-                f"protocol granted a write at site {site} but its component "
-                "holds no replica"
-            )
+    def submit_write(self, site: int, value: Any) -> AccessResult:
+        """Submit a write at ``site``; on grant, installs at every site of its component."""
+        cause, votes, view = self._decide(site, is_read=False)
+        if cause != _audit.GRANTED:
+            return self._result("write", site, cause, votes, view)
         self._clock += 1
         timestamp = self._clock
         if timestamp <= self._last_commit[0]:
@@ -382,58 +368,35 @@ class ReplicatedDatabase:
                 f"{self._last_commit[0]} — concurrent writes slipped through"
             )
         copy = CopyState(value=value, timestamp=timestamp)
-        item_id = self.item.item_id
-        stores = self.stores
-        for r in replicas:
-            stores[r].install(item_id, copy)
+        copies = self.copies
+        for r in view.replicas:
+            # The write path only ever installs increasing timestamps, so
+            # a stale install means a protocol bug, not a data race.
+            if copies[r].timestamp >= timestamp:
+                raise ReproError(
+                    f"stale write at site {r}: timestamp {timestamp} <= "
+                    f"current {copies[r].timestamp}"
+                )
+            copies[r] = copy
         view.copy = None
         self._last_commit = (timestamp, value)
-        result = WriteResult(
-            AccessOutcome.GRANTED,
-            site,
-            self._time,
-            timestamp=timestamp,
-            updated_sites=replicas,
-            component_votes=votes,
-        )
-        if self.record_history:
-            self.history.append(result)
-        self._audit_decision("write", site, _audit.GRANTED, votes, view)
-        return result
+        return self._result("write", site, cause, votes, view,
+                            timestamp=timestamp, updated_sites=view.replicas)
 
-    def peek_newest(self, site: int):
+    def peek_newest(self, site: int) -> Optional[CopyState]:
         """The newest copy visible in ``site``'s component, sans quorum.
 
         The stale-read fallback of the serving layer: when a read has
         exhausted its retries, the freshest *component-local* copy may
         still be worth serving — explicitly marked stale, never counted
         as a granted read, and carrying no consistency guarantee. Returns
-        None when the site is down or its component holds no replica.
+        None when the site is down.
         """
         self._check_site(site)
         if not self.state.site_up[site]:
             return None
-        view = self._view_of(site)
-        if not view.replicas:
-            return None
-        return self._newest_copy(view)
+        return self._newest_copy(self._view_of(site))
 
-    # ------------------------------------------------------------------
     def _check_site(self, site: int) -> None:
         if not 0 <= site < self.topology.n_sites:
             raise ReproError(f"unknown site {site}")
-
-    def copy_at(self, site: int):
-        """Inspect the raw copy at one replica site (tests/debugging)."""
-        if site not in self.stores:
-            raise ReproError(f"site {site} holds no replica")
-        return self.stores[site].read(self.item.item_id)
-
-    def grant_counts(self) -> Dict[str, int]:
-        """Tally of outcomes in the history, for quick availability checks."""
-        counts: Dict[str, int] = {}
-        for entry in self.history:
-            kind = "read" if isinstance(entry, ReadResult) else "write"
-            key = f"{kind}:{entry.outcome.value}"
-            counts[key] = counts.get(key, 0) + 1
-        return counts

@@ -111,12 +111,6 @@ class BreakerBoard:
     def trips(self) -> int:
         return sum(b.trips for b in self.breakers)
 
-    def open_sites(self) -> List[int]:
-        return [
-            i for i, b in enumerate(self.breakers)
-            if b.state is not BreakerState.CLOSED
-        ]
-
     def states(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
         for breaker in self.breakers:

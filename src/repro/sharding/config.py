@@ -200,10 +200,3 @@ class ShardConfig:
 
     def with_seed(self, seed: Optional[int]) -> "ShardConfig":
         return replace(self, seed=seed)
-
-    def with_read_quorums(
-        self, read_quorums: Union[np.ndarray, Sequence[int]]
-    ) -> "ShardConfig":
-        return replace(
-            self, read_quorums=np.asarray(read_quorums, dtype=np.int64)
-        )

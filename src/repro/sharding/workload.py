@@ -27,9 +27,9 @@ built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -203,26 +203,6 @@ class ItemWorkload:
         weights = np.full(n_items, (1.0 - hot_fraction) / cold)
         weights[hot] = hot_fraction / len(hot)
         return cls._evenly_submitted(n_items, n_sites, weights, alpha, rate_per_site)
-
-    def with_site_weights(
-        self,
-        read_site_weights: Sequence[float],
-        write_site_weights: Optional[Sequence[float]] = None,
-    ) -> "ItemWorkload":
-        """Replace the per-site submission skew (per-item mix unchanged)."""
-        writes = (
-            read_site_weights if write_site_weights is None else write_site_weights
-        )
-        return replace(
-            self,
-            read_site_weights=np.asarray(read_site_weights, dtype=np.float64),
-            write_site_weights=np.asarray(writes, dtype=np.float64),
-        )
-
-    def with_alphas(
-        self, alpha: Union[float, Sequence[float]]
-    ) -> "ItemWorkload":
-        return replace(self, alphas=np.asarray(alpha, dtype=np.float64))
 
     # ------------------------------------------------------------------
     @property

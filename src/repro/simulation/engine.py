@@ -640,9 +640,6 @@ class _EngineInstruments:
             "repro_engine_events_total", "topology events applied, by kind/source")
         self.accesses = metrics.counter(
             "repro_engine_accesses_total", "access volume by op and decision")
-        self.estimator_updates = metrics.counter(
-            "repro_engine_estimator_updates_total",
-            "on-line density estimator update calls")
         self.epoch_sim_time = metrics.histogram(
             "repro_engine_epoch_sim_time", "simulated duration of measured epochs")
         self.grant_seconds = metrics.histogram(
@@ -657,7 +654,6 @@ class _EngineInstruments:
                       write_mask, tracker, state, protocol) -> None:
         self.epochs.inc()
         self.epoch_sim_time.observe(duration)
-        self.estimator_updates.inc(2.0)  # density_time + density_access
 
         site_up = state.site_up
         vote_totals = tracker.vote_totals

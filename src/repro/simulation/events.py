@@ -45,10 +45,6 @@ class EventKind(Enum):
     def is_failure(self) -> bool:
         return self in (EventKind.SITE_FAIL, EventKind.LINK_FAIL)
 
-    @property
-    def is_repair(self) -> bool:
-        return self in (EventKind.SITE_REPAIR, EventKind.LINK_REPAIR)
-
 
 #: ``EventKind`` by *kind code*, the small int heap entries and generated
 #: history rows carry instead of the enum: ``code ^ 1`` is the opposite

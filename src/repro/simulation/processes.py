@@ -186,15 +186,6 @@ class FailureProcesses:
         rel[~self.fallible] = 1.0
         return rel
 
-    def is_site_index(self, component: int) -> bool:
-        return component < self.topology.n_sites
-
-    def link_id_of(self, component: int) -> int:
-        """Translate a component index into a link id."""
-        if self.is_site_index(component):
-            raise SimulationError(f"component {component} is a site, not a link")
-        return component - self.topology.n_sites
-
     # ------------------------------------------------------------------
     def prime(self, queue: EventQueue, start_time: float = 0.0) -> None:
         """Schedule the first failure of every fallible component.

@@ -20,12 +20,11 @@ Figure-1 algorithm consumes in the general case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.rng import RandomState, as_generator
 
 __all__ = ["AccessWorkload", "PhasedWorkload"]
 
@@ -256,10 +255,6 @@ class PhasedWorkload:
     @property
     def write_weights(self) -> np.ndarray:
         return self._workloads[0].write_weights
-
-    @property
-    def n_phases(self) -> int:
-        return len(self._workloads)
 
     def at(self, time: float) -> AccessWorkload:
         """The workload in force at ``time``."""

@@ -9,8 +9,8 @@ are currently up) lives in :mod:`repro.simulation`, never here, so a single
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -180,13 +180,6 @@ class Topology:
         """Number of links incident to ``site``."""
         return len(self.neighbors(site))
 
-    def has_link(self, a: int, b: int) -> bool:
-        """True iff an undirected link joins sites ``a`` and ``b``."""
-        if a == b:
-            return False
-        key = (a, b) if a < b else (b, a)
-        return key in self._link_index
-
     def link_id(self, a: int, b: int) -> int:
         """Return the index of the link joining ``a`` and ``b``.
 
@@ -263,13 +256,6 @@ class Topology:
     def is_fully_connected(self) -> bool:
         """True iff every pair of sites shares a link."""
         return self.n_links == self._n_sites * (self._n_sites - 1) // 2
-
-    def is_star(self) -> bool:
-        """True iff one hub site links to every other site and no other links exist."""
-        if self._n_sites < 2 or self.n_links != self._n_sites - 1:
-            return False
-        degrees = [self.degree(s) for s in self.sites()]
-        return max(degrees) == self._n_sites - 1
 
     def _is_connected(self) -> bool:
         if self._n_sites == 1:

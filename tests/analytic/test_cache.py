@@ -87,7 +87,7 @@ class TestDensityCache:
         closed_form_density("ring", 6, 0.9, 0.9)
         closed_form_density("ring", 6, 0.9, 0.9)
         stats = density_cache.stats()
-        assert stats.hit_rate == pytest.approx(2 / 3)
+        assert (stats.hits, stats.misses) == (2, 1)
 
     def test_telemetry_counters(self):
         from repro.telemetry.recorder import Telemetry, use

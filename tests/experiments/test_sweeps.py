@@ -29,12 +29,12 @@ class TestReliabilitySweep:
     def test_ring_read_heavy_prefers_rowa_at_every_reliability(self):
         points = reliability_sweep("ring", 101, 0.9, [0.7, 0.9, 0.99])
         for p in points:
-            assert not p.majority_beats_rowa
+            assert p.availability_at_majority <= p.availability_at_rowa
 
     def test_complete_write_heavy_prefers_majority_when_reliable(self):
         points = reliability_sweep("complete", 31, 0.1, [0.95, 0.99])
         for p in points:
-            assert p.majority_beats_rowa
+            assert p.availability_at_majority > p.availability_at_rowa
 
     def test_unreliable_links_erode_majority_advantage(self):
         """On a complete graph at low alpha, dropping reliability far
@@ -67,8 +67,8 @@ class TestCrossover:
         # Verify the sign change around it.
         lo = reliability_sweep("complete", 21, 0.8, [crossover - 0.05])[0]
         hi = reliability_sweep("complete", 21, 0.8, [crossover + 0.05])[0]
-        assert not lo.majority_beats_rowa
-        assert hi.majority_beats_rowa
+        assert lo.availability_at_majority <= lo.availability_at_rowa
+        assert hi.availability_at_majority > hi.availability_at_rowa
 
     def test_complete_graph_mid_alpha_majority_dominates(self):
         """At alpha = .5 the write-all term is fatal for ROWA at every

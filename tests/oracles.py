@@ -458,15 +458,14 @@ def newest_copy_scan(db, site):
 
     The component comes from :func:`minlabel_component_labels` over the
     database's network state, not from its tracker. None when ``site`` is
-    down or its component holds no replica.
+    down.
     """
     state = db.state
     labels = minlabel_component_labels(db.topology, state.site_up, state.link_up)
     if labels[site] == DOWN_LABEL:
         return None
-    copies = [store.read(db.item.item_id) for s, store in sorted(db.stores.items())
-              if labels[s] == labels[site]]
-    return max(copies, key=lambda copy: copy.timestamp, default=None)
+    copies = [copy for s, copy in enumerate(db.copies) if labels[s] == labels[site]]
+    return max(copies, key=lambda copy: copy.timestamp)
 
 
 def tree_density(topology, site, p, r):

@@ -47,15 +47,6 @@ class TestQuorumConsensus:
         assert not read_mask[2] and not write_mask[2]
         assert read_mask[0]
 
-    def test_decide_scalar_matches_masks(self, ring6):
-        topo, state, tracker = ring6
-        proto = QuorumConsensusProtocol(QuorumAssignment(6, 3, 4))
-        state.fail_site(0)
-        read_mask, write_mask = proto.grant_masks(tracker)
-        for s in range(6):
-            assert proto.decide(s, True, tracker) == bool(read_mask[s])
-            assert proto.decide(s, False, tracker) == bool(write_mask[s])
-
     def test_vote_total_mismatch_detected(self):
         topo = ring(5)
         tracker = ComponentTracker(NetworkState(topo))
@@ -95,14 +86,6 @@ class TestNamedInstances:
         read_mask, write_mask = proto.grant_masks(tracker)
         assert read_mask.all()          # every site is up
         assert not write_mask.any()     # no component holds all 6 votes
-
-    def test_survivability(self, ring6):
-        topo, state, tracker = ring6
-        proto = MajorityConsensusProtocol(6)
-        assert proto.survivability(tracker) == (True, True)
-        for s in range(6):
-            state.fail_site(s)
-        assert proto.survivability(tracker) == (False, False)
 
 
 class TestPrimaryCopy:

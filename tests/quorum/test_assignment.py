@@ -66,7 +66,6 @@ class TestNamedInstances:
     def test_majority_even(self):
         qa = QuorumAssignment.majority(10)
         assert (qa.read_quorum, qa.write_quorum) == (5, 6)
-        assert qa.is_majority
 
     def test_majority_odd_uses_paper_convention(self):
         # The literal (floor(T/2), floor(T/2)+1) pair violates condition 1
@@ -74,7 +73,6 @@ class TestNamedInstances:
         qa = QuorumAssignment.majority(101)
         assert qa.read_quorum == 50
         assert qa.write_quorum == 52
-        assert qa.is_majority
 
     def test_majority_degenerate(self):
         assert QuorumAssignment.majority(1).read_quorum == 1
@@ -82,11 +80,6 @@ class TestNamedInstances:
     def test_rowa(self):
         qa = QuorumAssignment.read_one_write_all(7)
         assert (qa.read_quorum, qa.write_quorum) == (1, 7)
-        assert qa.is_read_one_write_all
-        assert not qa.is_majority
-
-    def test_majority_not_rowa(self):
-        assert not QuorumAssignment.majority(10).is_read_one_write_all
 
 
 class TestDecisions:
@@ -106,10 +99,6 @@ class TestDecisions:
         qa = QuorumAssignment.read_one_write_all(10)
         assert not qa.allows_read(0)
         assert not qa.allows_write(0)
-
-    def test_distinguishes_reads(self):
-        assert QuorumAssignment.read_one_write_all(10).distinguishes_reads()
-        assert not QuorumAssignment.majority(10).distinguishes_reads()
 
     def test_str(self):
         assert str(QuorumAssignment(10, 3, 8)) == "(q_r=3, q_w=8, T=10)"

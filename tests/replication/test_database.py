@@ -1,17 +1,18 @@
 """Integration tests for the replicated database data path."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from repro.errors import ProtocolError, SerializabilityError
+from repro.errors import ReproError, SerializabilityError
 from repro.faults.chaos import unchecked_assignment
 from repro.faults.monitor import InvariantMonitor
 from repro.protocols.base import ReplicaControlProtocol
 from repro.protocols.quorum_consensus import QuorumConsensusProtocol
 from repro.protocols.reassignment import QuorumReassignmentProtocol
 from repro.quorum.assignment import QuorumAssignment
-from repro.replication.database import ReplicatedDatabase
-from repro.replication.transaction import AccessOutcome
+from repro.replication.database import AccessOutcome, CopyState, ReplicatedDatabase
 from repro.topology.generators import ring, ring_with_chords
 from tests.oracles import newest_copy_scan
 
@@ -46,14 +47,12 @@ class TestHappyPath:
 
     def test_history_and_counts(self):
         db = make_db()
-        db.submit_read(0)
-        db.submit_write(1, "x")
+        results = [db.submit_read(0), db.submit_write(1, "x")]
         db.fail_site(3)
-        db.submit_read(3)
-        counts = db.grant_counts()
-        assert counts["read:granted"] == 1
-        assert counts["write:granted"] == 1
-        assert counts["read:site_down"] == 1
+        results.append(db.submit_read(3))
+        counts = Counter(f"{r.op}:{r.outcome.value}" for r in results)
+        assert counts == {"read:granted": 1, "write:granted": 1,
+                          "read:site_down": 1}
 
 
 class TestDenials:
@@ -96,8 +95,8 @@ class TestConsistencyAcrossPartitions:
         db = make_db(n=5, q_r=2)
         db.fail_site(4)
         db.submit_write(0, "new")
-        assert db.copy_at(4).timestamp == 0   # missed the write
-        assert db.copy_at(0).timestamp == 1
+        assert db.copies[4].timestamp == 0   # missed the write
+        assert db.copies[0].timestamp == 1   # the submitting site's own copy
 
     def test_serializability_checker_catches_broken_protocol(self):
         """A deliberately unsafe protocol (grants everything) must trip the
@@ -107,8 +106,6 @@ class TestConsistencyAcrossPartitions:
             name = "always-yes"
 
             def grant_masks(self, tracker):
-                import numpy as np
-
                 up = tracker.labels >= 0
                 return up, up.copy()
 
@@ -157,32 +154,40 @@ class TestWithDynamicProtocol:
 
 
 class TestValidation:
-    def test_vote_mismatch_rejected(self):
-        from repro.replication.item import ReplicatedItem
-
-        topo = ring(5)
-        item = ReplicatedItem.at_sites("x", [0, 1])
-        proto = QuorumConsensusProtocol(QuorumAssignment.majority(2))
-        with pytest.raises(ProtocolError):
-            ReplicatedDatabase(topo, proto, item=item)
-
-    def test_partial_replication_with_matching_votes(self):
-        from repro.replication.item import ReplicatedItem
-
-        base = ring(5)
-        item = ReplicatedItem.at_sites("x", [0, 2, 4])
-        topo = base.with_votes(item.votes_vector(5))
-        proto = QuorumConsensusProtocol(QuorumAssignment.majority(3))
-        db = ReplicatedDatabase(topo, proto, item=item, initial_value="v")
-        # Site 1 holds no copy but may still submit accesses.
+    def test_zero_vote_sites_hold_copies(self):
+        # Partial replication is zero-vote sites: sites 1 and 3 count
+        # toward no quorum but submit accesses and receive writes.
+        topo = ring(5).with_votes([1, 0, 1, 0, 1])
+        proto = QuorumConsensusProtocol(QuorumAssignment(3, 2, 2))
+        db = ReplicatedDatabase(topo, proto, initial_value="v")
         res = db.submit_read(1)
         assert res.granted
         assert res.value == "v"
+        assert res.component_votes == 3
+        assert db.submit_write(3, "w").updated_sites == (0, 1, 2, 3, 4)
+        # Cut off zero-vote site 1 with vote site 0: 1 vote < q_r = 2.
+        db.fail_link(1, 2)
+        db.fail_link(4, 0)
+        assert db.submit_read(1).outcome is AccessOutcome.NO_QUORUM
+        assert db.submit_read(3).value == "w"
 
     def test_unknown_site(self):
         db = make_db()
-        with pytest.raises(Exception):
-            db.submit_read(99)
+        for site in (99, -1):
+            with pytest.raises(ReproError):
+                db.submit_read(site)
+            with pytest.raises(ReproError):
+                db.peek_newest(site)
+
+    def test_stale_write_rejected(self):
+        # The write path installs increasing timestamps only; a copy newer
+        # than the commit being installed is a protocol bug.
+        db = make_db()
+        db.copies[3] = CopyState("future", 1)
+        db._view_key = None
+        with pytest.raises(ReproError, match="stale write at site 3"):
+            db.submit_write(0, "now")
+        assert db.copies[3] == CopyState("future", 1)
 
     def test_time_advances(self):
         db = make_db()
@@ -199,7 +204,7 @@ def walk(assignment, seed, steps=600, installs=True):
     """A seeded random walk of faults, repairs, installs, reads and writes.
 
     After every step the cached newest copy of each site's component must
-    equal a scan of the stores, and the protocol's ``newest_version`` must
+    equal a scan of the copies, and the protocol's ``newest_version`` must
     equal ``site_version.max()``. Step ``i`` runs at time ``i``; 1SR
     mismatches are recorded, not raised. Returns the access results and
     the ``(time, detail)`` of every recorded violation.
@@ -243,8 +248,7 @@ def rescan_every_read(monkeypatch):
 
 
 def outcomes(results):
-    return [(type(r).__name__, r.outcome, getattr(r, "value", None), r.timestamp)
-            for r in results]
+    return [(r.op, r.outcome, r.value, r.timestamp) for r in results]
 
 
 class TestNewestCopyCache:
@@ -259,8 +263,8 @@ class TestNewestCopyCache:
         cached, violations = walk(assignment, seed)
         granted = [kind for kind, outcome, _, _ in outcomes(cached)
                    if outcome is AccessOutcome.GRANTED]
-        assert granted.count("ReadResult") > 30
-        assert granted.count("WriteResult") > 10
+        assert granted.count("read") > 30
+        assert granted.count("write") > 10
         rescan_every_read(monkeypatch)
         rescanned, rescanned_violations = walk(assignment, seed)
         assert outcomes(cached) == outcomes(rescanned)

@@ -88,7 +88,8 @@ class TestBoard:
         board.on_failure(1, 0.0)
         assert board.allow(0, 0.5)
         assert not board.allow(1, 0.5)
-        assert board.open_sites() == [1]
+        assert [b.state for b in board.breakers] == [
+            BreakerState.CLOSED, BreakerState.OPEN, BreakerState.CLOSED]
         assert board.rejections == 1
         assert board.trips == 1
 

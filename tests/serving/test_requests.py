@@ -61,13 +61,6 @@ class TestChunking:
         assert s.n_chunks == 3
         assert len(list(s.chunk(2).rows())) == 2
 
-    def test_submission_counts_total(self):
-        s = _stream(n=2000, n_sites=9)
-        reads, writes = s.submission_counts()
-        assert reads.shape == writes.shape == (9,)
-        assert reads.sum() + writes.sum() == 2000
-        assert reads.sum() == s.is_read.sum()
-
 
 class TestValidation:
     def test_rejects_nonpositive_requests(self):

@@ -1,5 +1,7 @@
 """Item-workload properties: normalization, skew, the sampler's law and streams."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,7 +147,7 @@ class TestSampling:
         assert read_cdf.shape == write_cdf.shape == (4,)
         assert read_cdf[-1] == write_cdf[-1] == 1.0
         # A derived workload builds its own.
-        assert wl.with_alphas(0.5).item_cdfs[0] is not read_cdf
+        assert replace(wl, alphas=np.full(4, 0.5)).item_cdfs[0] is not read_cdf
         (cells, counts), _ = wl.sample_epoch(
             40.0, np.random.default_rng(1), np.random.default_rng(2))
         assert cells.dtype == counts.dtype == np.int64
@@ -160,9 +162,11 @@ class TestTwoStageLaw:
     DURATION = 5.0  # 20 accesses an epoch over 4 sites
 
     def totals(self, sample):
-        wl = ItemWorkload.zipf(
-            6, 4, [0.05, 0.9, 0.3, 1.0, 0.0, 0.6], exponent=0.8,
-        ).with_site_weights([1.0, 2.0, 3.0, 4.0], [4.0, 1.0, 1.0, 2.0])
+        wl = replace(
+            ItemWorkload.zipf(6, 4, [0.05, 0.9, 0.3, 1.0, 0.0, 0.6], exponent=0.8),
+            read_site_weights=np.array([1.0, 2.0, 3.0, 4.0]),
+            write_site_weights=np.array([4.0, 1.0, 1.0, 2.0]),
+        )
         reads = np.zeros((wl.n_items, wl.n_sites), dtype=np.int64)
         writes = np.zeros_like(reads)
         for _ in range(self.EPOCHS):
@@ -222,9 +226,11 @@ class TestSiteParity:
         write_w = data.draw(site_weights, label="write site weights")
         alphas = data.draw(st.lists(alphas_st, min_size=n_items, max_size=n_items),
                            label="alphas")
-        wl = ItemWorkload.zipf(
-            n_items, n_sites, alphas, exponent=data.draw(exponents),
-        ).with_site_weights(read_w, write_w)
+        wl = replace(
+            ItemWorkload.zipf(n_items, n_sites, alphas, exponent=data.draw(exponents)),
+            read_site_weights=np.asarray(read_w, dtype=np.float64),
+            write_site_weights=np.asarray(write_w, dtype=np.float64),
+        )
         single = AccessWorkload.with_distinct_read_write(
             wl.mean_alpha, read_w, write_w)
         seed = data.draw(st.integers(0, 2**31 - 1), label="seed")

@@ -10,8 +10,7 @@ class TestEventKind:
     def test_classification(self):
         assert EventKind.SITE_FAIL.is_failure
         assert EventKind.LINK_FAIL.is_failure
-        assert EventKind.SITE_REPAIR.is_repair
-        assert EventKind.LINK_REPAIR.is_repair
+        assert not EventKind.SITE_REPAIR.is_failure
         assert not EventKind.ACCESS.is_failure
         assert EventKind.SITE_FAIL.is_topology_change
         assert not EventKind.ACCESS.is_topology_change

@@ -50,7 +50,6 @@ class TestPhasedWorkloadUnit:
         assert w.n_sites == 6
         assert w.aggregate_rate == 6.0
         assert w.alpha == 0.0
-        assert w.n_phases == 2
 
     def test_with_alpha_rewrites_all_phases(self):
         w = two_phase().with_alpha(0.3)

@@ -41,11 +41,6 @@ class TestFailureProcesses:
         topo = ring(5)
         procs = FailureProcesses(topo, 10.0, 1.0, seed=0)
         assert procs.n_components == 10
-        assert procs.is_site_index(4)
-        assert not procs.is_site_index(5)
-        assert procs.link_id_of(5) == 0
-        with pytest.raises(SimulationError):
-            procs.link_id_of(2)
 
     def test_stationary_reliability(self):
         topo = ring(4)

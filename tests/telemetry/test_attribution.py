@@ -11,7 +11,7 @@ import pytest
 from repro.protocols.quorum_consensus import QuorumConsensusProtocol
 from repro.protocols.reassignment import QuorumReassignmentProtocol
 from repro.quorum.assignment import QuorumAssignment
-from repro.replication.database import ReplicatedDatabase
+from repro.replication.database import AccessOutcome, ReplicatedDatabase
 from repro.telemetry.recorder import Telemetry
 from repro.topology.generators import ring
 
@@ -57,15 +57,35 @@ class TestStaticProtocolAttribution:
         assert rec.granted and rec.component_votes == 5
 
 
+def partitioned_qr_db(telemetry):
+    qr = QuorumReassignmentProtocol(5, QuorumAssignment(5, 3, 3))
+    db = make_db(qr, telemetry)
+    isolate_site_zero(db)
+    # The majority component installs a new assignment (version 2);
+    # isolated site 0 still holds version 1.
+    assert qr.try_reassign(db.tracker, 1, QuorumAssignment(5, 2, 4))
+    return db, qr
+
+
+def partitioned_qr_script(db):
+    """One access per cause on :func:`partitioned_qr_db`; the results."""
+    results = [
+        db.submit_read(0),          # stale_assignment (isolated, version 1)
+        db.submit_write(0, "x"),    # stale_assignment
+    ]
+    db.fail_site(3)                 # splits the majority side: {1,2} | {4}
+    results += [
+        db.submit_read(3),          # site_down
+        db.submit_read(1),          # granted: 2 votes >= q_r=2
+        db.submit_write(2, "y"),    # no_quorum: 2 votes < q_w=4, version current
+    ]
+    return results
+
+
 class TestStaleAssignmentAttribution:
     def _partitioned_qr_db(self):
         tel = Telemetry()
-        qr = QuorumReassignmentProtocol(5, QuorumAssignment(5, 3, 3))
-        db = make_db(qr, tel)
-        isolate_site_zero(db)
-        # The majority component installs a new assignment (version 2);
-        # isolated site 0 still holds version 1.
-        assert qr.try_reassign(db.tracker, 1, QuorumAssignment(5, 2, 4))
+        db, qr = partitioned_qr_db(tel)
         return tel, db, qr
 
     def test_stale_component_denial_refined(self):
@@ -88,15 +108,9 @@ class TestStaleAssignmentAttribution:
 
     def test_reasons_sum_to_acc_denial_count(self):
         tel, db, _ = self._partitioned_qr_db()
-        db.submit_read(0)            # stale_assignment (isolated, version 1)
-        db.submit_write(0, "x")      # stale_assignment
-        db.fail_site(3)              # splits the majority side: {1,2} | {4}
-        db.submit_read(3)            # site_down
-        db.submit_read(1)            # granted: 2 votes >= q_r=2
-        db.submit_write(2, "y")      # no_quorum: 2 votes < q_w=4, version current
-        counts = db.grant_counts()
-        denied = sum(v for k, v in counts.items() if not k.endswith(":granted"))
-        granted = sum(v for k, v in counts.items() if k.endswith(":granted"))
+        results = partitioned_qr_script(db)
+        granted = sum(r.granted for r in results)
+        denied = len(results) - granted
         by_reason = tel.audit.denials_by_reason()
         assert sum(by_reason.values()) == denied == 4
         assert by_reason == {"stale_assignment": 2.0, "site_down": 1.0,
@@ -104,6 +118,19 @@ class TestStaleAssignmentAttribution:
         assert tel.audit.granted() == granted == 1
         assert tel.audit.submitted() == denied + granted
         assert tel.audit.availability() == pytest.approx(granted / (denied + granted))
+
+    @pytest.mark.parametrize("recorder", [True, False])
+    def test_outcome_is_the_audited_cause(self, recorder):
+        # The refinement is the database's decision, not the recorder's:
+        # the result says stale_assignment with or without one.
+        db, _ = partitioned_qr_db(Telemetry() if recorder else None)
+        results = partitioned_qr_script(db)
+        assert [r.outcome for r in results[:2]] == [
+            AccessOutcome.STALE_ASSIGNMENT] * 2
+        audited, _ = partitioned_qr_db(Telemetry())
+        partitioned_qr_script(audited)
+        assert [(r.op, r.site, r.outcome.value) for r in results] == [
+            (rec.op, rec.site, rec.reason) for rec in audited.telemetry.audit.records]
 
     def test_metrics_counter_mirrors_audit(self):
         tel, db, _ = self._partitioned_qr_db()

@@ -387,7 +387,11 @@ def _imported_modules(path):
 def test_one_replicated_data_path():
     import dataclasses
 
-    from repro.replication import ReadResult, ReplicatedDatabase, WriteResult
+    from repro.protocols.base import ReplicaControlProtocol
+    from repro.protocols.quorum_consensus import QuorumConsensusProtocol
+    from repro.quorum.assignment import QuorumAssignment
+    from repro.replication import AccessResult, ReplicatedDatabase
+    from repro.topology.generators import ring
     from repro.serving import ServeConfig
 
     offenders = [
@@ -397,12 +401,17 @@ def test_one_replicated_data_path():
         if name == "repro.replication" or name.startswith("repro.replication.")
     ]
     assert offenders == []
-    assert not set(inspect.signature(ReplicatedDatabase).parameters) & {
-        "retry_policy", "retry_seed", "on_wait", "check_serializability"}
+    assert list(inspect.signature(ReplicatedDatabase).parameters) == [
+        "topology", "protocol", "initial_value", "monitor", "telemetry"]
     assert "check_serializability" not in {
         f.name for f in dataclasses.fields(ServeConfig)}
-    for result in (ReadResult, WriteResult):
-        assert "attempts" not in {f.name for f in dataclasses.fields(result)}
+    assert "attempts" not in {f.name for f in dataclasses.fields(AccessResult)}
+    db = ReplicatedDatabase(ring(3), QuorumConsensusProtocol(
+        QuorumAssignment.majority(3)))
+    for name in ("grant_counts", "copy_at", "item", "stores", "history",
+                 "last_audit_reason"):
+        assert not hasattr(db, name), name
+    assert not hasattr(ReplicaControlProtocol, "decide")
 
 
 def test_one_fidelity_battery(capsys):
@@ -431,12 +440,15 @@ DELETED_MODULES = (
     "repro.protocols.coterie_protocol", "repro.analytic.tree",
     "repro.faults.retry", "repro.experiments.charts",
     "repro.topology.serialization", "repro.quorum.votes",
+    "repro.replication.item", "repro.replication.store",
+    "repro.replication.transaction",
 )
 
 #: Names they exported, plus the sharded vote search, the alias shims,
 #: the vote search's per-move delta scorer (a sweep scores every move)
 #: and its exhaustive fork, the `small` scale, the density cache's
-#: environment switch and the serving transport's queue size.
+#: environment switch, the serving transport's queue size and the
+#: replicated item's descriptor, per-site store and per-op results.
 REMOVED_NAMES = {
     "MultiItemDatabase", "ItemBinding", "TransactionResult",
     "Coterie", "coterie_from_votes", "read_groups_from_votes",
@@ -452,6 +464,7 @@ REMOVED_NAMES = {
     "SMALL_SCALE", "figure_chart", "ascii_chart",
     "VoteAssignment", "to_networkx", "from_networkx", "ENV_KNOB",
     "MAX_EXHAUSTIVE_STATES", "_compositions", "TRANSPORT_SLOTS",
+    "ReplicatedItem", "SiteStore", "ReadResult", "WriteResult",
 }
 
 
@@ -486,7 +499,7 @@ def test_code_no_entry_point_runs_is_gone():
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert int(done.stdout) == 64
+    assert int(done.stdout) == 61
 
 
 def test_one_online_reassignment_loop():

@@ -88,10 +88,11 @@ class TestTopologyAccessors:
 
     def test_has_link_and_link_id(self):
         topo = Topology(4, [(0, 1), (2, 3)])
-        assert topo.has_link(1, 0)
-        assert not topo.has_link(0, 2)
-        assert not topo.has_link(1, 1)
+        assert topo.link_id(1, 0) == 0
         assert topo.links[topo.link_id(3, 2)] == Link(2, 3)
+        for a, b in ((0, 2), (1, 1)):
+            with pytest.raises(TopologyError):
+                topo.link_id(a, b)
 
     def test_link_id_missing(self):
         with pytest.raises(TopologyError):
@@ -153,10 +154,6 @@ class TestStructurePredicates:
         assert Topology(4, [(i, j) for i in range(4) for j in range(i + 1, 4)]).is_fully_connected()
         assert not Topology(4, [(0, 1)]).is_fully_connected()
         assert Topology(1, []).is_fully_connected()
-
-    def test_star_detection(self):
-        assert Topology(4, [(0, 1), (0, 2), (0, 3)]).is_star()
-        assert not Topology(4, [(0, 1), (1, 2), (2, 3)]).is_star()
 
     def test_connectivity(self):
         assert Topology(3, [(0, 1), (1, 2)]).is_connected()
